@@ -30,10 +30,12 @@ let flip t i =
 let copy t = { len = t.len; words = Array.copy t.words }
 
 (* Bits beyond [len] in the last word are kept at zero by every mutator,
-   so word-level comparison and hashing are sound. *)
+   so word-level comparison and hashing are sound. A 0-bit vector still
+   owns one word, which must stay 0. *)
 let mask_last t =
   let r = t.len land 63 in
-  if t.len > 0 && r <> 0 then begin
+  if t.len = 0 then t.words.(0) <- 0L
+  else if r <> 0 then begin
     let last = nwords t.len - 1 in
     t.words.(last) <-
       Int64.logand t.words.(last)
@@ -42,8 +44,7 @@ let mask_last t =
 
 let fill t b =
   Array.fill t.words 0 (Array.length t.words) (if b then -1L else 0L);
-  if b then mask_last t;
-  if b && t.len = 0 then t.words.(0) <- 0L
+  mask_last t
 
 let equal a b = a.len = b.len && a.words = b.words
 
@@ -64,6 +65,46 @@ let popcount_word w =
   Int64.to_int (Int64.shift_right_logical (Int64.mul w 0x0101010101010101L) 56)
 
 let popcount t = Array.fold_left (fun acc w -> acc + popcount_word w) 0 t.words
+
+(* Lane transposition. Each result word is accumulated in a local and
+   stored once, so the loops allocate only the result. *)
+let to_lanes n vs =
+  let count = Array.length vs in
+  if count > 64 then invalid_arg "Bv.to_lanes: more than 64 vectors";
+  Array.iter
+    (fun v -> if v.len <> n then invalid_arg "Bv.to_lanes: length mismatch")
+    vs;
+  Array.init n (fun i ->
+      let wi = i lsr 6 and sh = i land 63 in
+      let acc = ref 0L in
+      for k = 0 to count - 1 do
+        let w = Array.unsafe_get (Array.unsafe_get vs k).words wi in
+        acc :=
+          Int64.logor !acc
+            (Int64.shift_left
+               (Int64.logand (Int64.shift_right_logical w sh) 1L)
+               k)
+      done;
+      !acc)
+
+let of_lanes count lanes =
+  if count < 0 || count > 64 then invalid_arg "Bv.of_lanes: count out of range";
+  let n = Array.length lanes in
+  Array.init count (fun k ->
+      let t = create n in
+      for wi = 0 to nwords n - 1 do
+        let acc = ref 0L in
+        for b = 0 to min 63 (n - 1 - (wi * 64)) do
+          let w = Array.unsafe_get lanes ((wi * 64) + b) in
+          acc :=
+            Int64.logor !acc
+              (Int64.shift_left
+                 (Int64.logand (Int64.shift_right_logical w k) 1L)
+                 b)
+        done;
+        t.words.(wi) <- !acc
+      done;
+      t)
 
 let random rng n =
   let t = create n in

@@ -26,6 +26,26 @@ val fill : t -> bool -> unit
 
 val popcount : t -> int
 
+val popcount_word : int64 -> int
+(** Number of set bits in one 64-bit word. *)
+
+(** {1 Lane transposition}
+
+    A {e lane word} packs one bit position of up to 64 vectors: bit [k]
+    of lane word [i] is bit [i] of vector [k]. This is the layout of
+    word-parallel simulation, 64 patterns per machine word. *)
+
+val to_lanes : int -> t array -> int64 array
+(** [to_lanes n vs] transposes up to 64 vectors of length [n] into [n]
+    lane words; lanes past [Array.length vs] are 0. Raises
+    [Invalid_argument] on more than 64 vectors or a length other than
+    [n]. *)
+
+val of_lanes : int -> int64 array -> t array
+(** [of_lanes count lanes] is the inverse: [count] (at most 64) vectors
+    of length [Array.length lanes]; lanes at or past [count] are
+    ignored. *)
+
 val random : Rng.t -> int -> t
 (** [random rng n] draws [n] uniform bits. *)
 

@@ -1,12 +1,15 @@
 module Bv = Lr_bitvec.Bv
 module N = Lr_netlist.Netlist
+module Soa = Lr_kernel.Soa
 module Instr = Lr_instr.Instr
 module Log = Lr_obs.Log
 module Histogram = Lr_report.Histogram
 module Faults = Lr_faults.Faults
 
+(* A circuit is compiled to the simulation kernel once, when the box is
+   made; shards share the compiled form. *)
 type provider =
-  | Circuit of N.t
+  | Circuit of N.t * Soa.t
   | Function of (Bv.t -> Bv.t)
 
 exception Exhausted of { used : int; budget : int }
@@ -117,7 +120,7 @@ let absorb t s =
   Histogram.merge ~into:t.latency s.latency
 
 let of_netlist ?budget ?deadline_s c =
-  make ?budget ?deadline_s (Circuit c)
+  make ?budget ?deadline_s (Circuit (c, Soa.of_netlist c))
     ~input_names:(N.input_names c) ~output_names:(N.output_names c)
 
 let of_function ?budget ?deadline_s ~input_names ~output_names f =
@@ -167,8 +170,21 @@ let bump_retries t n =
 
 let run_provider t patterns =
   match t.provider with
-  | Circuit c -> N.eval_many c patterns
+  | Circuit (_, s) -> Soa.eval_many s patterns
   | Function f -> Array.map f patterns
+
+(* lanes at or past [count] are cleared, whatever the inputs held there *)
+let lane_mask count =
+  if count = 64 then -1L else Int64.pred (Int64.shift_left 1L count)
+
+let run_words t ~count words =
+  match t.provider with
+  | Circuit (_, s) ->
+      Instr.count "sim.patterns" count;
+      let m = lane_mask count in
+      Array.map (Int64.logand m) (Soa.eval_words s words)
+  | Function f ->
+      Bv.to_lanes (num_outputs t) (Array.map f (Bv.of_lanes count words))
 
 (* Injected failures and the retry policy around them. A failed attempt
    consumes no budget and is not attributed as a query: retrying leaves
@@ -177,7 +193,7 @@ let run_provider t patterns =
    chaos tests pin down. Backoff advances the injected clock instead of
    sleeping, so deadlines and latency percentiles see the stall but the
    process never blocks. *)
-let rec faulted_batch t f patterns ~n ~attempt =
+let rec faulted_batch t f ~n ~attempt run commit =
   if Faults.attempt_fails f ~attempt then
     if attempt + 1 >= max 1 t.retry.Faults.max_attempts then begin
       Log.warn ~key:"blackbox.failed"
@@ -208,39 +224,54 @@ let rec faulted_batch t f patterns ~n ~attempt =
           ]
         "transient query failure; backing off and retrying";
       Instr.advance_clock backoff;
-      faulted_batch t f patterns ~n ~attempt:(attempt + 1)
+      faulted_batch t f ~n ~attempt:(attempt + 1) run commit
     end
   else begin
     attribute t n;
     let t0 = Instr.now () in
-    let r = run_provider t patterns in
+    let r = run () in
     Instr.advance_clock (Faults.spike f);
-    let r = Faults.commit f r in
+    let r = commit f r in
     Histogram.add_n t.latency ((Instr.now () -. t0) /. float_of_int n) n;
     r
   end
 
-(* The clock is [Instr.now] so tests with an injected clock see
-   deterministic latencies; a batch charges its mean per-query latency
-   once per member, keeping the histogram's weight equal to the query
-   count while costing only two clock reads per call. An empty batch is
-   a complete no-op — it must not touch the attribution table or the
-   histogram, or shard absorption would merge phantom zero-weight
-   entries. *)
+(* One batch of [n >= 1] queries, charged, timed and fault-injected. The
+   clock is [Instr.now] so tests with an injected clock see deterministic
+   latencies; a batch charges its mean per-query latency once per member,
+   keeping the histogram's weight equal to the query count while costing
+   only two clock reads per call. *)
+let batch t ~n run commit =
+  match t.faults with
+  | Some f -> faulted_batch t f ~n ~attempt:0 run commit
+  | None ->
+      attribute t n;
+      let t0 = Instr.now () in
+      let r = run () in
+      Histogram.add_n t.latency ((Instr.now () -. t0) /. float_of_int n) n;
+      r
+
+(* An empty batch is a complete no-op — it must not touch the
+   attribution table or the histogram, or shard absorption would merge
+   phantom zero-weight entries. *)
 let query_many t patterns =
   let n = Array.length patterns in
   if n = 0 then [||]
   else begin
     Array.iter (check_width t) patterns;
-    match t.faults with
-    | Some f -> faulted_batch t f patterns ~n ~attempt:0
-    | None ->
-        attribute t n;
-        let t0 = Instr.now () in
-        let r = run_provider t patterns in
-        Histogram.add_n t.latency ((Instr.now () -. t0) /. float_of_int n) n;
-        r
+    batch t ~n (fun () -> run_provider t patterns) Faults.commit
   end
+
+let query_words t ~count words =
+  if count < 0 || count > 64 then
+    invalid_arg "Blackbox.query_words: count out of range";
+  if Array.length words <> num_inputs t then
+    invalid_arg "Blackbox.query_words: input word count mismatch";
+  if count = 0 then Array.make (num_outputs t) 0L
+  else
+    batch t ~n:count
+      (fun () -> run_words t ~count words)
+      (Faults.commit_words ~count)
 
 let query t a =
   match t.faults with
@@ -250,7 +281,11 @@ let query t a =
       attribute t 1;
       let t0 = Instr.now () in
       let r =
-        match t.provider with Circuit c -> N.eval c a | Function f -> f a
+        match t.provider with
+        | Circuit (_, s) ->
+            let outs = Soa.eval_words s (Bv.to_lanes (num_inputs t) [| a |]) in
+            (Bv.of_lanes 1 outs).(0)
+        | Function f -> f a
       in
       Histogram.add t.latency (Instr.now () -. t0);
       r
@@ -302,4 +337,5 @@ let reset_accounting t =
       (fun f -> Faults.instantiate (Faults.spec f) ~key:(Faults.key f))
       t.faults
 
-let golden t = match t.provider with Circuit c -> Some c | Function _ -> None
+let golden t =
+  match t.provider with Circuit (c, _) -> Some c | Function _ -> None

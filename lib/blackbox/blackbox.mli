@@ -32,7 +32,9 @@ exception Exhausted of { used : int; budget : int }
 
 val of_netlist : ?budget:int -> ?deadline_s:float -> Lr_netlist.Netlist.t -> t
 (** Wrap a golden circuit. The circuit is retained only behind the query
-    interface; use {!golden} in evaluation code, never in the learner. *)
+    interface; use {!golden} in evaluation code, never in the learner.
+    It is compiled once, here, to the {!Lr_kernel.Soa} simulation kernel,
+    which answers every query; shards share the compiled form. *)
 
 val of_function :
   ?budget:int ->
@@ -54,10 +56,30 @@ val query : t -> Lr_bitvec.Bv.t -> Lr_bitvec.Bv.t
     retry policy is spent on an injected failure. *)
 
 val query_many : t -> Lr_bitvec.Bv.t array -> Lr_bitvec.Bv.t array
-(** Batched queries (word-parallel when the box wraps a netlist).
-    Counts [Array.length] queries. An empty batch is a complete no-op:
-    nothing is counted, attributed or timed. On a faulty box, raises
-    {!Lr_faults.Faults.Query_failed} once the retry policy is spent. *)
+(** Batched queries. Counts [Array.length] queries. A netlist box
+    simulates them 64 per word on the compiled {!Lr_kernel.Soa} kernel,
+    transposing the vectors to lane words and back. An empty batch is a
+    complete no-op: nothing is counted, attributed or timed. On a faulty
+    box, raises {!Lr_faults.Faults.Query_failed} once the retry policy is
+    spent. *)
+
+val query_words : t -> count:int -> int64 array -> int64 array
+(** Word-parallel queries with no transposition: one input word per
+    primary input in, one output word per primary output out. Lane [k]
+    (bit [k] of every word) is query [k]; lanes at or past [count] are
+    ignored in the input and 0 in the output. Requires [0 <= count <= 64]
+    and one word per input.
+
+    Counts [count] queries, one per lane, through the same accounting as
+    {!query_many} of [count] vectors: budget, strict shards, per-span
+    attribution and the latency histogram see the same numbers, and the
+    ["sim.patterns"]/["sim.gate-words"] counters tick the same amounts.
+    [count = 0] is a complete no-op. On a faulty box a batch fails,
+    retries and raises {!Lr_faults.Faults.Query_failed} exactly like a
+    {!query_many} batch, and corruption hits the victim output only in
+    the lanes whose query falls inside the window
+    ({!Lr_faults.Faults.commit_words}). {!of_function} boxes answer by
+    transposing the lanes to vectors and back. *)
 
 val probe_many : t -> Lr_bitvec.Bv.t array -> Lr_bitvec.Bv.t array
 (** Behavioural-fingerprint probes ([Lr_serve.Fingerprint]): evaluate

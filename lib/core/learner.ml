@@ -123,22 +123,39 @@ let compressed_domain ni cmp =
     delegate = Some (cmp, ni);
   }
 
-(* translate a virtual assignment into a full black-box assignment *)
-let to_full ni dom virtual_a =
-  let a = Bv.create ni in
-  for i = 0 to ni - 1 do
-    Bv.set a i (Bv.get virtual_a i)
-  done;
+(* Translate virtual assignments, as lane words, into full black-box
+   assignments: each compressed bit's word is the delegate word, its
+   complement or a constant, per the representative values. *)
+let to_full_words ni dom vw =
+  let full = Array.sub vw 0 ni in
   (match dom.delegate with
   | None -> ()
   | Some (cmp, dvar) ->
+      let dv = vw.(dvar) in
       let (xf, yf), (xt, yt) = delegate_reps cmp.T.cmp_op in
-      let x, y = if Bv.get virtual_a dvar then (xt, yt) else (xf, yf) in
-      G.set_vector cmp.T.lhs (fun s b -> Bv.set a s b) x;
-      (match cmp.T.rhs with
-      | T.Vec v -> G.set_vector v (fun s b -> Bv.set a s b) y
-      | T.Const _ -> ()));
-  a
+      let set (v : G.vector) vf vt =
+        Array.iteri
+          (fun k s ->
+            full.(s) <-
+              (match ((vf lsr k) land 1 = 1, (vt lsr k) land 1 = 1) with
+              | false, false -> 0L
+              | true, true -> -1L
+              | false, true -> dv
+              | true, false -> Int64.lognot dv))
+          v.G.bits
+      in
+      set cmp.T.lhs xf xt;
+      match cmp.T.rhs with T.Vec v -> set v yf yt | T.Const _ -> ());
+  full
+
+(* the same translation for vectors, 64 at a time *)
+let to_full ni dom arr =
+  let n = Array.length arr in
+  Array.concat
+    (List.init ((n + 63) / 64) (fun b ->
+         let count = min 64 (n - (64 * b)) in
+         let vw = Bv.to_lanes dom.arity (Array.sub arr (64 * b) count) in
+         Bv.of_lanes count (to_full_words ni dom vw)))
 
 let oracle_for box dom ~output =
   let ni = Box.num_inputs box in
@@ -146,9 +163,11 @@ let oracle_for box dom ~output =
     Oracle.arity = dom.arity;
     query =
       (fun arr ->
-        let full = Array.map (to_full ni dom) arr in
-        let outs = Box.query_many box full in
+        let outs = Box.query_many box (to_full ni dom arr) in
         Array.map (fun o -> Bv.get o output) outs);
+    query_words =
+      (fun ~count vw ->
+        (Box.query_words box ~count (to_full_words ni dom vw)).(output));
     exhausted = (fun () -> Box.exhausted box);
   }
 
@@ -822,7 +841,7 @@ let learn ?(config = Config.default) box =
                          Array.iteri
                            (fun j v -> Bv.set va v ((m lsr j) land 1 = 1))
                            support_arr;
-                         to_full ni dom va)
+                         (to_full ni dom [| va |]).(0))
                        ~expected:(fun m -> table.(m))
                        ());
                  incr checks_verified

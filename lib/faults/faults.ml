@@ -300,6 +300,26 @@ let in_window t q =
   q >= t.spec.onset
   && (t.spec.duration = max_int || q - t.spec.onset < t.spec.duration)
 
+(* The end of every batch, whatever form its answers took: advance the
+   batch cursor and log what the batch did to the stream. *)
+let close_batch t ~served_before ~corrupt_before =
+  t.batch <- t.batch + 1;
+  if t.corrupt > corrupt_before then
+    Log.debug ~key:"faults.corrupt"
+      ~fields:
+        [
+          Log.int "key" t.key;
+          Log.int "victim" t.spec.victim;
+          Log.int "corrupted" (t.corrupt - corrupt_before);
+        ]
+      "fault schedule corrupted query answers";
+  match t.spec.exhaust_after with
+  | Some n when served_before < n && t.served >= n ->
+      Log.warn
+        ~fields:[ Log.int "key" t.key; Log.int "after" n ]
+        "fault stream reports premature budget exhaustion"
+  | _ -> ()
+
 let commit t outs =
   let served_before = t.served and corrupt_before = t.corrupt in
   let outs =
@@ -323,22 +343,39 @@ let commit t outs =
             else o)
           outs
   in
-  t.batch <- t.batch + 1;
-  if t.corrupt > corrupt_before then
-    Log.debug ~key:"faults.corrupt"
-      ~fields:
-        [
-          Log.int "key" t.key;
-          Log.int "victim" t.spec.victim;
-          Log.int "corrupted" (t.corrupt - corrupt_before);
-        ]
-      "fault schedule corrupted query answers";
-  (match t.spec.exhaust_after with
-  | Some n when served_before < n && t.served >= n ->
-      Log.warn
-        ~fields:[ Log.int "key" t.key; Log.int "after" n ]
-        "fault stream reports premature budget exhaustion"
-  | _ -> ());
+  close_batch t ~served_before ~corrupt_before;
+  outs
+
+let commit_words ~count t outs =
+  let served_before = t.served and corrupt_before = t.corrupt in
+  t.served <- t.served + count;
+  let outs =
+    match t.spec.corruption with
+    | None -> outs
+    | Some c ->
+        (* the lanes whose query ordinal falls inside the window *)
+        let window = ref 0L in
+        for k = 0 to count - 1 do
+          if in_window t (served_before + k) then
+            window := Int64.logor !window (Int64.shift_left 1L k)
+        done;
+        let v = t.spec.victim in
+        if !window = 0L || v >= Array.length outs then outs
+        else begin
+          let w = outs.(v) and m = !window in
+          let w' =
+            match c with
+            | Flip -> Int64.logxor w m
+            | Stuck_at true -> Int64.logor w m
+            | Stuck_at false -> Int64.logand w (Int64.lognot m)
+          in
+          t.corrupt <- t.corrupt + Bv.popcount_word (Int64.logxor w w');
+          let outs = Array.copy outs in
+          outs.(v) <- w';
+          outs
+        end
+  in
+  close_batch t ~served_before ~corrupt_before;
   outs
 
 let exhausted t =

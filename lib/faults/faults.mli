@@ -143,6 +143,14 @@ val commit : t -> Lr_bitvec.Bv.t array -> Lr_bitvec.Bv.t array
     are never mutated), advance the queries-served and batch cursors.
     Counts one corruption per corrupted query. *)
 
+val commit_words : count:int -> t -> int64 array -> int64 array
+(** {!commit} for a word-parallel batch of [count] queries: [outs] holds
+    one word per output, lane [k] answering the batch's [k]-th query.
+    The victim bit is flipped or stuck only in lanes whose query falls
+    inside the window (a fresh array; [outs] is never mutated), and
+    [served] and [corrupt] advance exactly as {!commit} would on the
+    same [count] answers. *)
+
 val exhausted : t -> bool
 (** True once [exhaust_after] queries have been served on this stream. *)
 

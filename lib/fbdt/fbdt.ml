@@ -75,7 +75,8 @@ type result = {
 (* Constrained pattern sampling at one tree node: returns per-variable
    dependency counts over [free] and the truth ratio, from
    [rounds * (|free| + 1)] oracle queries. The toggle statistics mirror
-   Algorithm 1 with the shared-base-batch optimisation. *)
+   Algorithm 1 with the shared-base-batch optimisation, on lane words as
+   in [Pattern_sampling.run]. *)
 let sample_node cfg ~rng (oracle : Oracle.t) cube free =
   let n = oracle.Oracle.arity in
   let nfree = Array.length free in
@@ -92,24 +93,19 @@ let sample_node cfg ~rng (oracle : Oracle.t) cube free =
           Cube.force cube a;
           a)
     in
-    let base_out = oracle.Oracle.query base in
-    Array.iter (fun b -> if b then incr ones) base_out;
+    let words = Bv.to_lanes n base in
+    let base_out = oracle.Oracle.query_words ~count:blk words in
+    ones := !ones + Bv.popcount_word base_out;
     total := !total + blk;
     for fi = 0 to nfree - 1 do
       let i = free.(fi) in
-      let flipped =
-        Array.map
-          (fun a ->
-            let a' = Bv.copy a in
-            Bv.flip a' i;
-            a')
-          base
-      in
-      let out = oracle.Oracle.query flipped in
-      for k = 0 to blk - 1 do
-        if out.(k) then incr ones;
-        if out.(k) <> base_out.(k) then dependency.(i) <- dependency.(i) + 1
-      done;
+      let w = words.(i) in
+      words.(i) <- Int64.lognot w;
+      let out = oracle.Oracle.query_words ~count:blk words in
+      words.(i) <- w;
+      ones := !ones + Bv.popcount_word out;
+      dependency.(i) <-
+        dependency.(i) + Bv.popcount_word (Int64.logxor out base_out);
       total := !total + blk
     done;
     done_rounds := !done_rounds + blk

@@ -72,6 +72,20 @@ type result = {
           through the minterm covers. *)
 }
 
+val sample_node :
+  config ->
+  rng:Lr_bitvec.Rng.t ->
+  Oracle.t ->
+  Lr_cube.Cube.t ->
+  int array ->
+  int array * float
+(** [sample_node cfg ~rng oracle cube free] — the in-tree
+    PatternSampling at the node [cube]: [cfg.node_rounds] assignments
+    satisfying [cube], each toggled on every input of [free], through
+    {!Oracle.t.query_words}. Returns the dependency count per virtual
+    input (0 outside [free]) and the sampled truth ratio, from
+    [node_rounds * (|free| + 1)] queries. *)
+
 val learn :
   ?support:int list ->
   config ->

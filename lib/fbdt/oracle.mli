@@ -10,8 +10,19 @@ type t = {
   arity : int;  (** number of virtual inputs *)
   query : Lr_bitvec.Bv.t array -> bool array;
       (** batched: one [arity]-bit virtual assignment per element *)
+  query_words : count:int -> int64 array -> int64;
+      (** word-parallel: one lane word per virtual input in
+          ({!Lr_bitvec.Bv.to_lanes} layout, [count <= 64] lanes), the
+          output's lane word out. Lanes at or past [count] are ignored in
+          the input and 0 in the output. Must answer exactly as [query]
+          on the same assignments, at the same query cost. *)
   exhausted : unit -> bool;  (** the TimeLimit test of Algorithm 2 *)
 }
+
+val words_via :
+  (Lr_bitvec.Bv.t array -> bool array) -> count:int -> int64 array -> int64
+(** [words_via query] is a [query_words] for an oracle that only has
+    [query]: it transposes the lanes to vectors and the answers back. *)
 
 val of_fun : arity:int -> (Lr_bitvec.Bv.t -> bool) -> t
 (** Convenience constructor with no budget (never exhausted). *)

@@ -163,89 +163,92 @@ let fanout_cone t seeds =
 
 (* ---------------- simulation ---------------- *)
 
-let eval_into t v words =
-  let sched = t.sched and op = t.op and a0 = t.arg0 and a1 = t.arg1 in
-  for k = 0 to Array.length sched - 1 do
-    let n = Array.unsafe_get sched k in
-    let c = Char.code (Bytes.unsafe_get op n) in
-    let w =
-      if c land 0xf < op_and then
-        match c land 0xf with
-        | 0 -> 0L
-        | 1 -> -1L
-        | 2 -> Array.unsafe_get words (Array.unsafe_get a0 n)
-        | _ -> Int64.lognot (Array.unsafe_get v (Array.unsafe_get a0 n))
-      else begin
-        let x = Array.unsafe_get v (Array.unsafe_get a0 n) in
-        let x = if c land flag_neg0 <> 0 then Int64.lognot x else x in
-        let y = Array.unsafe_get v (Array.unsafe_get a1 n) in
-        let y = if c land flag_neg1 <> 0 then Int64.lognot y else y in
-        match c land 0xf with
-        | 4 -> Int64.logand x y
-        | 5 -> Int64.logor x y
-        | 6 -> Int64.logxor x y
-        | 7 -> Int64.lognot (Int64.logand x y)
-        | 8 -> Int64.lognot (Int64.logor x y)
-        | _ -> Int64.lognot (Int64.logxor x y)
-      end
-    in
-    Array.unsafe_set v n w
-  done
+(* Node values live in an unboxed byte store: an [int64 array] would box
+   every value it holds, one minor allocation per node per block. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-(* Several 64-pattern blocks per pass over the schedule: [v] is node-major
-   with stride [width], [words] input-major with the same stride. One
-   opcode dispatch then serves [width] words of work. *)
-let eval_wide_into t v words ~width =
+(* One scratch store per domain, grown on demand and reused by every
+   circuit, so concurrent simulations on different domains never share
+   it. No entry point re-enters another while holding it. *)
+let scratch_key = Domain.DLS.new_key (fun () -> ref Bytes.empty)
+
+let scratch words =
+  let r = Domain.DLS.get scratch_key in
+  if Bytes.length !r < 8 * words then
+    r := Bytes.create (max (8 * words) (2 * Bytes.length !r));
+  !r
+
+(* Simulate [width] 64-pattern blocks in one pass over the schedule. In
+   [buf], node [n]'s word [w] sits at byte [8 * (n * width + w)] and input
+   [i]'s at [inoff + 8 * (i * width + w)]. One opcode dispatch then serves
+   [width] words of work. *)
+let run t buf ~width ~inoff =
   let sched = t.sched and op = t.op and a0 = t.arg0 and a1 = t.arg1 in
+  let stride = 8 * width in
   for k = 0 to Array.length sched - 1 do
     let n = Array.unsafe_get sched k in
     let c = Char.code (Bytes.unsafe_get op n) in
-    let base = n * width in
+    let dst = n * stride in
     let code = c land 0xf in
-    if code < op_and then
-      match code with
+    if code < op_and then begin
+      let src = Array.unsafe_get a0 n * stride in
+      for w = 0 to width - 1 do
+        let d = dst + (8 * w) in
+        match code with
+        | 0 -> set64u buf d 0L
+        | 1 -> set64u buf d (-1L)
+        | 2 -> set64u buf d (get64u buf (inoff + src + (8 * w)))
+        | _ -> set64u buf d (Int64.lognot (get64u buf (src + (8 * w))))
+      done
+    end
+    else begin
+      let s0 = Array.unsafe_get a0 n * stride in
+      let s1 = Array.unsafe_get a1 n * stride in
+      let m0 = if c land flag_neg0 <> 0 then -1L else 0L in
+      let m1 = if c land flag_neg1 <> 0 then -1L else 0L in
+      (* nand/nor/xnor are and/or/xor with the result complemented *)
+      let mo = if code >= op_nand then -1L else 0L in
+      match (code - op_and) mod 3 with
       | 0 ->
           for w = 0 to width - 1 do
-            Array.unsafe_set v (base + w) 0L
+            let x = Int64.logxor (get64u buf (s0 + (8 * w))) m0 in
+            let y = Int64.logxor (get64u buf (s1 + (8 * w))) m1 in
+            set64u buf (dst + (8 * w)) (Int64.logxor (Int64.logand x y) mo)
           done
       | 1 ->
           for w = 0 to width - 1 do
-            Array.unsafe_set v (base + w) (-1L)
-          done
-      | 2 ->
-          let src = Array.unsafe_get a0 n * width in
-          for w = 0 to width - 1 do
-            Array.unsafe_set v (base + w) (Array.unsafe_get words (src + w))
+            let x = Int64.logxor (get64u buf (s0 + (8 * w))) m0 in
+            let y = Int64.logxor (get64u buf (s1 + (8 * w))) m1 in
+            set64u buf (dst + (8 * w)) (Int64.logxor (Int64.logor x y) mo)
           done
       | _ ->
-          let src = Array.unsafe_get a0 n * width in
           for w = 0 to width - 1 do
-            Array.unsafe_set v (base + w)
-              (Int64.lognot (Array.unsafe_get v (src + w)))
+            let x = Int64.logxor (get64u buf (s0 + (8 * w))) m0 in
+            let y = Int64.logxor (get64u buf (s1 + (8 * w))) m1 in
+            set64u buf (dst + (8 * w)) (Int64.logxor (Int64.logxor x y) mo)
           done
-    else begin
-      let s0 = Array.unsafe_get a0 n * width in
-      let s1 = Array.unsafe_get a1 n * width in
-      let n0 = c land flag_neg0 <> 0 and n1 = c land flag_neg1 <> 0 in
-      for w = 0 to width - 1 do
-        let x = Array.unsafe_get v (s0 + w) in
-        let x = if n0 then Int64.lognot x else x in
-        let y = Array.unsafe_get v (s1 + w) in
-        let y = if n1 then Int64.lognot y else y in
-        Array.unsafe_set v (base + w)
-          (match code with
-          | 4 -> Int64.logand x y
-          | 5 -> Int64.logor x y
-          | 6 -> Int64.logxor x y
-          | 7 -> Int64.lognot (Int64.logand x y)
-          | 8 -> Int64.lognot (Int64.logor x y)
-          | _ -> Int64.lognot (Int64.logxor x y))
-      done
     end
   done
 
+(* one block: load the input words, simulate, leave values in the store *)
+let run_block t words =
+  let buf = scratch (t.nn + t.ni) in
+  let inoff = 8 * t.nn in
+  for i = 0 to t.ni - 1 do
+    set64u buf (inoff + (8 * i)) words.(i)
+  done;
+  run t buf ~width:1 ~inoff;
+  buf
+
+let eval_into t v words =
+  let buf = run_block t words in
+  for n = 0 to t.nn - 1 do
+    v.(n) <- get64u buf (8 * n)
+  done
+
 (* Evaluate one node against live value/input arrays — the incremental
-   engine's per-node step; semantics identical to [eval_into]'s body. *)
+   engine's per-node step; semantics identical to [run]'s body. *)
 let eval_node t v words n =
   let c = Char.code (Bytes.get t.op n) in
   if c land 0xf < op_and then
@@ -280,13 +283,17 @@ let outputs_of_values t v =
       let w = v.(t.outputs.(o)) in
       if t.out_neg.(o) then Int64.lognot w else w)
 
+(* output [o]'s word [w] of a [width]-block simulation in [buf] *)
+let output_word t buf ~width ~w o =
+  let x = get64u buf (8 * ((t.outputs.(o) * width) + w)) in
+  if t.out_neg.(o) then Int64.lognot x else x
+
 let eval_words t words =
   if Array.length words <> t.ni then
     invalid_arg "Soa.eval_words: wrong number of input words";
   Instr.count "sim.gate-words" t.nn;
-  let v = Array.make (max 1 t.nn) 0L in
-  eval_into t v words;
-  outputs_of_values t v
+  let buf = run_block t words in
+  Array.init t.no (output_word t buf ~width:1 ~w:0)
 
 (* Up to this many 64-pattern blocks share one pass over the schedule. *)
 let max_width = 8
@@ -296,39 +303,27 @@ let eval_many t patterns =
   Instr.count "sim.patterns" np;
   let nblocks = (np + 63) / 64 in
   if nblocks > 0 then Instr.count "sim.gate-words" (t.nn * nblocks);
-  let results = Array.init np (fun _ -> Bv.create t.no) in
-  let v = Array.make (max 1 (t.nn * max_width)) 0L in
-  let words = Array.make (max 1 (t.ni * max_width)) 0L in
+  let results = Array.make np (Bv.create 0) in
+  let buf = scratch ((t.nn + t.ni) * max_width) in
   let block = ref 0 in
   while !block < nblocks do
     let width = min max_width (nblocks - !block) in
-    let base_pat = !block * 64 in
-    for i = 0 to t.ni - 1 do
-      for w = 0 to width - 1 do
-        let base = base_pat + (w * 64) in
-        let cnt = min 64 (np - base) in
-        let word = ref 0L in
-        for k = 0 to cnt - 1 do
-          if Bv.get patterns.(base + k) i then
-            word := Int64.logor !word (Int64.shift_left 1L k)
-        done;
-        words.((i * width) + w) <- !word
-      done
+    let inoff = 8 * t.nn * width in
+    let span w =
+      let base = (!block + w) * 64 in
+      (base, min 64 (np - base))
+    in
+    for w = 0 to width - 1 do
+      let base, cnt = span w in
+      Array.iteri
+        (fun i x -> set64u buf (inoff + (8 * ((i * width) + w))) x)
+        (Bv.to_lanes t.ni (Array.sub patterns base cnt))
     done;
-    eval_wide_into t v words ~width;
-    for o = 0 to t.no - 1 do
-      let src = t.outputs.(o) * width in
-      let neg = t.out_neg.(o) in
-      for w = 0 to width - 1 do
-        let base = base_pat + (w * 64) in
-        let cnt = min 64 (np - base) in
-        let word = v.(src + w) in
-        let word = if neg then Int64.lognot word else word in
-        for k = 0 to cnt - 1 do
-          Bv.set results.(base + k) o
-            (Int64.logand (Int64.shift_right_logical word k) 1L = 1L)
-        done
-      done
+    run t buf ~width ~inoff;
+    for w = 0 to width - 1 do
+      let base, cnt = span w in
+      let outs = Array.init t.no (output_word t buf ~width ~w) in
+      Array.blit (Bv.of_lanes cnt outs) 0 results base cnt
     done;
     block := !block + width
   done;

@@ -26,8 +26,9 @@ let run ~rounds ?(biases = default_biases) ~rng box ~constraint_ () =
   let ones = Array.make no 0 in
   let samples = ref 0 in
   let done_rounds = ref 0 in
-  (* Process rounds in blocks of 64 so each toggle column is one
-     word-parallel query batch. *)
+  (* Process rounds in blocks of 64: the block's base patterns become one
+     lane word per input, and each toggle column is that word set
+     complemented — one word-parallel query batch. *)
   while !done_rounds < rounds do
     let blk = min 64 (rounds - !done_rounds) in
     let bias = biases.(!done_rounds / 64 mod Array.length biases) in
@@ -37,32 +38,23 @@ let run ~rounds ?(biases = default_biases) ~rng box ~constraint_ () =
           Cube.force constraint_ a;
           a)
     in
-    let base_out = Box.query_many box base in
-    Array.iter
-      (fun out ->
-        for o = 0 to no - 1 do
-          if Bv.get out o then ones.(o) <- ones.(o) + 1
-        done)
-      base_out;
+    let words = Bv.to_lanes ni base in
+    let base_out = Box.query_words box ~count:blk words in
+    for o = 0 to no - 1 do
+      ones.(o) <- ones.(o) + Bv.popcount_word base_out.(o)
+    done;
     samples := !samples + blk;
     for fi = 0 to nfree - 1 do
       let i = free.(fi) in
-      let flipped =
-        Array.map
-          (fun a ->
-            let a' = Bv.copy a in
-            Bv.flip a' i;
-            a')
-          base
-      in
-      let flip_out = Box.query_many box flipped in
-      for k = 0 to blk - 1 do
-        for o = 0 to no - 1 do
-          let v = Bv.get flip_out.(k) o in
-          if v then ones.(o) <- ones.(o) + 1;
-          if v <> Bv.get base_out.(k) o then
-            dependency.(o).(i) <- dependency.(o).(i) + 1
-        done
+      let w = words.(i) in
+      words.(i) <- Int64.lognot w;
+      let flip_out = Box.query_words box ~count:blk words in
+      words.(i) <- w;
+      for o = 0 to no - 1 do
+        let f = flip_out.(o) in
+        ones.(o) <- ones.(o) + Bv.popcount_word f;
+        dependency.(o).(i) <-
+          dependency.(o).(i) + Bv.popcount_word (Int64.logxor f base_out.(o))
       done;
       samples := !samples + blk
     done;

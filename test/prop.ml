@@ -474,6 +474,117 @@ let prop_degraded_netlist_lints () =
       report.Learner.degraded = List.length report.Learner.outputs
       && Finding.errors (Lint.netlist report.Learner.circuit) = [])
 
+(* ---------------- word-parallel queries ---------------- *)
+
+(* [Box.query_words] against [Box.query_many] on the same batches: a
+   random recipe behind a netlist or a function box, a lane count, and a
+   fault schedule mixing transient failures under a retry policy,
+   corruption whose window opens mid-word, and premature exhaustion *)
+type word_case = {
+  wr : recipe;
+  count : int;
+  batches : int;
+  function_box : bool;
+  wfaults : (F.spec * int) option;  (** schedule, retry attempts *)
+}
+
+let arb_word_case =
+  {
+    gen =
+      (fun rng size ->
+        let wr = arb_recipe.gen rng size in
+        let count = 1 + Rng.int rng 64 and batches = 1 + Rng.int rng 4 in
+        let wfaults =
+          if Rng.int rng 3 = 0 then None
+          else
+            let corruption =
+              match Rng.int rng 3 with
+              | 0 -> None
+              | 1 -> Some F.Flip
+              | _ -> Some (F.Stuck_at (Rng.bool rng))
+            in
+            let spec =
+              {
+                F.none with
+                F.seed = 1 + Rng.int rng 10_000;
+                fail_p = float_of_int (Rng.int rng 4) /. 10.0;
+                fail_burst = Rng.int rng 3;
+                corruption;
+                (* one past the last output now and then: a no-op victim *)
+                victim = Rng.int rng (wr.no + 1);
+                onset = Rng.int rng (count * batches);
+                duration =
+                  (if Rng.bool rng then max_int else 1 + Rng.int rng 80);
+                exhaust_after =
+                  (if Rng.bool rng then Some (Rng.int rng (count * batches))
+                   else None);
+              }
+            in
+            Some (spec, 1 + Rng.int rng 4)
+        in
+        { wr; count; batches; function_box = Rng.bool rng; wfaults });
+    shrink =
+      (fun c -> List.map (fun wr -> { c with wr }) (arb_recipe.shrink c.wr));
+    print =
+      (fun c ->
+        Printf.sprintf "%s count=%d batches=%d function=%b faults=%s"
+          (arb_recipe.print c.wr) c.count c.batches c.function_box
+          (match c.wfaults with
+          | None -> "none"
+          | Some (spec, retry) ->
+              Printf.sprintf "%s retry=%d" (F.to_string spec) retry));
+  }
+
+let prop_query_words_matches_many () =
+  check_prop ~count:120 "Box.query_words == Box.query_many" arb_word_case
+    (fun c ->
+      let n = build_netlist c.wr in
+      let box () =
+        let b =
+          if c.function_box then
+            Box.of_function ~input_names:(N.input_names n)
+              ~output_names:(N.output_names n) (N.eval n)
+          else Box.of_netlist n
+        in
+        (match c.wfaults with
+        | None -> ()
+        | Some (spec, retry) ->
+            Box.set_faults b (Some spec);
+            Box.set_retry b (F.retry ~backoff_s:0.0 retry));
+        b
+      in
+      let by_many = box () and by_words = box () in
+      let rng = Rng.create (c.count * 31 + c.batches) in
+      let answers =
+        List.init c.batches (fun b ->
+            let patterns = Array.init c.count (fun _ -> Bv.random rng c.wr.ni) in
+            (* the lanes past [count] carry noise the box must ignore *)
+            let words =
+              Array.map
+                (fun w ->
+                  if c.count = 64 then w
+                  else
+                    Int64.logor w
+                      (Int64.shift_left (Rng.bits64 rng) c.count))
+                (Bv.to_lanes c.wr.ni patterns)
+            in
+            let span = if b mod 2 = 0 then "even" else "odd" in
+            let attempt f =
+              try Ok (Lr_instr.Instr.span ~name:span f)
+              with F.Query_failed _ -> Error ()
+            in
+            ( attempt (fun () ->
+                  Bv.to_lanes c.wr.no (Box.query_many by_many patterns)),
+              attempt (fun () -> Box.query_words by_words ~count:c.count words)
+            ))
+      in
+      List.for_all (fun (a, b) -> a = b) answers
+      && Box.queries_used by_many = Box.queries_used by_words
+      && Box.queries_by_span by_many = Box.queries_by_span by_words
+      && Box.retries_used by_many = Box.retries_used by_words
+      && Box.faults_seen by_many = Box.faults_seen by_words
+      && Box.exhausted by_many = Box.exhausted by_words)
+
 (* ---------------- the serving plane ---------------- *)
 
 let equivalent a b =
@@ -559,6 +670,8 @@ let tests =
       prop_transient_faults_transparent;
     Alcotest.test_case "degraded netlists lint clean" `Quick
       prop_degraded_netlist_lints;
+    Alcotest.test_case "query_words == query_many" `Quick
+      prop_query_words_matches_many;
     Alcotest.test_case "circuit cache round-trip" `Quick prop_cache_roundtrip;
     Alcotest.test_case "fingerprints hash behaviour, not structure" `Quick
       prop_fingerprint_behavioural;

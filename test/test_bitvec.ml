@@ -108,6 +108,59 @@ let prop_popcount =
       let v = Bv.of_string s in
       Bv.popcount v = String.fold_left (fun a c -> if c = '1' then a + 1 else a) 0 s)
 
+let naive_popcount w =
+  let c = ref 0 in
+  for k = 0 to 63 do
+    if Int64.logand (Int64.shift_right_logical w k) 1L = 1L then incr c
+  done;
+  !c
+
+let test_popcount_word () =
+  List.iter
+    (fun (name, w) -> check_int name (naive_popcount w) (Bv.popcount_word w))
+    [ ("0L", 0L); ("-1L", -1L); ("min_int", Int64.min_int); ("max_int", Int64.max_int) ];
+  check_int "-1L has 64 bits" 64 (Bv.popcount_word (-1L));
+  check_int "min_int has 1 bit" 1 (Bv.popcount_word Int64.min_int);
+  let rng = Rng.create 91 in
+  for _ = 1 to 500 do
+    let w = Rng.bits64 rng in
+    check_int "random word" (naive_popcount w) (Bv.popcount_word w)
+  done
+
+(* lane words against the bit-by-bit definition, on widths and counts
+   that straddle word boundaries *)
+let test_lanes () =
+  let rng = Rng.create 17 in
+  List.iter
+    (fun (n, count) ->
+      let vs = Array.init count (fun _ -> Bv.random rng n) in
+      let lanes = Bv.to_lanes n vs in
+      check_int "one lane word per bit" n (Array.length lanes);
+      for i = 0 to n - 1 do
+        for k = 0 to 63 do
+          let bit = Int64.logand (Int64.shift_right_logical lanes.(i) k) 1L = 1L in
+          check "lane bit" (k < count && Bv.get vs.(k) i) bit
+        done
+      done;
+      let back = Bv.of_lanes count lanes in
+      check "round trip" true (Array.for_all2 Bv.equal vs back))
+    [ (0, 3); (1, 1); (5, 64); (63, 17); (64, 64); (65, 2); (130, 33) ];
+  check "random 0-bit vectors are all equal" true
+    (Bv.equal (Bv.random rng 0) (Bv.create 0));
+  (* lanes at or past [count] are ignored on the way back *)
+  let back = Bv.of_lanes 1 [| -1L; 2L |] in
+  check_str "only lane 0 read" "01" (Bv.to_string back.(0));
+  check "65 vectors rejected" true
+    (try
+       ignore (Bv.to_lanes 1 (Array.init 65 (fun _ -> Bv.create 1)));
+       false
+     with Invalid_argument _ -> true);
+  check "length mismatch rejected" true
+    (try
+       ignore (Bv.to_lanes 2 [| Bv.create 3 |]);
+       false
+     with Invalid_argument _ -> true)
+
 let prop_flip_involution =
   QCheck.Test.make ~name:"double flip is identity" ~count:200
     QCheck.(pair (int_range 1 100) (int_range 0 1000))
@@ -132,6 +185,9 @@ let tests =
     Alcotest.test_case "rng split independence" `Quick test_rng_split_independent;
     Alcotest.test_case "biased word density" `Quick test_biased_density;
     Alcotest.test_case "sub_bits/blit_bits" `Quick test_sub_blit;
+    Alcotest.test_case "popcount_word matches a bit loop" `Quick
+      test_popcount_word;
+    Alcotest.test_case "lane transposition" `Quick test_lanes;
     QCheck_alcotest.to_alcotest prop_string_roundtrip;
     QCheck_alcotest.to_alcotest prop_popcount;
     QCheck_alcotest.to_alcotest prop_flip_involution;

@@ -3,6 +3,7 @@ module Rng = Lr_bitvec.Rng
 module Cover = Lr_cube.Cover
 module Oracle = Lr_fbdt.Oracle
 module Fbdt = Lr_fbdt.Fbdt
+module Cube = Lr_cube.Cube
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -100,13 +101,15 @@ let test_budget_approximation () =
      majority-approximated leaves *)
   let used = ref 0 in
   let f a = (Bv.get a 0 && Bv.get a 1) || (Bv.get a 2 && Bv.get a 3) in
+  let query arr =
+    used := !used + Array.length arr;
+    Array.map f arr
+  in
   let oracle =
     {
       Oracle.arity = 8;
-      query =
-        (fun arr ->
-          used := !used + Array.length arr;
-          Array.map f arr);
+      query;
+      query_words = Oracle.words_via query;
       exhausted = (fun () -> !used > 2000);
     }
   in
@@ -185,8 +188,105 @@ let test_tree_dot () =
       check "has leaves" true (contains "shape=box");
       check "closing brace" true (contains "}")
 
+(* The vector form of [Fbdt.sample_node] the lane-word version replaced:
+   a copied, bit-flipped vector per toggled pattern and per-bit counting
+   through [Oracle.query]. *)
+let reference_sample_node cfg ~rng (oracle : Oracle.t) cube free =
+  let n = oracle.Oracle.arity in
+  let dependency = Array.make n 0 in
+  let ones = ref 0 and total = ref 0 and done_rounds = ref 0 in
+  while !done_rounds < cfg.Fbdt.node_rounds do
+    let blk = min 64 (cfg.Fbdt.node_rounds - !done_rounds) in
+    let biases = cfg.Fbdt.biases in
+    let bias = biases.(!done_rounds / 8 mod Array.length biases) in
+    let base =
+      Array.init blk (fun _ ->
+          let a = Bv.random_biased rng bias n in
+          Cube.force cube a;
+          a)
+    in
+    let base_out = oracle.Oracle.query base in
+    Array.iter (fun b -> if b then incr ones) base_out;
+    total := !total + blk;
+    Array.iter
+      (fun i ->
+        let flipped =
+          Array.map
+            (fun a ->
+              let a' = Bv.copy a in
+              Bv.flip a' i;
+              a')
+            base
+        in
+        let out = oracle.Oracle.query flipped in
+        for k = 0 to blk - 1 do
+          if out.(k) then incr ones;
+          if out.(k) <> base_out.(k) then dependency.(i) <- dependency.(i) + 1
+        done;
+        total := !total + blk)
+      free;
+    done_rounds := !done_rounds + blk
+  done;
+  (dependency, if !total = 0 then 0.0 else Float.of_int !ones /. Float.of_int !total)
+
+(* random functions over up to 40 virtual inputs, random node cubes and
+   free sets, round counts that are and are not multiples of 64: the word
+   path must reproduce the reference's statistics and its query count *)
+let test_sample_node_matches_reference () =
+  let rng = Rng.create 33 in
+  for trial = 0 to 39 do
+    let n = 1 + Rng.int rng 40 in
+    let terms =
+      List.init (1 + Rng.int rng 4) (fun _ ->
+          List.init (1 + Rng.int rng 3) (fun _ -> (Rng.int rng n, Rng.bool rng)))
+    in
+    let f a =
+      List.exists (List.for_all (fun (v, b) -> Bv.get a v = b)) terms
+      <> (trial mod 2 = 0 && Bv.get a (n - 1))
+    in
+    let cube =
+      Cube.of_literals n
+        (List.filter_map
+           (fun v -> if Rng.int rng 5 = 0 then Some (v, Rng.bool rng) else None)
+           (List.init n Fun.id))
+    in
+    let free =
+      Array.of_list
+        (List.filter
+           (fun v -> (not (Cube.has_var cube v)) && Rng.int rng 4 > 0)
+           (List.init n Fun.id))
+    in
+    let node_rounds = [| 1; 60; 64; 100; 200 |].(trial mod 5) in
+    let cfg = { cfg with Fbdt.node_rounds } in
+    let counted () =
+      let used = ref 0 in
+      let query arr =
+        used := !used + Array.length arr;
+        Array.map f arr
+      in
+      ( used,
+        {
+          Oracle.arity = n;
+          query;
+          query_words = Oracle.words_via query;
+          exhausted = (fun () -> false);
+        } )
+    in
+    let used_w, ow = counted () and used_v, ov = counted () in
+    let seed = 100 + trial in
+    let got = Fbdt.sample_node cfg ~rng:(Rng.create seed) ow cube free in
+    let want =
+      reference_sample_node cfg ~rng:(Rng.create seed) ov cube free
+    in
+    check (Printf.sprintf "trial %d: dependency and ratio" trial) true
+      (got = want);
+    check_int (Printf.sprintf "trial %d: queries" trial) !used_v !used_w
+  done
+
 let tests =
   [
+    Alcotest.test_case "sample_node == vector reference" `Quick
+      test_sample_node_matches_reference;
     Alcotest.test_case "explicit tree structure" `Quick test_tree_structure;
     Alcotest.test_case "tree dot export" `Quick test_tree_dot;
     Alcotest.test_case "learn AND" `Quick test_learn_and;

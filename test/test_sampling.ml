@@ -4,6 +4,10 @@ module N = Lr_netlist.Netlist
 module Box = Lr_blackbox.Blackbox
 module Cube = Lr_cube.Cube
 module Ps = Lr_sampling.Pattern_sampling
+module Instr = Lr_instr.Instr
+module Cases = Lr_cases.Cases
+module Config = Logic_regression.Config
+module Learner = Logic_regression.Learner
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -95,8 +99,250 @@ let prop_biased_sampling_finds_sensitive_inputs =
       in
       List.length (Ps.support stats ~output:0) = k)
 
+(* The vector form of Algorithm 1 that [Ps.run] replaced: one copied,
+   bit-flipped vector per toggled pattern and per-bit counting. It is the
+   reference the lane-word implementation must match exactly — same RNG
+   draws, same queries, same statistics. *)
+let reference_run ~rounds ?(biases = Ps.default_biases) ~rng box ~constraint_ =
+  let ni = Box.num_inputs box and no = Box.num_outputs box in
+  let free =
+    Array.of_list
+      (List.filter
+         (fun i -> not (Cube.has_var constraint_ i))
+         (List.init ni Fun.id))
+  in
+  let dependency = Array.make_matrix no ni 0 in
+  let ones = Array.make no 0 in
+  let samples = ref 0 and done_rounds = ref 0 in
+  while !done_rounds < rounds do
+    let blk = min 64 (rounds - !done_rounds) in
+    let bias = biases.(!done_rounds / 64 mod Array.length biases) in
+    let base =
+      Array.init blk (fun _ ->
+          let a = Bv.random_biased rng bias ni in
+          Cube.force constraint_ a;
+          a)
+    in
+    let base_out = Box.query_many box base in
+    Array.iter
+      (fun out ->
+        for o = 0 to no - 1 do
+          if Bv.get out o then ones.(o) <- ones.(o) + 1
+        done)
+      base_out;
+    samples := !samples + blk;
+    Array.iter
+      (fun i ->
+        let flipped =
+          Array.map
+            (fun a ->
+              let a' = Bv.copy a in
+              Bv.flip a' i;
+              a')
+            base
+        in
+        let flip_out = Box.query_many box flipped in
+        for k = 0 to blk - 1 do
+          for o = 0 to no - 1 do
+            let v = Bv.get flip_out.(k) o in
+            if v then ones.(o) <- ones.(o) + 1;
+            if v <> Bv.get base_out.(k) o then
+              dependency.(o).(i) <- dependency.(o).(i) + 1
+          done
+        done;
+        samples := !samples + blk)
+      free;
+    done_rounds := !done_rounds + blk
+  done;
+  { Ps.dependency; ones; samples = !samples; rounds }
+
+(* a random circuit over [ni] inputs: each gate combines two earlier
+   signals, outputs tap the last few. Wider than [Prop]'s recipes, so
+   assignments span more than one 64-bit word. *)
+let random_circuit rng ~ni ~no ~gates =
+  let c =
+    N.create
+      ~input_names:(Array.init ni (Printf.sprintf "x%d"))
+      ~output_names:(Array.init no (Printf.sprintf "z%d"))
+  in
+  let sigs = ref (Array.init ni (N.input c)) in
+  for _ = 1 to gates do
+    let pick () = !sigs.(Rng.int rng (Array.length !sigs)) in
+    let a = pick () and b = pick () in
+    let g =
+      match Rng.int rng 4 with
+      | 0 -> N.and_ c a b
+      | 1 -> N.or_ c a b
+      | 2 -> N.xor_ c a b
+      | _ -> N.nand_ c a (N.not_ c b)
+    in
+    sigs := Array.append !sigs [| g |]
+  done;
+  let n = Array.length !sigs in
+  for o = 0 to no - 1 do
+    N.set_output c o !sigs.(max 0 (n - 1 - o))
+  done;
+  c
+
+let same_as_reference ?(function_box = false) ~rounds ~constraint_ ~seed c =
+  let box () =
+    if function_box then
+      Box.of_function ~input_names:(N.input_names c)
+        ~output_names:(N.output_names c) (N.eval c)
+    else Box.of_netlist c
+  in
+  let bw = box () and bv = box () in
+  let words = Ps.run ~rounds ~rng:(Rng.create seed) bw ~constraint_ () in
+  let vectors = reference_run ~rounds ~rng:(Rng.create seed) bv ~constraint_ in
+  words = vectors
+  && Box.queries_used bw = Box.queries_used bv
+  && Box.queries_by_span bw = Box.queries_by_span bv
+
+let test_matches_reference () =
+  let rng = Rng.create 5 in
+  for trial = 0 to 11 do
+    let ni = 1 + Rng.int rng 80 and no = 1 + Rng.int rng 5 in
+    let c = random_circuit rng ~ni ~no ~gates:(Rng.int rng 120) in
+    let constraint_ =
+      if trial mod 2 = 0 then Cube.top ni
+      else
+        Cube.of_literals ni
+          (List.filter_map
+             (fun i -> if Rng.int rng 4 = 0 then Some (i, Rng.bool rng) else None)
+             (List.init ni Fun.id))
+    in
+    List.iter
+      (fun rounds ->
+        check
+          (Printf.sprintf "trial %d, %d rounds" trial rounds)
+          true
+          (same_as_reference ~function_box:(trial mod 3 = 0) ~rounds
+             ~constraint_ ~seed:(trial + rounds) c))
+      [ 1; 63; 100; 129 ]
+  done
+
+(* the default 7200 rounds end in a 32-lane block *)
+let test_matches_reference_default_rounds () =
+  let c = random_circuit (Rng.create 8) ~ni:12 ~no:3 ~gates:40 in
+  check "7200 rounds" true
+    (same_as_reference ~rounds:Config.default.Config.support_rounds
+       ~constraint_:(Cube.top 12) ~seed:3 c)
+
+(* Simulation counters per span of a case_7 learn, as the vector path
+   ticked them: support-id on 64-pattern batches, and FBDT trees forced
+   by disabling the exhaustive conquest. The word path must charge the
+   kernel exactly the same work, and learn the same circuit. *)
+let sim_counters ?(case = "case_7") config =
+  Instr.reset_aggregates ();
+  let r = Learner.learn ~config (Cases.blackbox (Cases.find case)) in
+  let sim =
+    List.filter
+      (fun ((_, name), _) -> name = "sim.patterns" || name = "sim.gate-words")
+      (Instr.counters_by_span ())
+  in
+  Instr.reset_aggregates ();
+  ( r.Learner.queries,
+    Digest.to_hex (Digest.string (Lr_netlist.Io.write r.Learner.circuit)),
+    sim )
+
+let fbdt_counters ~pb ~pf ~pg =
+  List.concat_map
+    (fun (po, (patterns, words)) ->
+      let path = Printf.sprintf "learn/po:%s/fbdt" po in
+      [ ((path, "sim.patterns"), patterns); ((path, "sim.gate-words"), words) ])
+    [
+      ("pa", (1, 87));
+      ("pb", pb);
+      ("pc", (1, 87));
+      ("pd", (1, 87));
+      ("pe", (1, 87));
+      ("pf", pf);
+      ("pg", pg);
+    ]
+
+let test_case7_sim_counters () =
+  let check_run name config ~queries ~digest ~support ~fbdt =
+    let q, d, sim = sim_counters config in
+    check_int (name ^ ": queries") queries q;
+    Alcotest.(check string) (name ^ ": circuit digest") digest d;
+    Alcotest.(check (list (pair (pair string string) int)))
+      (name ^ ": sim counters by span")
+      ((("learn/support-id", "sim.patterns"), fst support)
+       :: (("learn/support-id", "sim.gate-words"), snd support)
+       :: fbdt)
+      sim
+  in
+  check_run "default" Config.default ~queries:316_816
+    ~digest:"55cfebc6641fdef027cf1ad949e0abcd" ~support:(316_800, 432_564)
+    ~fbdt:(fbdt_counters ~pb:(4, 87) ~pf:(4, 87) ~pg:(4, 87));
+  check_run "trees"
+    {
+      Config.default with
+      Config.support_rounds = 100;
+      small_support_threshold = 0;
+    }
+    ~queries:6144 ~digest:"98d0fe8c2733de157f1ef4b3fc2d6fa0"
+    ~support:(4400, 7656)
+    ~fbdt:(fbdt_counters ~pb:(660, 957) ~pf:(540, 783) ~pg:(540, 783))
+
+(* case_15's first output is learned over a comparator delegate: the
+   oracle must expand the delegate into the compared buses exactly as
+   the per-vector expansion did — same queries, same circuit. With the
+   exhaustive conquest off, an FBDT samples through the word entry; with
+   it on, the minterm batch and the checked mode's table re-simulation
+   go through the vector entry. *)
+let test_oracle_expansion () =
+  let learn ~threshold ~check =
+    sim_counters ~case:"case_15"
+      {
+        Config.default with
+        Config.support_rounds = 100;
+        small_support_threshold = threshold;
+        check_level = check;
+      }
+  in
+  let expect name ~queries ~digest (q, d, _) =
+    check_int (name ^ ": queries") queries q;
+    Alcotest.(check string) (name ^ ": circuit digest") digest d
+  in
+  expect "fbdt" ~queries:8947 ~digest:"ed2fac269b73e901f0d1ebdab0940703"
+    (learn ~threshold:0 ~check:Config.Off);
+  List.iter
+    (fun check ->
+      expect "exhaustive" ~queries:8709
+        ~digest:"3de08027cef463af18eb2b876fe95444"
+        (learn ~threshold:Config.default.Config.small_support_threshold ~check))
+    [ Config.Off; Config.Full ];
+  (* case_5 conquers supports of up to 10 inputs exhaustively: minterm
+     batches of up to 1 024 vectors, expanded 64 at a time *)
+  expect "wide exhaustive" ~queries:13_248
+    ~digest:"a7fc13840a48a864c917f02a9f06fecc"
+    (sim_counters ~case:"case_5"
+       { Config.default with Config.support_rounds = 100 })
+
+(* one query simulates one word and counts no patterns, as
+   [Netlist.eval] always has *)
+let test_single_query_counters () =
+  let c = circuit () in
+  let box = Box.of_netlist c in
+  Instr.reset_aggregates ();
+  ignore (Box.query box (Bv.of_string "1011"));
+  check_int "gate-words" (N.num_nodes c) (Instr.counter_total "sim.gate-words");
+  check_int "no patterns" 0 (Instr.counter_total "sim.patterns");
+  Instr.reset_aggregates ()
+
 let tests =
   [
+    Alcotest.test_case "lane words == vector reference" `Quick
+      test_matches_reference;
+    Alcotest.test_case "lane words == vector reference, 7200 rounds" `Quick
+      test_matches_reference_default_rounds;
+    Alcotest.test_case "case_7 sim counters per span" `Quick
+      test_case7_sim_counters;
+    Alcotest.test_case "learner oracle: delegate and wide batches" `Quick
+      test_oracle_expansion;
+    Alcotest.test_case "single query counts gate-words only" `Quick
+      test_single_query_counters;
     Alcotest.test_case "support identification" `Quick test_support;
     Alcotest.test_case "most significant input" `Quick test_most_significant;
     Alcotest.test_case "truth ratio" `Quick test_truth_ratio;
