@@ -13,6 +13,7 @@
    direct. *)
 
 module Rng = Lr_bitvec.Rng
+module Bv = Lr_bitvec.Bv
 module N = Lr_netlist.Netlist
 module Box = Lr_blackbox.Blackbox
 module Cases = Lr_cases.Cases
@@ -391,6 +392,27 @@ let micro () =
     Test.make ~name:"netlist word-sim (case_9, 64 patterns)"
       (Staged.stage (fun () -> ignore (N.eval_words case9 words9)))
   in
+  let lanes_in = Array.init 64 (fun _ -> Bv.random patterns_rng 53) in
+  let lanes_test =
+    Test.make ~name:"lane transposition (64 x 53-bit, to and back)"
+      (Staged.stage (fun () -> ignore (Bv.of_lanes 64 (Bv.to_lanes 53 lanes_in))))
+  in
+  (* scoring: case_12's golden circuit against the circuit learned from
+     it, on the ledger's pattern count *)
+  let case12 = Cases.find "case_12" in
+  let golden12 = Cases.build case12 in
+  let learned12 = (Learner.learn (Cases.blackbox case12)).Learner.circuit in
+  let patterns12 =
+    Eval.mixture ~rng:(Rng.create 12) ~num_inputs:(N.num_inputs golden12)
+      ~count:30_000
+  in
+  let score_test =
+    Test.make ~name:"Eval.accuracy_on (case_12, 30k patterns)"
+      (Staged.stage (fun () ->
+           ignore
+             (Eval.accuracy_on ~patterns:patterns12 ~golden:golden12
+                ~candidate:learned12 ())))
+  in
   let fraig_test =
     Test.make ~name:"fraig sweep (case_7 AIG)"
       (Staged.stage (fun () ->
@@ -451,7 +473,16 @@ let micro () =
   in
   let tests =
     Test.make_grouped ~name:"kernels" ~fmt:"%s %s"
-      [ sampling_test; sim_test; fraig_test; bdd_test; espresso_test; sat_test ]
+      [
+        sampling_test;
+        sim_test;
+        lanes_test;
+        score_test;
+        fraig_test;
+        bdd_test;
+        espresso_test;
+        sat_test;
+      ]
   in
   let instance = Toolkit.Instance.monotonic_clock in
   let cfg =

@@ -66,45 +66,95 @@ let popcount_word w =
 
 let popcount t = Array.fold_left (fun acc w -> acc + popcount_word w) 0 t.words
 
-(* Lane transposition. Each result word is accumulated in a local and
-   stored once, so the loops allocate only the result. *)
+(* Lane transposition, 64 x 64 bits at a time. A block holds one 64-bit
+   word of each of 64 vectors, row [k] at byte [8 * k] of an unboxed
+   byte store (an [int64 array] would box every store); six
+   mask-and-shift stages transpose it in place, so row [i] becomes the
+   lane word of bit [i]. Stage [j] swaps, for each row pair [(r, r + j)]
+   with [r land j = 0], the bits [b land j <> 0] of row [r] with the
+   bits [b - j] of row [r + j]. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let transpose_stage blk j m =
+  let r0 = ref 0 in
+  while !r0 < 64 do
+    for r = !r0 to !r0 + j - 1 do
+      let x = get64u blk (8 * r) and y = get64u blk (8 * (r + j)) in
+      let t = Int64.(logand (logxor (shift_right_logical x j) y) m) in
+      set64u blk (8 * r) (Int64.logxor x (Int64.shift_left t j));
+      set64u blk (8 * (r + j)) (Int64.logxor y t)
+    done;
+    r0 := !r0 + (2 * j)
+  done
+
+let transpose_block blk =
+  transpose_stage blk 32 0x00000000FFFFFFFFL;
+  transpose_stage blk 16 0x0000FFFF0000FFFFL;
+  transpose_stage blk 8 0x00FF00FF00FF00FFL;
+  transpose_stage blk 4 0x0F0F0F0F0F0F0F0FL;
+  transpose_stage blk 2 0x3333333333333333L;
+  transpose_stage blk 1 0x5555555555555555L
+
+(* One vector is a gather, not a transposition: a block would spend its
+   six stages moving 63 rows of zeros, and every single black-box query
+   converts exactly one vector. *)
 let to_lanes n vs =
   let count = Array.length vs in
   if count > 64 then invalid_arg "Bv.to_lanes: more than 64 vectors";
   Array.iter
     (fun v -> if v.len <> n then invalid_arg "Bv.to_lanes: length mismatch")
     vs;
-  Array.init n (fun i ->
-      let wi = i lsr 6 and sh = i land 63 in
-      let acc = ref 0L in
+  if count = 1 then
+    let ws = vs.(0).words in
+    Array.init n (fun i ->
+        Int64.logand
+          (Int64.shift_right_logical (Array.unsafe_get ws (i lsr 6)) (i land 63))
+          1L)
+  else begin
+    let lanes = Array.make n 0L in
+    let blk = Bytes.create 512 in
+    for wi = 0 to nwords n - 1 do
       for k = 0 to count - 1 do
-        let w = Array.unsafe_get (Array.unsafe_get vs k).words wi in
-        acc :=
-          Int64.logor !acc
-            (Int64.shift_left
-               (Int64.logand (Int64.shift_right_logical w sh) 1L)
-               k)
+        set64u blk (8 * k) (Array.unsafe_get vs k).words.(wi)
       done;
-      !acc)
+      Bytes.fill blk (8 * count) (512 - (8 * count)) '\000';
+      transpose_block blk;
+      for b = 0 to min 63 (n - 1 - (wi * 64)) do
+        lanes.((wi * 64) + b) <- get64u blk (8 * b)
+      done
+    done;
+    lanes
+  end
 
 let of_lanes count lanes =
   if count < 0 || count > 64 then invalid_arg "Bv.of_lanes: count out of range";
   let n = Array.length lanes in
-  Array.init count (fun k ->
-      let t = create n in
-      for wi = 0 to nwords n - 1 do
-        let acc = ref 0L in
-        for b = 0 to min 63 (n - 1 - (wi * 64)) do
-          let w = Array.unsafe_get lanes ((wi * 64) + b) in
-          acc :=
-            Int64.logor !acc
-              (Int64.shift_left
-                 (Int64.logand (Int64.shift_right_logical w k) 1L)
-                 b)
-        done;
-        t.words.(wi) <- !acc
+  let vs = Array.init count (fun _ -> create n) in
+  let blk = if count > 1 then Bytes.create 512 else Bytes.empty in
+  for wi = 0 to nwords n - 1 do
+    let rows = min 64 (n - (wi * 64)) in
+    if count = 1 then begin
+      let acc = ref 0L in
+      for b = 0 to rows - 1 do
+        acc :=
+          Int64.logor !acc
+            (Int64.shift_left (Int64.logand lanes.((wi * 64) + b) 1L) b)
       done;
-      t)
+      vs.(0).words.(wi) <- !acc
+    end
+    else if count > 1 then begin
+      for b = 0 to rows - 1 do
+        set64u blk (8 * b) lanes.((wi * 64) + b)
+      done;
+      Bytes.fill blk (8 * rows) (512 - (8 * rows)) '\000';
+      transpose_block blk;
+      for k = 0 to count - 1 do
+        vs.(k).words.(wi) <- get64u blk (8 * k)
+      done
+    end
+  done;
+  vs
 
 let random rng n =
   let t = create n in

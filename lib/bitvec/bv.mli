@@ -33,7 +33,17 @@ val popcount_word : int64 -> int
 
     A {e lane word} packs one bit position of up to 64 vectors: bit [k]
     of lane word [i] is bit [i] of vector [k]. This is the layout of
-    word-parallel simulation, 64 patterns per machine word. *)
+    word-parallel simulation, 64 patterns per machine word.
+
+    Both directions transpose 64 x 64-bit blocks, one per 64 bits of
+    vector length, in six mask-and-shift stages on an unboxed scratch
+    block: the cost is a fixed ~200 word operations per block, whatever
+    the vector count, instead of one shift per bit. On one vector a
+    gather loop is cheaper (the block would move 63 rows of zeros), so
+    a count of 1 takes it; every single black-box query is that case.
+    For 64 vectors of 53 bits, to lanes and back, this is about four
+    times faster than one shift per bit (EXPERIMENTS.md, micro
+    table). *)
 
 val to_lanes : int -> t array -> int64 array
 (** [to_lanes n vs] transposes up to 64 vectors of length [n] into [n]

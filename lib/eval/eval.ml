@@ -4,14 +4,6 @@ module N = Lr_netlist.Netlist
 module Instr = Lr_instr.Instr
 module Soa = Lr_kernel.Soa
 
-(* eval_many through the SoA kernel or the tree-walking reference; both
-   tick the same sim counters, so reports cannot tell them apart *)
-let runner kernel c =
-  if kernel then
-    let soa = Soa.of_netlist c in
-    fun patterns -> Soa.eval_many soa patterns
-  else fun patterns -> N.eval_many c patterns
-
 let mixture ~rng ~num_inputs ~count =
   let third = (count + 2) / 3 in
   Array.init count (fun i ->
@@ -26,14 +18,47 @@ let check_shapes golden candidate =
     || N.num_outputs golden <> N.num_outputs candidate
   then invalid_arg "Eval: golden and candidate shapes differ"
 
+(* Golden and candidate scored on lane words: each 64-pattern block is
+   transposed once and both circuits simulate the same words, so no
+   output vector is built per pattern. [f mask want got] sees one block's
+   output words; [mask] has a bit per lane that holds a pattern. The sim
+   counters tick as [eval_many] ticks them on each circuit: the SoA
+   kernel or the tree-walking reference, reports cannot tell. *)
+let iter_blocks ~kernel ~patterns ~golden ~candidate f =
+  let np = Array.length patterns in
+  let count b = min 64 (np - (64 * b)) in
+  let blocks =
+    Array.init ((np + 63) / 64) (fun b ->
+        Bv.to_lanes (N.num_inputs golden) (Array.sub patterns (64 * b) (count b)))
+  in
+  let simulate c =
+    Instr.count "sim.patterns" np;
+    if kernel then Soa.eval_blocks (Soa.of_netlist c) blocks
+    else Array.map (N.eval_words c) blocks
+  in
+  let want = simulate golden in
+  let got = simulate candidate in
+  Array.iteri
+    (fun b w ->
+      let cnt = count b in
+      let mask =
+        if cnt = 64 then -1L else Int64.pred (Int64.shift_left 1L cnt)
+      in
+      f mask w got.(b))
+    want
+
 let accuracy_on ?(kernel = true) ~patterns ~golden ~candidate () =
   check_shapes golden candidate;
   Instr.span ~name:"eval.accuracy" @@ fun () ->
   Instr.count "eval.patterns" (Array.length patterns);
-  let want = runner kernel golden patterns in
-  let got = runner kernel candidate patterns in
   let hits = ref 0 in
-  Array.iteri (fun i w -> if Bv.equal w got.(i) then incr hits) want;
+  iter_blocks ~kernel ~patterns ~golden ~candidate (fun mask want got ->
+      (* a lane hits when no output differs in it *)
+      let miss = ref 0L in
+      for o = 0 to Array.length want - 1 do
+        miss := Int64.logor !miss (Int64.logxor want.(o) got.(o))
+      done;
+      hits := !hits + Bv.popcount_word (Int64.logand mask (Int64.lognot !miss)));
   Float.of_int !hits /. Float.of_int (max 1 (Array.length patterns))
 
 let accuracy ?(count = 30_000) ?kernel ~rng ~golden ~candidate () =
@@ -61,16 +86,13 @@ let accuracy_stats ?(runs = 5) ?(count = 10_000) ?kernel ~rng ~golden
 
 let per_output_accuracy ?(kernel = true) ~patterns ~golden ~candidate () =
   check_shapes golden candidate;
-  let no = N.num_outputs golden in
-  let want = runner kernel golden patterns in
-  let got = runner kernel candidate patterns in
-  let hits = Array.make no 0 in
-  Array.iteri
-    (fun i w ->
-      for o = 0 to no - 1 do
-        if Bv.get w o = Bv.get got.(i) o then hits.(o) <- hits.(o) + 1
-      done)
-    want;
+  let hits = Array.make (N.num_outputs golden) 0 in
+  iter_blocks ~kernel ~patterns ~golden ~candidate (fun mask want got ->
+      Array.iteri
+        (fun o w ->
+          let agree = Int64.lognot (Int64.logxor w got.(o)) in
+          hits.(o) <- hits.(o) + Bv.popcount_word (Int64.logand mask agree))
+        want);
   Array.map
     (fun h -> Float.of_int h /. Float.of_int (max 1 (Array.length patterns)))
     hits

@@ -5,7 +5,16 @@
     The contest used 1.5M patterns, one third biased toward 1s, one third
     biased toward 0s and one third uniform; [mixture] reproduces that
     composition at any scale (the benches default to a smaller count; the
-    estimate's variance is what changes, not its meaning). *)
+    estimate's variance is what changes, not its meaning).
+
+    Scoring runs on lane words ({!Lr_bitvec.Bv.to_lanes}): each block of
+    64 patterns is transposed once, golden and candidate simulate the
+    same words, and a block's hits are the lanes where no output word
+    differs, [popcount (lnot (OR over o of (g_o xor c_o)))] under the
+    mask of lanes that hold a pattern. No output vector is built per
+    pattern. The counters tick exactly as simulating each circuit with
+    [eval_many] would: ["eval.patterns"] once per {!accuracy_on} call,
+    ["sim.patterns"] and ["sim.gate-words"] for both circuits. *)
 
 val mixture :
   rng:Lr_bitvec.Rng.t -> num_inputs:int -> count:int -> Lr_bitvec.Bv.t array
@@ -21,9 +30,11 @@ val accuracy :
   unit ->
   float
 (** Hit rate in [0, 1]. Default [count] is 30_000. Requires identical
-    PI/PO counts. [kernel] (default [true]) scores on the {!Lr_kernel.Soa}
-    engine — bit-identical results and sim counters, materially faster on
-    large pattern sets. *)
+    PI/PO counts. [kernel] (default [true]) simulates the blocks on the
+    {!Lr_kernel.Soa} engine, up to eight per pass
+    ({!Lr_kernel.Soa.eval_blocks}); [false] runs
+    [Netlist.eval_words] on the same blocks — bit-identical results and
+    sim counters, the kernel materially faster on large pattern sets. *)
 
 val accuracy_on :
   ?kernel:bool ->
@@ -42,7 +53,10 @@ val per_output_accuracy :
   candidate:Lr_netlist.Netlist.t ->
   unit ->
   float array
-(** Hit rate of each output separately — diagnostic, not a contest metric. *)
+(** Hit rate of each output separately — diagnostic, not a contest
+    metric. Counted per output word on the same lane words; ticks
+    ["sim.patterns"] and ["sim.gate-words"] for both circuits, no
+    ["eval.patterns"] and no span. *)
 
 type stats = {
   mean : float;

@@ -298,33 +298,44 @@ let eval_words t words =
 (* Up to this many 64-pattern blocks share one pass over the schedule. *)
 let max_width = 8
 
-let eval_many t patterns =
-  let np = Array.length patterns in
-  Instr.count "sim.patterns" np;
-  let nblocks = (np + 63) / 64 in
+let eval_blocks t blocks =
+  Array.iter
+    (fun words ->
+      if Array.length words <> t.ni then
+        invalid_arg "Soa.eval_blocks: wrong number of input words")
+    blocks;
+  let nblocks = Array.length blocks in
   if nblocks > 0 then Instr.count "sim.gate-words" (t.nn * nblocks);
-  let results = Array.make np (Bv.create 0) in
+  let results = Array.make nblocks [||] in
   let buf = scratch ((t.nn + t.ni) * max_width) in
   let block = ref 0 in
   while !block < nblocks do
     let width = min max_width (nblocks - !block) in
     let inoff = 8 * t.nn * width in
-    let span w =
-      let base = (!block + w) * 64 in
-      (base, min 64 (np - base))
-    in
     for w = 0 to width - 1 do
-      let base, cnt = span w in
       Array.iteri
         (fun i x -> set64u buf (inoff + (8 * ((i * width) + w))) x)
-        (Bv.to_lanes t.ni (Array.sub patterns base cnt))
+        blocks.(!block + w)
     done;
     run t buf ~width ~inoff;
     for w = 0 to width - 1 do
-      let base, cnt = span w in
-      let outs = Array.init t.no (output_word t buf ~width ~w) in
-      Array.blit (Bv.of_lanes cnt outs) 0 results base cnt
+      results.(!block + w) <- Array.init t.no (output_word t buf ~width ~w)
     done;
     block := !block + width
   done;
+  results
+
+let eval_many t patterns =
+  let np = Array.length patterns in
+  Instr.count "sim.patterns" np;
+  let count b = min 64 (np - (64 * b)) in
+  let blocks =
+    Array.init ((np + 63) / 64) (fun b ->
+        Bv.to_lanes t.ni (Array.sub patterns (64 * b) (count b)))
+  in
+  let results = Array.make np (Bv.create 0) in
+  Array.iteri
+    (fun b outs ->
+      Array.blit (Bv.of_lanes (count b) outs) 0 results (64 * b) (count b))
+    (eval_blocks t blocks);
   results

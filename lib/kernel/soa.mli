@@ -82,7 +82,23 @@ val eval_words : t -> int64 array -> int64 array
 (** Drop-in for [Netlist.eval_words]: same output words, same
     ["sim.gate-words"] accounting. *)
 
+val max_width : int
+(** How many 64-pattern blocks {!eval_blocks} simulates per pass over
+    the schedule (8). *)
+
+val eval_blocks : t -> int64 array array -> int64 array array
+(** [eval_blocks t blocks] simulates any number of 64-pattern blocks.
+    [blocks.(b)] holds block [b]'s input words ({!Lr_bitvec.Bv.to_lanes}
+    layout, one word per input); the result holds its output words, one
+    per output. Up to {!max_width} blocks share one pass over the
+    schedule (wide blocks), which is where the cache win lives: one
+    opcode dispatch serves several words of work. Output words equal
+    one {!eval_words} call per block, and ["sim.gate-words"] ticks by
+    the same total, {!num_nodes} per block, in one count. Raises
+    [Invalid_argument] on a block with the wrong number of words. *)
+
 val eval_many : t -> Lr_bitvec.Bv.t array -> Lr_bitvec.Bv.t array
 (** Drop-in for [Netlist.eval_many]: same results, same ["sim.patterns"]
-    accounting. Internally simulates several 64-pattern blocks per pass
-    over the schedule (wide blocks), which is where the cache win lives. *)
+    and ["sim.gate-words"] accounting. Transposes the patterns into lane
+    words 64 at a time, simulates them with {!eval_blocks} and
+    transposes the outputs back. *)

@@ -338,10 +338,11 @@ let match_vector_pairs ~samples ~verify_samples ~rng box ~fix in_vectors pos =
     pos
 
 (* vector-vs-constant: exhaustive word-parallel sweep for narrow vectors,
-   threshold binary search for wide ones *)
+   threshold binary search for wide ones. With no output left open there
+   is nothing to classify, and no probe is spent. *)
 let match_vector_const ~verify_samples ~rng box v pos =
   let w = width v in
-  if w >= 62 then []
+  if w >= 62 || pos = [] then []
   else begin
     let probe x =
       let out = sample_pos rng box ~fix:None ~pairs:[ (v, x) ] in

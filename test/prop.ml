@@ -37,6 +37,8 @@ module Scache = Lr_serve.Cache
 module Soa = Lr_kernel.Soa
 module Incr = Lr_kernel.Incremental
 module Ksim = Lr_aig.Ksim
+module Instr = Lr_instr.Instr
+module Eval = Lr_eval.Eval
 
 (* ---------------- the harness ---------------- *)
 
@@ -327,6 +329,112 @@ let prop_soa_aig_identical () =
           vals = Aig.simulate_nodes aig w
           && Soa.outputs_of_values s vals = Aig.simulate aig w)
         (List.init 4 Fun.id))
+
+(* the multi-block entry against one [eval_words] call per block, on
+   block counts around [max_width], where the passes split *)
+let prop_eval_blocks_matches_words () =
+  check_prop "Soa.eval_blocks == eval_words per block" arb_recipe (fun r ->
+      let s = Soa.of_netlist (build_netlist r) in
+      let rng = Rng.create 59 in
+      let w = Soa.max_width in
+      List.for_all
+        (fun k ->
+          let blocks = Array.init k (fun _ -> words rng r.ni) in
+          let expected = Array.map (Soa.eval_words s) blocks in
+          let before = Instr.counter_total "sim.gate-words" in
+          let got = Soa.eval_blocks s blocks in
+          got = expected
+          && Instr.counter_total "sim.gate-words" - before
+             = k * Soa.num_nodes s)
+        [ 0; 1; w - 1; w; w + 1; (2 * w) + 1 ])
+
+(* ---------------- scoring ---------------- *)
+
+(* The per-pattern scorer [Eval] replaced: every pattern's output vector
+   built by [eval_many] and compared whole with [Bv.equal]. *)
+let reference_outputs ~kernel c patterns =
+  if kernel then Soa.eval_many (Soa.of_netlist c) patterns
+  else N.eval_many c patterns
+
+let reference_accuracy ~kernel ~patterns ~golden ~candidate =
+  Instr.span ~name:"eval.accuracy" @@ fun () ->
+  Instr.count "eval.patterns" (Array.length patterns);
+  let want = reference_outputs ~kernel golden patterns in
+  let got = reference_outputs ~kernel candidate patterns in
+  let hits = ref 0 in
+  Array.iteri (fun i w -> if Bv.equal w got.(i) then incr hits) want;
+  Float.of_int !hits /. Float.of_int (max 1 (Array.length patterns))
+
+let reference_per_output ~kernel ~patterns ~golden ~candidate =
+  let want = reference_outputs ~kernel golden patterns in
+  let got = reference_outputs ~kernel candidate patterns in
+  Array.init (N.num_outputs golden) (fun o ->
+      let hits = ref 0 in
+      Array.iteri (fun i w -> if Bv.get w o = Bv.get got.(i) o then incr hits) want;
+      Float.of_int !hits /. Float.of_int (max 1 (Array.length patterns)))
+
+(* [f ()] and the totals of the scoring counters it ticked *)
+let with_scoring_counts f =
+  let totals = Hashtbl.create 4 in
+  Instr.set_sinks
+    [
+      {
+        Instr.emit =
+          (function
+          | Instr.Count { name; incr; _ } ->
+              Hashtbl.replace totals name
+                (incr + Option.value ~default:0 (Hashtbl.find_opt totals name))
+          | _ -> ());
+        flush = (fun () -> ());
+      };
+    ];
+  Fun.protect ~finally:(fun () -> Instr.set_sinks []) @@ fun () ->
+  let r = f () in
+  ( r,
+    List.map
+      (fun name -> Option.value ~default:0 (Hashtbl.find_opt totals name))
+      [ "eval.patterns"; "sim.patterns"; "sim.gate-words" ] )
+
+(* a golden recipe and a candidate of the same shape whose gate list
+   keeps a random prefix of the golden one, so hit rates span 0 to 1 *)
+let arb_scoring_pair =
+  {
+    gen =
+      (fun rng size ->
+        let golden = arb_recipe.gen rng size in
+        let keep = Rng.int rng (List.length golden.ops + 1) in
+        let tail = (arb_recipe.gen rng size).ops in
+        (golden, List.filteri (fun i _ -> i < keep) golden.ops @ tail));
+    shrink =
+      (fun (g, ops) -> List.map (fun g -> (g, ops)) (arb_recipe.shrink g));
+    print =
+      (fun (g, ops) ->
+        Printf.sprintf "golden %s / candidate %s" (arb_recipe.print g)
+          (arb_recipe.print { g with ops }));
+  }
+
+let prop_word_scoring_matches_reference () =
+  check_prop ~count:30 "word-native Eval == per-pattern scorer"
+    arb_scoring_pair (fun (g, ops) ->
+      let golden = build_netlist g and candidate = build_netlist { g with ops } in
+      let rng = Rng.create (List.length ops) in
+      List.for_all
+        (fun np ->
+          let patterns = Eval.mixture ~rng ~num_inputs:g.ni ~count:np in
+          List.for_all
+            (fun kernel ->
+              with_scoring_counts (fun () ->
+                  Eval.accuracy_on ~kernel ~patterns ~golden ~candidate ())
+              = with_scoring_counts (fun () ->
+                    reference_accuracy ~kernel ~patterns ~golden ~candidate)
+              && with_scoring_counts (fun () ->
+                     Eval.per_output_accuracy ~kernel ~patterns ~golden
+                       ~candidate ())
+                 = with_scoring_counts (fun () ->
+                       reference_per_output ~kernel ~patterns ~golden
+                         ~candidate))
+            [ true; false ])
+        [ 0; 1; 63; 64; 65; 1000 ])
 
 (* a full reference simulation with one node pinned, in schedule order —
    the semantics [Incremental.with_forced] promises to match *)
@@ -662,6 +770,10 @@ let tests =
       prop_soa_netlist_identical;
     Alcotest.test_case "SoA kernel == AIG simulation" `Quick
       prop_soa_aig_identical;
+    Alcotest.test_case "eval_blocks == eval_words per block" `Quick
+      prop_eval_blocks_matches_words;
+    Alcotest.test_case "word-native scoring == per-pattern scorer" `Quick
+      prop_word_scoring_matches_reference;
     Alcotest.test_case "incremental resim == full resim" `Quick
       prop_incremental_matches_full;
     Alcotest.test_case "kernel degenerate shapes" `Quick

@@ -127,27 +127,55 @@ let test_popcount_word () =
     check_int "random word" (naive_popcount w) (Bv.popcount_word w)
   done
 
-(* lane words against the bit-by-bit definition, on widths and counts
-   that straddle word boundaries *)
+(* The bit-at-a-time transposition [Bv.to_lanes]/[of_lanes] replaced:
+   one bit moved per step, the definition the block kernel must match. *)
+let reference_to_lanes n vs =
+  let count = Array.length vs in
+  Array.init n (fun i ->
+      let acc = ref 0L in
+      for k = 0 to count - 1 do
+        if Bv.get vs.(k) i then acc := Int64.logor !acc (Int64.shift_left 1L k)
+      done;
+      !acc)
+
+let reference_of_lanes count lanes =
+  let n = Array.length lanes in
+  Array.init count (fun k ->
+      let t = Bv.create n in
+      Array.iteri
+        (fun i w ->
+          if Int64.logand (Int64.shift_right_logical w k) 1L = 1L then
+            Bv.set t i true)
+        lanes;
+      t)
+
+(* lane words against the reference, on widths and counts that straddle
+   word and block boundaries *)
 let test_lanes () =
   let rng = Rng.create 17 in
+  let edges =
+    List.concat_map
+      (fun count -> List.map (fun n -> (n, count)) [ 0; 1; 64; 127; 128; 129; 200 ])
+      [ 0; 1; 63; 64 ]
+  in
   List.iter
     (fun (n, count) ->
+      let name = Printf.sprintf "n=%d count=%d" n count in
       let vs = Array.init count (fun _ -> Bv.random rng n) in
       let lanes = Bv.to_lanes n vs in
-      check_int "one lane word per bit" n (Array.length lanes);
-      for i = 0 to n - 1 do
-        for k = 0 to 63 do
-          let bit = Int64.logand (Int64.shift_right_logical lanes.(i) k) 1L = 1L in
-          check "lane bit" (k < count && Bv.get vs.(k) i) bit
-        done
-      done;
+      check_int (name ^ ": one lane word per bit") n (Array.length lanes);
+      check (name ^ ": to_lanes") true (lanes = reference_to_lanes n vs);
       let back = Bv.of_lanes count lanes in
-      check "round trip" true (Array.for_all2 Bv.equal vs back))
-    [ (0, 3); (1, 1); (5, 64); (63, 17); (64, 64); (65, 2); (130, 33) ];
+      check (name ^ ": round trip") true (Array.for_all2 Bv.equal vs back);
+      (* lanes at or past [count] carry noise that must be ignored *)
+      let noisy = Array.init n (fun _ -> Rng.bits64 rng) in
+      check (name ^ ": of_lanes") true
+        (Array.for_all2 Bv.equal
+           (reference_of_lanes count noisy)
+           (Bv.of_lanes count noisy)))
+    ([ (0, 3); (1, 1); (5, 64); (63, 17); (64, 64); (65, 2); (130, 33) ] @ edges);
   check "random 0-bit vectors are all equal" true
     (Bv.equal (Bv.random rng 0) (Bv.create 0));
-  (* lanes at or past [count] are ignored on the way back *)
   let back = Bv.of_lanes 1 [| -1L; 2L |] in
   check_str "only lane 0 read" "01" (Bv.to_string back.(0));
   check "65 vectors rejected" true

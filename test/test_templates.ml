@@ -68,6 +68,15 @@ let test_case2_linear () =
       check "1c" true (coeff "c" = Some 1)
   | _ -> assert false
 
+(* case_2's linear match claims every output, so the vector-constant
+   matcher has nothing left to classify: the scan spends exactly the
+   linear probes (one base pattern, three unit probes, [samples]
+   verification probes) and no 2^w sweep *)
+let test_case2_no_dead_sweeps () =
+  let box = Cases.blackbox (Cases.find "case_2") in
+  ignore (T.scan ~rng:(Rng.create 2024) box);
+  check_int "1 + 3 + samples queries" (1 + 3 + 64) (Box.queries_used box)
+
 let test_case12_linear () =
   let m = scan_case "case_12" in
   match m.T.linears with
@@ -114,6 +123,8 @@ let tests =
     Alcotest.test_case "case_6: constant by binary search" `Quick
       test_case6_binary_search_constant;
     Alcotest.test_case "case_2: linear arithmetic" `Quick test_case2_linear;
+    Alcotest.test_case "case_2: no probe without an open output" `Quick
+      test_case2_no_dead_sweeps;
     Alcotest.test_case "case_12: linear arithmetic" `Quick test_case12_linear;
     Alcotest.test_case "case_15: hidden comparator via cube" `Quick
       test_case15_propagated;
