@@ -37,7 +37,6 @@ let time_budget = ref None
 let check_level = ref Config.Off
 let sweep_level = ref Config.Sweep_off
 let jobs = ref 1
-let kernel_on = ref true
 let fault_spec = ref None
 let retry_attempts = ref 1
 
@@ -85,8 +84,7 @@ let measure_method scale spec golden patterns f =
   ignore spec;
   let accuracy =
     100.0
-    *. Eval.accuracy_on ~kernel:!kernel_on ~patterns ~golden
-         ~candidate:circuit ()
+    *. Eval.accuracy_on ~patterns ~golden ~candidate:circuit ()
   in
   { size = N.size circuit; accuracy; time_s }
 
@@ -100,7 +98,6 @@ let ours_config preset scale seed =
     check_level = !check_level;
     sweep = !sweep_level;
     jobs = !jobs;
-    kernel = !kernel_on;
     retry = Lr_faults.Faults.retry !retry_attempts;
     faults = !fault_spec;
   }
@@ -577,14 +574,6 @@ let () =
   let check, args = extract "--check" args in
   let sweep_v, args = extract "--sweep" args in
   let jobs_v, args = extract "--jobs" args in
-  let kernel_v, args = extract "--kernel" args in
-  (match kernel_v with
-  | None -> ()
-  | Some "on" -> kernel_on := true
-  | Some "off" -> kernel_on := false
-  | Some v ->
-      Printf.eprintf "bad --kernel value: %s (use on|off)\n" v;
-      exit 1);
   let faults_v, args = extract "--faults" args in
   let retry_v, args = extract "--retry" args in
   let alerts_v, args = extract "--alerts" args in

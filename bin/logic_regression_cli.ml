@@ -170,21 +170,6 @@ let sweep_arg =
         Config.Sweep_off
     & info [ "sweep" ] ~docv:"LEVEL" ~doc)
 
-let kernel_arg =
-  let doc =
-    "Hot-path engine selection: $(b,on) (the default) runs \
-     simulation-heavy phases on the structure-of-arrays kernel with \
-     incremental dirty-cone resimulation and races hard SAT queries over \
-     a deterministic solver portfolio; $(b,off) forces the legacy \
-     tree-walking evaluators. Both settings learn the same circuit, \
-     issue the same queries and emit the same report — $(b,off) exists \
-     for differential testing and benchmarking."
-  in
-  Arg.(
-    value
-    & opt (Arg.enum [ ("on", true); ("off", false) ]) true
-    & info [ "kernel" ] ~docv:"on|off" ~doc)
-
 let jobs_arg =
   let doc =
     "Worker domains for the per-output conquer stage. $(b,1) (the \
@@ -506,7 +491,7 @@ let print_phase_breakdown oc report =
 
 let learn_run case preset seed budget eval_patterns support_rounds no_templates
     no_grouping out trace trace_jsonl progress metrics metrics_out json history
-    heartbeat time_budget check sweep jobs kernel faults retry_attempts
+    heartbeat time_budget check sweep jobs faults retry_attempts
     retry_backoff listen alerts log_level log_file =
   (* structured logging is on for the CLI (stderr, human format) so the
      library's warn/error records — and fatal argument errors — have a
@@ -559,7 +544,6 @@ let learn_run case preset seed budget eval_patterns support_rounds no_templates
       check_level = check;
       sweep;
       jobs;
-      kernel;
       retry = Faults.retry ~backoff_s:retry_backoff retry_attempts;
       faults = fault_spec;
     }
@@ -803,9 +787,9 @@ let learn_cmd =
       $ eval_arg $ support_rounds_arg $ no_templates_arg $ no_grouping_arg
       $ out_arg $ trace_arg $ trace_jsonl_arg $ progress_arg $ metrics_arg
       $ metrics_out_arg $ json_arg $ history_arg $ heartbeat_arg
-      $ time_budget_arg $ check_arg $ sweep_arg $ jobs_arg $ kernel_arg
-      $ faults_arg $ retry_arg $ retry_backoff_arg $ listen_arg $ alerts_arg
-      $ log_level_arg $ log_file_arg)
+      $ time_budget_arg $ check_arg $ sweep_arg $ jobs_arg $ faults_arg
+      $ retry_arg $ retry_backoff_arg $ listen_arg $ alerts_arg $ log_level_arg
+      $ log_file_arg)
 
 (* ---------- baseline ---------- *)
 
@@ -869,18 +853,45 @@ let candidate_pos =
   let doc = "Learned circuit file." in
   Arg.(required & pos 1 (some string) None & info [] ~docv:"CIRCUIT" ~doc)
 
+(* circuits named on the command line are user input: a file that cannot
+   be read or parsed, or two circuits whose interfaces differ, is
+   reported on stderr with exit 2 rather than raised *)
+let input_error path msg =
+  Printf.eprintf "error: %s: %s\n" path msg;
+  exit 2
+
+let read_circuit path =
+  try Io.read_file path
+  with Failure msg | Sys_error msg -> input_error path msg
+
+let check_interfaces (p1, c1) (p2, c2) =
+  if
+    N.num_inputs c1 <> N.num_inputs c2
+    || N.num_outputs c1 <> N.num_outputs c2
+  then begin
+    Printf.eprintf
+      "error: interface mismatch: %s has %d inputs / %d outputs, %s has %d \
+       inputs / %d outputs\n"
+      p1 (N.num_inputs c1) (N.num_outputs c1) p2 (N.num_inputs c2)
+      (N.num_outputs c2);
+    exit 2
+  end
+
 let score_run case candidate seed eval_patterns =
-  let _, golden = resolve_box ~budget:None case in
-  match golden with
-  | None -> failwith "no golden circuit available"
-  | Some golden ->
-      let c = Io.read_file candidate in
-      let acc =
-        Eval.accuracy ~count:eval_patterns ~rng:(Rng.create (seed + 7919))
-          ~golden ~candidate:c ()
-      in
-      Printf.printf "size=%d accuracy=%.4f%%\n" (N.size c) (100.0 *. acc);
-      0
+  let golden =
+    match resolve_box ~budget:None case with
+    | _, Some golden -> golden
+    | _, None -> failwith "no golden circuit available"
+    | exception (Failure msg | Sys_error msg) -> input_error case msg
+  in
+  let c = read_circuit candidate in
+  check_interfaces (case, golden) (candidate, c);
+  let acc =
+    Eval.accuracy ~count:eval_patterns ~rng:(Rng.create (seed + 7919)) ~golden
+      ~candidate:c ()
+  in
+  Printf.printf "size=%d accuracy=%.4f%%\n" (N.size c) (100.0 *. acc);
+  0
 
 let score_cmd =
   let doc = "score a learned circuit against a case's golden circuit" in
@@ -895,7 +906,8 @@ let circuit_pos k =
   Arg.(required & pos k (some string) None & info [] ~docv:"CIRCUIT" ~doc)
 
 let cec_run path1 path2 =
-  let c1 = Io.read_file path1 and c2 = Io.read_file path2 in
+  let c1 = read_circuit path1 and c2 = read_circuit path2 in
+  check_interfaces (path1, c1) (path2, c2);
   match Lr_aig.Equiv.check c1 c2 with
   | Lr_aig.Equiv.Equivalent ->
       print_endline "EQUIVALENT";

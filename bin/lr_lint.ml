@@ -134,8 +134,7 @@ let cec_json path1 path2 verdict =
           ("output", Json.Int o);
           ("counterexample", Json.String (Bv.to_string cex));
         ]
-    | `Unreadable msg ->
-        [ ("equivalent", Json.Null); ("error", Json.String msg) ]
+    | `Error msg -> [ ("equivalent", Json.Null); ("error", Json.String msg) ]
   in
   Json.Obj
     ([
@@ -192,7 +191,20 @@ let run path1 path2 json quiet deep =
       match (load path1, load path2) with
       | Error msg, _ | _, Error msg ->
           Printf.eprintf "error: %s\n" msg;
-          emit_json (cec_json path1 path2 (`Unreadable msg)) json;
+          emit_json (cec_json path1 path2 (`Error msg)) json;
+          2
+      | Ok c1, Ok c2
+        when N.num_inputs c1 <> N.num_inputs c2
+             || N.num_outputs c1 <> N.num_outputs c2 ->
+          let msg =
+            Printf.sprintf
+              "interface mismatch: %s has %d inputs / %d outputs, %s has %d \
+               inputs / %d outputs"
+              path1 (N.num_inputs c1) (N.num_outputs c1) path2
+              (N.num_inputs c2) (N.num_outputs c2)
+          in
+          Printf.eprintf "error: %s\n" msg;
+          emit_json (cec_json path1 path2 (`Error msg)) json;
           2
       | Ok c1, Ok c2 -> (
           match Equiv.check c1 c2 with

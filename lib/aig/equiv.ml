@@ -3,56 +3,34 @@ module Rng = Lr_bitvec.Rng
 module N = Lr_netlist.Netlist
 module Sat = Lr_sat.Sat
 module Soa = Lr_kernel.Soa
-module Portfolio = Lr_kernel.Portfolio
 
 type verdict = Equivalent | Counterexample of Lr_bitvec.Bv.t
 
 (* CNF of one AIG plus one literal asserted true; SAT model -> inputs *)
-let solve_lit ?(kernel = true) ?pool aig lit =
-  let encode solver =
-    let n = Aig.num_nodes aig in
-    for _ = 1 to n do
-      ignore (Sat.new_var solver)
-    done;
-    Sat.add_clause solver [ -1 ];
-    for node = Aig.num_inputs aig + 1 to n - 1 do
-      let l0, l1 = Aig.fanins aig node in
-      let dim l =
-        let v = Aig.lit_node l + 1 in
-        if Aig.lit_phase l then -v else v
-      in
-      let x = node + 1 and a = dim l0 and b = dim l1 in
-      Sat.add_clause solver [ -x; a ];
-      Sat.add_clause solver [ -x; b ];
-      Sat.add_clause solver [ x; -a; -b ]
-    done;
-    let goal =
-      let v = Aig.lit_node lit + 1 in
-      if Aig.lit_phase lit then -v else v
-    in
-    Sat.add_clause solver [ goal ]
-  in
+let sat_assignment aig lit =
   let solver = Sat.create () in
-  encode solver;
-  let result =
-    if kernel then
-      (* verdict comes from whichever racer decides first, but a Sat model
-         is only ever read from [solver] (the primary), so the witness is
-         the single-solver one *)
-      Portfolio.race ?pool
-        ~primary:{ Portfolio.solver; assumptions = [] }
-        ~secondaries:
-          (Array.to_list
-             (Array.map
-                (fun config () ->
-                  let s = Sat.create ~config () in
-                  encode s;
-                  { Portfolio.solver = s; assumptions = [] })
-                Portfolio.secondary_configs))
-        ()
-    else Sat.solve solver
+  let n = Aig.num_nodes aig in
+  for _ = 1 to n do
+    ignore (Sat.new_var solver)
+  done;
+  Sat.add_clause solver [ -1 ];
+  for node = Aig.num_inputs aig + 1 to n - 1 do
+    let l0, l1 = Aig.fanins aig node in
+    let dim l =
+      let v = Aig.lit_node l + 1 in
+      if Aig.lit_phase l then -v else v
+    in
+    let x = node + 1 and a = dim l0 and b = dim l1 in
+    Sat.add_clause solver [ -x; a ];
+    Sat.add_clause solver [ -x; b ];
+    Sat.add_clause solver [ x; -a; -b ]
+  done;
+  let goal =
+    let v = Aig.lit_node lit + 1 in
+    if Aig.lit_phase lit then -v else v
   in
-  match result with
+  Sat.add_clause solver [ goal ];
+  match Sat.solve solver with
   | Sat.Unsat -> None
   | Sat.Sat ->
       let ni = Aig.num_inputs aig in
@@ -61,8 +39,6 @@ let solve_lit ?(kernel = true) ?pool aig lit =
         Bv.set cex i (Sat.value solver (i + 2))
       done;
       Some cex
-
-let sat_assignment ?kernel ?pool aig lit = solve_lit ?kernel ?pool aig lit
 
 (* 16 words = 1024 random patterns; a mismatch yields the witness pattern *)
 let sim_prefilter ~rng ~ni eval2 =
@@ -99,7 +75,7 @@ let sim_prefilter ~rng ~ni eval2 =
   in
   go 16
 
-let check_outputs_equal ?kernel ?pool aig a b =
+let check_outputs_equal aig a b =
   let miter = Aig.create ~num_inputs:(Aig.num_inputs aig) ~num_outputs:1 in
   (* rebuild the cone of both literals into the miter *)
   let map = Array.make (Aig.num_nodes aig) Aig.lit_false in
@@ -112,24 +88,19 @@ let check_outputs_equal ?kernel ?pool aig a b =
     map.(node) <- Aig.and_lit miter (map_lit l0) (map_lit l1)
   done;
   let x = Aig.xor_lit miter (map_lit a) (map_lit b) in
-  match solve_lit ?kernel ?pool miter x with
+  match sat_assignment miter x with
   | None -> Equivalent
   | Some cex -> Counterexample cex
 
-let check ?(rng = Rng.create 0xCEC) ?(kernel = true) ?pool c1 c2 =
+let check ?(rng = Rng.create 0xCEC) c1 c2 =
   if
     N.num_inputs c1 <> N.num_inputs c2
     || N.num_outputs c1 <> N.num_outputs c2
   then invalid_arg "Equiv.check: interface mismatch";
   let ni = N.num_inputs c1 and no = N.num_outputs c1 in
   (* cheap random refutation first *)
-  let eval2 =
-    if kernel then begin
-      let s1 = Soa.of_netlist c1 and s2 = Soa.of_netlist c2 in
-      fun words -> (Soa.eval_words s1 words, Soa.eval_words s2 words)
-    end
-    else fun words -> (N.eval_words c1 words, N.eval_words c2 words)
-  in
+  let s1 = Soa.of_netlist c1 and s2 = Soa.of_netlist c2 in
+  let eval2 words = (Soa.eval_words s1 words, Soa.eval_words s2 words) in
   match sim_prefilter ~rng ~ni eval2 with
   | Some cex -> Counterexample cex
   | None ->
@@ -159,28 +130,21 @@ let check ?(rng = Rng.create 0xCEC) ?(kernel = true) ?pool c1 c2 =
       for o = 0 to no - 1 do
         diff := Aig.or_lit miter !diff (Aig.xor_lit miter outs1.(o) outs2.(o))
       done;
-      (match solve_lit ~kernel ?pool miter !diff with
+      (match sat_assignment miter !diff with
       | None -> Equivalent
       | Some cex -> Counterexample cex)
 
-let check_aig ?(rng = Rng.create 0xCEC) ?(kernel = true) ?pool a1 a2 =
+let check_aig ?(rng = Rng.create 0xCEC) a1 a2 =
   if
     Aig.num_inputs a1 <> Aig.num_inputs a2
     || Aig.num_outputs a1 <> Aig.num_outputs a2
   then invalid_arg "Equiv.check_aig: interface mismatch";
   let ni = Aig.num_inputs a1 and no = Aig.num_outputs a1 in
-  let eval2 =
-    if kernel then begin
-      (* node_values/outputs_of_values rather than eval_words: like
-         [Aig.simulate], this path does not tick the sim counters *)
-      let s1 = Ksim.soa_of_aig a1 and s2 = Ksim.soa_of_aig a2 in
-      let out s words =
-        Soa.outputs_of_values s (Soa.node_values s words)
-      in
-      fun words -> (out s1 words, out s2 words)
-    end
-    else fun words -> (Aig.simulate a1 words, Aig.simulate a2 words)
-  in
+  (* node_values/outputs_of_values rather than eval_words: this path
+     does not tick the sim counters *)
+  let s1 = Ksim.soa_of_aig a1 and s2 = Ksim.soa_of_aig a2 in
+  let out s words = Soa.outputs_of_values s (Soa.node_values s words) in
+  let eval2 words = (out s1 words, out s2 words) in
   match sim_prefilter ~rng ~ni eval2 with
   | Some cex -> Counterexample cex
   | None ->
@@ -202,6 +166,6 @@ let check_aig ?(rng = Rng.create 0xCEC) ?(kernel = true) ?pool a1 a2 =
       for o = 0 to no - 1 do
         diff := Aig.or_lit miter !diff (Aig.xor_lit miter outs1.(o) outs2.(o))
       done;
-      (match solve_lit ~kernel ?pool miter !diff with
+      (match sat_assignment miter !diff with
       | None -> Equivalent
       | Some cex -> Counterexample cex)

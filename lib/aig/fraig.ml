@@ -2,7 +2,6 @@ module Rng = Lr_bitvec.Rng
 module Sat = Lr_sat.Sat
 module Instr = Lr_instr.Instr
 module Soa = Lr_kernel.Soa
-module Portfolio = Lr_kernel.Portfolio
 
 (* Union-find over nodes with a phase bit relative to the parent.
    Roots are always the smallest node id of their class, so substituting a
@@ -56,8 +55,7 @@ let cnf_of_aig aig solver =
     Sat.add_clause solver [ x; -a; -b ]
   done
 
-let sweep ?(words = 16) ?(max_rounds = 64) ?(max_sat_checks = 5000)
-    ?(kernel = true) ?pool ~rng aig =
+let sweep ?(words = 16) ?(max_rounds = 64) ?(max_sat_checks = 5000) ~rng aig =
   let n = Aig.num_nodes aig in
   let ni = Aig.num_inputs aig in
   let uf = Uf.create n in
@@ -71,80 +69,49 @@ let sweep ?(words = 16) ?(max_rounds = 64) ?(max_sat_checks = 5000)
     blocks := Array.init ni (fun _ -> Rng.bits64 rng) :: !blocks
   done;
   (* The AIG is frozen for the whole sweep and blocks are only ever
-     prepended, so in kernel mode node values are computed once per block
-     and reused across refinement rounds; [sim_cache] stays aligned with
-     the suffix of [!blocks] already simulated. *)
-  let soa = if kernel then Some (Ksim.soa_of_aig aig) else None in
+     prepended, so node values are computed once per block and reused
+     across refinement rounds; [sim_cache] stays aligned with the suffix
+     of [!blocks] already simulated. *)
+  let soa = Ksim.soa_of_aig aig in
   let sim_cache = ref [] in
   let cached_len = ref 0 in
   let simulate_blocks () =
-    match soa with
-    | None -> List.map (fun blk -> Aig.simulate_nodes aig blk) !blocks
-    | Some soa ->
-        let total = List.length !blocks in
-        let rec take k l =
-          if k = 0 then []
-          else match l with [] -> [] | x :: tl -> x :: take (k - 1) tl
-        in
-        let fresh =
-          List.map (fun blk -> Soa.node_values soa blk)
-            (take (total - !cached_len) !blocks)
-        in
-        Instr.count "kernel.sim-cached-words" (!cached_len * n);
-        sim_cache := fresh @ !sim_cache;
-        cached_len := total;
-        !sim_cache
+    let total = List.length !blocks in
+    let rec take k l =
+      if k = 0 then []
+      else match l with [] -> [] | x :: tl -> x :: take (k - 1) tl
+    in
+    let fresh =
+      List.map (fun blk -> Soa.node_values soa blk)
+        (take (total - !cached_len) !blocks)
+    in
+    Instr.count "kernel.sim-cached-words" (!cached_len * n);
+    sim_cache := fresh @ !sim_cache;
+    cached_len := total;
+    !sim_cache
   in
   let refuted = Hashtbl.create 256 in
   let prove_equal a b phase =
     (* a = b xor phase ?  check SAT of a xor (b xor phase) *)
     incr sat_checks;
-    let miter_var s =
-      let t = Sat.new_var s in
-      let va = a + 1 and vb = b + 1 in
-      (* t <-> va xor vb *)
-      Sat.add_clause s [ -t; va; vb ];
-      Sat.add_clause s [ -t; -va; -vb ];
-      Sat.add_clause s [ t; -va; vb ];
-      Sat.add_clause s [ t; va; -vb ];
-      t
-    in
     let t =
       match Hashtbl.find_opt miter_cache (a, b) with
       | Some t -> t
       | None ->
-          let t = miter_var solver in
+          let t = Sat.new_var solver in
+          let va = a + 1 and vb = b + 1 in
+          (* t <-> va xor vb *)
+          Sat.add_clause solver [ -t; va; vb ];
+          Sat.add_clause solver [ -t; -va; -vb ];
+          Sat.add_clause solver [ t; -va; vb ];
+          Sat.add_clause solver [ t; va; -vb ];
           Hashtbl.replace miter_cache (a, b) t;
           t
     in
     (* if phase, equality means the miter is satisfied everywhere: check
        that t can be false; if not phase, check that t can be true *)
     let assumption = if phase then -t else t in
-    let verdict =
-      if kernel then
-        (* the persistent class solver is the portfolio primary, so its
-           trajectory — and every counterexample model — is exactly the
-           single-solver one; fresh diversified racers can only
-           short-circuit Unsat verdicts on hard queries *)
-        let secondaries =
-          Array.to_list
-            (Array.map
-               (fun config () ->
-                 let s = Sat.create ~config () in
-                 cnf_of_aig aig s;
-                 let m = miter_var s in
-                 {
-                   Portfolio.solver = s;
-                   assumptions = [ (if phase then -m else m) ];
-                 })
-               Portfolio.secondary_configs)
-        in
-        Portfolio.race ?pool
-          ~primary:{ Portfolio.solver; assumptions = [ assumption ] }
-          ~secondaries ()
-      else Sat.solve ~assumptions:[ assumption ] solver
-    in
-    match verdict with
+    match Sat.solve ~assumptions:[ assumption ] solver with
     | Sat.Unsat -> `Equal
     | Sat.Sat ->
         let cex = Array.make ni false in

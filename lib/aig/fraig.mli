@@ -14,8 +14,6 @@ val sweep :
   ?words:int ->
   ?max_rounds:int ->
   ?max_sat_checks:int ->
-  ?kernel:bool ->
-  ?pool:Lr_par.Par.pool ->
   rng:Lr_bitvec.Rng.t ->
   Aig.t ->
   Aig.t
@@ -24,11 +22,8 @@ val sweep :
     (default 16); [max_rounds] bounds refinement iterations (default 64);
     [max_sat_checks] bounds total SAT queries (default 5000).
 
-    [kernel] (default [true]) runs simulation on the {!Lr_kernel.Soa}
-    engine — node values are computed once per pattern block and reused
-    across refinement rounds — and decides hard equivalence queries with
-    the {!Lr_kernel.Portfolio} racer. Both are bit-identical to the legacy
-    path: signatures are equal words, the class solver is the portfolio
-    primary (sole counterexample source), and secondaries engage only past
-    the primary's first budget. [pool] parallelizes the portfolio rounds
-    (wall-clock only; results are resolved in index order). *)
+    Simulation runs on the {!Lr_kernel.Soa} engine: node values are
+    computed once per pattern block and reused across refinement rounds
+    (["kernel.sim-cached-words"] counts the reuse). One persistent
+    solver decides every candidate pair, under an activation literal per
+    pair. *)

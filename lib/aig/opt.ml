@@ -122,8 +122,7 @@ let rewrite aig =
   done;
   Aig.compact out
 
-let compress ?(max_rounds = 4) ?(fraig_words = 16) ?kernel ?pool ?verify ~rng
-    aig =
+let compress ?(max_rounds = 4) ?(fraig_words = 16) ?verify ~rng aig =
   let module Instr = Lr_instr.Instr in
   let checked stage before after =
     (match verify with Some f -> f ~stage before after | None -> ());
@@ -136,7 +135,7 @@ let compress ?(max_rounds = 4) ?(fraig_words = 16) ?kernel ?pool ?verify ~rng
     let a = pass "aig.balance" balance a in
     let a = pass "aig.rewrite" rewrite a in
     let a = pass "aig.cut-rewrite" Rewrite.cut_rewrite a in
-    pass "aig.fraig" (Fraig.sweep ~words:fraig_words ?kernel ?pool ~rng) a
+    pass "aig.fraig" (Fraig.sweep ~words:fraig_words ~rng) a
   in
   let rec loop round best =
     if round >= max_rounds then best

@@ -12,8 +12,6 @@ val rewrite : Aig.t -> Aig.t
 val compress :
   ?max_rounds:int ->
   ?fraig_words:int ->
-  ?kernel:bool ->
-  ?pool:Lr_par.Par.pool ->
   ?verify:(stage:string -> Aig.t -> Aig.t -> unit) ->
   rng:Lr_bitvec.Rng.t ->
   Aig.t ->

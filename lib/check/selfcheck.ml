@@ -40,10 +40,10 @@ let staged ~stage f = Instr.span ~name:("check:" ^ stage) f
 let words_of_bv ni cex =
   Array.init ni (fun i -> if Bv.get cex i then -1L else 0L)
 
-let verify_netlists ~stage ?rng ?kernel ?pool before after =
+let verify_netlists ~stage ?rng before after =
   staged ~stage @@ fun () ->
   Instr.span ~name:"check.cec" (fun () ->
-      match Equiv.check ?rng ?kernel ?pool before after with
+      match Equiv.check ?rng before after with
       | Equiv.Equivalent -> Instr.count "check.verified" 1
       | Equiv.Counterexample cex ->
           let o1 = N.eval before cex and o2 = N.eval after cex in
@@ -54,10 +54,10 @@ let verify_netlists ~stage ?rng ?kernel ?pool before after =
           failed ~stage ~output:!output ~cex
             ~detail:"result differs from the step's input circuit")
 
-let verify_aigs ~stage ?rng ?kernel ?pool before after =
+let verify_aigs ~stage ?rng before after =
   staged ~stage @@ fun () ->
   Instr.span ~name:"check.cec-aig" (fun () ->
-      match Equiv.check_aig ?rng ?kernel ?pool before after with
+      match Equiv.check_aig ?rng before after with
       | Equiv.Equivalent -> Instr.count "check.verified" 1
       | Equiv.Counterexample cex ->
           let words = words_of_bv (Aig.num_inputs before) cex in
@@ -70,19 +70,13 @@ let verify_aigs ~stage ?rng ?kernel ?pool before after =
           failed ~stage ~output:!output ~cex
             ~detail:"result differs from the step's input AIG")
 
-let verify_table ~stage ?(kernel = true) ~circuit ~output ~bits ~to_full
-    ~expected () =
+let verify_table ~stage ~circuit ~output ~bits ~to_full ~expected () =
   staged ~stage @@ fun () ->
   Instr.span ~name:"check.table" (fun () ->
       let ni = N.num_inputs circuit in
-      let eval =
-        if kernel then
-          let soa = Soa.of_netlist circuit in
-          fun words -> Soa.eval_words soa words
-        else fun words -> N.eval_words circuit words
-      in
+      let soa = Soa.of_netlist circuit in
       let size = 1 lsl bits in
-      let words = Array.make (max ni 1) 0L in
+      let words = Array.make ni 0L in
       let block = ref 0 in
       while !block * 64 < size do
         let base = !block * 64 in
@@ -95,7 +89,7 @@ let verify_table ~stage ?(kernel = true) ~circuit ~output ~bits ~to_full
               words.(i) <- Int64.logor words.(i) (Int64.shift_left 1L j)
           done
         done;
-        let out = eval words in
+        let out = Soa.eval_words soa words in
         let w = out.(output) in
         for j = 0 to lanes - 1 do
           let got = Int64.logand (Int64.shift_right_logical w j) 1L = 1L in
@@ -108,8 +102,8 @@ let verify_table ~stage ?(kernel = true) ~circuit ~output ~bits ~to_full
       done;
       Instr.count "check.verified" 1)
 
-let verify_cover ~stage ?(rng = Rng.create 0xCEC) ?(kernel = true) ?pool
-    ~circuit ~output ~vars ~cover ~complemented () =
+let verify_cover ~stage ?(rng = Rng.create 0xCEC) ~circuit ~output ~vars
+    ~cover ~complemented () =
   staged ~stage @@ fun () ->
   Instr.span ~name:"check.cover" (fun () ->
       let ni = N.num_inputs circuit in
@@ -158,19 +152,13 @@ let verify_cover ~stage ?(rng = Rng.create 0xCEC) ?(kernel = true) ?pool
       let expected = if complemented then Aig.not_lit cover_lit else cover_lit in
       let diff = Aig.xor_lit aig out_lit expected in
       Aig.set_output aig 0 diff;
-      let simulate =
-        if kernel then begin
-          let soa = Lr_aig.Ksim.soa_of_aig aig in
-          fun words -> Soa.outputs_of_values soa (Soa.node_values soa words)
-        end
-        else fun words -> Aig.simulate aig words
-      in
+      let soa = Lr_aig.Ksim.soa_of_aig aig in
       let cex =
         let rec sim k =
           if k = 0 then None
           else begin
             let words = Array.init ni (fun _ -> Rng.bits64 rng) in
-            let o = simulate words in
+            let o = Soa.outputs_of_values soa (Soa.node_values soa words) in
             if o.(0) = 0L then sim (k - 1)
             else begin
               let rec find j =
@@ -191,7 +179,7 @@ let verify_cover ~stage ?(rng = Rng.create 0xCEC) ?(kernel = true) ?pool
         in
         match sim 16 with
         | Some c -> Some c
-        | None -> Equiv.sat_assignment ~kernel ?pool aig diff
+        | None -> Equiv.sat_assignment aig diff
       in
       match cex with
       | None -> Instr.count "check.verified" 1

@@ -12,12 +12,8 @@
     All entry points run inside an {!Lr_instr} span ([check.table],
     [check.cover], [check.cec], [check.cec-aig]) and bump the
     [check.verified] / [check.failed] counters, so checking overhead is
-    visible in traces and run reports.
-
-    Every entry point takes [?kernel] (default [true]): simulation runs on
-    the {!Lr_kernel.Soa} engine and SAT decisions go through the
-    {!Lr_kernel.Portfolio} racer, both bit-identical to the legacy path;
-    [?pool] shortens hard SAT queries' wall-clock only. *)
+    visible in traces and run reports. Simulation runs on the
+    {!Lr_kernel.Soa} engine. *)
 
 exception
   Check_failed of {
@@ -34,8 +30,6 @@ val message : stage:string -> output:int -> cex:Lr_bitvec.Bv.t -> detail:string 
 val verify_netlists :
   stage:string ->
   ?rng:Lr_bitvec.Rng.t ->
-  ?kernel:bool ->
-  ?pool:Lr_par.Par.pool ->
   Lr_netlist.Netlist.t ->
   Lr_netlist.Netlist.t ->
   unit
@@ -46,8 +40,6 @@ val verify_netlists :
 val verify_aigs :
   stage:string ->
   ?rng:Lr_bitvec.Rng.t ->
-  ?kernel:bool ->
-  ?pool:Lr_par.Par.pool ->
   Lr_aig.Aig.t ->
   Lr_aig.Aig.t ->
   unit
@@ -55,7 +47,6 @@ val verify_aigs :
 
 val verify_table :
   stage:string ->
-  ?kernel:bool ->
   circuit:Lr_netlist.Netlist.t ->
   output:int ->
   bits:int ->
@@ -71,8 +62,6 @@ val verify_table :
 val verify_cover :
   stage:string ->
   ?rng:Lr_bitvec.Rng.t ->
-  ?kernel:bool ->
-  ?pool:Lr_par.Par.pool ->
   circuit:Lr_netlist.Netlist.t ->
   output:int ->
   vars:Lr_netlist.Netlist.node array ->

@@ -45,7 +45,6 @@ type t = {
   check_level : check_level;
   sweep : sweep_level;
   jobs : int;
-  kernel : bool;
   retry : Lr_faults.Faults.retry;
   faults : Lr_faults.Faults.spec option;
 }
@@ -72,7 +71,6 @@ let contest =
     check_level = Off;
     sweep = Sweep_off;
     jobs = 1;
-    kernel = true;
     retry = Lr_faults.Faults.no_retry;
     faults = None;
   }
@@ -94,6 +92,5 @@ let with_time_budget time_budget_s t = { t with time_budget_s }
 let with_check check_level t = { t with check_level }
 let with_sweep sweep t = { t with sweep }
 let with_jobs jobs t = { t with jobs }
-let with_kernel kernel t = { t with kernel }
 let with_retry retry t = { t with retry }
 let with_faults faults t = { t with faults }

@@ -69,14 +69,6 @@ type t = {
           auto, [Lr_par.Par.default_jobs ()]). Any value learns the
           {e same} circuit from the same seed — parallelism only
           reschedules work, it never changes results *)
-  kernel : bool;
-      (** run simulation-heavy phases (scoring, fraig signatures, sweep,
-          self-checks) on the {!Lr_kernel} SoA engine with incremental
-          dirty-cone resimulation, and decide hard SAT queries with the
-          deterministic {!Lr_kernel.Portfolio} racer ([true], the presets'
-          value). Bit-identical to [false] — same circuits, same query
-          counts, same reports — only faster; [false] forces the legacy
-          tree-walking evaluators everywhere *)
   retry : Lr_faults.Faults.retry;
       (** policy for injected query failures (presets:
           {!Lr_faults.Faults.no_retry} — the first failure is fatal for
@@ -97,6 +89,5 @@ val with_time_budget : float option -> t -> t
 val with_check : check_level -> t -> t
 val with_sweep : sweep_level -> t -> t
 val with_jobs : int -> t -> t
-val with_kernel : bool -> t -> t
 val with_retry : Lr_faults.Faults.retry -> t -> t
 val with_faults : Lr_faults.Faults.spec option -> t -> t

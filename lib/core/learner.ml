@@ -557,15 +557,6 @@ let learn ?(config = Config.default) box =
   let jobs =
     if config.Config.jobs <= 0 then Par.default_jobs () else config.Config.jobs
   in
-  let kernel = config.Config.kernel in
-  (* a small pool for the SAT portfolio inside optimization and sweep —
-     wall-clock only (verdicts are resolved in index order), so any size
-     here keeps results bit-identical to jobs = 1 *)
-  let with_opt_pool f =
-    if kernel && jobs > 1 then
-      Par.with_pool ~jobs:(min jobs 3) (fun p -> f (Some p))
-    else f None
-  in
   let domain_time = Array.init jobs (fun _ -> Hashtbl.create 4) in
   let conquer_output stats shard po =
     let raw_support = Ps.support stats ~output:po in
@@ -833,7 +824,7 @@ let learn ?(config = Config.default) box =
              | Some table ->
                  let support_arr = Array.of_list c.c_support in
                  phase "check" (fun () ->
-                     Selfcheck.verify_table ~stage:"cover-min" ~kernel ~circuit
+                     Selfcheck.verify_table ~stage:"cover-min" ~circuit
                        ~output:po
                        ~bits:(Array.length support_arr)
                        ~to_full:(fun m ->
@@ -850,8 +841,7 @@ let learn ?(config = Config.default) box =
                  | Some cover ->
                      phase "check" (fun () ->
                          Selfcheck.verify_cover ~stage:"cover-min"
-                           ~rng:check_rng ~kernel ~circuit ~output:po ~vars
-                           ~cover
+                           ~rng:check_rng ~circuit ~output:po ~vars ~cover
                            ~complemented:c.c_use_offset ());
                      incr checks_verified
                  | None -> ()));
@@ -876,7 +866,7 @@ let learn ?(config = Config.default) box =
          broken rewrite to the exact stage that introduced it *)
       let verify_pass ~stage before after =
         phase "check" (fun () ->
-            Selfcheck.verify_aigs ~stage ~rng:check_rng ~kernel before after);
+            Selfcheck.verify_aigs ~stage ~rng:check_rng before after);
         incr checks_verified
       in
       let optimized =
@@ -896,11 +886,10 @@ let learn ?(config = Config.default) box =
                 rewritten
               end
               else
-                with_opt_pool (fun pool ->
-                    Opt.compress ~max_rounds:config.Config.optimize_rounds
-                      ~fraig_words:config.Config.fraig_words ~kernel ?pool
-                      ?verify:(if full_check then Some verify_pass else None)
-                      ~rng:opt_rng aig)
+                Opt.compress ~max_rounds:config.Config.optimize_rounds
+                  ~fraig_words:config.Config.fraig_words
+                  ?verify:(if full_check then Some verify_pass else None)
+                  ~rng:opt_rng aig
             in
             Aig.to_netlist ~input_names:(Box.input_names box)
               ~output_names:(Box.output_names box) aig
@@ -911,8 +900,8 @@ let learn ?(config = Config.default) box =
          conversions the per-pass hook cannot see *)
       if full_check && config.Config.optimize then begin
         phase "check" (fun () ->
-            Selfcheck.verify_netlists ~stage:"aig-opt" ~rng:check_rng ~kernel
-              circuit optimized);
+            Selfcheck.verify_netlists ~stage:"aig-opt" ~rng:check_rng circuit
+              optimized);
         incr checks_verified
       end;
       optimized
@@ -933,23 +922,21 @@ let learn ?(config = Config.default) box =
       in
       let verify_stage ~stage before after =
         phase "check" (fun () ->
-            Selfcheck.verify_netlists ~stage ~rng:check_rng ~kernel before
-              after);
+            Selfcheck.verify_netlists ~stage ~rng:check_rng before after);
         incr checks_verified
       in
       let swept, st =
         phase "sweep" (fun () ->
-            with_opt_pool (fun pool ->
-                Sweep.run ~level ~kernel ?pool
-                  ?verify:(if full_check then Some verify_stage else None)
-                  ~rng:sweep_rng circuit))
+            Sweep.run ~level
+              ?verify:(if full_check then Some verify_stage else None)
+              ~rng:sweep_rng circuit)
       in
       sweep_removed := Sweep.removed st;
       (* end-to-end, covering stage composition *)
       if full_check && Sweep.removed st > 0 then begin
         phase "check" (fun () ->
-            Selfcheck.verify_netlists ~stage:"sweep" ~rng:check_rng ~kernel
-              circuit swept);
+            Selfcheck.verify_netlists ~stage:"sweep" ~rng:check_rng circuit
+              swept);
         incr checks_verified
       end;
       swept

@@ -82,27 +82,8 @@ let cnf_of_netlist c solver =
     | N.Xnor2 (a, b) -> xor2 (-x) (a + 1) (b + 1)
   done
 
-let sim_nodes c words =
-  let n = N.num_nodes c in
-  Instr.count "dataflow.sim-words" n;
-  let v = Array.make n 0L in
-  for node = 0 to n - 1 do
-    v.(node) <-
-      (match N.gate c node with
-      | N.Const b -> if b then -1L else 0L
-      | N.Input i -> words.(i)
-      | N.Not a -> Int64.lognot v.(a)
-      | N.And2 (a, b) -> Int64.logand v.(a) v.(b)
-      | N.Or2 (a, b) -> Int64.logor v.(a) v.(b)
-      | N.Xor2 (a, b) -> Int64.logxor v.(a) v.(b)
-      | N.Nand2 (a, b) -> Int64.lognot (Int64.logand v.(a) v.(b))
-      | N.Nor2 (a, b) -> Int64.lognot (Int64.logor v.(a) v.(b))
-      | N.Xnor2 (a, b) -> Int64.lognot (Int64.logxor v.(a) v.(b)))
-  done;
-  v
-
-let compute ?(words = 16) ?(max_rounds = 32) ?(max_sat_checks = 2000)
-    ?(kernel = true) ~rng c =
+let compute ?(words = 16) ?(max_rounds = 32) ?(max_sat_checks = 2000) ~rng
+    c =
   let n = N.num_nodes c in
   let ni = N.num_inputs c in
   let uf = Uf.create (max n 1) in
@@ -115,30 +96,27 @@ let compute ?(words = 16) ?(max_rounds = 32) ?(max_sat_checks = 2000)
     blocks := Array.init ni (fun _ -> Rng.bits64 rng) :: !blocks
   done;
   (* the netlist is frozen during [compute] and blocks are only prepended:
-     in kernel mode each block is simulated once and its node values are
-     reused across refinement rounds (the sim counter still advances as if
-     every block were resimulated, so run reports stay identical) *)
-  let soa = if kernel then Some (Soa.of_netlist c) else None in
+     each block is simulated once and its node values are reused across
+     refinement rounds (the sim counter still advances as if every block
+     were resimulated) *)
+  let soa = Soa.of_netlist c in
   let sim_cache = ref [] in
   let cached_len = ref 0 in
   let simulate_blocks () =
-    match soa with
-    | None -> List.map (fun blk -> sim_nodes c blk) !blocks
-    | Some soa ->
-        let total = List.length !blocks in
-        let rec take k l =
-          if k = 0 then []
-          else match l with [] -> [] | x :: tl -> x :: take (k - 1) tl
-        in
-        let fresh =
-          List.map (fun blk -> Soa.node_values soa blk)
-            (take (total - !cached_len) !blocks)
-        in
-        Instr.count "dataflow.sim-words" (total * n);
-        Instr.count "kernel.sim-cached-words" (!cached_len * n);
-        sim_cache := fresh @ !sim_cache;
-        cached_len := total;
-        !sim_cache
+    let total = List.length !blocks in
+    let rec take k l =
+      if k = 0 then []
+      else match l with [] -> [] | x :: tl -> x :: take (k - 1) tl
+    in
+    let fresh =
+      List.map (fun blk -> Soa.node_values soa blk)
+        (take (total - !cached_len) !blocks)
+    in
+    Instr.count "dataflow.sim-words" (total * n);
+    Instr.count "kernel.sim-cached-words" (!cached_len * n);
+    sim_cache := fresh @ !sim_cache;
+    cached_len := total;
+    !sim_cache
   in
   let refuted_pairs = Hashtbl.create 256 in
   let prove_equal a b phase =

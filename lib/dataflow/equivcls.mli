@@ -34,21 +34,15 @@ val cnf_of_netlist : N.t -> Lr_sat.Sat.t -> unit
 (** Tseitin encoding: node [k] is DIMACS variable [k + 1]; the constant
     nodes 0/1 are pinned by unit clauses. *)
 
-val sim_nodes : N.t -> int64 array -> int64 array
-(** Word-parallel simulation returning {e every} node's word (one input
-    word per PI), the per-node analogue of [Netlist.eval_words]. *)
-
 val compute :
   ?words:int ->
   ?max_rounds:int ->
   ?max_sat_checks:int ->
-  ?kernel:bool ->
   rng:Lr_bitvec.Rng.t ->
   N.t ->
   t
 (** [words] initial random pattern words (default 16), [max_rounds]
     refinement rounds (default 32), [max_sat_checks] SAT budget (default
-    2000). Deterministic for a fixed [rng] state. [kernel] (default
-    [true]) simulates on the {!Lr_kernel.Soa} engine and caches each
-    block's node values across rounds — signatures, classes and SAT
-    trajectory are bit-identical either way. *)
+    2000). Deterministic for a fixed [rng] state. Simulates on the
+    {!Lr_kernel.Soa} engine and caches each block's node values across
+    rounds. *)

@@ -5,7 +5,6 @@ module Rng = Lr_bitvec.Rng
 module Instr = Lr_instr.Instr
 module Soa = Lr_kernel.Soa
 module Incremental = Lr_kernel.Incremental
-module Portfolio = Lr_kernel.Portfolio
 
 type level = Const_prop | Full
 
@@ -43,8 +42,8 @@ let const_stage c =
 
 (* ---------------- duplicate-cone merging ---------------- *)
 
-let merge_stage ?kernel ~rng ~max_sat_checks c =
-  let eq = Equivcls.compute ~max_sat_checks ?kernel ~rng c in
+let merge_stage ~rng ~max_sat_checks c =
+  let eq = Equivcls.compute ~max_sat_checks ~rng c in
   let reach = N.reachable c in
   let merged = ref 0 in
   let act node =
@@ -137,7 +136,7 @@ let fanout_cone c z =
    changes no primary output: encode the original netlist once, a patched
    copy of [z]'s fanout cone on fresh variables, and ask SAT for a
    distinguishing input *)
-let prove_resub ?(kernel = true) ?pool c z (m, ph) =
+let prove_resub c z (m, ph) =
   let n = N.num_nodes c in
   let cone = fanout_cone c z in
   let observed = ref false in
@@ -146,148 +145,88 @@ let prove_resub ?(kernel = true) ?pool c z (m, ph) =
   done;
   if not !observed then true (* no output sees the node at all *)
   else begin
-    let encode solver =
-      Equivcls.cnf_of_netlist c solver;
-      let patched = Array.make n 0 in
-      let and2 x a b =
-        Sat.add_clause solver [ -x; a ];
-        Sat.add_clause solver [ -x; b ];
-        Sat.add_clause solver [ x; -a; -b ]
-      in
-      let xor2 x a b =
-        Sat.add_clause solver [ -x; a; b ];
-        Sat.add_clause solver [ -x; -a; -b ];
-        Sat.add_clause solver [ x; -a; b ];
-        Sat.add_clause solver [ x; a; -b ]
-      in
-      for k = 0 to n - 1 do
-        if k = z then patched.(k) <- (if ph then -(m + 1) else m + 1)
-        else if not cone.(k) then patched.(k) <- k + 1
-        else begin
-          let x = Sat.new_var solver in
-          patched.(k) <- x;
-          let pl a = patched.(a) in
-          match N.gate c k with
-          | N.Const _ | N.Input _ ->
-              assert false (* no fanins, never in the cone *)
-          | N.Not a ->
-              Sat.add_clause solver [ -x; -pl a ];
-              Sat.add_clause solver [ x; pl a ]
-          | N.And2 (a, b) -> and2 x (pl a) (pl b)
-          | N.Nand2 (a, b) -> and2 (-x) (pl a) (pl b)
-          | N.Or2 (a, b) -> and2 (-x) (-pl a) (-pl b)
-          | N.Nor2 (a, b) -> and2 x (-pl a) (-pl b)
-          | N.Xor2 (a, b) -> xor2 x (pl a) (pl b)
-          | N.Xnor2 (a, b) -> xor2 (-x) (pl a) (pl b)
-        end
-      done;
-      let diffs = ref [] in
-      for o = 0 to N.num_outputs c - 1 do
-        let r = N.output c o in
-        if cone.(r) then begin
-          let t = Sat.new_var solver in
-          let vr = r + 1 and pr = patched.(r) in
-          Sat.add_clause solver [ -t; vr; pr ];
-          Sat.add_clause solver [ -t; -vr; -pr ];
-          Sat.add_clause solver [ t; -vr; pr ];
-          Sat.add_clause solver [ t; vr; -pr ];
-          diffs := t :: !diffs
-        end
-      done;
-      Sat.add_clause solver !diffs
-    in
     let solver = Sat.create () in
-    encode solver;
-    let result =
-      if kernel then
-        (* verdict-only query (the model is never read), so the portfolio
-           can hand the answer to any racer *)
-        Portfolio.race ?pool
-          ~primary:{ Portfolio.solver; assumptions = [] }
-          ~secondaries:
-            (Array.to_list
-               (Array.map
-                  (fun config () ->
-                    let s = Sat.create ~config () in
-                    encode s;
-                    { Portfolio.solver = s; assumptions = [] })
-                  Portfolio.secondary_configs))
-          ()
-      else Sat.solve solver
+    Equivcls.cnf_of_netlist c solver;
+    let patched = Array.make n 0 in
+    let and2 x a b =
+      Sat.add_clause solver [ -x; a ];
+      Sat.add_clause solver [ -x; b ];
+      Sat.add_clause solver [ x; -a; -b ]
     in
-    match result with Sat.Unsat -> true | Sat.Sat -> false
+    let xor2 x a b =
+      Sat.add_clause solver [ -x; a; b ];
+      Sat.add_clause solver [ -x; -a; -b ];
+      Sat.add_clause solver [ x; -a; b ];
+      Sat.add_clause solver [ x; a; -b ]
+    in
+    for k = 0 to n - 1 do
+      if k = z then patched.(k) <- (if ph then -(m + 1) else m + 1)
+      else if not cone.(k) then patched.(k) <- k + 1
+      else begin
+        let x = Sat.new_var solver in
+        patched.(k) <- x;
+        let pl a = patched.(a) in
+        match N.gate c k with
+        | N.Const _ | N.Input _ ->
+            assert false (* no fanins, never in the cone *)
+        | N.Not a ->
+            Sat.add_clause solver [ -x; -pl a ];
+            Sat.add_clause solver [ x; pl a ]
+        | N.And2 (a, b) -> and2 x (pl a) (pl b)
+        | N.Nand2 (a, b) -> and2 (-x) (pl a) (pl b)
+        | N.Or2 (a, b) -> and2 (-x) (-pl a) (-pl b)
+        | N.Nor2 (a, b) -> and2 x (-pl a) (-pl b)
+        | N.Xor2 (a, b) -> xor2 x (pl a) (pl b)
+        | N.Xnor2 (a, b) -> xor2 (-x) (pl a) (pl b)
+      end
+    done;
+    let diffs = ref [] in
+    for o = 0 to N.num_outputs c - 1 do
+      let r = N.output c o in
+      if cone.(r) then begin
+        let t = Sat.new_var solver in
+        let vr = r + 1 and pr = patched.(r) in
+        Sat.add_clause solver [ -t; vr; pr ];
+        Sat.add_clause solver [ -t; -vr; -pr ];
+        Sat.add_clause solver [ t; -vr; pr ];
+        Sat.add_clause solver [ t; vr; -pr ];
+        diffs := t :: !diffs
+      end
+    done;
+    Sat.add_clause solver !diffs;
+    match Sat.solve solver with Sat.Unsat -> true | Sat.Sat -> false
   end
-
-(* does replacing [z]'s word by [w] leave every PO word unchanged? *)
-let patched_outputs_equal c v z w =
-  let n = N.num_nodes c in
-  let v' = Array.copy v in
-  v'.(z) <- w;
-  for k = z + 1 to n - 1 do
-    v'.(k) <-
-      (match N.gate c k with
-      | N.Const b -> if b then -1L else 0L
-      | N.Input _ -> v'.(k)
-      | N.Not a -> Int64.lognot v'.(a)
-      | N.And2 (a, b) -> Int64.logand v'.(a) v'.(b)
-      | N.Or2 (a, b) -> Int64.logor v'.(a) v'.(b)
-      | N.Xor2 (a, b) -> Int64.logxor v'.(a) v'.(b)
-      | N.Nand2 (a, b) -> Int64.lognot (Int64.logand v'.(a) v'.(b))
-      | N.Nor2 (a, b) -> Int64.lognot (Int64.logor v'.(a) v'.(b))
-      | N.Xnor2 (a, b) -> Int64.lognot (Int64.logxor v'.(a) v'.(b)))
-  done;
-  let ok = ref true in
-  for o = 0 to N.num_outputs c - 1 do
-    let r = N.output c o in
-    if v'.(r) <> v.(r) then ok := false
-  done;
-  !ok
 
 let sim_word_budget = 2_000_000
 
 (* scan nodes from the outputs down for a fanin resubstitution that
    survives the simulation filter and the SAT proof; [emit] receives each
    proven rewrite and decides whether to keep scanning *)
-let scan_resubs ?(kernel = true) ?pool ~sat_budget ~rng ~emit c =
+let scan_resubs ~sat_budget ~rng ~emit c =
   let n = N.num_nodes c in
   let ni = N.num_inputs c in
   let reach = N.reachable c in
   let blocks = Array.init 8 (fun _ -> Array.init ni (fun _ -> Rng.bits64 rng)) in
-  (* kernel mode keeps one incremental engine per pattern block: the
-     candidate filter then resimulates only [z]'s true fanout cone via
-     [Incremental.with_forced] instead of every node above [z]. The sim
-     budget below still decrements by the legacy full-resim cost, so the
-     scan visits exactly the same candidates in the same order. *)
+  (* one incremental engine per pattern block: the candidate filter
+     resimulates only [z]'s true fanout cone via [Incremental.with_forced]
+     instead of every node above [z]. The sim budget below still
+     decrements by the cost of resimulating every node above [z], which
+     fixes the order and number of candidates visited. *)
+  let soa = Soa.of_netlist c in
   let engines =
-    if kernel then begin
-      let soa = Soa.of_netlist c in
-      Some
-        (Array.map
-           (fun b ->
-             Instr.count "dataflow.sim-words" n;
-             let e = Incremental.create soa in
-             Incremental.load e b;
-             e)
-           blocks)
-    end
-    else None
+    Array.map
+      (fun b ->
+        Instr.count "dataflow.sim-words" n;
+        let e = Incremental.create soa in
+        Incremental.load e b;
+        e)
+      blocks
   in
-  let sims =
-    match engines with
-    | Some engs -> Array.map Incremental.values engs
-    | None -> Array.map (fun b -> Equivcls.sim_nodes c b) blocks
-  in
-  let base_outputs =
-    match engines with
-    | Some engs -> Array.map (fun e -> Incremental.outputs e) engs
-    | None -> [||]
-  in
-  let patched_ok idx v z w =
-    match engines with
-    | None -> patched_outputs_equal c v z w
-    | Some engs ->
-        Incremental.with_forced engs.(idx) ~node:z w (fun e ->
-            Incremental.outputs e = base_outputs.(idx))
+  let sims = Array.map Incremental.values engines in
+  let base_outputs = Array.map Incremental.outputs engines in
+  let patched_ok idx z w =
+    Incremental.with_forced engines.(idx) ~node:z w (fun e ->
+        Incremental.outputs e = base_outputs.(idx))
   in
   let sim_budget = ref sim_word_budget in
   let sat_used = ref 0 in
@@ -315,14 +254,14 @@ let scan_resubs ?(kernel = true) ?pool ~sat_budget ~rng ~emit c =
                      while !ok && !i < Array.length sims do
                        let v = sims.(!i) in
                        let w = if ph then Int64.lognot v.(m) else v.(m) in
-                       ok := patched_ok !i v !z w;
+                       ok := patched_ok !i !z w;
                        incr i
                      done;
                      !ok
                    in
                    if sim_ok then begin
                      incr sat_used;
-                     if prove_resub ~kernel ?pool c !z (m, ph) then begin
+                     if prove_resub c !z (m, ph) then begin
                        if not (emit (!z, m, ph)) then continue_scan := false
                      end
                      else try_cands rest
@@ -335,10 +274,10 @@ let scan_resubs ?(kernel = true) ?pool ~sat_budget ~rng ~emit c =
   done;
   !sat_used
 
-let odc_candidates ?(max_sat_checks = 24) ?kernel ?pool ~rng c =
+let odc_candidates ?(max_sat_checks = 24) ~rng c =
   let found = ref [] in
   let _ =
-    scan_resubs ?kernel ?pool ~sat_budget:max_sat_checks ~rng
+    scan_resubs ~sat_budget:max_sat_checks ~rng
       ~emit:(fun r ->
         found := r :: !found;
         true)
@@ -346,7 +285,7 @@ let odc_candidates ?(max_sat_checks = 24) ?kernel ?pool ~rng c =
   in
   List.rev !found
 
-let odc_stage ?kernel ?pool ~rng ~max_sat_checks c0 =
+let odc_stage ~rng ~max_sat_checks c0 =
   let c = ref c0 in
   let applied = ref 0 in
   let sat_total = ref 0 in
@@ -357,7 +296,7 @@ let odc_stage ?kernel ?pool ~rng ~max_sat_checks c0 =
     progress := false;
     let hit = ref None in
     let used =
-      scan_resubs ?kernel ?pool ~sat_budget:(max_sat_checks - !sat_total) ~rng
+      scan_resubs ~sat_budget:(max_sat_checks - !sat_total) ~rng
         ~emit:(fun r ->
           hit := Some r;
           false)
@@ -377,7 +316,7 @@ let odc_stage ?kernel ?pool ~rng ~max_sat_checks c0 =
 (* ---------------- the sweep driver ---------------- *)
 
 let run ?(level = Full) ?(max_rounds = 3) ?(max_sat_checks = 2000)
-    ?(max_odc_checks = 24) ?kernel ?pool ?verify ~rng c0 =
+    ?(max_odc_checks = 24) ?verify ~rng c0 =
   let gates_before = N.size c0 in
   let const_folded = ref 0 in
   let merged = ref 0 in
@@ -415,7 +354,7 @@ let run ?(level = Full) ?(max_rounds = 3) ?(max_sat_checks = 2000)
       c :=
         stage "sweep.merge"
           (fun c ->
-            let out, k, sat = merge_stage ?kernel ~rng ~max_sat_checks c in
+            let out, k, sat = merge_stage ~rng ~max_sat_checks c in
             merged := !merged + k;
             out, k, sat)
           !c;
@@ -430,7 +369,7 @@ let run ?(level = Full) ?(max_rounds = 3) ?(max_sat_checks = 2000)
         stage "sweep.odc"
           (fun c ->
             let out, k, sat =
-              odc_stage ?kernel ?pool ~rng ~max_sat_checks:max_odc_checks c
+              odc_stage ~rng ~max_sat_checks:max_odc_checks c
             in
             odc_rewrites := !odc_rewrites + k;
             out, k, sat)

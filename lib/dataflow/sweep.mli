@@ -45,8 +45,6 @@ val run :
   ?max_rounds:int ->
   ?max_sat_checks:int ->
   ?max_odc_checks:int ->
-  ?kernel:bool ->
-  ?pool:Lr_par.Par.pool ->
   ?verify:(stage:string -> N.t -> N.t -> unit) ->
   rng:Lr_bitvec.Rng.t ->
   N.t ->
@@ -55,13 +53,11 @@ val run :
     (equivalence-class budget per merge stage), [max_odc_checks = 24]
     (SAT budget of the ODC stage). [Const_prop] runs only [sweep.const].
 
-    [kernel] (default [true]) runs simulation on the {!Lr_kernel} SoA
-    engine: the merge stage reuses cached block signatures, and the ODC
-    candidate filter resimulates only the rewritten node's fanout cone on
-    a dirty-cone incremental engine instead of every higher node. SAT
-    proofs race through the {!Lr_kernel.Portfolio}. The rewrites applied
-    and the resulting netlist are bit-identical with the kernel on or
-    off; [pool] affects wall-clock only. *)
+    Simulation runs on the {!Lr_kernel} SoA engine: the merge stage
+    reuses cached block signatures, and the ODC candidate filter
+    resimulates only the rewritten node's fanout cone on a dirty-cone
+    {!Lr_kernel.Incremental} engine. Each ODC proof is one
+    {!Lr_sat.Sat.solve} call on a fresh solver. *)
 
 (**/**)
 
@@ -71,8 +67,6 @@ val xor_action : N.t -> N.node -> Rebuild.action
 
 val odc_candidates :
   ?max_sat_checks:int ->
-  ?kernel:bool ->
-  ?pool:Lr_par.Par.pool ->
   rng:Lr_bitvec.Rng.t ->
   N.t ->
   (N.node * N.node * bool) list

@@ -22,9 +22,8 @@ let check_shapes golden candidate =
    transposed once and both circuits simulate the same words, so no
    output vector is built per pattern. [f mask want got] sees one block's
    output words; [mask] has a bit per lane that holds a pattern. The sim
-   counters tick as [eval_many] ticks them on each circuit: the SoA
-   kernel or the tree-walking reference, reports cannot tell. *)
-let iter_blocks ~kernel ~patterns ~golden ~candidate f =
+   counters tick as [eval_many] ticks them on each circuit. *)
+let iter_blocks ~patterns ~golden ~candidate f =
   let np = Array.length patterns in
   let count b = min 64 (np - (64 * b)) in
   let blocks =
@@ -33,8 +32,7 @@ let iter_blocks ~kernel ~patterns ~golden ~candidate f =
   in
   let simulate c =
     Instr.count "sim.patterns" np;
-    if kernel then Soa.eval_blocks (Soa.of_netlist c) blocks
-    else Array.map (N.eval_words c) blocks
+    Soa.eval_blocks (Soa.of_netlist c) blocks
   in
   let want = simulate golden in
   let got = simulate candidate in
@@ -47,12 +45,12 @@ let iter_blocks ~kernel ~patterns ~golden ~candidate f =
       f mask w got.(b))
     want
 
-let accuracy_on ?(kernel = true) ~patterns ~golden ~candidate () =
+let accuracy_on ~patterns ~golden ~candidate () =
   check_shapes golden candidate;
   Instr.span ~name:"eval.accuracy" @@ fun () ->
   Instr.count "eval.patterns" (Array.length patterns);
   let hits = ref 0 in
-  iter_blocks ~kernel ~patterns ~golden ~candidate (fun mask want got ->
+  iter_blocks ~patterns ~golden ~candidate (fun mask want got ->
       (* a lane hits when no output differs in it *)
       let miss = ref 0L in
       for o = 0 to Array.length want - 1 do
@@ -61,18 +59,17 @@ let accuracy_on ?(kernel = true) ~patterns ~golden ~candidate () =
       hits := !hits + Bv.popcount_word (Int64.logand mask (Int64.lognot !miss)));
   Float.of_int !hits /. Float.of_int (max 1 (Array.length patterns))
 
-let accuracy ?(count = 30_000) ?kernel ~rng ~golden ~candidate () =
+let accuracy ?(count = 30_000) ~rng ~golden ~candidate () =
   let patterns = mixture ~rng ~num_inputs:(N.num_inputs golden) ~count in
-  accuracy_on ?kernel ~patterns ~golden ~candidate ()
+  accuracy_on ~patterns ~golden ~candidate ()
 
 type stats = { mean : float; std : float; lo95 : float; hi95 : float; runs : int }
 
-let accuracy_stats ?(runs = 5) ?(count = 10_000) ?kernel ~rng ~golden
-    ~candidate () =
+let accuracy_stats ?(runs = 5) ?(count = 10_000) ~rng ~golden ~candidate () =
   if runs < 2 then invalid_arg "Eval.accuracy_stats: need at least 2 runs";
   let samples =
     List.init runs (fun _ ->
-        accuracy ~count ?kernel ~rng:(Rng.split rng) ~golden ~candidate ())
+        accuracy ~count ~rng:(Rng.split rng) ~golden ~candidate ())
   in
   let n = Float.of_int runs in
   let mean = List.fold_left ( +. ) 0.0 samples /. n in
@@ -84,10 +81,10 @@ let accuracy_stats ?(runs = 5) ?(count = 10_000) ?kernel ~rng ~golden
   let half = 1.96 *. std /. Float.sqrt n in
   { mean; std; lo95 = mean -. half; hi95 = mean +. half; runs }
 
-let per_output_accuracy ?(kernel = true) ~patterns ~golden ~candidate () =
+let per_output_accuracy ~patterns ~golden ~candidate () =
   check_shapes golden candidate;
   let hits = Array.make (N.num_outputs golden) 0 in
-  iter_blocks ~kernel ~patterns ~golden ~candidate (fun mask want got ->
+  iter_blocks ~patterns ~golden ~candidate (fun mask want got ->
       Array.iteri
         (fun o w ->
           let agree = Int64.lognot (Int64.logxor w got.(o)) in

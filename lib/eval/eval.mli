@@ -23,21 +23,17 @@ val mixture :
 
 val accuracy :
   ?count:int ->
-  ?kernel:bool ->
   rng:Lr_bitvec.Rng.t ->
   golden:Lr_netlist.Netlist.t ->
   candidate:Lr_netlist.Netlist.t ->
   unit ->
   float
 (** Hit rate in [0, 1]. Default [count] is 30_000. Requires identical
-    PI/PO counts. [kernel] (default [true]) simulates the blocks on the
-    {!Lr_kernel.Soa} engine, up to eight per pass
-    ({!Lr_kernel.Soa.eval_blocks}); [false] runs
-    [Netlist.eval_words] on the same blocks — bit-identical results and
-    sim counters, the kernel materially faster on large pattern sets. *)
+    PI/PO counts; raises [Invalid_argument] otherwise. The blocks are
+    simulated on the {!Lr_kernel.Soa} engine, up to eight per pass
+    ({!Lr_kernel.Soa.eval_blocks}). *)
 
 val accuracy_on :
-  ?kernel:bool ->
   patterns:Lr_bitvec.Bv.t array ->
   golden:Lr_netlist.Netlist.t ->
   candidate:Lr_netlist.Netlist.t ->
@@ -47,7 +43,6 @@ val accuracy_on :
     scored against the very same patterns). *)
 
 val per_output_accuracy :
-  ?kernel:bool ->
   patterns:Lr_bitvec.Bv.t array ->
   golden:Lr_netlist.Netlist.t ->
   candidate:Lr_netlist.Netlist.t ->
@@ -69,7 +64,6 @@ type stats = {
 val accuracy_stats :
   ?runs:int ->
   ?count:int ->
-  ?kernel:bool ->
   rng:Lr_bitvec.Rng.t ->
   golden:Lr_netlist.Netlist.t ->
   candidate:Lr_netlist.Netlist.t ->

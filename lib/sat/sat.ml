@@ -4,27 +4,6 @@
 
 type result = Sat | Unsat
 
-(* Search-shaping knobs. [default] reproduces the historical hard-coded
-   constants exactly; alternative configurations diversify a portfolio
-   without touching soundness (any config decides the same formulas, only
-   the trajectory — and therefore the model and the time-to-answer —
-   changes). *)
-type config = {
-  var_decay : float;  (** activity decay divisor, (0, 1] *)
-  restart_first : int;  (** conflicts before the first restart *)
-  restart_inflate : int * int;
-      (** (num, den): limit grows by [limit * num / den] each restart *)
-  default_polarity : bool;  (** initial phase of fresh variables *)
-}
-
-let default_config =
-  {
-    var_decay = 0.95;
-    restart_first = 100;
-    restart_inflate = (3, 2);
-    default_polarity = false;
-  }
-
 module Vec = struct
   type t = { mutable data : int array; mutable len : int }
 
@@ -65,12 +44,10 @@ type t = {
   mutable decisions : int;
   mutable propagations : int;
   mutable restarts : int;
-  config : config;
 }
 
-let create ?(config = default_config) () =
+let create () =
   {
-    config;
     nvars = 0;
     clauses = Array.make 16 [||];
     nclauses = 0;
@@ -107,7 +84,7 @@ let grow_arrays t n =
     t.level <- extend t.level 0;
     t.reason <- extend t.reason (-1);
     t.activity <- extend t.activity 0.0;
-    t.polarity <- extend t.polarity t.config.default_polarity;
+    t.polarity <- extend t.polarity false;
     t.seen <- extend t.seen false;
     let w = Array.make (2 * cap) (Vec.create ()) in
     Array.blit t.watches 0 w 0 (2 * old);
@@ -239,7 +216,7 @@ let bump_var t v =
     t.var_inc <- t.var_inc *. 1e-100
   end
 
-let decay_activities t = t.var_inc <- t.var_inc /. t.config.var_decay
+let decay_activities t = t.var_inc <- t.var_inc /. 0.95
 
 (* First-UIP conflict analysis. Returns (learned clause with asserting
    literal first, backtrack level). *)
@@ -347,33 +324,20 @@ let pick_branch_var t =
   done;
   !best
 
-(* A resumable search position for budgeted solving. The restart schedule
-   lives here rather than in a [solve]-local ref so that a sequence of
-   [solve_limited] calls threading one budget replays, conflict for
-   conflict, the trajectory of a single unbounded [solve] on the same
-   query: a budget cut happens only at a restart boundary, and a restart
-   leaves no trace beyond (cancel to level 0, inflate the limit) — exactly
-   the state this record carries across the return. *)
-type budget = { mutable restart_limit : int; mutable conflicts_here : int }
-
-let budget t =
-  { restart_limit = t.config.restart_first; conflicts_here = 0 }
-
-let solve_core ?(assumptions = []) ?max_conflicts ~budget:b t =
-  if not t.ok then Some Unsat
+let solve ?(assumptions = []) t =
+  if not t.ok then Unsat
   else begin
     let assume = Array.of_list (List.map lit_of_dimacs assumptions) in
     let nassume = Array.length assume in
     cancel_until t 0;
-    let spent = ref 0 in
+    let restart_limit = ref 100 in
+    let conflicts_here = ref 0 in
     let answer = ref None in
-    let paused = ref false in
-    while !answer = None && not !paused do
+    while !answer = None do
       let confl = propagate t in
       if confl >= 0 then begin
         t.conflicts <- t.conflicts + 1;
-        b.conflicts_here <- b.conflicts_here + 1;
-        incr spent;
+        incr conflicts_here;
         if decision_level t <= nassume then answer := Some Unsat
         else begin
           let clause, bt = analyze t confl in
@@ -385,18 +349,11 @@ let solve_core ?(assumptions = []) ?max_conflicts ~budget:b t =
           if not t.ok then answer := Some Unsat
         end
       end
-      else if b.conflicts_here >= b.restart_limit then begin
-        b.conflicts_here <- 0;
-        let num, den = t.config.restart_inflate in
-        b.restart_limit <- b.restart_limit * num / den;
+      else if !conflicts_here >= !restart_limit then begin
+        conflicts_here := 0;
+        restart_limit := !restart_limit * 3 / 2;
         t.restarts <- t.restarts + 1;
-        cancel_until t 0;
-        (* pause only here: the solver is at level 0 in exactly the state a
-           mid-run restart leaves, so a resumed call continues the same
-           trajectory *)
-        match max_conflicts with
-        | Some m when !spent >= m -> paused := true
-        | _ -> ()
+        cancel_until t 0
       end
       else begin
         let dl = decision_level t in
@@ -423,17 +380,8 @@ let solve_core ?(assumptions = []) ?max_conflicts ~budget:b t =
         end
       end
     done;
-    !answer
+    match !answer with Some r -> r | None -> assert false
   end
-
-let solve ?assumptions t =
-  match solve_core ?assumptions ~budget:(budget t) t with
-  | Some r -> r
-  | None -> assert false (* no budget: the loop only exits with an answer *)
-
-let solve_limited ?assumptions ~budget ~max_conflicts t =
-  if max_conflicts <= 0 then invalid_arg "Sat.solve_limited: bad budget";
-  solve_core ?assumptions ~max_conflicts ~budget t
 
 let value t v =
   if v < 1 || v > t.nvars then invalid_arg "Sat.value: unknown variable";

@@ -12,19 +12,7 @@ type t
 
 type result = Sat | Unsat
 
-type config = {
-  var_decay : float;  (** activity decay divisor, (0, 1] *)
-  restart_first : int;  (** conflicts before the first restart *)
-  restart_inflate : int * int;
-      (** (num, den): the limit grows to [limit * num / den] per restart *)
-  default_polarity : bool;  (** initial phase of fresh variables *)
-}
-
-val default_config : config
-(** The historical constants (decay 0.95, restarts 100 × 3/2, negative
-    first phase): [create ()] behaves exactly as it always has. *)
-
-val create : ?config:config -> unit -> t
+val create : unit -> t
 
 val new_var : t -> int
 (** Allocate the next variable (1, 2, 3, ...). *)
@@ -39,24 +27,6 @@ val solve : ?assumptions:int list -> t -> result
 (** Decide satisfiability under the given assumption literals. The solver
     is incremental: further clauses may be added after a call and [solve]
     called again. *)
-
-type budget
-(** A resumable search position for {!solve_limited}: carries the restart
-    schedule across budget cuts. *)
-
-val budget : t -> budget
-(** A fresh budget, one per query. *)
-
-val solve_limited :
-  ?assumptions:int list -> budget:budget -> max_conflicts:int -> t ->
-  result option
-(** Run the search until it answers or has consumed at least
-    [max_conflicts] conflicts in this call; [None] means the budget ran
-    out. Cuts happen only at restart boundaries, so a sequence of
-    [solve_limited] calls threading the same [budget] (with the same
-    assumptions, no clauses added in between) replays conflict-for-conflict
-    the trajectory of a single unbounded {!solve} on that query — same
-    answer, same model, same learned clauses. *)
 
 val value : t -> int -> bool
 (** [value t v] — the value of variable [v] in the last Sat model.

@@ -29,8 +29,8 @@ val probe : ?seed:int -> ?words:int -> Lr_blackbox.Blackbox.t -> t
 (** Sample the box. Defaults: [seed = 0x51f0] (one fixed probe stream
     per daemon — cache keys must agree across jobs), [words = 4]
     (256 assignments). Deterministic in (box behaviour, seed, words):
-    independent of [jobs], [kernel], wall-clock and any prior queries
-    on the box. *)
+    independent of [jobs], wall-clock and any prior queries on the
+    box. *)
 
 val equal : t -> t -> bool
 val to_hex : t -> string

@@ -14,7 +14,6 @@ type spec = {
   jobs : int;
   check : Config.check_level;
   sweep : Config.sweep_level;
-  kernel : bool;
   use_cache : bool;
 }
 
@@ -30,7 +29,6 @@ let default ~case =
     jobs = 1;
     check = Config.Off;
     sweep = Config.Sweep_off;
-    kernel = true;
     use_cache = true;
   }
 
@@ -51,7 +49,6 @@ let to_json s =
       ("jobs", Json.Int s.jobs);
       ("check", Json.String (Config.check_level_string s.check));
       ("sweep", Json.String (Config.sweep_level_string s.sweep));
-      ("kernel", Json.Bool s.kernel);
       ("cache", Json.Bool s.use_cache);
     ]
 
@@ -119,7 +116,6 @@ let of_json v =
           (fun x -> Option.bind (Json.get_string x) Config.sweep_level_of_string)
           d.sweep v
       in
-      let* kernel = get_with "kernel" Json.get_bool d.kernel v in
       let* use_cache = get_with "cache" Json.get_bool d.use_cache v in
       Ok
         {
@@ -133,7 +129,6 @@ let of_json v =
           jobs;
           check;
           sweep;
-          kernel;
           use_cache;
         })
 
@@ -155,7 +150,6 @@ let config_of_spec s =
     check_level = s.check;
     sweep = s.sweep;
     jobs = s.jobs;
-    kernel = s.kernel;
   }
 
 let config_signature s =

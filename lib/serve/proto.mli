@@ -23,7 +23,6 @@ type spec = {
   jobs : int;  (** worker domains inside the learn; default 1 *)
   check : Config.check_level;  (** default [Off] *)
   sweep : Config.sweep_level;  (** default [Sweep_off] *)
-  kernel : bool;  (** default [true] *)
   use_cache : bool;
       (** consult/populate the circuit cache; default [true] *)
 }
@@ -32,7 +31,8 @@ val default : case:string -> spec
 
 val to_json : spec -> Lr_instr.Json.t
 val of_json : Lr_instr.Json.t -> (spec, string) result
-(** Rejects unknown [schema], non-string [case], malformed enums. *)
+(** Rejects unknown [schema], non-string [case], malformed enums.
+    Ignores unknown keys. *)
 
 val of_string : string -> (spec, string) result
 (** Parse then {!of_json}. *)
@@ -44,10 +44,10 @@ val config_of_spec : spec -> Config.t
 val config_signature : spec -> string
 (** Canonical rendering of every spec field that can change the {e
     learned circuit}: preset, seed, budget, time budget, support
-    rounds, sweep. Excluded by design: [jobs], [kernel] and [check]
-    (all proven bit-identity-preserving), [tenant] and [use_cache]
-    (accounting only) — so a [jobs=4] request hits the cache entry a
-    [jobs=1] request populated. *)
+    rounds, sweep. Excluded by design: [jobs] and [check] (both proven
+    bit-identity-preserving), [tenant] and [use_cache] (accounting
+    only) — so a [jobs=4] request hits the cache entry a [jobs=1]
+    request populated. *)
 
 val report_json :
   job_id:string ->

@@ -352,22 +352,18 @@ let prop_eval_blocks_matches_words () =
 
 (* The per-pattern scorer [Eval] replaced: every pattern's output vector
    built by [eval_many] and compared whole with [Bv.equal]. *)
-let reference_outputs ~kernel c patterns =
-  if kernel then Soa.eval_many (Soa.of_netlist c) patterns
-  else N.eval_many c patterns
-
-let reference_accuracy ~kernel ~patterns ~golden ~candidate =
+let reference_accuracy ~patterns ~golden ~candidate =
   Instr.span ~name:"eval.accuracy" @@ fun () ->
   Instr.count "eval.patterns" (Array.length patterns);
-  let want = reference_outputs ~kernel golden patterns in
-  let got = reference_outputs ~kernel candidate patterns in
+  let want = N.eval_many golden patterns in
+  let got = N.eval_many candidate patterns in
   let hits = ref 0 in
   Array.iteri (fun i w -> if Bv.equal w got.(i) then incr hits) want;
   Float.of_int !hits /. Float.of_int (max 1 (Array.length patterns))
 
-let reference_per_output ~kernel ~patterns ~golden ~candidate =
-  let want = reference_outputs ~kernel golden patterns in
-  let got = reference_outputs ~kernel candidate patterns in
+let reference_per_output ~patterns ~golden ~candidate =
+  let want = N.eval_many golden patterns in
+  let got = N.eval_many candidate patterns in
   Array.init (N.num_outputs golden) (fun o ->
       let hits = ref 0 in
       Array.iteri (fun i w -> if Bv.get w o = Bv.get got.(i) o then incr hits) want;
@@ -421,19 +417,14 @@ let prop_word_scoring_matches_reference () =
       List.for_all
         (fun np ->
           let patterns = Eval.mixture ~rng ~num_inputs:g.ni ~count:np in
-          List.for_all
-            (fun kernel ->
-              with_scoring_counts (fun () ->
-                  Eval.accuracy_on ~kernel ~patterns ~golden ~candidate ())
-              = with_scoring_counts (fun () ->
-                    reference_accuracy ~kernel ~patterns ~golden ~candidate)
-              && with_scoring_counts (fun () ->
-                     Eval.per_output_accuracy ~kernel ~patterns ~golden
-                       ~candidate ())
-                 = with_scoring_counts (fun () ->
-                       reference_per_output ~kernel ~patterns ~golden
-                         ~candidate))
-            [ true; false ])
+          with_scoring_counts (fun () ->
+              Eval.accuracy_on ~patterns ~golden ~candidate ())
+          = with_scoring_counts (fun () ->
+                reference_accuracy ~patterns ~golden ~candidate)
+          && with_scoring_counts (fun () ->
+                 Eval.per_output_accuracy ~patterns ~golden ~candidate ())
+             = with_scoring_counts (fun () ->
+                   reference_per_output ~patterns ~golden ~candidate))
         [ 0; 1; 63; 64; 65; 1000 ])
 
 (* a full reference simulation with one node pinned, in schedule order —
@@ -513,7 +504,17 @@ let test_kernel_degenerate () =
   let aigc = Aig.create ~num_inputs:0 ~num_outputs:1 in
   let sc = Ksim.soa_of_aig aigc in
   check_words "0-input AIG outputs" (Aig.simulate aigc [||])
-    (Soa.outputs_of_values sc (Soa.node_values sc [||]))
+    (Soa.outputs_of_values sc (Soa.node_values sc [||]));
+  (* the zero-input netlist learned with every self-check on: each
+     conquered table is re-simulated on zero input words *)
+  let r =
+    Learner.learn
+      ~config:{ Config.default with Config.check_level = Config.Full }
+      (Box.of_netlist c0)
+  in
+  check_words "0-input learned outputs" (N.eval_words c0 [||])
+    (N.eval_words r.Learner.circuit [||]);
+  Alcotest.(check int) "0-input checks verified" 7 r.Learner.checks_verified
 
 (* ---------------- fault injection ---------------- *)
 

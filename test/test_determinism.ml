@@ -28,13 +28,12 @@ let fast =
   }
 
 let learn_with ?faults ?(retry = Lr_faults.Faults.no_retry)
-    ?(kernel = fast.Config.kernel) ?(sweep = fast.Config.sweep) ~jobs ~seed
-    name =
+    ?(sweep = fast.Config.sweep) ~jobs ~seed name =
   let spec = Cases.find name in
   let box = Cases.blackbox ~budget:150_000 spec in
   let report =
     Learner.learn
-      ~config:{ fast with Config.seed; jobs; kernel; sweep; faults; retry }
+      ~config:{ fast with Config.seed; jobs; sweep; faults; retry }
       box
   in
   let accuracy =
@@ -43,15 +42,15 @@ let learn_with ?faults ?(retry = Lr_faults.Faults.no_retry)
   in
   (Io.write report.Learner.circuit, accuracy, report)
 
-let assert_jobs_invariant ?(jobs_levels = [ 2; 4 ]) ?faults ?retry ?kernel
-    ?sweep name seed =
+let assert_jobs_invariant ?(jobs_levels = [ 2; 4 ]) ?faults ?retry ?sweep name
+    seed =
   let base_net, base_acc, base =
-    learn_with ?faults ?retry ?kernel ?sweep ~jobs:1 ~seed name
+    learn_with ?faults ?retry ?sweep ~jobs:1 ~seed name
   in
   List.iter
     (fun jobs ->
       let ctx = Printf.sprintf "%s seed=%d jobs=%d" name seed jobs in
-      let net, acc, r = learn_with ?faults ?retry ?kernel ?sweep ~jobs ~seed name in
+      let net, acc, r = learn_with ?faults ?retry ?sweep ~jobs ~seed name in
       check_str (ctx ^ ": bit-identical netlist") base_net net;
       check_int (ctx ^ ": equal queries") base.Learner.queries
         r.Learner.queries;
@@ -109,38 +108,73 @@ let test_trio_faulted () =
     (fun name -> assert_jobs_invariant ~faults ~retry name 1)
     default_trio
 
-(* the kernel flag must be invisible in everything but wall-clock:
-   [--kernel off] learns bit-identical circuits with identical query
-   attribution, and the jobs invariant holds on the kernel-enabled trio
-   with the full netlist sweep in play (portfolio races, dirty-cone ODC
-   verification and SoA fraig signatures all on the comparison path) *)
+let phases ~templates ~support_id ~fbdt =
+  [
+    ("templates", templates);
+    ("support-id", support_id);
+    ("fbdt", fbdt);
+    ("cover-min", 0);
+    ("aig-opt", 0);
+    ("sweep", 0);
+    ("check", 0);
+    ("other", 0);
+  ]
+
+(* the full netlist sweep at seed 1, pinned to the circuits, query
+   attribution and sweep removals the kernel-on and kernel-off learners
+   both produced (SoA fraig signatures, dirty-cone ODC filtering and
+   every sweep SAT call sit on this path), and each learned circuit
+   simulated by the SoA kernel bit-identical to the tree-walking
+   reference evaluator on a ragged pattern count *)
 let test_trio_kernel_on_off () =
+  (* phase attribution keys on instrumentation spans, which an earlier
+     suite may have switched off *)
+  Lr_instr.Instr.set_enabled true;
   List.iter
-    (fun name ->
-      let off_net, off_acc, off_r =
-        learn_with ~kernel:false ~sweep:Config.Sweep_full ~jobs:1 ~seed:1 name
+    (fun (name, digest, queries, phase_queries, sweep_removed) ->
+      let net, _, r =
+        learn_with ~sweep:Config.Sweep_full ~jobs:1 ~seed:1 name
       in
-      let on_net, on_acc, on_r =
-        learn_with ~kernel:true ~sweep:Config.Sweep_full ~jobs:1 ~seed:1 name
+      check_str (name ^ ": circuit digest") digest
+        (Digest.to_hex (Digest.string net));
+      let c = r.Learner.circuit in
+      let rng = Rng.create 97 in
+      let patterns =
+        Array.init 1000 (fun _ ->
+            Lr_bitvec.Bv.random rng (Lr_netlist.Netlist.num_inputs c))
       in
-      check_str (name ^ ": kernel on/off bit-identical netlist") off_net on_net;
-      check_int (name ^ ": kernel on/off equal queries") off_r.Learner.queries
-        on_r.Learner.queries;
-      Alcotest.(check (float 0.0))
-        (name ^ ": kernel on/off equal accuracy")
-        off_acc on_acc;
+      Alcotest.(check bool)
+        (name ^ ": kernel on/off bit-identical outputs")
+        true
+        (Array.for_all2 Lr_bitvec.Bv.equal
+           (Lr_netlist.Netlist.eval_many c patterns)
+           (Lr_kernel.Soa.eval_many (Lr_kernel.Soa.of_netlist c) patterns));
+      check_int (name ^ ": queries") queries r.Learner.queries;
       Alcotest.(check (list (pair string int)))
-        (name ^ ": kernel on/off equal phase queries")
-        off_r.Learner.phase_queries on_r.Learner.phase_queries;
-      check_int
-        (name ^ ": kernel on/off equal sweep removals")
-        off_r.Learner.sweep_removed on_r.Learner.sweep_removed)
-    default_trio
+        (name ^ ": phase queries") phase_queries r.Learner.phase_queries;
+      check_int (name ^ ": sweep removals") sweep_removed
+        r.Learner.sweep_removed)
+    [
+      ( "case_12",
+        "59e3cfbc8909f54502590ee2fc32ead3",
+        35,
+        phases ~templates:35 ~support_id:0 ~fbdt:0,
+        176 );
+      ( "case_8",
+        "97d3f32485ba402ebb3a5f091fd5c265",
+        17_255,
+        phases ~templates:8614 ~support_id:8640 ~fbdt:1,
+        30 );
+      ( "case_5",
+        "56abe75f35d90b78748f60a96afbc9af",
+        21_856,
+        phases ~templates:0 ~support_id:16_896 ~fbdt:4960,
+        5 );
+    ]
 
 let test_trio_kernel_jobs () =
   List.iter
-    (fun name ->
-      assert_jobs_invariant ~kernel:true ~sweep:Config.Sweep_full name 3)
+    (fun name -> assert_jobs_invariant ~sweep:Config.Sweep_full name 3)
     default_trio
 
 let test_full_sweep () =

@@ -1,10 +1,10 @@
 (* The hot-path engine's own contracts: the topological batching that
    the SoA scheduler promises, dirty-cone minimality (the incremental
-   engine recomputes exactly the true fanout cone, node for node), the
-   SAT portfolio's determinism (verdicts and models identical to a lone
-   single-config solver, at any pool size), and the end-to-end
-   bit-identity leg: a kernel-enabled learn equals the legacy path at
-   jobs=1 and jobs=4, down to the query attribution. *)
+   engine recomputes exactly the true fanout cone, node for node), and
+   the end-to-end bit-identity leg: a fully checked, fully swept learn
+   is identical at jobs=1 and jobs=4, down to the query attribution, and
+   pinned to the circuit and counts this configuration has always
+   learned. *)
 
 module Rng = Lr_bitvec.Rng
 module N = Lr_netlist.Netlist
@@ -12,12 +12,8 @@ module Io = Lr_netlist.Io
 module Analysis = Lr_netlist.Analysis
 module Aig = Lr_aig.Aig
 module Ksim = Lr_aig.Ksim
-module Sat = Lr_sat.Sat
-module Par = Lr_par.Par
-module Instr = Lr_instr.Instr
 module Soa = Lr_kernel.Soa
 module Incr = Lr_kernel.Incremental
-module Portfolio = Lr_kernel.Portfolio
 module Cases = Lr_cases.Cases
 module Config = Logic_regression.Config
 module Learner = Logic_regression.Learner
@@ -115,137 +111,6 @@ let test_cone_minimality () =
           (List.sort compare (Incr.last_resim e)))
   done
 
-(* ---------------- SAT portfolio determinism ---------------- *)
-
-(* random 3-CNF near the sat/unsat threshold (ratio ~4.3) so both
-   verdicts appear across the rounds *)
-let random_cnf rng nvars nclauses =
-  List.init nclauses (fun _ ->
-      List.init 3 (fun _ ->
-          let v = 1 + Rng.int rng nvars in
-          if Rng.bool rng then v else -v))
-
-let test_portfolio_determinism () =
-  let rng = Rng.create 107 in
-  let sat_seen = ref false and unsat_seen = ref false in
-  (* count engagements so an accidentally-easy instance mix (where the
-     primary answers inside first_budget and no race ever runs) fails
-     loudly instead of vacuously passing *)
-  let races = ref 0 in
-  Instr.set_sinks
-    [
-      {
-        Instr.emit =
-          (fun e ->
-            match e with
-            | Instr.Count { name = "kernel.portfolio-races"; incr; _ } ->
-                races := !races + incr
-            | _ -> ());
-        flush = (fun () -> ());
-      };
-    ];
-  Fun.protect ~finally:(fun () -> Instr.set_sinks []) @@ fun () ->
-  for _ = 1 to 12 do
-    (* big enough that threshold instances outlast the primary's first
-       restart window, so the race genuinely runs its rounds *)
-    let nvars = 60 + Rng.int rng 60 in
-    let nclauses = int_of_float (4.3 *. float_of_int nvars) in
-    let cnf = random_cnf rng nvars nclauses in
-    let fresh config =
-      let s = match config with
-        | None -> Sat.create ()
-        | Some config -> Sat.create ~config ()
-      in
-      for _ = 1 to nvars do ignore (Sat.new_var s) done;
-      List.iter (Sat.add_clause s) cnf;
-      s
-    in
-    let lone = fresh None in
-    let verdict_lone = Sat.solve lone in
-    let model solver = List.init nvars (fun v -> Sat.value solver (v + 1)) in
-    let model_lone =
-      match verdict_lone with Sat.Sat -> model lone | Sat.Unsat -> []
-    in
-    (match verdict_lone with
-    | Sat.Sat -> sat_seen := true
-    | Sat.Unsat -> unsat_seen := true);
-    let race_with pool =
-      let primary = fresh None in
-      let secondaries =
-        Array.to_list
-          (Array.map
-             (fun config () ->
-               { Portfolio.solver = fresh (Some config); assumptions = [] })
-             Portfolio.secondary_configs)
-      in
-      (* a 1-conflict first budget engages the race on everything the
-         primary cannot decide by propagation alone; tiny rounds
-         maximise the interleaving the resolution must hide *)
-      let verdict =
-        Portfolio.race ?pool ~first_budget:1 ~round_budget:16
-          ~primary:{ Portfolio.solver = primary; assumptions = [] }
-          ~secondaries ()
-      in
-      match verdict with
-      | Sat.Sat -> (verdict, model primary)
-      | Sat.Unsat -> (verdict, [])
-    in
-    let v1, m1 = race_with None in
-    let v4, m4 = Par.with_pool ~jobs:4 (fun p -> race_with (Some p)) in
-    check "portfolio verdict == lone solver" true (v1 = verdict_lone);
-    Alcotest.(check (list bool)) "portfolio model == lone model" model_lone m1;
-    check "pool=4 verdict identical" true (v4 = verdict_lone);
-    Alcotest.(check (list bool)) "pool=4 model identical" model_lone m4
-  done;
-  check "threshold mix produced a Sat instance" true !sat_seen;
-  check "threshold mix produced an Unsat instance" true !unsat_seen;
-  check "the portfolio actually raced" true (!races > 0)
-
-(* assumption-scoped races: the fraig call sites always race under an
-   activation literal, so verdicts under assumptions must replay too *)
-let test_portfolio_assumptions () =
-  let rng = Rng.create 109 in
-  for _ = 1 to 6 do
-    let nvars = 12 + Rng.int rng 20 in
-    let cnf = random_cnf rng nvars (4 * nvars) in
-    let activation = nvars + 1 in
-    let fresh config =
-      let s = match config with
-        | None -> Sat.create ()
-        | Some config -> Sat.create ~config ()
-      in
-      for _ = 1 to nvars + 1 do ignore (Sat.new_var s) done;
-      (* guard every clause behind the activation literal *)
-      List.iter (fun cl -> Sat.add_clause s (-activation :: cl)) cnf;
-      s
-    in
-    let lone = fresh None in
-    let verdict_lone = Sat.solve ~assumptions:[ activation ] lone in
-    let primary = fresh None in
-    let secondaries =
-      Array.to_list
-        (Array.map
-           (fun config () ->
-             {
-               Portfolio.solver = fresh (Some config);
-               assumptions = [ activation ];
-             })
-           Portfolio.secondary_configs)
-    in
-    let verdict =
-      Portfolio.race ~first_budget:1 ~round_budget:16
-        ~primary:{ Portfolio.solver = primary; assumptions = [ activation ] }
-        ~secondaries ()
-    in
-    check "assumption race verdict == lone solver" true
-      (verdict = verdict_lone);
-    if verdict_lone = Sat.Sat then
-      Alcotest.(check (list bool))
-        "assumption race model == lone model"
-        (List.init nvars (fun v -> Sat.value lone (v + 1)))
-        (List.init nvars (fun v -> Sat.value primary (v + 1)))
-  done
-
 (* ---------------- end-to-end bit-identity ---------------- *)
 
 let fast =
@@ -258,17 +123,15 @@ let fast =
     fraig_words = 4;
     template_samples = 32;
     (* the full sweep plus full self-checks routes every kernel client —
-       fraig, equiv, selfcheck, dirty-cone ODC — into the comparison *)
+       fraig, equiv, selfcheck, dirty-cone ODC — into the run *)
     sweep = Config.Sweep_full;
     check_level = Config.Full;
   }
 
-let learn ~kernel ~jobs =
+let learn ~jobs =
   let spec = Cases.find "case_7" in
   let box = Cases.blackbox ~budget:150_000 spec in
-  let report =
-    Learner.learn ~config:{ fast with Config.seed = 5; jobs; kernel } box
-  in
+  let report = Learner.learn ~config:{ fast with Config.seed = 5; jobs } box in
   ( Io.write report.Learner.circuit,
     report.Learner.queries,
     report.Learner.phase_queries,
@@ -276,27 +139,25 @@ let learn ~kernel ~jobs =
     report.Learner.sweep_removed )
 
 let test_bit_identity () =
-  let net0, q0, pq0, cv0, sr0 = learn ~kernel:false ~jobs:1 in
-  List.iter
-    (fun (kernel, jobs) ->
-      let ctx = Printf.sprintf "kernel=%b jobs=%d" kernel jobs in
-      let net, q, pq, cv, sr = learn ~kernel ~jobs in
-      Alcotest.(check string) (ctx ^ ": bit-identical netlist") net0 net;
-      check_int (ctx ^ ": equal queries") q0 q;
-      Alcotest.(check (list (pair string int)))
-        (ctx ^ ": equal phase queries") pq0 pq;
-      check_int (ctx ^ ": equal checks verified") cv0 cv;
-      check_int (ctx ^ ": equal sweep removals") sr0 sr)
-    [ (false, 4); (true, 1); (true, 4) ]
+  let net1, q1, pq1, cv1, sr1 = learn ~jobs:1 in
+  Alcotest.(check string)
+    "circuit digest" "67d8b15684ed5ab9482c8791c41c5ac0"
+    (Digest.to_hex (Digest.string net1));
+  check_int "queries" 8464 q1;
+  check_int "checks verified" 16 cv1;
+  check_int "sweep removals" 2 sr1;
+  let net4, q4, pq4, cv4, sr4 = learn ~jobs:4 in
+  Alcotest.(check string) "jobs=4: bit-identical netlist" net1 net4;
+  check_int "jobs=4: equal queries" q1 q4;
+  Alcotest.(check (list (pair string int)))
+    "jobs=4: equal phase queries" pq1 pq4;
+  check_int "jobs=4: equal checks verified" cv1 cv4;
+  check_int "jobs=4: equal sweep removals" sr1 sr4
 
 let tests =
   [
     Alcotest.test_case "topological batching" `Quick test_batching;
     Alcotest.test_case "dirty-cone minimality" `Quick test_cone_minimality;
-    Alcotest.test_case "portfolio determinism" `Quick
-      test_portfolio_determinism;
-    Alcotest.test_case "portfolio determinism under assumptions" `Quick
-      test_portfolio_assumptions;
     Alcotest.test_case "kernel/jobs bit-identity on a real case" `Quick
       test_bit_identity;
   ]

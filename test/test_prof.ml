@@ -412,7 +412,7 @@ let redundant_aig () =
 (* capture the instrumentation stream of a real fraig sweep — the same
    stream the run report and the metrics exposition aggregate — and
    return the per-round counter series *)
-let capture_fraig ~kernel () =
+let capture_fraig () =
   Instr.reset_aggregates ();
   let events = ref [] in
   Instr.set_sinks
@@ -421,7 +421,7 @@ let capture_fraig ~kernel () =
     ];
   Fun.protect ~finally:(fun () -> Instr.set_sinks []) @@ fun () ->
   let swept =
-    Lr_aig.Fraig.sweep ~words:1 ~kernel ~rng:(Rng.create 11) (redundant_aig ())
+    Lr_aig.Fraig.sweep ~words:1 ~rng:(Rng.create 11) (redundant_aig ())
   in
   let series name =
     List.rev
@@ -435,7 +435,7 @@ let capture_fraig ~kernel () =
 
 let test_fraig_round_invariants () =
   with_clean @@ fun () ->
-  let ands, series = capture_fraig ~kernel:true () in
+  let ands, series = capture_fraig () in
   let sim = series "fraig.sim-words" in
   let classes = series "fraig.classes" in
   let proved = series "fraig.proved" in
@@ -469,22 +469,18 @@ let test_fraig_round_invariants () =
     classes;
   (* the pass did real work on this circuit *)
   check "something was proved" true (List.exists (fun p -> p > 0) proved);
-  (* counter parity: the kernel path must tick the exact same fraig
-     counters as the legacy evaluator, round for round *)
-  let ands_off, series_off = capture_fraig ~kernel:false () in
-  check_int "kernel on/off same result size" ands_off ands;
+  (* the fraig counters this sweep has always ticked, round for round *)
+  check_int "result size" 9 ands;
   List.iter
-    (fun name ->
-      Alcotest.(check (list int))
-        ("kernel on/off same " ^ name ^ " series")
-        (series_off name) (series name))
+    (fun (name, want) ->
+      Alcotest.(check (list int)) (name ^ " series") want (series name))
     [
-      "fraig.sim-words";
-      "fraig.classes";
-      "fraig.proved";
-      "fraig.refuted";
-      "fraig.sat-calls";
-      "fraig.rounds";
+      ("fraig.sim-words", [ 22; 22 ]);
+      ("fraig.classes", [ 19; 19 ]);
+      ("fraig.proved", [ 3; 0 ]);
+      ("fraig.refuted", [ 0; 0 ]);
+      ("fraig.sat-calls", [ 3; 0 ]);
+      ("fraig.rounds", [ 2 ]);
     ]
 
 (* --- self-time regression gate --- *)

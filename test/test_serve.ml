@@ -121,7 +121,6 @@ let test_proto_roundtrip () =
         jobs = 4;
         check = Config.Full;
         sweep = Config.Sweep_full;
-        kernel = false;
         use_cache = false;
       };
     ]
@@ -152,7 +151,14 @@ let test_proto_config_signature () =
   let s = fast_spec "case_7" in
   let sig_of s = Proto.config_signature s in
   check_str "jobs excluded" (sig_of s) (sig_of { s with Proto.jobs = 4 });
-  check_str "kernel excluded" (sig_of s) (sig_of { s with Proto.kernel = false });
+  (* a client still sending the retired "kernel" field is accepted and
+     shares the cache entry *)
+  (match
+     Proto.of_string
+       {|{"case":"case_7","budget":200000,"support_rounds":60,"kernel":false}|}
+   with
+  | Ok legacy -> check_str "kernel ignored" (sig_of s) (sig_of legacy)
+  | Error e -> Alcotest.failf "legacy kernel field rejected: %s" e);
   check_str "tenant excluded" (sig_of s) (sig_of { s with Proto.tenant = "x" });
   check "seed included" true (sig_of s <> sig_of { s with Proto.seed = 2 });
   check "budget included" true (sig_of s <> sig_of { s with Proto.budget = None });
