@@ -23,9 +23,7 @@ module Config = Logic_regression.Config
 module Learner = Logic_regression.Learner
 module Instr = Lr_instr.Instr
 module Json = Lr_instr.Json
-module History = Lr_report.History
-module Heartbeat = Lr_report.Heartbeat
-module Metrics = Lr_prof.Metrics
+module Progress = Lr_prof.Progress
 module Log = Lr_obs.Log
 module Alerts = Lr_obs.Alerts
 module Server = Lr_obs.Server
@@ -545,9 +543,9 @@ let json_of_rows rows =
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let quick = List.mem "--quick" args in
-  let metrics = List.mem "--metrics" args in
   let scale = if quick then quick_scale else default_scale in
-  (* [--trace FILE] / [--json FILE] take a value; the rest are flags *)
+  (* [--trace-jsonl FILE] / [--json FILE] take a value; [--quick] is a
+     flag *)
   let rec extract key = function
     | [] -> (None, [])
     | k :: v :: rest when k = key -> (Some v, rest)
@@ -555,7 +553,7 @@ let () =
         let r, rest' = extract key rest in
         (r, x :: rest')
   in
-  let trace, args = extract "--trace" args in
+  let trace_jsonl, args = extract "--trace-jsonl" args in
   let json, args = extract "--json" args in
   let seed, args = extract "--seed" args in
   let only, args = extract "--only" args in
@@ -568,7 +566,6 @@ let () =
         (String.concat ", " (List.map (fun s -> s.Cases.name) Cases.specs));
       exit 1
   | _ -> ());
-  let history, args = extract "--history" args in
   let heartbeat, args = extract "--heartbeat" args in
   let budget_s, args = extract "--time-budget" args in
   let check, args = extract "--check" args in
@@ -578,9 +575,7 @@ let () =
   let retry_v, args = extract "--retry" args in
   let alerts_v, args = extract "--alerts" args in
   let listen_v, args = extract "--listen" args in
-  let args =
-    List.filter (fun a -> a <> "--quick" && a <> "--metrics") args
-  in
+  let args = List.filter (fun a -> a <> "--quick") args in
   let float_of key = function
     | None -> None
     | Some v -> (
@@ -650,55 +645,56 @@ let () =
           Printf.eprintf "bad --alerts value: %s\n" msg;
           exit 1)
   | None -> ());
-  let server =
-    match listen_v with
-    | None -> None
-    | Some v -> (
+  let listen =
+    Option.map
+      (fun v ->
         match int_of_string_opt v with
+        | Some port -> port
         | None ->
             Printf.eprintf "bad --listen value: %s\n" v;
-            exit 1
-        | Some port -> (
-            let state =
-              Server.create_state ?time_budget_s:!time_budget ()
-            in
-            match Server.start ~port state with
-            | Error e ->
-                Printf.eprintf "--listen: %s\n" e;
-                exit 1
-            | Ok srv ->
-                Log.info
-                  ~fields:[ Log.int "port" (Server.port srv) ]
-                  "observability server listening on 127.0.0.1";
-                Some (state, srv)))
+            exit 1)
+      listen_v
   in
+  let heartbeat = float_of "--heartbeat" heartbeat in
+  (* one progress fold for the whole bench, feeding the heartbeat and the
+     live server *)
+  let live =
+    if heartbeat = None && listen = None then None
+    else Some (Progress.create ?time_budget_s:!time_budget ())
+  in
+  (match (live, heartbeat) with
+  | Some run, Some interval_s ->
+      Progress.add_heartbeat run ~out:(Log.locked_write stderr) ~interval_s
+  | _ -> ());
   Instr.set_sinks
-    ((match trace with
-     | Some "-" -> [ Instr.chrome_trace print_string ]
-     | Some f -> [ Instr.chrome_trace_file f ]
+    ((match trace_jsonl with
+     | Some "-" -> [ Instr.jsonl print_string ]
+     | Some f -> [ Instr.jsonl_file f ]
      | None -> [])
-    @ (if metrics then [ Instr.stderr_summary () ] else [])
-    @ (match float_of "--heartbeat" heartbeat with
-      | Some interval_s ->
-          [ Heartbeat.sink ?budget_s:!time_budget ~interval_s () ]
-      | None -> [])
-    @ (match !alerts_engine with
-      | Some engine -> [ Alerts.sink engine ]
-      | None -> [])
+    @ (match live with Some run -> [ Progress.fold run ] | None -> [])
     @
-    match server with
-    | Some (state, _) ->
-        [
-          Server.observer state;
-          Server.metrics_sink
-            ~render:(fun () -> Metrics.render (Metrics.of_instr ()))
-            state;
-        ]
+    match !alerts_engine with
+    | Some engine -> [ Alerts.sink engine ]
     | None -> []);
-  (match server with
-  | Some (state, _) -> Log.add_sink (Server.log_sink state)
-  | None -> ());
-  let what = match args with [] -> "all" | w :: _ -> w in
+  let server =
+    match (listen, live) with
+    | Some port, Some run -> (
+        match Server.listen ~port run with
+        | Error e ->
+            Printf.eprintf "--listen: %s\n" e;
+            exit 1
+        | Ok srv -> Some srv)
+    | _ -> None
+  in
+  let what =
+    match args with
+    | [] -> "all"
+    | [ w ] -> w
+    | _ :: extra ->
+        Printf.eprintf "unknown bench argument(s): %s\n"
+          (String.concat " " extra);
+        exit 1
+  in
   let rows = ref [] in
   (match what with
   | "regen-baseline" ->
@@ -734,24 +730,18 @@ let () =
         other;
       exit 1);
   Instr.flush_sinks ();
-  (match server with
-  | Some (state, srv) ->
-      Server.mark_done state;
-      Server.stop srv
-  | None -> ());
-  let report = lazy (json_of_rows !rows) in
-  (match json with
-  | Some "-" -> print_endline (Json.to_string (Lazy.force report))
+  Option.iter
+    (fun srv ->
+      Server.mark_done srv;
+      Server.stop srv)
+    server;
+  match json with
+  | Some "-" -> print_endline (Json.to_string (json_of_rows !rows))
   | Some path ->
       let oc = open_out path in
-      output_string oc (Json.to_string (Lazy.force report));
+      output_string oc (Json.to_string (json_of_rows !rows));
       output_string oc "\n";
       close_out oc;
       Printf.printf "json report written to %s (%d table2 rows)\n" path
         (List.length !rows)
-  | None -> ());
-  match history with
-  | Some path ->
-      History.append path (Lazy.force report);
-      Printf.printf "bench report appended to history %s\n" path
   | None -> ()

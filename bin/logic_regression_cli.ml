@@ -16,8 +16,6 @@ module Instr = Lr_instr.Instr
 module Json = Lr_instr.Json
 module Histogram = Lr_report.Histogram
 module Gcstat = Lr_report.Gcstat
-module History = Lr_report.History
-module Heartbeat = Lr_report.Heartbeat
 module Progress = Lr_prof.Progress
 module Metrics = Lr_prof.Metrics
 module Finding = Lr_check.Finding
@@ -27,6 +25,21 @@ module Alerts = Lr_obs.Alerts
 module Server = Lr_obs.Server
 
 open Cmdliner
+
+(* cmdliner resolves any unambiguous prefix of a long option, so a
+   removed option's spelling would silently run as a longer survivor
+   ([--trace] as [--trace-jsonl]). Every option below is declared
+   through this [Arg.info], which records its long names, and [main]
+   refuses any other [--name] before cmdliner parses. *)
+module Arg = struct
+  include Arg
+
+  let long_names = Hashtbl.create 64
+
+  let info ?deprecated ?absent ?docs ?docv ?doc ?env names =
+    List.iter (fun n -> Hashtbl.replace long_names n ()) names;
+    Arg.info ?deprecated ?absent ?docs ?docv ?doc ?env names
+end
 
 (* ---------- shared options ---------- *)
 
@@ -65,24 +78,13 @@ let out_arg =
   let doc = "Write the learned circuit to this file." in
   Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
 
-let trace_arg =
-  let doc =
-    "Write a Chrome trace_event JSON file of the run (open it in \
-     chrome://tracing or Perfetto): one duration event per pipeline span, \
-     counter tracks for queries/nodes/cubes. Pass $(b,-) to write the \
-     trace to standard output."
-  in
-  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-
-let metrics_arg =
-  let doc = "Print a per-span time/counter summary to stderr after the run." in
-  Arg.(value & flag & info [ "metrics" ] ~doc)
-
 let trace_jsonl_arg =
   let doc =
-    "Write the raw telemetry event stream as JSONL (one event per line) — \
-     the lossless input format of the $(b,lr_prof) profiler. Pass $(b,-) \
-     to write to standard output."
+    "Write the raw telemetry event stream as JSONL (one event per line): \
+     the run's one recorded trace. $(b,lr_prof) renders every view of it \
+     — $(b,top) (span table), $(b,fold) (flamegraph stacks), \
+     $(b,chrome) (a Chrome trace_event file). Pass $(b,-) to write to \
+     standard output."
   in
   Arg.(value & opt (some string) None & info [ "trace-jsonl" ] ~docv:"FILE" ~doc)
 
@@ -114,17 +116,10 @@ let json_arg =
   in
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
 
-let history_arg =
-  let doc =
-    "Append the run report to this JSONL history file (one report per \
-     line; inspect with the lr_report tool)."
-  in
-  Arg.(value & opt (some string) None & info [ "history" ] ~docv:"FILE" ~doc)
-
 let heartbeat_arg =
   let doc =
-    "Print a progress heartbeat (phase, elapsed, queries, budget left) to \
-     stderr every $(docv) seconds."
+    "Print a progress heartbeat (elapsed, phase, outputs done/total, \
+     queries, budget left) to stderr every $(docv) seconds."
   in
   Arg.(value & opt (some float) None & info [ "heartbeat" ] ~docv:"SECS" ~doc)
 
@@ -266,47 +261,47 @@ let open_out_or_die ~flag path =
     Printf.eprintf "error: cannot open %s file: %s\n" flag msg;
     exit 1
 
-(* attach the requested sinks; returns a finalizer *)
-let setup_sinks ?heartbeat ?time_budget ?query_budget ~trace ~trace_jsonl
-    ~progress ~metrics () =
-  let sinks =
-    (match trace with
-    | Some "-" -> [ Instr.chrome_trace print_string ]
+(* attach the requested sinks: the JSONL log, and — when any live view
+   is asked for — the run's one progress fold with the --progress and
+   --heartbeat views on it. Returns the fold and a finalizer. *)
+let setup_sinks ?heartbeat ?time_budget ?query_budget ~trace_jsonl
+    ~progress ~listen () =
+  let log =
+    match trace_jsonl with
+    | Some "-" -> [ Instr.jsonl print_string ]
     | Some f ->
-        close_out (open_out_or_die ~flag:"--trace" f);
-        [ Instr.chrome_trace_file f ]
-    | None -> [])
-    @ (match trace_jsonl with
-      | Some "-" -> [ Instr.jsonl print_string ]
-      | Some f ->
-          close_out (open_out_or_die ~flag:"--trace-jsonl" f);
-          [ Instr.jsonl_file f ]
-      | None -> [])
-    @ (match progress with
-      | Some "-" ->
-          (* the locked writer keeps NDJSON lines atomic against
-             heartbeat/log lines under --jobs N *)
-          [
-            Progress.sink ~out:(Log.locked_write stdout) ?query_budget
-              ?time_budget_s:time_budget ();
-          ]
-      | Some f -> (
-          try [ Progress.file ?query_budget ?time_budget_s:time_budget f ]
-          with Sys_error msg ->
-            Printf.eprintf "error: cannot open --progress file: %s\n" msg;
-            exit 1)
-      | None -> [])
-    @ (if metrics then [ Instr.stderr_summary () ] else [])
-    @
-    match heartbeat with
-    | Some interval_s ->
-        [ Heartbeat.sink ?budget_s:time_budget ~interval_s () ]
+        close_out (open_out_or_die ~flag:"--trace-jsonl" f);
+        [ Instr.jsonl_file f ]
     | None -> []
   in
-  Instr.set_sinks sinks;
-  fun () ->
-    Instr.flush_sinks ();
-    Instr.set_sinks []
+  let live =
+    if progress = None && heartbeat = None && listen = None then None
+    else Some (Progress.create ?query_budget ?time_budget_s:time_budget ())
+  in
+  let close_progress =
+    match (live, progress) with
+    | Some run, Some "-" ->
+        (* the locked writer keeps NDJSON lines atomic against
+           heartbeat/log lines under --jobs N *)
+        Progress.add_lines run (Log.locked_write stdout);
+        ignore
+    | Some run, Some f ->
+        let oc = open_out_or_die ~flag:"--progress" f in
+        Progress.add_lines run (output_string oc);
+        fun () -> close_out oc
+    | _ -> ignore
+  in
+  (match (live, heartbeat) with
+  | Some run, Some interval_s ->
+      Progress.add_heartbeat run ~out:(Log.locked_write stderr) ~interval_s
+  | _ -> ());
+  Instr.set_sinks
+    (log @ match live with Some run -> [ Progress.fold run ] | None -> []);
+  ( live,
+    fun () ->
+      Instr.flush_sinks ();
+      Instr.set_sinks [];
+      close_progress () )
 
 let case_pos =
   let doc = "Benchmark case name (see the list subcommand) or a circuit file path." in
@@ -490,9 +485,9 @@ let print_phase_breakdown oc report =
   | _ -> ()
 
 let learn_run case preset seed budget eval_patterns support_rounds no_templates
-    no_grouping out trace trace_jsonl progress metrics metrics_out json history
-    heartbeat time_budget check sweep jobs faults retry_attempts
-    retry_backoff listen alerts log_level log_file =
+    no_grouping out trace_jsonl progress metrics_out json heartbeat time_budget
+    check sweep jobs faults retry_attempts retry_backoff listen alerts
+    log_level log_file =
   (* structured logging is on for the CLI (stderr, human format) so the
      library's warn/error records — and fatal argument errors — have a
      sink from the first line on *)
@@ -554,61 +549,42 @@ let learn_run case preset seed budget eval_patterns support_rounds no_templates
     | Some "-" | None -> None
     | Some path -> Some (open_out_or_die ~flag:"--json" path)
   in
-  let finish_sinks =
-    setup_sinks ?heartbeat ?time_budget ?query_budget:budget ~trace
-      ~trace_jsonl ~progress ~metrics ()
+  let live, finish_sinks =
+    setup_sinks ?heartbeat ?time_budget ?query_budget:budget ~trace_jsonl
+      ~progress ~listen ()
   in
   (match alerts_engine with
   | Some engine -> Instr.add_sink (Alerts.sink engine)
   | None -> ());
   let server =
-    match listen with
-    | None -> None
-    | Some p -> (
-        let state =
-          Server.create_state ?query_budget:budget ?time_budget_s:time_budget
-            ()
-        in
-        match Server.start ~port:p state with
+    match (listen, live) with
+    | Some port, Some run -> (
+        match Server.listen ~port run with
         | Error e -> die "--listen: %s" e
-        | Ok srv ->
-            Instr.add_sink (Server.observer state);
-            Instr.add_sink
-              (Server.metrics_sink
-                 ~render:(fun () -> Metrics.render (Metrics.of_instr ()))
-                 state);
-            Instr.add_sink
-              (Progress.sink ~out:(Server.progress_out state)
-                 ?query_budget:budget ?time_budget_s:time_budget ());
-            Log.add_sink (Server.log_sink state);
-            Log.info
-              ~fields:[ Log.int "port" (Server.port srv) ]
-              "observability server listening on 127.0.0.1";
-            Some (state, srv))
+        | Ok srv -> Some srv)
+    | _ -> None
   in
   let report =
     try Learner.learn ~config box
     with Lr_check.Selfcheck.Check_failed _ as e ->
       finish_sinks ();
-      (match server with
-      | Some (state, srv) ->
-          Server.mark_done state;
-          Server.stop srv
-      | None -> ());
+      Option.iter
+        (fun srv ->
+          Server.mark_done srv;
+          Server.stop srv)
+        server;
       Log.error (Printexc.to_string e);
       exit 2
   in
   finish_sinks ();
   (* the run is over: complete streaming /progress clients, keep serving
      final /metrics and /healthz until artifacts are written *)
-  (match server with Some (state, _) -> Server.mark_done state | None -> ());
+  Option.iter Server.mark_done server;
   let c = report.Learner.circuit in
   (* when an artifact streams to stdout, the human summary moves to
      stderr so the JSON stays parseable *)
   let hout =
-    if
-      json = Some "-" || trace = Some "-" || trace_jsonl = Some "-"
-      || progress = Some "-"
+    if json = Some "-" || trace_jsonl = Some "-" || progress = Some "-"
     then stderr
     else stdout
   in
@@ -684,7 +660,7 @@ let learn_run case preset seed budget eval_patterns support_rounds no_templates
         Some (100.0 *. acc)
     | None -> None
   in
-  (if json <> None || history <> None then
+  (if json <> None then
      let report_json =
        json_of_run ~case ~seed ~time_budget ~eval_patterns ~accuracy
          ~faults:fault_spec report
@@ -697,7 +673,7 @@ let learn_run case preset seed budget eval_patterns support_rounds no_templates
            Json.Obj (kvs @ [ ("alerts", Alerts.report_json engine) ])
        | _ -> report_json
      in
-     (match (json, json_oc) with
+     match (json, json_oc) with
      | Some "-", _ -> print_endline (Json.to_string report_json)
      | Some path, Some oc ->
          output_string oc (Json.to_string report_json);
@@ -705,11 +681,6 @@ let learn_run case preset seed budget eval_patterns support_rounds no_templates
          close_out oc;
          Printf.fprintf hout "json report written to %s\n" path
      | _ -> ());
-     match history with
-     | Some path ->
-         History.append path report_json;
-         Printf.fprintf hout "run appended to history %s\n" path
-     | None -> ());
   (match metrics_out with
   | Some path ->
       let run_fams =
@@ -758,9 +729,6 @@ let learn_run case preset seed budget eval_patterns support_rounds no_templates
            ());
       Printf.fprintf hout "metrics written to %s\n" path
   | None -> ());
-  (match trace with
-  | Some "-" | None -> ()
-  | Some path -> Printf.fprintf hout "trace written to %s\n" path);
   (match trace_jsonl with
   | Some "-" | None -> ()
   | Some path -> Printf.fprintf hout "jsonl trace written to %s\n" path);
@@ -772,7 +740,7 @@ let learn_run case preset seed budget eval_patterns support_rounds no_templates
       Io.write_file c path;
       Printf.fprintf hout "written to %s\n" path
   | None -> ());
-  (match server with Some (_, srv) -> Server.stop srv | None -> ());
+  Option.iter Server.stop server;
   Log.flush ();
   (* all artifacts are written first: a degraded run is still a run, the
      distinct exit code just refuses to pass for a healthy one *)
@@ -785,9 +753,8 @@ let learn_cmd =
     Term.(
       const learn_run $ case_pos $ preset_arg $ seed_arg $ budget_arg
       $ eval_arg $ support_rounds_arg $ no_templates_arg $ no_grouping_arg
-      $ out_arg $ trace_arg $ trace_jsonl_arg $ progress_arg $ metrics_arg
-      $ metrics_out_arg $ json_arg $ history_arg $ heartbeat_arg
-      $ time_budget_arg $ check_arg $ sweep_arg $ jobs_arg $ faults_arg
+      $ out_arg $ trace_jsonl_arg $ progress_arg $ metrics_out_arg $ json_arg
+      $ heartbeat_arg $ time_budget_arg $ check_arg $ sweep_arg $ jobs_arg $ faults_arg
       $ retry_arg $ retry_backoff_arg $ listen_arg $ alerts_arg $ log_level_arg
       $ log_file_arg)
 
@@ -964,4 +931,25 @@ let main =
     (Cmd.info "logic_regression" ~doc)
     [ learn_cmd; baseline_cmd; list_cmd; score_cmd; cec_cmd; export_cmd ]
 
-let () = exit (Cmd.eval' main)
+(* long options must be spelled in full; see [Arg] above *)
+let check_long_names args =
+  let rec go = function
+    | [] | "--" :: _ -> ()
+    | a :: rest ->
+        (if String.starts_with ~prefix:"--" a then
+           let opt = String.sub a 2 (String.length a - 2) in
+           let name = List.hd (String.split_on_char '=' opt) in
+           if name <> "help" && not (Hashtbl.mem Arg.long_names name) then begin
+             Printf.eprintf
+               "logic_regression: unknown option '--%s'.\n\
+                Try 'logic_regression --help' for more information.\n"
+               name;
+             exit Cmd.Exit.cli_error
+           end);
+        go rest
+  in
+  go args
+
+let () =
+  check_long_names (List.tl (Array.to_list Sys.argv));
+  exit (Cmd.eval' main)

@@ -1,9 +1,10 @@
-(* Profiler front end: read a telemetry trace (JSONL from --trace-jsonl,
-   or a Chrome trace from --trace), print the hotspot table, export
-   folded stacks for flamegraphs, or diff two profiles. *)
+(* Profiler front end: read a run's JSONL event log (--trace-jsonl) and
+   print the hotspot table, export folded stacks for flamegraphs, render
+   it as a Chrome trace, or diff two profiles. *)
 
 module Profile = Lr_prof.Profile
 module Folded = Lr_prof.Folded
+module Chrome = Lr_prof.Chrome
 
 open Cmdliner
 
@@ -14,16 +15,12 @@ let die fmt =
       exit 1)
     fmt
 
-let load path =
-  match Profile.load_file path with
-  | Ok p -> p
-  | Error e -> die "%s: %s" path e
+let or_die path = function Ok v -> v | Error e -> die "%s: %s" path e
+let load path = or_die path (Profile.load_file path)
 
 let trace_pos k =
-  let doc =
-    "Trace file: JSONL event log (--trace-jsonl) or Chrome trace (--trace)."
-  in
-  Arg.(required & pos k (some string) None & info [] ~docv:"TRACE" ~doc)
+  let doc = "JSONL event log, as written by $(b,--trace-jsonl)." in
+  Arg.(required & pos k (some string) None & info [] ~docv:"LOG" ~doc)
 
 let k_arg =
   let doc = "Rows per table." in
@@ -68,6 +65,19 @@ let fold_cmd =
     "export folded stacks (lr-folded/v1) for speedscope / flamegraph.pl"
   in
   Cmd.v (Cmd.info "fold" ~doc) Term.(const fold_run $ trace_pos 0 $ fold_out_arg)
+
+(* ---------- chrome ---------- *)
+
+let chrome_run path =
+  Chrome.write print_string (or_die path (Profile.load_events path));
+  0
+
+let chrome_cmd =
+  let doc =
+    "print the log as a Chrome trace_event JSON array (open it in \
+     chrome://tracing or Perfetto); redirect standard output to save it"
+  in
+  Cmd.v (Cmd.info "chrome" ~doc) Term.(const chrome_run $ trace_pos 0)
 
 (* ---------- diff ---------- *)
 
@@ -123,7 +133,7 @@ let diff_cmd =
     Term.(const diff_run $ trace_pos 0 $ trace_pos 1 $ k_arg $ max_regress_arg)
 
 let main =
-  let doc = "hotspot profiler over lr telemetry traces" in
-  Cmd.group (Cmd.info "lr_prof" ~doc) [ top_cmd; fold_cmd; diff_cmd ]
+  let doc = "hotspot profiler over lr telemetry event logs" in
+  Cmd.group (Cmd.info "lr_prof" ~doc) [ top_cmd; fold_cmd; chrome_cmd; diff_cmd ]
 
 let () = exit (Cmd.eval' main)

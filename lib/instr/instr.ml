@@ -18,6 +18,11 @@ type event =
 
 type sink = { emit : event -> unit; flush : unit -> unit }
 
+let ts = function
+  | Span_begin { ts; _ } | Span_end { ts; _ } | Count { ts; _ } | Gauge { ts; _ }
+    ->
+      ts
+
 (* ---------- state ----------
 
    Process-wide knobs (clock, master switch) are plain globals, set once
@@ -265,12 +270,7 @@ let absorb snap =
         else if p = "" then base_path
         else base_path ^ "/" ^ p
       in
-      let ts_of = function
-        | Span_begin { ts; _ } | Span_end { ts; _ } | Count { ts; _ }
-        | Gauge { ts; _ } ->
-            ts
-      in
-      let t0 = ts_of first in
+      let t0 = ts first in
       let base_ts = now () in
       let shift ts = base_ts +. (ts -. t0) in
       List.iter
@@ -352,136 +352,16 @@ let jsonl write =
   in
   { emit; flush = (fun () -> ()) }
 
-let chrome_trace write =
-  let started = ref false in
-  let closed = ref false in
-  let t0 = ref 0.0 in
-  let us ts = (ts -. !t0) *. 1e6 in
-  (* [t0] must be pinned before the event's [ts] field is rendered, so the
-     payload is built inside [record], after the first-event bookkeeping *)
-  let record ts mk_kvs =
-    if !closed then ()
-    else begin
-      if not !started then begin
-        t0 := ts;
-        write "[\n";
-        started := true
-      end
-      else write ",\n";
-      write (Json.to_string (Json.Obj (mk_kvs ())))
-    end
-  in
-  let common name ph ts =
-    [
-      ("name", Json.String name);
-      ("cat", Json.String "lr");
-      ("ph", Json.String ph);
-      ("ts", Json.Float (us ts));
-      ("pid", Json.Int 1);
-      ("tid", Json.Int 1);
-    ]
-  in
-  let emit = function
-    | Span_begin { name; ts; _ } -> record ts (fun () -> common name "B" ts)
-    | Span_end { name; ts; _ } -> record ts (fun () -> common name "E" ts)
-    | Count { name; ts; total; _ } ->
-        record ts (fun () ->
-            common name "C" ts
-            @ [ ("args", Json.Obj [ (name, Json.Int total) ]) ])
-    | Gauge { name; ts; value; _ } ->
-        record ts (fun () ->
-            common name "C" ts
-            @ [ ("args", Json.Obj [ (name, Json.Float value) ]) ])
-  in
-  let flush () =
-    if not !closed then begin
-      if not !started then write "[" else ();
-      write "\n]\n";
-      closed := true
-    end
-  in
-  { emit; flush }
-
-let stderr_summary () =
-  (* self-contained aggregation: survives a reset of the global tables *)
-  let times : (string, float ref) Hashtbl.t = Hashtbl.create 32 in
-  let calls : (string, int ref) Hashtbl.t = Hashtbl.create 32 in
-  let depths : (string, int) Hashtbl.t = Hashtbl.create 32 in
-  let sorder : string list ref = ref [] in
-  let counters : (string * string, int ref) Hashtbl.t = Hashtbl.create 32 in
-  let corder : (string * string) list ref = ref [] in
-  (* rows are registered at span {e begin} so parents list before their
-     children (completion order would print children first) *)
-  let register path depth =
-    if not (Hashtbl.mem times path) then begin
-      sorder := path :: !sorder;
-      Hashtbl.add times path (ref 0.0);
-      Hashtbl.add calls path (ref 0);
-      Hashtbl.add depths path depth
-    end
-  in
-  let emit = function
-    | Span_begin { path; depth; _ } -> register path depth
-    | Span_end { path; dur_s; depth; _ } ->
-        register path depth;
-        let t = Hashtbl.find times path and c = Hashtbl.find calls path in
-        t := !t +. dur_s;
-        incr c
-    | Count { name; path; incr = n; _ } -> (
-        let key = (path, name) in
-        match Hashtbl.find_opt counters key with
-        | Some r -> r := !r + n
-        | None ->
-            Hashtbl.add counters key (ref n);
-            corder := key :: !corder)
-    | Gauge _ -> ()
-  in
-  let flush () =
-    if !sorder <> [] || !corder <> [] then begin
-      Printf.eprintf "── instr summary ──────────────────────────────\n";
-      Printf.eprintf "%-40s %6s %10s\n" "span" "calls" "seconds";
-      List.iter
-        (fun path ->
-          let depth = try Hashtbl.find depths path with Not_found -> 0 in
-          let name =
-            match String.rindex_opt path '/' with
-            | Some i -> String.sub path (i + 1) (String.length path - i - 1)
-            | None -> path
-          in
-          Printf.eprintf "%-40s %6d %10.3f\n"
-            (String.make (2 * depth) ' ' ^ name)
-            !(Hashtbl.find calls path)
-            !(Hashtbl.find times path))
-        (List.rev !sorder);
-      if !corder <> [] then begin
-        Printf.eprintf "%-40s %-16s %10s\n" "counter (by span)" "" "total";
-        List.iter
-          (fun ((path, name) as key) ->
-            Printf.eprintf "%-40s %-16s %10d\n"
-              (if path = "" then "(top level)" else path)
-              name
-              !(Hashtbl.find counters key))
-          (List.rev !corder)
-      end;
-      Printf.eprintf "───────────────────────────────────────────────\n%!"
-    end
-  in
-  { emit; flush }
-
-let to_file path mk =
+let jsonl_file path =
   let oc = open_out path in
-  let inner = mk (output_string oc) in
+  let line = jsonl (output_string oc) in
   let closed = ref false in
   {
-    emit = (fun e -> if not !closed then inner.emit e);
+    emit = (fun e -> if not !closed then line.emit e);
     flush =
       (fun () ->
         if not !closed then begin
-          inner.flush ();
           close_out oc;
           closed := true
         end);
   }
-
-let jsonl_file path = to_file path jsonl
-let chrome_trace_file path = to_file path chrome_trace

@@ -5,12 +5,14 @@
     optimization) are wrapped in hierarchical {e spans}; libraries record
     named {e counters} (black-box queries, FBDT nodes, cubes, BDD nodes,
     AIG rewrite rounds) attributed to the innermost open span. Events
-    stream to pluggable {e sinks}: a JSONL log, a Chrome
-    [trace_event]-format exporter (loadable in [chrome://tracing] or
-    Perfetto), and a human-readable stderr summary. With no sinks
-    attached only the cheap in-memory aggregates are updated; with
-    {!set_enabled}[ false] every entry point is a no-op that performs no
-    allocation — the hot-path guard is a single flag test.
+    stream to pluggable {e sinks}. The one recorded form is the lossless
+    JSONL log ({!jsonl}); every other recorded view of a run (hotspot
+    tables, flamegraphs, trace-viewer files) is rendered from that log
+    by [lr_prof], and live views fold the stream as it happens
+    ([Lr_prof.Progress]). With no sinks attached only the cheap
+    in-memory aggregates are updated; with {!set_enabled}[ false] every
+    entry point is a no-op that performs no allocation — the hot-path
+    guard is a single flag test.
 
     State is {e domain-local} (one domain = one recording context):
     libraries can record without threading a handle, exactly like a
@@ -44,6 +46,9 @@ type event =
     }
   | Gauge of { name : string; path : string; ts : float; value : float }
 
+val ts : event -> float
+(** The event's timestamp. *)
+
 type sink = { emit : event -> unit; flush : unit -> unit }
 (** [flush] is called by {!flush_sinks}; file-backed sinks close their
     channel there and ignore later events. *)
@@ -58,19 +63,8 @@ val jsonl : (string -> unit) -> sink
     [gauge]), [name], [path], [ts], plus [dur_s]/[depth]/[incr]/[total]/
     [value] per event kind. *)
 
-val chrome_trace : (string -> unit) -> sink
-(** Chrome [trace_event] JSON array: spans as [ph:"B"]/[ph:"E"] duration
-    events, counters and gauges as [ph:"C"] counter tracks. Timestamps
-    are microseconds relative to the first event. The closing bracket is
-    written on [flush]. *)
-
-val stderr_summary : unit -> sink
-(** Collects silently and prints an indented per-span time table and a
-    per-span counter table to stderr on [flush]. *)
-
 val jsonl_file : string -> sink
-val chrome_trace_file : string -> sink
-(** File-backed variants; the file is created immediately and closed on
+(** File-backed {!jsonl}; the file is created immediately and closed on
     [flush]. *)
 
 (** {1 Configuration} *)

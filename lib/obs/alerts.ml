@@ -54,16 +54,21 @@ let parse_threshold s =
       | _ -> (s, 1.0)
     in
     match float_of_string_opt (String.trim body) with
-    | Some f -> Ok (f *. scale)
-    | None -> Error (Printf.sprintf "bad threshold %S" s)
+    | Some f when Float.is_finite (f *. scale) -> Ok (f *. scale)
+    | _ -> Error (Printf.sprintf "bad threshold %S (want a finite number)" s)
+
+(* the checks both spec forms apply to a parsed window *)
+let valid_window w = Float.is_finite w && w > 0.
 
 let parse_window s =
   let s = String.trim s in
   let n = String.length s in
   let body = if n > 0 && s.[n - 1] = 's' then String.sub s 0 (n - 1) else s in
   match float_of_string_opt (String.trim body) with
-  | Some f when f > 0. -> Ok f
-  | _ -> Error (Printf.sprintf "bad window %S (want seconds > 0)" s)
+  | Some f when valid_window f -> Ok f
+  | _ -> Error (Printf.sprintf "bad window %S (want finite seconds > 0)" s)
+
+let valid_metric m = m <> "" && String.for_all is_metric_char m
 
 let parse_rule s =
   let s = String.trim s in
@@ -84,7 +89,7 @@ let parse_rule s =
       let metric = String.trim (String.sub s 0 i) in
       let rhs = String.sub s (i + w) (String.length s - i - w) in
       if metric = "" then Error (Printf.sprintf "rule %S: empty metric" s)
-      else if not (String.for_all is_metric_char metric) then
+      else if not (valid_metric metric) then
         Error (Printf.sprintf "rule %S: bad metric name %S" s metric)
       else
         let ( let* ) = Result.bind in
@@ -133,21 +138,24 @@ let to_json spec =
       ("rules", Json.List (List.map rule_to_json spec));
     ]
 
+(* the same checks as [parse_rule]: a well-formed metric name, a
+   finite threshold, a finite positive window *)
 let rule_of_json j =
   let ( let* ) = Result.bind in
-  let field name get =
+  let field name get ok =
     match Option.bind (Json.member name j) get with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "rule: missing or bad %S" name)
+    | Some v when ok v -> Ok v
+    | _ -> Error (Printf.sprintf "missing or bad %S" name)
   in
-  let* metric = field "metric" Json.get_string in
-  let* op_s = field "op" Json.get_string in
+  let* metric = field "metric" Json.get_string valid_metric in
+  let* op_s = field "op" Json.get_string (fun _ -> true) in
   let* op = op_of_string op_s in
-  let* threshold = field "threshold" Json.get_float in
-  let window_s =
+  let* threshold = field "threshold" Json.get_float Float.is_finite in
+  let* window_s =
     match Json.member "window_s" j with
-    | None | Some Json.Null -> None
-    | Some v -> Json.get_float v
+    | None | Some Json.Null -> Ok None
+    | Some _ ->
+        Result.map Option.some (field "window_s" Json.get_float valid_window)
   in
   Ok { metric; op; threshold; window_s }
 
@@ -158,13 +166,17 @@ let of_json j =
   | _ -> (
       match Option.bind (Json.member "rules" j) Json.get_list with
       | None -> Error "missing \"rules\" array"
+      | Some [] -> Error "empty \"rules\" array"
       | Some rules ->
           List.fold_left
             (fun acc r ->
-              match (acc, rule_of_json r) with
-              | Error _, _ -> acc
-              | _, (Error _ as e) -> e
-              | Ok rs, Ok r -> Ok (r :: rs))
+              match acc with
+              | Error _ -> acc
+              | Ok rs -> (
+                  match rule_of_json r with
+                  | Ok r -> Ok (r :: rs)
+                  | Error e ->
+                      Error (Printf.sprintf "rule %d: %s" (List.length rs) e)))
             (Ok []) rules
           |> Result.map List.rev)
 
@@ -350,14 +362,7 @@ let evaluate t ts =
     t.rules
 
 let observe t ev =
-  let ts =
-    match ev with
-    | Instr.Span_begin { ts; _ }
-    | Instr.Span_end { ts; _ }
-    | Instr.Count { ts; _ }
-    | Instr.Gauge { ts; _ } ->
-        ts
-  in
+  let ts = Instr.ts ev in
   if t.t0 = None then t.t0 <- Some ts;
   (match ev with
   | Instr.Count { name; ts; incr; total; _ } -> ingest_count t name ts incr total

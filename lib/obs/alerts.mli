@@ -50,13 +50,20 @@ val rule_to_string : rule -> string
 val of_string : string -> (spec, string) result
 (** Comma-separated rules; whitespace tolerated. Thresholds accept a
     trailing [x] (multiplier, for [budget_burn>2x]) or [%] (divided by
-    100); windows a trailing [s]. *)
+    100); windows a trailing [s]. Thresholds must be finite and windows
+    finite and [> 0]. *)
 
 val to_string : spec -> string
 (** Canonical compact form; [of_string (to_string s) = Ok s]. *)
 
 val to_json : spec -> Lr_instr.Json.t
+
 val of_json : Lr_instr.Json.t -> (spec, string) result
+(** The [lr-alerts/v1] form. Every rule gets the compact form's checks —
+    metric characters, finite threshold, finite window [> 0] (a
+    non-number [window_s] is an error, not ignored) — and an empty
+    [rules] array is rejected; errors name the bad rule's index
+    (["rule 2: ..."]). *)
 
 val load : string -> (spec, string) result
 (** [load arg] — if [arg] names an existing file, parse its contents

@@ -1,119 +1,51 @@
 module Instr = Lr_instr.Instr
 module Json = Lr_instr.Json
+module Progress = Lr_prof.Progress
+module Metrics = Lr_prof.Metrics
 
 let with_lock mu f =
   Mutex.lock mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
 
-type health = {
-  mutable phase : string;
-  mutable outputs_total : int option;
-  mutable outputs_done : int;
-  mutable degraded : int;
-  mutable skipped : int;
-  mutable retries : int;
-  mutable queries : int;
-  mutable first_ts : float option;
-  mutable last_ts : float;
-}
+(* Retention of the /progress and /logs rings. *)
+let progress_cap = 4096
+let log_cap = 1024
 
 type state = {
   mu : Mutex.t;
   mutable metrics_text : string;
   progress : Http.ring;
   logs : (int * string) Queue.t;  (** (severity, lr-log/v1 line) *)
-  log_cap : int;
-  health : health;
-  query_budget : int option;
-  time_budget_s : float option;
+  run : Progress.t;
   mutable done_ : bool;
 }
 
-let create_state ?(progress_cap = 4096) ?(log_cap = 1024) ?query_budget
-    ?time_budget_s () =
-  {
-    mu = Mutex.create ();
-    metrics_text = "";
-    progress = Http.ring_create progress_cap;
-    logs = Queue.create ();
-    log_cap = max 1 log_cap;
-    health =
-      {
-        phase = "";
-        outputs_total = None;
-        outputs_done = 0;
-        degraded = 0;
-        skipped = 0;
-        retries = 0;
-        queries = 0;
-        first_ts = None;
-        last_ts = 0.;
-      };
-    query_budget;
-    time_budget_s;
-    done_ = false;
-  }
-
-let ts_of = function
-  | Instr.Span_begin { ts; _ }
-  | Instr.Span_end { ts; _ }
-  | Instr.Count { ts; _ }
-  | Instr.Gauge { ts; _ } ->
-      ts
-
-let is_po name = String.length name > 3 && String.sub name 0 3 = "po:"
-
-let observer state =
-  let h = state.health in
-  let update ev =
-    with_lock state.mu (fun () ->
-        let ts = ts_of ev in
-        if h.first_ts = None then h.first_ts <- Some ts;
-        h.last_ts <- ts;
-        match ev with
-        | Instr.Span_begin { name; depth; _ }
-          when depth <= 1 && not (is_po name) ->
-            h.phase <- name
-        | Instr.Span_end { name; _ } when is_po name ->
-            h.outputs_done <- h.outputs_done + 1
-        | Instr.Count { name = "queries"; total; _ } -> h.queries <- total
-        | Instr.Count { name = "query.retries"; total; _ } ->
-            h.retries <- total
-        | Instr.Count { name = "learn.degraded"; total; _ } ->
-            h.degraded <- total
-        | Instr.Count { name = "learn.skipped"; total; _ } ->
-            h.skipped <- total
-        | Instr.Gauge { name = "learn.outputs"; value; _ } ->
-            h.outputs_total <- Some (int_of_float value)
-        | _ -> ())
-  in
-  Instr.{ emit = update; flush = ignore }
-
-let metrics_sink ?(interval_s = 0.25) ~render state =
+(* Prometheus text, re-rendered on the main domain (where the Instr
+   aggregates live) at most every 0.25 s of event time and once on
+   flush. *)
+let metrics_sink state =
   let last = ref Float.neg_infinity in
   let push () =
-    let text = render () in
+    let text = Metrics.render (Metrics.of_instr ()) in
     with_lock state.mu (fun () -> state.metrics_text <- text)
   in
   Instr.
     {
       emit =
         (fun ev ->
-          let ts = ts_of ev in
-          if ts -. !last >= interval_s then begin
+          let ts = Instr.ts ev in
+          if ts -. !last >= 0.25 then begin
             last := ts;
             push ()
           end);
       flush = push;
     }
 
-let progress_out state chunk =
-  let lines = String.split_on_char '\n' chunk in
-  with_lock state.mu (fun () ->
-      List.iter
-        (fun line ->
-          if line <> "" then Http.ring_push state.progress (line ^ "\n"))
-        lines)
+let severity = function
+  | Log.Debug -> 0
+  | Log.Info -> 1
+  | Log.Warn -> 2
+  | Log.Error -> 3
 
 let log_sink state =
   Log.
@@ -121,21 +53,12 @@ let log_sink state =
       emit =
         (fun r ->
           let line = Json.to_string (Log.record_to_json r) ^ "\n" in
-          let sev =
-            match r.level with
-            | Log.Debug -> 0
-            | Log.Info -> 1
-            | Log.Warn -> 2
-            | Log.Error -> 3
-          in
           with_lock state.mu (fun () ->
-              Queue.push (sev, line) state.logs;
-              if Queue.length state.logs > state.log_cap then
+              Queue.push (severity r.level, line) state.logs;
+              if Queue.length state.logs > log_cap then
                 ignore (Queue.pop state.logs)));
       flush = ignore;
     }
-
-let mark_done state = with_lock state.mu (fun () -> state.done_ <- true)
 
 (* {1 Snapshot reads (any domain)} *)
 
@@ -158,37 +81,34 @@ let logs_at_least state min_sev =
       |> List.rev)
 
 let healthz_json state =
-  with_lock state.mu (fun () ->
-      let h = state.health in
-      let elapsed =
-        match h.first_ts with Some t0 -> h.last_ts -. t0 | None -> 0.
-      in
-      let opt_int = function None -> Json.Null | Some n -> Json.Int n in
-      Json.Obj
-        [
-          ("status", Json.String (if state.done_ then "done" else "running"));
-          ("phase", Json.String h.phase);
-          ("elapsed_s", Json.Float elapsed);
-          ("queries", Json.Int h.queries);
-          ("query_budget", opt_int state.query_budget);
-          ( "queries_remaining",
-            match state.query_budget with
-            | None -> Json.Null
-            | Some b -> Json.Int (max 0 (b - h.queries)) );
-          ( "time_budget_s",
-            match state.time_budget_s with
-            | None -> Json.Null
-            | Some b -> Json.Float b );
-          ( "time_remaining_s",
-            match state.time_budget_s with
-            | None -> Json.Null
-            | Some b -> Json.Float (Float.max 0. (b -. elapsed)) );
-          ("outputs_total", opt_int h.outputs_total);
-          ("outputs_done", Json.Int h.outputs_done);
-          ("degraded", Json.Int h.degraded);
-          ("skipped", Json.Int h.skipped);
-          ("retries", Json.Int h.retries);
-        ])
+  let done_ = with_lock state.mu (fun () -> state.done_) in
+  let s = Progress.status state.run in
+  let elapsed = Progress.elapsed_s s in
+  let opt_int = function None -> Json.Null | Some n -> Json.Int n in
+  Json.Obj
+    [
+      ("status", Json.String (if done_ then "done" else "running"));
+      ("phase", Json.String s.phase);
+      ("elapsed_s", Json.Float elapsed);
+      ("queries", Json.Int s.queries);
+      ("query_budget", opt_int s.query_budget);
+      ( "queries_remaining",
+        match s.query_budget with
+        | None -> Json.Null
+        | Some b -> Json.Int (max 0 (b - s.queries)) );
+      ( "time_budget_s",
+        match s.time_budget_s with None -> Json.Null | Some b -> Json.Float b
+      );
+      ( "time_remaining_s",
+        match s.time_budget_s with
+        | None -> Json.Null
+        | Some b -> Json.Float (Float.max 0. (b -. elapsed)) );
+      ("outputs_total", opt_int s.outputs_total);
+      ("outputs_done", Json.Int s.outputs_done);
+      ("degraded", Json.Int s.degraded);
+      ("skipped", Json.Int s.skipped);
+      ("retries", Json.Int s.retries);
+    ]
 
 (* {1 The serving front}
 
@@ -198,7 +118,7 @@ let healthz_json state =
    domain — no lock needed. *)
 
 type conn = { fd : Unix.file_descr; mutable next_seq : int }
-type t = Http.t
+type t = { state : state; http : Http.t }
 
 let handle state streams fd (req : Http.request) =
   let finish () = Http.close_quiet fd in
@@ -229,15 +149,8 @@ let handle state streams fd (req : Http.request) =
                 (e ^ "\n");
               finish ()
           | Ok l ->
-              let sev =
-                match l with
-                | Log.Debug -> 0
-                | Log.Info -> 1
-                | Log.Warn -> 2
-                | Log.Error -> 3
-              in
               Http.respond fd ~status:"200 OK" ~ctype:"application/x-ndjson"
-                (String.concat "" (logs_at_least state sev));
+                (String.concat "" (logs_at_least state (severity l)));
               finish ())
       | "/progress" ->
           Http.start_chunked fd ~ctype:"application/x-ndjson";
@@ -275,13 +188,36 @@ let pump state streams =
           false)
       !streams
 
-let start ?(addr = "127.0.0.1") ~port state =
+let listen ?(addr = "127.0.0.1") ~port run =
+  let state =
+    {
+      mu = Mutex.create ();
+      metrics_text = "";
+      progress = Http.ring_create progress_cap;
+      logs = Queue.create ();
+      run;
+      done_ = false;
+    }
+  in
   let streams = ref [] in
-  Http.start ~addr ~port
-    ~handle:(fun fd req -> handle state streams fd req)
-    ~tick:(fun () -> pump state streams)
-    ~on_stop:(fun () -> List.iter (fun c -> Http.close_quiet c.fd) !streams)
-    ()
+  match
+    Http.start ~addr ~port
+      ~handle:(fun fd req -> handle state streams fd req)
+      ~tick:(fun () -> pump state streams)
+      ~on_stop:(fun () -> List.iter (fun c -> Http.close_quiet c.fd) !streams)
+      ()
+  with
+  | Error _ as e -> e
+  | Ok http ->
+      Progress.add_lines run (fun line ->
+          with_lock state.mu (fun () -> Http.ring_push state.progress line));
+      Instr.add_sink (metrics_sink state);
+      Log.add_sink (log_sink state);
+      Log.info
+        ~fields:[ Log.int "port" (Http.port http) ]
+        ("observability server listening on " ^ addr);
+      Ok { state; http }
 
-let port = Http.port
-let stop = Http.stop
+let port t = Http.port t.http
+let mark_done t = with_lock t.state.mu (fun () -> t.state.done_ <- true)
+let stop t = Http.stop t.http

@@ -1,80 +1,53 @@
 (** Live exposition server: a dependency-free HTTP/1.1 endpoint serving
     the run's telemetry while it executes.
 
-    Architecture: the learner never blocks on the network. All pipeline
-    telemetry flows into a mutex-protected {!state} snapshot through
-    ordinary main-domain sinks ({!observer}, {!metrics_sink},
-    {!progress_out}, {!log_sink}); one dedicated domain runs a blocking
-    [Unix.select] loop over the listening socket, a stop pipe and any
-    streaming [/progress] connections, reading only that snapshot. No
-    third-party dependency, no non-blocking I/O tricks — a deliberately
-    boring server sized for a handful of scrapers, the substrate the
-    future [lr_serve] daemon mounts.
+    Architecture: the learner never blocks on the network. One
+    {!Lr_prof.Progress.t} folds the run's event stream; {!listen} adds
+    the server's feeds to it and to the calling domain's sinks — the
+    [/progress] ring as one more [lr-progress/v1] destination of that
+    fold, a metrics sink, a log sink — all writing into a mutex-guarded
+    snapshot. One dedicated domain runs a blocking [Unix.select] loop
+    over the listening socket, a stop pipe and any streaming
+    [/progress] connections, reading only that snapshot and the fold's
+    {!Lr_prof.Progress.status}. No third-party dependency, no
+    non-blocking I/O tricks — a deliberately boring server sized for a
+    handful of scrapers.
 
     Endpoints:
-    - [GET /metrics] — the latest Prometheus text pushed by
-      {!metrics_sink} ([text/plain; version=0.0.4]);
+    - [GET /metrics] — Prometheus text of the Instr aggregates
+      ([text/plain; version=0.0.4]), re-rendered at most every 0.25 s
+      of event time and on flush;
     - [GET /progress] — the [lr-progress/v1] NDJSON stream, chunked: the
-      retained tail first, then live lines until the run is
+      retained tail (4096 lines) first, then live lines until the run is
       {!mark_done};
-    - [GET /healthz] — one JSON object: status, phase, elapsed, queries
-      and budget remaining, outputs done/total, degraded, retries;
-    - [GET /logs?level=LEVEL] — retained log records at or above
-      [LEVEL] (default [debug]) as [lr-log/v1] NDJSON.
+    - [GET /healthz] — one JSON object read from the fold: status,
+      phase, elapsed, queries and budget remaining, outputs done/total,
+      degraded, skipped, retries;
+    - [GET /logs?level=LEVEL] — the retained 1024 log records at or
+      above [LEVEL] (default [debug]) as [lr-log/v1] NDJSON.
 
     Everything else is 404; non-GET is 405. *)
 
-type state
-(** Shared snapshot: metrics text, progress ring, log ring, health
-    counters. Feed it from the main domain via the sinks below; the
-    server domain only ever reads it. *)
-
-val create_state :
-  ?progress_cap:int ->
-  ?log_cap:int ->
-  ?query_budget:int ->
-  ?time_budget_s:float ->
-  unit ->
-  state
-(** Ring capacities default to 4096 progress lines and 1024 log
-    records; budgets feed [/healthz]'s remaining fields. *)
-
-(** {1 Feeding the snapshot} *)
-
-val observer : state -> Lr_instr.Instr.sink
-(** Health bookkeeping from the raw event stream: phase from top-level
-    span begins, outputs done from [po:*] span ends, degraded / retries
-    / queries from counter totals, outputs total from the
-    [learn.outputs] gauge. Attach with {!Lr_instr.Instr.add_sink}. *)
-
-val metrics_sink : ?interval_s:float -> render:(unit -> string) -> state -> Lr_instr.Instr.sink
-(** Pushes [render ()] into the snapshot at most every [interval_s]
-    (default 0.25 s, event-timestamp clocked) and once on flush. The
-    render runs on the main domain, where the Instr aggregates live. *)
-
-val progress_out : state -> string -> unit
-(** Feed one NDJSON line (["...\n"]); pass as the [~out] of
-    {!Lr_prof.Progress.sink}. Accepts multi-line writes and splits
-    them. *)
-
-val log_sink : state -> Log.sink
-(** Retains [lr-log/v1] lines for [/logs]. *)
-
-val mark_done : state -> unit
-(** The run is over: [/healthz] reports [done] and streaming
-    [/progress] connections are completed and closed. *)
-
-(** {1 Serving} *)
-
 type t
 
-val start : ?addr:string -> port:int -> state -> (t, string) result
-(** Bind [addr] (default [127.0.0.1]) on [port] ([0] = ephemeral, see
-    {!port}), spawn the server domain. [Error] on bind failure (port in
-    use, bad addr). SIGPIPE is ignored process-wide on first start. *)
+val listen :
+  ?addr:string -> port:int -> Lr_prof.Progress.t -> (t, string) result
+(** [listen ~port run] binds [addr] (default [127.0.0.1]) on [port]
+    ([0] = ephemeral, see {!port}), spawns the server domain and wires
+    every feed: [run] gains the [/progress] ring as a destination, the
+    calling domain's Instr sinks gain the metrics sink, {!Log} gains the
+    [/logs] sink, and the bound port is logged at info. [run]'s
+    {!Lr_prof.Progress.fold} must be attached by the caller (once per
+    run, whatever views it feeds). [Error] on bind failure (port in
+    use, bad addr), with nothing wired. SIGPIPE is ignored process-wide
+    on first start. *)
 
 val port : t -> int
 (** The bound port (useful after [port:0]). *)
+
+val mark_done : t -> unit
+(** The run is over: [/healthz] reports [done] and streaming
+    [/progress] connections are completed and closed. *)
 
 val stop : t -> unit
 (** Wake the loop, close every socket, join the domain. Idempotent. *)

@@ -188,144 +188,39 @@ let event_of_json j =
       | _ -> None)
   | _ -> None
 
-let of_jsonl_string s =
+let events_of_jsonl_string s =
   let lines = String.split_on_char '\n' s in
   let rec go lineno acc = function
-    | [] -> Ok (of_events (List.rev acc))
+    | [] -> Ok (List.rev acc)
     | line :: rest ->
         let t = String.trim line in
         if t = "" then go (lineno + 1) acc rest
         else begin
           match Json.of_string t with
           | Error e -> Error (Printf.sprintf "line %d: %s" lineno e)
-          | Ok j -> (
+          | Ok (Json.Obj _ as j) -> (
               match event_of_json j with
               | Some ev -> go (lineno + 1) (ev :: acc) rest
               | None -> go (lineno + 1) acc rest (* unknown kind: skip *))
+          | Ok _ ->
+              Error
+                (Printf.sprintf
+                   "line %d: expected one JSON event object per line" lineno)
         end
   in
   go 1 [] lines
 
-(* Json parse errors carry a character offset ("... at offset N");
-   loader callers think in lines, so translate. *)
-let with_line_number s = function
-  | Ok _ as ok -> ok
-  | Error e -> (
-      let line_of_offset off =
-        let off = min off (String.length s) in
-        let line = ref 1 in
-        for i = 0 to off - 1 do
-          if s.[i] = '\n' then incr line
-        done;
-        !line
-      in
-      let marker = " at offset " in
-      let mlen = String.length marker in
-      let rec find i =
-        if i + mlen > String.length e then None
-        else if String.sub e i mlen = marker then Some i
-        else find (i + 1)
-      in
-      match find 0 with
-      | None -> Error e
-      | Some i -> (
-          match
-            int_of_string_opt
-              (String.trim (String.sub e (i + mlen) (String.length e - i - mlen)))
-          with
-          | Some off ->
-              Error (Printf.sprintf "line %d: %s" (line_of_offset off) e)
-          | None -> Error e))
+let of_jsonl_string s = Result.map of_events (events_of_jsonl_string s)
 
-let of_chrome_string s =
-  match with_line_number s (Json.of_string s) with
-  | Error e -> Error e
-  | Ok (Json.List evs) ->
-      (* reconstruct paths from B/E nesting; counter tracks carry running
-         totals, so increments are recovered as deltas (negative deltas —
-         a gauge in disguise — are dropped) *)
-      let stack = ref [] in
-      let last_total = Hashtbl.create 16 in
-      let out = ref [] in
-      List.iter
-        (fun e ->
-          let str k = Option.bind (Json.member k e) Json.get_string in
-          let fl k = Option.bind (Json.member k e) Json.get_float in
-          match (str "ph", str "name", fl "ts") with
-          | Some "B", Some name, Some ts ->
-              let path =
-                match !stack with
-                | [] -> name
-                | (_, p, _) :: _ -> p ^ "/" ^ name
-              in
-              let depth = List.length !stack in
-              stack := (name, path, ts) :: !stack;
-              out := Instr.Span_begin { name; path; ts = ts /. 1e6; depth } :: !out
-          | Some "E", Some name, Some ts -> (
-              match !stack with
-              | (n, path, t0) :: rest when n = name ->
-                  stack := rest;
-                  out :=
-                    Instr.Span_end
-                      {
-                        name;
-                        path;
-                        ts = ts /. 1e6;
-                        dur_s = (ts -. t0) /. 1e6;
-                        depth = List.length rest;
-                      }
-                    :: !out
-              | _ -> () (* unbalanced: skip *))
-          | Some "C", Some name, Some ts -> (
-              let v = Option.bind (Json.member "args" e) (Json.member name) in
-              match Option.bind v Json.get_int with
-              | Some total ->
-                  let prev =
-                    match Hashtbl.find_opt last_total name with
-                    | Some p -> p
-                    | None -> 0
-                  in
-                  Hashtbl.replace last_total name total;
-                  if total >= prev then begin
-                    let path =
-                      match !stack with [] -> "" | (_, p, _) :: _ -> p
-                    in
-                    out :=
-                      Instr.Count
-                        { name; path; ts = ts /. 1e6; incr = total - prev; total }
-                      :: !out
-                  end
-              | None -> ())
-          | _ -> ())
-        evs;
-      Ok (of_events (List.rev !out))
-  | Ok _ -> Error "chrome trace: expected a JSON array"
+(* an unreadable or malformed file must come back as [Error], never an
+   exception *)
+let load_events path =
+  try events_of_jsonl_string (In_channel.with_open_bin path In_channel.input_all)
+  with
+  | Sys_error m | Failure m -> Error m
+  | e -> Error (Printexc.to_string e)
 
-let load_file path =
-  match open_in_bin path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-      let s =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      let rec first_byte i =
-        if i >= String.length s then None
-        else
-          match s.[i] with
-          | ' ' | '\t' | '\n' | '\r' -> first_byte (i + 1)
-          | c -> Some c
-      in
-      let parse () =
-        match first_byte 0 with
-        | Some '[' -> of_chrome_string s
-        | _ -> of_jsonl_string s
-      in
-      (* a malformed file must come back as [Error], never an exception *)
-      (try parse () with
-      | Failure m -> Error m
-      | e -> Error (Printexc.to_string e))
+let load_file path = Result.map of_events (load_events path)
 
 (* ---------- queries ---------- *)
 

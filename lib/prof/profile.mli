@@ -10,11 +10,9 @@
     that no finer-grained span accounts for.
 
     Profiles are built either from in-process events ({!of_events}) or
-    from trace files written by the CLI ({!load_file}): the JSONL event
-    log ([--trace-jsonl], lossless) or a Chrome trace_event array
-    ([--trace], best-effort — counter tracks carry running totals only,
-    and integral gauges are indistinguishable from counters, so counter
-    attribution from Chrome input is approximate). *)
+    from the JSONL event log the CLI writes with [--trace-jsonl]
+    ({!load_file}) — the one recorded form of a run, which every
+    [lr_prof] view reads. *)
 
 type node = {
   path : string;  (** span path, segments joined with ['/'] *)
@@ -41,17 +39,17 @@ type t = {
 val of_events : Lr_instr.Instr.event list -> t
 
 val of_jsonl_string : string -> (t, string) result
-(** Parse the {!Lr_instr.Instr.jsonl} sink's output (one event per
-    line; blank lines and unknown event kinds are skipped). *)
+(** Parse the {!Lr_instr.Instr.jsonl} sink's output (one event object
+    per line; blank lines and unknown event kinds are skipped). A line
+    that is not a JSON object — a Chrome trace array, say — is an error
+    naming its line. *)
 
-val of_chrome_string : string -> (t, string) result
-(** Parse a Chrome trace_event JSON array, reconstructing span paths
-    from the B/E nesting. Timestamps are microseconds in that format,
-    durations come back in seconds. *)
+val load_events : string -> (Lr_instr.Instr.event list, string) result
+(** The events of a JSONL log file, in file order. Every malformed file
+    comes back as [Error] with its line number; nothing raises. *)
 
 val load_file : string -> (t, string) result
-(** Sniff the format: a file whose first non-blank byte is ['['] is
-    parsed as a Chrome trace, anything else as JSONL. *)
+(** {!of_events} over {!load_events}. *)
 
 val find : t -> string -> node option
 (** Node by exact span path. *)

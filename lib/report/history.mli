@@ -1,8 +1,9 @@
 (** Run-history store: an append-only JSONL file of report records.
 
     Each line is one complete [lr-run-report/v1] or [lr-bench-report/v1]
-    JSON object (the CLI and bench emit single-line JSON, so appending
-    is a plain write). The file is the durable record that
+    JSON object, appended by [lr_report record] after it checks the
+    report's schema (the reports are single-line JSON, so appending is
+    a plain write). The file is the durable record that
     [lr_report compare]/[check] diff against — commit one as a
     baseline, or keep a growing log per machine. *)
 

@@ -1,6 +1,6 @@
-(* CLI smoke checker: parses the --json report and --trace file produced
-   by a real CLI invocation and prints deterministic facts about their
-   shape. The output is diffed against schema.expected (dune promote to
+(* CLI smoke checker: parses the --json report of a real CLI invocation
+   and the Chrome trace lr_prof chrome rendered from its --trace-jsonl
+   log, and prints deterministic facts about their shape. The output is diffed against schema.expected (dune promote to
    update), so schema drift in either artifact fails `dune runtest`. *)
 
 module Json = Lr_instr.Json

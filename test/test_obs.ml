@@ -11,7 +11,6 @@ module Log = Lr_obs.Log
 module Alerts = Lr_obs.Alerts
 module Server = Lr_obs.Server
 module Progress = Lr_prof.Progress
-module Metrics = Lr_prof.Metrics
 module Io = Lr_netlist.Io
 module Cases = Lr_cases.Cases
 module Config = Logic_regression.Config
@@ -299,6 +298,63 @@ let test_alerts_derived_metrics () =
   s.Instr.emit (Instr.Gauge { name = "g"; path = ""; ts = 11.0; value = 1.0 });
   s.Instr.flush ()
 
+(* --- alert spec readers: rules that could never fire are refused --- *)
+
+(* an lr-alerts/v1 document with the given rule objects *)
+let alerts_json rules =
+  Printf.sprintf {|{"schema":"lr-alerts/v1","rules":[%s]}|}
+    (String.concat "," rules)
+
+let expect_refused what ~names parsed =
+  match parsed with
+  | Ok spec ->
+      Alcotest.fail
+        (Printf.sprintf "%s: armed %S" what (Alerts.to_string spec))
+  | Error e ->
+      List.iter
+        (fun frag -> check (Printf.sprintf "%s: %S names %S" what e frag) true
+            (contains e frag))
+        names
+
+let of_json_text text =
+  match Json.of_string text with
+  | Ok j -> Alerts.of_json j
+  | Error e -> Alcotest.fail ("test document: " ^ e)
+
+let good_rule = {|{"metric":"queries","op":">","threshold":1}|}
+
+let test_alerts_json_negative_window () =
+  expect_refused "negative window" ~names:[ "rule 1"; "window_s" ]
+    (of_json_text
+       (alerts_json
+          [
+            good_rule;
+            {|{"metric":"degraded","op":">","threshold":0,"window_s":-5}|};
+          ]))
+
+let test_alerts_json_string_window () =
+  expect_refused "string window" ~names:[ "rule 0"; "window_s" ]
+    (of_json_text
+       (alerts_json
+          [ {|{"metric":"degraded","op":">","threshold":0,"window_s":"10s"}|} ]))
+
+let test_alerts_json_empty_rules () =
+  expect_refused "empty rules" ~names:[ "rules" ] (of_json_text (alerts_json []))
+
+let test_alerts_json_bad_metric () =
+  expect_refused "bad metric" ~names:[ "rule 1"; "metric" ]
+    (of_json_text
+       (alerts_json
+          [ good_rule; {|{"metric":"Bad Name!","op":">","threshold":0}|} ]))
+
+let test_alerts_compact_nan_threshold () =
+  expect_refused "nan threshold" ~names:[ "threshold" ]
+    (Alerts.of_string "degraded>nan")
+
+let test_alerts_compact_infinite_window () =
+  expect_refused "infinite window" ~names:[ "window" ]
+    (Alerts.of_string "degraded>0@1e400s")
+
 (* --- HTTP server --- *)
 
 let http_request ?(meth = "GET") ~port path =
@@ -357,27 +413,21 @@ let dechunk body =
 let test_server_endpoints () =
   with_clean @@ fun () ->
   install_ticking_clock ();
-  let state = Server.create_state ~query_budget:1000 () in
-  Instr.set_sinks
-    [
-      Server.observer state;
-      Server.metrics_sink ~interval_s:0.0
-        ~render:(fun () -> Metrics.render (Metrics.of_instr ()))
-        state;
-    ];
-  Log.add_sink (Server.log_sink state);
-  Log.set_level Log.Info;
-  Instr.span ~name:"learn" (fun () ->
-      Instr.gauge "learn.outputs" 2.0;
-      Instr.span ~name:"po:y0" (fun () -> Instr.count "queries" 7);
-      Log.warn "something happened";
-      Log.info "routine");
-  Server.progress_out state "{\"ev\":\"run_start\"}\n{\"ev\":\"phase\"}\n";
-  Instr.flush_sinks ();
-  match Server.start ~port:0 state with
+  let run = Progress.create ~query_budget:1000 () in
+  let written = Buffer.create 256 in
+  Progress.add_lines run (Buffer.add_string written);
+  Instr.set_sinks [ Progress.fold run ];
+  match Server.listen ~port:0 run with
   | Error e -> Alcotest.fail ("start: " ^ e)
   | Ok srv ->
       Fun.protect ~finally:(fun () -> Server.stop srv) @@ fun () ->
+      Log.set_level Log.Info;
+      Instr.span ~name:"learn" (fun () ->
+          Instr.gauge "learn.outputs" 2.0;
+          Instr.span ~name:"po:y0" (fun () -> Instr.count "queries" 7);
+          Log.warn "something happened";
+          Log.info "routine");
+      Instr.flush_sinks ();
       let port = Server.port srv in
       check "ephemeral port bound" true (port > 0);
       (* /metrics: live Prometheus text *)
@@ -417,7 +467,7 @@ let test_server_endpoints () =
       check "non-GET 405" true
         (starts_with "HTTP/1.1 405" (http_request ~meth:"POST" ~port "/metrics"));
       (* /progress completes once the run is done *)
-      Server.mark_done state;
+      Server.mark_done srv;
       let p = http_request ~port "/progress" in
       check "progress 200" true (starts_with "HTTP/1.1 200" p);
       check "chunked" true (contains p "Transfer-Encoding: chunked");
@@ -425,7 +475,9 @@ let test_server_endpoints () =
         dechunk (body_of p) |> String.split_on_char '\n'
         |> List.filter (fun l -> l <> "")
       in
-      check_int "both progress lines served" 2 (List.length lines);
+      check_str "every progress line the fold wrote is served"
+        (Buffer.contents written)
+        (String.concat "" (List.map (fun l -> l ^ "\n") lines));
       List.iter
         (fun l ->
           match Json.of_string l with
@@ -473,9 +525,9 @@ let progress_lines buf =
          | Error e -> Alcotest.fail ("bad progress line: " ^ e ^ ": " ^ l))
 
 (* One learn of case_7; with [obs] the full plane is armed — server
-   domain live, observer + metrics + alerts sinks, log capture — and
-   without it there is not a single obs sink, the library Log calls
-   short-circuit on the empty sink list. *)
+   domain live on the progress fold, metrics + alerts sinks, log
+   capture — and without it there is not a single obs sink, the library
+   Log calls short-circuit on the empty sink list. *)
 let learn_case ~jobs ~obs () =
   Instr.reset_aggregates ();
   Log.reset ();
@@ -483,28 +535,16 @@ let learn_case ~jobs ~obs () =
   let stop_server = ref (fun () -> ()) in
   if obs then begin
     Log.set_level Log.Debug;
-    let state = Server.create_state () in
-    (match Server.start ~port:0 state with
-    | Error e -> Alcotest.fail ("start: " ^ e)
-    | Ok srv -> stop_server := fun () -> Server.stop srv);
     let engine =
       Alerts.create
         (Result.get_ok (Alerts.of_string "degraded>0,retry_rate>0.99@5s"))
     in
-    Log.add_sink (Server.log_sink state);
-    Instr.set_sinks
-      [
-        Server.observer state;
-        Server.metrics_sink
-          ~render:(fun () -> Metrics.render (Metrics.of_instr ()))
-          state;
-        Alerts.sink engine;
-        Progress.sink
-          ~out:(fun s ->
-            Buffer.add_string progress s;
-            Server.progress_out state s)
-          ~every:1000 ();
-      ]
+    let run = Progress.create ~every:1000 () in
+    Progress.add_lines run (Buffer.add_string progress);
+    Instr.set_sinks [ Progress.fold run; Alerts.sink engine ];
+    match Server.listen ~port:0 run with
+    | Error e -> Alcotest.fail ("start: " ^ e)
+    | Ok srv -> stop_server := fun () -> Server.stop srv
   end
   else
     Instr.set_sinks
@@ -538,20 +578,13 @@ let test_obs_is_neutral () =
 
 let test_concurrent_scrape_mid_run () =
   with_clean @@ fun () ->
-  let state = Server.create_state () in
-  match Server.start ~port:0 state with
+  let run = Progress.create ~every:500 () in
+  Instr.set_sinks [ Progress.fold run ];
+  match Server.listen ~port:0 run with
   | Error e -> Alcotest.fail ("start: " ^ e)
   | Ok srv ->
       Fun.protect ~finally:(fun () -> Server.stop srv) @@ fun () ->
       let port = Server.port srv in
-      Instr.set_sinks
-        [
-          Server.observer state;
-          Server.metrics_sink
-            ~render:(fun () -> Metrics.render (Metrics.of_instr ()))
-            state;
-          Progress.sink ~out:(Server.progress_out state) ~every:500 ();
-        ];
       (* scrape continuously from another domain while the learner runs *)
       let stop = Atomic.make false in
       let scrapes = Atomic.make 0 in
@@ -577,7 +610,7 @@ let test_concurrent_scrape_mid_run () =
       Instr.flush_sinks ();
       Atomic.set stop true;
       Domain.join scraper;
-      Server.mark_done state;
+      Server.mark_done srv;
       check "learner did real work" true (report.Learner.queries > 0);
       check "scraped at least once mid-run" true (Atomic.get scrapes > 0);
       check_str "no scrape failure" "" (Atomic.get failure);
@@ -599,6 +632,99 @@ let test_concurrent_scrape_mid_run () =
           | Error e -> Alcotest.fail ("progress line: " ^ e ^ ": " ^ l))
         p
 
+(* --- the live views agree --- *)
+
+(* One case_7 learn's events, recorded in memory, replayed into one
+   progress fold: the final [hb] line, /healthz and the run_end line
+   read the same state, so they must report the same totals — and those
+   must be the learner's own. *)
+let test_live_views_agree () =
+  with_clean @@ fun () ->
+  let learn faults =
+    let events = ref [] in
+    Instr.set_sinks
+      [ { Instr.emit = (fun e -> events := e :: !events); flush = ignore } ];
+    let box = Cases.blackbox ~budget:150_000 (Cases.find "case_7") in
+    let report =
+      Learner.learn ~config:{ fast with Config.seed = 3; faults } box
+    in
+    Instr.set_sinks [];
+    (report, List.rev !events)
+  in
+  let agree what faults =
+    let report, events = learn faults in
+    let run = Progress.create () in
+    let lines = Buffer.create 4096 and hb = Buffer.create 256 in
+    Progress.add_lines run (Buffer.add_string lines);
+    Progress.add_heartbeat run ~out:(Buffer.add_string hb) ~interval_s:1e9;
+    match Server.listen ~port:0 run with
+    | Error e -> Alcotest.fail ("start: " ^ e)
+    | Ok srv ->
+        Fun.protect ~finally:(fun () -> Server.stop srv) @@ fun () ->
+        let fold = Progress.fold run in
+        List.iter fold.Instr.emit events;
+        fold.Instr.flush ();
+        let last buf =
+          match
+            List.rev
+              (List.filter (fun l -> l <> "")
+                 (String.split_on_char '\n' (Buffer.contents buf)))
+          with
+          | l :: _ -> l
+          | [] -> Alcotest.fail (what ^ ": view wrote nothing")
+        in
+        let hb_line = last hb in
+        let run_end =
+          match Json.of_string (last lines) with
+          | Ok j -> j
+          | Error e -> Alcotest.fail e
+        in
+        let healthz =
+          match
+            Json.of_string
+              (String.trim (body_of (http_request ~port:(Server.port srv) "/healthz")))
+          with
+          | Ok j -> j
+          | Error e -> Alcotest.fail e
+        in
+        let int j k = Option.bind (Json.member k j) Json.get_int in
+        let n_outputs = List.length report.Learner.outputs in
+        (* outputs that ran the per-output stage (degraded ones may not) *)
+        let n_done =
+          List.length
+            (List.filter
+               (function
+                 | Instr.Span_end { name; _ } -> starts_with "po:" name
+                 | _ -> false)
+               events)
+        in
+        let msg m = Printf.sprintf "%s: %s" what m in
+        check (msg "run_end is the last line") true
+          (Option.bind (Json.member "ev" run_end) Json.get_string
+          = Some "run_end");
+        List.iter
+          (fun (key, want) ->
+            check_int (msg ("/healthz " ^ key)) want
+              (Option.value ~default:(-1) (int healthz key));
+            check_int (msg ("run_end " ^ key)) want
+              (Option.value ~default:(-1) (int run_end key)))
+          [
+            ("queries", report.Learner.queries);
+            ("retries", report.Learner.retries);
+            ("degraded", report.Learner.degraded);
+            ("outputs_done", n_done);
+          ];
+        check_int (msg "/healthz outputs_total") n_outputs
+          (Option.value ~default:(-1) (int healthz "outputs_total"));
+        check (msg ("[hb] line: " ^ hb_line)) true
+          (contains hb_line
+             (Printf.sprintf "outputs=%d/%d queries=%d" n_done n_outputs
+                report.Learner.queries))
+  in
+  agree "clean" None;
+  agree "hard faults"
+    (Some (Result.get_ok (Lr_faults.Faults.of_string "seed=3,fail=1,burst=0")))
+
 let tests =
   [
     Alcotest.test_case "log basics: levels, fields, span join, ndjson" `Quick
@@ -615,9 +741,23 @@ let tests =
       test_alerts_engine_firing;
     Alcotest.test_case "derived metrics: retry_rate, budget_burn" `Quick
       test_alerts_derived_metrics;
+    Alcotest.test_case "alerts json: negative window refused" `Quick
+      test_alerts_json_negative_window;
+    Alcotest.test_case "alerts json: string window refused" `Quick
+      test_alerts_json_string_window;
+    Alcotest.test_case "alerts json: empty rules refused" `Quick
+      test_alerts_json_empty_rules;
+    Alcotest.test_case "alerts json: bad metric refused" `Quick
+      test_alerts_json_bad_metric;
+    Alcotest.test_case "alerts: nan threshold refused" `Quick
+      test_alerts_compact_nan_threshold;
+    Alcotest.test_case "alerts: infinite window refused" `Quick
+      test_alerts_compact_infinite_window;
     Alcotest.test_case "server endpoints" `Quick test_server_endpoints;
     Alcotest.test_case "obs plane neutral & jobs-invariant" `Quick
       test_obs_is_neutral;
     Alcotest.test_case "concurrent scrape during a live learn" `Quick
       test_concurrent_scrape_mid_run;
+    Alcotest.test_case "live views agree: [hb], /healthz, run_end" `Quick
+      test_live_views_agree;
   ]

@@ -1,13 +1,15 @@
 (* Profiler subsystem: self/total attribution math, folded-stacks
-   export, JSONL / Chrome trace round trips, the progress stream's
-   event protocol and its determinism across --jobs, metrics
-   exposition, and the headline overhead invariant: profiling sinks on
-   or off must not change the learned circuit. *)
+   export, the JSONL round trip, the Chrome rendering of recorded
+   events, the progress stream's event protocol and its determinism
+   across --jobs, metrics exposition, and the headline overhead
+   invariant: profiling sinks on or off must not change the learned
+   circuit. *)
 
 module Instr = Lr_instr.Instr
 module Json = Lr_instr.Json
 module Profile = Lr_prof.Profile
 module Folded = Lr_prof.Folded
+module Chrome = Lr_prof.Chrome
 module Progress = Lr_prof.Progress
 module Metrics = Lr_prof.Metrics
 module Rng = Lr_bitvec.Rng
@@ -102,29 +104,89 @@ let test_jsonl_roundtrip () =
         "global counters survive" direct.Profile.counters
         parsed.Profile.counters
 
-let test_chrome_roundtrip () =
+(* --- Chrome rendering of recorded events --- *)
+
+let record f =
+  let events = ref [] in
+  Instr.add_sink
+    { emit = (fun e -> events := e :: !events); flush = (fun () -> ()) };
+  f ();
+  List.rev !events
+
+let chrome_of events =
+  let buf = Buffer.create 256 in
+  Chrome.write (Buffer.add_string buf) events;
+  Buffer.contents buf
+
+let test_chrome_trace_wellformed () =
   with_clean @@ fun () ->
   install_ticking_clock ();
-  let buf = Buffer.create 256 in
-  Instr.add_sink (Instr.chrome_trace (Buffer.add_string buf));
-  let events = record_workload () in
-  Instr.flush_sinks ();
-  let direct = Profile.of_events events in
-  match Profile.of_chrome_string (Buffer.contents buf) with
-  | Error e -> Alcotest.fail ("chrome parse: " ^ e)
-  | Ok parsed ->
-      (* spans and their timings survive the µs round trip; counters in
-         the Chrome format are best-effort, so only spans are compared *)
-      check_int "same node count" (List.length direct.Profile.nodes)
-        (List.length parsed.Profile.nodes);
-      List.iter2
-        (fun (a : Profile.node) (b : Profile.node) ->
-          check_str "same path" a.Profile.path b.Profile.path;
-          check_int "same calls" a.Profile.calls b.Profile.calls;
-          Alcotest.(check (float 1e-6))
-            ("self of " ^ a.Profile.path)
-            a.Profile.self_s b.Profile.self_s)
-        direct.Profile.nodes parsed.Profile.nodes
+  let events =
+    record (fun () ->
+        Instr.span ~name:"learn" (fun () ->
+            Instr.span ~name:"fbdt" (fun () -> Instr.count "queries" 7)))
+  in
+  match Json.of_string (chrome_of events) with
+  | Error e -> Alcotest.fail ("trace does not parse: " ^ e)
+  | Ok v -> (
+      match Json.get_list v with
+      | None -> Alcotest.fail "trace is not a JSON array"
+      | Some events ->
+          check_int "B/E/C events" 5 (List.length events);
+          let field ev k = Option.get (Json.member k ev) in
+          let phases =
+            List.map (fun e -> Option.get (Json.get_string (field e "ph"))) events
+          in
+          check "phase sequence" true (phases = [ "B"; "B"; "C"; "E"; "E" ]);
+          List.iter
+            (fun e ->
+              let ts = Option.get (Json.get_float (field e "ts")) in
+              check "relative microseconds" true (ts >= 0.0 && ts < 1e7))
+            events;
+          let names =
+            List.filter_map
+              (fun e ->
+                if Option.get (Json.get_string (field e "ph")) = "B" then
+                  Json.get_string (field e "name")
+                else None)
+              events
+          in
+          check "span names present" true (names = [ "learn"; "fbdt" ]))
+
+let test_trace_empty_is_valid () =
+  match Json.of_string (chrome_of []) with
+  | Ok (Json.List []) -> ()
+  | Ok _ -> Alcotest.fail "empty trace should be []"
+  | Error e -> Alcotest.fail ("empty trace does not parse: " ^ e)
+
+(* advance_clock injects synthetic seconds mid-span; the rendering of
+   the recorded events still parses as a JSON array with monotone ts *)
+let test_chrome_under_clock_skew () =
+  with_clean @@ fun () ->
+  install_ticking_clock ();
+  let events =
+    record (fun () ->
+        Instr.span ~name:"outer" (fun () ->
+            Instr.count "ticks" 1;
+            Instr.advance_clock 2.5;
+            Instr.span ~name:"inner" (fun () -> Instr.count "ticks" 1);
+            Instr.advance_clock 0.25;
+            Instr.count "ticks" 1))
+  in
+  match Json.of_string (chrome_of events) with
+  | Error e -> Alcotest.fail ("chrome trace under skew: " ^ e)
+  | Ok (Json.List evs) ->
+      let last = ref neg_infinity in
+      List.iter
+        (fun ev ->
+          match Option.bind (Json.member "ts" ev) Json.get_float with
+          | Some ts ->
+              check "chrome ts monotone" true (ts >= !last);
+              last := ts
+          | None -> Alcotest.fail "chrome event without ts")
+        evs;
+      check "chrome has events" true (List.length evs >= 6)
+  | Ok _ -> Alcotest.fail "chrome trace is not an array"
 
 (* --- progress stream protocol --- *)
 
@@ -348,15 +410,18 @@ not json at all"));
    with
   | Ok p -> check_int "unknown kind skipped" 1 (List.length p.Profile.nodes)
   | Error e -> Alcotest.fail ("unknown kind fatal: " ^ e));
-  (* a Chrome trace cut off mid-array: line-numbered parse error *)
   let chrome_prefix =
     "[
 {\"ph\":\"B\",\"name\":\"outer\",\"ts\":1000,\"pid\":1,\"tid\":1},
 {\"ph\":\"E\",\"na"
   in
-  expect_error "chrome truncated" "line" (Profile.of_chrome_string chrome_prefix);
-  expect_error "chrome not an array" "array"
-    (Profile.of_chrome_string "{\"ph\":\"B\"}");
+  (* a whole Chrome array — as rendered, and on one line — is not an
+     event log: a located error, never a profile or an exception *)
+  install_ticking_clock ();
+  let chrome = chrome_of (record_workload ()) in
+  let one_line =
+    String.concat "" (String.split_on_char '\n' chrome) ^ "\n"
+  in
   (* load_file turns every malformed file into Error, never an
      exception, and keeps the line number *)
   List.iter
@@ -370,6 +435,8 @@ not json at all"));
       (good ^ "
 {\"ev\":", "line 3");
       (chrome_prefix, "line");
+      (chrome, "line 1");
+      (one_line, "line 1");
       ("\x00\x01binary junk", "line 1");
     ];
   match Profile.load_file "/nonexistent/lr_prof_trace.jsonl" with
@@ -525,7 +592,11 @@ let tests =
     Alcotest.test_case "attribution math & folded export" `Quick
       test_attribution_math;
     Alcotest.test_case "jsonl round trip" `Quick test_jsonl_roundtrip;
-    Alcotest.test_case "chrome round trip" `Quick test_chrome_roundtrip;
+    Alcotest.test_case "chrome trace well-formed" `Quick
+      test_chrome_trace_wellformed;
+    Alcotest.test_case "empty trace valid" `Quick test_trace_empty_is_valid;
+    Alcotest.test_case "chrome ts monotone under clock skew" `Quick
+      test_chrome_under_clock_skew;
     Alcotest.test_case "progress protocol" `Quick test_progress_protocol;
     Alcotest.test_case "profiling neutral & jobs-invariant" `Quick
       test_profiling_is_neutral;

@@ -1,6 +1,6 @@
 (* Analysis layer: latency histograms, GC gauges, run history,
-   report diffing/gating, the heartbeat sink, and the learner's
-   wall-clock budget. *)
+   report diffing/gating, the heartbeat rendering of the progress fold,
+   and the learner's wall-clock budget. *)
 
 module Instr = Lr_instr.Instr
 module Json = Lr_instr.Json
@@ -8,7 +8,7 @@ module Histogram = Lr_report.Histogram
 module Gcstat = Lr_report.Gcstat
 module History = Lr_report.History
 module Compare = Lr_report.Compare
-module Heartbeat = Lr_report.Heartbeat
+module Progress = Lr_prof.Progress
 module Bv = Lr_bitvec.Bv
 module Box = Lr_blackbox.Blackbox
 module Learner = Logic_regression.Learner
@@ -339,11 +339,9 @@ let test_heartbeat () =
       t := !t +. 0.04;
       !t);
   let buf = Buffer.create 256 in
-  Instr.set_sinks
-    [
-      Heartbeat.sink ~out:(Buffer.add_string buf) ~budget_s:10.0
-        ~interval_s:0.1 ();
-    ];
+  let run = Progress.create ~time_budget_s:10.0 () in
+  Progress.add_heartbeat run ~out:(Buffer.add_string buf) ~interval_s:0.1;
+  Instr.set_sinks [ Progress.fold run ];
   Instr.span ~name:"support-id" (fun () ->
       for _ = 1 to 5 do
         Instr.count "queries" 100
@@ -376,8 +374,9 @@ let test_heartbeat_silent_below_interval () =
       t := !t +. 0.001;
       !t);
   let buf = Buffer.create 64 in
-  Instr.set_sinks
-    [ Heartbeat.sink ~out:(Buffer.add_string buf) ~interval_s:60.0 () ];
+  let run = Progress.create () in
+  Progress.add_heartbeat run ~out:(Buffer.add_string buf) ~interval_s:60.0;
+  Instr.set_sinks [ Progress.fold run ];
   Instr.span ~name:"fast" (fun () -> Instr.count "queries" 1);
   check_str "no mid-run prints below the interval" "" (Buffer.contents buf);
   Instr.flush_sinks ();
