@@ -58,9 +58,34 @@ let budget_arg =
   let doc = "Query budget (the reproduction's deterministic analogue of the contest's time limit)." in
   Arg.(value & opt (some int) None & info [ "budget" ] ~docv:"QUERIES" ~doc)
 
+let non_negative_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a count >= 0, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let eval_arg =
-  let doc = "Number of scoring patterns (the contest used 1500000)." in
-  Arg.(value & opt int 30_000 & info [ "eval-patterns" ] ~doc)
+  let doc =
+    "Number of scoring patterns (the contest used 1500000); 0 skips scoring."
+  in
+  Arg.(value & opt non_negative_int 30_000 & info [ "eval-patterns" ] ~doc)
+
+(* accuracy against the golden circuit, or None when there is no golden
+   circuit or no pattern to score on *)
+let measure_accuracy ~eval_patterns ~seed golden c =
+  match golden with
+  | Some golden when eval_patterns > 0 ->
+      Some
+        (100.0
+        *. Eval.accuracy ~count:eval_patterns ~rng:(Rng.create (seed + 7919))
+             ~golden ~candidate:c ())
+  | _ -> None
+
+let accuracy_string = function
+  | Some pct -> Printf.sprintf "%.4f%%" pct
+  | None -> "not measured"
 
 let support_rounds_arg =
   let doc = "Sampling rounds r for support identification (paper: 7200)." in
@@ -648,18 +673,10 @@ let learn_run case preset seed budget eval_patterns support_rounds no_templates
       List.iter
         (fun f -> Printf.fprintf hout "  %s\n" (Finding.to_string f))
         report.Learner.lint_findings);
-  let accuracy =
-    match golden with
-    | Some golden ->
-        let acc =
-          Eval.accuracy ~count:eval_patterns ~rng:(Rng.create (seed + 7919))
-            ~golden ~candidate:c ()
-        in
-        Printf.fprintf hout "accuracy: %.4f%% on %d patterns\n" (100.0 *. acc)
-          eval_patterns;
-        Some (100.0 *. acc)
-    | None -> None
-  in
+  let accuracy = measure_accuracy ~eval_patterns ~seed golden c in
+  if Option.is_some golden then
+    Printf.fprintf hout "accuracy: %s on %d patterns\n"
+      (accuracy_string accuracy) eval_patterns;
   (if json <> None then
      let report_json =
        json_of_run ~case ~seed ~time_budget ~eval_patterns ~accuracy
@@ -779,14 +796,9 @@ let baseline_run case method_ seed budget eval_patterns =
     (match method_ with `Sop -> "sop" | `Id3 -> "id3")
     case (N.size c) (Box.queries_used box)
     (Unix.gettimeofday () -. t0);
-  (match golden with
-  | Some golden ->
-      let acc =
-        Eval.accuracy ~count:eval_patterns ~rng:(Rng.create (seed + 7919))
-          ~golden ~candidate:c ()
-      in
-      Printf.printf "accuracy: %.4f%%\n" (100.0 *. acc)
-  | None -> ());
+  if Option.is_some golden then
+    Printf.printf "accuracy: %s\n"
+      (accuracy_string (measure_accuracy ~eval_patterns ~seed golden c));
   0
 
 let baseline_cmd =
@@ -853,11 +865,8 @@ let score_run case candidate seed eval_patterns =
   in
   let c = read_circuit candidate in
   check_interfaces (case, golden) (candidate, c);
-  let acc =
-    Eval.accuracy ~count:eval_patterns ~rng:(Rng.create (seed + 7919)) ~golden
-      ~candidate:c ()
-  in
-  Printf.printf "size=%d accuracy=%.4f%%\n" (N.size c) (100.0 *. acc);
+  Printf.printf "size=%d accuracy=%s\n" (N.size c)
+    (accuracy_string (measure_accuracy ~eval_patterns ~seed (Some golden) c));
   0
 
 let score_cmd =

@@ -9,27 +9,9 @@ type verdict = Equivalent | Counterexample of Lr_bitvec.Bv.t
 (* CNF of one AIG plus one literal asserted true; SAT model -> inputs *)
 let sat_assignment aig lit =
   let solver = Sat.create () in
-  let n = Aig.num_nodes aig in
-  for _ = 1 to n do
-    ignore (Sat.new_var solver)
-  done;
-  Sat.add_clause solver [ -1 ];
-  for node = Aig.num_inputs aig + 1 to n - 1 do
-    let l0, l1 = Aig.fanins aig node in
-    let dim l =
-      let v = Aig.lit_node l + 1 in
-      if Aig.lit_phase l then -v else v
-    in
-    let x = node + 1 and a = dim l0 and b = dim l1 in
-    Sat.add_clause solver [ -x; a ];
-    Sat.add_clause solver [ -x; b ];
-    Sat.add_clause solver [ x; -a; -b ]
-  done;
-  let goal =
-    let v = Aig.lit_node lit + 1 in
-    if Aig.lit_phase lit then -v else v
-  in
-  Sat.add_clause solver [ goal ];
+  Soa.encode (Ksim.soa_of_aig aig) solver;
+  let v = Aig.lit_node lit + 1 in
+  Sat.add_clause solver [ (if Aig.lit_phase lit then -v else v) ];
   match Sat.solve solver with
   | Sat.Unsat -> None
   | Sat.Sat ->

@@ -34,4 +34,7 @@ val sat_assignment : Aig.t -> Aig.lit -> Lr_bitvec.Bv.t option
 (** A primary-input assignment making the literal true, or [None] when the
     literal is unsatisfiable. The raw solver entry point behind the
     verdicts above, exposed so [Lr_check] can build custom miters (e.g.
-    cover-vs-netlist) and still get a concrete counterexample back. *)
+    cover-vs-netlist) and still get a concrete counterexample back. The
+    AIG is encoded through [Ksim.soa_of_aig] and
+    {!Lr_kernel.Soa.encode}, plus one unit clause asserting the
+    literal. *)

@@ -36,54 +36,46 @@ module Uf = struct
     end
 end
 
-let cnf_of_aig aig solver =
-  (* variable of node n is n+1; node 0 (constant false) pinned by a unit *)
-  let n = Aig.num_nodes aig in
-  for _ = 1 to n do
-    ignore (Sat.new_var solver)
-  done;
-  Sat.add_clause solver [ -1 ];
-  for node = Aig.num_inputs aig + 1 to n - 1 do
-    let l0, l1 = Aig.fanins aig node in
-    let dim l =
-      let v = Aig.lit_node l + 1 in
-      if Aig.lit_phase l then -v else v
-    in
-    let x = node + 1 and a = dim l0 and b = dim l1 in
-    Sat.add_clause solver [ -x; a ];
-    Sat.add_clause solver [ -x; b ];
-    Sat.add_clause solver [ x; -a; -b ]
-  done
+type t = {
+  repr : int array;
+  proved : int;
+  refuted : int;
+  sat_calls : int;
+  rounds : int;
+}
 
-let sweep ?(words = 16) ?(max_rounds = 64) ?(max_sat_checks = 5000) ~rng aig =
-  let n = Aig.num_nodes aig in
-  let ni = Aig.num_inputs aig in
+let repr_node t n = t.repr.(n) lsr 1
+let repr_phase t n = t.repr.(n) land 1 = 1
+
+let classes ~layer ?(words = 16) ?(max_rounds = 64) ?(max_sat_checks = 5000)
+    ~rng soa =
+  let name suffix = layer ^ suffix in
+  let n = Soa.num_nodes soa in
+  let ni = Soa.num_inputs soa in
   let uf = Uf.create n in
   let solver = Sat.create () in
-  cnf_of_aig aig solver;
-  let miter_cache = Hashtbl.create 256 in
+  Soa.encode soa solver;
+  let input_var =
+    Array.init ni (fun i -> List.hd (Soa.input_readers soa i) + 1)
+  in
   let sat_checks = ref 0 in
+  let proved_total = ref 0 and refuted_total = ref 0 in
   (* pattern blocks: each is one word per input *)
   let blocks = ref [] in
   for _ = 1 to words do
     blocks := Array.init ni (fun _ -> Rng.bits64 rng) :: !blocks
   done;
-  (* The AIG is frozen for the whole sweep and blocks are only ever
+  (* The circuit is frozen for the whole loop and blocks are only ever
      prepended, so node values are computed once per block and reused
      across refinement rounds; [sim_cache] stays aligned with the suffix
      of [!blocks] already simulated. *)
-  let soa = Ksim.soa_of_aig aig in
   let sim_cache = ref [] in
   let cached_len = ref 0 in
   let simulate_blocks () =
     let total = List.length !blocks in
-    let rec take k l =
-      if k = 0 then []
-      else match l with [] -> [] | x :: tl -> x :: take (k - 1) tl
-    in
     let fresh =
-      List.map (fun blk -> Soa.node_values soa blk)
-        (take (total - !cached_len) !blocks)
+      List.filteri (fun i _ -> i < total - !cached_len) !blocks
+      |> List.map (Soa.node_values soa)
     in
     Instr.count "kernel.sim-cached-words" (!cached_len * n);
     sim_cache := fresh @ !sim_cache;
@@ -94,31 +86,16 @@ let sweep ?(words = 16) ?(max_rounds = 64) ?(max_sat_checks = 5000) ~rng aig =
   let prove_equal a b phase =
     (* a = b xor phase ?  check SAT of a xor (b xor phase) *)
     incr sat_checks;
-    let t =
-      match Hashtbl.find_opt miter_cache (a, b) with
-      | Some t -> t
-      | None ->
-          let t = Sat.new_var solver in
-          let va = a + 1 and vb = b + 1 in
-          (* t <-> va xor vb *)
-          Sat.add_clause solver [ -t; va; vb ];
-          Sat.add_clause solver [ -t; -va; -vb ];
-          Sat.add_clause solver [ t; -va; vb ];
-          Sat.add_clause solver [ t; va; -vb ];
-          Hashtbl.replace miter_cache (a, b) t;
-          t
-    in
+    (* each pair is checked once: a proof merges it and a refutation
+       bars it, so every check gets a fresh miter variable *)
+    let t = Sat.new_var solver in
+    Soa.xor_clauses solver t (a + 1) (b + 1);
     (* if phase, equality means the miter is satisfied everywhere: check
        that t can be false; if not phase, check that t can be true *)
     let assumption = if phase then -t else t in
     match Sat.solve ~assumptions:[ assumption ] solver with
     | Sat.Unsat -> `Equal
-    | Sat.Sat ->
-        let cex = Array.make ni false in
-        for i = 0 to ni - 1 do
-          cex.(i) <- Sat.value solver (i + 2)
-        done;
-        `Counterexample cex
+    | Sat.Sat -> `Counterexample (Array.map (Sat.value solver) input_var)
   in
   let round = ref 0 in
   let progress = ref true in
@@ -126,8 +103,8 @@ let sweep ?(words = 16) ?(max_rounds = 64) ?(max_sat_checks = 5000) ~rng aig =
     incr round;
     progress := false;
     (* signatures over all pattern blocks *)
-    let sims = Instr.span ~name:"fraig.sim" (fun () -> simulate_blocks ()) in
-    Instr.count "fraig.sim-words" (List.length !blocks * n);
+    let sims = Instr.span ~name:(name ".sim") (fun () -> simulate_blocks ()) in
+    Instr.count (name ".sim-words") (List.length !blocks * n);
     let signature node = List.map (fun v -> v.(node)) sims in
     let canon sig_ =
       match sig_ with
@@ -152,7 +129,7 @@ let sweep ?(words = 16) ?(max_rounds = 64) ?(max_sat_checks = 5000) ~rng aig =
     let conflicts_before = Sat.stats_conflicts solver in
     let restarts_before = Sat.stats_restarts solver in
     let proved = ref 0 in
-    Instr.span ~name:"fraig.sat" (fun () ->
+    Instr.span ~name:(name ".sat") (fun () ->
         Hashtbl.iter
           (fun _ members ->
             match List.rev members (* ascending ids *) with
@@ -178,10 +155,13 @@ let sweep ?(words = 16) ?(max_rounds = 64) ?(max_sat_checks = 5000) ~rng aig =
                     end)
                   rest)
           classes);
-    Instr.count "fraig.classes" (Hashtbl.length classes);
-    Instr.count "fraig.sat-calls" (!sat_checks - checks_before);
-    Instr.count "fraig.proved" !proved;
-    Instr.count "fraig.refuted" (List.length !new_cexs);
+    let refuted_now = List.length !new_cexs in
+    proved_total := !proved_total + !proved;
+    refuted_total := !refuted_total + refuted_now;
+    Instr.count (name ".classes") (Hashtbl.length classes);
+    Instr.count (name ".sat-calls") (!sat_checks - checks_before);
+    Instr.count (name ".proved") !proved;
+    Instr.count (name ".refuted") refuted_now;
     Instr.count "sat.conflicts" (Sat.stats_conflicts solver - conflicts_before);
     Instr.count "sat.restarts" (Sat.stats_restarts solver - restarts_before);
     (* pack counterexamples into pattern blocks, 64 per block, so the
@@ -212,25 +192,38 @@ let sweep ?(words = 16) ?(max_rounds = 64) ?(max_sat_checks = 5000) ~rng aig =
     in
     pack !new_cexs
   done;
-  Instr.count "fraig.rounds" !round;
+  Instr.count (name ".rounds") !round;
+  let repr =
+    Array.init n (fun node ->
+        let root, ph = Uf.find uf node in
+        (2 * root) lor Bool.to_int ph)
+  in
+  {
+    repr;
+    proved = !proved_total;
+    refuted = !refuted_total;
+    sat_calls = !sat_checks;
+    rounds = !round;
+  }
+
+let sweep ?words ?max_rounds ?max_sat_checks ~rng aig =
+  let cls =
+    classes ~layer:"fraig" ?words ?max_rounds ?max_sat_checks ~rng
+      (Ksim.soa_of_aig aig)
+  in
   (* rebuild with the proven substitutions *)
   Instr.span ~name:"fraig.rebuild" @@ fun () ->
+  let n = Aig.num_nodes aig in
+  let ni = Aig.num_inputs aig in
   let out = Aig.create ~num_inputs:ni ~num_outputs:(Aig.num_outputs aig) in
   let map = Array.make n Aig.lit_false in
   for i = 0 to ni - 1 do
     map.(1 + i) <- Aig.input_lit out i
   done;
-  let resolve node =
-    let root, ph = Uf.find uf node in
-    if root < node then map.(root) lxor (if ph then 1 else 0)
-    else map.(node)
-  in
-  let map_lit l =
-    resolve (Aig.lit_node l) lxor (l land 1)
-  in
+  let map_lit l = map.(Aig.lit_node l) lxor (l land 1) in
   for node = ni + 1 to n - 1 do
-    let root, ph = Uf.find uf node in
-    if root < node then map.(node) <- map.(root) lxor (if ph then 1 else 0)
+    let r = cls.repr.(node) in
+    if r lsr 1 < node then map.(node) <- map.(r lsr 1) lxor (r land 1)
     else begin
       let l0, l1 = Aig.fanins aig node in
       map.(node) <- Aig.and_lit out (map_lit l0) (map_lit l1)

@@ -1,4 +1,4 @@
-(** Functional reduction of AIGs (fraig), after Mishchenko et al.
+(** Functional reduction (fraig), after Mishchenko et al.
 
     Simulation with random (and counterexample-derived) patterns partitions
     nodes into candidate-equivalence classes by signature; SAT queries on a
@@ -8,7 +8,52 @@
 
     This is the pass that makes the paper's FBDT-over-FBDD choice free of
     cost: isomorphic (indeed, any functionally equivalent) subtrees of the
-    learned circuit are merged here. *)
+    learned circuit are merged here. The loop ({!classes}) runs on the
+    {!Lr_kernel.Soa} form, so it serves the AIG ({!sweep}) and the netlist
+    layer ([Lr_dataflow]'s merge stage and deep lint) alike. *)
+
+type t = {
+  repr : int array;
+      (** per node, the literal [2 * root + phase] of its proven class
+          representative, where [root <= node]; a node is its own
+          representative iff [repr.(n) = 2 * n]. Constant-equivalent
+          nodes resolve to a constant node. *)
+  proved : int;  (** SAT-proven equivalences (including complements) *)
+  refuted : int;  (** candidate pairs separated by a counterexample *)
+  sat_calls : int;
+  rounds : int;
+}
+
+val repr_node : t -> int -> int
+val repr_phase : t -> int -> bool
+
+val classes :
+  layer:string ->
+  ?words:int ->
+  ?max_rounds:int ->
+  ?max_sat_checks:int ->
+  rng:Lr_bitvec.Rng.t ->
+  Lr_kernel.Soa.t ->
+  t
+(** [classes ~layer ~rng soa] — the simulate-and-prove refinement loop.
+    [words] random 64-pattern words seed the signatures (default 16);
+    [max_rounds] bounds refinement rounds (default 64); [max_sat_checks]
+    bounds total SAT queries (default 5000). Deterministic for a fixed
+    [rng] state. Classes are rooted at their smallest node id, so
+    substituting any member by its root literal never creates a cycle.
+
+    Node values are computed once per pattern block and reused across
+    rounds (["kernel.sim-cached-words"] counts the reuse). One
+    persistent solver holds the {!Lr_kernel.Soa.encode} CNF and decides
+    every candidate pair under an activation literal per pair. Within a
+    round, classes are visited in the iteration order of a hash table
+    keyed by canonical signature, each class from its smallest member.
+
+    [layer] names the instrumentation: spans [<layer>.sim] and
+    [<layer>.sat]; per round the counters [<layer>.sim-words],
+    [<layer>.classes], [<layer>.sat-calls], [<layer>.proved],
+    [<layer>.refuted] and the solver's ["sat.conflicts"] /
+    ["sat.restarts"] deltas; at the end [<layer>.rounds]. *)
 
 val sweep :
   ?words:int ->
@@ -18,12 +63,6 @@ val sweep :
   Aig.t ->
   Aig.t
 (** [sweep ~rng aig] returns a functionally equivalent AIG with equivalent
-    nodes merged. [words] random 64-pattern words seed the signatures
-    (default 16); [max_rounds] bounds refinement iterations (default 64);
-    [max_sat_checks] bounds total SAT queries (default 5000).
-
-    Simulation runs on the {!Lr_kernel.Soa} engine: node values are
-    computed once per pattern block and reused across refinement rounds
-    (["kernel.sim-cached-words"] counts the reuse). One persistent
-    solver decides every candidate pair, under an activation literal per
-    pair. *)
+    nodes merged: {!classes} on [Ksim.soa_of_aig aig] as layer ["fraig"]
+    (same defaults), then a rebuild that maps every node onto its class
+    root (span ["fraig.rebuild"]). *)

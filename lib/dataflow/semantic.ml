@@ -2,6 +2,7 @@ module N = Lr_netlist.Netlist
 module L = Lattice
 module Rng = Lr_bitvec.Rng
 module F = Lr_check.Finding
+module Fraig = Lr_aig.Fraig
 
 let sprintf = Printf.sprintf
 
@@ -61,11 +62,14 @@ let netlist ?(seed = 1) ?(max_sat_checks = 2000) c =
   done;
   (* equivalence classes: duplicates, complements, SAT constants *)
   let rng = Rng.create seed in
-  let eq = Equivcls.compute ~max_sat_checks ~rng c in
+  let eq =
+    Fraig.classes ~layer:"dataflow" ~max_rounds:32 ~max_sat_checks ~rng
+      (Lr_kernel.Soa.of_netlist c)
+  in
   for node = 0 to n - 1 do
     if reach.(node) then begin
-      let root = Equivcls.repr_node eq node in
-      let ph = Equivcls.repr_phase eq node in
+      let root = Fraig.repr_node eq node in
+      let ph = Fraig.repr_phase eq node in
       if root <> node then
         match N.gate c node with
         | N.Const _ | N.Input _ -> ()
@@ -97,11 +101,7 @@ let netlist ?(seed = 1) ?(max_sat_checks = 2000) c =
                    (sprintf "cone is provably equivalent to node %d" root))
     end
   done;
-  let out_lit o =
-    let root = N.output c o in
-    (2 * Equivcls.repr_node eq root)
-    lor Bool.to_int (Equivcls.repr_phase eq root)
-  in
+  let out_lit o = eq.Fraig.repr.(N.output c o) in
   for o = 0 to N.num_outputs c - 1 do
     for o' = 0 to o - 1 do
       if out_lit o = out_lit o' then

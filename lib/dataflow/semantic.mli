@@ -2,8 +2,9 @@
 
     Where {!Lr_check.Lint} checks {e structure} (cycles, dead gates,
     strash misses), these rules check {e meaning}, using the ternary
-    abstract interpretation ({!Absint}), the equivalence-class engine
-    ({!Equivcls}) and the sweep's rewrite matchers ({!Sweep}) — all
+    abstract interpretation ({!Absint}), the fraig refinement loop
+    ({!Lr_aig.Fraig.classes} on the netlist, as layer ["dataflow"], 32
+    rounds) and the sweep's rewrite matchers ({!Sweep}) — all
     query-free and deterministic for a fixed seed.
 
     Rules emitted (all through {!Lr_check.Finding}):

@@ -5,6 +5,7 @@ module Rng = Lr_bitvec.Rng
 module Instr = Lr_instr.Instr
 module Soa = Lr_kernel.Soa
 module Incremental = Lr_kernel.Incremental
+module Fraig = Lr_aig.Fraig
 
 type level = Const_prop | Full
 
@@ -43,21 +44,24 @@ let const_stage c =
 (* ---------------- duplicate-cone merging ---------------- *)
 
 let merge_stage ~rng ~max_sat_checks c =
-  let eq = Equivcls.compute ~max_sat_checks ~rng c in
+  let eq =
+    Fraig.classes ~layer:"dataflow" ~max_rounds:32 ~max_sat_checks ~rng
+      (Soa.of_netlist c)
+  in
   let reach = N.reachable c in
   let merged = ref 0 in
   let act node =
-    let root = Equivcls.repr_node eq node in
+    let root = Fraig.repr_node eq node in
     if root = node then Rebuild.Keep
     else begin
       if reach.(node) then incr merged;
-      Rebuild.Alias (root, Equivcls.repr_phase eq node)
+      Rebuild.Alias (root, Fraig.repr_phase eq node)
     end
   in
   (* bind before building the tuple: the counter is only final once
      [apply] has run the action callback over every node *)
   let out = Rebuild.apply c act in
-  out, !merged, eq.Equivcls.sat_calls
+  out, !merged, eq.Fraig.sat_calls
 
 (* ---------------- XOR/XNOR structure recovery ---------------- *)
 
@@ -122,23 +126,13 @@ let xor_stage c =
 
 (* ---------------- ODC resubstitution ---------------- *)
 
-let fanout_cone c z =
-  let n = N.num_nodes c in
-  let cone = Array.make n false in
-  cone.(z) <- true;
-  for k = z + 1 to n - 1 do
-    if List.exists (fun a -> cone.(a)) (N.fanins (N.gate c k)) then
-      cone.(k) <- true
-  done;
-  cone
-
 (* prove that replacing node [z] by old node [m] (inverted when [ph])
    changes no primary output: encode the original netlist once, a patched
    copy of [z]'s fanout cone on fresh variables, and ask SAT for a
    distinguishing input *)
-let prove_resub c z (m, ph) =
+let prove_resub soa c z (m, ph) =
   let n = N.num_nodes c in
-  let cone = fanout_cone c z in
+  let cone = Soa.fanout_cone soa [ z ] in
   let observed = ref false in
   for o = 0 to N.num_outputs c - 1 do
     if cone.(N.output c o) then observed := true
@@ -146,38 +140,15 @@ let prove_resub c z (m, ph) =
   if not !observed then true (* no output sees the node at all *)
   else begin
     let solver = Sat.create () in
-    Equivcls.cnf_of_netlist c solver;
+    Soa.encode soa solver;
     let patched = Array.make n 0 in
-    let and2 x a b =
-      Sat.add_clause solver [ -x; a ];
-      Sat.add_clause solver [ -x; b ];
-      Sat.add_clause solver [ x; -a; -b ]
-    in
-    let xor2 x a b =
-      Sat.add_clause solver [ -x; a; b ];
-      Sat.add_clause solver [ -x; -a; -b ];
-      Sat.add_clause solver [ x; -a; b ];
-      Sat.add_clause solver [ x; a; -b ]
-    in
     for k = 0 to n - 1 do
       if k = z then patched.(k) <- (if ph then -(m + 1) else m + 1)
       else if not cone.(k) then patched.(k) <- k + 1
       else begin
         let x = Sat.new_var solver in
         patched.(k) <- x;
-        let pl a = patched.(a) in
-        match N.gate c k with
-        | N.Const _ | N.Input _ ->
-            assert false (* no fanins, never in the cone *)
-        | N.Not a ->
-            Sat.add_clause solver [ -x; -pl a ];
-            Sat.add_clause solver [ x; pl a ]
-        | N.And2 (a, b) -> and2 x (pl a) (pl b)
-        | N.Nand2 (a, b) -> and2 (-x) (pl a) (pl b)
-        | N.Or2 (a, b) -> and2 (-x) (-pl a) (-pl b)
-        | N.Nor2 (a, b) -> and2 x (-pl a) (-pl b)
-        | N.Xor2 (a, b) -> xor2 x (pl a) (pl b)
-        | N.Xnor2 (a, b) -> xor2 (-x) (pl a) (pl b)
+        Soa.encode_node soa solver ~lit:x ~fanin:(Array.get patched) k
       end
     done;
     let diffs = ref [] in
@@ -185,11 +156,7 @@ let prove_resub c z (m, ph) =
       let r = N.output c o in
       if cone.(r) then begin
         let t = Sat.new_var solver in
-        let vr = r + 1 and pr = patched.(r) in
-        Sat.add_clause solver [ -t; vr; pr ];
-        Sat.add_clause solver [ -t; -vr; -pr ];
-        Sat.add_clause solver [ t; -vr; pr ];
-        Sat.add_clause solver [ t; vr; -pr ];
+        Soa.xor_clauses solver t (r + 1) patched.(r);
         diffs := t :: !diffs
       end
     done;
@@ -261,7 +228,7 @@ let scan_resubs ~sat_budget ~rng ~emit c =
                    in
                    if sim_ok then begin
                      incr sat_used;
-                     if prove_resub c !z (m, ph) then begin
+                     if prove_resub soa c !z (m, ph) then begin
                        if not (emit (!z, m, ph)) then continue_scan := false
                      end
                      else try_cands rest
@@ -328,7 +295,7 @@ let run ?(level = Full) ?(max_rounds = 3) ?(max_sat_checks = 2000)
     if changed > 0 then
       match verify with Some v -> v ~stage before after | None -> ()
   in
-  (* a stage that fails to shrink the netlist is discarded *)
+  (* a stage whose result is larger than its input is discarded *)
   let stage name f c =
     let after, changed, sat = Instr.span ~name (fun () -> f c) in
     sat_calls := !sat_calls + sat;

@@ -7,8 +7,10 @@
 
     - [sweep.const] — forward constant propagation ({!Absint.values});
       nodes with a proven ternary value become constants.
-    - [sweep.merge] — functional duplicate/complement cones
-      ({!Equivcls.compute}) collapse onto their class representative.
+    - [sweep.merge] — functional duplicate/complement cones collapse
+      onto their class representative: {!Lr_aig.Fraig.classes} on the
+      netlist's {!Lr_kernel.Soa} form, as layer ["dataflow"], capped at
+      32 rounds, 16 words and [max_sat_checks] SAT calls.
     - [sweep.xor] — XOR/XNOR structure recovery: AND/OR/NOT trees that
       compute an XOR (the shape AIG round-trips leave behind, where one
       XOR costs three counted gates) are rebuilt as a single [Xor2].
@@ -17,8 +19,9 @@
       an output) is aliased away; simulation filters candidates, a local
       SAT miter proves each rewrite.
 
-    A stage whose result is not strictly smaller is discarded, so the
-    sweep never grows the circuit; rounds repeat while the size shrinks.
+    A stage whose result is larger than its input is discarded (an
+    equal-size result is kept), so the sweep never grows the circuit;
+    rounds repeat while the size shrinks.
     The sweep issues no black-box queries and is deterministic for a
     fixed [rng]. *)
 
@@ -57,7 +60,9 @@ val run :
     reuses cached block signatures, and the ODC candidate filter
     resimulates only the rewritten node's fanout cone on a dirty-cone
     {!Lr_kernel.Incremental} engine. Each ODC proof is one
-    {!Lr_sat.Sat.solve} call on a fresh solver. *)
+    {!Lr_sat.Sat.solve} call on a fresh solver holding the netlist's
+    {!Lr_kernel.Soa.encode} CNF plus a patched copy of the rewritten
+    node's fanout cone ({!Lr_kernel.Soa.encode_node}). *)
 
 (**/**)
 

@@ -1,6 +1,7 @@
 module Bv = Lr_bitvec.Bv
 module N = Lr_netlist.Netlist
 module Instr = Lr_instr.Instr
+module Sat = Lr_sat.Sat
 
 (* Opcode byte layout: low 4 bits select the operation, bit 4 complements
    the first operand, bit 5 the second. Complement flags let an AIG import
@@ -339,3 +340,48 @@ let eval_many t patterns =
       Array.blit (Bv.of_lanes (count b) outs) 0 results (64 * b) (count b))
     (eval_blocks t blocks);
   results
+
+(* ---------------- CNF ---------------- *)
+
+let xor_clauses solver t a b =
+  Sat.add_clause solver [ -t; a; b ];
+  Sat.add_clause solver [ -t; -a; -b ];
+  Sat.add_clause solver [ t; -a; b ];
+  Sat.add_clause solver [ t; a; -b ]
+
+(* Tseitin clauses of node [n]: nand/nor/xnor are and/or/xor with the
+   result complemented, and or is and with every literal complemented *)
+let encode_node t solver ~lit:x ~fanin n =
+  let c = opcode t n in
+  let operand arg flag =
+    let l = fanin arg.(n) in
+    if c land flag <> 0 then -l else l
+  in
+  match c land 0xf with
+  | 0 -> Sat.add_clause solver [ -x ]
+  | 1 -> Sat.add_clause solver [ x ]
+  | 2 -> ()
+  | 3 ->
+      let a = operand t.arg0 flag_neg0 in
+      Sat.add_clause solver [ -x; -a ];
+      Sat.add_clause solver [ x; a ]
+  | code -> (
+      let a = operand t.arg0 flag_neg0 and b = operand t.arg1 flag_neg1 in
+      let x = if code >= op_nand then -x else x in
+      let and_clauses x a b =
+        Sat.add_clause solver [ -x; a ];
+        Sat.add_clause solver [ -x; b ];
+        Sat.add_clause solver [ x; -a; -b ]
+      in
+      match (code - op_and) mod 3 with
+      | 0 -> and_clauses x a b
+      | 1 -> and_clauses (-x) (-a) (-b)
+      | _ -> xor_clauses solver x a b)
+
+let encode t solver =
+  for _ = 1 to t.nn do
+    ignore (Sat.new_var solver)
+  done;
+  for n = 0 to t.nn - 1 do
+    encode_node t solver ~lit:(n + 1) ~fanin:(fun m -> m + 1) n
+  done

@@ -11,7 +11,9 @@
 
     Node ids are preserved by {!of_netlist} (node [n] here is node [n] of
     the source netlist), which is what lets the incremental engine and the
-    sweep's ODC verification exchange node sets with the netlist layer. *)
+    sweep's ODC verification exchange node sets with the netlist layer.
+    The same opcode layout drives the Tseitin CNF encoder ({!encode}),
+    so one compiled form serves simulation and SAT alike. *)
 
 type t
 
@@ -102,3 +104,26 @@ val eval_many : t -> Lr_bitvec.Bv.t array -> Lr_bitvec.Bv.t array
     and ["sim.gate-words"] accounting. Transposes the patterns into lane
     words 64 at a time, simulates them with {!eval_blocks} and
     transposes the outputs back. *)
+
+(** {2 CNF}
+
+    The one Tseitin encoder of the code base: fraig, the netlist sweep,
+    CEC and the checked pipeline all hand their circuits to SAT through
+    it. Literals are DIMACS-signed solver variables. *)
+
+val encode_node :
+  t -> Lr_sat.Sat.t -> lit:int -> fanin:(int -> int) -> int -> unit
+(** [encode_node t solver ~lit ~fanin n] adds the clauses of
+    [lit <-> op(fanins)] for node [n]'s opcode, where [fanin m] is the
+    literal of fanin node [m]. Operand complement flags fold into the
+    fanin literals, constants become a unit clause, and an input adds
+    nothing ([fanin] is called only for the fanins the opcode reads). *)
+
+val encode : t -> Lr_sat.Sat.t -> unit
+(** Encode the whole circuit into a fresh solver: allocate one variable
+    per node, node [n] being variable [n + 1], then {!encode_node} every
+    node in ascending id order. *)
+
+val xor_clauses : Lr_sat.Sat.t -> int -> int -> int -> unit
+(** [xor_clauses solver t a b] adds the four clauses of [t <-> a xor b]
+    — the miter a SAT equivalence query asserts or refutes. *)

@@ -37,6 +37,7 @@ module Scache = Lr_serve.Cache
 module Soa = Lr_kernel.Soa
 module Incr = Lr_kernel.Incremental
 module Ksim = Lr_aig.Ksim
+module Sat = Lr_sat.Sat
 module Instr = Lr_instr.Instr
 module Eval = Lr_eval.Eval
 
@@ -329,6 +330,64 @@ let prop_soa_aig_identical () =
           vals = Aig.simulate_nodes aig w
           && Soa.outputs_of_values s vals = Aig.simulate aig w)
         (List.init 4 Fun.id))
+
+(* the recipe over all six binary netlist gates ([kind] and the parity
+   of [b]'s second bit pick one), so the netlist opcodes the AIG import
+   never emits reach the encoder too *)
+let build_gate_netlist { ni; no; ops } =
+  let c =
+    N.create
+      ~input_names:(Array.init ni (Printf.sprintf "i%d"))
+      ~output_names:(Array.init no (Printf.sprintf "o%d"))
+  in
+  let nodes = ref (List.init ni (N.input c)) in
+  let count = ref ni in
+  let pick k =
+    let x = List.nth !nodes (k mod !count) in
+    if k land 1 = 0 then x else N.not_ c x
+  in
+  let gates = [| N.and_; N.or_; N.xor_; N.nand_; N.nor_; N.xnor_ |] in
+  List.iter
+    (fun (kind, a, b) ->
+      let g = gates.(kind + (3 * ((b lsr 1) land 1))) in
+      nodes := g c (pick a) (pick b) :: !nodes;
+      incr count)
+    ops;
+  for o = 0 to no - 1 do
+    N.set_output c o (pick ((o * 7) + 3))
+  done;
+  c
+
+(* the CNF encoder against simulation: with every input pinned by a unit
+   clause the model is forced, so each node variable must read the
+   node's simulated bit, and assuming one node's negation is Unsat *)
+let prop_encoder_matches_simulation () =
+  check_prop "Soa.encode == Soa.node_values" arb_recipe (fun r ->
+      let rng = Rng.create 47 in
+      let agrees s =
+        let solver = Sat.create () in
+        Soa.encode s solver;
+        let bits = Array.init (Soa.num_inputs s) (fun _ -> Rng.bool rng) in
+        Array.iteri
+          (fun i b ->
+            let v = List.hd (Soa.input_readers s i) + 1 in
+            Sat.add_clause solver [ (if b then v else -v) ])
+          bits;
+        let vals =
+          Soa.node_values s (Array.map (fun b -> if b then -1L else 0L) bits)
+        in
+        let bit n = vals.(n) <> 0L in
+        let nodes = List.init (Soa.num_nodes s) Fun.id in
+        Sat.solve solver = Sat.Sat
+        && List.for_all (fun n -> Sat.value solver (n + 1) = bit n) nodes
+        &&
+        let n = Rng.int rng (Soa.num_nodes s) in
+        let v = n + 1 in
+        Sat.solve ~assumptions:[ (if bit n then -v else v) ] solver = Sat.Unsat
+      in
+      agrees (Soa.of_netlist (build_netlist r))
+      && agrees (Ksim.soa_of_aig (build_aig r))
+      && agrees (Soa.of_netlist (build_gate_netlist r)))
 
 (* the multi-block entry against one [eval_words] call per block, on
    block counts around [max_width], where the passes split *)
@@ -773,6 +832,8 @@ let tests =
       prop_soa_aig_identical;
     Alcotest.test_case "eval_blocks == eval_words per block" `Quick
       prop_eval_blocks_matches_words;
+    Alcotest.test_case "CNF encoder == simulation" `Quick
+      prop_encoder_matches_simulation;
     Alcotest.test_case "word-native scoring == per-pattern scorer" `Quick
       prop_word_scoring_matches_reference;
     Alcotest.test_case "incremental resim == full resim" `Quick

@@ -10,7 +10,8 @@ module N = Lr_netlist.Netlist
 module Equiv = Lr_aig.Equiv
 module L = Lr_dataflow.Lattice
 module Absint = Lr_dataflow.Absint
-module Equivcls = Lr_dataflow.Equivcls
+module Fraig = Lr_aig.Fraig
+module Soa = Lr_kernel.Soa
 module Rebuild = Lr_dataflow.Rebuild
 module Sweep = Lr_dataflow.Sweep
 module Semantic = Lr_dataflow.Semantic
@@ -115,9 +116,14 @@ let test_observability_blocking () =
     (Absint.observed_by obs0 a 0 && not (Absint.observed_by obs0 a 1));
   check "b observed nowhere" false (Absint.observed obs0 b)
 
-(* ------------------------------------------------------------- equivcls *)
+(* ------------------------------------------------- equivalence classes *)
 
-let test_equivcls_de_morgan () =
+(* the netlist layer's call of the shared fraig loop, at its caps *)
+let classes ~rng c =
+  Fraig.classes ~layer:"dataflow" ~max_rounds:32 ~max_sat_checks:2000 ~rng
+    (Soa.of_netlist c)
+
+let test_classes_de_morgan () =
   let c = fresh 2 2 in
   let a = N.input c 0 and b = N.input c 1 in
   let direct = N.or_ c a b in
@@ -126,12 +132,12 @@ let test_equivcls_de_morgan () =
   N.set_output c 0 direct;
   N.set_output c 1 (N.not_ c twin);
   check "strash kept them apart" true (direct <> N.not_ c twin);
-  let eq = Equivcls.compute ~rng:(Rng.create 42) c in
-  check_int "twin resolves to the OR" direct (Equivcls.repr_node eq twin);
-  check "twin is the complement" true (Equivcls.repr_phase eq twin);
-  check "at least one SAT proof" true (eq.Equivcls.proved >= 1)
+  let eq = classes ~rng:(Rng.create 42) c in
+  check_int "twin resolves to the OR" direct (Fraig.repr_node eq twin);
+  check "twin is the complement" true (Fraig.repr_phase eq twin);
+  check "at least one SAT proof" true (eq.Fraig.proved >= 1)
 
-let test_equivcls_sat_constant () =
+let test_classes_sat_constant () =
   (* x XOR y XOR (x XNOR y) is the constant 1, invisible to the lattice
      and to strashing, provable by SAT *)
   let c = fresh 2 1 in
@@ -141,10 +147,10 @@ let test_equivcls_sat_constant () =
   check "strash kept the tautology" true (g <> N.const_true c);
   let vals = Absint.values c in
   check "lattice cannot see it" true (L.equal vals.(g) L.Top);
-  let eq = Equivcls.compute ~rng:(Rng.create 7) c in
+  let eq = classes ~rng:(Rng.create 7) c in
   check "SAT resolves it to constant true" true
-    (Equivcls.repr_node eq g = 1 && not (Equivcls.repr_phase eq g)
-    || (Equivcls.repr_node eq g = 0 && Equivcls.repr_phase eq g))
+    (Fraig.repr_node eq g = 1 && not (Fraig.repr_phase eq g)
+    || (Fraig.repr_node eq g = 0 && Fraig.repr_phase eq g))
 
 (* -------------------------------------------------------------- rebuild *)
 
@@ -265,9 +271,9 @@ let tests =
     Alcotest.test_case "observability blocking" `Quick
       test_observability_blocking;
     Alcotest.test_case "equivalence classes across De Morgan" `Quick
-      test_equivcls_de_morgan;
+      test_classes_de_morgan;
     Alcotest.test_case "SAT-only constant detected" `Quick
-      test_equivcls_sat_constant;
+      test_classes_sat_constant;
     Alcotest.test_case "rebuild constant action" `Quick
       test_rebuild_const_action;
     Alcotest.test_case "sweep recovers XOR trees" `Quick

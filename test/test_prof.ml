@@ -476,10 +476,10 @@ let redundant_aig () =
   A.set_output aig 3 (A.or_lit aig g2 (A.not_lit (x 5)));
   aig
 
-(* capture the instrumentation stream of a real fraig sweep — the same
-   stream the run report and the metrics exposition aggregate — and
-   return the per-round counter series *)
-let capture_fraig () =
+(* capture the instrumentation stream of a real refinement loop — the
+   same stream the run report and the metrics exposition aggregate — and
+   return [run]'s result with the per-round counter series *)
+let capture run =
   Instr.reset_aggregates ();
   let events = ref [] in
   Instr.set_sinks
@@ -487,9 +487,7 @@ let capture_fraig () =
       { emit = (fun e -> events := e :: !events); flush = (fun () -> ()) };
     ];
   Fun.protect ~finally:(fun () -> Instr.set_sinks []) @@ fun () ->
-  let swept =
-    Lr_aig.Fraig.sweep ~words:1 ~rng:(Rng.create 11) (redundant_aig ())
-  in
+  let result = run () in
   let series name =
     List.rev
       (List.filter_map
@@ -498,16 +496,17 @@ let capture_fraig () =
            | _ -> None)
          !events)
   in
-  (Lr_aig.Aig.num_ands swept, series)
+  (result, series)
 
-let test_fraig_round_invariants () =
-  with_clean @@ fun () ->
-  let ands, series = capture_fraig () in
-  let sim = series "fraig.sim-words" in
-  let classes = series "fraig.classes" in
-  let proved = series "fraig.proved" in
-  let refuted = series "fraig.refuted" in
-  check "sweep ran at least one round" true (List.length classes >= 1);
+(* the per-round invariants of the loop, read from [layer]'s counters *)
+let check_round_invariants layer series =
+  let series k = series (layer ^ "." ^ k) in
+  let sim = series "sim-words" in
+  let classes = series "classes" in
+  let proved = series "proved" in
+  let refuted = series "refuted" in
+  let sat_calls = series "sat-calls" in
+  check "loop ran at least one round" true (List.length classes >= 1);
   (* one sim increment per round, and the cumulative series is strictly
      monotone: every round simulates a positive number of words *)
   check_int "one sim batch per round" (List.length classes) (List.length sim);
@@ -519,7 +518,11 @@ let test_fraig_round_invariants () =
          check "sim batch never shrinks" true (d >= prev);
          d)
        0 sim);
-  (* every round decides at most its candidate classes *)
+  (* every SAT call proves or refutes one candidate pair, and a round
+     pairs each non-representative member of a class with its
+     representative: at most [nodes - classes] pairs (one-word runs, so
+     the first sim batch is the node count) *)
+  let nodes = List.hd sim in
   check_int "one proved entry per round" (List.length classes)
     (List.length proved);
   check_int "one refuted entry per round" (List.length classes)
@@ -529,18 +532,35 @@ let test_fraig_round_invariants () =
       let p = List.nth proved i and r = List.nth refuted i in
       check "proved >= 0" true (p >= 0);
       check "refuted >= 0" true (r >= 0);
+      check_int
+        (Printf.sprintf "round %d: proved+refuted = sat-calls" i)
+        (List.nth sat_calls i) (p + r);
       check
-        (Printf.sprintf "round %d: proved+refuted <= classes" i)
+        (Printf.sprintf "round %d: proved+refuted <= nodes-classes" i)
         true
-        (p + r <= c))
+        (p + r <= nodes - c))
     classes;
   (* the pass did real work on this circuit *)
-  check "something was proved" true (List.exists (fun p -> p > 0) proved);
-  (* the fraig counters this sweep has always ticked, round for round *)
-  check_int "result size" 9 ands;
+  check "something was proved" true (List.exists (fun p -> p > 0) proved)
+
+let check_series series pins =
   List.iter
     (fun (name, want) ->
       Alcotest.(check (list int)) (name ^ " series") want (series name))
+    pins
+
+let test_fraig_round_invariants () =
+  with_clean @@ fun () ->
+  let ands, series =
+    capture (fun () ->
+        Lr_aig.Aig.num_ands
+          (Lr_aig.Fraig.sweep ~words:1 ~rng:(Rng.create 11)
+             (redundant_aig ())))
+  in
+  check_round_invariants "fraig" series;
+  (* the fraig counters this sweep has always ticked, round for round *)
+  check_int "result size" 9 ands;
+  check_series series
     [
       ("fraig.sim-words", [ 22; 22 ]);
       ("fraig.classes", [ 19; 19 ]);
@@ -549,6 +569,30 @@ let test_fraig_round_invariants () =
       ("fraig.sat-calls", [ 3; 0 ]);
       ("fraig.rounds", [ 2 ]);
     ]
+
+(* the same loop on the netlist form of the same circuit, as the
+   dataflow sweep's merge stage runs it *)
+let test_dataflow_round_invariants () =
+  with_clean @@ fun () ->
+  let cls, series =
+    capture (fun () ->
+        Lr_aig.Fraig.classes ~layer:"dataflow" ~words:1 ~max_rounds:32
+          ~max_sat_checks:2000 ~rng:(Rng.create 11)
+          (Lr_kernel.Soa.of_netlist (Lr_aig.Aig.to_netlist (redundant_aig ()))))
+  in
+  check_round_invariants "dataflow" series;
+  check_series series
+    [
+      ("dataflow.sim-words", [ 39; 39 ]);
+      ("dataflow.classes", [ 19; 19 ]);
+      ("dataflow.proved", [ 20; 0 ]);
+      ("dataflow.refuted", [ 0; 0 ]);
+      ("dataflow.sat-calls", [ 20; 0 ]);
+      ("dataflow.rounds", [ 2 ]);
+    ];
+  check_int "totals match the series"
+    (List.fold_left ( + ) 0 (series "dataflow.proved"))
+    cls.Lr_aig.Fraig.proved
 
 (* --- self-time regression gate --- *)
 
@@ -607,4 +651,6 @@ let tests =
       test_regression_gate;
     Alcotest.test_case "fraig round invariants from a captured run" `Quick
       test_fraig_round_invariants;
+    Alcotest.test_case "dataflow round invariants from a captured run" `Quick
+      test_dataflow_round_invariants;
   ]
