@@ -43,7 +43,7 @@ let retry_attempts = ref 1
 let alerts_engine : Alerts.t option ref = ref None
 
 (* accumulated across every learner run so the JSON report can flag
-   best-effort circuits: the regression gate refuses degraded reports *)
+   best-effort circuits: lr_report check refuses degraded reports *)
 let degraded_total = ref 0
 
 type scale = {
@@ -435,20 +435,6 @@ let micro () =
            done;
            ignore (Lr_bdd.Bdd.isop man !lt)))
   in
-  let espresso_test =
-    Test.make ~name:"espresso minimize (4-var on/off split)"
-      (Staged.stage (fun () ->
-           let cube s = Lr_cube.Cube.of_string s in
-           let onset =
-             Lr_cube.Cover.of_cubes 4
-               [ cube "0111"; cube "1011"; cube "1101"; cube "1110"; cube "1111" ]
-           in
-           let offset =
-             Lr_cube.Cover.of_cubes 4
-               [ cube "0000"; cube "0001"; cube "0010"; cube "0100"; cube "1000" ]
-           in
-           ignore (Lr_espresso.Espresso.minimize ~onset ~offset ())))
-  in
   let sat_test =
     Test.make ~name:"SAT pigeonhole(5,4)"
       (Staged.stage (fun () ->
@@ -475,7 +461,6 @@ let micro () =
         score_test;
         fraig_test;
         bdd_test;
-        espresso_test;
         sat_test;
       ]
   in
@@ -511,8 +496,7 @@ let json_of_rows rows =
     [
       ("schema", Json.String "lr-bench-report/v1");
       ("seed", Json.Int !seed_base);
-      (* baselines must not be compared across parallelism levels: the
-         regression gate keys on this *)
+      (* recorded for the reader: the parallelism level of the run *)
       ("jobs", Json.Int !jobs);
       ("degraded", Json.Int !degraded_total);
       ( "alerts_fired",
@@ -666,10 +650,25 @@ let () =
   | Some run, Some interval_s ->
       Progress.add_heartbeat run ~out:(Log.locked_write stderr) ~interval_s
   | _ -> ());
+  (* open both output files before any work, so a bad path fails in a
+     second instead of after the whole run *)
+  let open_out_or_die ~flag path =
+    try open_out path
+    with Sys_error msg ->
+      Printf.eprintf "error: cannot open %s file: %s\n" flag msg;
+      exit 1
+  in
+  let json_out =
+    match json with
+    | Some "-" | None -> None
+    | Some path -> Some (path, open_out_or_die ~flag:"--json" path)
+  in
   Instr.set_sinks
     ((match trace_jsonl with
      | Some "-" -> [ Instr.jsonl print_string ]
-     | Some f -> [ Instr.jsonl_file f ]
+     | Some f ->
+         close_out (open_out_or_die ~flag:"--trace-jsonl" f);
+         [ Instr.jsonl_file f ]
      | None -> [])
     @ (match live with Some run -> [ Progress.fold run ] | None -> [])
     @
@@ -697,21 +696,6 @@ let () =
   in
   let rows = ref [] in
   (match what with
-  | "regen-baseline" ->
-      (* the committed baseline is defined as exactly this configuration;
-         lr_report check points here when the gate trips.  Scale, seed,
-         jobs and case are forced so the file cannot silently drift to a
-         different (incomparable) configuration. *)
-      seed_base := 1;
-      jobs := 1;
-      let baseline_rows = table2 ~only:"case_7" quick_scale in
-      rows := baseline_rows;
-      let path = "bench/baseline.json" in
-      let oc = open_out path in
-      output_string oc (Json.to_string (json_of_rows baseline_rows));
-      output_string oc "\n";
-      close_out oc;
-      Printf.printf "baseline regenerated: %s\n" path
   | "table2" -> rows := table2 ?only scale
   | "ablation" -> ablation scale
   | "extensions" -> extensions scale
@@ -726,7 +710,7 @@ let () =
   | other ->
       Printf.eprintf
         "unknown benchmark %s (use \
-         table2|ablation|extensions|scaling|micro|all|regen-baseline)\n"
+         table2|ablation|extensions|scaling|micro|all)\n"
         other;
       exit 1);
   Instr.flush_sinks ();
@@ -735,13 +719,12 @@ let () =
       Server.mark_done srv;
       Server.stop srv)
     server;
-  match json with
-  | Some "-" -> print_endline (Json.to_string (json_of_rows !rows))
-  | Some path ->
-      let oc = open_out path in
+  match (json, json_out) with
+  | Some "-", _ -> print_endline (Json.to_string (json_of_rows !rows))
+  | _, Some (path, oc) ->
       output_string oc (Json.to_string (json_of_rows !rows));
       output_string oc "\n";
       close_out oc;
       Printf.printf "json report written to %s (%d table2 rows)\n" path
         (List.length !rows)
-  | None -> ()
+  | _ -> ()

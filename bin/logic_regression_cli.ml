@@ -14,8 +14,6 @@ module Learner = Logic_regression.Learner
 module Baselines = Lr_baselines.Baselines
 module Instr = Lr_instr.Instr
 module Json = Lr_instr.Json
-module Histogram = Lr_report.Histogram
-module Gcstat = Lr_report.Gcstat
 module Progress = Lr_prof.Progress
 module Metrics = Lr_prof.Metrics
 module Finding = Lr_check.Finding
@@ -332,20 +330,6 @@ let case_pos =
   let doc = "Benchmark case name (see the list subcommand) or a circuit file path." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"CASE" ~doc)
 
-let resolve_box ~budget name =
-  match Cases.find name with
-  | spec -> (Cases.blackbox ?budget spec, Some (Cases.build spec))
-  | exception Not_found ->
-      if Sys.file_exists name then begin
-        let golden =
-          if Filename.check_suffix name ".blif" then
-            Lr_netlist.Blif.read_file name
-          else Io.read_file name
-        in
-        (Box.of_netlist ?budget golden, Some golden)
-      end
-      else failwith (Printf.sprintf "unknown case or file: %s" name)
-
 (* ---------- learn ---------- *)
 
 let describe_matches oc m =
@@ -375,119 +359,6 @@ let describe_matches oc m =
         | None -> ""
         | Some _ -> "   [hidden: via propagation cube]"))
     m.T.comparators
-
-let json_of_run ~case ~seed ~time_budget ~eval_patterns ~accuracy ~faults
-    report =
-  let c = report.Learner.circuit in
-  let stats = N.stats c in
-  let gc_fields name =
-    match List.assoc_opt name report.Learner.phase_gc with
-    | Some g -> ( match Gcstat.to_json g with Json.Obj l -> l | _ -> [])
-    | None -> []
-  in
-  let retries_of name =
-    match List.assoc_opt name report.Learner.phase_retries with
-    | Some r -> r
-    | None -> 0
-  in
-  let phases =
-    List.map
-      (fun (name, seconds) ->
-        let queries =
-          match List.assoc_opt name report.Learner.phase_queries with
-          | Some q -> q
-          | None -> 0
-        in
-        Json.Obj
-          ([
-             ("name", Json.String name);
-             ("seconds", Json.Float seconds);
-             ("queries", Json.Int queries);
-             ("retries", Json.Int (retries_of name));
-           ]
-          @ gc_fields name))
-      report.Learner.phase_times
-    @
-    match List.assoc_opt "other" report.Learner.phase_queries with
-    | Some q ->
-        [
-          Json.Obj
-            [
-              ("name", Json.String "other");
-              ("seconds", Json.Float 0.0);
-              ("queries", Json.Int q);
-              ("retries", Json.Int (retries_of "other"));
-            ];
-        ]
-    | None -> []
-  in
-  let outputs =
-    List.map
-      (fun r ->
-        Json.Obj
-          [
-            ("name", Json.String r.Learner.output_name);
-            ( "method",
-              Json.String (Learner.method_to_string r.Learner.method_used) );
-            ("support", Json.Int r.Learner.support_size);
-            ("cubes", Json.Int r.Learner.cubes);
-            ("used_offset", Json.Bool r.Learner.used_offset);
-            ("complete", Json.Bool r.Learner.complete);
-            ("compressed", Json.Bool r.Learner.compressed);
-          ])
-      report.Learner.outputs
-  in
-  Json.Obj
-    [
-      ("schema", Json.String "lr-run-report/v1");
-      ("case", Json.String case);
-      ("seed", Json.Int seed);
-      ("inputs", Json.Int (N.num_inputs c));
-      ("outputs", Json.Int (N.num_outputs c));
-      ("size", Json.Int (N.size c));
-      ("inverters", Json.Int stats.N.inverters);
-      ("depth", Json.Int stats.N.depth);
-      ("queries", Json.Int report.Learner.queries);
-      ("elapsed_s", Json.Float report.Learner.elapsed_s);
-      ( "accuracy",
-        match accuracy with Some a -> Json.Float a | None -> Json.Null );
-      ("eval_patterns", Json.Int eval_patterns);
-      ( "time_budget_s",
-        match time_budget with Some b -> Json.Float b | None -> Json.Null );
-      ("budget_exceeded", Json.Bool report.Learner.budget_exceeded);
-      ( "faults",
-        match faults with
-        | Some s -> Json.String (Faults.to_string s)
-        | None -> Json.Null );
-      ( "faults_seen",
-        Json.Obj
-          (List.map (fun (k, v) -> (k, Json.Int v)) report.Learner.faults_seen)
-      );
-      ("retries", Json.Int report.Learner.retries);
-      ("degraded", Json.Int report.Learner.degraded);
-      ( "check_level",
-        Json.String (Config.check_level_string report.Learner.check_level) );
-      ("checks_verified", Json.Int report.Learner.checks_verified);
-      ("sweep_removed", Json.Int report.Learner.sweep_removed);
-      ( "lint_findings",
-        Json.List (List.map Finding.json report.Learner.lint_findings) );
-      ("query_latency", Histogram.summary_to_json report.Learner.query_latency);
-      ("jobs", Json.Int report.Learner.jobs);
-      ( "domains",
-        Json.List
-          (List.map
-             (fun (d, phases) ->
-               Json.Obj
-                 [
-                   ("domain", Json.Int d);
-                   ( "phases",
-                     Json.Obj
-                       (List.map (fun (n, s) -> (n, Json.Float s)) phases) );
-                 ])
-             report.Learner.domain_times) );
-      ("phases", Json.List phases);
-      ("outputs_detail", Json.List outputs);
-    ]
 
 let print_phase_breakdown oc report =
   let total_q = max 1 report.Learner.queries in
@@ -568,7 +439,7 @@ let learn_run case preset seed budget eval_patterns support_rounds no_templates
       faults = fault_spec;
     }
   in
-  let box, golden = resolve_box ~budget case in
+  let box, golden = Cases.resolve ?budget case in
   let json_oc =
     match json with
     | Some "-" | None -> None
@@ -678,17 +549,16 @@ let learn_run case preset seed budget eval_patterns support_rounds no_templates
     Printf.fprintf hout "accuracy: %s on %d patterns\n"
       (accuracy_string accuracy) eval_patterns;
   (if json <> None then
-     let report_json =
-       json_of_run ~case ~seed ~time_budget ~eval_patterns ~accuracy
-         ~faults:fault_spec report
-     in
      (* the alerts section only exists when --alerts armed the engine,
         so unarmed runs keep the exact lr-run-report/v1 key set *)
+     let extra =
+       match alerts_engine with
+       | Some engine -> [ ("alerts", Alerts.report_json engine) ]
+       | None -> []
+     in
      let report_json =
-       match (alerts_engine, report_json) with
-       | Some engine, Json.Obj kvs ->
-           Json.Obj (kvs @ [ ("alerts", Alerts.report_json engine) ])
-       | _ -> report_json
+       Learner.report_json ~extra ~case ~seed ~time_budget_s:time_budget
+         ~faults:fault_spec ~eval_patterns ~accuracy report
      in
      match (json, json_oc) with
      | Some "-", _ -> print_endline (Json.to_string report_json)
@@ -784,7 +654,7 @@ let baseline_arg =
   Arg.(value & opt baseline_conv `Id3 & info [ "method" ] ~doc)
 
 let baseline_run case method_ seed budget eval_patterns =
-  let box, golden = resolve_box ~budget case in
+  let box, golden = Cases.resolve ?budget case in
   let rng = Rng.create seed in
   let t0 = Unix.gettimeofday () in
   let c =
@@ -858,7 +728,7 @@ let check_interfaces (p1, c1) (p2, c2) =
 
 let score_run case candidate seed eval_patterns =
   let golden =
-    match resolve_box ~budget:None case with
+    match Cases.resolve case with
     | _, Some golden -> golden
     | _, None -> failwith "no golden circuit available"
     | exception (Failure msg | Sys_error msg) -> input_error case msg

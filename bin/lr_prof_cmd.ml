@@ -81,56 +81,15 @@ let chrome_cmd =
 
 (* ---------- diff ---------- *)
 
-(* "5%" or "0.05" -> 0.05 *)
-let parse_pct s =
-  let s = String.trim s in
-  let n = String.length s in
-  if n > 0 && s.[n - 1] = '%' then
-    match float_of_string_opt (String.sub s 0 (n - 1)) with
-    | Some v when v >= 0.0 -> Ok (v /. 100.0)
-    | _ -> Error (`Msg (Printf.sprintf "bad percentage %S" s))
-  else
-    match float_of_string_opt s with
-    | Some v when v >= 0.0 -> Ok v
-    | _ -> Error (`Msg (Printf.sprintf "bad fraction %S" s))
-
-let pct_conv =
-  Arg.conv
-    (parse_pct, fun ppf v -> Format.fprintf ppf "%g%%" (100.0 *. v))
-
-let max_regress_arg =
-  let doc =
-    "Fail (exit 1) when any span's self time regressed by more than \
-     $(docv) (e.g. 10% or 0.1) relative to the old trace, beyond a 10 ms \
-     jitter floor."
-  in
-  Arg.(
-    value
-    & opt (some pct_conv) None
-    & info [ "max-regress" ] ~docv:"PCT" ~doc)
-
-let diff_run old_path new_path k max_regress =
-  let old_p = load old_path and new_p = load new_path in
-  print_string (Profile.render_diff ~k old_p new_p);
-  match max_regress with
-  | None -> 0
-  | Some max_frac -> (
-      match Profile.regressions ~max_frac old_p new_p with
-      | [] -> 0
-      | regs ->
-          List.iter
-            (fun (path, old_s, new_s) ->
-              Printf.printf
-                "REGRESSION %s: self %.3fs -> %.3fs (limit +%g%%)\n" path
-                old_s new_s (100.0 *. max_frac))
-            regs;
-          1)
+let diff_run old_path new_path k =
+  print_string (Profile.render_diff ~k (load old_path) (load new_path));
+  0
 
 let diff_cmd =
   let doc = "compare two traces: per-span self-time and counter deltas" in
   Cmd.v
     (Cmd.info "diff" ~doc)
-    Term.(const diff_run $ trace_pos 0 $ trace_pos 1 $ k_arg $ max_regress_arg)
+    Term.(const diff_run $ trace_pos 0 $ trace_pos 1 $ k_arg)
 
 let main =
   let doc = "hotspot profiler over lr telemetry event logs" in

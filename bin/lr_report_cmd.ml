@@ -1,19 +1,15 @@
-(* Run-history and regression-gate front end:
+(* Report gate front end:
 
-     lr_report record  report.json --history runs.jsonl
-     lr_report compare old.json new.json
-     lr_report check   old.json new.json --max-gate-regress 5% \
-                       --min-accuracy 99.99
+     lr_report check REPORT... [--method M] [--min-accuracy P] [--deny-alerts]
 
-   [record] appends a run/bench report to a JSONL history file;
-   [compare] prints a per-case delta table between two reports (or the
-   last two history entries); [check] additionally applies thresholds
-   and exits nonzero on a regression — the gate CI and perf PRs run
-   against a committed baseline. *)
+   [check] gates each run or bench report on its own, on what CI
+   asserts: fired alerts, degraded or cache-served runs, and an accuracy
+   floor. Comparing the performance of two runs is the ledger's job
+   (ledger/main.exe), which repeats each run and judges every metric
+   against its noise bound. *)
 
 module Json = Lr_instr.Json
 module Compare = Lr_report.Compare
-module History = Lr_report.History
 
 open Cmdliner
 
@@ -33,23 +29,11 @@ let load_report path =
   | Ok v -> v
   | Error e -> die "%s: %s" path e
 
-let entries ?case ?method_ path =
-  match Compare.entries_of_report (load_report path) with
-  | Ok l -> Compare.filter ?case ?method_ l
-  | Error e -> die "%s: %s" path e
-
-(* ---------- shared args ---------- *)
-
-let history_arg =
-  let doc = "JSONL history file (see the record subcommand)." in
-  Arg.(
-    required
-    & opt (some string) None
-    & info [ "history" ] ~docv:"FILE" ~doc)
-
-let case_filter_arg =
-  let doc = "Only consider entries of this case." in
-  Arg.(value & opt (some string) None & info [ "case" ] ~docv:"CASE" ~doc)
+let reports_pos =
+  let doc =
+    "Run or bench report (JSON file). Each one is checked on its own."
+  in
+  Arg.(non_empty & pos_all string [] & info [] ~docv:"REPORT" ~doc)
 
 let method_filter_arg =
   let doc =
@@ -58,96 +42,23 @@ let method_filter_arg =
   in
   Arg.(value & opt (some string) None & info [ "method" ] ~docv:"METHOD" ~doc)
 
-let old_pos =
-  let doc = "Baseline report (JSON file)." in
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"OLD" ~doc)
-
-let new_pos =
-  let doc = "Candidate report (JSON file)." in
-  Arg.(required & pos 1 (some string) None & info [] ~docv:"NEW" ~doc)
-
-(* ---------- record ---------- *)
-
-let record_run report history =
-  let v = load_report report in
-  (match Option.bind (Json.member "schema" v) Json.get_string with
-  | Some ("lr-run-report/v1" | "lr-bench-report/v1") -> ()
-  | Some s -> die "%s: unknown report schema %s" report s
-  | None -> die "%s: missing schema field" report);
-  History.append history v;
-  Printf.printf "recorded %s into %s (%d entries)\n" report history
-    (History.entry_count history);
-  0
-
-let record_cmd =
-  let doc = "append a run/bench report to a JSONL history file" in
-  let report_pos =
-    let doc = "Report to record (JSON file)." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"REPORT" ~doc)
-  in
-  Cmd.v (Cmd.info "record" ~doc) Term.(const record_run $ report_pos $ history_arg)
-
-(* ---------- compare ---------- *)
-
-let print_comparison deltas only_old only_new =
-  print_string (Compare.render_table deltas);
-  if only_old <> [] then
-    Printf.printf "only in OLD: %s\n" (String.concat " " only_old);
-  if only_new <> [] then
-    Printf.printf "only in NEW: %s\n" (String.concat " " only_new);
-  if deltas = [] then print_endline "no common entries to compare"
-
-let compare_run old_path new_path case method_ =
-  let deltas, only_old, only_new =
-    Compare.join (entries ?case ?method_ old_path) (entries ?case ?method_ new_path)
-  in
-  print_comparison deltas only_old only_new;
-  0
-
-let compare_cmd =
-  let doc = "print a per-case delta table between two reports" in
-  Cmd.v
-    (Cmd.info "compare" ~doc)
-    Term.(
-      const compare_run $ old_pos $ new_pos $ case_filter_arg
-      $ method_filter_arg)
-
-(* ---------- check ---------- *)
-
-let fraction_conv =
-  let parse s =
-    match Compare.parse_fraction s with
-    | Ok f -> Ok f
-    | Error e -> Error (`Msg e)
-  in
-  Arg.conv (parse, fun ppf f -> Format.fprintf ppf "%g" f)
-
-let max_gate_arg =
-  let doc =
-    "Fail when any entry's gate count grows by more than this fraction \
-     (accepts 5% or 0.05)."
-  in
-  Arg.(
-    value
-    & opt (some fraction_conv) None
-    & info [ "max-gate-regress" ] ~docv:"FRAC" ~doc)
-
 let min_accuracy_arg =
-  let doc = "Fail when any entry's new accuracy is below this percentage." in
+  let doc =
+    "Fail when any entry's accuracy is below this percentage. Every \
+     report must then have an entry left after $(b,--method) (exit 2 \
+     otherwise)."
+  in
   Arg.(
     value
     & opt (some float) None
     & info [ "min-accuracy" ] ~docv:"PERCENT" ~doc)
 
-let max_time_arg =
+let deny_alerts_arg =
   let doc =
-    "Fail when any entry's time grows by more than this fraction (plus \
-     0.1s of jitter slack; accepts 50% or 0.5)."
+    "Fail (exit 1) when any report recorded fired alert rules (a run \
+     report's alerts section, or a bench report's alerts_fired count)."
   in
-  Arg.(
-    value
-    & opt (some fraction_conv) None
-    & info [ "max-time-regress" ] ~docv:"FRAC" ~doc)
+  Arg.(value & flag & info [ "deny-alerts" ] ~doc)
 
 (* Alert firings recorded in a report: run reports carry an "alerts"
    object with a "fired" total, bench reports a flat "alerts_fired". *)
@@ -158,21 +69,13 @@ let alerts_fired_of_report report =
       Option.value ~default:0
         (Option.bind (Json.member "alerts_fired" report) Json.get_int)
 
-let check_run old_path new_path case method_ max_gate min_acc max_time
-    deny_alerts =
-  (* refuse cross-parallelism comparisons outright: the time columns
-     would not be like for like *)
-  let old_report = load_report old_path and new_report = load_report new_path in
-  let old_jobs = Compare.jobs_of_report old_report
-  and new_jobs = Compare.jobs_of_report new_report in
-  if old_jobs <> new_jobs then
-    die
-      "jobs mismatch: %s ran with jobs=%d, %s with jobs=%d — record a \
-       baseline at the same parallelism level"
-      old_path old_jobs new_path new_jobs;
+let pp_acc = function Some a -> Printf.sprintf "%.3f" a | None -> "-"
+
+let check_run paths method_ min_acc deny_alerts =
+  let reports = List.map (fun path -> (path, load_report path)) paths in
   (* the alert gate runs before the degraded refusal: a fault-injected
      run that fired its rules should report the firing (exit 1), not be
-     rejected as an unusable baseline (exit 2) *)
+     refused as unusable (exit 2) *)
   if deny_alerts then begin
     let fired =
       List.filter_map
@@ -180,7 +83,7 @@ let check_run old_path new_path case method_ max_gate min_acc max_time
           match alerts_fired_of_report report with
           | 0 -> None
           | n -> Some (path, n))
-        [ (old_path, old_report); (new_path, new_report) ]
+        reports
     in
     match fired with
     | [] -> ()
@@ -193,7 +96,7 @@ let check_run old_path new_path case method_ max_gate min_acc max_time
         exit 1
   end;
   (* likewise refuse degraded runs: outputs emitted as best-effort
-     constants after query faults make size/accuracy incomparable *)
+     constants after query faults make size/accuracy meaningless *)
   List.iter
     (fun (path, report) ->
       let d = Compare.degraded_of_report report in
@@ -202,9 +105,9 @@ let check_run old_path new_path case method_ max_gate min_acc max_time
           "%s is a degraded run (%d output(s) gave up on query faults) — \
            record a fault-free baseline before gating"
           path d)
-    [ (old_path, old_report); (new_path, new_report) ];
-  (* and warm-cache lr_serve reports: their elapsed time measures a
-     cache lookup, not a learn *)
+    reports;
+  (* and warm-cache lr_serve reports: they describe a cache lookup, not
+     a learn *)
   List.iter
     (fun (path, report) ->
       if Compare.cache_hit_of_report report then
@@ -212,72 +115,59 @@ let check_run old_path new_path case method_ max_gate min_acc max_time
           "%s was served from the lr_serve circuit cache — gate against a \
            cold-cache (cache_hit=false) report"
           path)
-    [ (old_path, old_report); (new_path, new_report) ];
-  let deltas, only_old, only_new =
-    Compare.join (entries ?case ?method_ old_path) (entries ?case ?method_ new_path)
+    reports;
+  (* a floor over zero entries would pass whatever the typo *)
+  let checked =
+    List.map
+      (fun (path, report) ->
+        match Compare.entries_of_report report with
+        | Error e -> die "%s: %s" path e
+        | Ok l ->
+            let es = Compare.filter ?method_ l in
+            if es = [] && min_acc <> None then
+              die "%s: no entry to check%s" path
+                (match method_ with
+                | Some m -> Printf.sprintf " (--method %s)" m
+                | None -> "");
+            List.map (fun e -> (path, e)) es)
+      reports
+    |> List.concat
   in
-  print_comparison deltas only_old only_new;
-  let thresholds =
-    {
-      Compare.max_gate_regress = max_gate;
-      min_accuracy = min_acc;
-      max_time_regress = max_time;
-    }
+  if checked <> [] then
+    Printf.printf "%-24s %8s %9s  %s\n" "key" "size" "acc" "report";
+  List.iter
+    (fun (path, (e : Compare.entry)) ->
+      Printf.printf "%-24s %8d %9s  %s\n" e.key e.size (pp_acc e.accuracy)
+        path)
+    checked;
+  let failures =
+    match min_acc with
+    | Some min_accuracy ->
+        Compare.below_floor ~min_accuracy (List.map snd checked)
+    | None -> []
   in
-  match Compare.violations thresholds deltas with
+  match failures with
   | [] ->
-      Printf.printf "check passed (%d entries compared)\n" (List.length deltas);
+      Printf.printf "check passed (%d entries checked)\n" (List.length checked);
       0
   | vs ->
       List.iter (fun v -> Printf.printf "REGRESSION: %s\n" v) vs;
       Printf.printf "check failed: %d regression(s)\n" (List.length vs);
-      (* most gate failures against the committed baseline are stale
-         baselines, not real regressions — say how to refresh it *)
-      if Filename.basename old_path = "baseline.json" then
-        Printf.printf
-          "if the new numbers are intended, regenerate the baseline with:\n\
-          \  dune exec bench/main.exe -- regen-baseline\n";
       1
 
-let deny_alerts_arg =
-  let doc =
-    "Fail (exit 1) when either report recorded fired alert rules (a run \
-     report's alerts section, or a bench report's alerts_fired count)."
-  in
-  Arg.(value & flag & info [ "deny-alerts" ] ~doc)
-
 let check_cmd =
-  let doc = "compare two reports and exit nonzero on a regression" in
+  let doc =
+    "gate each report on its own: alerts, degraded or cache-served runs, \
+     and an accuracy floor"
+  in
   Cmd.v
     (Cmd.info "check" ~doc)
     Term.(
-      const check_run $ old_pos $ new_pos $ case_filter_arg
-      $ method_filter_arg $ max_gate_arg $ min_accuracy_arg $ max_time_arg
+      const check_run $ reports_pos $ method_filter_arg $ min_accuracy_arg
       $ deny_alerts_arg)
 
-(* ---------- log ---------- *)
-
-let log_run history =
-  match History.load history with
-  | Error e -> die "%s" e
-  | Ok records ->
-      List.iteri
-        (fun i v ->
-          let s k =
-            match Option.bind (Json.member k v) Json.get_string with
-            | Some x -> x
-            | None -> "-"
-          in
-          Printf.printf "%4d  %-20s %s\n" i (s "schema") (s "case"))
-        records;
-      0
-
-let log_cmd =
-  let doc = "list the entries of a history file" in
-  Cmd.v (Cmd.info "log" ~doc) Term.(const log_run $ history_arg)
-
 let main =
-  let doc = "run-history store and bench regression gate" in
-  Cmd.group (Cmd.info "lr_report" ~doc) [ record_cmd; compare_cmd; check_cmd; log_cmd ]
+  let doc = "gate run and bench reports" in
+  Cmd.group (Cmd.info "lr_report" ~doc) [ check_cmd ]
 
 let () = exit (Cmd.eval' main)

@@ -404,6 +404,20 @@ let build spec =
 let blackbox ?budget ?deadline_s spec =
   Box.of_netlist ?budget ?deadline_s (build spec)
 
+let resolve ?budget name =
+  match find name with
+  | spec -> (blackbox ?budget spec, Some (build spec))
+  | exception Not_found ->
+      if Sys.file_exists name then begin
+        let golden =
+          if Filename.check_suffix name ".blif" then
+            Lr_netlist.Blif.read_file name
+          else Lr_netlist.Io.read_file name
+        in
+        (Box.of_netlist ?budget golden, Some golden)
+      end
+      else failwith (Printf.sprintf "unknown case or file: %s" name)
+
 (* ---------- parametric generator wrappers ---------- *)
 
 let anon_spec seed num_inputs num_outputs category =

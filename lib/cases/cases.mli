@@ -51,6 +51,16 @@ val build : spec -> Lr_netlist.Netlist.t
 val blackbox : ?budget:int -> ?deadline_s:float -> spec -> Lr_blackbox.Blackbox.t
 (** The case wrapped behind the contest query interface. *)
 
+val resolve :
+  ?budget:int ->
+  string ->
+  Lr_blackbox.Blackbox.t * Lr_netlist.Netlist.t option
+(** A case name, or else a circuit file ([.blif] read as BLIF, anything
+    else in the native text format), as a black box and its golden
+    circuit — what [learn], [score] and [lr_serve] jobs run on. Raises
+    [Failure] when [name] is neither; a file that does not parse raises
+    its reader's exception. *)
+
 (** {2 Parametric generators}
 
     The building blocks behind the 20 cases, exposed so users can grow

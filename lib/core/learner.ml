@@ -14,6 +14,7 @@ module Bdd = Lr_bdd.Bdd
 module Aig = Lr_aig.Aig
 module Opt = Lr_aig.Opt
 module Instr = Lr_instr.Instr
+module Json = Lr_instr.Json
 module Log = Lr_obs.Log
 module Histogram = Lr_report.Histogram
 module Gcstat = Lr_report.Gcstat
@@ -90,6 +91,94 @@ type report = {
    so the "check" row overlaps the others rather than adding to them. *)
 let phase_names =
   [ "templates"; "support-id"; "fbdt"; "cover-min"; "aig-opt"; "sweep"; "check" ]
+
+let report_json ?(extra = []) ~case ~seed ~time_budget_s ~faults
+    ~eval_patterns ~accuracy report =
+  let c = report.circuit in
+  let stats = N.stats c in
+  let assoc name l = Option.value (List.assoc_opt name l) ~default:0 in
+  let gc_fields name =
+    match List.assoc_opt name report.phase_gc with
+    | Some g -> ( match Gcstat.to_json g with Json.Obj l -> l | _ -> [])
+    | None -> []
+  in
+  let phase name seconds =
+    [
+      ("name", Json.String name);
+      ("seconds", Json.Float seconds);
+      ("queries", Json.Int (assoc name report.phase_queries));
+      ("retries", Json.Int (assoc name report.phase_retries));
+    ]
+  in
+  let phases =
+    List.map
+      (fun (name, seconds) -> Json.Obj (phase name seconds @ gc_fields name))
+      report.phase_times
+    @
+    if List.mem_assoc "other" report.phase_queries then
+      [ Json.Obj (phase "other" 0.0) ]
+    else []
+  in
+  let outputs =
+    List.map
+      (fun r ->
+        Json.Obj
+          [
+            ("name", Json.String r.output_name);
+            ("method", Json.String (method_to_string r.method_used));
+            ("support", Json.Int r.support_size);
+            ("cubes", Json.Int r.cubes);
+            ("used_offset", Json.Bool r.used_offset);
+            ("complete", Json.Bool r.complete);
+            ("compressed", Json.Bool r.compressed);
+          ])
+      report.outputs
+  in
+  let opt f = function Some v -> f v | None -> Json.Null in
+  Json.Obj
+    ([
+       ("schema", Json.String "lr-run-report/v1");
+      ("case", Json.String case);
+      ("seed", Json.Int seed);
+      ("inputs", Json.Int (N.num_inputs c));
+      ("outputs", Json.Int (N.num_outputs c));
+      ("size", Json.Int (N.size c));
+      ("inverters", Json.Int stats.N.inverters);
+      ("depth", Json.Int stats.N.depth);
+      ("queries", Json.Int report.queries);
+      ("elapsed_s", Json.Float report.elapsed_s);
+      ("accuracy", opt (fun a -> Json.Float a) accuracy);
+      ("eval_patterns", Json.Int eval_patterns);
+      ("time_budget_s", opt (fun b -> Json.Float b) time_budget_s);
+      ("budget_exceeded", Json.Bool report.budget_exceeded);
+      ("faults", opt (fun s -> Json.String (Faults.to_string s)) faults);
+      ( "faults_seen",
+        Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) report.faults_seen)
+      );
+      ("retries", Json.Int report.retries);
+      ("degraded", Json.Int report.degraded);
+      ("check_level", Json.String (Config.check_level_string report.check_level));
+      ("checks_verified", Json.Int report.checks_verified);
+      ("sweep_removed", Json.Int report.sweep_removed);
+      ("lint_findings", Json.List (List.map Finding.json report.lint_findings));
+      ("query_latency", Histogram.summary_to_json report.query_latency);
+      ("jobs", Json.Int report.jobs);
+      ( "domains",
+        Json.List
+          (List.map
+             (fun (d, phases) ->
+               Json.Obj
+                 [
+                   ("domain", Json.Int d);
+                   ( "phases",
+                     Json.Obj
+                       (List.map (fun (n, s) -> (n, Json.Float s)) phases) );
+                 ])
+             report.domain_times) );
+      ("phases", Json.List phases);
+      ("outputs_detail", Json.List outputs);
+    ]
+    @ extra)
 
 (* representative (lhs, rhs) vector values realising the predicate value:
    [reps op] = ((x_false, y_false), (x_true, y_true)) *)

@@ -81,8 +81,7 @@ type report = {
   degraded : int;
       (** outputs whose [method_used] is {!Degraded_fault} — nonzero
           means the learned circuit is best-effort, and downstream
-          tooling (e.g. [lr_report check]) must not treat this run as a
-          comparable baseline *)
+          tooling (e.g. [lr_report check]) must refuse to gate on it *)
   budget_exceeded : bool;
       (** the {!Config.t.time_budget_s} wall-clock budget ran out: some
           phases or outputs were skipped (their [method_used] is
@@ -121,6 +120,25 @@ val phase_names : string list
     [phase_times] / [phase_queries]. [check] spans nest {e inside} the
     phase they guard (per-pass CEC runs inside [aig-opt]), so the [check]
     time overlaps the other rows rather than adding to them. *)
+
+val report_json :
+  ?extra:(string * Lr_instr.Json.t) list ->
+  case:string ->
+  seed:int ->
+  time_budget_s:float option ->
+  faults:Lr_faults.Faults.spec option ->
+  eval_patterns:int ->
+  accuracy:float option ->
+  report ->
+  Lr_instr.Json.t
+(** The [lr-run-report/v1] object of one run: [case], [seed], the wall
+    clock budget and fault spec it ran under, the scoring-pattern count
+    and the accuracy it scored ([None] when unscored, written as
+    [null]), then every field of the report. One [phases] row per
+    {!phase_names} entry that ran, carrying its GC deltas, plus a final
+    ["other"] row; one [outputs_detail] row per output; then [extra]
+    (default none). [learn --json] adds an [alerts] section when alerts
+    are armed, and [lr_serve] adds [job_id], [tenant] and [cache_hit]. *)
 
 val learn : ?config:Config.t -> Lr_blackbox.Blackbox.t -> report
 (** Learn a circuit for the black-box. The box's budget (if any) drives the

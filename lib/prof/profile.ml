@@ -235,22 +235,6 @@ let top ?(k = 20) t =
   in
   List.filteri (fun i _ -> i < k) sorted
 
-(* Self-time regressions of [new_t] against [old_t]: paths whose self
-   seconds exceed the old value by more than [max_frac] (relative) plus
-   [slack_s] (absolute floor, so microsecond jitter on near-zero spans
-   cannot gate a CI run). Sorted by regression size, worst first. *)
-let regressions ?(slack_s = 0.01) ~max_frac old_t new_t =
-  List.filter_map
-    (fun n ->
-      let old_self =
-        match find old_t n.path with Some o -> o.self_s | None -> 0.0
-      in
-      let limit = (old_self *. (1.0 +. max_frac)) +. slack_s in
-      if n.self_s > limit then Some (n.path, old_self, n.self_s) else None)
-    new_t.nodes
-  |> List.sort (fun (_, o1, n1) (_, o2, n2) ->
-         compare (n2 -. o2) (n1 -. o1))
-
 let is_leaf t =
   let parents = Hashtbl.create 64 in
   List.iter

@@ -74,15 +74,10 @@ val render_top : ?k:int -> t -> string
     per-phase attribution breakdown (depth-1 spans, with the [po:*]
     conquer spans also shown aggregated), and per-span counter rates. *)
 
-val regressions :
-  ?slack_s:float -> max_frac:float -> t -> t -> (string * float * float) list
-(** [regressions ~max_frac old new] — [(path, old_self_s, new_self_s)]
-    for every span whose self time grew past
-    [old *. (1 +. max_frac) +. slack_s] (default slack 10 ms, so jitter
-    on near-zero spans cannot fire), worst absolute growth first. The
-    gate behind [lr_prof diff --max-regress]. *)
-
 val render_diff : ?k:int -> t -> t -> string
 (** [render_diff old new] — spans ranked by absolute self-time change,
     plus counter-total deltas; spans present on only one side are
-    included with the missing side read as 0. *)
+    included with the missing side read as 0. A view for the reader,
+    never a gate: one pair of traces carries no noise bound, so judging
+    a performance change is the ledger's job ([ledger/main.exe diff]
+    prints this view per workload). *)

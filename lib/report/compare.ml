@@ -1,23 +1,15 @@
 module Json = Lr_instr.Json
 
-type entry = {
-  key : string;
-  size : int;
-  accuracy : float option;
-  time_s : float;
-}
+type entry = { key : string; size : int; accuracy : float option }
 
 let bench_methods = [ "contest"; "sop"; "id3"; "improved" ]
 
 let measurement_entry ~key v =
-  match
-    ( Option.bind (Json.member "size" v) Json.get_int,
-      Option.bind (Json.member "time_s" v) Json.get_float )
-  with
-  | Some size, Some time_s ->
+  match Option.bind (Json.member "size" v) Json.get_int with
+  | Some size ->
       let accuracy = Option.bind (Json.member "accuracy" v) Json.get_float in
-      Ok { key; size; accuracy; time_s }
-  | _ -> Error (key ^ ": missing size/time_s")
+      Ok { key; size; accuracy }
+  | None -> Error (key ^ ": missing size")
 
 let entries_of_bench v =
   match Option.bind (Json.member "rows" v) Json.get_list with
@@ -54,13 +46,12 @@ let entries_of_bench v =
 let entries_of_run v =
   match
     ( Option.bind (Json.member "case" v) Json.get_string,
-      Option.bind (Json.member "size" v) Json.get_int,
-      Option.bind (Json.member "elapsed_s" v) Json.get_float )
+      Option.bind (Json.member "size" v) Json.get_int )
   with
-  | Some case, Some size, Some time_s ->
+  | Some case, Some size ->
       let accuracy = Option.bind (Json.member "accuracy" v) Json.get_float in
-      Ok [ { key = case; size; accuracy; time_s } ]
-  | _ -> Error "run report: missing case/size/elapsed_s"
+      Ok [ { key = case; size; accuracy } ]
+  | _ -> Error "run report: missing case/size"
 
 let entries_of_report v =
   match Option.bind (Json.member "schema" v) Json.get_string with
@@ -69,13 +60,7 @@ let entries_of_report v =
   | Some s -> Error ("unknown report schema: " ^ s)
   | None -> Error "not a report: missing schema field"
 
-(* reports written before the field existed were always sequential *)
-let jobs_of_report v =
-  match Option.bind (Json.member "jobs" v) Json.get_int with
-  | Some j -> j
-  | None -> 1
-
-(* ... and always fault-free *)
+(* reports written before the field existed were always fault-free *)
 let degraded_of_report v =
   match Option.bind (Json.member "degraded" v) Json.get_int with
   | Some d -> d
@@ -102,104 +87,13 @@ let filter ?case ?method_ entries =
       && match method_ with Some want -> m = Some want | None -> true)
     entries
 
-type delta = { key : string; old_e : entry; new_e : entry }
-
-let join (old_entries : entry list) (new_entries : entry list) =
-  let old_keys = List.map (fun (e : entry) -> e.key) old_entries in
-  let new_keys = List.map (fun (e : entry) -> e.key) new_entries in
-  let deltas =
-    List.filter_map
-      (fun (n : entry) ->
-        Option.map
-          (fun o -> { key = n.key; old_e = o; new_e = n })
-          (List.find_opt (fun (o : entry) -> o.key = n.key) old_entries))
-      new_entries
-  in
-  let only_old = List.filter (fun k -> not (List.mem k new_keys)) old_keys in
-  let only_new = List.filter (fun k -> not (List.mem k old_keys)) new_keys in
-  (deltas, only_old, only_new)
-
-type thresholds = {
-  max_gate_regress : float option;
-  min_accuracy : float option;
-  max_time_regress : float option;
-}
-
-let no_thresholds =
-  { max_gate_regress = None; min_accuracy = None; max_time_regress = None }
-
-let parse_fraction s =
-  let s = String.trim s in
-  let body, is_percent =
-    if String.length s > 0 && s.[String.length s - 1] = '%' then
-      (String.sub s 0 (String.length s - 1), true)
-    else (s, false)
-  in
-  match float_of_string_opt (String.trim body) with
-  | Some f when Float.is_finite f && f >= 0.0 ->
-      Ok (if is_percent then f /. 100.0 else f)
-  | Some _ | None -> Error (Printf.sprintf "bad threshold %S" s)
-
-(* fixed jitter slack on wall-clock comparisons: sub-second cases vary by
-   tens of milliseconds run to run, which a pure ratio would flag *)
-let time_slack_s = 0.1
-
-let violations t deltas =
-  List.concat_map
-    (fun d ->
-      let gate =
-        match t.max_gate_regress with
-        | Some frac
-          when float_of_int d.new_e.size
-               > (float_of_int d.old_e.size *. (1.0 +. frac)) +. 1e-9 ->
-            [
-              Printf.sprintf
-                "%s: gate count regressed %d -> %d (limit +%.1f%%)" d.key
-                d.old_e.size d.new_e.size (100.0 *. frac);
-            ]
-        | _ -> []
-      in
-      let acc =
-        match (t.min_accuracy, d.new_e.accuracy) with
-        | Some floor, Some a when a < floor -. 1e-9 ->
-            [
-              Printf.sprintf "%s: accuracy %.4f%% below floor %.4f%%" d.key a
-                floor;
-            ]
-        | _ -> []
-      in
-      let time =
-        match t.max_time_regress with
-        | Some frac
-          when d.new_e.time_s
-               > (d.old_e.time_s *. (1.0 +. frac)) +. time_slack_s ->
-            [
-              Printf.sprintf "%s: time regressed %.2fs -> %.2fs (limit +%.1f%%)"
-                d.key d.old_e.time_s d.new_e.time_s (100.0 *. frac);
-            ]
-        | _ -> []
-      in
-      gate @ acc @ time)
-    deltas
-
-let pp_acc = function Some a -> Printf.sprintf "%.3f" a | None -> "-"
-
-let render_table deltas =
-  if deltas = [] then ""
-  else begin
-    let buf = Buffer.create 256 in
-    Buffer.add_string buf
-      (Printf.sprintf "%-24s %8s %8s %7s  %9s %9s  %8s %8s %8s\n" "key"
-         "size0" "size1" "dsize" "acc0" "acc1" "time0" "time1" "dtime");
-    List.iter
-      (fun d ->
-        Buffer.add_string buf
-          (Printf.sprintf "%-24s %8d %8d %+7d  %9s %9s  %8.2f %8.2f %+8.2f\n"
-             d.key d.old_e.size d.new_e.size
-             (d.new_e.size - d.old_e.size)
-             (pp_acc d.old_e.accuracy) (pp_acc d.new_e.accuracy)
-             d.old_e.time_s d.new_e.time_s
-             (d.new_e.time_s -. d.old_e.time_s)))
-      deltas;
-    Buffer.contents buf
-  end
+let below_floor ~min_accuracy entries =
+  List.filter_map
+    (fun e ->
+      match e.accuracy with
+      | Some a when a < min_accuracy -. 1e-9 ->
+          Some
+            (Printf.sprintf "%s: accuracy %.4f%% below floor %.4f%%" e.key a
+               min_accuracy)
+      | _ -> None)
+    entries

@@ -1,72 +1,38 @@
-(** Diffing and gating report records.
+(** Reading report records for [lr_report check].
 
     Both report schemas flatten to a list of {!entry} rows keyed by
-    case (run reports) or [case/method] (bench reports); two reports
-    are joined on the key, rendered as a delta table, and optionally
-    gated by {!thresholds} — the regression check every perf PR runs
-    against a recorded baseline. *)
+    case (run reports) or [case/method] (bench reports). Each report is
+    gated on its own; comparing the performance of two runs is the
+    ledger's job ([ledger/main.exe]), which repeats each run and judges
+    every metric against its noise bound. *)
 
 type entry = {
   key : string;  (** [case] or [case/method] *)
   size : int;  (** 2-input gate count *)
   accuracy : float option;  (** percent; [None] when unscored *)
-  time_s : float;
 }
 
 val entries_of_report : Lr_instr.Json.t -> (entry list, string) result
 (** Accepts [lr-run-report/v1] (one row) and [lr-bench-report/v1]
     (one row per case x method). *)
 
-val jobs_of_report : Lr_instr.Json.t -> int
-(** The [jobs] field of either schema; 1 when absent (reports written
-    before the field existed were always sequential). The regression
-    gate refuses to compare reports recorded at different parallelism
-    levels — sizes and accuracies would agree, but wall-clock rows
-    would not be like for like. *)
-
 val degraded_of_report : Lr_instr.Json.t -> int
 (** The [degraded] output count of a run report; 0 when absent (reports
     written before fault injection existed were always fault-free). The
-    regression gate refuses runs with [degraded > 0] on either side:
-    best-effort constants make size and accuracy incomparable. *)
+    gate refuses runs with [degraded > 0]: best-effort constants make
+    size and accuracy meaningless. *)
 
 val cache_hit_of_report : Lr_instr.Json.t -> bool
 (** The [cache_hit] marker an [lr_serve] job report carries; [false]
-    when absent (direct CLI runs never hit the circuit cache). The
-    regression gate refuses warm-cache reports: their timing describes
-    a cache lookup, not a learn, so any wall-clock comparison against
-    them would be vacuous. *)
+    when absent (direct CLI runs never hit the circuit cache). The gate
+    refuses warm-cache reports: they describe a cache lookup, not a
+    learn. *)
 
 val filter : ?case:string -> ?method_:string -> entry list -> entry list
 (** [case] matches the part before ['/'], [method_] the part after
     (entries without a method — run reports — survive only when no
     [method_] filter is given). *)
 
-type delta = { key : string; old_e : entry; new_e : entry }
-
-val join : entry list -> entry list -> delta list * string list * string list
-(** [join old new] pairs entries by key (in [new]'s order) and also
-    returns the keys only present in the old / only in the new list. *)
-
-type thresholds = {
-  max_gate_regress : float option;
-      (** allowed fractional size growth, e.g. [0.05] for 5 % *)
-  min_accuracy : float option;  (** floor on the {e new} accuracy, percent *)
-  max_time_regress : float option;
-      (** allowed fractional time growth (plus a fixed 0.1 s of jitter
-          slack, so sub-second cases don't flap) *)
-}
-
-val no_thresholds : thresholds
-
-val parse_fraction : string -> (float, string) result
-(** ["5%"] -> [0.05]; a bare number is taken as the fraction itself
-    (["0.05"] -> [0.05]). *)
-
-val violations : thresholds -> delta list -> string list
-(** One human-readable line per violated threshold, empty when the new
-    report passes. *)
-
-val render_table : delta list -> string
-(** Fixed-width per-key delta table (size, accuracy, time), ending in a
-    newline; the empty string for an empty join. *)
+val below_floor : min_accuracy:float -> entry list -> string list
+(** One human-readable line per entry whose accuracy (percent) is below
+    [min_accuracy]; unscored entries are never below it. *)

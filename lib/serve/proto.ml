@@ -1,7 +1,6 @@
 module Json = Lr_instr.Json
 module Config = Logic_regression.Config
 module Learner = Logic_regression.Learner
-module N = Lr_netlist.Netlist
 
 type spec = {
   case : string;
@@ -161,60 +160,12 @@ let config_signature s =
     (Config.sweep_level_string s.sweep)
 
 let report_json ~job_id ~spec ~cache_hit (r : Learner.report) =
-  let c = r.Learner.circuit in
-  let stats = N.stats c in
-  let phases =
-    List.map
-      (fun (name, seconds) ->
-        let assoc l = Option.value (List.assoc_opt name l) ~default:0 in
-        Json.Obj
-          [
-            ("name", Json.String name);
-            ("seconds", Json.Float seconds);
-            ("queries", Json.Int (assoc r.Learner.phase_queries));
-            ("retries", Json.Int (assoc r.Learner.phase_retries));
-          ])
-      r.Learner.phase_times
-  in
-  let outputs =
-    List.map
-      (fun o ->
-        Json.Obj
-          [
-            ("name", Json.String o.Learner.output_name);
-            ( "method",
-              Json.String (Learner.method_to_string o.Learner.method_used) );
-            ("support", Json.Int o.Learner.support_size);
-            ("cubes", Json.Int o.Learner.cubes);
-            ("complete", Json.Bool o.Learner.complete);
-          ])
-      r.Learner.outputs
-  in
-  Json.Obj
-    [
-      ("schema", Json.String "lr-run-report/v1");
-      ("case", Json.String spec.case);
-      ("seed", Json.Int spec.seed);
-      ("job_id", Json.String job_id);
-      ("tenant", Json.String spec.tenant);
-      ("cache_hit", Json.Bool cache_hit);
-      ("inputs", Json.Int (N.num_inputs c));
-      ("outputs", Json.Int (N.num_outputs c));
-      ("size", Json.Int (N.size c));
-      ("inverters", Json.Int stats.N.inverters);
-      ("depth", Json.Int stats.N.depth);
-      ("queries", Json.Int r.Learner.queries);
-      ("elapsed_s", Json.Float r.Learner.elapsed_s);
-      ("accuracy", Json.Null);
-      ("time_budget_s", opt_float spec.time_budget_s);
-      ("budget_exceeded", Json.Bool r.Learner.budget_exceeded);
-      ("retries", Json.Int r.Learner.retries);
-      ("degraded", Json.Int r.Learner.degraded);
-      ( "check_level",
-        Json.String (Config.check_level_string r.Learner.check_level) );
-      ("checks_verified", Json.Int r.Learner.checks_verified);
-      ("sweep_removed", Json.Int r.Learner.sweep_removed);
-      ("jobs", Json.Int r.Learner.jobs);
-      ("phases", Json.List phases);
-      ("outputs_detail", Json.List outputs);
-    ]
+  Learner.report_json ~case:spec.case ~seed:spec.seed
+    ~time_budget_s:spec.time_budget_s ~faults:None ~eval_patterns:0
+    ~accuracy:None r
+    ~extra:
+      [
+        ("job_id", Json.String job_id);
+        ("tenant", Json.String spec.tenant);
+        ("cache_hit", Json.Bool cache_hit);
+      ]

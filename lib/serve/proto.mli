@@ -4,7 +4,7 @@
     field but [case] is optional and defaults to the values below. The
     daemon answers with job-state objects ([lr-serve/v1]) and, once a
     job is done, a result object ([lr-serve-result/v1]) embedding an
-    [lr-run-report/v1]-shaped report plus the circuit artifact in the
+    [lr-run-report/v1] report plus the circuit artifact in the
     native text format ({!Lr_netlist.Io}).
 
     Encoding and decoding round-trip exactly ({!of_json} ∘ {!to_json} =
@@ -55,7 +55,8 @@ val report_json :
   cache_hit:bool ->
   Logic_regression.Learner.report ->
   Lr_instr.Json.t
-(** An [lr-run-report/v1] object for a completed service job: the
-    standard case/size/queries/elapsed fields plus the service's
-    [job_id], [tenant] and [cache_hit] markers ([lr_report check]
-    refuses warm-cache reports as baselines). *)
+(** The [lr-run-report/v1] object of a completed service job, written
+    by {!Logic_regression.Learner.report_json} as [learn --json] writes
+    it (no scoring: [accuracy] is [null], [eval_patterns] 0), plus the
+    service's [job_id], [tenant] and [cache_hit] markers ([lr_report
+    check] refuses warm-cache reports). *)

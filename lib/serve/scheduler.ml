@@ -55,23 +55,7 @@ let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
-(* ---------- box resolution (mirrors the CLI's resolve_box) ---------- *)
-
-let resolve (spec : Proto.spec) =
-  match Cases.find spec.case with
-  | cspec ->
-      ( Cases.blackbox ?budget:spec.budget cspec,
-        Some (Cases.build cspec) )
-  | exception Not_found ->
-      if Sys.file_exists spec.case then begin
-        let golden =
-          if Filename.check_suffix spec.case ".blif" then
-            Lr_netlist.Blif.read_file spec.case
-          else Io.read_file spec.case
-        in
-        (Box.of_netlist ?budget:spec.budget golden, Some golden)
-      end
-      else failwith (Printf.sprintf "unknown case or file: %s" spec.case)
+(* ---------- box resolution ---------- *)
 
 let case_known (spec : Proto.spec) =
   match Cases.find spec.case with
@@ -146,7 +130,7 @@ let patch_report report ~job_id ~tenant =
 let run_job t job =
   let spec = job.spec in
   try
-    let box, golden = resolve spec in
+    let box, golden = Cases.resolve ?budget:spec.budget spec.case in
     let fingerprint = Fingerprint.probe ~words:t.fp_words box in
     let names_sig = Fingerprint.names_signature box in
     let key =

@@ -594,43 +594,6 @@ let test_dataflow_round_invariants () =
     (List.fold_left ( + ) 0 (series "dataflow.proved"))
     cls.Lr_aig.Fraig.proved
 
-(* --- self-time regression gate --- *)
-
-let test_regression_gate () =
-  with_clean @@ fun () ->
-  let mk spans =
-    Profile.of_events
-      (List.concat_map
-         (fun (name, dur) ->
-           [
-             Instr.Span_begin { name; path = name; ts = 0.0; depth = 1 };
-             Instr.Span_end { name; path = name; ts = dur; dur_s = dur; depth = 1 };
-           ])
-         spans)
-  in
-  let old_p = mk [ ("a", 1.0) ] in
-  (* +5% within a 10% gate: clean *)
-  check "within limit" true
-    (Profile.regressions ~max_frac:0.1 old_p (mk [ ("a", 1.05) ]) = []);
-  (* +50%: flagged with old and new self time *)
-  (match Profile.regressions ~max_frac:0.1 old_p (mk [ ("a", 1.5) ]) with
-  | [ (path, old_s, new_s) ] ->
-      check_str "flagged path" "a" path;
-      check_float "old self" 1.0 old_s;
-      check_float "new self" 1.5 new_s
-  | _ -> Alcotest.fail "expected one regression");
-  (* near-zero spans sit under the jitter floor *)
-  check "slack absorbs microsecond jitter" true
-    (Profile.regressions ~max_frac:0.1 (mk [ ("b", 0.0001) ])
-       (mk [ ("b", 0.005) ])
-    = []);
-  (* a brand-new span regresses against an implicit zero baseline *)
-  match Profile.regressions ~max_frac:0.1 old_p (mk [ ("a", 1.0); ("new", 0.5) ]) with
-  | [ (path, old_s, _) ] ->
-      check_str "new span flagged" "new" path;
-      check_float "zero baseline" 0.0 old_s
-  | _ -> Alcotest.fail "expected the new span flagged"
-
 let tests =
   [
     Alcotest.test_case "attribution math & folded export" `Quick
@@ -647,8 +610,6 @@ let tests =
     Alcotest.test_case "metrics exposition" `Quick test_metrics_exposition;
     Alcotest.test_case "loaders survive truncated/garbage input" `Quick
       test_loader_garbage;
-    Alcotest.test_case "self-time regression gate" `Quick
-      test_regression_gate;
     Alcotest.test_case "fraig round invariants from a captured run" `Quick
       test_fraig_round_invariants;
     Alcotest.test_case "dataflow round invariants from a captured run" `Quick

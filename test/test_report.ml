@@ -6,7 +6,6 @@ module Instr = Lr_instr.Instr
 module Json = Lr_instr.Json
 module Histogram = Lr_report.Histogram
 module Gcstat = Lr_report.Gcstat
-module History = Lr_report.History
 module Compare = Lr_report.Compare
 module Progress = Lr_prof.Progress
 module Bv = Lr_bitvec.Bv
@@ -137,40 +136,6 @@ let test_gcstat () =
       check_int "eight fields" 8 (List.length fields)
   | _ -> Alcotest.fail "gc json is an object"
 
-(* ---------- history ---------- *)
-
-let with_tmp f =
-  let path = Filename.temp_file "lr_report_test" ".jsonl" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
-
-let test_history () =
-  with_tmp @@ fun path ->
-  Sys.remove path;
-  (* append creates the file *)
-  check_int "missing file: 0 entries" 0 (History.entry_count path);
-  History.append path (Json.Obj [ ("n", Json.Int 1) ]);
-  History.append path (Json.Obj [ ("n", Json.Int 2) ]);
-  check_int "two entries" 2 (History.entry_count path);
-  (match History.load path with
-  | Ok [ a; b ] ->
-      check_str "order preserved" "{\"n\":1}" (Json.to_string a);
-      check_str "second" "{\"n\":2}" (Json.to_string b)
-  | Ok _ -> Alcotest.fail "expected two records"
-  | Error e -> Alcotest.fail e);
-  (match History.last path with
-  | Ok v -> check_str "last" "{\"n\":2}" (Json.to_string v)
-  | Error e -> Alcotest.fail e);
-  (* a malformed line fails the load with its line number *)
-  let oc = open_out_gen [ Open_append ] 0o644 path in
-  output_string oc "{broken\n";
-  close_out oc;
-  match History.load path with
-  | Ok _ -> Alcotest.fail "malformed line must fail the load"
-  | Error e ->
-      check "error names the line" true
-        (String.length e > 0
-        && String.exists (fun c -> c = '3') e)
-
 (* ---------- compare ---------- *)
 
 let run_report ?(case = "case_x") ?(size = 10) ?(accuracy = Some 100.0)
@@ -243,79 +208,28 @@ let test_compare_entries () =
   | Ok _ -> Alcotest.fail "unknown schema must fail"
   | Error _ -> ()
 
-let deltas old_j new_j =
-  let d, _, _ = Compare.join (entries_exn old_j) (entries_exn new_j) in
-  d
-
 let test_compare_thresholds () =
-  let base = run_report ~size:100 ~accuracy:(Some 100.0) ~time:1.0 () in
-  let equal = deltas base (run_report ~size:100 ()) in
-  let improved = deltas base (run_report ~size:80 ()) in
-  let regressed = deltas base (run_report ~size:120 ()) in
-  let t =
-    {
-      Compare.max_gate_regress = Some 0.05;
-      min_accuracy = Some 99.99;
-      max_time_regress = None;
-    }
-  in
-  check_int "equal passes" 0 (List.length (Compare.violations t equal));
-  check_int "improvement passes" 0 (List.length (Compare.violations t improved));
-  check_int "20% growth vs 5% limit fails" 1
-    (List.length (Compare.violations t regressed));
-  (* growth within the limit passes *)
-  let small = deltas base (run_report ~size:104 ()) in
-  check_int "4% growth vs 5% limit passes" 0
-    (List.length (Compare.violations t small));
-  (* accuracy floor *)
-  let bad_acc = deltas base (run_report ~accuracy:(Some 99.0) ~size:100 ()) in
-  check_int "accuracy below floor fails" 1
-    (List.length (Compare.violations t bad_acc));
-  let unscored = deltas base (run_report ~accuracy:None ~size:100 ()) in
+  let floor = 99.99 in
+  let below j = Compare.below_floor ~min_accuracy:floor (entries_exn j) in
+  check_int "at 100% passes" 0 (List.length (below (run_report ())));
+  check_int "exactly at the floor passes" 0
+    (List.length (below (run_report ~accuracy:(Some floor) ())));
+  (match below (run_report ~accuracy:(Some 99.0) ()) with
+  | [ msg ] ->
+      check_str "floor message" "case_x: accuracy 99.0000% below floor 99.9900%"
+        msg
+  | _ -> Alcotest.fail "accuracy below floor must fail once");
   check_int "unscored run not gated on accuracy" 0
-    (List.length (Compare.violations t unscored));
-  (* time gate has jitter slack: 1.0 -> 1.05 within 10%+0.1s *)
-  let tt = { Compare.no_thresholds with max_time_regress = Some 0.1 } in
-  let slow = deltas base (run_report ~size:100 ~time:5.0 ()) in
-  let ok = deltas base (run_report ~size:100 ~time:1.15 ()) in
-  check_int "5x slower fails" 1 (List.length (Compare.violations tt slow));
-  check_int "within slack passes" 0 (List.length (Compare.violations tt ok));
-  (* no thresholds: nothing fails *)
-  check_int "no thresholds, no violations" 0
-    (List.length (Compare.violations Compare.no_thresholds regressed))
-
-let test_compare_join_and_table () =
-  let old_j = bench_report [ ("a", [ ("improved", 5, 100.0, 0.1) ]) ] in
-  let new_j =
-    bench_report
-      [
-        ("a", [ ("improved", 6, 100.0, 0.1) ]);
-        ("b", [ ("improved", 9, 98.0, 0.3) ]);
-      ]
-  in
-  let d, only_old, only_new =
-    Compare.join (entries_exn old_j) (entries_exn new_j)
-  in
-  check_int "one common key" 1 (List.length d);
-  check "nothing only-old" true (only_old = []);
-  check "b only-new" true (only_new = [ "b/improved" ]);
-  let table = Compare.render_table d in
-  check "table mentions the key" true (contains table "a/improved");
-  check_str "empty join renders empty" "" (Compare.render_table [])
-
-let test_parse_fraction () =
-  (match Compare.parse_fraction "5%" with
-  | Ok f -> check_flt "percent" 0.05 f
-  | Error e -> Alcotest.fail e);
-  (match Compare.parse_fraction "0.25" with
-  | Ok f -> check_flt "bare fraction" 0.25 f
-  | Error e -> Alcotest.fail e);
-  List.iter
-    (fun s ->
-      match Compare.parse_fraction s with
-      | Ok _ -> Alcotest.fail ("accepted bad fraction: " ^ s)
-      | Error _ -> ())
-    [ "abc"; "-5%"; "nan"; "" ]
+    (List.length (below (run_report ~accuracy:None ())));
+  (* one line per failing entry of a bench report *)
+  check_int "one line per failing entry" 2
+    (List.length
+       (below
+          (bench_report
+             [
+               ("a", [ ("contest", 5, 99.0, 0.1); ("improved", 4, 100.0, 0.2) ]);
+               ("b", [ ("improved", 9, 98.0, 0.3) ]);
+             ])))
 
 (* ---------- heartbeat ---------- *)
 
@@ -478,12 +392,8 @@ let tests =
     Alcotest.test_case "histogram: quantiles" `Quick test_hist_quantiles;
     Alcotest.test_case "histogram: add_n & merge" `Quick test_hist_add_n_merge;
     Alcotest.test_case "gc stats: diff/add/json" `Quick test_gcstat;
-    Alcotest.test_case "history: append/load/last" `Quick test_history;
     Alcotest.test_case "compare: report flattening" `Quick test_compare_entries;
     Alcotest.test_case "compare: thresholds" `Quick test_compare_thresholds;
-    Alcotest.test_case "compare: join & table" `Quick
-      test_compare_join_and_table;
-    Alcotest.test_case "compare: parse_fraction" `Quick test_parse_fraction;
     Alcotest.test_case "heartbeat: fake clock" `Quick test_heartbeat;
     Alcotest.test_case "heartbeat: silent below interval" `Quick
       test_heartbeat_silent_below_interval;

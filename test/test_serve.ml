@@ -336,6 +336,65 @@ let test_scheduler_cache_bit_identity () =
     (Option.bind (Json.member "cache_hit" (report_of j1)) Json.get_bool
     = Some false)
 
+(* The service's job report is learn --json's lr-run-report/v1 plus
+   three service keys, written by the same Learner.report_json. *)
+let test_scheduler_report_shape () =
+  let sched = Scheduler.create ~slots:1 ~queue_limit:16 () in
+  shutdown_after sched @@ fun () ->
+  let j = submit_ok sched (fast_spec "case_7") in
+  Scheduler.wait sched j;
+  let report =
+    match j.Scheduler.result with
+    | Some (_, r) -> r
+    | None -> Alcotest.fail "missing result"
+  in
+  let keys v =
+    match Json.get_obj v with
+    | Some kvs -> List.sort compare (List.map fst kvs)
+    | None -> Alcotest.fail "not an object"
+  in
+  let list k v =
+    Option.value ~default:[] (Option.bind (Json.member k v) Json.get_list)
+  in
+  (* the "report keys" line of test/cli/schema.expected *)
+  let cli_keys =
+    [ "accuracy"; "budget_exceeded"; "case"; "check_level"; "checks_verified";
+      "degraded"; "depth"; "domains"; "elapsed_s"; "eval_patterns"; "faults";
+      "faults_seen"; "inputs"; "inverters"; "jobs"; "lint_findings";
+      "outputs"; "outputs_detail"; "phases"; "queries"; "query_latency";
+      "retries"; "schema"; "seed"; "size"; "sweep_removed"; "time_budget_s" ]
+  in
+  check "learn --json keys + job_id, tenant, cache_hit" true
+    (keys report
+    = List.sort compare (cli_keys @ [ "job_id"; "tenant"; "cache_hit" ]));
+  let phases = list "phases" report in
+  let gc_keys = keys (Lr_report.Gcstat.to_json Lr_report.Gcstat.zero) in
+  let base = [ "name"; "queries"; "retries"; "seconds" ] in
+  let rec split_last = function
+    | [] -> Alcotest.fail "no phases"
+    | [ x ] -> ([], x)
+    | x :: rest ->
+        let init, last = split_last rest in
+        (x :: init, last)
+  in
+  let pipeline, other = split_last phases in
+  check "pipeline phases carry the gc_* fields" true
+    (pipeline <> []
+    && List.for_all
+         (fun p -> keys p = List.sort compare (base @ gc_keys))
+         pipeline);
+  check "phases end with other" true
+    (Option.bind (Json.member "name" other) Json.get_string = Some "other"
+    && keys other = base);
+  let outputs = list "outputs_detail" report in
+  check "output rows carry used_offset and compressed" true
+    (outputs <> []
+    && List.for_all
+         (fun o ->
+           Json.member "used_offset" o <> None
+           && Json.member "compressed" o <> None)
+         outputs)
+
 (* ---------- the daemon over HTTP ---------- *)
 
 let http_request ?(meth = "GET") ?(body = "") ~port path =
@@ -611,6 +670,8 @@ let tests =
     Alcotest.test_case "scheduler tenant quotas" `Quick test_scheduler_quota;
     Alcotest.test_case "cache hits are bit-identical" `Quick
       test_scheduler_cache_bit_identity;
+    Alcotest.test_case "job report is learn --json's" `Quick
+      test_scheduler_report_shape;
     Alcotest.test_case "concurrent service bit-identity" `Quick
       test_service_concurrent;
     Alcotest.test_case "service overload degrades to 429" `Quick
