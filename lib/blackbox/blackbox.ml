@@ -177,14 +177,17 @@ let run_provider t patterns =
 let lane_mask count =
   if count = 64 then -1L else Int64.pred (Int64.shift_left 1L count)
 
-let run_words t ~count words =
+let run_blocks t ~count blocks =
   match t.provider with
   | Circuit (_, s) ->
-      Instr.count "sim.patterns" count;
+      Instr.count "sim.patterns" (count * Array.length blocks);
       let m = lane_mask count in
-      Array.map (Int64.logand m) (Soa.eval_words s words)
+      Array.map (Array.map (Int64.logand m)) (Soa.eval_blocks s blocks)
   | Function f ->
-      Bv.to_lanes (num_outputs t) (Array.map f (Bv.of_lanes count words))
+      Array.map
+        (fun words ->
+          Bv.to_lanes (num_outputs t) (Array.map f (Bv.of_lanes count words)))
+        blocks
 
 (* Injected failures and the retry policy around them. A failed attempt
    consumes no budget and is not attributed as a query: retrying leaves
@@ -236,20 +239,23 @@ let rec faulted_batch t f ~n ~attempt run commit =
     r
   end
 
-(* One batch of [n >= 1] queries, charged, timed and fault-injected. The
+(* [n >= 1] queries on a reliable box, charged and timed once. The
    clock is [Instr.now] so tests with an injected clock see deterministic
    latencies; a batch charges its mean per-query latency once per member,
    keeping the histogram's weight equal to the query count while costing
    only two clock reads per call. *)
+let charged t ~n run =
+  attribute t n;
+  let t0 = Instr.now () in
+  let r = run () in
+  Histogram.add_n t.latency ((Instr.now () -. t0) /. float_of_int n) n;
+  r
+
+(* One batch of [n >= 1] queries, charged, timed and fault-injected. *)
 let batch t ~n run commit =
   match t.faults with
   | Some f -> faulted_batch t f ~n ~attempt:0 run commit
-  | None ->
-      attribute t n;
-      let t0 = Instr.now () in
-      let r = run () in
-      Histogram.add_n t.latency ((Instr.now () -. t0) /. float_of_int n) n;
-      r
+  | None -> charged t ~n run
 
 (* An empty batch is a complete no-op — it must not touch the
    attribution table or the histogram, or shard absorption would merge
@@ -262,16 +268,33 @@ let query_many t patterns =
     batch t ~n (fun () -> run_provider t patterns) Faults.commit
   end
 
-let query_words t ~count words =
+(* The whole batch is one charge and one kernel run, unless some block
+   could behave differently on its own: a fault schedule counts batches,
+   and a strict shard must refuse the first block past its slice. Those
+   boxes take the blocks one by one, in order, so fault points, retries
+   and [Exhausted] land exactly where single-block calls put them. *)
+let query_blocks t ~count blocks =
   if count < 0 || count > 64 then
-    invalid_arg "Blackbox.query_words: count out of range";
-  if Array.length words <> num_inputs t then
-    invalid_arg "Blackbox.query_words: input word count mismatch";
-  if count = 0 then Array.make (num_outputs t) 0L
-  else
-    batch t ~n:count
-      (fun () -> run_words t ~count words)
-      (Faults.commit_words ~count)
+    invalid_arg "Blackbox.query_blocks: count out of range";
+  Array.iter
+    (fun words ->
+      if Array.length words <> num_inputs t then
+        invalid_arg "Blackbox.query_blocks: input word count mismatch")
+    blocks;
+  let n = count * Array.length blocks in
+  let overruns =
+    t.strict
+    && match t.budget with Some b -> t.used + n > b | None -> false
+  in
+  if n = 0 then Array.map (fun _ -> Array.make (num_outputs t) 0L) blocks
+  else if Option.is_some t.faults || overruns then
+    Array.map
+      (fun words ->
+        batch t ~n:count
+          (fun () -> (run_blocks t ~count [| words |]).(0))
+          (Faults.commit_words ~count))
+      blocks
+  else charged t ~n (fun () -> run_blocks t ~count blocks)
 
 let query t a =
   match t.faults with

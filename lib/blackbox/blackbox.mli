@@ -25,10 +25,10 @@
 type t
 
 exception Exhausted of { used : int; budget : int }
-(** Raised by {!query}/{!query_many} on a {e strict} {!shard} whose
-    budget slice would be exceeded — the query is refused, not counted.
-    Plain boxes and non-strict shards never raise this: their exhaustion
-    stays advisory through {!exhausted}. *)
+(** Raised by {!query}, {!query_many} and {!query_blocks} on a
+    {e strict} {!shard} whose budget slice would be exceeded — the query
+    is refused, not counted. Plain boxes and non-strict shards never
+    raise this: their exhaustion stays advisory through {!exhausted}. *)
 
 val of_netlist : ?budget:int -> ?deadline_s:float -> Lr_netlist.Netlist.t -> t
 (** Wrap a golden circuit. The circuit is retained only behind the query
@@ -63,23 +63,30 @@ val query_many : t -> Lr_bitvec.Bv.t array -> Lr_bitvec.Bv.t array
     box, raises {!Lr_faults.Faults.Query_failed} once the retry policy is
     spent. *)
 
-val query_words : t -> count:int -> int64 array -> int64 array
-(** Word-parallel queries with no transposition: one input word per
-    primary input in, one output word per primary output out. Lane [k]
-    (bit [k] of every word) is query [k]; lanes at or past [count] are
-    ignored in the input and 0 in the output. Requires [0 <= count <= 64]
-    and one word per input.
+val query_blocks : t -> count:int -> int64 array array -> int64 array array
+(** Word-parallel queries with no transposition, any number of 64-lane
+    blocks at once. [blocks.(b)] holds one input word per primary input;
+    the answer's [b]-th element holds block [b]'s output words, one per
+    primary output. Lane [k] (bit [k] of every word) of a block is one
+    query; lanes at or past [count] are ignored in the input and 0 in the
+    output. Requires [0 <= count <= 64] and one word per input in every
+    block.
 
-    Counts [count] queries, one per lane, through the same accounting as
-    {!query_many} of [count] vectors: budget, strict shards, per-span
-    attribution and the latency histogram see the same numbers, and the
-    ["sim.patterns"]/["sim.gate-words"] counters tick the same amounts.
-    [count = 0] is a complete no-op. On a faulty box a batch fails,
-    retries and raises {!Lr_faults.Faults.Query_failed} exactly like a
-    {!query_many} batch, and corruption hits the victim output only in
-    the lanes whose query falls inside the window
-    ({!Lr_faults.Faults.commit_words}). {!of_function} boxes answer by
-    transposing the lanes to vectors and back. *)
+    Counts [count] queries per block. On a reliable box the whole call is
+    one batch: one per-span attribution of [count * Array.length blocks]
+    queries, one clock pair, one latency sample of that weight, and one
+    {!Lr_kernel.Soa.eval_blocks} run that simulates up to eight blocks per
+    pass. The ["sim.patterns"]/["sim.gate-words"] counters tick by the
+    same totals as one {!query_many} per block. A faulty box, and a strict
+    shard whose slice would run out inside the call, take the blocks one
+    at a time, in order, each as its own batch: fault schedules, retries
+    and {!Exhausted} then fall exactly where single-block calls would put
+    them, with the earlier blocks charged. A failed block raises
+    {!Lr_faults.Faults.Query_failed} and the later blocks are not sent.
+    Corruption hits the victim output only in the lanes whose query falls
+    inside the window ({!Lr_faults.Faults.commit_words}). [count = 0] or
+    no blocks is a complete no-op. {!of_function} boxes answer by
+    transposing each block's lanes to vectors and back. *)
 
 val probe_many : t -> Lr_bitvec.Bv.t array -> Lr_bitvec.Bv.t array
 (** Behavioural-fingerprint probes ([Lr_serve.Fingerprint]): evaluate
@@ -132,9 +139,10 @@ val query_latency : t -> Lr_report.Histogram.t
 (** Per-query latency histogram (seconds), timed with the
     {!Lr_instr.Instr.now} clock so an injected test clock produces
     deterministic samples. Single queries record their own duration; a
-    batched {!query_many} of [n] patterns records its mean per-query
-    latency [n] times, so the histogram's total weight equals
-    {!queries_used}. Cleared by {!reset_accounting}. *)
+    batch of [n] queries ({!query_many} of [n] patterns, or a
+    {!query_blocks} call) records its mean per-query latency [n] times,
+    so the histogram's total weight equals {!queries_used}. Cleared by
+    {!reset_accounting}. *)
 
 val queries_by_span : t -> (string * int) list
 (** Per-phase query attribution: every query is charged to the

@@ -72,6 +72,7 @@ type report = {
   degraded : int;
       (** outputs that gave up on a failing oracle ([Degraded_fault]) *)
   budget_exceeded : bool;
+  query_budget_exceeded : bool;
   check_level : Config.check_level;
   checks_verified : int;
       (** semantic verifications that passed (0 unless [check_level = Full]) *)
@@ -151,6 +152,7 @@ let report_json ?(extra = []) ~case ~seed ~time_budget_s ~faults
       ("eval_patterns", Json.Int eval_patterns);
       ("time_budget_s", opt (fun b -> Json.Float b) time_budget_s);
       ("budget_exceeded", Json.Bool report.budget_exceeded);
+      ("query_budget_exceeded", Json.Bool report.query_budget_exceeded);
       ("faults", opt (fun s -> Json.String (Faults.to_string s)) faults);
       ( "faults_seen",
         Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) report.faults_seen)
@@ -254,9 +256,11 @@ let oracle_for box dom ~output =
       (fun arr ->
         let outs = Box.query_many box (to_full ni dom arr) in
         Array.map (fun o -> Bv.get o output) outs);
-    query_words =
-      (fun ~count vw ->
-        (Box.query_words box ~count (to_full_words ni dom vw)).(output));
+    query_blocks =
+      (fun ~count blocks ->
+        Array.map
+          (fun outs -> outs.(output))
+          (Box.query_blocks box ~count (Array.map (to_full_words ni dom) blocks)));
     exhausted = (fun () -> Box.exhausted box);
   }
 
@@ -1109,6 +1113,10 @@ let learn ?(config = Config.default) box =
     faults_seen = Box.faults_seen box;
     degraded = degraded_count;
     budget_exceeded = !budget_hit;
+    query_budget_exceeded =
+      (match Box.budget box with
+      | Some b -> Box.queries_used box > b
+      | None -> false);
     check_level = config.Config.check_level;
     checks_verified = !checks_verified;
     sweep_removed = !sweep_removed;

@@ -86,6 +86,10 @@ type report = {
       (** the {!Config.t.time_budget_s} wall-clock budget ran out: some
           phases or outputs were skipped (their [method_used] is
           {!Skipped_budget}) *)
+  query_budget_exceeded : bool;
+      (** the box has a query budget ({!Lr_blackbox.Blackbox.budget}) and
+          [queries] is past it. The budget is advisory: support-id does
+          not stop at it, so this is how a report shows the overrun *)
   check_level : Config.check_level;  (** the level this run was checked at *)
   checks_verified : int;
       (** semantic self-checks that passed — truth-table re-simulations,

@@ -3,6 +3,7 @@ module Rng = Lr_bitvec.Rng
 module Cube = Lr_cube.Cube
 module Cover = Lr_cube.Cover
 module Instr = Lr_instr.Instr
+module Ps = Lr_sampling.Pattern_sampling
 
 type config = {
   node_rounds : int;
@@ -14,7 +15,7 @@ type config = {
 let default_config =
   {
     node_rounds = 60;
-    biases = Lr_sampling.Pattern_sampling.default_biases;
+    biases = Ps.default_biases;
     leaf_epsilon = 0.0;
     max_nodes = 100_000;
   }
@@ -75,40 +76,28 @@ type result = {
 (* Constrained pattern sampling at one tree node: returns per-variable
    dependency counts over [free] and the truth ratio, from
    [rounds * (|free| + 1)] oracle queries. The toggle statistics mirror
-   Algorithm 1 with the shared-base-batch optimisation, on lane words as
-   in [Pattern_sampling.run]. *)
+   Algorithm 1 with the shared-base-batch optimisation, one oracle batch
+   per block as in [Pattern_sampling.run]. *)
 let sample_node cfg ~rng (oracle : Oracle.t) cube free =
-  let n = oracle.Oracle.arity in
-  let nfree = Array.length free in
-  let rounds = cfg.node_rounds in
-  let dependency = Array.make n 0 in
+  let dependency = Array.make oracle.Oracle.arity 0 in
   let ones = ref 0 and total = ref 0 in
   let done_rounds = ref 0 in
-  while !done_rounds < rounds do
-    let blk = min 64 (rounds - !done_rounds) in
+  while !done_rounds < cfg.node_rounds do
+    let count = min 64 (cfg.node_rounds - !done_rounds) in
     let bias = cfg.biases.(!done_rounds / 8 mod Array.length cfg.biases) in
-    let base =
-      Array.init blk (fun _ ->
-          let a = Bv.random_biased rng bias n in
-          Cube.force cube a;
-          a)
+    let outs =
+      oracle.Oracle.query_blocks ~count
+        (Ps.toggle_blocks ~rng ~bias ~count cube free)
     in
-    let words = Bv.to_lanes n base in
-    let base_out = oracle.Oracle.query_words ~count:blk words in
-    ones := !ones + Bv.popcount_word base_out;
-    total := !total + blk;
-    for fi = 0 to nfree - 1 do
-      let i = free.(fi) in
-      let w = words.(i) in
-      words.(i) <- Int64.lognot w;
-      let out = oracle.Oracle.query_words ~count:blk words in
-      words.(i) <- w;
-      ones := !ones + Bv.popcount_word out;
-      dependency.(i) <-
-        dependency.(i) + Bv.popcount_word (Int64.logxor out base_out);
-      total := !total + blk
-    done;
-    done_rounds := !done_rounds + blk
+    Array.iter (fun out -> ones := !ones + Bv.popcount_word out) outs;
+    Array.iteri
+      (fun fi i ->
+        dependency.(i) <-
+          dependency.(i)
+          + Bv.popcount_word (Int64.logxor outs.(fi + 1) outs.(0)))
+      free;
+    total := !total + (count * Array.length outs);
+    done_rounds := !done_rounds + count
   done;
   let ratio =
     if !total = 0 then 0.0 else Float.of_int !ones /. Float.of_int !total

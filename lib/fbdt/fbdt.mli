@@ -81,9 +81,11 @@ val sample_node :
   int array * float
 (** [sample_node cfg ~rng oracle cube free] — the in-tree
     PatternSampling at the node [cube]: [cfg.node_rounds] assignments
-    satisfying [cube], each toggled on every input of [free], through
-    {!Oracle.t.query_words}. Returns the dependency count per virtual
-    input (0 outside [free]) and the sampled truth ratio, from
+    satisfying [cube], each toggled on every input of [free]. Each block
+    of up to 64 rounds is built by
+    {!Lr_sampling.Pattern_sampling.toggle_blocks} and sent as one
+    {!Oracle.t.query_blocks} batch. Returns the dependency count per
+    virtual input (0 outside [free]) and the sampled truth ratio, from
     [node_rounds * (|free| + 1)] queries. *)
 
 val learn :

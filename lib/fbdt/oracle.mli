@@ -10,19 +10,24 @@ type t = {
   arity : int;  (** number of virtual inputs *)
   query : Lr_bitvec.Bv.t array -> bool array;
       (** batched: one [arity]-bit virtual assignment per element *)
-  query_words : count:int -> int64 array -> int64;
-      (** word-parallel: one lane word per virtual input in
-          ({!Lr_bitvec.Bv.to_lanes} layout, [count <= 64] lanes), the
-          output's lane word out. Lanes at or past [count] are ignored in
-          the input and 0 in the output. Must answer exactly as [query]
-          on the same assignments, at the same query cost. *)
+  query_blocks : count:int -> int64 array array -> int64 array;
+      (** word-parallel, any number of blocks as one batch: each block
+          holds one lane word per virtual input ({!Lr_bitvec.Bv.to_lanes}
+          layout, [count <= 64] lanes), and the answer holds each block's
+          output lane word. Lanes at or past [count] are ignored in the
+          input and 0 in the output. Must answer exactly as [query] on the
+          same assignments, at the same query cost. *)
   exhausted : unit -> bool;  (** the TimeLimit test of Algorithm 2 *)
 }
 
-val words_via :
-  (Lr_bitvec.Bv.t array -> bool array) -> count:int -> int64 array -> int64
-(** [words_via query] is a [query_words] for an oracle that only has
-    [query]: it transposes the lanes to vectors and the answers back. *)
+val blocks_via :
+  (Lr_bitvec.Bv.t array -> bool array) ->
+  count:int ->
+  int64 array array ->
+  int64 array
+(** [blocks_via query] is a [query_blocks] for an oracle that only has
+    [query]: it transposes every block's lanes to vectors, asks them in
+    one [query] call, and packs the answers back into lane words. *)
 
 val of_fun : arity:int -> (Lr_bitvec.Bv.t -> bool) -> t
 (** Convenience constructor with no budget (never exhausted). *)

@@ -12,6 +12,26 @@ type stats = {
 
 let default_biases = [| 0.5; 0.1; 0.9; 0.5; 0.25; 0.75; 0.5; 0.03; 0.97 |]
 
+(* One sampling block as lane words: [count] base patterns drawn at
+   density [bias] (one RNG draw sequence per pattern, in order),
+   transposed, with the cube's literals forced on their lane words; then
+   one block per free input, that input's word complemented. *)
+let toggle_blocks ~rng ~bias ~count cube free =
+  let n = Cube.universe cube in
+  let base =
+    Bv.to_lanes n (Array.init count (fun _ -> Bv.random_biased rng bias n))
+  in
+  List.iter
+    (fun (v, ph) -> base.(v) <- (if ph then -1L else 0L))
+    (Cube.literals cube);
+  Array.append [| base |]
+    (Array.map
+       (fun i ->
+         let b = Array.copy base in
+         b.(i) <- Int64.lognot b.(i);
+         b)
+       free)
+
 let run ~rounds ?(biases = default_biases) ~rng box ~constraint_ () =
   let ni = Box.num_inputs box and no = Box.num_outputs box in
   if Cube.universe constraint_ <> ni then
@@ -19,46 +39,40 @@ let run ~rounds ?(biases = default_biases) ~rng box ~constraint_ () =
   let free =
     List.init ni Fun.id
     |> List.filter (fun i -> not (Cube.has_var constraint_ i))
+    |> Array.of_list
   in
-  let free = Array.of_list free in
-  let nfree = Array.length free in
   let dependency = Array.make_matrix no ni 0 in
   let ones = Array.make no 0 in
   let samples = ref 0 in
   let done_rounds = ref 0 in
-  (* Process rounds in blocks of 64: the block's base patterns become one
-     lane word per input, and each toggle column is that word set
-     complemented — one word-parallel query batch. *)
+  (* Each block of 64 rounds, base patterns and every toggle column, is
+     one oracle batch, as a contest IO generator takes one pattern file
+     per call. *)
   while !done_rounds < rounds do
-    let blk = min 64 (rounds - !done_rounds) in
+    let count = min 64 (rounds - !done_rounds) in
     let bias = biases.(!done_rounds / 64 mod Array.length biases) in
-    let base =
-      Array.init blk (fun _ ->
-          let a = Bv.random_biased rng bias ni in
-          Cube.force constraint_ a;
-          a)
+    let outs =
+      Box.query_blocks box ~count
+        (toggle_blocks ~rng ~bias ~count constraint_ free)
     in
-    let words = Bv.to_lanes ni base in
-    let base_out = Box.query_words box ~count:blk words in
-    for o = 0 to no - 1 do
-      ones.(o) <- ones.(o) + Bv.popcount_word base_out.(o)
-    done;
-    samples := !samples + blk;
-    for fi = 0 to nfree - 1 do
-      let i = free.(fi) in
-      let w = words.(i) in
-      words.(i) <- Int64.lognot w;
-      let flip_out = Box.query_words box ~count:blk words in
-      words.(i) <- w;
-      for o = 0 to no - 1 do
-        let f = flip_out.(o) in
-        ones.(o) <- ones.(o) + Bv.popcount_word f;
-        dependency.(o).(i) <-
-          dependency.(o).(i) + Bv.popcount_word (Int64.logxor f base_out.(o))
-      done;
-      samples := !samples + blk
-    done;
-    done_rounds := !done_rounds + blk
+    let base_out = outs.(0) in
+    Array.iter
+      (fun out ->
+        for o = 0 to no - 1 do
+          ones.(o) <- ones.(o) + Bv.popcount_word out.(o)
+        done)
+      outs;
+    Array.iteri
+      (fun fi i ->
+        let flip_out = outs.(fi + 1) in
+        for o = 0 to no - 1 do
+          dependency.(o).(i) <-
+            dependency.(o).(i)
+            + Bv.popcount_word (Int64.logxor flip_out.(o) base_out.(o))
+        done)
+      free;
+    samples := !samples + (count * Array.length outs);
+    done_rounds := !done_rounds + count
   done;
   { dependency; ones; samples = !samples; rounds }
 

@@ -6,7 +6,7 @@
     {e dependency count} [D_i]. Also report the {e truth ratio}, the share of
     1s among all sampled output values.
 
-    Two engineering deviations from the pseudo-code, both behaviour-
+    Three engineering deviations from the pseudo-code, all behaviour-
     preserving:
 
     - The paper draws a fresh assignment batch per input; we draw one batch
@@ -17,6 +17,11 @@
       truth ratios are accumulated for {e every} output in the same pass;
       callers pick the output they care about. This mirrors how a contest
       implementation amortises support identification across outputs.
+    - One oracle batch per 64-round block: the block's base patterns and
+      every toggle column go to the black box in a single
+      {!Lr_blackbox.Blackbox.query_blocks} call, as one pattern file goes
+      to a contest IO generator. The queries, their answers and their
+      count are those of one call per column.
 
     The paper's observation that some outputs only respond to assignments
     with an uneven 0/1 ratio is honoured by cycling the density of the drawn
@@ -33,6 +38,23 @@ type stats = {
 val default_biases : float array
 (** Mix of 0/1 densities used round-robin: even, strongly and mildly
     uneven — the "combined sampling strategy" of Section IV-C. *)
+
+val toggle_blocks :
+  rng:Lr_bitvec.Rng.t ->
+  bias:float ->
+  count:int ->
+  Lr_cube.Cube.t ->
+  int array ->
+  int64 array array
+(** [toggle_blocks ~rng ~bias ~count cube free] builds one sampling
+    block in lane-word form ({!Lr_bitvec.Bv.to_lanes} layout, one word
+    per variable of [cube]'s universe). Element 0 is the base block:
+    [count] (at most 64) assignments drawn with
+    [Lr_bitvec.Bv.random_biased rng bias] in lane order, with the cube's
+    literals forced on. Element [1 + j] is the base block with input
+    [free.(j)]'s word complemented. Lanes at or past [count] carry no
+    query. {!run} and the FBDT's node sampler both draw their blocks
+    here, each with its own bias schedule. *)
 
 val run :
   rounds:int ->

@@ -642,26 +642,31 @@ let prop_degraded_netlist_lints () =
       report.Learner.degraded = List.length report.Learner.outputs
       && Finding.errors (Lint.netlist report.Learner.circuit) = [])
 
-(* ---------------- word-parallel queries ---------------- *)
+(* ---------------- word-parallel block queries ---------------- *)
 
-(* [Box.query_words] against [Box.query_many] on the same batches: a
-   random recipe behind a netlist or a function box, a lane count, and a
-   fault schedule mixing transient failures under a retry policy,
-   corruption whose window opens mid-word, and premature exhaustion *)
-type word_case = {
+(* [Box.query_blocks] against one [Box.query_many] per block, in order:
+   a random recipe behind a netlist or a function box, a lane count,
+   calls of up to a dozen blocks (wider than one kernel pass), a fault
+   schedule mixing transient failures under a retry policy, corruption
+   whose window opens mid-block, and premature exhaustion, and now and
+   then a strict shard whose slice runs out mid-batch *)
+type block_case = {
   wr : recipe;
   count : int;
-  batches : int;
+  calls : int list;  (** blocks per call *)
   function_box : bool;
   wfaults : (F.spec * int) option;  (** schedule, retry attempts *)
+  slice : int option;  (** a strict shard's budget *)
 }
 
-let arb_word_case =
+let arb_block_case =
   {
     gen =
       (fun rng size ->
         let wr = arb_recipe.gen rng size in
-        let count = 1 + Rng.int rng 64 and batches = 1 + Rng.int rng 4 in
+        let count = 1 + Rng.int rng 64 in
+        let calls = List.init (1 + Rng.int rng 3) (fun _ -> 1 + Rng.int rng 12) in
+        let total = count * List.fold_left ( + ) 0 calls in
         let wfaults =
           if Rng.int rng 3 = 0 then None
           else
@@ -680,32 +685,37 @@ let arb_word_case =
                 corruption;
                 (* one past the last output now and then: a no-op victim *)
                 victim = Rng.int rng (wr.no + 1);
-                onset = Rng.int rng (count * batches);
+                onset = Rng.int rng total;
                 duration =
                   (if Rng.bool rng then max_int else 1 + Rng.int rng 80);
                 exhaust_after =
-                  (if Rng.bool rng then Some (Rng.int rng (count * batches))
-                   else None);
+                  (if Rng.bool rng then Some (Rng.int rng total) else None);
               }
             in
             Some (spec, 1 + Rng.int rng 4)
         in
-        { wr; count; batches; function_box = Rng.bool rng; wfaults });
+        let slice =
+          if Rng.int rng 3 = 0 then Some (Rng.int rng (total + 1)) else None
+        in
+        { wr; count; calls; function_box = Rng.bool rng; wfaults; slice });
     shrink =
       (fun c -> List.map (fun wr -> { c with wr }) (arb_recipe.shrink c.wr));
     print =
       (fun c ->
-        Printf.sprintf "%s count=%d batches=%d function=%b faults=%s"
-          (arb_recipe.print c.wr) c.count c.batches c.function_box
+        Printf.sprintf "%s count=%d calls=[%s] function=%b faults=%s slice=%s"
+          (arb_recipe.print c.wr) c.count
+          (String.concat ";" (List.map string_of_int c.calls))
+          c.function_box
           (match c.wfaults with
           | None -> "none"
           | Some (spec, retry) ->
-              Printf.sprintf "%s retry=%d" (F.to_string spec) retry));
+              Printf.sprintf "%s retry=%d" (F.to_string spec) retry)
+          (match c.slice with None -> "none" | Some b -> string_of_int b));
   }
 
-let prop_query_words_matches_many () =
-  check_prop ~count:120 "Box.query_words == Box.query_many" arb_word_case
-    (fun c ->
+let prop_query_blocks_matches_many () =
+  check_prop ~count:120 "Box.query_blocks == Box.query_many per block"
+    arb_block_case (fun c ->
       let n = build_netlist c.wr in
       let box () =
         let b =
@@ -719,39 +729,54 @@ let prop_query_words_matches_many () =
         | Some (spec, retry) ->
             Box.set_faults b (Some spec);
             Box.set_retry b (F.retry ~backoff_s:0.0 retry));
-        b
+        match c.slice with
+        | None -> b
+        | Some budget -> Box.shard ~budget ~strict:true b
       in
-      let by_many = box () and by_words = box () in
-      let rng = Rng.create (c.count * 31 + c.batches) in
+      let by_many = box () and by_blocks = box () in
+      let rng = Rng.create ((c.count * 31) + List.length c.calls) in
       let answers =
-        List.init c.batches (fun b ->
-            let patterns = Array.init c.count (fun _ -> Bv.random rng c.wr.ni) in
-            (* the lanes past [count] carry noise the box must ignore *)
-            let words =
-              Array.map
-                (fun w ->
-                  if c.count = 64 then w
-                  else
-                    Int64.logor w
-                      (Int64.shift_left (Rng.bits64 rng) c.count))
-                (Bv.to_lanes c.wr.ni patterns)
+        List.mapi
+          (fun call nblocks ->
+            let patterns =
+              Array.init nblocks (fun _ ->
+                  Array.init c.count (fun _ -> Bv.random rng c.wr.ni))
             in
-            let span = if b mod 2 = 0 then "even" else "odd" in
+            (* the lanes past [count] carry noise the box must ignore *)
+            let blocks =
+              Array.map
+                (fun ps ->
+                  Array.map
+                    (fun w ->
+                      if c.count = 64 then w
+                      else
+                        Int64.logor w
+                          (Int64.shift_left (Rng.bits64 rng) c.count))
+                    (Bv.to_lanes c.wr.ni ps))
+                patterns
+            in
+            let span = if call mod 2 = 0 then "even" else "odd" in
             let attempt f =
               try Ok (Lr_instr.Instr.span ~name:span f)
-              with F.Query_failed _ -> Error ()
+              with (F.Query_failed _ | Box.Exhausted _) as e ->
+                Error (Printexc.to_string e)
             in
             ( attempt (fun () ->
-                  Bv.to_lanes c.wr.no (Box.query_many by_many patterns)),
-              attempt (fun () -> Box.query_words by_words ~count:c.count words)
+                  Array.map
+                    (fun ps -> Bv.to_lanes c.wr.no (Box.query_many by_many ps))
+                    patterns),
+              attempt (fun () -> Box.query_blocks by_blocks ~count:c.count blocks)
             ))
+          c.calls
       in
+      let weight b = Lr_report.Histogram.count (Box.query_latency b) in
       List.for_all (fun (a, b) -> a = b) answers
-      && Box.queries_used by_many = Box.queries_used by_words
-      && Box.queries_by_span by_many = Box.queries_by_span by_words
-      && Box.retries_used by_many = Box.retries_used by_words
-      && Box.faults_seen by_many = Box.faults_seen by_words
-      && Box.exhausted by_many = Box.exhausted by_words)
+      && Box.queries_used by_many = Box.queries_used by_blocks
+      && Box.queries_by_span by_many = Box.queries_by_span by_blocks
+      && Box.retries_used by_many = Box.retries_used by_blocks
+      && Box.faults_seen by_many = Box.faults_seen by_blocks
+      && Box.exhausted by_many = Box.exhausted by_blocks
+      && weight by_many = weight by_blocks)
 
 (* ---------------- the serving plane ---------------- *)
 
@@ -844,8 +869,8 @@ let tests =
       prop_transient_faults_transparent;
     Alcotest.test_case "degraded netlists lint clean" `Quick
       prop_degraded_netlist_lints;
-    Alcotest.test_case "query_words == query_many" `Quick
-      prop_query_words_matches_many;
+    Alcotest.test_case "query_blocks == query_many per block" `Quick
+      prop_query_blocks_matches_many;
     Alcotest.test_case "circuit cache round-trip" `Quick prop_cache_roundtrip;
     Alcotest.test_case "fingerprints hash behaviour, not structure" `Quick
       prop_fingerprint_behavioural;

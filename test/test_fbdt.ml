@@ -109,7 +109,7 @@ let test_budget_approximation () =
     {
       Oracle.arity = 8;
       query;
-      query_words = Oracle.words_via query;
+      query_blocks = Oracle.blocks_via query;
       exhausted = (fun () -> !used > 2000);
     }
   in
@@ -268,7 +268,7 @@ let test_sample_node_matches_reference () =
         {
           Oracle.arity = n;
           query;
-          query_words = Oracle.words_via query;
+          query_blocks = Oracle.blocks_via query;
           exhausted = (fun () -> false);
         } )
     in

@@ -370,6 +370,8 @@ let test_no_budget_unchanged () =
   in
   let report = Learner.learn ~config box in
   check "no budget: not exceeded" true (not report.Learner.budget_exceeded);
+  check "no query budget: not exceeded" false
+    report.Learner.query_budget_exceeded;
   check "queries spent" true (report.Learner.queries > 0);
   (* the latency histogram saw every query *)
   check_int "histogram weight = queries" report.Learner.queries
@@ -382,6 +384,33 @@ let test_no_budget_unchanged () =
       check "no skipped outputs" true
         (r.Learner.method_used <> Learner.Skipped_budget))
     report.Learner.outputs
+
+(* The query budget is advisory, so support-id can run past it, and the
+   report says so: case_7 under a 100 000-query budget spends 316 816. *)
+let test_query_budget_overrun () =
+  with_clean @@ fun () ->
+  let learn ~budget config =
+    let box, _ = Lr_cases.Cases.resolve ~budget "case_7" in
+    let r = Learner.learn ~config box in
+    let json =
+      Learner.report_json ~case:"case_7" ~seed:1 ~time_budget_s:None
+        ~faults:None ~eval_patterns:0 ~accuracy:None r
+    in
+    ( r,
+      Option.bind (Json.member "query_budget_exceeded" json) Json.get_bool )
+  in
+  let over, json = learn ~budget:100_000 Config.default in
+  check_int "queries past the budget" 316_816 over.Learner.queries;
+  check "overrun reported" true over.Learner.query_budget_exceeded;
+  check "overrun in the JSON report" true (json = Some true);
+  check "not a wall-clock overrun" false over.Learner.budget_exceeded;
+  let under, json =
+    learn ~budget:200_000
+      { Config.default with Config.support_rounds = 60 }
+  in
+  check "within the budget" true (under.Learner.queries <= 200_000);
+  check "no overrun reported" false under.Learner.query_budget_exceeded;
+  check "no overrun in the JSON report" true (json = Some false)
 
 let tests =
   [
@@ -402,4 +431,6 @@ let tests =
     Alcotest.test_case "learner: zero time budget" `Quick test_budget_zero;
     Alcotest.test_case "learner: no budget unchanged" `Quick
       test_no_budget_unchanged;
+    Alcotest.test_case "learner: query budget overrun" `Quick
+      test_query_budget_overrun;
   ]

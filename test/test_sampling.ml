@@ -285,6 +285,45 @@ let test_case7_sim_counters () =
     ~support:(4400, 7656)
     ~fbdt:(fbdt_counters ~pb:(660, 957) ~pf:(540, 783) ~pg:(540, 783))
 
+(* One oracle batch per sampling block: the ["queries"] count events a
+   case_7 learn emits in support-id and in the fbdt spans, as a trace
+   sink sees them. Support-id charges one batch per 64-round block, and
+   each FBDT node one batch per block of its rounds. *)
+let query_events config =
+  let support = ref 0 and fbdt = ref 0 in
+  let sink =
+    {
+      Instr.emit =
+        (function
+        | Instr.Count { name = "queries"; path; _ } ->
+            if path = "learn/support-id" then incr support
+            else if String.ends_with ~suffix:"/fbdt" path then incr fbdt
+        | _ -> ());
+      flush = ignore;
+    }
+  in
+  Instr.set_sinks [ sink ];
+  Fun.protect
+    ~finally:(fun () -> Instr.set_sinks [])
+    (fun () ->
+      ignore (Learner.learn ~config (Cases.blackbox (Cases.find "case_7"))));
+  (!support, !fbdt)
+
+let test_case7_query_batches () =
+  let check_run name config ~support ~fbdt =
+    let s, f = query_events config in
+    check_int (name ^ ": support-id batches") support s;
+    check_int (name ^ ": fbdt batches") fbdt f
+  in
+  check_run "default" Config.default ~support:113 ~fbdt:7;
+  check_run "trees"
+    {
+      Config.default with
+      Config.support_rounds = 100;
+      small_support_threshold = 0;
+    }
+    ~support:2 ~fbdt:21
+
 (* case_15's first output is learned over a comparator delegate: the
    oracle must expand the delegate into the compared buses exactly as
    the per-vector expansion did — same queries, same circuit. With the
@@ -339,6 +378,8 @@ let tests =
       test_matches_reference_default_rounds;
     Alcotest.test_case "case_7 sim counters per span" `Quick
       test_case7_sim_counters;
+    Alcotest.test_case "case_7 one oracle batch per block" `Quick
+      test_case7_query_batches;
     Alcotest.test_case "learner oracle: delegate and wide batches" `Quick
       test_oracle_expansion;
     Alcotest.test_case "single query counts gate-words only" `Quick

@@ -361,8 +361,9 @@ let test_scheduler_report_shape () =
     [ "accuracy"; "budget_exceeded"; "case"; "check_level"; "checks_verified";
       "degraded"; "depth"; "domains"; "elapsed_s"; "eval_patterns"; "faults";
       "faults_seen"; "inputs"; "inverters"; "jobs"; "lint_findings";
-      "outputs"; "outputs_detail"; "phases"; "queries"; "query_latency";
-      "retries"; "schema"; "seed"; "size"; "sweep_removed"; "time_budget_s" ]
+      "outputs"; "outputs_detail"; "phases"; "queries";
+      "query_budget_exceeded"; "query_latency"; "retries"; "schema"; "seed";
+      "size"; "sweep_removed"; "time_budget_s" ]
   in
   check "learn --json keys + job_id, tenant, cache_hit" true
     (keys report
