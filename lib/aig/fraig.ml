@@ -10,6 +10,7 @@ module Uf = struct
   type t = { parent : int array; phase : bool array }
 
   let create n = { parent = Array.init n Fun.id; phase = Array.make n false }
+  let is_root t n = t.parent.(n) = n
 
   let rec find t n =
     if t.parent.(n) = n then n, false
@@ -36,6 +37,15 @@ module Uf = struct
     end
 end
 
+(* Class buckets keyed by a hash the loop computes over every signature
+   word; [Hashtbl.hash] would read only a few words of a signature. *)
+module Buckets = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash h = h land max_int
+end)
+
 type t = {
   repr : int array;
   proved : int;
@@ -55,142 +65,192 @@ let classes ~layer ?(words = 16) ?(max_rounds = 64) ?(max_sat_checks = 5000)
   let uf = Uf.create n in
   let solver = Sat.create () in
   Soa.encode soa solver;
-  let input_var =
-    Array.init ni (fun i -> List.hd (Soa.input_readers soa i) + 1)
+  let fanin = Soa.transitive_fanin soa in
+  let input_of = Array.make n (-1) in
+  for i = 0 to ni - 1 do
+    List.iter (fun r -> input_of.(r) <- i) (Soa.input_readers soa i)
+  done;
+  let seeds =
+    Array.init words (fun _ -> Array.init ni (fun _ -> Rng.bits64 rng))
   in
+  (* Signature blocks: [!sigs.(b).(node)] is the node's value under
+     block [b]. The seed blocks come first, then every counterexample
+     block in arrival order; blocks are never dropped, so a pair one
+     block separates never shares a class again. *)
+  let sigs = ref (Array.make (max 1 (2 * words)) [||]) in
+  let nsigs = ref 0 in
+  let push vals =
+    if !nsigs = Array.length !sigs then begin
+      let grown = Array.make (2 * !nsigs) [||] in
+      Array.blit !sigs 0 grown 0 !nsigs;
+      sigs := grown
+    end;
+    !sigs.(!nsigs) <- vals;
+    incr nsigs
+  in
+  (* A node's signature is complemented to canonical phase when its
+     first pattern is 1, so a node and its complement share a class. *)
+  let flip u = !nsigs > 0 && Int64.logand !sigs.(0).(u) 1L = 1L in
+  let hash u =
+    let c = if flip u then -1L else 0L in
+    let s = !sigs in
+    let h = ref 0 in
+    for b = 0 to !nsigs - 1 do
+      let w = Int64.logxor s.(b).(u) c in
+      let x =
+        Int64.to_int w lxor Int64.to_int (Int64.shift_right_logical w 32)
+      in
+      h := (!h lxor x) * 0x100000001b3
+    done;
+    !h lxor (!h lsr 29)
+  in
+  let same_signature u v =
+    let d = if flip u <> flip v then -1L else 0L in
+    let s = !sigs in
+    let b = ref 0 in
+    while
+      !b < !nsigs && Int64.equal (Int64.logxor s.(!b).(u) s.(!b).(v)) d
+    do
+      incr b
+    done;
+    !b = !nsigs
+  in
+  (* Classes of the current round: a table from signature hash to the
+     first (smallest) node of each class with that hash, and per node
+     the next member of its class in ascending order; [tail.(r) >= 0]
+     marks [r] as the head of a class. *)
+  let heads = Buckets.create (max 16 n) in
+  let next = Array.make n (-1) and tail = Array.make n (-1) in
+  let bucket () =
+    Buckets.clear heads;
+    let classes = ref 0 in
+    for u = 0 to n - 1 do
+      next.(u) <- -1;
+      tail.(u) <- -1;
+      if Uf.is_root uf u then begin
+        let h = hash u in
+        match
+          List.find_opt (fun r -> same_signature r u) (Buckets.find_all heads h)
+        with
+        | Some r ->
+            next.(tail.(r)) <- u;
+            tail.(r) <- u
+        | None ->
+            Buckets.add heads h u;
+            tail.(u) <- u;
+            incr classes
+      end
+    done;
+    !classes
+  in
+  (* The pending counterexample block: it starts as a copy of a seed
+     block, and each counterexample overwrites the bits of its cone's
+     inputs in the next lane, so the inputs the SAT call never decided
+     keep a seed pattern. It is resimulated after every counterexample
+     and pushed onto [sigs] when full, or at the end of the round. *)
+  let pend_in = Array.make ni 0L in
+  let pend_vals = ref (Array.make n 0L) in
+  let lanes = ref 0 in
+  let pend_blocks = ref 0 in
+  let start_pending () =
+    if words > 0 then
+      Array.blit seeds.(!pend_blocks mod words) 0 pend_in 0 ni;
+    lanes := 0
+  in
+  let flush () =
+    push !pend_vals;
+    pend_vals := Array.make n 0L;
+    incr pend_blocks;
+    start_pending ()
+  in
+  start_pending ();
   let sat_checks = ref 0 in
   let proved_total = ref 0 and refuted_total = ref 0 in
-  (* pattern blocks: each is one word per input *)
-  let blocks = ref [] in
-  for _ = 1 to words do
-    blocks := Array.init ni (fun _ -> Rng.bits64 rng) :: !blocks
-  done;
-  (* The circuit is frozen for the whole loop and blocks are only ever
-     prepended, so node values are computed once per block and reused
-     across refinement rounds; [sim_cache] stays aligned with the suffix
-     of [!blocks] already simulated. *)
-  let sim_cache = ref [] in
-  let cached_len = ref 0 in
-  let simulate_blocks () =
-    let total = List.length !blocks in
-    let fresh =
-      List.filteri (fun i _ -> i < total - !cached_len) !blocks
-      |> List.map (Soa.node_values soa)
-    in
-    Instr.count "kernel.sim-cached-words" (!cached_len * n);
-    sim_cache := fresh @ !sim_cache;
-    cached_len := total;
-    !sim_cache
-  in
-  let refuted = Hashtbl.create 256 in
-  let prove_equal a b phase =
-    (* a = b xor phase ?  check SAT of a xor (b xor phase) *)
-    incr sat_checks;
-    (* each pair is checked once: a proof merges it and a refutation
-       bars it, so every check gets a fresh miter variable *)
-    let t = Sat.new_var solver in
-    Soa.xor_clauses solver t (a + 1) (b + 1);
-    (* if phase, equality means the miter is satisfied everywhere: check
-       that t can be false; if not phase, check that t can be true *)
-    let assumption = if phase then -t else t in
-    match Sat.solve ~assumptions:[ assumption ] solver with
-    | Sat.Unsat -> `Equal
-    | Sat.Sat -> `Counterexample (Array.map (Sat.value solver) input_var)
-  in
   let round = ref 0 in
   let progress = ref true in
   while !progress && !round < max_rounds && !sat_checks < max_sat_checks do
     incr round;
     progress := false;
-    (* signatures over all pattern blocks *)
-    let sims = Instr.span ~name:(name ".sim") (fun () -> simulate_blocks ()) in
-    Instr.count (name ".sim-words") (List.length !blocks * n);
-    let signature node = List.map (fun v -> v.(node)) sims in
-    let canon sig_ =
-      match sig_ with
-      | [] -> [], false
-      | w :: _ ->
-          if Int64.logand w 1L = 1L then List.map Int64.lognot sig_, true
-          else sig_, false
+    Instr.span ~name:(name ".sim") (fun () ->
+        (* counterexample blocks arrive simulated: only the seeds are new *)
+        Instr.count "kernel.sim-cached-words" (!nsigs * n);
+        if !round = 1 then
+          Array.iter (fun b -> push (Soa.node_values soa b)) seeds);
+    Instr.count (name ".sim-words") (!nsigs * n);
+    let classes = bucket () in
+    let round_first = !nsigs in
+    (* do this round's counterexamples already separate the pair? *)
+    let separated a b phase =
+      let d = if phase then -1L else 0L in
+      let differ v = not (Int64.equal (Int64.logxor v.(a) v.(b)) d) in
+      let sep = ref (!lanes > 0 && differ !pend_vals) in
+      for k = round_first to !nsigs - 1 do
+        if differ !sigs.(k) then sep := true
+      done;
+      !sep
     in
-    let classes = Hashtbl.create 1024 in
-    for node = 0 to n - 1 do
-      let root, _ = Uf.find uf node in
-      if root = node then begin
-        let key, _ = canon (signature node) in
-        let existing =
-          match Hashtbl.find_opt classes key with Some l -> l | None -> []
-        in
-        Hashtbl.replace classes key (node :: existing)
-      end
-    done;
-    let new_cexs = ref [] in
     let checks_before = !sat_checks in
     let conflicts_before = Sat.stats_conflicts solver in
     let restarts_before = Sat.stats_restarts solver in
-    let proved = ref 0 in
+    let proved = ref 0 and refuted = ref 0 and resim_refuted = ref 0 in
+    (* a = b xor phase ?  the miter [t <-> a xor b] decides it, branching
+       only on the two nodes' fanin *)
+    let prove a b phase =
+      incr sat_checks;
+      let t = Sat.new_var solver in
+      Soa.xor_clauses solver t (a + 1) (b + 1);
+      let cone = fanin [ a; b ] in
+      (* if phase, equality means the miter is satisfied everywhere: check
+         that t can be false; if not phase, check that t can be true *)
+      match
+        Sat.solve
+          ~assumptions:[ (if phase then -t else t) ]
+          ~decide:(Array.map succ cone) solver
+      with
+      | Sat.Unsat ->
+          Uf.union uf a b phase;
+          incr proved
+      | Sat.Sat ->
+          incr refuted;
+          let bit = Int64.shift_left 1L !lanes in
+          Array.iter
+            (fun x ->
+              let i = input_of.(x) in
+              if i >= 0 then
+                pend_in.(i) <-
+                  (if Sat.value solver (x + 1) then Int64.logor pend_in.(i) bit
+                   else Int64.logand pend_in.(i) (Int64.lognot bit)))
+            cone;
+          Soa.eval_into soa !pend_vals pend_in;
+          incr lanes;
+          if !lanes = 64 then flush ()
+    in
     Instr.span ~name:(name ".sat") (fun () ->
-        Hashtbl.iter
-          (fun _ members ->
-            match List.rev members (* ascending ids *) with
-            | [] | [ _ ] -> ()
-            | rep :: rest ->
-                List.iter
-                  (fun m ->
-                    if
-                      !sat_checks < max_sat_checks
-                      && not (Hashtbl.mem refuted (rep, m))
-                    then begin
-                      let _, prep = canon (signature rep) in
-                      let _, pm = canon (signature m) in
-                      let phase = prep <> pm in
-                      match prove_equal rep m phase with
-                      | `Equal ->
-                          Uf.union uf rep m phase;
-                          incr proved;
-                          progress := true
-                      | `Counterexample cex ->
-                          Hashtbl.replace refuted (rep, m) ();
-                          new_cexs := cex :: !new_cexs
-                    end)
-                  rest)
-          classes);
-    let refuted_now = List.length !new_cexs in
+        (* classes in ascending representative id, members ascending *)
+        for rep = 0 to n - 1 do
+          if tail.(rep) >= 0 then begin
+            let m = ref next.(rep) in
+            while !m >= 0 do
+              if !sat_checks < max_sat_checks then begin
+                let phase = flip rep <> flip !m in
+                if separated rep !m phase then incr resim_refuted
+                else prove rep !m phase
+              end;
+              m := next.(!m)
+            done
+          end
+        done);
+    if !lanes > 0 then flush ();
+    progress := !proved > 0 || !nsigs > round_first;
     proved_total := !proved_total + !proved;
-    refuted_total := !refuted_total + refuted_now;
-    Instr.count (name ".classes") (Hashtbl.length classes);
+    refuted_total := !refuted_total + !refuted;
+    Instr.count (name ".classes") classes;
     Instr.count (name ".sat-calls") (!sat_checks - checks_before);
     Instr.count (name ".proved") !proved;
-    Instr.count (name ".refuted") refuted_now;
+    Instr.count (name ".refuted") !refuted;
+    Instr.count (name ".resim-refuted") !resim_refuted;
     Instr.count "sat.conflicts" (Sat.stats_conflicts solver - conflicts_before);
-    Instr.count "sat.restarts" (Sat.stats_restarts solver - restarts_before);
-    (* pack counterexamples into pattern blocks, 64 per block, so the
-       signature length stays proportional to refinement rounds *)
-    let rec pack = function
-      | [] -> ()
-      | cexs ->
-          let chunk, rest =
-            let rec split k acc = function
-              | x :: tl when k < 64 -> split (k + 1) (x :: acc) tl
-              | tl -> acc, tl
-            in
-            split 0 [] cexs
-          in
-          let chunk = Array.of_list chunk in
-          let blk =
-            Array.init ni (fun i ->
-                let w = ref 0L in
-                Array.iteri
-                  (fun k cex ->
-                    if cex.(i) then w := Int64.logor !w (Int64.shift_left 1L k))
-                  chunk;
-                !w)
-          in
-          blocks := blk :: !blocks;
-          progress := true;
-          pack rest
-    in
-    pack !new_cexs
+    Instr.count "sat.restarts" (Sat.stats_restarts solver - restarts_before)
   done;
   Instr.count (name ".rounds") !round;
   let repr =

@@ -19,7 +19,7 @@ type t = {
           representative iff [repr.(n) = 2 * n]. Constant-equivalent
           nodes resolve to a constant node. *)
   proved : int;  (** SAT-proven equivalences (including complements) *)
-  refuted : int;  (** candidate pairs separated by a counterexample *)
+  refuted : int;  (** SAT calls that returned a counterexample *)
   sat_calls : int;
   rounds : int;
 }
@@ -42,18 +42,38 @@ val classes :
     [rng] state. Classes are rooted at their smallest node id, so
     substituting any member by its root literal never creates a cycle.
 
-    Node values are computed once per pattern block and reused across
-    rounds (["kernel.sim-cached-words"] counts the reuse). One
-    persistent solver holds the {!Lr_kernel.Soa.encode} CNF and decides
-    every candidate pair under an activation literal per pair. Within a
-    round, classes are visited in the iteration order of a hash table
-    keyed by canonical signature, each class from its smallest member.
+    When no cap binds, the loop converges to the exact
+    functional-equivalence partition (up to complement), so [repr] does
+    not depend on the order of SAT calls or on the counterexamples.
+
+    Each round buckets the class roots by their whole signature: a hash
+    over every signature word, with an exact comparison on a hash
+    collision. Classes are then visited in ascending representative id,
+    members ascending, and each member is paired with its
+    representative. Node values are computed once per pattern block and
+    reused across rounds (["kernel.sim-cached-words"] counts the reuse).
+
+    One persistent solver holds the {!Lr_kernel.Soa.encode} CNF and
+    decides every pair under its own miter variable, branching only on
+    the pair's transitive fanin ({!Lr_kernel.Soa.transitive_fanin} as
+    the decision set of {!Lr_sat.Sat.solve}). Inputs outside that fanin
+    are never decided; a counterexample takes their bits from a seed
+    pattern. Counterexamples are resimulated as they arrive: each fills
+    the next lane of a pending 64-pattern block, which is resimulated at
+    once, so a pair this round's counterexamples already separate takes
+    no SAT call. Full blocks join the signatures at once, the rest at
+    the end of the round. Blocks are never dropped, so a pair one of
+    them separates never shares a class again.
 
     [layer] names the instrumentation: spans [<layer>.sim] and
-    [<layer>.sat]; per round the counters [<layer>.sim-words],
+    [<layer>.sat] (the resimulation of counterexamples runs inside the
+    latter); per round the counters [<layer>.sim-words],
     [<layer>.classes], [<layer>.sat-calls], [<layer>.proved],
-    [<layer>.refuted] and the solver's ["sat.conflicts"] /
-    ["sat.restarts"] deltas; at the end [<layer>.rounds]. *)
+    [<layer>.refuted] (SAT calls that returned a counterexample),
+    [<layer>.resim-refuted] (pairs a resimulated counterexample
+    separated without a call; [proved + refuted = sat-calls]) and the
+    solver's ["sat.conflicts"] / ["sat.restarts"] deltas; at the end
+    [<layer>.rounds]. *)
 
 val sweep :
   ?words:int ->

@@ -126,43 +126,67 @@ let xor_stage c =
 
 (* ---------------- ODC resubstitution ---------------- *)
 
-(* prove that replacing node [z] by old node [m] (inverted when [ph])
-   changes no primary output: encode the original netlist once, a patched
-   copy of [z]'s fanout cone on fresh variables, and ask SAT for a
-   distinguishing input *)
-let prove_resub soa c z (m, ph) =
+(* The ODC prover of one scan. The scan's netlist is fixed, so its CNF is
+   encoded once, at the first proof. Each candidate [z := m] (inverted
+   when [ph]) adds a patched copy of [z]'s fanout cone on fresh variables
+   and one difference variable per output the cone reaches, asserts
+   their OR under a fresh activation literal, and asks SAT for a
+   distinguishing input; the unit [-act] then retires the OR, leaving
+   clauses that only define fresh variables. The decision set is the
+   fanin of the cone's original nodes and of [m] plus the fresh
+   variables: closed under fanin, so each verdict is exact. *)
+let prover soa c =
   let n = N.num_nodes c in
-  let cone = Soa.fanout_cone soa [ z ] in
-  let observed = ref false in
-  for o = 0 to N.num_outputs c - 1 do
-    if cone.(N.output c o) then observed := true
-  done;
-  if not !observed then true (* no output sees the node at all *)
-  else begin
-    let solver = Sat.create () in
-    Soa.encode soa solver;
-    let patched = Array.make n 0 in
-    for k = 0 to n - 1 do
-      if k = z then patched.(k) <- (if ph then -(m + 1) else m + 1)
-      else if not cone.(k) then patched.(k) <- k + 1
-      else begin
-        let x = Sat.new_var solver in
-        patched.(k) <- x;
-        Soa.encode_node soa solver ~lit:x ~fanin:(Array.get patched) k
-      end
-    done;
-    let diffs = ref [] in
+  let solver =
+    lazy
+      (let s = Sat.create () in
+       Soa.encode soa s;
+       s)
+  in
+  let fanin = Soa.transitive_fanin soa in
+  fun z (m, ph) ->
+    let cone = Soa.fanout_cone soa [ z ] in
+    let observed = ref false in
     for o = 0 to N.num_outputs c - 1 do
-      let r = N.output c o in
-      if cone.(r) then begin
-        let t = Sat.new_var solver in
-        Soa.xor_clauses solver t (r + 1) patched.(r);
-        diffs := t :: !diffs
-      end
+      if cone.(N.output c o) then observed := true
     done;
-    Sat.add_clause solver !diffs;
-    match Sat.solve solver with Sat.Unsat -> true | Sat.Sat -> false
-  end
+    if not !observed then true (* no output sees the node at all *)
+    else begin
+      let solver = Lazy.force solver in
+      let first_fresh = Sat.num_vars solver + 1 in
+      let patched = Array.make n 0 in
+      let seeds = ref [ m ] in
+      for k = 0 to n - 1 do
+        if k = z then patched.(k) <- (if ph then -(m + 1) else m + 1)
+        else if not cone.(k) then patched.(k) <- k + 1
+        else begin
+          let x = Sat.new_var solver in
+          patched.(k) <- x;
+          Soa.encode_node soa solver ~lit:x ~fanin:(Array.get patched) k
+        end;
+        if cone.(k) then seeds := k :: !seeds
+      done;
+      let diffs = ref [] in
+      for o = 0 to N.num_outputs c - 1 do
+        let r = N.output c o in
+        if cone.(r) then begin
+          let t = Sat.new_var solver in
+          Soa.xor_clauses solver t (r + 1) patched.(r);
+          diffs := t :: !diffs
+        end
+      done;
+      let last_fresh = Sat.num_vars solver in
+      let act = Sat.new_var solver in
+      Sat.add_clause solver (-act :: !diffs);
+      let decide =
+        Array.append
+          (Array.map succ (fanin !seeds))
+          (Array.init (last_fresh - first_fresh + 1) (fun i -> first_fresh + i))
+      in
+      let verdict = Sat.solve ~assumptions:[ act ] ~decide solver in
+      Sat.add_clause solver [ -act ];
+      verdict = Sat.Unsat
+    end
 
 let sim_word_budget = 2_000_000
 
@@ -195,6 +219,7 @@ let scan_resubs ~sat_budget ~rng ~emit c =
     Incremental.with_forced engines.(idx) ~node:z w (fun e ->
         Incremental.outputs e = base_outputs.(idx))
   in
+  let prove_resub = prover soa c in
   let sim_budget = ref sim_word_budget in
   let sat_used = ref 0 in
   let continue_scan = ref true in
@@ -228,7 +253,7 @@ let scan_resubs ~sat_budget ~rng ~emit c =
                    in
                    if sim_ok then begin
                      incr sat_used;
-                     if prove_resub soa c !z (m, ph) then begin
+                     if prove_resub !z (m, ph) then begin
                        if not (emit (!z, m, ph)) then continue_scan := false
                      end
                      else try_cands rest

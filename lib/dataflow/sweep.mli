@@ -59,10 +59,12 @@ val run :
     Simulation runs on the {!Lr_kernel} SoA engine: the merge stage
     reuses cached block signatures, and the ODC candidate filter
     resimulates only the rewritten node's fanout cone on a dirty-cone
-    {!Lr_kernel.Incremental} engine. Each ODC proof is one
-    {!Lr_sat.Sat.solve} call on a fresh solver holding the netlist's
-    {!Lr_kernel.Soa.encode} CNF plus a patched copy of the rewritten
-    node's fanout cone ({!Lr_kernel.Soa.encode_node}). *)
+    {!Lr_kernel.Incremental} engine. Each scan of the ODC stage (one
+    fixed netlist) shares one solver: it encodes the netlist's
+    {!Lr_kernel.Soa.encode} CNF at the scan's first proof, and each
+    proof adds a patched copy of the rewritten node's fanout cone
+    ({!Lr_kernel.Soa.encode_node}) and is one {!Lr_sat.Sat.solve} call
+    under an activation literal, deciding only that cone's fanin. *)
 
 (**/**)
 

@@ -162,6 +162,38 @@ let fanout_cone t seeds =
     t.sched;
   cone
 
+let transitive_fanin t =
+  let mark = Bytes.make t.nn '\000' in
+  fun seeds ->
+    let top =
+      List.fold_left
+        (fun top n ->
+          if n < 0 || n >= t.nn then
+            invalid_arg "Soa.transitive_fanin: bad node";
+          Bytes.set mark n '\001';
+          max top n)
+        (-1) seeds
+    in
+    (* one descending pass: fanins always have smaller ids *)
+    let count = ref 0 in
+    for n = top downto 0 do
+      if Bytes.get mark n <> '\000' then begin
+        incr count;
+        if depends_on_arg0 t n then Bytes.set mark t.arg0.(n) '\001';
+        if depends_on_arg1 t n then Bytes.set mark t.arg1.(n) '\001'
+      end
+    done;
+    let cone = Array.make !count 0 in
+    let k = ref 0 in
+    for n = 0 to top do
+      if Bytes.get mark n <> '\000' then begin
+        Bytes.set mark n '\000';
+        cone.(!k) <- n;
+        incr k
+      end
+    done;
+    cone
+
 (* ---------------- simulation ---------------- *)
 
 (* Node values live in an unboxed byte store: an [int64 array] would box

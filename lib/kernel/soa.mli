@@ -63,6 +63,15 @@ val fanout_cone : t -> int list -> bool array
 (** Transitive fanout of the seed nodes, seeds included — the set a value
     change at the seeds can reach. *)
 
+val transitive_fanin : t -> int list -> int array
+(** Transitive fanin of the seed nodes, seeds included, as ascending
+    node ids — the nodes whose Tseitin CNF a SAT query about the seeds
+    needs, and a decision set that is closed under fanin
+    ({!Lr_sat.Sat.solve}). Apply it to [t] once and call the result per
+    query: every call reuses one mark array, so the result must not be
+    shared across domains. A call costs one pass over the ids up to the
+    largest seed. *)
+
 val eval_node : t -> int64 array -> int64 array -> int -> int64
 (** [eval_node t vals words n] — the value of node [n] given live node
     values and input words; the incremental engine's per-node step. *)

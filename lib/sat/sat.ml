@@ -314,9 +314,14 @@ let add_clause t lits =
     end
   end
 
-let pick_branch_var t =
+(* The unassigned variable of highest activity, by a linear scan over
+   every variable or over the decision set (DIMACS variables): the first
+   one wins a tie, -1 when all are assigned. *)
+let pick_branch_var t decide =
   let best = ref (-1) and best_act = ref neg_infinity in
-  for v = 0 to t.nvars - 1 do
+  let n = match decide with None -> t.nvars | Some d -> Array.length d in
+  for i = 0 to n - 1 do
+    let v = match decide with None -> i | Some d -> d.(i) - 1 in
     if t.assigns.(v) < 0 && t.activity.(v) > !best_act then begin
       best := v;
       best_act := t.activity.(v)
@@ -324,9 +329,14 @@ let pick_branch_var t =
   done;
   !best
 
-let solve ?(assumptions = []) t =
+let solve ?(assumptions = []) ?decide t =
   if not t.ok then Unsat
   else begin
+    Option.iter
+      (Array.iter (fun v ->
+           if v < 1 || v > t.nvars then
+             invalid_arg "Sat.solve: unknown decision variable"))
+      decide;
     let assume = Array.of_list (List.map lit_of_dimacs assumptions) in
     let nassume = Array.length assume in
     cancel_until t 0;
@@ -370,7 +380,7 @@ let solve ?(assumptions = []) t =
               enqueue t a (-1)
         end
         else begin
-          let v = pick_branch_var t in
+          let v = pick_branch_var t decide in
           if v < 0 then answer := Some Sat
           else begin
             t.decisions <- t.decisions + 1;

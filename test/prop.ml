@@ -147,13 +147,23 @@ let build_aig { ni; no; ops } =
     let l = List.nth !lits (k mod !nlits) in
     if k land 1 = 0 then l else Aig.not_lit l
   in
+  (* kinds 3 and 4 rebuild [l] by Shannon expansion on [m]: a new node
+     the strash cannot merge, functionally [l] *)
+  let shannon aig l m =
+    Aig.or_lit aig (Aig.and_lit aig l m) (Aig.and_lit aig l (Aig.not_lit m))
+  in
+  let shannon_dual aig l m =
+    Aig.and_lit aig (Aig.or_lit aig l m) (Aig.or_lit aig l (Aig.not_lit m))
+  in
   List.iter
     (fun (kind, a, b) ->
       let f =
-        match kind mod 3 with
+        match kind with
         | 0 -> Aig.and_lit
         | 1 -> Aig.or_lit
-        | _ -> Aig.xor_lit
+        | 2 -> Aig.xor_lit
+        | 3 -> shannon
+        | _ -> shannon_dual
       in
       let l = f aig (pick a) (pick b) in
       lits := l :: !lits;
@@ -388,6 +398,152 @@ let prop_encoder_matches_simulation () =
       agrees (Soa.of_netlist (build_netlist r))
       && agrees (Ksim.soa_of_aig (build_aig r))
       && agrees (Soa.of_netlist (build_gate_netlist r)))
+
+(* ---------------- fraig classes and decision sets ---------------- *)
+
+(* recipes over 1 to 10 inputs with Shannon rows (kinds 3 and 4), so the
+   AIG holds duplicated cones, complemented ones (a row over a
+   complemented literal), and constants; AIG-only, since
+   [build_gate_netlist] reads kinds 0 to 2 *)
+let arb_dup_recipe =
+  {
+    arb_recipe with
+    gen =
+      (fun rng size ->
+        let ni = 1 + Rng.int rng 10 and no = 1 + Rng.int rng 4 in
+        let ops =
+          List.init (Rng.int rng ((2 * size) + 2)) (fun _ ->
+              (Rng.int rng 5, Rng.int rng 1000, Rng.int rng 1000))
+        in
+        { ni; no; ops });
+  }
+
+(* node [n]'s truth table over all 2^10 patterns of the first ten inputs,
+   as 16 words (fewer inputs repeat patterns) *)
+let truth_tables soa =
+  let ni = Soa.num_inputs soa in
+  let lane_bit i =
+    let w = ref 0L in
+    for p = 0 to 63 do
+      if (p lsr i) land 1 = 1 then w := Int64.logor !w (Int64.shift_left 1L p)
+    done;
+    !w
+  in
+  let blocks =
+    List.init 16 (fun b ->
+        Soa.node_values soa
+          (Array.init ni (fun i ->
+               if i < 6 then lane_bit i
+               else if (b lsr (i - 6)) land 1 = 1 then -1L
+               else 0L)))
+  in
+  fun n -> List.map (fun v -> v.(n)) blocks
+
+(* [Fraig.classes] converges to the exact functional partition: every
+   node's representative literal is [2 * k + phase] for the smallest [k]
+   whose truth table equals the node's or its complement. One seed word
+   leaves spurious classes, so SAT calls, counterexample resimulation
+   and bucket probing all run; no cap binds at these sizes *)
+let prop_fraig_exact_partition () =
+  check_prop "Fraig.classes == exact partition" arb_dup_recipe (fun r ->
+      let exact soa =
+        let cls =
+          Lr_aig.Fraig.classes ~layer:"prop" ~words:1 ~rng:(Rng.create 3) soa
+        in
+        let tt = truth_tables soa in
+        let rec root tx k =
+          let tk = tt k in
+          if tk = tx then 2 * k
+          else if tk = List.map Int64.lognot tx then (2 * k) + 1
+          else root tx (k + 1)
+        in
+        List.for_all
+          (fun x -> cls.Lr_aig.Fraig.repr.(x) = root (tt x) 0)
+          (List.init (Soa.num_nodes soa) Fun.id)
+      in
+      let aig = build_aig r in
+      exact (Ksim.soa_of_aig aig) && exact (Soa.of_netlist (Aig.to_netlist aig)))
+
+(* One miter query on [solver], which holds [soa]'s CNF: can [a xor b]
+   differ from [phase]? With [cone], the solve decides only [cone]'s
+   node variables. Returns the verdict, and whether a Sat answer
+   separates the pair when the inputs outside [cone] take 64 random
+   fills *)
+let miter_query soa solver ~rng ?cone (a, b, phase) =
+  let t = Sat.new_var solver in
+  Soa.xor_clauses solver t (a + 1) (b + 1);
+  let decide = Option.map (Array.map succ) cone in
+  let verdict =
+    Sat.solve ~assumptions:[ (if phase then -t else t) ] ?decide solver
+  in
+  let decided r = match cone with None -> true | Some c -> Array.mem r c in
+  let separates () =
+    let words =
+      Array.init (Soa.num_inputs soa) (fun i ->
+          let r = List.hd (Soa.input_readers soa i) in
+          if not (decided r) then Rng.bits64 rng
+          else if Sat.value solver (r + 1) then -1L
+          else 0L)
+    in
+    let v = Soa.node_values soa words in
+    Int64.equal (Int64.logxor v.(a) v.(b)) (if phase then 0L else -1L)
+  in
+  (verdict, verdict = Sat.Unsat || separates ())
+
+(* a solve that decides only the pair's fanin (closed under fanin, as
+   [Soa.transitive_fanin] returns it) gives the full solve's verdict, and
+   its counterexample separates the pair whatever the other inputs are;
+   eight queries per solver, so earlier miters sit in the CNF *)
+let prop_decision_set_agrees () =
+  check_prop "Sat.solve ~decide == Sat.solve" arb_recipe (fun r ->
+      let rng = Rng.create 61 in
+      let agrees soa =
+        let full = Sat.create () and part = Sat.create () in
+        Soa.encode soa full;
+        Soa.encode soa part;
+        let fanin = Soa.transitive_fanin soa in
+        let n = Soa.num_nodes soa in
+        List.for_all
+          (fun _ ->
+            let a = Rng.int rng n and b = Rng.int rng n in
+            let q = (a, b, Rng.bool rng) in
+            let want, _ = miter_query soa full ~rng q in
+            let got, separated =
+              miter_query soa part ~rng ~cone:(fanin [ a; b ]) q
+            in
+            want = got && separated)
+          (List.init 8 Fun.id)
+      in
+      agrees (Ksim.soa_of_aig (build_aig r))
+      && agrees (Soa.of_netlist (build_gate_netlist r)))
+
+(* the closure is what makes a decision set sound: [a] and [b] compute
+   [x0 xor x1] through different gates, and a set without the inputs
+   lets propagation from [a] and [b] stop short of any conflict, so the
+   solve answers Sat on an Unsat query and its counterexample separates
+   nothing *)
+let test_decision_set_needs_closure () =
+  let c = N.create ~input_names:[| "x0"; "x1" |] ~output_names:[| "o" |] in
+  let x0 = N.input c 0 and x1 = N.input c 1 in
+  let a = N.xor_ c x0 x1 in
+  let b = N.not_ c (N.xnor_ c x0 x1) in
+  N.set_output c 0 (N.and_ c a b);
+  let soa = Soa.of_netlist c in
+  (* (proved equal, counterexample sound) *)
+  let query cone =
+    let solver = Sat.create () in
+    Soa.encode soa solver;
+    let verdict, separated =
+      miter_query soa solver ~rng:(Rng.create 5) ?cone (a, b, false)
+    in
+    (verdict = Sat.Unsat, separated)
+  in
+  let check = Alcotest.(check (pair bool bool)) in
+  check "full solve" (true, true) (query None);
+  check "closed set" (true, true)
+    (query (Some (Soa.transitive_fanin soa [ a; b ])));
+  check "open set: a wrong Sat that separates nothing" (false, false)
+    (query (Some [| a; b |]))
 
 (* the multi-block entry against one [eval_words] call per block, on
    block counts around [max_width], where the passes split *)
@@ -859,6 +1015,12 @@ let tests =
       prop_eval_blocks_matches_words;
     Alcotest.test_case "CNF encoder == simulation" `Quick
       prop_encoder_matches_simulation;
+    Alcotest.test_case "fraig classes == exact partition" `Quick
+      prop_fraig_exact_partition;
+    Alcotest.test_case "decision-set solve == full solve" `Quick
+      prop_decision_set_agrees;
+    Alcotest.test_case "decision set must be closed under fanin" `Quick
+      test_decision_set_needs_closure;
     Alcotest.test_case "word-native scoring == per-pattern scorer" `Quick
       prop_word_scoring_matches_reference;
     Alcotest.test_case "incremental resim == full resim" `Quick

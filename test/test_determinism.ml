@@ -3,8 +3,8 @@
    count, and identical per-output reports to [jobs = 1]. Exercised on
    three benchmarks of different shapes (template-heavy DATA, exhaustive
    DIAG, decision-tree NEQ) at two seeds; set LR_DETERMINISM_ALL=1 to
-   sweep every Cases benchmark (CI runs that leg nightly-style, the
-   default keeps `dune runtest` quick). *)
+   sweep every Cases benchmark (its own suite, [determ-all], which
+   CI selects by name; the default keeps `dune runtest` quick). *)
 
 module Rng = Lr_bitvec.Rng
 module Io = Lr_netlist.Io
@@ -198,6 +198,10 @@ let tests =
       test_trio_kernel_on_off;
     Alcotest.test_case "jobs 1/2/4 invariant, kernel-enabled full sweep"
       `Quick test_trio_kernel_jobs;
+  ]
+
+let all_tests =
+  [
     Alcotest.test_case "full 20-case sweep (LR_DETERMINISM_ALL)" `Slow
       test_full_sweep;
   ]

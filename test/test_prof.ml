@@ -505,6 +505,7 @@ let check_round_invariants layer series =
   let classes = series "classes" in
   let proved = series "proved" in
   let refuted = series "refuted" in
+  let resim_refuted = series "resim-refuted" in
   let sat_calls = series "sat-calls" in
   check "loop ran at least one round" true (List.length classes >= 1);
   (* one sim increment per round, and the cumulative series is strictly
@@ -518,27 +519,33 @@ let check_round_invariants layer series =
          check "sim batch never shrinks" true (d >= prev);
          d)
        0 sim);
-  (* every SAT call proves or refutes one candidate pair, and a round
-     pairs each non-representative member of a class with its
-     representative: at most [nodes - classes] pairs (one-word runs, so
-     the first sim batch is the node count) *)
+  (* every SAT call proves or refutes one candidate pair; a pair that
+     this round's counterexamples already separate takes no call. A
+     round pairs each non-representative member of a class with its
+     representative once: at most [nodes - classes] pairs (one-word
+     runs, so the first sim batch is the node count) *)
   let nodes = List.hd sim in
   check_int "one proved entry per round" (List.length classes)
     (List.length proved);
   check_int "one refuted entry per round" (List.length classes)
     (List.length refuted);
+  check_int "one resim-refuted entry per round" (List.length classes)
+    (List.length resim_refuted);
   List.iteri
     (fun i c ->
       let p = List.nth proved i and r = List.nth refuted i in
+      let rr = List.nth resim_refuted i in
       check "proved >= 0" true (p >= 0);
       check "refuted >= 0" true (r >= 0);
+      check "resim-refuted >= 0" true (rr >= 0);
       check_int
         (Printf.sprintf "round %d: proved+refuted = sat-calls" i)
         (List.nth sat_calls i) (p + r);
       check
-        (Printf.sprintf "round %d: proved+refuted <= nodes-classes" i)
+        (Printf.sprintf
+           "round %d: proved+refuted+resim-refuted <= nodes-classes" i)
         true
-        (p + r <= nodes - c))
+        (p + r + rr <= nodes - c))
     classes;
   (* the pass did real work on this circuit *)
   check "something was proved" true (List.exists (fun p -> p > 0) proved)
@@ -568,6 +575,56 @@ let test_fraig_round_invariants () =
       ("fraig.refuted", [ 0; 0 ]);
       ("fraig.sat-calls", [ 3; 0 ]);
       ("fraig.rounds", [ 2 ]);
+    ]
+
+(* an AIG whose one-word signatures lump rare functions together: ANDs
+   of six or more inputs are mostly all-0 on 64 random patterns, so they
+   share the constant's class. SAT calls refute some of them, and each
+   counterexample, resimulated, splits off the other ANDs it satisfies
+   without a call of their own. The chain and the balanced tree of the
+   10-input AND are proved equal, so the chain disappears *)
+let rare_aig () =
+  let module A = Lr_aig.Aig in
+  let aig = A.create ~num_inputs:12 ~num_outputs:3 in
+  let x i = A.input_lit aig i in
+  let rec chain i =
+    if i = 9 then x 9 else A.and_lit aig (x i) (chain (i + 1))
+  in
+  let rec tree lo hi =
+    if lo = hi then x lo
+    else
+      let mid = (lo + hi) / 2 in
+      A.and_lit aig (tree lo mid) (tree (mid + 1) hi)
+  in
+  let f1 = tree 0 9 in
+  let f2 = chain 0 in
+  A.set_output aig 0 (A.and_lit aig f1 (x 10));
+  A.set_output aig 1 (A.or_lit aig f2 (x 11));
+  A.set_output aig 2 (A.and_lit aig (tree 0 5) (A.not_lit (x 11)));
+  aig
+
+let test_fraig_refutation_rounds () =
+  with_clean @@ fun () ->
+  let ands, series =
+    capture (fun () ->
+        Lr_aig.Aig.num_ands
+          (Lr_aig.Fraig.sweep ~words:1 ~rng:(Rng.create 5) (rare_aig ())))
+  in
+  check_round_invariants "fraig" series;
+  let total k = List.fold_left ( + ) 0 (series ("fraig." ^ k)) in
+  check "a SAT call refuted a pair" true (total "refuted" > 0);
+  check "a resimulated counterexample refuted a pair" true
+    (total "resim-refuted" > 0);
+  check_int "result size" 14 ands;
+  check_series series
+    [
+      ("fraig.sim-words", [ 35; 70; 105 ]);
+      ("fraig.classes", [ 28; 32; 33 ]);
+      ("fraig.proved", [ 2; 0; 0 ]);
+      ("fraig.refuted", [ 3; 1; 0 ]);
+      ("fraig.resim-refuted", [ 2; 0; 0 ]);
+      ("fraig.sat-calls", [ 5; 1; 0 ]);
+      ("fraig.rounds", [ 3 ]);
     ]
 
 (* the same loop on the netlist form of the same circuit, as the
@@ -614,4 +671,6 @@ let tests =
       test_fraig_round_invariants;
     Alcotest.test_case "dataflow round invariants from a captured run" `Quick
       test_dataflow_round_invariants;
+    Alcotest.test_case "fraig round invariants under refutation" `Quick
+      test_fraig_refutation_rounds;
   ]
