@@ -46,7 +46,12 @@ let read text =
       match String.split_on_char ' ' header with
       | "aag" :: _ -> (
           match ints_of (String.sub header 3 (String.length header - 3)) with
-          | [ m; i; l; o; a ] ->
+          | [ m; i; l; o; a ] as fields ->
+              List.iter
+                (fun v ->
+                  if v < 0 then
+                    fail "Aiger.read: line 1: negative header field %d" v)
+                fields;
               if l <> 0 then fail "Aiger.read: latches unsupported";
               if m < i + a then
                 fail

@@ -9,10 +9,7 @@ let union_cut a b =
   let out = Array.make 4 0 in
   let rec go i j k =
     if i = la && j = lb then Some (Array.sub out 0 k)
-    else if k = 4 && (i < la || j < lb) then
-      (* at capacity: only exact matches may remain *)
-      if i < la && j < lb && a.(i) = b.(j) then None
-      else None
+    else if k = 4 then None (* a fifth leaf remains *)
     else if j = lb || (i < la && a.(i) < b.(j)) then begin
       out.(k) <- a.(i);
       go (i + 1) j (k + 1)
@@ -28,6 +25,19 @@ let union_cut a b =
   in
   if la + lb > 8 then None else go 0 0 0
 
+(* the order polymorphic [compare] gives int arrays: shorter first, then
+   lexicographic *)
+let compare_cut (a : int array) (b : int array) =
+  let la = Array.length a in
+  let rec lex i =
+    if i = la then 0
+    else
+      let c = Int.compare a.(i) b.(i) in
+      if c <> 0 then c else lex (i + 1)
+  in
+  let c = Int.compare la (Array.length b) in
+  if c <> 0 then c else lex 0
+
 let enumerate_cuts aig ~max_cuts =
   let n = Aig.num_nodes aig in
   let cuts = Array.make n [] in
@@ -42,17 +52,13 @@ let enumerate_cuts aig ~max_cuts =
         (fun a -> List.filter_map (fun b -> union_cut a b) c1)
         c0
     in
-    let all = merged @ [ [| node |] ] in
-    let dedup =
-      List.sort_uniq compare all
-      |> List.sort (fun a b -> compare (Array.length a) (Array.length b))
-    in
     let rec take k = function
       | [] -> []
       | _ when k = 0 -> []
       | x :: rest -> x :: take (k - 1) rest
     in
-    cuts.(node) <- take max_cuts dedup
+    cuts.(node) <-
+      take max_cuts (List.sort_uniq compare_cut ([| node |] :: merged))
   done;
   cuts
 
@@ -60,130 +66,115 @@ let enumerate_cuts aig ~max_cuts =
 
 let leaf_masks = [| 0xAAAA; 0xCCCC; 0xF0F0; 0xFF00 |]
 
-let cut_truth aig cut root =
-  let memo = Hashtbl.create 16 in
-  Array.iteri (fun j leaf -> Hashtbl.replace memo leaf leaf_masks.(j)) cut;
-  let rec ev node =
-    match Hashtbl.find_opt memo node with
-    | Some tt -> tt
-    | None ->
-        if not (Aig.is_and aig node) then 0 (* constant false / stray input *)
-        else begin
-          let l0, l1 = Aig.fanins aig node in
-          let v l =
-            let tt = ev (Aig.lit_node l) in
-            if Aig.lit_phase l then lnot tt land 0xFFFF else tt
-          in
-          let tt = v l0 land v l1 in
-          Hashtbl.replace memo node tt;
-          tt
-        end
-  in
-  ev root
+(* per-pass scratch: [tt.(node)] is the node's table over the current cut
+   while [mark.(node) = epoch]; each cut takes a fresh epoch *)
+type scratch = { tt : int array; mark : int array; mutable epoch : int }
 
-(* ---------- ISOP resynthesis with global memoisation ---------- *)
+let rec node_truth aig s node =
+  if s.mark.(node) = s.epoch then s.tt.(node)
+  else if not (Aig.is_and aig node) then 0 (* constant false / stray input *)
+  else begin
+    let l0, l1 = Aig.fanins aig node in
+    let tt = lit_truth aig s l0 land lit_truth aig s l1 in
+    s.tt.(node) <- tt;
+    s.mark.(node) <- s.epoch;
+    tt
+  end
 
-(* The memo table is process-global: (k, tt) -> cover is a pure
+and lit_truth aig s l =
+  let tt = node_truth aig s (Aig.lit_node l) in
+  if Aig.lit_phase l then lnot tt land 0xFFFF else tt
+
+let cut_truth aig s cut root =
+  s.epoch <- s.epoch + 1;
+  Array.iteri
+    (fun j leaf ->
+      s.tt.(leaf) <- leaf_masks.(j);
+      s.mark.(leaf) <- s.epoch)
+    cut;
+  node_truth aig s root
+
+(* ---------- ISOPs compiled for probing, memoised process-wide ---------- *)
+
+(* An ISOP over the cut's leaves: a constant, or its non-empty cubes as
+   literal codes [2 * leaf + complemented], in [Cover.cubes] and
+   [Cube.literals] order. No cubes is false; only empty cubes is true;
+   otherwise empty cubes drop out of the OR. *)
+type program = Const of Aig.lit | Sop of int array array
+
+let compile cover =
+  let code (v, positive) = (2 * v) + if positive then 0 else 1 in
+  let cube c = Array.of_list (List.map code (Cube.literals c)) in
+  match Cover.cubes cover with
+  | [] -> Const Aig.lit_false
+  | cubes -> (
+      match List.filter (fun c -> Cube.literals c <> []) cubes with
+      | [] -> Const Aig.lit_true
+      | cubes -> Sop (Array.of_list (List.map cube cubes)))
+
+(* The memo table is process-global: (k, tt) -> program is a pure
    function, so sharing across runs is free wins. It must be
    mutex-guarded — the lr_serve daemon runs whole learn jobs on
    concurrent domains, and an unguarded Hashtbl.replace race corrupts
    the table. The lock is cheap next to the BDD work it guards. *)
-let isop_cache : (int * int, Cover.t) Hashtbl.t = Hashtbl.create 1024
-let isop_mu = Mutex.create ()
+module Itbl = Hashtbl.Make (Int)
 
-let isop_of_tt ~k tt =
-  Mutex.lock isop_mu;
-  let hit = Hashtbl.find_opt isop_cache (k, tt) in
-  Mutex.unlock isop_mu;
+let programs : program Itbl.t = Itbl.create 1024
+let programs_mu = Mutex.create ()
+
+let program ~k tt =
+  let key = (k lsl 16) lor tt in
+  Mutex.lock programs_mu;
+  let hit = Itbl.find_opt programs key in
+  Mutex.unlock programs_mu;
   match hit with
-  | Some c -> c
+  | Some p -> p
   | None ->
       let man = Lr_bdd.Bdd.man ~nvars:k in
       let f =
         Lr_bdd.Bdd.of_truth_table man ~vars:(Array.init k Fun.id) (fun m ->
             (tt lsr m) land 1 = 1)
       in
-      let cover = Lr_bdd.Bdd.isop man f in
-      Mutex.lock isop_mu;
-      Hashtbl.replace isop_cache (k, tt) cover;
-      Mutex.unlock isop_mu;
-      cover
+      let p = compile (Lr_bdd.Bdd.isop man f) in
+      Mutex.lock programs_mu;
+      Itbl.replace programs key p;
+      Mutex.unlock programs_mu;
+      p
 
-(* candidate implementations as small ASTs over output-graph literals *)
-type expr = Lit of Aig.lit | Not of expr | And of expr * expr
+(* ---------- zero-cost probes against the output graph ---------- *)
 
-let rec balanced_tree mk = function
-  | [] -> invalid_arg "balanced_tree: empty"
-  | [ x ] -> x
-  | xs ->
-      let rec pair acc = function
-        | [] -> List.rev acc
-        | [ x ] -> List.rev (x :: acc)
-        | x :: y :: rest -> pair (mk x y :: acc) rest
-      in
-      balanced_tree mk (pair [] xs)
+exception Miss
 
-let expr_of_cover cover leaves =
-  let cube_expr c =
-    let lits =
-      List.map
-        (fun (v, ph) ->
-          if ph then Lit leaves.(v) else Not (Lit leaves.(v)))
-        (Cube.literals c)
-    in
-    match lits with [] -> None | _ -> Some (balanced_tree (fun a b -> And (a, b)) lits)
-  in
-  let cubes = List.filter_map cube_expr (Cover.cubes cover) in
-  match cubes, Cover.cubes cover with
-  | [], [] -> `Const false
-  | [], _ -> `Const true (* a tautology cube was present *)
-  | es, _ ->
-      (* OR via De Morgan *)
-      `Expr
-        (Not (balanced_tree (fun a b -> And (a, b)) (List.map (fun e -> Not e) es)))
+let probe_and out a b =
+  match Aig.lookup_and out a b with Some l -> l | None -> raise_notrace Miss
 
-(* exact new-node count of building [e] into [out], without mutating it:
-   virtual literals are negative encodings carved out below any real lit *)
-let cost out e =
-  (* virtual literal encoding: id k >= 1, positive phase = -(2k),
-     complemented = -(2k+1); complementation toggles the low bit *)
-  let next_virt = ref 1 in
-  let local = Hashtbl.create 16 in
-  let count = ref 0 in
-  let neg l = if l >= 0 then Aig.not_lit l else -(-l lxor 1) in
-  let rec go = function
-    | Lit l -> l
-    | Not e -> neg (go e)
-    | And (a, b) ->
-        let va = go a and vb = go b in
-        let va, vb = if va <= vb then (va, vb) else (vb, va) in
-        if va = Aig.lit_false || vb = Aig.lit_false then Aig.lit_false
-        else if va = Aig.lit_true then vb
-        else if vb = Aig.lit_true then va
-        else if va = vb then va
-        else if neg va = vb then Aig.lit_false
-        else if va >= 0 && vb >= 0 then
-          match Aig.lookup_and out va vb with
-          | Some l -> l
-          | None -> fresh va vb
-        else fresh va vb
-  and fresh va vb =
-    match Hashtbl.find_opt local (va, vb) with
-    | Some v -> v
-    | None ->
-        incr count;
-        let v = -(2 * !next_virt) in
-        incr next_virt;
-        Hashtbl.replace local (va, vb) v;
-        v
-  in
-  ignore (go e);
-  !count
+(* AND buf.(0 .. m-1) together, adjacent pairs left to right, level by
+   level: the balanced tree the literals would be built into *)
+let rec reduce out buf m =
+  if m = 1 then buf.(0)
+  else begin
+    for i = 0 to (m / 2) - 1 do
+      buf.(i) <- probe_and out buf.(2 * i) buf.((2 * i) + 1)
+    done;
+    if m land 1 = 1 then buf.(m / 2) <- buf.(m - 1);
+    reduce out buf ((m + 1) / 2)
+  end
 
-let rec build out = function
-  | Lit l -> l
-  | Not e -> Aig.not_lit (build out e)
-  | And (a, b) -> Aig.and_lit out (build out a) (build out b)
+(* The literal the SOP over [leaves] (each cube a balanced AND, their OR
+   a balanced AND by De Morgan) denotes in [out], if every AND it needs
+   already exists there; [Miss] at the first one that does not. *)
+let probe out ~leaves ~cube_buf ~or_buf = function
+  | Const l -> l
+  | Sop cubes ->
+      Array.iteri
+        (fun c lits ->
+          Array.iteri
+            (fun j code ->
+              cube_buf.(j) <- leaves.(code lsr 1) lxor (code land 1))
+            lits;
+          or_buf.(c) <- Aig.not_lit (reduce out cube_buf (Array.length lits)))
+        cubes;
+      Aig.not_lit (reduce out or_buf (Array.length cubes))
 
 (* ---------- the pass ---------- *)
 
@@ -197,49 +188,46 @@ let cut_rewrite ?(max_cuts = 8) aig =
     map.(1 + i) <- Aig.input_lit out i
   done;
   let map_lit l = map.(Aig.lit_node l) lxor (l land 1) in
+  let s = { tt = Array.make n 0; mark = Array.make n 0; epoch = 0 } in
+  let leaves = Array.make 4 0 and cube_buf = Array.make 4 0 in
+  let or_buf = Array.make 16 0 in
+  let probe = probe out ~leaves ~cube_buf ~or_buf in
+  let probed = ref 0 and replaced = ref 0 in
+  (* The node's own AND costs one new node, so only a cut whose ISOP
+     costs none can replace it: the first such cut, positive polarity
+     first, is exactly what ranking every candidate by its cost picks. *)
+  let rec first_free node = function
+    | [] -> None
+    | cut :: rest when Array.length cut < 2 -> first_free node rest
+    | cut :: rest -> (
+        incr probed;
+        let k = Array.length cut in
+        let mask = (1 lsl (1 lsl k)) - 1 in
+        let tt = cut_truth aig s cut node land mask in
+        Array.iteri (fun j leaf -> leaves.(j) <- map.(leaf)) cut;
+        match probe (program ~k tt) with
+        | l -> Some l
+        | exception Miss -> (
+            match probe (program ~k (lnot tt land mask)) with
+            | l -> Some (Aig.not_lit l)
+            | exception Miss -> first_free node rest))
+  in
   for node = ni + 1 to n - 1 do
     let l0, l1 = Aig.fanins aig node in
     let d0 = map_lit l0 and d1 = map_lit l1 in
-    match Aig.lookup_and out d0 d1 with
-    | Some l -> map.(node) <- l (* structurally free *)
-    | None ->
-        (* candidates: the original structure (cost 1) vs per-cut ISOPs *)
-        let default = (1, And (Lit d0, Lit d1)) in
-        let candidates =
-          List.filter_map
-            (fun cut ->
-              let k = Array.length cut in
-              if k < 2 || (k = 1 && cut.(0) = node) || Array.exists (fun l -> l = 0) cut
-              then None
-              else begin
-                let tt = cut_truth aig cut node land ((1 lsl (1 lsl k)) - 1) in
-                let leaves = Array.map (fun leaf -> map.(leaf)) cut in
-                let mk target wrap =
-                  match expr_of_cover (isop_of_tt ~k target) leaves with
-                  | `Const b ->
-                      let l = if b then Aig.lit_true else Aig.lit_false in
-                      Some (0, wrap (Lit l))
-                  | `Expr e -> Some (cost out (wrap e), wrap e)
-                in
-                let pos = mk tt Fun.id in
-                let negated =
-                  mk (lnot tt land ((1 lsl (1 lsl k)) - 1)) (fun e -> Not e)
-                in
-                match pos, negated with
-                | Some a, Some b -> Some (if fst a <= fst b then a else b)
-                | Some a, None | None, Some a -> Some a
-                | None, None -> None
-              end)
-            cuts.(node)
-        in
-        let best =
-          List.fold_left
-            (fun acc c -> if fst c < fst acc then c else acc)
-            default candidates
-        in
-        map.(node) <- build out (snd best)
+    map.(node) <-
+      (match Aig.lookup_and out d0 d1 with
+      | Some l -> l (* structurally free *)
+      | None -> (
+          match first_free node cuts.(node) with
+          | Some l ->
+              incr replaced;
+              l
+          | None -> Aig.and_lit out d0 d1))
   done;
   for o = 0 to Aig.num_outputs aig - 1 do
     Aig.set_output out o (map_lit (Aig.output aig o))
   done;
+  Lr_instr.Instr.count "cut-rewrite.cuts" !probed;
+  Lr_instr.Instr.count "cut-rewrite.replaced" !replaced;
   Aig.compact out

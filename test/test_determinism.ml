@@ -4,7 +4,8 @@
    three benchmarks of different shapes (template-heavy DATA, exhaustive
    DIAG, decision-tree NEQ) at two seeds; set LR_DETERMINISM_ALL=1 to
    sweep every Cases benchmark (its own suite, [determ-all], which
-   CI selects by name; the default keeps `dune runtest` quick). *)
+   CI selects by name; the default keeps `dune runtest` quick). The same
+   suite pins every case's circuit under the shipped preset. *)
 
 module Rng = Lr_bitvec.Rng
 module Io = Lr_netlist.Io
@@ -177,14 +178,57 @@ let test_trio_kernel_jobs () =
     (fun name -> assert_jobs_invariant ~sweep:Config.Sweep_full name 3)
     default_trio
 
-let test_full_sweep () =
+(* opt-in: these legs learn every case, the jobs sweep three times *)
+let all_cases () =
   match Sys.getenv_opt "LR_DETERMINISM_ALL" with
-  | None | Some "" ->
-      () (* opt-in: the full sweep learns every case three times *)
-  | Some _ ->
-      List.iter
-        (fun spec -> assert_jobs_invariant ~jobs_levels:[ 4 ] spec.Cases.name 1)
-        Cases.specs
+  | None | Some "" -> false
+  | Some _ -> true
+
+let test_full_sweep () =
+  if all_cases () then
+    List.iter
+      (fun spec -> assert_jobs_invariant ~jobs_levels:[ 4 ] spec.Cases.name 1)
+      Cases.specs
+
+(* every case learned as shipped (the improved preset, seed 1, no query
+   budget, sweep off): the circuit's Io.write digest and the queries *)
+let improved_pins =
+  [
+    ("case_1", "c20e422b2992c82fc9c47b2ed452b62e", 878_599);
+    ("case_2", "f29ebdffc7d8e4e1ee8dc17870029a1f", 68);
+    ("case_3", "eaa790c7a4e3b536fc0ba5eb4e64e9eb", 106);
+    ("case_4", "b5ddda25fe976e88e6bf01f96f4c5f20", 410_648);
+    ("case_5", "9fad59c633cf7f3a45a367d81f36f558", 643_680);
+    ("case_6", "747dec5327a921c3cfff5e4db65200d7", 84);
+    ("case_7", "55cfebc6641fdef027cf1ad949e0abcd", 316_816);
+    ("case_8", "99aa83fc188316f80a90ffcad6c4fc94", 332_840);
+    ("case_9", "fc55c6c49e68effe87e34f4f714b8b79", 4_807_584);
+    ("case_10", "25d4ad3b027825c7fcf540930273efe2", 273_648);
+    ("case_11", "53883d5e9d27e3e89a9fec4e21a419bb", 446_784);
+    ("case_12", "49f7ce9600e870e76074d50575271a4e", 67);
+    ("case_13", "56d9b2d3176cb05feca737bae7e9fe58", 316_827);
+    ("case_14", "26cee07973dc198e9e650eaf8a0f8c72", 8_004_116);
+    ("case_15", "67dc7678dfb07fc26235fe217299da61", 583_811);
+    ("case_16", "b443c4179f2a406a5d9393249a040c12", 803);
+    ("case_17", "132d15389da41ed8458d2e1bf2657f65", 555_338);
+    ("case_18", "173c48856d3ef6b820eac77d02bb93ca", 5_049_912);
+    ("case_19", "c574059957c23346871c1c92fc5fa573", 533_320);
+    ("case_20", "41722c4855f422c77c8133a6438b6a15", 688);
+  ]
+
+let test_improved_pins () =
+  if all_cases () then
+    List.iter
+      (fun (name, digest, queries) ->
+        let r =
+          Learner.learn
+            ~config:(Config.with_seed 1 Config.improved)
+            (Cases.blackbox (Cases.find name))
+        in
+        check_str (name ^ ": circuit digest") digest
+          (Digest.to_hex (Digest.string (Io.write r.Learner.circuit)));
+        check_int (name ^ ": queries") queries r.Learner.queries)
+      improved_pins
 
 let tests =
   [
@@ -204,4 +248,6 @@ let all_tests =
   [
     Alcotest.test_case "full 20-case sweep (LR_DETERMINISM_ALL)" `Slow
       test_full_sweep;
+    Alcotest.test_case "20 improved-preset circuits (LR_DETERMINISM_ALL)"
+      `Slow test_improved_pins;
   ]

@@ -89,7 +89,20 @@ let test_aiger_rejects_bad_header () =
   check "m < i + a rejected" true
     (aiger_rejects_with "header" "aag 2 2 0 1 1\n2\n4\n6\n6 2 4\n");
   check "truncated file located" true
-    (aiger_rejects_with "truncated" "aag 3 2 0 1 1\n2\n4")
+    (aiger_rejects_with "truncated" "aag 3 2 0 1 1\n2\n4");
+  (* a negative count is a located error, not an Array.init or index
+     exception from deeper in the reader *)
+  List.iter
+    (fun header ->
+      check (header ^ " rejected on line 1") true
+        (aiger_rejects_with "line 1: negative header field" (header ^ "\n")))
+    [
+      "aag 0 0 0 -1 0";
+      "aag 1 -1 0 1 0";
+      "aag 3 1 0 1 -1";
+      "aag -1 0 0 0 0";
+      "aag 0 0 -1 0 0";
+    ]
 
 let test_verilog_structure () =
   let c = sample_circuit () in

@@ -651,6 +651,27 @@ let test_dataflow_round_invariants () =
     (List.fold_left ( + ) 0 (series "dataflow.proved"))
     cls.Lr_aig.Fraig.proved
 
+(* cut rewriting's yield, one count per pass: the cuts it probed and
+   the nodes a zero-cost cut replaced. The distributivity and XOR pairs
+   of [redundant_aig] (15 ANDs) are rebuilt onto their twins' ANDs; a
+   second pass finds nothing left to take *)
+let test_cut_rewrite_counters () =
+  with_clean @@ fun () ->
+  let ands, series =
+    capture (fun () ->
+        Lr_aig.Aig.num_ands (Lr_aig.Rewrite.cut_rewrite (redundant_aig ())))
+  in
+  check_int "result size" 9 ands;
+  check_series series
+    [ ("cut-rewrite.cuts", [ 33 ]); ("cut-rewrite.replaced", [ 2 ]) ];
+  let _, twice =
+    capture (fun () ->
+        Lr_aig.Rewrite.cut_rewrite
+          (Lr_aig.Rewrite.cut_rewrite (redundant_aig ())))
+  in
+  check_series twice
+    [ ("cut-rewrite.cuts", [ 33; 27 ]); ("cut-rewrite.replaced", [ 2; 0 ]) ]
+
 let tests =
   [
     Alcotest.test_case "attribution math & folded export" `Quick
@@ -673,4 +694,6 @@ let tests =
       test_dataflow_round_invariants;
     Alcotest.test_case "fraig round invariants under refutation" `Quick
       test_fraig_refutation_rounds;
+    Alcotest.test_case "cut rewriting counts its cuts and replacements"
+      `Quick test_cut_rewrite_counters;
   ]

@@ -3,7 +3,9 @@
 module Bv = Lr_bitvec.Bv
 module Rng = Lr_bitvec.Rng
 module N = Lr_netlist.Netlist
+module Io = Lr_netlist.Io
 module Aig = Lr_aig.Aig
+module Opt = Lr_aig.Opt
 module Rewrite = Lr_aig.Rewrite
 
 let check = Alcotest.(check bool)
@@ -105,6 +107,48 @@ let test_constant_cone () =
   let swept = Rewrite.cut_rewrite a in
   check "absorption found" true (Aig.num_ands swept <= 1)
 
+(* the probe-based pass against the cost-based one it replaced
+   (Rewrite_ref): the same output graph, byte for byte *)
+let written a = Io.write (Aig.to_netlist a)
+
+let check_as_reference ctx a =
+  Alcotest.(check string)
+    (ctx ^ ": identical to the cost-based pass")
+    (written (Rewrite_ref.cut_rewrite a))
+    (written (Rewrite.cut_rewrite a))
+
+let test_matches_reference_random () =
+  let wins = Rewrite_ref.wins in
+  let negative = wins.negative and const = wins.const in
+  for seed = 1 to 1000 do
+    let rng = Rng.create seed in
+    let ni = 4 + Rng.int rng 9 in
+    let no = 1 + Rng.int rng 4 in
+    let ngates = 20 + Rng.int rng 201 in
+    check_as_reference
+      (Printf.sprintf "seed %d" seed)
+      (Aig.of_netlist (random_netlist rng ni no ngates))
+  done;
+  (* every way a cut can win was taken somewhere *)
+  check "a negative-polarity cut won" true (wins.negative > negative);
+  check "a constant cover won" true (wins.const > const)
+
+(* an AIG the pass does shrink: case_12's learned circuit after the
+   first two passes of an optimisation round *)
+let test_matches_reference_case12 () =
+  let r =
+    Logic_regression.Learner.learn
+      (Lr_cases.Cases.blackbox (Lr_cases.Cases.find "case_12"))
+  in
+  let a = Opt.rewrite (Opt.balance (Aig.of_netlist r.circuit)) in
+  let positive = Rewrite_ref.wins.positive in
+  check_as_reference "case_12" a;
+  Alcotest.(check (pair int int))
+    "ANDs before and after" (724, 720)
+    (Aig.num_ands a, Aig.num_ands (Rewrite.cut_rewrite a));
+  check "positive-polarity cuts won" true
+    (Rewrite_ref.wins.positive > positive)
+
 let tests =
   [
     Alcotest.test_case "recovers shared structure" `Quick
@@ -114,4 +158,8 @@ let tests =
     Alcotest.test_case "absorption through cuts" `Quick test_constant_cone;
     QCheck_alcotest.to_alcotest prop_preserves_function;
     QCheck_alcotest.to_alcotest prop_never_grows;
+    Alcotest.test_case "byte-identical to the cost-based pass" `Quick
+      test_matches_reference_random;
+    Alcotest.test_case "byte-identical on case_12's learned AIG" `Quick
+      test_matches_reference_case12;
   ]
