@@ -52,23 +52,41 @@ let seed_arg =
   let doc = "Master RNG seed." in
   Arg.(value & opt int 1 & info [ "seed" ] ~doc)
 
-let budget_arg =
-  let doc = "Query budget (the reproduction's deterministic analogue of the contest's time limit)." in
-  Arg.(value & opt (some int) None & info [ "budget" ] ~docv:"QUERIES" ~doc)
-
-let non_negative_int =
+(* numeric options are range-checked as they are parsed: a value out of
+   range is a usage error (exit 124) before any work starts *)
+let count_at_least lo =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 0 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "expected a count >= 0, got %S" s))
+    | Some n when n >= lo -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a count >= %d, got %S" lo s))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let seconds ~allow_zero =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when x > 0.0 || (allow_zero && x = 0.0) -> Ok x
+    | _ ->
+        Error
+          (`Msg
+             (Printf.sprintf "expected seconds %s 0, got %S"
+                (if allow_zero then ">=" else ">")
+                s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
+let budget_arg =
+  let doc = "Query budget (the reproduction's deterministic analogue of the contest's time limit)." in
+  Arg.(
+    value
+    & opt (some (count_at_least 1)) None
+    & info [ "budget" ] ~docv:"QUERIES" ~doc)
 
 let eval_arg =
   let doc =
     "Number of scoring patterns (the contest used 1500000); 0 skips scoring."
   in
-  Arg.(value & opt non_negative_int 30_000 & info [ "eval-patterns" ] ~doc)
+  Arg.(value & opt (count_at_least 0) 30_000 & info [ "eval-patterns" ] ~doc)
 
 (* accuracy against the golden circuit, or None when there is no golden
    circuit or no pattern to score on *)
@@ -87,7 +105,8 @@ let accuracy_string = function
 
 let support_rounds_arg =
   let doc = "Sampling rounds r for support identification (paper: 7200)." in
-  Arg.(value & opt (some int) None & info [ "support-rounds" ] ~doc)
+  Arg.(
+    value & opt (some (count_at_least 1)) None & info [ "support-rounds" ] ~doc)
 
 let no_templates_arg =
   let doc = "Disable template matching (the paper's preprocessing ablation)." in
@@ -144,7 +163,10 @@ let heartbeat_arg =
     "Print a progress heartbeat (elapsed, phase, outputs done/total, \
      queries, budget left) to stderr every $(docv) seconds."
   in
-  Arg.(value & opt (some float) None & info [ "heartbeat" ] ~docv:"SECS" ~doc)
+  Arg.(
+    value
+    & opt (some (seconds ~allow_zero:false)) None
+    & info [ "heartbeat" ] ~docv:"SECS" ~doc)
 
 let check_arg =
   let doc =
@@ -195,7 +217,7 @@ let jobs_arg =
      pool size from the machine. Any value learns the same circuit \
      from the same seed."
   in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  Arg.(value & opt (count_at_least 0) 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let time_budget_arg =
   let doc =
@@ -204,7 +226,9 @@ let time_budget_arg =
      report carries budget_exceeded)."
   in
   Arg.(
-    value & opt (some float) None & info [ "time-budget" ] ~docv:"SECS" ~doc)
+    value
+    & opt (some (seconds ~allow_zero:false)) None
+    & info [ "time-budget" ] ~docv:"SECS" ~doc)
 
 let faults_arg =
   let doc =
@@ -233,7 +257,10 @@ let retry_backoff_arg =
     "Base backoff before the first retry, in injected-clock seconds \
      (doubles per further retry; never sleeps for real)."
   in
-  Arg.(value & opt float 0.001 & info [ "retry-backoff" ] ~docv:"SECS" ~doc)
+  Arg.(
+    value
+    & opt (seconds ~allow_zero:true) 0.001
+    & info [ "retry-backoff" ] ~docv:"SECS" ~doc)
 
 let listen_arg =
   let doc =
@@ -329,6 +356,22 @@ let setup_sinks ?heartbeat ?time_budget ?query_budget ~trace_jsonl
 let case_pos =
   let doc = "Benchmark case name (see the list subcommand) or a circuit file path." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"CASE" ~doc)
+
+(* cases and circuits named on the command line are user input: a file
+   that cannot be read or parsed, an unknown case name, or two circuits
+   whose interfaces differ, is reported on stderr with exit 2 rather than
+   raised *)
+let input_error path msg =
+  Printf.eprintf "error: %s: %s\n" path msg;
+  exit 2
+
+let read_circuit path =
+  try Io.read_file path
+  with Failure msg | Sys_error msg -> input_error path msg
+
+let resolve_case ?budget case =
+  try Cases.resolve ?budget case
+  with Failure msg | Sys_error msg -> input_error case msg
 
 (* ---------- learn ---------- *)
 
@@ -439,7 +482,7 @@ let learn_run case preset seed budget eval_patterns support_rounds no_templates
       faults = fault_spec;
     }
   in
-  let box, golden = Cases.resolve ?budget case in
+  let box, golden = resolve_case ?budget case in
   let json_oc =
     match json with
     | Some "-" | None -> None
@@ -654,7 +697,7 @@ let baseline_arg =
   Arg.(value & opt baseline_conv `Id3 & info [ "method" ] ~doc)
 
 let baseline_run case method_ seed budget eval_patterns =
-  let box, golden = Cases.resolve ?budget case in
+  let box, golden = resolve_case ?budget case in
   let rng = Rng.create seed in
   let t0 = Unix.gettimeofday () in
   let c =
@@ -702,17 +745,6 @@ let candidate_pos =
   let doc = "Learned circuit file." in
   Arg.(required & pos 1 (some string) None & info [] ~docv:"CIRCUIT" ~doc)
 
-(* circuits named on the command line are user input: a file that cannot
-   be read or parsed, or two circuits whose interfaces differ, is
-   reported on stderr with exit 2 rather than raised *)
-let input_error path msg =
-  Printf.eprintf "error: %s: %s\n" path msg;
-  exit 2
-
-let read_circuit path =
-  try Io.read_file path
-  with Failure msg | Sys_error msg -> input_error path msg
-
 let check_interfaces (p1, c1) (p2, c2) =
   if
     N.num_inputs c1 <> N.num_inputs c2
@@ -728,10 +760,9 @@ let check_interfaces (p1, c1) (p2, c2) =
 
 let score_run case candidate seed eval_patterns =
   let golden =
-    match Cases.resolve case with
+    match resolve_case case with
     | _, Some golden -> golden
     | _, None -> failwith "no golden circuit available"
-    | exception (Failure msg | Sys_error msg) -> input_error case msg
   in
   let c = read_circuit candidate in
   check_interfaces (case, golden) (candidate, c);
@@ -785,7 +816,7 @@ let export_run case format out =
   let golden =
     match Cases.find case with
     | spec -> Cases.build spec
-    | exception Not_found -> Io.read_file case
+    | exception Not_found -> read_circuit case
   in
   (match format with
   | `Verilog -> Lr_netlist.Verilog.write_file golden out

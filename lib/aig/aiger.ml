@@ -61,6 +61,16 @@ let read text =
               (* body index k sits on source line k+2 (1-based, after the
                  header) *)
               let line k = k + 2 in
+              (* the counts size the graph built below: before allocating
+                 for them, refuse a header that claims more lines than the
+                 body has (summed without overflow; the empty string after
+                 a final newline is not a line) *)
+              let body = Array.length rest in
+              let body =
+                if body > 0 && rest.(body - 1) = "" then body - 1 else body
+              in
+              if i > body || o > body - i || a > body - i - o then
+                fail "Aiger.read: truncated at line %d" (line body);
               let expect k =
                 if k >= Array.length rest then
                   fail "Aiger.read: truncated at line %d" (line k);

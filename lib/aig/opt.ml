@@ -1,72 +1,3 @@
-(* Flatten a conjunction tree across uncomplemented AND edges. Stopping at
-   complemented edges preserves sharing of OR-structures; stopping is also
-   mandatory there because the subtree is not a conjunct of the product. *)
-let conjuncts aig root_lit =
-  let acc = ref [] in
-  let rec go l =
-    let node = Aig.lit_node l in
-    if (not (Aig.lit_phase l)) && Aig.is_and aig node then begin
-      let l0, l1 = Aig.fanins aig node in
-      go l0;
-      go l1
-    end
-    else acc := l :: !acc
-  in
-  go root_lit;
-  !acc
-
-let balance aig =
-  let out = Aig.create ~num_inputs:(Aig.num_inputs aig) ~num_outputs:(Aig.num_outputs aig) in
-  for i = 0 to Aig.num_inputs aig - 1 do
-    ignore (Aig.input_lit out i)
-  done;
-  let memo = Hashtbl.create 1024 in
-  let rec build_lit l =
-    let node = Aig.lit_node l in
-    let base =
-      match Hashtbl.find_opt memo node with
-      | Some b -> b
-      | None ->
-          let b =
-            if not (Aig.is_and aig node) then
-              if node = 0 then Aig.lit_false else Aig.input_lit out (node - 1)
-            else begin
-              let leaves = conjuncts aig (2 * node) in
-              (* deduplicate; a contradiction collapses to constant false *)
-              let leaves = List.sort_uniq compare leaves in
-              if
-                List.exists
-                  (fun x -> List.mem (Aig.not_lit x) leaves)
-                  leaves
-              then Aig.lit_false
-              else begin
-                let mapped = List.map build_lit leaves in
-                let rec reduce = function
-                  | [] -> Aig.lit_true
-                  | [ x ] -> x
-                  | xs ->
-                      let rec pair acc = function
-                        | [] -> List.rev acc
-                        | [ x ] -> List.rev (x :: acc)
-                        | x :: y :: rest ->
-                            pair (Aig.and_lit out x y :: acc) rest
-                      in
-                      reduce (pair [] xs)
-                in
-                reduce mapped
-              end
-            end
-          in
-          Hashtbl.replace memo node b;
-          b
-    in
-    base lxor (l land 1)
-  in
-  for o = 0 to Aig.num_outputs aig - 1 do
-    Aig.set_output out o (build_lit (Aig.output aig o))
-  done;
-  Aig.compact out
-
 (* One-level simplification rules for AND construction:
      a & (a & b)        = a & b          (containment)
      a & (~a & b)       = 0              (contradiction)
@@ -132,7 +63,6 @@ let compress ?(max_rounds = 4) ?(fraig_words = 16) ?verify ~rng aig =
     let pass name f x =
       checked name x (Instr.span ~name (fun () -> f x))
     in
-    let a = pass "aig.balance" balance a in
     let a = pass "aig.rewrite" rewrite a in
     let a = pass "aig.cut-rewrite" Rewrite.cut_rewrite a in
     pass "aig.fraig" (Fraig.sweep ~words:fraig_words ~rng) a

@@ -969,13 +969,11 @@ let learn ?(config = Config.default) box =
             let aig =
               (* fraig's SAT sweeping is super-linear; on the enormous
                  netlists a budget-truncated tree produces, restrict to the
-                 linear passes *)
+                 linear local rewrite *)
               if Aig.num_ands aig > 25_000 then begin
-                let balanced = Opt.balance aig in
-                if full_check then verify_pass ~stage:"aig.balance" aig balanced;
-                let rewritten = Opt.rewrite balanced in
+                let rewritten = Opt.rewrite aig in
                 if full_check then
-                  verify_pass ~stage:"aig.rewrite" balanced rewritten;
+                  verify_pass ~stage:"aig.rewrite" aig rewritten;
                 rewritten
               end
               else

@@ -14,7 +14,7 @@
     FBDT (or by exhaustive enumeration when the identified support is
     small), minimized two-level, and synthesised as an SOP. Finally the
     whole netlist is optimized through the AIG pipeline
-    (balance / rewrite / fraig). *)
+    (rewrite / cut-rewrite / fraig). *)
 
 type method_used =
   | Linear_template

@@ -29,7 +29,7 @@ val single_cube_containment : t -> t
 
 val merge_pass : t -> t
 (** Repeatedly apply the adjacency law [xc + x'c = c] between cube pairs
-    until a fixpoint; a cheap pre-minimization before espresso. *)
+    until a fixpoint; a cheap pre-minimization before the BDD ISOP. *)
 
 val complement_exhaustive : t -> t
 (** Exact complement by minterm enumeration; only for universes of up to 20

@@ -255,6 +255,8 @@ let validate t (spec : Proto.spec) =
   else if not (case_known spec) then
     Error (Bad_spec (Printf.sprintf "unknown case or file: %s" spec.case))
   else if spec.jobs < 1 then Error (Bad_spec "jobs must be >= 1")
+  else if (match spec.support_rounds with Some r -> r < 1 | None -> false)
+  then Error (Bad_spec "support_rounds must be >= 1")
   else if (match spec.budget with Some b -> b <= 0 | None -> false) then
     Error (Bad_spec "budget must be positive")
   else if

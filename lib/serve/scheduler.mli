@@ -1,15 +1,16 @@
 (** Job queue and bounded runner pool of the [lr_serve] daemon.
 
-    Submitted specs are validated synchronously — unknown case, bad
-    tenant budget, oversized time budget and a full queue are all
-    refused at {!submit} time, so the HTTP layer can answer 400/429
-    deterministically — then queued FIFO and multiplexed onto [slots]
-    worker domains. Each worker resolves the black box, probes its
-    {!Fingerprint}, consults the {!Cache} (full CEC against the case's
-    reference netlist on every hit, sampled re-probe when no reference
-    exists), and only on a miss runs {!Logic_regression.Learner.learn}
-    with per-job {!Lr_prof.Progress} sinks feeding the job's progress
-    ring ({!Lr_obs.Http.ring}, tailed by [GET /jobs/:id/progress]).
+    Submitted specs are validated synchronously — unknown case,
+    out-of-range rounds, jobs or budgets, bad tenant budget, oversized
+    time budget and a full queue are all refused at {!submit} time, so
+    the HTTP layer can answer 400/429 deterministically — then queued
+    FIFO and multiplexed onto [slots] worker domains. Each worker
+    resolves the black box, probes its {!Fingerprint}, consults the
+    {!Cache} (full CEC against the case's reference netlist on every
+    hit, sampled re-probe when no reference exists), and only on a miss
+    runs {!Logic_regression.Learner.learn} with per-job
+    {!Lr_prof.Progress} sinks feeding the job's progress ring
+    ({!Lr_obs.Http.ring}, tailed by [GET /jobs/:id/progress]).
 
     Determinism notes: admission is decided by the in-flight count
     (queued + running) at submit, so an overload refusal does not

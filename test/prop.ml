@@ -9,8 +9,9 @@
 
    The properties pin down the three data paths the parallel learner
    leans on hardest: AIG optimization preserves function, the exchange
-   formats round-trip, and the three evaluators (cover, BDD, netlist)
-   agree on random assignments. *)
+   formats round-trip (and the AIGER reader refuses mutated text with a
+   located error), and the three evaluators (cover, BDD, netlist) agree
+   on random assignments. *)
 
 module Bv = Lr_bitvec.Bv
 module Rng = Lr_bitvec.Rng
@@ -277,6 +278,106 @@ let prop_aiger_roundtrip () =
           let w = words rng r.ni in
           Aig.simulate aig w = Aig.simulate aig' w)
         (List.init 4 Fun.id))
+
+(* Reader fuzzing: [Aiger.write] text under a list of edits. An edit
+   (kind, l, t, v) replaces with value [v] (0) or drops (1) token [t] of
+   the header (even [l]) or of line [l], swaps the tokens at places [l]
+   and [t] (2), truncates the text at byte [l] (3), or duplicates (4) or
+   drops (5) line [l]. A value is an extreme count (even [v]) or another
+   token of the text. *)
+let mutate_aiger text (kind, l, t, v) =
+  let lines = Array.of_list (String.split_on_char '\n' text) in
+  let nl = Array.length lines in
+  let tokens =
+    Array.map (fun l -> Array.of_list (String.split_on_char ' ' l)) lines
+  in
+  let places =
+    Array.concat
+      (Array.to_list
+         (Array.mapi (fun li t -> Array.mapi (fun k _ -> (li, k)) t) tokens))
+  in
+  let place n = places.(n mod Array.length places) in
+  let joined () =
+    String.concat "\n"
+      (Array.to_list
+         (Array.map (fun t -> String.concat " " (Array.to_list t)) tokens))
+  in
+  let li = if l land 1 = 0 then 0 else l mod nl in
+  let k = t mod Array.length tokens.(li) in
+  let extremes =
+    [| "-1"; "0"; "1"; "1000000000"; string_of_int max_int; "x" |]
+  in
+  let with_line f =
+    String.concat "\n"
+      (List.concat
+         (List.mapi
+            (fun j line -> if j = l mod nl then f line else [ line ])
+            (Array.to_list lines)))
+  in
+  match kind with
+  | 0 ->
+      tokens.(li).(k) <-
+        (if v land 1 = 0 then extremes.(v / 2 mod Array.length extremes)
+         else
+           let lj, kj = place (v / 2) in
+           tokens.(lj).(kj));
+      joined ()
+  | 1 ->
+      tokens.(li) <-
+        Array.of_list
+          (List.filteri (fun j _ -> j <> k) (Array.to_list tokens.(li)));
+      joined ()
+  | 2 ->
+      let l1, k1 = place l and l2, k2 = place t in
+      let x = tokens.(l1).(k1) in
+      tokens.(l1).(k1) <- tokens.(l2).(k2);
+      tokens.(l2).(k2) <- x;
+      joined ()
+  | 3 -> String.sub text 0 (l mod (String.length text + 1))
+  | 4 -> with_line (fun line -> [ line; line ])
+  | _ -> with_line (fun _ -> [])
+
+let arb_aiger_mutant =
+  {
+    gen =
+      (fun rng size ->
+        let r = arb_recipe.gen rng size in
+        let edit _ =
+          let kind = Rng.int rng 6 in
+          let l = Rng.int rng 1000 in
+          let t = Rng.int rng 1000 in
+          (kind, l, t, Rng.int rng 1000)
+        in
+        (r, List.init (1 + Rng.int rng 3) edit));
+    shrink =
+      (fun (r, edits) ->
+        List.map (fun edits -> (r, edits)) (shrink_list (fun _ -> []) edits)
+        @ List.map (fun r -> (r, edits)) (arb_recipe.shrink r));
+    print =
+      (fun (r, edits) ->
+        Printf.sprintf "%s\n%S" (arb_recipe.print r)
+          (List.fold_left mutate_aiger (Aiger.write (build_aig r)) edits));
+  }
+
+(* every mutant reads as an AIG or is refused with a located Failure:
+   no other exception, no allocation sized by a header the text does not
+   back. Both outcomes must occur, or the edits are not biting. *)
+let prop_aiger_mutants () =
+  let read = ref 0 and refused = ref 0 in
+  check_prop ~count:4000 "mutated AIGER text reads or fails located"
+    arb_aiger_mutant (fun (r, edits) ->
+      let text =
+        List.fold_left mutate_aiger (Aiger.write (build_aig r)) edits
+      in
+      match Aiger.read text with
+      | _ ->
+          incr read;
+          true
+      | exception Failure msg ->
+          incr refused;
+          String.starts_with ~prefix:"Aiger.read:" msg);
+  Alcotest.(check bool) "some mutants read" true (!read > 0);
+  Alcotest.(check bool) "some mutants refused" true (!refused > 0)
 
 (* one random-cover property over three evaluators: the cover itself,
    its BDD, and the SOP netlist the learner would synthesise from it *)
@@ -729,7 +830,7 @@ let test_kernel_degenerate () =
   in
   check_words "0-input learned outputs" (N.eval_words c0 [||])
     (N.eval_words r.Learner.circuit [||]);
-  Alcotest.(check int) "0-input checks verified" 7 r.Learner.checks_verified
+  Alcotest.(check int) "0-input checks verified" 6 r.Learner.checks_verified
 
 (* ---------------- fault injection ---------------- *)
 
@@ -1006,6 +1107,8 @@ let tests =
     Alcotest.test_case "BLIF round-trip" `Quick prop_blif_roundtrip;
     Alcotest.test_case "native round-trip" `Quick prop_native_roundtrip;
     Alcotest.test_case "AIGER round-trip" `Quick prop_aiger_roundtrip;
+    Alcotest.test_case "AIGER reader under mutation" `Quick
+      prop_aiger_mutants;
     Alcotest.test_case "evaluator agreement" `Quick prop_evaluators_agree;
     Alcotest.test_case "SoA kernel == netlist evaluators" `Quick
       prop_soa_netlist_identical;

@@ -86,7 +86,6 @@ let opt_preserves name f =
       let a' = f (Rng.split rng) a in
       semantically_equal c (Aig.to_netlist a') (exhaustive 5))
 
-let prop_balance_preserves = opt_preserves "balance preserves function" (fun _ a -> Opt.balance a)
 let prop_rewrite_preserves = opt_preserves "rewrite preserves function" (fun _ a -> Opt.rewrite a)
 
 let prop_fraig_preserves =
@@ -154,7 +153,6 @@ let tests =
     Alcotest.test_case "fraig merges duplicate cones" `Quick test_fraig_merges_duplicates;
     Alcotest.test_case "fraig proves hidden constants" `Quick test_fraig_finds_constants;
     Alcotest.test_case "compress shrinks duplication" `Quick test_compress_shrinks_sop_duplication;
-    QCheck_alcotest.to_alcotest prop_balance_preserves;
     QCheck_alcotest.to_alcotest prop_rewrite_preserves;
     QCheck_alcotest.to_alcotest prop_fraig_preserves;
     QCheck_alcotest.to_alcotest prop_compress_preserves;

@@ -182,7 +182,7 @@ let test_opt_compress_verify_hook () =
     (Aig.num_ands out <= Aig.num_ands aig);
   List.iter
     (fun s -> check ("pass verified: " ^ s) true (List.mem s !stages))
-    [ "aig.balance"; "aig.rewrite"; "aig.cut-rewrite"; "aig.fraig" ]
+    [ "aig.rewrite"; "aig.cut-rewrite"; "aig.fraig" ]
 
 let test_verify_table () =
   let c = fresh 4 1 in

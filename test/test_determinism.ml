@@ -5,7 +5,8 @@
    DIAG, decision-tree NEQ) at two seeds; set LR_DETERMINISM_ALL=1 to
    sweep every Cases benchmark (its own suite, [determ-all], which
    CI selects by name; the default keeps `dune runtest` quick). The same
-   suite pins every case's circuit under the shipped preset. *)
+   suite pins every case's circuit under the shipped preset, with the
+   netlist sweep off and full. *)
 
 module Rng = Lr_bitvec.Rng
 module Io = Lr_netlist.Io
@@ -157,20 +158,20 @@ let test_trio_kernel_on_off () =
         r.Learner.sweep_removed)
     [
       ( "case_12",
-        "59e3cfbc8909f54502590ee2fc32ead3",
+        "60d4e23a05ec75b504b1cd4011af8a46",
         35,
         phases ~templates:35 ~support_id:0 ~fbdt:0,
-        176 );
+        156 );
       ( "case_8",
         "97d3f32485ba402ebb3a5f091fd5c265",
         17_255,
         phases ~templates:8614 ~support_id:8640 ~fbdt:1,
-        30 );
+        29 );
       ( "case_5",
         "56abe75f35d90b78748f60a96afbc9af",
         21_856,
         phases ~templates:0 ~support_id:16_896 ~fbdt:4960,
-        5 );
+        2 );
     ]
 
 let test_trio_kernel_jobs () =
@@ -195,40 +196,66 @@ let test_full_sweep () =
 let improved_pins =
   [
     ("case_1", "c20e422b2992c82fc9c47b2ed452b62e", 878_599);
-    ("case_2", "f29ebdffc7d8e4e1ee8dc17870029a1f", 68);
+    ("case_2", "1f1e5a8bdba19678f7e6eebffb105bf4", 68);
     ("case_3", "eaa790c7a4e3b536fc0ba5eb4e64e9eb", 106);
     ("case_4", "b5ddda25fe976e88e6bf01f96f4c5f20", 410_648);
-    ("case_5", "9fad59c633cf7f3a45a367d81f36f558", 643_680);
+    ("case_5", "b7c96dbd59cfdbd9677f18bf24b78334", 643_680);
     ("case_6", "747dec5327a921c3cfff5e4db65200d7", 84);
     ("case_7", "55cfebc6641fdef027cf1ad949e0abcd", 316_816);
-    ("case_8", "99aa83fc188316f80a90ffcad6c4fc94", 332_840);
-    ("case_9", "fc55c6c49e68effe87e34f4f714b8b79", 4_807_584);
+    ("case_8", "8a8bead24eee1b2ca5c18ea1c77f2af1", 332_840);
+    ("case_9", "d4b5152f2a41196e02bbf05147cfce52", 4_807_584);
     ("case_10", "25d4ad3b027825c7fcf540930273efe2", 273_648);
-    ("case_11", "53883d5e9d27e3e89a9fec4e21a419bb", 446_784);
-    ("case_12", "49f7ce9600e870e76074d50575271a4e", 67);
+    ("case_11", "a0b7d2245d190ec07e9e5952a2ddf7ab", 446_784);
+    ("case_12", "a885cbcbaede32236c549eace02a9750", 67);
     ("case_13", "56d9b2d3176cb05feca737bae7e9fe58", 316_827);
     ("case_14", "26cee07973dc198e9e650eaf8a0f8c72", 8_004_116);
-    ("case_15", "67dc7678dfb07fc26235fe217299da61", 583_811);
+    ("case_15", "85b520e85e82d2ceaf35b167345d5f90", 583_811);
     ("case_16", "b443c4179f2a406a5d9393249a040c12", 803);
-    ("case_17", "132d15389da41ed8458d2e1bf2657f65", 555_338);
+    ("case_17", "814ebf4e49bf635f0b20069ab105e9a7", 555_338);
     ("case_18", "173c48856d3ef6b820eac77d02bb93ca", 5_049_912);
     ("case_19", "c574059957c23346871c1c92fc5fa573", 533_320);
     ("case_20", "41722c4855f422c77c8133a6438b6a15", 688);
   ]
 
-let test_improved_pins () =
+(* the same runs with the full netlist sweep on *)
+let improved_sweep_pins =
+  [
+    ("case_1", "c20e422b2992c82fc9c47b2ed452b62e", 878_599);
+    ("case_2", "7ac6b9d2c099e0361ef74dcfd3401853", 68);
+    ("case_3", "9937fbda3d2dfcd7879296b13b13f1d5", 106);
+    ("case_4", "b5ddda25fe976e88e6bf01f96f4c5f20", 410_648);
+    ("case_5", "ad988966cdb080eeb08862e81686c81e", 643_680);
+    ("case_6", "aa5d7adabd7f30876a9168969d8252ad", 84);
+    ("case_7", "67d8b15684ed5ab9482c8791c41c5ac0", 316_816);
+    ("case_8", "97d3f32485ba402ebb3a5f091fd5c265", 332_840);
+    ("case_9", "610718183897613d5a89e6625b938bdf", 4_807_584);
+    ("case_10", "25d4ad3b027825c7fcf540930273efe2", 273_648);
+    ("case_11", "971b7799b494eae8b492b33e1fb30f67", 446_784);
+    ("case_12", "60d4e23a05ec75b504b1cd4011af8a46", 67);
+    ("case_13", "56d9b2d3176cb05feca737bae7e9fe58", 316_827);
+    ("case_14", "26cee07973dc198e9e650eaf8a0f8c72", 8_004_116);
+    ("case_15", "a1ee77beb523433afb7f0ca581bc4cc7", 583_811);
+    ("case_16", "644593224d08bb377bb83887ec40b80c", 803);
+    ("case_17", "a8a8f209b685d907b410b807a738e24a", 555_338);
+    ("case_18", "173c48856d3ef6b820eac77d02bb93ca", 5_049_912);
+    ("case_19", "c574059957c23346871c1c92fc5fa573", 533_320);
+    ("case_20", "ba102434b16847d81ddea1571013ce55", 688);
+  ]
+
+let test_improved_pins sweep pins () =
   if all_cases () then
     List.iter
       (fun (name, digest, queries) ->
         let r =
           Learner.learn
-            ~config:(Config.with_seed 1 Config.improved)
+            ~config:
+              (Config.with_sweep sweep (Config.with_seed 1 Config.improved))
             (Cases.blackbox (Cases.find name))
         in
         check_str (name ^ ": circuit digest") digest
           (Digest.to_hex (Digest.string (Io.write r.Learner.circuit)));
         check_int (name ^ ": queries") queries r.Learner.queries)
-      improved_pins
+      pins
 
 let tests =
   [
@@ -249,5 +276,9 @@ let all_tests =
     Alcotest.test_case "full 20-case sweep (LR_DETERMINISM_ALL)" `Slow
       test_full_sweep;
     Alcotest.test_case "20 improved-preset circuits (LR_DETERMINISM_ALL)"
-      `Slow test_improved_pins;
+      `Slow
+      (test_improved_pins Config.Sweep_off improved_pins);
+    Alcotest.test_case
+      "20 improved-preset circuits, full sweep (LR_DETERMINISM_ALL)" `Slow
+      (test_improved_pins Config.Sweep_full improved_sweep_pins);
   ]

@@ -144,7 +144,7 @@ let test_bit_identity () =
     "circuit digest" "67d8b15684ed5ab9482c8791c41c5ac0"
     (Digest.to_hex (Digest.string net1));
   check_int "queries" 8464 q1;
-  check_int "checks verified" 16 cv1;
+  check_int "checks verified" 15 cv1;
   check_int "sweep removals" 2 sr1;
   let net4, q4, pq4, cv4, sr4 = learn ~jobs:4 in
   Alcotest.(check string) "jobs=4: bit-identical netlist" net1 net4;

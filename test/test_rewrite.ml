@@ -133,18 +133,21 @@ let test_matches_reference_random () =
   check "a negative-polarity cut won" true (wins.negative > negative);
   check "a constant cover won" true (wins.const > const)
 
-(* an AIG the pass does shrink: case_12's learned circuit after the
-   first two passes of an optimisation round *)
+(* an AIG the pass does shrink: case_12's circuit learned without
+   optimisation, after the pass that precedes it in an optimisation
+   round *)
 let test_matches_reference_case12 () =
+  let module Config = Logic_regression.Config in
   let r =
     Logic_regression.Learner.learn
+      ~config:{ Config.default with Config.optimize = false }
       (Lr_cases.Cases.blackbox (Lr_cases.Cases.find "case_12"))
   in
-  let a = Opt.rewrite (Opt.balance (Aig.of_netlist r.circuit)) in
+  let a = Opt.rewrite (Aig.of_netlist r.circuit) in
   let positive = Rewrite_ref.wins.positive in
   check_as_reference "case_12" a;
   Alcotest.(check (pair int int))
-    "ANDs before and after" (724, 720)
+    "ANDs before and after" (559, 552)
     (Aig.num_ands a, Aig.num_ands (Rewrite.cut_rewrite a));
   check "positive-polarity cuts won" true
     (Rewrite_ref.wins.positive > positive)

@@ -344,7 +344,7 @@ let test_oracle_expansion () =
     check_int (name ^ ": queries") queries q;
     Alcotest.(check string) (name ^ ": circuit digest") digest d
   in
-  expect "fbdt" ~queries:8947 ~digest:"ed2fac269b73e901f0d1ebdab0940703"
+  expect "fbdt" ~queries:8947 ~digest:"95d9b1d872c2c48e0dc5063d706f5f38"
     (learn ~threshold:0 ~check:Config.Off);
   List.iter
     (fun check ->

@@ -298,6 +298,25 @@ let test_scheduler_quota () =
   | Ok _ | Error _ -> Alcotest.fail "expected a time-budget refusal");
   Scheduler.wait_idle sched
 
+(* out-of-range numbers are refused at submit, as learn's options are
+   refused as usage errors *)
+let test_scheduler_ranges () =
+  let sched = Scheduler.create ~slots:1 ~queue_limit:16 () in
+  shutdown_after sched @@ fun () ->
+  let spec = fast_spec "case_7" in
+  List.iter
+    (fun (what, bad) ->
+      match Scheduler.submit sched bad with
+      | Error (Scheduler.Bad_spec _) -> ()
+      | Ok _ | Error _ -> Alcotest.fail ("expected a bad-spec refusal: " ^ what))
+    [
+      ("support_rounds 0", { spec with Proto.support_rounds = Some 0 });
+      ("budget 0", { spec with Proto.budget = Some 0 });
+      ("jobs 0", { spec with Proto.jobs = 0 });
+      ("time budget 0", { spec with Proto.time_budget_s = Some 0.0 });
+    ];
+  Scheduler.wait_idle sched
+
 let test_scheduler_cache_bit_identity () =
   let sched = Scheduler.create ~slots:1 ~queue_limit:16 () in
   shutdown_after sched @@ fun () ->
@@ -669,6 +688,7 @@ let tests =
     Alcotest.test_case "scheduler deterministic overload" `Quick
       test_scheduler_overload;
     Alcotest.test_case "scheduler tenant quotas" `Quick test_scheduler_quota;
+    Alcotest.test_case "scheduler range checks" `Quick test_scheduler_ranges;
     Alcotest.test_case "cache hits are bit-identical" `Quick
       test_scheduler_cache_bit_identity;
     Alcotest.test_case "job report is learn --json's" `Quick
