@@ -6,21 +6,38 @@ module Soa = Lr_kernel.Soa
 
 type verdict = Equivalent | Counterexample of Lr_bitvec.Bv.t
 
-(* CNF of one AIG plus one literal asserted true; SAT model -> inputs *)
+(* A constant literal, which strashing makes of every miter whose two
+   sides share their structure, needs no solver: false has no model and
+   true is met by the all-zero assignment. Any other literal is encoded
+   on its transitive fanin alone, cone node [cone.(k)] being variable
+   [k + 1], so every variable the solver branches on is in the cone;
+   inputs outside it cannot move the literal and read 0. *)
 let sat_assignment aig lit =
-  let solver = Sat.create () in
-  Soa.encode (Ksim.soa_of_aig aig) solver;
-  let v = Aig.lit_node lit + 1 in
-  Sat.add_clause solver [ (if Aig.lit_phase lit then -v else v) ];
-  match Sat.solve solver with
-  | Sat.Unsat -> None
-  | Sat.Sat ->
-      let ni = Aig.num_inputs aig in
-      let cex = Bv.create ni in
-      for i = 0 to ni - 1 do
-        Bv.set cex i (Sat.value solver (i + 2))
-      done;
-      Some cex
+  let ni = Aig.num_inputs aig in
+  if lit = Aig.lit_false then None
+  else if lit = Aig.lit_true then Some (Bv.create ni)
+  else begin
+    let soa = Ksim.soa_of_aig aig in
+    let cone = Soa.transitive_fanin soa [ Aig.lit_node lit ] in
+    let var = Array.make (Soa.num_nodes soa) 0 in
+    let solver = Sat.create () in
+    Array.iter (fun n -> var.(n) <- Sat.new_var solver) cone;
+    Array.iter
+      (fun n ->
+        Soa.encode_node soa solver ~lit:var.(n) ~fanin:(Array.get var) n)
+      cone;
+    let v = var.(Aig.lit_node lit) in
+    Sat.add_clause solver [ (if Aig.lit_phase lit then -v else v) ];
+    match Sat.solve solver with
+    | Sat.Unsat -> None
+    | Sat.Sat ->
+        let cex = Bv.create ni in
+        for i = 0 to ni - 1 do
+          let x = var.(i + 1) in
+          Bv.set cex i (x > 0 && Sat.value solver x)
+        done;
+        Some cex
+  end
 
 (* 16 words = 1024 random patterns; a mismatch yields the witness pattern *)
 let sim_prefilter ~rng ~ni eval2 =

@@ -18,8 +18,10 @@ val check :
     Requires equal PI/PO counts (names are not compared); raises
     [Invalid_argument] otherwise. Complete: always returns a definite
     verdict, with SAT doing the heavy lifting. The simulation prefilter
-    runs on the {!Lr_kernel.Soa} engine; the miter is decided by one
-    {!Lr_sat.Sat.solve} call. *)
+    runs on the {!Lr_kernel.Soa} engine; the miter is decided by
+    {!sat_assignment}: no solver at all when strashing has folded it to
+    a constant (two circuits with the same structure), else one
+    {!Lr_sat.Sat.solve} call on the miter's cone. *)
 
 val check_aig : ?rng:Lr_bitvec.Rng.t -> Aig.t -> Aig.t -> verdict
 (** [check] for two AIGs directly — no netlist conversion. This is what the
@@ -34,7 +36,10 @@ val sat_assignment : Aig.t -> Aig.lit -> Lr_bitvec.Bv.t option
 (** A primary-input assignment making the literal true, or [None] when the
     literal is unsatisfiable. The raw solver entry point behind the
     verdicts above, exposed so [Lr_check] can build custom miters (e.g.
-    cover-vs-netlist) and still get a concrete counterexample back. The
-    AIG is encoded through [Ksim.soa_of_aig] and
-    {!Lr_kernel.Soa.encode}, plus one unit clause asserting the
-    literal. *)
+    cover-vs-netlist) and still get a concrete counterexample back.
+    A constant literal needs no solver: [Aig.lit_false] gives [None] and
+    [Aig.lit_true] the all-zero assignment. Any other literal is decided
+    by one {!Lr_sat.Sat.solve} call over the CNF
+    ({!Lr_kernel.Soa.encode_node}) of its transitive fanin alone, plus
+    one unit clause asserting it; inputs outside that fanin cannot move
+    the literal and read 0 in the assignment. *)

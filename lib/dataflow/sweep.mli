@@ -54,17 +54,33 @@ val run :
   N.t * stats
 (** Defaults: [level = Full], [max_rounds = 3], [max_sat_checks = 2000]
     (equivalence-class budget per merge stage), [max_odc_checks = 24]
-    (SAT budget of the ODC stage). [Const_prop] runs only [sweep.const].
+    (proof budget of the ODC stage: its SAT calls and the refuter hits
+    that stand in for them). [Const_prop] runs only [sweep.const].
 
     Simulation runs on the {!Lr_kernel} SoA engine: the merge stage
-    reuses cached block signatures, and the ODC candidate filter
-    resimulates only the rewritten node's fanout cone on a dirty-cone
-    {!Lr_kernel.Incremental} engine. Each scan of the ODC stage (one
-    fixed netlist) shares one solver: it encodes the netlist's
-    {!Lr_kernel.Soa.encode} CNF at the scan's first proof, and each
-    proof adds a patched copy of the rewritten node's fanout cone
-    ({!Lr_kernel.Soa.encode_node}) and is one {!Lr_sat.Sat.solve} call
-    under an activation literal, deciding only that cone's fanin. *)
+    reuses cached block signatures, and the ODC stage computes each
+    rewritten node's fanout cone once ({!Lr_kernel.Incremental.cone}):
+    its up to four candidates resimulate only that cone on eight
+    dirty-cone {!Lr_kernel.Incremental} engines, compare only the
+    outputs it reaches, and the proof patches the same cone.
+
+    Each scan of the ODC stage (one fixed netlist) shares one solver,
+    which starts with one variable per node and no clauses. A proof
+    encodes ({!Lr_kernel.Soa.encode_node}) the nodes of its decision set
+    not yet encoded, adds a patched copy of the cone, and is one
+    {!Lr_sat.Sat.solve} call under an activation literal, deciding only
+    the cone's fanin.
+
+    Refuters: every model that refutes a candidate becomes one lane of a
+    64-lane input block kept for the whole [run] (read on the decision
+    set's inputs, 0 elsewhere; the oldest lane gives way to the 65th).
+    A candidate that passes the random patterns is simulated on that
+    block, on the current netlist, before its SAT call: a hit is a
+    concrete witness, skips the call, ticks
+    [dataflow.odc-resim-refuted] and is charged to [max_odc_checks]
+    like the call it replaces. The scan visits the same candidates in
+    the same order whether or not a refuter hits, so the circuit and
+    [stats] are those of a run that proves every candidate. *)
 
 (**/**)
 

@@ -78,6 +78,7 @@ type state = {
   mutable capture : event list option;
       (** [Some buf] while inside {!collect}: every event is also pushed
           (reversed) onto [buf] so the caller can {!absorb} it later *)
+  mutable last_ts : float;  (** of the last event recorded *)
 }
 
 let fresh_state () =
@@ -93,6 +94,7 @@ let fresh_state () =
     counter_span_order = [];
     sinks = [];
     capture = None;
+    last_ts = neg_infinity;
   }
 
 let state_key : state Domain.DLS.key = Domain.DLS.new_key fresh_state
@@ -102,6 +104,7 @@ let add_sink s = (st ()).sinks <- (st ()).sinks @ [ s ]
 let flush_sinks () = List.iter (fun s -> s.flush ()) (st ()).sinks
 
 let emit_record s ev =
+  s.last_ts <- ts ev;
   List.iter (fun snk -> snk.emit ev) s.sinks;
   match s.capture with None -> () | Some buf -> s.capture <- Some (ev :: buf)
 
@@ -270,9 +273,14 @@ let absorb snap =
         else if p = "" then base_path
         else base_path ^ "/" ^ p
       in
-      let t0 = ts first in
+      (* The snapshot keeps its recorded spacing and ends now. Work that
+         ran longer than the time since the last recorded event would
+         start before it: such events are clamped to the last one's ts,
+         so the stream never steps back, while every [Span_end] keeps
+         its recorded [dur_s]. *)
+      let t_end = List.fold_left (fun _ ev -> ts ev) (ts first) snap in
       let base_ts = now () in
-      let shift ts = base_ts +. (ts -. t0) in
+      let shift ts = Float.max s.last_ts (base_ts +. (ts -. t_end)) in
       List.iter
         (fun ev ->
           let ev' =

@@ -180,7 +180,11 @@ val absorb : snapshot -> unit
     if the recorded work had just happened here: span paths are re-based
     under the currently open span, durations and counter totals are
     added to the aggregates, and the events are re-emitted to this
-    domain's sinks with their relative timing preserved (re-stamped at
-    the absorption time, depths shifted under the open span). Absorbing
+    domain's sinks with their relative timing preserved, re-stamped to
+    end at the absorption time and depths shifted under the open span.
+    An event that would then precede the last one this context recorded
+    (the work outlasted the gap since) takes that event's timestamp, so
+    a trace's [ts] never decreases; every [Span_end] keeps its recorded
+    [dur_s]. Absorbing
     the per-item snapshots of a parallel stage in item order yields
     aggregates — and a trace — independent of how many domains ran it. *)

@@ -32,8 +32,25 @@ val last_resim : t -> int list
 (** The nodes the last {!set_input} / {!with_forced} recomputed, in
     schedule order ({!load} resets it to the full schedule). *)
 
-val with_forced : t -> node:int -> int64 -> (t -> 'a) -> 'a
-(** [with_forced t ~node w f] — hypothetically pin [node]'s value to [w],
-    re-simulate its fanout cone (the node itself keeps the forced word),
-    run [f], then restore every touched value. During [f],
-    {!last_resim} lists the recomputed cone (the forced node excluded). *)
+type cone = private {
+  node : int;  (** the node a probe forces *)
+  members : int array;
+      (** its transitive fanout in schedule order, [node] itself left
+          out: what a forced value there must recompute *)
+  outputs : int array;
+      (** the primary outputs, ascending, whose node lies in the fanout
+          ([node] included): the only outputs a forced value can move *)
+}
+
+val cone : Soa.t -> int -> cone
+(** [cone soa node] — [node]'s fanout cone, computed once (one
+    {!Soa.fanout_cone} pass and one walk of the schedule) for any number
+    of {!with_forced} probes on engines over [soa], and for whatever
+    else the caller proves about the same node. *)
+
+val with_forced : t -> cone -> int64 -> (t -> 'a) -> 'a
+(** [with_forced t cone w f] — hypothetically pin [cone.node]'s value to
+    [w], re-simulate [cone.members] (the node itself keeps the forced
+    word), run [f], then restore every touched value. During [f],
+    {!last_resim} lists the recomputed cone (the forced node excluded).
+    [cone] must come from {!cone} on this engine's circuit. *)

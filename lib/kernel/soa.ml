@@ -40,6 +40,7 @@ let num_levels t = Array.length t.level_off - 1
 let schedule t = t.sched
 let level_offsets t = t.level_off
 let input_readers t i = t.readers.(i)
+let output_node t o = t.outputs.(o)
 let arg0 t n = t.arg0.(n)
 let arg1 t n = t.arg1.(n)
 
@@ -311,10 +312,11 @@ let node_values t words =
   eval_into t v words;
   v
 
-let outputs_of_values t v =
-  Array.init t.no (fun o ->
-      let w = v.(t.outputs.(o)) in
-      if t.out_neg.(o) then Int64.lognot w else w)
+let output_of_values t v o =
+  let w = v.(t.outputs.(o)) in
+  if t.out_neg.(o) then Int64.lognot w else w
+
+let outputs_of_values t v = Array.init t.no (output_of_values t v)
 
 (* output [o]'s word [w] of a [width]-block simulation in [buf] *)
 let output_word t buf ~width ~w o =

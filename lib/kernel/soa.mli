@@ -50,6 +50,9 @@ val level_offsets : t -> int array
 val input_readers : t -> int -> int list
 (** The nodes that read primary input [i], ascending. *)
 
+val output_node : t -> int -> int
+(** The node primary output [o] reads (its complement flag aside). *)
+
 val depends_on_arg0 : t -> int -> bool
 val depends_on_arg1 : t -> int -> bool
 (** Whether the node's opcode reads the first / second fanin slot as a
@@ -88,6 +91,10 @@ val node_values : t -> int64 array -> int64 array
 val outputs_of_values : t -> int64 array -> int64 array
 (** Project output words (with output complement flags applied) from a
     node-value array. *)
+
+val output_of_values : t -> int64 array -> int -> int64
+(** [output_of_values t vals o] — output [o]'s entry of
+    {!outputs_of_values}, without projecting the others. *)
 
 val eval_words : t -> int64 array -> int64 array
 (** Drop-in for [Netlist.eval_words]: same output words, same

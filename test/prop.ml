@@ -778,7 +778,7 @@ let prop_incremental_matches_full () =
       let before = Array.copy (Incr.values e) in
       let node = Rng.int rng (Soa.num_nodes s) in
       let w = Rng.bits64 rng in
-      Incr.with_forced e ~node w (fun e ->
+      Incr.with_forced e (Incr.cone s node) w (fun e ->
           Incr.values e = forced_reference s cur node w)
       && Incr.values e = before)
 

@@ -19,6 +19,8 @@ module Finding = Lr_check.Finding
 module Cases = Lr_cases.Cases
 module Config = Logic_regression.Config
 module Learner = Logic_regression.Learner
+module Io = Lr_netlist.Io
+module Instr = Lr_instr.Instr
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -261,6 +263,91 @@ let test_learner_sweep_contract () =
   assert_equivalent "swept learner circuit" base.Learner.circuit
     swept.Learner.circuit
 
+(* ---------------------------------------------- against the old sweep *)
+
+(* The sweep against the one it replaced (Sweep_ref): the same circuit
+   byte for byte, the same stats, and the same ODC candidates. Returns
+   the stats so a caller can check what the netlist exercised. *)
+let stats_testable =
+  let pp ppf (st : Sweep.stats) =
+    Format.fprintf ppf
+      "rounds=%d const=%d merged=%d xor=%d odc=%d sat=%d gates=%d->%d"
+      st.rounds st.const_folded st.merged st.xor_recovered st.odc_rewrites
+      st.sat_calls st.gates_before st.gates_after
+  in
+  Alcotest.testable pp ( = )
+
+let check_as_reference ctx ~seed c =
+  let swept, st = Sweep.run ~level:Sweep.Full ~rng:(Rng.create seed) c in
+  let swept_ref, st_ref =
+    Sweep_ref.run ~level:Sweep_ref.Full ~rng:(Rng.create seed) c
+  in
+  Alcotest.(check string)
+    (ctx ^ ": identical swept circuit")
+    (Io.write swept_ref) (Io.write swept);
+  Alcotest.check stats_testable (ctx ^ ": identical stats") st_ref st;
+  Alcotest.(check (list (triple int int bool)))
+    (ctx ^ ": identical ODC candidates")
+    (Sweep_ref.odc_candidates ~rng:(Rng.create seed) c)
+    (Sweep.odc_candidates ~rng:(Rng.create seed) c);
+  st
+
+(* Recipes with 8 to 24 inputs, so the 512 random patterns of the ODC
+   filter are far from exhaustive and SAT refutes candidates. Half the
+   gates are ANDs and three in four take their first operand from the
+   newest literals: deep chains compute rare functions random patterns
+   miss. Shannon-expanded gates (kinds 3 and 4) leave redundancy for
+   every sweep stage. *)
+let odc_recipe rng =
+  {
+    Prop.ni = 8 + Rng.int rng 17;
+    no = 1 + Rng.int rng 4;
+    ops =
+      List.init
+        (8 + Rng.int rng 80)
+        (fun _ ->
+          let kind = if Rng.int rng 2 = 0 then 0 else Rng.int rng 5 in
+          let a =
+            if Rng.int rng 4 > 0 then Rng.int rng 4 else Rng.int rng 1000
+          in
+          (kind, a, Rng.int rng 1000));
+  }
+
+let test_sweep_matches_reference_random () =
+  let hits = Instr.counter_total "dataflow.odc-resim-refuted" in
+  let odc = ref 0 in
+  for seed = 1 to 500 do
+    let rng = Rng.create seed in
+    let c = Prop.build_netlist (odc_recipe rng) in
+    let st = check_as_reference (Printf.sprintf "seed %d" seed) ~seed c in
+    odc := !odc + st.Sweep.odc_rewrites
+  done;
+  (* the comparison covered proven rewrites and refuter hits *)
+  check "some ODC rewrite applied" true (!odc > 0);
+  check "some candidate refuted by a kept counterexample" true
+    (Instr.counter_total "dataflow.odc-resim-refuted" > hits)
+
+(* the netlists the learner hands the sweep: each case learned with the
+   sweep off *)
+let test_sweep_matches_reference_cases () =
+  let hits = Instr.counter_total "dataflow.odc-resim-refuted" in
+  let odc =
+    List.fold_left
+      (fun odc name ->
+        let r =
+          Learner.learn
+            ~config:{ Config.default with Config.sweep = Config.Sweep_off }
+            (Cases.blackbox (Cases.find name))
+        in
+        let st = check_as_reference name ~seed:1 r.Learner.circuit in
+        odc + st.Sweep.odc_rewrites)
+      0
+      [ "case_3"; "case_6"; "case_12"; "case_20" ]
+  in
+  check "some ODC rewrite applied" true (odc > 0);
+  check "some candidate refuted by a kept counterexample" true
+    (Instr.counter_total "dataflow.odc-resim-refuted" > hits)
+
 let tests =
   [
     Alcotest.test_case "lattice laws" `Quick test_lattice_laws;
@@ -286,4 +373,8 @@ let tests =
       test_semantic_rules;
     Alcotest.test_case "learner sweep contract" `Quick
       test_learner_sweep_contract;
+    Alcotest.test_case "sweep identical to the old sweep on random netlists"
+      `Quick test_sweep_matches_reference_random;
+    Alcotest.test_case "sweep identical to the old sweep on learned netlists"
+      `Quick test_sweep_matches_reference_cases;
   ]

@@ -2,6 +2,7 @@ module Bv = Lr_bitvec.Bv
 module Rng = Lr_bitvec.Rng
 module N = Lr_netlist.Netlist
 module Equiv = Lr_aig.Equiv
+module Aig = Lr_aig.Aig
 
 let check = Alcotest.(check bool)
 
@@ -111,6 +112,93 @@ let test_learned_template_circuit_proven () =
     (Equiv.check golden report.Logic_regression.Learner.circuit
     = Equiv.Equivalent)
 
+(* ---------- sat_assignment against the whole-AIG encoding (Equiv_ref) *)
+
+let test_sat_assignment_constants () =
+  let a = Aig.create ~num_inputs:5 ~num_outputs:1 in
+  Aig.set_output a 0 (Aig.and_lit a (Aig.input_lit a 0) (Aig.input_lit a 3));
+  check "lit_false has no model" true
+    (Equiv.sat_assignment a Aig.lit_false = None);
+  match
+    ( Equiv.sat_assignment a Aig.lit_true,
+      Equiv_ref.sat_assignment a Aig.lit_true )
+  with
+  | Some cex, Some reference ->
+      check "lit_true: the all-zero assignment" true
+        (Bv.length cex = 5 && Bv.popcount cex = 0);
+      check "lit_true: as the whole-AIG encoding answers" true
+        (Bv.equal cex reference)
+  | _ -> Alcotest.fail "lit_true must have a model"
+
+(* one AIG holding both circuits on shared inputs, and the OR of their
+   output differences *)
+let miter a1 a2 =
+  let ni = Aig.num_inputs a1 in
+  let m = Aig.create ~num_inputs:ni ~num_outputs:1 in
+  let import a =
+    let map = Array.make (Aig.num_nodes a) Aig.lit_false in
+    for i = 0 to ni - 1 do
+      map.(1 + i) <- Aig.input_lit m i
+    done;
+    let map_lit l = map.(Aig.lit_node l) lxor (l land 1) in
+    for node = ni + 1 to Aig.num_nodes a - 1 do
+      let l0, l1 = Aig.fanins a node in
+      map.(node) <- Aig.and_lit m (map_lit l0) (map_lit l1)
+    done;
+    Array.init (Aig.num_outputs a) (fun o -> map_lit (Aig.output a o))
+  in
+  let o1 = import a1 and o2 = import a2 in
+  let diff = ref Aig.lit_false in
+  Array.iteri
+    (fun o l -> diff := Aig.or_lit m !diff (Aig.xor_lit m l o2.(o)))
+    o1;
+  (m, !diff)
+
+(* Random circuits against themselves (a constant miter), their
+   compressed form (equivalent, other structure) and a copy with one gate
+   changed (mostly not equivalent): each verdict must be the reference's,
+   and each counterexample must make the two circuits differ. *)
+let test_sat_assignment_matches_reference () =
+  let constant = ref 0 and unsat = ref 0 and sat = ref 0 in
+  for seed = 1 to 300 do
+    let rng = Rng.create seed in
+    let r = Prop.(arb_recipe.gen) rng (4 + Rng.int rng 40) in
+    let r = { r with Prop.ni = r.Prop.ni + Rng.int rng 10 } in
+    let a1 = Prop.build_aig r in
+    let a2 =
+      match seed mod 3 with
+      | 0 -> a1
+      | 1 -> Lr_aig.Opt.compress ~rng:(Rng.create seed) a1
+      | _ ->
+          let k = Rng.int rng (max 1 (List.length r.Prop.ops)) in
+          Prop.build_aig
+            {
+              r with
+              Prop.ops =
+                List.mapi
+                  (fun i (kind, a, b) ->
+                    if i = k then ((kind + 1) mod 3, a, b) else (kind, a, b))
+                  r.Prop.ops;
+            }
+    in
+    let m, diff = miter a1 a2 in
+    if Aig.lit_node diff = 0 then incr constant;
+    let ctx = Printf.sprintf "seed %d" seed in
+    match (Equiv.sat_assignment m diff, Equiv_ref.sat_assignment m diff) with
+    | None, None -> incr unsat
+    | Some cex, Some _ ->
+        incr sat;
+        let words =
+          Array.init r.Prop.ni (fun i -> if Bv.get cex i then -1L else 0L)
+        in
+        check (ctx ^ ": counterexample distinguishes the circuits") true
+          (Aig.simulate a1 words <> Aig.simulate a2 words)
+    | _ -> Alcotest.failf "%s: verdict differs from the reference" ctx
+  done;
+  check "constant miters met" true (!constant > 0);
+  check "equivalent pairs met" true (!unsat > !constant);
+  check "inequivalent pairs met" true (!sat > 0)
+
 let tests =
   [
     Alcotest.test_case "structural variants" `Quick test_equivalent_structures;
@@ -122,4 +210,8 @@ let tests =
     Alcotest.test_case "learned template circuit formally proven" `Quick
       test_learned_template_circuit_proven;
     QCheck_alcotest.to_alcotest prop_optimization_preserves_equivalence;
+    Alcotest.test_case "sat_assignment answers constant literals" `Quick
+      test_sat_assignment_constants;
+    Alcotest.test_case "sat_assignment verdicts match the whole-AIG encoding"
+      `Quick test_sat_assignment_matches_reference;
   ]

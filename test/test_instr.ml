@@ -337,9 +337,16 @@ let test_sinks_under_clock_skew () =
 (* four domains record concurrently into private snapshots; absorbing
    them in a fixed order must yield one well-formed JSONL stream (no torn
    or interleaved lines), monotone timestamps, and counter totals that
-   accumulate across the replays in absorb order *)
+   accumulate across the replays in absorb order. Each domain records
+   under its own clock ticking 1 s a call, so every snapshot lasts 2 s,
+   far longer than the 1 ms ticks it is absorbed under. *)
 let test_multi_domain_absorb_replay () =
   with_clean @@ fun () ->
+  let domain_clock = Domain.DLS.new_key (fun () -> ref 0.0) in
+  Instr.set_clock (fun () ->
+      let t = Domain.DLS.get domain_clock in
+      t := !t +. 1.0;
+      !t);
   let snaps =
     Array.init 4 (fun i ->
         Domain.spawn (fun () ->
@@ -379,6 +386,12 @@ let test_multi_domain_absorb_replay () =
               incr work_begins;
               check_str "rebased under merge" "merge/work"
                 (Option.get (jstr "path" j))
+          | Some "span_end", Some "work" ->
+              (* 2 s whatever synthetic skew earlier tests left *)
+              check "replayed span keeps its recorded duration" true
+                (match jfloat "dur_s" j with
+                | Some d -> Float.abs (d -. 2.0) < 1e-6
+                | None -> false)
           | Some "count", Some "units" ->
               totals := Option.get (jint "total" j) :: !totals
           | _ -> ()))

@@ -104,11 +104,23 @@ let test_cone_minimality () =
     (* a hypothetical probe recomputes the node's cone, the pinned node
        itself excluded *)
     let z = Rng.int rng n in
-    Incr.with_forced e ~node:z 0x5DEECE66DL (fun e ->
+    let cone = Incr.cone s z in
+    Incr.with_forced e cone 0x5DEECE66DL (fun e ->
         Alcotest.(check (list int))
           "with_forced resimulates the cone minus the pinned node"
           (nodes_of (Analysis.fanout_cone c [ z ]) z)
-          (List.sort compare (Incr.last_resim e)))
+          (List.sort compare (Incr.last_resim e)));
+    let pos = Array.make n 0 in
+    Array.iteri (fun k node -> pos.(node) <- k) (Soa.schedule s);
+    let order = Array.map (fun node -> pos.(node)) cone.Incr.members in
+    check "the cone's members follow the schedule" true
+      (order = Array.of_list (List.sort compare (Array.to_list order)));
+    Alcotest.(check (list int))
+      "the cone lists the outputs it reaches"
+      (List.filter
+         (fun o -> (Analysis.fanout_cone c [ z ]).(N.output c o))
+         (List.init (N.num_outputs c) Fun.id))
+      (Array.to_list cone.Incr.outputs)
   done
 
 (* ---------------- end-to-end bit-identity ---------------- *)
