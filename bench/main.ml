@@ -599,7 +599,7 @@ let () =
       match Config.sweep_level_of_string v with
       | Some l -> sweep_level := l
       | None ->
-          Printf.eprintf "bad --sweep value: %s (use off|const|full)\n" v;
+          Printf.eprintf "bad --sweep value: %s (use off|full)\n" v;
           exit 1)
   | None -> ());
   (match faults_v with

@@ -171,7 +171,7 @@ let heartbeat_arg =
 let check_arg =
   let doc =
     "Self-check level: $(b,off) (nothing), $(b,structural) (lint the final \
-     circuit, fail on error findings), or $(b,full) (additionally prove \
+     circuit into the report), or $(b,full) (additionally prove \
      every optimization step equivalent to its input — exhaustive \
      re-simulation for conquered truth tables, SAT-backed CEC elsewhere; a \
      failure aborts with the offending stage, output and counterexample)."
@@ -191,8 +191,7 @@ let check_arg =
 let sweep_arg =
   let doc =
     "Dataflow sweep of the final netlist: $(b,off) (the default — runs \
-     are bit-identical to earlier builds), $(b,const) (ternary constant \
-     propagation only), or $(b,full) (additionally merge SAT-proven \
+     are bit-identical to earlier builds) or $(b,full) (merge SAT-proven \
      duplicate cones, rebuild XOR trees as single gates and apply \
      observability-don't-care resubstitutions). Every stage is \
      CEC-verified under --check full; the sweep issues no black-box \
@@ -204,7 +203,6 @@ let sweep_arg =
         (Arg.enum
            [
              ("off", Config.Sweep_off);
-             ("const", Config.Sweep_const);
              ("full", Config.Sweep_full);
            ])
         Config.Sweep_off

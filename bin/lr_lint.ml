@@ -2,9 +2,8 @@
 
    One file: parse it (BLIF, ASCII AIGER, or the .lrc text netlist),
    report every source-level and structural finding plus per-output cone
-   statistics; --deep adds the semantic dataflow rules (constant
-   propagation, observability, SAT-proven duplicates, rewrite
-   opportunities). Two files: prove combinational equivalence, reporting
+   statistics; --deep adds the semantic dataflow rules (SAT-proven
+   duplicates and constants, rewrite opportunities). Two files: prove combinational equivalence, reporting
    the offending output and a counterexample when they differ. Exit
    status 1 on error findings or non-equivalence, 2 on unreadable or
    unparseable input. *)
@@ -251,8 +250,7 @@ let quiet_arg =
 
 let deep_arg =
   let doc =
-    "Run the semantic dataflow rules as well: ternary constant \
-     propagation, observability don't-cares, SAT-proven duplicate and \
+    "Run the semantic dataflow rules as well: SAT-proven duplicate and \
      constant cones, XOR-recovery and resubstitution opportunities. \
      Slower (simulation plus bounded SAT), still deterministic."
   in
@@ -266,11 +264,9 @@ let cmd =
       `P
         "With one file, parses it and reports source-level diagnostics \
          (combinational cycles, multiply-driven or undriven signals, \
-         malformed tables), structural findings (dead logic, double \
-         inverters, constant-foldable gates, structural duplicates, \
-         constant outputs) and per-output cone statistics. $(b,--deep) \
-         adds the semantic dataflow rules: ternary constant propagation, \
-         observability don't-cares, SAT-proven duplicate/constant cones \
+         malformed tables), structural findings (dead logic, constant \
+         outputs) and per-output cone statistics. $(b,--deep) adds the \
+         semantic dataflow rules: SAT-proven duplicate/constant cones \
          and rewrite opportunities. With two files, proves combinational \
          equivalence by simulation plus SAT.";
       `P

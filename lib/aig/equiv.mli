@@ -2,7 +2,8 @@
 
     Builds a miter of two circuits with matched interfaces and decides
     equivalence with the {!Lr_sat} CDCL solver, after a fraig-style
-    simulation pass has pruned the easy mismatches. This is how the test
+    simulation pass has pruned the easy mismatches; a miter that
+    strashes to constant false is equivalent outright. This is how the test
     suite {e proves} (not just samples) that template-built circuits equal
     their golden counterparts, and it is exposed on the CLI as the [cec]
     command. *)
@@ -17,11 +18,13 @@ val check :
 (** [check a b] decides whether the two circuits compute the same function.
     Requires equal PI/PO counts (names are not compared); raises
     [Invalid_argument] otherwise. Complete: always returns a definite
-    verdict, with SAT doing the heavy lifting. The simulation prefilter
-    runs on the {!Lr_kernel.Soa} engine; the miter is decided by
-    {!sat_assignment}: no solver at all when strashing has folded it to
-    a constant (two circuits with the same structure), else one
-    {!Lr_sat.Sat.solve} call on the miter's cone. *)
+    verdict, with SAT doing the heavy lifting. The miter is built
+    first: when strashing folds it to constant false (two circuits with
+    the same structure) the answer is [Equivalent] with no simulation,
+    no solver, and [rng] left untouched. Otherwise 16 random blocks on
+    the {!Lr_kernel.Soa} engine refute the easy mismatches, then
+    {!sat_assignment} decides the miter with one {!Lr_sat.Sat.solve}
+    call on its cone. *)
 
 val check_aig : ?rng:Lr_bitvec.Rng.t -> Aig.t -> Aig.t -> verdict
 (** [check] for two AIGs directly — no netlist conversion. This is what the

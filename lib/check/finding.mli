@@ -9,7 +9,7 @@ type severity = Error | Warning | Info
 
 type t = {
   severity : severity;
-  rule : string;  (** stable kebab-case rule id, e.g. ["cycle"], ["dead-logic"] *)
+  rule : string;  (** stable kebab-case rule id, e.g. ["dead-logic"], ["blif-source"] *)
   where : string;  (** location: ["line 5"], ["node 12"], ["output f0"], or [""] *)
   message : string;
   hint : string;  (** suggested fix; may be [""] *)

@@ -5,34 +5,10 @@ module F = Finding
 
 let sprintf = Printf.sprintf
 
-(* Commutation-aware structural key: And2(a,b) and And2(b,a) collide. *)
-let gate_key g =
-  match g with
-  | N.Const b -> (0, Bool.to_int b, 0)
-  | N.Input i -> (1, i, 0)
-  | N.Not a -> (2, a, 0)
-  | N.And2 (a, b) -> (3, min a b, max a b)
-  | N.Or2 (a, b) -> (4, min a b, max a b)
-  | N.Xor2 (a, b) -> (5, min a b, max a b)
-  | N.Nand2 (a, b) -> (6, min a b, max a b)
-  | N.Nor2 (a, b) -> (7, min a b, max a b)
-  | N.Xnor2 (a, b) -> (8, min a b, max a b)
-
 let netlist c =
   let findings = ref [] in
   let add f = findings := f :: !findings in
   let n = N.num_nodes c in
-  (* node order is topological by construction; a violation means the
-     structure arrived by some route that could hide a cycle *)
-  let ordered = ref true in
-  for node = 0 to n - 1 do
-    List.iter (fun a -> if a >= node then ordered := false) (N.fanins (N.gate c node))
-  done;
-  if not !ordered then
-    add
-      (F.make F.Error ~rule:"cycle" ~where:""
-         ~hint:"rebuild the netlist through Netlist.Builder in dependency order"
-         "node order is not topological: some gate reads a node defined after it");
   let reach = N.reachable c in
   let dead = ref 0 in
   for node = 0 to n - 1 do
@@ -44,48 +20,6 @@ let netlist c =
       (F.make F.Warning ~rule:"dead-logic" ~where:""
          ~hint:"writers skip dead logic, but it still costs memory and eval time"
          (sprintf "%d gate(s) unreachable from any primary output" !dead));
-  let seen = Hashtbl.create 256 in
-  for node = 0 to n - 1 do
-    if reach.(node) then begin
-      let g = N.gate c node in
-      (match g with
-      | N.Not a -> (
-          match N.gate c a with
-          | N.Not _ ->
-              add
-                (F.make F.Warning ~rule:"double-inverter"
-                   ~where:(sprintf "node %d" node)
-                   ~hint:"collapse NOT(NOT x) to x"
-                   (sprintf "inverter over inverter node %d" a))
-          | _ -> ())
-      | _ -> ());
-      (match g with
-      | N.Const _ | N.Input _ | N.Not _ -> ()
-      | _ ->
-          if
-            List.exists
-              (fun a -> match N.gate c a with N.Const _ -> true | _ -> false)
-              (N.fanins g)
-          then
-            add
-              (F.make F.Warning ~rule:"constant-foldable"
-                 ~where:(sprintf "node %d" node)
-                 ~hint:"fold the constant operand away"
-                 "2-input gate with a constant operand"));
-      match g with
-      | N.Const _ | N.Input _ -> ()
-      | _ -> (
-          let key = gate_key g in
-          match Hashtbl.find_opt seen key with
-          | Some first ->
-              add
-                (F.make F.Warning ~rule:"duplicate-gate"
-                   ~where:(sprintf "node %d" node)
-                   ~hint:"share one gate (structural hashing)"
-                   (sprintf "structurally identical to node %d" first))
-          | None -> Hashtbl.add seen key node)
-    end
-  done;
   for o = 0 to N.num_outputs c - 1 do
     match N.gate c (N.output c o) with
     | N.Const b ->
@@ -102,16 +36,6 @@ let aig a =
   let findings = ref [] in
   let add f = findings := f :: !findings in
   let nn = Aig.num_nodes a in
-  let ordered = ref true in
-  for node = Aig.num_inputs a + 1 to nn - 1 do
-    let l0, l1 = Aig.fanins a node in
-    if Aig.lit_node l0 >= node || Aig.lit_node l1 >= node then ordered := false
-  done;
-  if not !ordered then
-    add
-      (F.make F.Error ~rule:"cycle" ~where:""
-         ~hint:"AND definitions must precede their uses"
-         "node order is not topological: some AND reads a node defined after it");
   let reach = Array.make (max nn 1) false in
   let rec visit node =
     if not reach.(node) then begin

@@ -1,27 +1,27 @@
 (** Structural lint of circuits.
 
-    Pure inspections — no SAT, no simulation — that flag defects a
-    well-formed learned circuit should never exhibit: dead logic, double
-    inversions, constant-foldable gates, structural duplicates, broken
-    topological order (a combinational cycle smuggled past the builder),
-    constant outputs. The {!Netlist.Builder} strashes and folds, so on
-    builder-made circuits these fire only when something upstream went
-    wrong; on parsed third-party files they are genuine file quality
-    diagnostics.
+    Pure inspections — no SAT, no simulation — of what the builders
+    leave to their callers: dead logic and constant outputs. Every
+    circuit, a parsed BLIF, AIGER or [.lrc] file included, is built by
+    the strashing {!Lr_netlist.Netlist} and {!Lr_aig.Aig} constructors,
+    which create each gate after its operands, fold constant operands
+    and inverter pairs, and share structural duplicates; no circuit has
+    a cycle, an inverter over an inverter, a gate with a constant
+    operand or two identical gates, so none is looked for (the [prop]
+    suite checks the builders).
+    Source-level defects of a BLIF file (cycles, multiple drivers,
+    undriven nets) come from {!blif_source}.
 
     [lr_lint] prints these; [Config.check_level >= Structural] runs
-    {!netlist} on the final learned circuit and fails the run on any
-    {!Finding.Error}. *)
+    {!netlist} on the final learned circuit and reports its findings. *)
 
 val netlist : Lr_netlist.Netlist.t -> Finding.t list
-(** Rules: [cycle] (topological-order violation, Error), [dead-logic]
-    (unreachable gates, Warning), [double-inverter], [constant-foldable],
-    [duplicate-gate] (commutation-aware, Warning each), and
+(** Rules: [dead-logic] (unreachable gates, Warning) and
     [constant-output] (Info). *)
 
 val aig : Lr_aig.Aig.t -> Finding.t list
-(** Rules: [cycle] (Error), [dead-logic] (Warning — fix with
-    [Aig.compact]), [constant-output] (Info). *)
+(** Rules: [dead-logic] (Warning — fix with [Aig.compact]),
+    [constant-output] (Info). *)
 
 val blif_source : string -> Finding.t list
 (** {!Lr_netlist.Blif.lint} adapted to findings — every problem in the

@@ -11,16 +11,14 @@ let check_level_of_string = function
   | "full" -> Some Full
   | _ -> None
 
-type sweep_level = Sweep_off | Sweep_const | Sweep_full
+type sweep_level = Sweep_off | Sweep_full
 
 let sweep_level_string = function
   | Sweep_off -> "off"
-  | Sweep_const -> "const"
   | Sweep_full -> "full"
 
 let sweep_level_of_string = function
   | "off" -> Some Sweep_off
-  | "const" -> Some Sweep_const
   | "full" -> Some Sweep_full
   | _ -> None
 

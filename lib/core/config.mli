@@ -7,7 +7,7 @@
 
 (** How much the learner double-checks its own work ({!Lr_check}):
     [Off] nothing (the presets' value); [Structural] lints the final
-    circuit and fails on error-severity findings; [Full] additionally
+    circuit and reports its findings; [Full] additionally
     proves every function-preserving step — conquered truth tables,
     minimized covers, each AIG optimization sub-pass — equivalent to its
     input, raising [Lr_check.Selfcheck.Check_failed] with a concrete
@@ -19,17 +19,16 @@ val check_level_string : check_level -> string
 
 val check_level_of_string : string -> check_level option
 
-(** How hard the post-optimization netlist sweep ({!Lr_dataflow.Sweep})
-    works: [Sweep_off] skips it entirely (the presets' value — default
-    runs are bit-identical to a build without the sweep); [Sweep_const]
-    runs only ternary constant propagation; [Sweep_full] adds SAT-proven
-    duplicate-cone merging, XOR-structure recovery and ODC
-    resubstitution. Every rewrite is CEC-verified when [check_level] is
-    [Full]. The sweep issues no black-box queries. *)
-type sweep_level = Sweep_off | Sweep_const | Sweep_full
+(** Whether the post-optimization netlist sweep ({!Lr_dataflow.Sweep})
+    runs: [Sweep_off] skips it entirely (the presets' value — default
+    runs are bit-identical to a build without the sweep); [Sweep_full]
+    runs SAT-proven duplicate-cone merging, XOR-structure recovery and
+    ODC resubstitution. Every rewrite is CEC-verified when [check_level]
+    is [Full]. The sweep issues no black-box queries. *)
+type sweep_level = Sweep_off | Sweep_full
 
 val sweep_level_string : sweep_level -> string
-(** ["off"] / ["const"] / ["full"] — the CLI spelling. *)
+(** ["off"] / ["full"] — the CLI spelling. *)
 
 val sweep_level_of_string : string -> sweep_level option
 

@@ -103,8 +103,8 @@ type report = {
           the same swept circuit *)
   lint_findings : Lr_check.Finding.t list;
       (** structural lint of the final circuit ([] when
-          [check_level = Off]); never contains error-severity findings —
-          those abort the run *)
+          [check_level = Off]): dead logic and constant outputs, never an
+          error *)
   jobs : int;
       (** worker domains the per-output conquer stage ran on (resolved
           from {!Config.t.jobs}; 1 = everything on the calling domain) *)
@@ -153,7 +153,7 @@ val learn : ?config:Config.t -> Lr_blackbox.Blackbox.t -> report
     verified against its input; a failure raises
     {!Lr_check.Selfcheck.Check_failed} with the offending stage, output
     and a counterexample. With [Structural] (or [Full]) the final circuit
-    is linted and error findings raise [Failure].
+    is linted into [report.lint_findings].
 
     With [config.faults] set the box is armed with that schedule before
     the first query, and [config.retry] governs injected failures.

@@ -2,7 +2,6 @@ module N = Lr_netlist.Netlist
 
 type action =
   | Keep
-  | Const of bool
   | Alias of N.node * bool
   | Xor of N.node * N.node * bool
 
@@ -12,7 +11,7 @@ let apply c act =
   Array.iteri
     (fun node a ->
       match a with
-      | Keep | Const _ -> ()
+      | Keep -> ()
       | Alias (m, _) ->
           if m >= node then invalid_arg "Rebuild.apply: Alias target not older"
       | Xor (a, b, _) ->
@@ -27,7 +26,6 @@ let apply c act =
   for node = n - 1 downto 0 do
     if need.(node) then
       match action.(node) with
-      | Const _ -> ()
       | Alias (m, _) -> need.(m) <- true
       | Xor (a, b, _) ->
           need.(a) <- true;
@@ -42,7 +40,6 @@ let apply c act =
     if need.(node) then
       map.(node) <-
         (match action.(node) with
-        | Const b -> if b then N.const_true out else N.const_false out
         | Alias (m, ph) -> if ph then N.not_ out map.(m) else map.(m)
         | Xor (a, b, ph) ->
             let x = N.xor_ out map.(a) map.(b) in

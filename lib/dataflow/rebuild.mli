@@ -16,10 +16,9 @@ module N = Lr_netlist.Netlist
 
 type action =
   | Keep  (** rebuild the same gate from the mapped fanins *)
-  | Const of bool  (** replace the node by a constant *)
   | Alias of N.node * bool
       (** [Alias (m, ph)]: replace by old node [m] ([m < node]),
-          inverted when [ph] *)
+          inverted when [ph]; aliasing a [Const] node makes a constant *)
   | Xor of N.node * N.node * bool
       (** [Xor (a, b, ph)]: replace by [a XOR b] over old nodes
           ([a, b < node]), inverted when [ph] — the XOR-recovery hook *)

@@ -1,5 +1,4 @@
 module N = Lr_netlist.Netlist
-module L = Lattice
 module Rng = Lr_bitvec.Rng
 module F = Lr_check.Finding
 module Fraig = Lr_aig.Fraig
@@ -11,55 +10,6 @@ let netlist ?(seed = 1) ?(max_sat_checks = 2000) c =
   let add f = findings := f :: !findings in
   let n = N.num_nodes c in
   let reach = N.reachable c in
-  let vals = Absint.values c in
-  (* forward constants *)
-  let lattice_const = Array.make (max n 1) false in
-  List.iter
-    (fun (node, b) ->
-      lattice_const.(node) <- true;
-      add
-        (F.make F.Warning ~rule:"const-node" ~where:(sprintf "node %d" node)
-           ~hint:"fold the node to a constant (--sweep const)"
-           (sprintf "gate is provably the constant %d" (Bool.to_int b))))
-    (Absint.constants ~values:vals c);
-  for o = 0 to N.num_outputs c - 1 do
-    let root = N.output c o in
-    match N.gate c root, L.to_bool vals.(root) with
-    | (N.Const _ | N.Input _), _ | _, None -> ()
-    | _, Some b ->
-        add
-          (F.make F.Warning ~rule:"provable-constant-output"
-             ~where:(sprintf "output %s" (N.output_names c).(o))
-             ~hint:"replace the cone by a constant driver"
-             (sprintf "output provably evaluates to the constant %d"
-                (Bool.to_int b)))
-  done;
-  (* observability don't-cares *)
-  let unobs = Absint.unobservable ~values:vals c in
-  Array.iteri
-    (fun node dead ->
-      if dead && not lattice_const.(node) then
-        add
-          (F.make F.Warning ~rule:"unobservable-node"
-             ~where:(sprintf "node %d" node)
-             ~hint:"no output observes the node; remove it (--sweep full)"
-             "reachable gate is blocked from every primary output"))
-    unobs;
-  (* inverter chains *)
-  for node = 0 to n - 1 do
-    if reach.(node) then
-      match N.gate c node with
-      | N.Not a -> (
-          match N.gate c a with
-          | N.Not _ ->
-              add
-                (F.make F.Info ~rule:"inverter-chain"
-                   ~where:(sprintf "node %d" node)
-                   ~hint:"collapse chained inverters"
-                   (sprintf "inverter fed by inverter node %d" a))
-          | _ -> ())
-      | _ -> ()
-  done;
   (* equivalence classes: duplicates, complements, SAT constants *)
   let rng = Rng.create seed in
   let eq =
@@ -74,15 +24,13 @@ let netlist ?(seed = 1) ?(max_sat_checks = 2000) c =
         match N.gate c node with
         | N.Const _ | N.Input _ -> ()
         | _ ->
-            if root <= 1 then begin
-              if not lattice_const.(node) then
-                add
-                  (F.make F.Warning ~rule:"sat-constant-node"
-                     ~where:(sprintf "node %d" node)
-                     ~hint:"replace by the constant (--sweep full)"
-                     (sprintf "SAT proves the gate is the constant %d"
-                        (Bool.to_int (ph <> (root = 1)))))
-            end
+            if root <= 1 then
+              add
+                (F.make F.Warning ~rule:"sat-constant-node"
+                   ~where:(sprintf "node %d" node)
+                   ~hint:"replace by the constant (--sweep full)"
+                   (sprintf "SAT proves the gate is the constant %d"
+                      (Bool.to_int (ph <> (root = 1)))))
             else if ph then begin
               (* a literal inverter is trivially its fanin's complement —
                  only report complements the structure does not show *)
@@ -144,7 +92,7 @@ let netlist ?(seed = 1) ?(max_sat_checks = 2000) c =
               m)))
     (Sweep.odc_candidates ~rng c);
   (* summary: what a full sweep would reclaim *)
-  let _, st = Sweep.run ~level:Sweep.Full ~rng:(Rng.create seed) c in
+  let _, st = Sweep.run ~rng:(Rng.create seed) c in
   if Sweep.removed st > 0 then
     add
       (F.make F.Info ~rule:"sweep-opportunity" ~where:""
@@ -154,7 +102,7 @@ let netlist ?(seed = 1) ?(max_sat_checks = 2000) c =
   F.normalize !findings
 
 let removal_estimate ?(seed = 1) c =
-  let _, st = Sweep.run ~level:Sweep.Full ~rng:(Rng.create seed) c in
+  let _, st = Sweep.run ~rng:(Rng.create seed) c in
   Sweep.removed st
 
 let rule_counts findings =

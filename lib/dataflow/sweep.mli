@@ -1,12 +1,11 @@
 (** Verified redundancy-removal sweep over a netlist.
 
-    Iterates up to four stages, each expressed as a {!Rebuild} plan and
-    each individually checkable through the [?verify] hook (the same
-    contract as [Lr_aig.Opt.compress ?verify]: called with the stage
-    name, the netlist before and the netlist after; raise to abort):
+    Each round first rebuilds the netlist without its dead nodes, then
+    runs three stages, each expressed as a {!Rebuild} plan and each
+    individually checkable through the [?verify] hook (the same contract
+    as [Lr_aig.Opt.compress ?verify]: called with the stage name, the
+    netlist before and the netlist after; raise to abort):
 
-    - [sweep.const] — forward constant propagation ({!Absint.values});
-      nodes with a proven ternary value become constants.
     - [sweep.merge] — functional duplicate/complement cones collapse
       onto their class representative: {!Lr_aig.Fraig.classes} on the
       netlist's {!Lr_kernel.Soa} form, as layer ["dataflow"], capped at
@@ -27,11 +26,8 @@
 
 module N = Lr_netlist.Netlist
 
-type level = Const_prop | Full
-
 type stats = {
   rounds : int;
-  const_folded : int;  (** reachable gates folded to constants *)
   merged : int;  (** cones collapsed onto a proven-equivalent class root *)
   xor_recovered : int;  (** XOR/XNOR trees rebuilt as one gate *)
   odc_rewrites : int;  (** ODC resubstitutions applied *)
@@ -44,7 +40,6 @@ val removed : stats -> int
 (** [gates_before - gates_after] (never negative). *)
 
 val run :
-  ?level:level ->
   ?max_rounds:int ->
   ?max_sat_checks:int ->
   ?max_odc_checks:int ->
@@ -52,10 +47,14 @@ val run :
   rng:Lr_bitvec.Rng.t ->
   N.t ->
   N.t * stats
-(** Defaults: [level = Full], [max_rounds = 3], [max_sat_checks = 2000]
+(** Defaults: [max_rounds = 3], [max_sat_checks = 2000]
     (equivalence-class budget per merge stage), [max_odc_checks = 24]
     (proof budget of the ODC stage: its SAT calls and the refuter hits
-    that stand in for them). [Const_prop] runs only [sweep.const].
+    that stand in for them).
+
+    There is no constant-propagation stage: the {!Lr_netlist.Netlist}
+    builder folds every constant operand as it creates a gate, so no
+    gate of a netlist has a constant ternary value.
 
     Simulation runs on the {!Lr_kernel} SoA engine: the merge stage
     reuses cached block signatures, and the ODC stage computes each

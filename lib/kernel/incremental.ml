@@ -22,7 +22,7 @@ let load t words =
   Soa.eval_into t.soa t.vals t.words;
   t.resim <- Soa.schedule t.soa
 
-let create soa =
+let create soa words =
   let t =
     {
       soa;
@@ -31,7 +31,7 @@ let create soa =
       resim = [||];
     }
   in
-  load t t.words;
+  load t words;
   t
 
 (* the marked nodes in schedule order, [skip] left out *)

@@ -11,8 +11,10 @@
 
 type t
 
-val create : Soa.t -> t
-(** Fresh engine; all inputs start at zero words. *)
+val create : Soa.t -> int64 array -> t
+(** [create soa words] — a fresh engine holding [words] (one per input,
+    copied) and the node values they simulate to: one full pass, as
+    {!load}. *)
 
 val circuit : t -> Soa.t
 

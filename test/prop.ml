@@ -32,9 +32,12 @@ module Finding = Lr_check.Finding
 module Config = Logic_regression.Config
 module Learner = Logic_regression.Learner
 module Sweep = Lr_dataflow.Sweep
+module Rebuild = Lr_dataflow.Rebuild
 module Equiv = Lr_aig.Equiv
 module Fp = Lr_serve.Fingerprint
 module Scache = Lr_serve.Cache
+module Proto = Lr_serve.Proto
+module Json = Lr_instr.Json
 module Soa = Lr_kernel.Soa
 module Incr = Lr_kernel.Incremental
 module Ksim = Lr_aig.Ksim
@@ -469,6 +472,79 @@ let build_gate_netlist { ni; no; ops } =
   done;
   c
 
+(* The guarantees of the strashing builders, which the sweep and the
+   lint rely on without checking them: a netlist node's operands
+   precede it, no gate reads a constant node, no inverter reads an
+   inverter, and no two gates share a commutation-aware key. *)
+let netlist_invariants c =
+  let key = function
+    | N.And2 (a, b) -> N.And2 (min a b, max a b)
+    | N.Or2 (a, b) -> N.Or2 (min a b, max a b)
+    | N.Xor2 (a, b) -> N.Xor2 (min a b, max a b)
+    | N.Nand2 (a, b) -> N.Nand2 (min a b, max a b)
+    | N.Nor2 (a, b) -> N.Nor2 (min a b, max a b)
+    | N.Xnor2 (a, b) -> N.Xnor2 (min a b, max a b)
+    | g -> g
+  in
+  let is_const a = match N.gate c a with N.Const _ -> true | _ -> false in
+  let gates =
+    List.filter_map
+      (fun node ->
+        match N.gate c node with
+        | N.Const _ | N.Input _ -> None
+        | g -> Some (node, g))
+      (List.init (N.num_nodes c) Fun.id)
+  in
+  let keys = List.map (fun (_, g) -> key g) gates in
+  List.for_all
+    (fun (node, g) ->
+      List.for_all (fun a -> a < node && not (is_const a)) (N.fanins g)
+      &&
+      match g with
+      | N.Not a -> ( match N.gate c a with N.Not _ -> false | _ -> true)
+      | _ -> true)
+    gates
+  && List.length (List.sort_uniq compare keys) = List.length keys
+
+(* an AIG's AND fanins precede it, are no constant literal, and are two
+   distinct nodes *)
+let aig_invariants a =
+  List.for_all
+    (fun node ->
+      let l0, l1 = Aig.fanins a node in
+      let ok l = Aig.lit_node l < node && Aig.lit_node l <> 0 in
+      ok l0 && ok l1 && Aig.lit_node l0 <> Aig.lit_node l1)
+    (List.init (Aig.num_ands a) (fun k -> Aig.num_inputs a + 1 + k))
+
+(* every way the program makes a circuit from another: the recipe
+   netlists (AND/NOT through the AIG import, and all six binary gates),
+   a rebuild under a random plan of aliases (constants included) and
+   XORs, the AIG round trip and the three readers *)
+let prop_builder_invariants () =
+  check_prop "builders keep their structural invariants" arb_recipe (fun r ->
+      let rng = Rng.create (Hashtbl.hash r) in
+      let plan node =
+        match Rng.int rng 4 with
+        | 0 when node > 0 -> Rebuild.Alias (Rng.int rng node, Rng.bool rng)
+        | 1 when node > 0 ->
+            Rebuild.Xor (Rng.int rng node, Rng.int rng node, Rng.bool rng)
+        | _ -> Rebuild.Keep
+      in
+      List.for_all
+        (fun n ->
+          let aig = Aig.of_netlist n in
+          List.for_all netlist_invariants
+            [
+              n;
+              Rebuild.apply n plan;
+              Aig.to_netlist aig;
+              Io.read (Io.write n);
+              Blif.read (Blif.write n);
+            ]
+          && aig_invariants aig
+          && aig_invariants (Aiger.read (Aiger.write aig)))
+        [ build_netlist r; build_gate_netlist r ])
+
 (* the CNF encoder against simulation: with every input pinned by a unit
    clause the model is forced, so each node variable must read the
    node's simulated bit, and assuming one node's negation is Unsat *)
@@ -757,10 +833,10 @@ let prop_incremental_matches_full () =
   check_prop "incremental resim == full resim" arb_recipe (fun r ->
       let c = build_netlist r in
       let s = Soa.of_netlist c in
-      let e = Incr.create s in
       let rng = Rng.create 47 in
       let cur = words rng r.ni in
-      Incr.load e cur;
+      (* the engine keeps its own copy: [cur] moves on below *)
+      let e = Incr.create s cur in
       List.for_all
         (fun _ ->
           (* perturb one input word, then check the dirty-cone resim
@@ -792,8 +868,7 @@ let test_kernel_degenerate () =
   let s0 = Soa.of_netlist c0 in
   check_words "0-input eval_words" (N.eval_words c0 [||])
     (Soa.eval_words s0 [||]);
-  let e0 = Incr.create s0 in
-  Incr.load e0 [||];
+  let e0 = Incr.create s0 [||] in
   check_words "0-input incremental outputs" (N.eval_words c0 [||])
     (Incr.outputs e0);
   (* zero-gate netlist: an input wired straight to the output *)
@@ -803,8 +878,7 @@ let test_kernel_degenerate () =
   let rng = Rng.create 53 in
   let w = words rng 2 in
   check_words "0-gate eval_words" (N.eval_words c1 w) (Soa.eval_words s1 w);
-  let e1 = Incr.create s1 in
-  Incr.load e1 w;
+  let e1 = Incr.create s1 w in
   w.(1) <- Rng.bits64 rng;
   Incr.set_input e1 1 w.(1);
   check_words "0-gate incremental outputs" (N.eval_words c1 w)
@@ -890,14 +964,16 @@ let prop_transient_faults_transparent () =
       && faulted.Learner.degraded = 0)
 
 (* a hard fault schedule degrades every output, yet the emitted netlist
-   is still well-formed: the lint finds no error-severity problems *)
+   is still well-formed: the lint finds no error-severity problems and
+   the builder invariants hold *)
 let prop_degraded_netlist_lints () =
   check_prop ~count:8 "degraded runs emit lint-clean netlists"
     arb_faulted_recipe (fun (r, spec) ->
       let hard = { spec with F.fail_p = 1.0; fail_burst = 0 } in
       let report = tiny_learn ~faults:hard r in
       report.Learner.degraded = List.length report.Learner.outputs
-      && Finding.errors (Lint.netlist report.Learner.circuit) = [])
+      && Finding.errors (Lint.netlist report.Learner.circuit) = []
+      && netlist_invariants report.Learner.circuit)
 
 (* ---------------- word-parallel block queries ---------------- *)
 
@@ -1042,6 +1118,100 @@ let equivalent a b =
   | Equiv.Equivalent -> true
   | Equiv.Counterexample _ -> false
 
+(* Spec reader fuzzing: the fields of a [Proto.to_json] text under a
+   list of edits. An edit (kind, i, v) replaces field [i]'s value by
+   the raw JSON text [spec_values.(v)] (0), drops field [i] (1),
+   duplicates it with that value (2), or truncates the text at byte [i]
+   (3): extreme and overflowing numbers, wrong types, retired values,
+   missing and repeated keys, cut documents. *)
+let spec_values =
+  [|
+    "99999999999999999999"; "-99999999999999999999"; string_of_int max_int;
+    string_of_int min_int; "1e999"; "-1e999"; "1e-999"; "-0"; "0.5"; "-1";
+    "0"; "9.3e18"; {|"const"|}; {|"full"|}; {|"off"|}; {|"structural"|};
+    {|"contest"|}; {|"lr-serve/v1"|}; {|""|}; {|"\u0000"|}; {|"\ud800"|};
+    "true"; "false"; "null"; "[]"; "{}"; "[1,2]"; {|{"case":"case_1"}|};
+  |]
+
+let spec_text (spec, edits) =
+  let fields =
+    match Proto.to_json spec with
+    | Json.Obj kv -> List.map (fun (k, v) -> (k, Json.to_string v)) kv
+    | _ -> assert false
+  in
+  let cut = ref None in
+  let fields =
+    List.fold_left
+      (fun fields (kind, i, v) ->
+        let n = List.length fields in
+        let i' = if n = 0 then 0 else i mod n in
+        let value = spec_values.(v mod Array.length spec_values) in
+        match kind, fields with
+        | 3, _ ->
+            cut := Some i;
+            fields
+        | _, [] -> fields
+        | 0, _ -> List.mapi (fun j (k, x) -> (k, if j = i' then value else x)) fields
+        | 1, _ -> List.filteri (fun j _ -> j <> i') fields
+        | _, _ -> fields @ [ (fst (List.nth fields i'), value) ])
+      fields edits
+  in
+  let text =
+    "{"
+    ^ String.concat ","
+        (List.map (fun (k, v) -> Json.to_string (Json.String k) ^ ":" ^ v) fields)
+    ^ "}"
+  in
+  match !cut with
+  | Some i -> String.sub text 0 (i mod (String.length text + 1))
+  | None -> text
+
+let arb_spec_mutant =
+  {
+    gen =
+      (fun rng _ ->
+        let pick a = a.(Rng.int rng (Array.length a)) in
+        let maybe f = if Rng.bool rng then Some (f ()) else None in
+        let spec =
+          {
+            (Proto.default ~case:(pick [| "case_1"; "case_7"; "c.blif" |])) with
+            Proto.tenant = pick [| "default"; "t1" |];
+            preset = pick [| "improved"; "contest" |];
+            seed = Rng.int rng 100;
+            budget = maybe (fun () -> 1 + Rng.int rng 100_000);
+            time_budget_s = maybe (fun () -> 0.5 +. float_of_int (Rng.int rng 10));
+            support_rounds = maybe (fun () -> 1 + Rng.int rng 100);
+            jobs = 1 + Rng.int rng 4;
+            check = pick [| Config.Off; Config.Structural; Config.Full |];
+            sweep = pick [| Config.Sweep_off; Config.Sweep_full |];
+            use_cache = Rng.bool rng;
+          }
+        in
+        let edit _ = (Rng.int rng 4, Rng.int rng 1000, Rng.int rng 1000) in
+        (spec, List.init (1 + Rng.int rng 3) edit));
+    shrink =
+      (fun (spec, edits) ->
+        List.map (fun edits -> (spec, edits)) (shrink_list (fun _ -> []) edits));
+    print = (fun m -> Printf.sprintf "%S" (spec_text m));
+  }
+
+(* every mutant is accepted or refused with an [Error], never an
+   exception, and an accepted spec re-encodes to an accepted spec. Both
+   outcomes must occur, or the edits are not biting. *)
+let prop_spec_reader_mutants () =
+  let accepted = ref 0 and refused = ref 0 in
+  check_prop ~count:2000 "mutated lr-serve/v1 specs parse or are refused"
+    arb_spec_mutant (fun m ->
+      match Proto.of_string (spec_text m) with
+      | Ok spec ->
+          incr accepted;
+          Result.is_ok (Proto.of_json (Proto.to_json spec))
+      | Error _ ->
+          incr refused;
+          true);
+  Alcotest.(check bool) "some mutants accepted" true (!accepted > 0);
+  Alcotest.(check bool) "some mutants refused" true (!refused > 0)
+
 (* Insert a random circuit into the cache under its own behavioural key
    and look it back up: the verified hit must decode to a CEC-equivalent
    circuit (bit-identical, in fact — but equivalence is the safety
@@ -1109,6 +1279,8 @@ let tests =
     Alcotest.test_case "AIGER round-trip" `Quick prop_aiger_roundtrip;
     Alcotest.test_case "AIGER reader under mutation" `Quick
       prop_aiger_mutants;
+    Alcotest.test_case "builders keep their structural invariants" `Quick
+      prop_builder_invariants;
     Alcotest.test_case "evaluator agreement" `Quick prop_evaluators_agree;
     Alcotest.test_case "SoA kernel == netlist evaluators" `Quick
       prop_soa_netlist_identical;
@@ -1137,6 +1309,8 @@ let tests =
     Alcotest.test_case "query_blocks == query_many per block" `Quick
       prop_query_blocks_matches_many;
     Alcotest.test_case "circuit cache round-trip" `Quick prop_cache_roundtrip;
+    Alcotest.test_case "lr-serve/v1 reader under mutation" `Quick
+      prop_spec_reader_mutants;
     Alcotest.test_case "fingerprints hash behaviour, not structure" `Quick
       prop_fingerprint_behavioural;
     Alcotest.test_case "shrinking reaches a minimum" `Quick

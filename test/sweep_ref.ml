@@ -1,22 +1,55 @@
 (* The netlist sweep whose ODC stage [Lr_dataflow.Sweep] replaced, kept
    as the reference it must match byte for byte: every candidate and
    every proof recomputes the rewritten node's fanout cone, each scan
-   encodes the whole netlist's CNF at its first proof, and every
-   refuting model is thrown away. It is the old code verbatim but for
-   three things: the modules it names live in [Lr_dataflow], its [level]
-   and [stats] types are [Sweep]'s own (so results compare with [=]),
-   and [Incremental] below is the old engine's forced-value probe, which
-   took the node and recomputed its cone on every call. *)
+   encodes the whole netlist's CNF at its first proof, every refuting
+   model is thrown away, and each round opens with the ternary
+   constant-propagation stage [Sweep] no longer has. It is the old code
+   verbatim but for four things: the modules it names live in
+   [Lr_dataflow]; [Incremental] below is the old engine's forced-value
+   probe, which took the node and recomputed its cone on every call;
+   [ternary] below is the old forward ternary pass ([Absint.values]) as
+   one ascending walk, which is its worklist fixpoint on a netlist whose
+   operands precede their gates; and the constant stage, whose
+   [Rebuild.Const b] action is gone, aliases the constant node instead
+   (the same rebuilt gate). Only the full level is kept. *)
 
 module N = Lr_netlist.Netlist
-module L = Lr_dataflow.Lattice
-module Absint = Lr_dataflow.Absint
 module Rebuild = Lr_dataflow.Rebuild
 module Sat = Lr_sat.Sat
 module Rng = Lr_bitvec.Rng
 module Instr = Lr_instr.Instr
 module Soa = Lr_kernel.Soa
 module Fraig = Lr_aig.Fraig
+
+(* Three-valued evaluation, short-circuiting on controlling values:
+   [Some b] a proven constant, [None] unknown. *)
+let ternary c =
+  let v = Array.make (N.num_nodes c) None in
+  let not_ = Option.map not in
+  let and_ a b =
+    match a, b with
+    | Some false, _ | _, Some false -> Some false
+    | Some true, Some true -> Some true
+    | _ -> None
+  in
+  let or_ a b = not_ (and_ (not_ a) (not_ b)) in
+  let xor_ a b =
+    match a, b with Some x, Some y -> Some (x <> y) | _ -> None
+  in
+  for node = 0 to N.num_nodes c - 1 do
+    v.(node) <-
+      (match N.gate c node with
+      | N.Const b -> Some b
+      | N.Input _ -> None
+      | N.Not a -> not_ v.(a)
+      | N.And2 (a, b) -> and_ v.(a) v.(b)
+      | N.Or2 (a, b) -> or_ v.(a) v.(b)
+      | N.Xor2 (a, b) -> xor_ v.(a) v.(b)
+      | N.Nand2 (a, b) -> not_ (and_ v.(a) v.(b))
+      | N.Nor2 (a, b) -> not_ (or_ v.(a) v.(b))
+      | N.Xnor2 (a, b) -> not_ (xor_ v.(a) v.(b)))
+  done;
+  v
 
 module Incremental = struct
   type t = { soa : Soa.t; words : int64 array; vals : int64 array }
@@ -57,9 +90,7 @@ module Incremental = struct
       (fun () -> f t)
 end
 
-type level = Lr_dataflow.Sweep.level = Const_prop | Full
-
-type stats = Lr_dataflow.Sweep.stats = {
+type stats = {
   rounds : int;
   const_folded : int;
   merged : int;
@@ -70,22 +101,20 @@ type stats = Lr_dataflow.Sweep.stats = {
   gates_after : int;
 }
 
-let removed st = max 0 (st.gates_before - st.gates_after)
-
 (* ---------------- constant propagation ---------------- *)
 
 let const_stage c =
-  let vals = Absint.values c in
+  let vals = ternary c in
   let reach = N.reachable c in
   let folded = ref 0 in
   let act node =
     match N.gate c node with
     | N.Const _ | N.Input _ -> Rebuild.Keep
     | _ -> (
-        match L.to_bool vals.(node) with
+        match vals.(node) with
         | Some b ->
             if reach.(node) then incr folded;
-            Rebuild.Const b
+            Rebuild.Alias (N.const_false c, b)
         | None -> Rebuild.Keep)
   in
   let out = Rebuild.apply c act in
@@ -357,7 +386,7 @@ let odc_stage ~rng ~max_sat_checks c0 =
 
 (* ---------------- the sweep driver ---------------- *)
 
-let run ?(level = Full) ?(max_rounds = 3) ?(max_sat_checks = 2000)
+let run ?(max_rounds = 3) ?(max_sat_checks = 2000)
     ?(max_odc_checks = 24) ?verify ~rng c0 =
   let gates_before = N.size c0 in
   let const_folded = ref 0 in
@@ -392,31 +421,29 @@ let run ?(level = Full) ?(max_rounds = 3) ?(max_sat_checks = 2000)
           const_folded := !const_folded + k;
           out, k, 0)
         !c;
-    if level = Full then begin
-      c :=
-        stage "sweep.merge"
-          (fun c ->
-            let out, k, sat = merge_stage ~rng ~max_sat_checks c in
-            merged := !merged + k;
-            out, k, sat)
-          !c;
-      c :=
-        stage "sweep.xor"
-          (fun c ->
-            let out, k = xor_stage c in
-            xor_recovered := !xor_recovered + k;
-            out, k, 0)
-          !c;
-      c :=
-        stage "sweep.odc"
-          (fun c ->
-            let out, k, sat =
-              odc_stage ~rng ~max_sat_checks:max_odc_checks c
-            in
-            odc_rewrites := !odc_rewrites + k;
-            out, k, sat)
-          !c
-    end;
+    c :=
+      stage "sweep.merge"
+        (fun c ->
+          let out, k, sat = merge_stage ~rng ~max_sat_checks c in
+          merged := !merged + k;
+          out, k, sat)
+        !c;
+    c :=
+      stage "sweep.xor"
+        (fun c ->
+          let out, k = xor_stage c in
+          xor_recovered := !xor_recovered + k;
+          out, k, 0)
+        !c;
+    c :=
+      stage "sweep.odc"
+        (fun c ->
+          let out, k, sat =
+            odc_stage ~rng ~max_sat_checks:max_odc_checks c
+          in
+          odc_rewrites := !odc_rewrites + k;
+          out, k, sat)
+        !c;
     progress := N.size !c < size0
   done;
   Instr.count "sweep.removed" (max 0 (gates_before - N.size !c));

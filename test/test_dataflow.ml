@@ -1,15 +1,12 @@
-(* The semantic dataflow engine: lattice laws, the generic fixpoint,
-   forward/backward abstract interpretation, SAT-backed equivalence
-   classes, the rebuild engine and the verified sweep — plus the
-   learner-level contract (sweep issues no queries, never grows the
-   circuit, preserves the function). *)
+(* The semantic dataflow engine: SAT-backed equivalence classes, the
+   rebuild engine and the verified sweep — plus the learner-level
+   contract (sweep issues no queries, never grows the circuit, preserves
+   the function). *)
 
 module Bv = Lr_bitvec.Bv
 module Rng = Lr_bitvec.Rng
 module N = Lr_netlist.Netlist
 module Equiv = Lr_aig.Equiv
-module L = Lr_dataflow.Lattice
-module Absint = Lr_dataflow.Absint
 module Fraig = Lr_aig.Fraig
 module Soa = Lr_kernel.Soa
 module Rebuild = Lr_dataflow.Rebuild
@@ -36,88 +33,6 @@ let assert_equivalent label c1 c2 =
   | Equiv.Counterexample cex ->
       Alcotest.failf "%s: not equivalent on %s" label (Bv.to_string cex)
 
-(* -------------------------------------------------------------- lattice *)
-
-let test_lattice_laws () =
-  let all = [ L.Zero; L.One; L.Top ] in
-  List.iter
-    (fun a ->
-      check "join idempotent" true (L.equal (L.join a a) a);
-      check "top absorbs" true (L.equal (L.join a L.Top) L.Top);
-      List.iter
-        (fun b -> check "join commutes" true (L.equal (L.join a b) (L.join b a)))
-        all)
-    all;
-  (* controlling values decide even against Top *)
-  check "0 controls AND" true (L.equal (L.and_ L.Zero L.Top) L.Zero);
-  check "1 controls OR" true (L.equal (L.or_ L.Top L.One) L.One);
-  check "0 controls NAND" true (L.equal (L.nand_ L.Zero L.Top) L.One);
-  check "1 controls NOR" true (L.equal (L.nor_ L.One L.Top) L.Zero);
-  (* XOR/XNOR have no controlling value *)
-  check "XOR leaks nothing" true (L.equal (L.xor_ L.Zero L.Top) L.Top);
-  check "XNOR leaks nothing" true (L.equal (L.xnor_ L.One L.Top) L.Top);
-  (* known operands evaluate exactly *)
-  check "1 xor 1" true (L.equal (L.xor_ L.One L.One) L.Zero);
-  check "not 0" true (L.equal (L.not_ L.Zero) L.One);
-  check "to_bool" true (L.to_bool L.One = Some true && L.to_bool L.Top = None)
-
-let test_fixpoint_directions () =
-  (* forward chain: v(0) = 1, v(i) = v(i-1) + 1 *)
-  let n = 5 in
-  let fwd =
-    L.fixpoint ~n ~direction:L.Forward
-      ~dependents:(fun i -> if i < n - 1 then [ i + 1 ] else [])
-      ~transfer:(fun get i -> if i = 0 then 1 else get (i - 1) + 1)
-      ~equal:Int.equal
-      ~init:(fun _ -> 0)
-  in
-  Alcotest.(check (array int)) "forward chain" [| 1; 2; 3; 4; 5 |] fwd;
-  (* backward chain: v(n-1) = 1, v(i) = v(i+1) + 1 *)
-  let bwd =
-    L.fixpoint ~n ~direction:L.Backward
-      ~dependents:(fun i -> if i > 0 then [ i - 1 ] else [])
-      ~transfer:(fun get i -> if i = n - 1 then 1 else get (i + 1) + 1)
-      ~equal:Int.equal
-      ~init:(fun _ -> 0)
-  in
-  Alcotest.(check (array int)) "backward chain" [| 5; 4; 3; 2; 1 |] bwd
-
-(* --------------------------------------------------------------- absint *)
-
-let test_values_assume () =
-  let c = fresh 2 1 in
-  let a = N.input c 0 and b = N.input c 1 in
-  let g = N.and_ c a b in
-  N.set_output c 0 (N.or_ c g (N.not_ c b));
-  let free = Absint.values c in
-  check "unassumed gate is Top" true (L.equal free.(g) L.Top);
-  check "no free constants" true (Absint.constants ~values:free c = []);
-  (* pin b = 0: the AND dies, the output is forced to 1 *)
-  let pinned = Absint.values ~assume:[ (b, false) ] c in
-  check "AND under b=0" true (L.equal pinned.(g) L.Zero);
-  check "output under b=0" true (L.equal pinned.(N.output c 0) L.One);
-  let consts = Absint.constants ~values:pinned c in
-  check "AND reported constant" true (List.mem_assoc g consts)
-
-let test_observability_blocking () =
-  let c = fresh 2 2 in
-  let a = N.input c 0 and b = N.input c 1 in
-  N.set_output c 0 a;
-  N.set_output c 1 (N.and_ c a b);
-  let obs = Absint.observability c in
-  check "a seen by both outputs" true
-    (Absint.observed_by obs a 0 && Absint.observed_by obs a 1);
-  check "b seen only through the AND" true
-    ((not (Absint.observed_by obs b 0)) && Absint.observed_by obs b 1);
-  check_int "observer count of a" 2 (Absint.observers obs a);
-  (* under b = 0 the AND is constant, so its fanin edges are blocked:
-     a stays observable through output 0 only *)
-  let vals = Absint.values ~assume:[ (b, false) ] c in
-  let obs0 = Absint.observability ~values:vals c in
-  check "a blocked at the dead AND" true
-    (Absint.observed_by obs0 a 0 && not (Absint.observed_by obs0 a 1));
-  check "b observed nowhere" false (Absint.observed obs0 b)
-
 (* ------------------------------------------------- equivalence classes *)
 
 (* the netlist layer's call of the shared fraig loop, at its caps *)
@@ -140,15 +55,13 @@ let test_classes_de_morgan () =
   check "at least one SAT proof" true (eq.Fraig.proved >= 1)
 
 let test_classes_sat_constant () =
-  (* x XOR y XOR (x XNOR y) is the constant 1, invisible to the lattice
-     and to strashing, provable by SAT *)
+  (* x XOR y XOR (x XNOR y) is the constant 1, invisible to strashing,
+     provable by SAT *)
   let c = fresh 2 1 in
   let a = N.input c 0 and b = N.input c 1 in
   let g = N.xor_ c (N.xor_ c a b) (N.xnor_ c a b) in
   N.set_output c 0 g;
   check "strash kept the tautology" true (g <> N.const_true c);
-  let vals = Absint.values c in
-  check "lattice cannot see it" true (L.equal vals.(g) L.Top);
   let eq = classes ~rng:(Rng.create 7) c in
   check "SAT resolves it to constant true" true
     (Fraig.repr_node eq g = 1 && not (Fraig.repr_phase eq g)
@@ -161,7 +74,9 @@ let test_rebuild_const_action () =
   let a = N.input c 0 and b = N.input c 1 in
   let g = N.and_ c a b in
   N.set_output c 0 (N.or_ c g a);
-  let plan node = if node = g then Rebuild.Const true else Rebuild.Keep in
+  let plan node =
+    if node = g then Rebuild.Alias (N.const_true c, false) else Rebuild.Keep
+  in
   let c' = Rebuild.apply c plan in
   (* OR(1, a) folds to the constant; the whole cone evaporates *)
   check_int "all gates folded away" 0 (N.size c');
@@ -204,16 +119,6 @@ let test_sweep_never_grows () =
   check_int "nothing removed" 0 (Sweep.removed st);
   check_int "size unchanged" (N.size c) (N.size swept);
   assert_equivalent "identity sweep" c swept
-
-let test_sweep_const_level () =
-  (* Const_prop alone must not touch SAT-provable-only redundancy *)
-  let c = fresh 2 1 in
-  let a = N.input c 0 and b = N.input c 1 in
-  N.set_output c 0 (N.or_ c (N.or_ c a b) (xor_tree c a b));
-  let _, st = Sweep.run ~level:Sweep.Const_prop ~rng:(Rng.create 3) c in
-  check_int "no merges at const level" 0 st.Sweep.merged;
-  check_int "no xor recovery at const level" 0 st.Sweep.xor_recovered;
-  check_int "no odc rewrites at const level" 0 st.Sweep.odc_rewrites
 
 (* ------------------------------------------------------------- semantic *)
 
@@ -266,26 +171,38 @@ let test_learner_sweep_contract () =
 (* ---------------------------------------------- against the old sweep *)
 
 (* The sweep against the one it replaced (Sweep_ref): the same circuit
-   byte for byte, the same stats, and the same ODC candidates. Returns
-   the stats so a caller can check what the netlist exercised. *)
+   byte for byte, the same stats, and the same ODC candidates — while
+   the reference's constant stage, which the sweep no longer has, folds
+   nothing. Returns the stats so a caller can check what the netlist
+   exercised. *)
 let stats_testable =
   let pp ppf (st : Sweep.stats) =
     Format.fprintf ppf
-      "rounds=%d const=%d merged=%d xor=%d odc=%d sat=%d gates=%d->%d"
-      st.rounds st.const_folded st.merged st.xor_recovered st.odc_rewrites
-      st.sat_calls st.gates_before st.gates_after
+      "rounds=%d merged=%d xor=%d odc=%d sat=%d gates=%d->%d" st.rounds
+      st.merged st.xor_recovered st.odc_rewrites st.sat_calls st.gates_before
+      st.gates_after
   in
   Alcotest.testable pp ( = )
 
 let check_as_reference ctx ~seed c =
-  let swept, st = Sweep.run ~level:Sweep.Full ~rng:(Rng.create seed) c in
-  let swept_ref, st_ref =
-    Sweep_ref.run ~level:Sweep_ref.Full ~rng:(Rng.create seed) c
-  in
+  let swept, st = Sweep.run ~rng:(Rng.create seed) c in
+  let swept_ref, st_ref = Sweep_ref.run ~rng:(Rng.create seed) c in
   Alcotest.(check string)
     (ctx ^ ": identical swept circuit")
     (Io.write swept_ref) (Io.write swept);
-  Alcotest.check stats_testable (ctx ^ ": identical stats") st_ref st;
+  check_int (ctx ^ ": reference folds no constant") 0
+    st_ref.Sweep_ref.const_folded;
+  Alcotest.check stats_testable (ctx ^ ": identical stats")
+    {
+      Sweep.rounds = st_ref.rounds;
+      merged = st_ref.merged;
+      xor_recovered = st_ref.xor_recovered;
+      odc_rewrites = st_ref.odc_rewrites;
+      sat_calls = st_ref.sat_calls;
+      gates_before = st_ref.gates_before;
+      gates_after = st_ref.gates_after;
+    }
+    st;
   Alcotest.(check (list (triple int int bool)))
     (ctx ^ ": identical ODC candidates")
     (Sweep_ref.odc_candidates ~rng:(Rng.create seed) c)
@@ -350,13 +267,6 @@ let test_sweep_matches_reference_cases () =
 
 let tests =
   [
-    Alcotest.test_case "lattice laws" `Quick test_lattice_laws;
-    Alcotest.test_case "fixpoint both directions" `Quick
-      test_fixpoint_directions;
-    Alcotest.test_case "forward values under assumptions" `Quick
-      test_values_assume;
-    Alcotest.test_case "observability blocking" `Quick
-      test_observability_blocking;
     Alcotest.test_case "equivalence classes across De Morgan" `Quick
       test_classes_de_morgan;
     Alcotest.test_case "SAT-only constant detected" `Quick
@@ -367,8 +277,6 @@ let tests =
       test_sweep_recovers_xor;
     Alcotest.test_case "sweep is identity on minimal logic" `Quick
       test_sweep_never_grows;
-    Alcotest.test_case "const level stays structural" `Quick
-      test_sweep_const_level;
     Alcotest.test_case "semantic rules fire and normalize" `Quick
       test_semantic_rules;
     Alcotest.test_case "learner sweep contract" `Quick

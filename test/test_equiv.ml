@@ -199,6 +199,43 @@ let test_sat_assignment_matches_reference () =
   check "equivalent pairs met" true (!unsat > !constant);
   check "inequivalent pairs met" true (!sat > 0)
 
+(* Two circuits sharing their structure strash to a constant-false
+   miter: the verdict needs neither the simulation prefilter nor SAT, so
+   the caller's [rng] is left where it was. A miter that does not fold
+   still runs the prefilter, which draws from [rng]. *)
+let test_constant_miter_skips_prefilter () =
+  let mk () =
+    let c = N.create ~input_names:(names "x" 3) ~output_names:(names "z" 2) in
+    let x i = N.input c i in
+    N.set_output c 0 (N.xor_ c (x 0) (N.and_ c (x 1) (x 2)));
+    N.set_output c 1 (N.or_ c (x 2) (x 0));
+    c
+  in
+  let untouched label rng =
+    check label true (Rng.bits64 rng = Rng.bits64 (Rng.create 5))
+  in
+  let rng = Rng.create 5 in
+  check "identical netlists equivalent" true
+    (Equiv.check ~rng (mk ()) (mk ()) = Equiv.Equivalent);
+  untouched "netlist check draws no pattern" rng;
+  let rng = Rng.create 5 in
+  check "identical AIGs equivalent" true
+    (Equiv.check_aig ~rng (Aig.of_netlist (mk ())) (Aig.of_netlist (mk ()))
+    = Equiv.Equivalent);
+  untouched "AIG check draws no pattern" rng;
+  let twin =
+    let c = N.create ~input_names:(names "x" 3) ~output_names:(names "z" 2) in
+    let x i = N.input c i in
+    N.set_output c 0 (N.xnor_ c (x 0) (N.nand_ c (x 1) (x 2)));
+    N.set_output c 1 (N.nand_ c (N.not_ c (x 0)) (N.not_ c (x 2)));
+    c
+  in
+  let rng = Rng.create 5 in
+  check "restructured twin equivalent" true
+    (Equiv.check ~rng (mk ()) twin = Equiv.Equivalent);
+  check "a non-constant miter is prefiltered" true
+    (Rng.bits64 rng <> Rng.bits64 (Rng.create 5))
+
 let tests =
   [
     Alcotest.test_case "structural variants" `Quick test_equivalent_structures;
@@ -214,4 +251,6 @@ let tests =
       test_sat_assignment_constants;
     Alcotest.test_case "sat_assignment verdicts match the whole-AIG encoding"
       `Quick test_sat_assignment_matches_reference;
+    Alcotest.test_case "constant miter needs no simulation" `Quick
+      test_constant_miter_skips_prefilter;
   ]

@@ -88,8 +88,7 @@ let test_cone_minimality () =
     in
     (* an input perturbation recomputes exactly the cone of the nodes
        reading that input — never one node more *)
-    let e = Incr.create s in
-    Incr.load e (Array.init ni (fun _ -> Rng.bits64 rng));
+    let e = Incr.create s (Array.init ni (fun _ -> Rng.bits64 rng)) in
     let i = Rng.int rng ni in
     Incr.set_input e i (Rng.bits64 rng);
     let readers =

@@ -144,6 +144,7 @@ let test_proto_rejects () =
   check "bad preset" true (bad {|{"case":"case_1","preset":"turbo"}|});
   check "bad seed type" true (bad {|{"case":"case_1","seed":"one"}|});
   check "bad check enum" true (bad {|{"case":"case_1","check":"maybe"}|});
+  check "retired sweep level" true (bad {|{"case":"case_1","sweep":"const"}|});
   check "defaults applied" true
     (Proto.of_string {|{"case":"case_1"}|} = Ok (Proto.default ~case:"case_1"))
 
