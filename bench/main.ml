@@ -25,7 +25,6 @@ module Instr = Lr_instr.Instr
 module Json = Lr_instr.Json
 module Progress = Lr_prof.Progress
 module Log = Lr_obs.Log
-module Alerts = Lr_obs.Alerts
 module Server = Lr_obs.Server
 
 (* set once by the driver from --seed / --time-budget / --check, read
@@ -37,10 +36,6 @@ let sweep_level = ref Config.Sweep_off
 let jobs = ref 1
 let fault_spec = ref None
 let retry_attempts = ref 1
-
-(* armed by --alerts; its firing total lands in the bench report so
-   lr_report check --deny-alerts can gate on it *)
-let alerts_engine : Alerts.t option ref = ref None
 
 (* accumulated across every learner run so the JSON report can flag
    best-effort circuits: lr_report check refuses degraded reports *)
@@ -499,11 +494,6 @@ let json_of_rows rows =
       (* recorded for the reader: the parallelism level of the run *)
       ("jobs", Json.Int !jobs);
       ("degraded", Json.Int !degraded_total);
-      ( "alerts_fired",
-        Json.Int
-          (match !alerts_engine with
-          | Some e -> Alerts.total_fired e
-          | None -> 0) );
       ( "rows",
         Json.List
           (List.map
@@ -557,15 +547,16 @@ let () =
   let jobs_v, args = extract "--jobs" args in
   let faults_v, args = extract "--faults" args in
   let retry_v, args = extract "--retry" args in
-  let alerts_v, args = extract "--alerts" args in
   let listen_v, args = extract "--listen" args in
   let args = List.filter (fun a -> a <> "--quick") args in
-  let float_of key = function
+  (* the ranges learn's options enforce: seconds > 0 (which refuses
+     nan), a job count >= 0 *)
+  let seconds_of key = function
     | None -> None
     | Some v -> (
         match float_of_string_opt v with
-        | Some f -> Some f
-        | None ->
+        | Some f when f > 0.0 -> Some f
+        | _ ->
             Printf.eprintf "bad %s value: %s\n" key v;
             exit 1)
   in
@@ -577,12 +568,12 @@ let () =
           Printf.eprintf "bad --seed value: %s\n" v;
           exit 1)
   | None -> ());
-  time_budget := float_of "--time-budget" budget_s;
+  time_budget := seconds_of "--time-budget" budget_s;
   (match jobs_v with
   | Some v -> (
       match int_of_string_opt v with
-      | Some j -> jobs := j
-      | None ->
+      | Some j when j >= 0 -> jobs := j
+      | _ ->
           Printf.eprintf "bad --jobs value: %s\n" v;
           exit 1)
   | None -> ());
@@ -604,7 +595,7 @@ let () =
   | None -> ());
   (match faults_v with
   | Some v -> (
-      match Lr_faults.Faults.load v with
+      match Lr_faults.Faults.of_string v with
       | Ok spec -> fault_spec := Some spec
       | Error msg ->
           Printf.eprintf "bad --faults value: %s\n" msg;
@@ -619,16 +610,6 @@ let () =
           exit 1)
   | None -> ());
   Log.set_sinks [ Log.stderr_sink () ];
-  (match alerts_v with
-  | Some v -> (
-      match Alerts.load v with
-      | Ok spec ->
-          alerts_engine :=
-            Some (Alerts.create ?time_budget_s:!time_budget spec)
-      | Error msg ->
-          Printf.eprintf "bad --alerts value: %s\n" msg;
-          exit 1)
-  | None -> ());
   let listen =
     Option.map
       (fun v ->
@@ -639,7 +620,7 @@ let () =
             exit 1)
       listen_v
   in
-  let heartbeat = float_of "--heartbeat" heartbeat in
+  let heartbeat = seconds_of "--heartbeat" heartbeat in
   (* one progress fold for the whole bench, feeding the heartbeat and the
      live server *)
   let live =
@@ -670,11 +651,7 @@ let () =
          close_out (open_out_or_die ~flag:"--trace-jsonl" f);
          [ Instr.jsonl_file f ]
      | None -> [])
-    @ (match live with Some run -> [ Progress.fold run ] | None -> [])
-    @
-    match !alerts_engine with
-    | Some engine -> [ Alerts.sink engine ]
-    | None -> []);
+    @ match live with Some run -> [ Progress.fold run ] | None -> []);
   let server =
     match (listen, live) with
     | Some port, Some run -> (

@@ -19,7 +19,6 @@ module Metrics = Lr_prof.Metrics
 module Finding = Lr_check.Finding
 module Faults = Lr_faults.Faults
 module Log = Lr_obs.Log
-module Alerts = Lr_obs.Alerts
 module Server = Lr_obs.Server
 
 open Cmdliner
@@ -233,9 +232,8 @@ let faults_arg =
     "Arm deterministic fault injection on the black box. $(docv) is a \
      compact schedule (comma-separated key=value: seed=N, fail=P, \
      burst=N, latency=P:SECS, flip=BIT, stuck=BIT:0|1, at=ONSET, \
-     for=QUERIES, exhaust=N) or the path of a schedule file (JSON \
-     lr-fault-schedule/v1 or compact form). The schedule is seeded and \
-     replayed per output, so runs stay reproducible at any --jobs. \
+     for=QUERIES, exhaust=N). The schedule is seeded and replayed per \
+     output, so runs stay reproducible at any --jobs. \
      Outputs whose queries keep failing past --retry degrade to \
      constants (method degraded-fault) and the exit code is 3."
   in
@@ -270,16 +268,6 @@ let listen_arg =
      overhead on the run."
   in
   Arg.(value & opt (some int) None & info [ "listen" ] ~docv:"PORT" ~doc)
-
-let alerts_arg =
-  let doc =
-    "Arm alert rules over the live telemetry (compact form, e.g. \
-     $(b,degraded>0,retry_rate>0.05@10s,budget_burn>2x), or the path \
-     of an lr-alerts/v1 JSON file). Fired rules emit warn-level log \
-     records and an alerts section in the run report, which \
-     $(b,lr_report check --deny-alerts) gates on."
-  in
-  Arg.(value & opt (some string) None & info [ "alerts" ] ~docv:"SPEC" ~doc)
 
 let log_level_conv =
   let parse s =
@@ -423,8 +411,8 @@ let print_phase_breakdown oc report =
 
 let learn_run case preset seed budget eval_patterns support_rounds no_templates
     no_grouping out trace_jsonl progress metrics_out json heartbeat time_budget
-    check sweep jobs faults retry_attempts retry_backoff listen alerts
-    log_level log_file =
+    check sweep jobs faults retry_attempts retry_backoff listen log_level
+    log_file =
   (* structured logging is on for the CLI (stderr, human format) so the
      library's warn/error records — and fatal argument errors — have a
      sink from the first line on *)
@@ -448,20 +436,9 @@ let learn_run case preset seed budget eval_patterns support_rounds no_templates
     match faults with
     | None -> None
     | Some arg -> (
-        match Faults.load arg with
+        match Faults.of_string arg with
         | Ok spec -> Some spec
         | Error msg -> die "bad --faults: %s" msg)
-  in
-  let alerts_engine =
-    match alerts with
-    | None -> None
-    | Some arg -> (
-        match Alerts.load arg with
-        | Ok spec ->
-            Some
-              (Alerts.create ?query_budget:budget ?time_budget_s:time_budget
-                 spec)
-        | Error msg -> die "bad --alerts: %s" msg)
   in
   if retry_attempts < 1 then die "--retry must be >= 1";
   let config =
@@ -490,9 +467,6 @@ let learn_run case preset seed budget eval_patterns support_rounds no_templates
     setup_sinks ?heartbeat ?time_budget ?query_budget:budget ~trace_jsonl
       ~progress ~listen ()
   in
-  (match alerts_engine with
-  | Some engine -> Instr.add_sink (Alerts.sink engine)
-  | None -> ());
   let server =
     match (listen, live) with
     | Some port, Some run -> (
@@ -551,11 +525,6 @@ let learn_run case preset seed budget eval_patterns support_rounds no_templates
       "  NOTE: %d output(s) degraded to constants after unrecoverable \
        query faults\n"
       report.Learner.degraded;
-  (match alerts_engine with
-  | Some engine ->
-      Printf.fprintf hout "  alerts:  %d rule(s) fired\n"
-        (Alerts.total_fired engine)
-  | None -> ());
   print_phase_breakdown hout report;
   (match report.Learner.matches with
   | Some m when m.T.linears <> [] || m.T.comparators <> [] ->
@@ -590,15 +559,8 @@ let learn_run case preset seed budget eval_patterns support_rounds no_templates
     Printf.fprintf hout "accuracy: %s on %d patterns\n"
       (accuracy_string accuracy) eval_patterns;
   (if json <> None then
-     (* the alerts section only exists when --alerts armed the engine,
-        so unarmed runs keep the exact lr-run-report/v1 key set *)
-     let extra =
-       match alerts_engine with
-       | Some engine -> [ ("alerts", Alerts.report_json engine) ]
-       | None -> []
-     in
      let report_json =
-       Learner.report_json ~extra ~case ~seed ~time_budget_s:time_budget
+       Learner.report_json ~case ~seed ~time_budget_s:time_budget
          ~faults:fault_spec ~eval_patterns ~accuracy report
      in
      match (json, json_oc) with
@@ -683,8 +645,7 @@ let learn_cmd =
       $ eval_arg $ support_rounds_arg $ no_templates_arg $ no_grouping_arg
       $ out_arg $ trace_jsonl_arg $ progress_arg $ metrics_out_arg $ json_arg
       $ heartbeat_arg $ time_budget_arg $ check_arg $ sweep_arg $ jobs_arg $ faults_arg
-      $ retry_arg $ retry_backoff_arg $ listen_arg $ alerts_arg $ log_level_arg
-      $ log_file_arg)
+      $ retry_arg $ retry_backoff_arg $ listen_arg $ log_level_arg $ log_file_arg)
 
 (* ---------- baseline ---------- *)
 

@@ -3,10 +3,10 @@
    One file: parse it (BLIF, ASCII AIGER, or the .lrc text netlist),
    report every source-level and structural finding plus per-output cone
    statistics; --deep adds the semantic dataflow rules (SAT-proven
-   duplicates and constants, rewrite opportunities). Two files: prove combinational equivalence, reporting
-   the offending output and a counterexample when they differ. Exit
-   status 1 on error findings or non-equivalence, 2 on unreadable or
-   unparseable input. *)
+   duplicates and constants, rewrite opportunities). Two files: prove
+   combinational equivalence, reporting the offending output and a
+   counterexample when they differ. Exit status 1 when they are not
+   equivalent, 2 on unreadable or unparseable input. *)
 
 module N = Lr_netlist.Netlist
 module Blif = Lr_netlist.Blif
@@ -47,12 +47,17 @@ let parse_finding ~rule msg =
   Finding.make Finding.Error ~rule ~where:"" ~hint:"fix the parse error first"
     msg
 
-(* Lint one file: (findings, cones, netlist, parse_failed). The netlist
-   is linted only when the source parses; a source that does not parse
-   still produces a report but flips [parse_failed], which maps to exit
-   status 2 rather than 1 (findings on a well-formed circuit). *)
+(* Lint one file: (findings, cones, removed, parse_failed), where
+   [removed] is the gate count a sweep would reclaim, measured only by
+   a deep lint of a source that parses. A source that does not parse
+   still produces a report but flips [parse_failed] (exit status 2). *)
 let lint_file ~deep path =
-  let semantic c = if deep then Semantic.netlist c else [] in
+  let semantic c =
+    if deep then
+      let findings, removed = Semantic.netlist c in
+      (findings, Some removed)
+    else ([], None)
+  in
   match format_of_path path with
   | Fblif -> (
       let text = read_text path in
@@ -60,9 +65,10 @@ let lint_file ~deep path =
       if Finding.errors source <> [] then (source, [], None, true)
       else
         let c = Blif.read text in
-        ( Finding.normalize (source @ Lint.netlist c @ semantic c),
+        let deep_findings, removed = semantic c in
+        ( Finding.normalize (source @ Lint.netlist c @ deep_findings),
           Lint.cones c,
-          Some c,
+          removed,
           false ))
   | Faiger -> (
       match Aiger.read_file path with
@@ -70,18 +76,20 @@ let lint_file ~deep path =
           ([ parse_finding ~rule:"aiger-source" msg ], [], None, true)
       | aig ->
           let c = Aig.to_netlist aig in
-          ( Finding.normalize (Lint.aig aig @ semantic c),
+          let deep_findings, removed = semantic c in
+          ( Finding.normalize (Lint.aig aig @ deep_findings),
             Lint.cones c,
-            Some c,
+            removed,
             false ))
   | Flrc -> (
       match Io.read_file path with
       | exception Failure msg ->
           ([ parse_finding ~rule:"lrc-source" msg ], [], None, true)
       | c ->
-          ( Finding.normalize (Lint.netlist c @ semantic c),
+          let deep_findings, removed = semantic c in
+          ( Finding.normalize (Lint.netlist c @ deep_findings),
             Lint.cones c,
-            Some c,
+            removed,
             false ))
 
 let read_netlist path =
@@ -95,17 +103,16 @@ let severity_counts findings =
     Finding.count Finding.Warning findings,
     Finding.count Finding.Info findings )
 
-let lint_json ~deep path findings cones netlist =
+let lint_json ~deep path findings cones removed =
   let e, w, i = severity_counts findings in
   let rule_counts =
     Json.Obj
       (List.map (fun (r, c) -> (r, Json.Int c)) (Semantic.rule_counts findings))
   in
   let estimate =
-    match (deep, netlist) with
-    | true, Some c ->
-        [ ("nodes_removed_estimate", Json.Int (Semantic.removal_estimate c)) ]
-    | _ -> []
+    match removed with
+    | Some n -> [ ("nodes_removed_estimate", Json.Int n) ]
+    | None -> []
   in
   Json.Obj
     ([
@@ -161,7 +168,7 @@ let run path1 path2 json quiet deep =
       | exception Sys_error msg ->
           Printf.eprintf "error: %s\n" msg;
           2
-      | findings, cones, netlist, parse_failed ->
+      | findings, cones, removed, parse_failed ->
           let e, w, i = severity_counts findings in
           if not quiet then begin
             List.iter
@@ -178,8 +185,8 @@ let run path1 path2 json quiet deep =
             Printf.printf "%s: %d error(s), %d warning(s), %d info\n" path1 e w
               i
           end;
-          emit_json (lint_json ~deep path1 findings cones netlist) json;
-          if parse_failed then 2 else if e > 0 then 1 else 0)
+          emit_json (lint_json ~deep path1 findings cones removed) json;
+          if parse_failed then 2 else 0)
   | Some path2 -> (
       let load path =
         match read_netlist path with
@@ -270,8 +277,8 @@ let cmd =
          and rewrite opportunities. With two files, proves combinational \
          equivalence by simulation plus SAT.";
       `P
-        "Exit status: 0 clean or equivalent; 1 error findings or not \
-         equivalent; 2 unreadable or unparseable input.";
+        "Exit status: 0 linted or equivalent; 1 not equivalent; 2 \
+         unreadable or unparseable input.";
     ]
   in
   Cmd.v

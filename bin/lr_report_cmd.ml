@@ -1,10 +1,10 @@
 (* Report gate front end:
 
-     lr_report check REPORT... [--method M] [--min-accuracy P] [--deny-alerts]
+     lr_report check REPORT... [--method M] [--min-accuracy P]
 
    [check] gates each run or bench report on its own, on what CI
-   asserts: fired alerts, degraded or cache-served runs, and an accuracy
-   floor. Comparing the performance of two runs is the ledger's job
+   asserts: degraded or cache-served runs, and an accuracy floor.
+   Comparing the performance of two runs is the ledger's job
    (ledger/main.exe), which repeats each run and judges every metric
    against its noise bound. *)
 
@@ -53,50 +53,12 @@ let min_accuracy_arg =
     & opt (some float) None
     & info [ "min-accuracy" ] ~docv:"PERCENT" ~doc)
 
-let deny_alerts_arg =
-  let doc =
-    "Fail (exit 1) when any report recorded fired alert rules (a run \
-     report's alerts section, or a bench report's alerts_fired count)."
-  in
-  Arg.(value & flag & info [ "deny-alerts" ] ~doc)
-
-(* Alert firings recorded in a report: run reports carry an "alerts"
-   object with a "fired" total, bench reports a flat "alerts_fired". *)
-let alerts_fired_of_report report =
-  match Option.bind (Json.member "alerts" report) (Json.member "fired") with
-  | Some v -> Option.value ~default:0 (Json.get_int v)
-  | None ->
-      Option.value ~default:0
-        (Option.bind (Json.member "alerts_fired" report) Json.get_int)
-
 let pp_acc = function Some a -> Printf.sprintf "%.3f" a | None -> "-"
 
-let check_run paths method_ min_acc deny_alerts =
+let check_run paths method_ min_acc =
   let reports = List.map (fun path -> (path, load_report path)) paths in
-  (* the alert gate runs before the degraded refusal: a fault-injected
-     run that fired its rules should report the firing (exit 1), not be
-     refused as unusable (exit 2) *)
-  if deny_alerts then begin
-    let fired =
-      List.filter_map
-        (fun (path, report) ->
-          match alerts_fired_of_report report with
-          | 0 -> None
-          | n -> Some (path, n))
-        reports
-    in
-    match fired with
-    | [] -> ()
-    | fired ->
-        List.iter
-          (fun (path, n) ->
-            Printf.printf "ALERTS: %s fired %d alert(s)\n" path n)
-          fired;
-        print_endline "check failed: alerts fired (--deny-alerts)";
-        exit 1
-  end;
-  (* likewise refuse degraded runs: outputs emitted as best-effort
-     constants after query faults make size/accuracy meaningless *)
+  (* refuse degraded runs: outputs emitted as best-effort constants
+     after query faults make size/accuracy meaningless *)
   List.iter
     (fun (path, report) ->
       let d = Compare.degraded_of_report report in
@@ -157,14 +119,13 @@ let check_run paths method_ min_acc deny_alerts =
 
 let check_cmd =
   let doc =
-    "gate each report on its own: alerts, degraded or cache-served runs, \
-     and an accuracy floor"
+    "gate each report on its own: degraded or cache-served runs, and an \
+     accuracy floor"
   in
   Cmd.v
     (Cmd.info "check" ~doc)
     Term.(
-      const check_run $ reports_pos $ method_filter_arg $ min_accuracy_arg
-      $ deny_alerts_arg)
+      const check_run $ reports_pos $ method_filter_arg $ min_accuracy_arg)
 
 let main =
   let doc = "gate run and bench reports" in

@@ -141,8 +141,8 @@ val report_json :
     [null]), then every field of the report. One [phases] row per
     {!phase_names} entry that ran, carrying its GC deltas, plus a final
     ["other"] row; one [outputs_detail] row per output; then [extra]
-    (default none). [learn --json] adds an [alerts] section when alerts
-    are armed, and [lr_serve] adds [job_id], [tenant] and [cache_hit]. *)
+    (default none). [lr_serve] adds [job_id], [tenant] and
+    [cache_hit]. *)
 
 val learn : ?config:Config.t -> Lr_blackbox.Blackbox.t -> report
 (** Learn a circuit for the black-box. The box's budget (if any) drives the

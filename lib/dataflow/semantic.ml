@@ -93,17 +93,14 @@ let netlist ?(seed = 1) ?(max_sat_checks = 2000) c =
     (Sweep.odc_candidates ~rng c);
   (* summary: what a full sweep would reclaim *)
   let _, st = Sweep.run ~rng:(Rng.create seed) c in
-  if Sweep.removed st > 0 then
+  let removed = Sweep.removed st in
+  if removed > 0 then
     add
       (F.make F.Info ~rule:"sweep-opportunity" ~where:""
          ~hint:"run with --sweep full"
-         (sprintf "a verified sweep removes %d of %d gates" (Sweep.removed st)
+         (sprintf "a verified sweep removes %d of %d gates" removed
             st.Sweep.gates_before));
-  F.normalize !findings
-
-let removal_estimate ?(seed = 1) c =
-  let _, st = Sweep.run ~rng:(Rng.create seed) c in
-  Sweep.removed st
+  (F.normalize !findings, removed)
 
 let rule_counts findings =
   let tbl = Hashtbl.create 16 in

@@ -30,13 +30,12 @@
 
 module N = Lr_netlist.Netlist
 
-val netlist : ?seed:int -> ?max_sat_checks:int -> N.t -> Lr_check.Finding.t list
-(** Deep-lint a netlist. [seed] (default 1) drives the simulation
-    patterns; [max_sat_checks] (default 2000) bounds the SAT work. *)
-
-val removal_estimate : ?seed:int -> N.t -> int
-(** Gates a {!Sweep.run} would remove (a dry run — the
-    argument netlist is not modified). *)
+val netlist :
+  ?seed:int -> ?max_sat_checks:int -> N.t -> Lr_check.Finding.t list * int
+(** Deep-lint a netlist: the findings, and the gates a {!Sweep.run}
+    would remove (a dry run — the argument netlist is not modified).
+    [seed] (default 1) drives the simulation patterns; [max_sat_checks]
+    (default 2000) bounds the SAT work. *)
 
 val rule_counts : Lr_check.Finding.t list -> (string * int) list
 (** Findings per rule id, sorted by rule id — the [lr-lint-report/v2]

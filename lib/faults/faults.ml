@@ -1,6 +1,5 @@
 module Bv = Lr_bitvec.Bv
 module Rng = Lr_bitvec.Rng
-module Json = Lr_instr.Json
 module Log = Lr_obs.Log
 
 (* ---------- retry policy ---------- *)
@@ -49,9 +48,19 @@ let none =
 
 (* ---------- compact string form ---------- *)
 
+(* the shortest of three precisions that reads back to [f] exactly, so
+   everyday values keep their short spelling ([0.02], not
+   [0.020000000000000000416]) and [of_string (to_string s) = Ok s] holds
+   for every float; [%.17g] always round-trips a double *)
 let float_compact f =
-  let s = Printf.sprintf "%.12g" f in
-  s
+  let exact fmt =
+    let s = Printf.sprintf fmt f in
+    if float_of_string s = f then Some s else None
+  in
+  match exact "%.12g" with
+  | Some s -> s
+  | None -> (
+      match exact "%.15g" with Some s -> s | None -> Printf.sprintf "%.17g" f)
 
 let to_string s =
   let parts = ref [] in
@@ -59,7 +68,7 @@ let to_string s =
   add "seed=%d" s.seed;
   if s.fail_p > 0.0 then add "fail=%s" (float_compact s.fail_p);
   if s.fail_burst <> none.fail_burst then add "burst=%d" s.fail_burst;
-  if s.latency_p > 0.0 then
+  if s.latency_p <> none.latency_p || s.latency_s <> none.latency_s then
     add "latency=%s:%s" (float_compact s.latency_p) (float_compact s.latency_s);
   (match s.corruption with
   | Some Flip -> add "flip=%d" s.victim
@@ -147,89 +156,6 @@ let of_string text =
     |> List.map String.trim
     |> List.filter (fun p -> p <> "")
     |> List.fold_left apply (Ok none)
-
-(* ---------- JSON form ---------- *)
-
-let to_json s =
-  Json.Obj
-    [
-      ("schema", Json.String "lr-fault-schedule/v1");
-      ("seed", Json.Int s.seed);
-      ("fail_p", Json.Float s.fail_p);
-      ("fail_burst", Json.Int s.fail_burst);
-      ("latency_p", Json.Float s.latency_p);
-      ("latency_s", Json.Float s.latency_s);
-      ( "corruption",
-        match s.corruption with
-        | None -> Json.Null
-        | Some Flip -> Json.String "flip"
-        | Some (Stuck_at false) -> Json.String "stuck0"
-        | Some (Stuck_at true) -> Json.String "stuck1" );
-      ("victim", Json.Int s.victim);
-      ("onset", Json.Int s.onset);
-      ( "duration",
-        if s.duration = max_int then Json.Null else Json.Int s.duration );
-      ( "exhaust_after",
-        match s.exhaust_after with None -> Json.Null | Some n -> Json.Int n );
-    ]
-
-let of_json v =
-  let int_f key ~default =
-    match Option.bind (Json.member key v) Json.get_int with
-    | Some i -> i
-    | None -> default
-  in
-  let float_f key ~default =
-    match Option.bind (Json.member key v) Json.get_float with
-    | Some f -> f
-    | None -> default
-  in
-  match Option.bind (Json.member "schema" v) Json.get_string with
-  | Some "lr-fault-schedule/v1" -> (
-      let corruption =
-        match Option.bind (Json.member "corruption" v) Json.get_string with
-        | Some "flip" -> Ok (Some Flip)
-        | Some "stuck0" -> Ok (Some (Stuck_at false))
-        | Some "stuck1" -> Ok (Some (Stuck_at true))
-        | Some other -> Error (Printf.sprintf "unknown corruption %S" other)
-        | None -> Ok None
-      in
-      match corruption with
-      | Error e -> Error e
-      | Ok corruption ->
-          Ok
-            {
-              seed = int_f "seed" ~default:none.seed;
-              fail_p = float_f "fail_p" ~default:0.0;
-              fail_burst = int_f "fail_burst" ~default:none.fail_burst;
-              latency_p = float_f "latency_p" ~default:0.0;
-              latency_s = float_f "latency_s" ~default:0.0;
-              corruption;
-              victim = int_f "victim" ~default:0;
-              onset = int_f "onset" ~default:0;
-              duration = int_f "duration" ~default:max_int;
-              exhaust_after =
-                Option.bind (Json.member "exhaust_after" v) Json.get_int;
-            })
-  | Some s -> Error ("not a fault schedule: schema " ^ s)
-  | None -> Error "not a fault schedule: missing schema"
-
-let load arg =
-  if Sys.file_exists arg && not (Sys.is_directory arg) then begin
-    let ic = open_in_bin arg in
-    let text =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    let text = String.trim text in
-    if String.length text > 0 && text.[0] = '{' then
-      match Json.of_string text with
-      | Ok v -> of_json v
-      | Error e -> Error (Printf.sprintf "%s: %s" arg e)
-    else of_string text
-  end
-  else of_string arg
 
 (* ---------- instantiated streams ---------- *)
 

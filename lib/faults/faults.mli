@@ -32,7 +32,7 @@
     {!Lr_blackbox.Blackbox} owns the integration: it consults an
     instantiated schedule around every query, applies the retry policy,
     and accounts faults and retries alongside its query counters. This
-    module stays dependency-light (bit-vectors, RNG, JSON) so anything
+    module stays dependency-light (bit-vectors, RNG, logging) so anything
     below the black box can host an injector. *)
 
 (** {1 Retry policy} *)
@@ -88,17 +88,9 @@ val of_string : string -> (spec, string) result
     ["seed=7,fail=0.02,burst=2,latency=0.1:0.005,flip=3,at=100,for=50"]. *)
 
 val to_string : spec -> string
-(** Canonical compact form; [of_string (to_string s) = Ok s]. *)
-
-val to_json : spec -> Lr_instr.Json.t
-(** Schema [lr-fault-schedule/v1]. *)
-
-val of_json : Lr_instr.Json.t -> (spec, string) result
-
-val load : string -> (spec, string) result
-(** [load arg] — if [arg] names an existing file, parse its contents
-    (JSON object or compact form, by first character); otherwise parse
-    [arg] itself as the compact form. *)
+(** Canonical compact form; [of_string (to_string s) = Ok s] for every
+    [s] that [of_string] returns. Each float is written with the fewest
+    significant digits (12, 15 or 17) that read back exactly. *)
 
 (** {1 Instantiated streams} *)
 

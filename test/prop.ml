@@ -975,6 +975,108 @@ let prop_degraded_netlist_lints () =
       && Finding.errors (Lint.netlist report.Learner.circuit) = []
       && netlist_invariants report.Learner.circuit)
 
+(* Fault spec reader fuzzing: the [key=value] parts of a [F.to_string]
+   text under a list of edits. An edit (kind, i, v) replaces part [i]'s
+   value by [fault_values.(v)] (0), drops part [i] (1), duplicates it
+   with that value (2), appends an unknown or misspelt key (3), or
+   truncates the text at byte [i] (4). The specs carry full-precision
+   floats and, now and then, a latency whose probability is 0 but whose
+   seconds are not, so an inexact printer shows. *)
+let fault_values =
+  [|
+    "-1"; "0"; "1"; "2"; string_of_int max_int; string_of_int min_int;
+    "99999999999999999999"; "1e400"; "-1e400"; "1e-400"; "-0"; "4.9e-324";
+    "0.1234567890123"; "0.00012345678901234"; "0x1p-3"; "1_000"; "nan";
+    "inf"; "-inf"; ""; "x"; "="; ":"; "0:5"; "0.5:nan"; "1:1:1"; "3:2";
+    "3:1"; "0.5:-1"; "0.5:1e-300";
+  |]
+
+let fault_text (spec, edits) =
+  let parts =
+    List.map
+      (fun part ->
+        match String.index_opt part '=' with
+        | Some i ->
+            (String.sub part 0 i, String.sub part (i + 1) (String.length part - i - 1))
+        | None -> (part, ""))
+      (String.split_on_char ',' (F.to_string spec))
+  in
+  let cut = ref None in
+  let parts =
+    List.fold_left
+      (fun parts (kind, i, v) ->
+        let n = List.length parts in
+        let i' = if n = 0 then 0 else i mod n in
+        let value = fault_values.(v mod Array.length fault_values) in
+        match kind, parts with
+        | 4, _ ->
+            cut := Some i;
+            parts
+        | 3, _ ->
+            parts @ [ ([| "bogus"; "Seed"; "fail "; "" |].(v mod 4), value) ]
+        | _, [] -> parts
+        | 0, _ -> List.mapi (fun j (k, x) -> (k, if j = i' then value else x)) parts
+        | 1, _ -> List.filteri (fun j _ -> j <> i') parts
+        | _, _ -> parts @ [ (fst (List.nth parts i'), value) ])
+      parts edits
+  in
+  let text = String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) parts) in
+  match !cut with
+  | Some i -> String.sub text 0 (i mod (String.length text + 1))
+  | None -> text
+
+let arb_fault_mutant =
+  {
+    gen =
+      (fun rng _ ->
+        let corruption =
+          match Rng.int rng 3 with
+          | 0 -> None
+          | 1 -> Some F.Flip
+          | _ -> Some (F.Stuck_at (Rng.bool rng))
+        in
+        let latency_p = if Rng.bool rng then 0.0 else Rng.float rng in
+        let spec =
+          {
+            F.seed = Rng.int rng 1_000_000 - 500;
+            fail_p = (if Rng.bool rng then 0.0 else Rng.float rng);
+            fail_burst = Rng.int rng 4;
+            latency_p;
+            latency_s = (if Rng.bool rng then 0.0 else 10.0 *. Rng.float rng);
+            corruption;
+            victim = (if corruption = None then 0 else Rng.int rng 64);
+            onset = Rng.int rng 1000;
+            duration = (if Rng.bool rng then max_int else Rng.int rng 1000);
+            exhaust_after =
+              (if Rng.bool rng then Some (Rng.int rng 10_000) else None);
+          }
+        in
+        let edit _ = (Rng.int rng 5, Rng.int rng 1000, Rng.int rng 1000) in
+        (spec, List.init (Rng.int rng 4) edit));
+    shrink =
+      (fun (spec, edits) ->
+        List.map (fun edits -> (spec, edits)) (shrink_list (fun _ -> []) edits));
+    print = (fun m -> Printf.sprintf "%S" (fault_text m));
+  }
+
+(* every mutant is accepted or refused with an [Error], never an
+   exception, and an accepted spec reads back to itself through
+   [F.to_string]. Both outcomes must occur, or the edits are not
+   biting. *)
+let prop_fault_reader_mutants () =
+  let accepted = ref 0 and refused = ref 0 in
+  check_prop ~count:2000 "mutated fault specs parse exactly or are refused"
+    arb_fault_mutant (fun m ->
+      match F.of_string (fault_text m) with
+      | Ok spec ->
+          incr accepted;
+          F.of_string (F.to_string spec) = Ok spec
+      | Error _ ->
+          incr refused;
+          true);
+  Alcotest.(check bool) "some mutants accepted" true (!accepted > 0);
+  Alcotest.(check bool) "some mutants refused" true (!refused > 0)
+
 (* ---------------- word-parallel block queries ---------------- *)
 
 (* [Box.query_blocks] against one [Box.query_many] per block, in order:
@@ -1306,6 +1408,8 @@ let tests =
       prop_transient_faults_transparent;
     Alcotest.test_case "degraded netlists lint clean" `Quick
       prop_degraded_netlist_lints;
+    Alcotest.test_case "fault spec reader under mutation" `Quick
+      prop_fault_reader_mutants;
     Alcotest.test_case "query_blocks == query_many per block" `Quick
       prop_query_blocks_matches_many;
     Alcotest.test_case "circuit cache round-trip" `Quick prop_cache_roundtrip;

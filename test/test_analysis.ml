@@ -1,16 +1,13 @@
-(* Exact support analysis, DIMACS interchange, accuracy statistics. *)
+(* Exact support analysis, accuracy statistics. *)
 
 module Bv = Lr_bitvec.Bv
 module Rng = Lr_bitvec.Rng
 module N = Lr_netlist.Netlist
 module Analysis = Lr_netlist.Analysis
-module Dimacs = Lr_sat.Dimacs
-module Sat = Lr_sat.Sat
 module Eval = Lr_eval.Eval
 module Ps = Lr_sampling.Pattern_sampling
 
 let check = Alcotest.(check bool)
-let check_int = Alcotest.(check int)
 
 let names prefix n = Array.init n (fun i -> Printf.sprintf "%s%d" prefix i)
 
@@ -52,35 +49,6 @@ let test_density () =
   let d = Analysis.output_density ~rng:(Rng.create 7) c ~output:0 in
   check "AND density near 1/4" true (Float.abs (d -. 0.25) < 0.02)
 
-let test_dimacs_roundtrip () =
-  let cnf = { Dimacs.num_vars = 3; clauses = [ [ 1; -2 ]; [ 2; 3 ]; [ -1 ] ] } in
-  let cnf' = Dimacs.of_string (Dimacs.to_string cnf) in
-  check_int "vars" cnf.Dimacs.num_vars cnf'.Dimacs.num_vars;
-  check "clauses" true (cnf.Dimacs.clauses = cnf'.Dimacs.clauses)
-
-let test_dimacs_solve () =
-  let sat = { Dimacs.num_vars = 2; clauses = [ [ 1; 2 ]; [ -1; 2 ] ] } in
-  check "satisfiable" true (Dimacs.solve sat = Sat.Sat);
-  let unsat = { Dimacs.num_vars = 1; clauses = [ [ 1 ]; [ -1 ] ] } in
-  check "unsatisfiable" true (Dimacs.solve unsat = Sat.Unsat)
-
-let test_dimacs_rejects_garbage () =
-  let bad s =
-    try
-      ignore (Dimacs.of_string s);
-      false
-    with Failure _ -> true
-  in
-  check "missing header" true (bad "1 2 0\n");
-  check "out of range literal" true (bad "p cnf 1 1\n2 0\n");
-  check "unterminated clause" true (bad "p cnf 2 1\n1 2\n")
-
-let test_dimacs_comments_and_multiline () =
-  let cnf =
-    Dimacs.of_string "c a comment\np cnf 3 2\n1 -2\n0\n2 3 0\n"
-  in
-  check_int "two clauses" 2 (List.length cnf.Dimacs.clauses)
-
 let test_accuracy_stats () =
   let golden = N.create ~input_names:(names "x" 4) ~output_names:(names "z" 1) in
   N.set_output golden 0 (N.and_ golden (N.input golden 0) (N.input golden 1));
@@ -107,10 +75,5 @@ let tests =
     Alcotest.test_case "sampled support is an under-approximation" `Quick
       test_sampled_support_subset_of_functional;
     Alcotest.test_case "output density" `Quick test_density;
-    Alcotest.test_case "DIMACS roundtrip" `Quick test_dimacs_roundtrip;
-    Alcotest.test_case "DIMACS solve" `Quick test_dimacs_solve;
-    Alcotest.test_case "DIMACS error handling" `Quick test_dimacs_rejects_garbage;
-    Alcotest.test_case "DIMACS comments & multiline" `Quick
-      test_dimacs_comments_and_multiline;
     Alcotest.test_case "accuracy statistics" `Quick test_accuracy_stats;
   ]

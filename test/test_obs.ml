@@ -1,14 +1,12 @@
 (* Observability plane: structured logging (levels, fields, span join,
-   rate limiting, atomic channel writes), the alert-rules engine (spec
-   forms, windowed and derived metrics, firing transitions) and the
-   HTTP exposition server — plus the headline invariant: with the plane
-   disabled the library logging costs nothing and the learned circuit,
-   query count and progress stream are bit-identical across --jobs. *)
+   rate limiting, atomic channel writes) and the HTTP exposition server
+   — plus the headline invariant: with the plane disabled the library
+   logging costs nothing and the learned circuit, query count and
+   progress stream are bit-identical across --jobs. *)
 
 module Instr = Lr_instr.Instr
 module Json = Lr_instr.Json
 module Log = Lr_obs.Log
-module Alerts = Lr_obs.Alerts
 module Server = Lr_obs.Server
 module Progress = Lr_prof.Progress
 module Io = Lr_netlist.Io
@@ -184,177 +182,6 @@ let test_locked_write_atomic () =
   close_in ic;
   check_int "every line intact" 400 !n
 
-(* --- alert specs --- *)
-
-let test_alerts_spec_forms () =
-  let s = "degraded>0, retry_rate>0.05@10s, budget_burn>2x, queries<=1000" in
-  match Alerts.of_string s with
-  | Error e -> Alcotest.fail e
-  | Ok spec ->
-      check_str "canonical form"
-        "degraded>0,retry_rate>0.05@10s,budget_burn>2,queries<=1000"
-        (Alerts.to_string spec);
-      check "compact round trip" true
-        (Alerts.of_string (Alerts.to_string spec) = Ok spec);
-      check "json round trip" true (Alerts.of_json (Alerts.to_json spec) = Ok spec);
-      (match Alerts.of_string "retry_rate>=5%" with
-      | Ok [ r ] ->
-          Alcotest.(check (float 1e-12)) "percent suffix" 0.05 r.Alerts.threshold;
-          check "ge parsed (longest match)" true (r.Alerts.op = Alerts.Ge)
-      | _ -> Alcotest.fail "percent parse");
-      List.iter
-        (fun bad ->
-          match Alerts.of_string bad with
-          | Ok _ -> Alcotest.fail ("accepted bad spec: " ^ bad)
-          | Error _ -> ())
-        [ ""; "degraded"; ">0"; "x>oops"; "retry_rate>0.1@0s"; "a b>1" ];
-      (* file / inline dispatch *)
-      let path = Filename.temp_file "lr_alerts" ".json" in
-      Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-      let oc = open_out path in
-      output_string oc (Json.to_string (Alerts.to_json spec));
-      close_out oc;
-      check "lr-alerts/v1 file loads" true (Alerts.load path = Ok spec);
-      check "inline compact loads" true (Alerts.load "degraded>0" <> Error "")
-
-let count ~ts name incr total = Instr.Count { name; path = ""; ts; incr; total }
-
-let test_alerts_engine_firing () =
-  with_clean @@ fun () ->
-  let got = capture () in
-  Log.set_level Log.Warn;
-  let spec =
-    Result.get_ok (Alerts.of_string "degraded>0,retries>2@10s")
-  in
-  let e = Alerts.create spec in
-  Alerts.observe e (count ~ts:1.0 "queries" 100 100);
-  check_int "quiet start" 0 (Alerts.total_fired e);
-  Alerts.observe e (count ~ts:2.0 "learn.degraded" 1 1);
-  check_int "degraded fires on transition" 1 (Alerts.total_fired e);
-  Alerts.observe e (count ~ts:3.0 "learn.degraded" 1 2);
-  check_int "held predicate does not re-fire" 1 (Alerts.total_fired e);
-  (* windowed counter rule compares the rate: 25 retries in 10 s = 2.5/s *)
-  Alerts.observe e (count ~ts:4.0 "query.retries" 25 25);
-  check_int "windowed rate fires" 2 (Alerts.total_fired e);
-  (* the burst ages out of the window, the rule re-arms, a new burst
-     counts as a second incident *)
-  Alerts.observe e (count ~ts:30.0 "queries" 1 101);
-  Alerts.observe e (count ~ts:31.0 "query.retries" 25 50);
-  check_int "re-fires after window drains" 3 (Alerts.total_fired e);
-  (* firing bookkeeping *)
-  (match Alerts.firings e with
-  | [ d; r ] ->
-      check_int "degraded fired once" 1 d.Alerts.fired;
-      check_int "retries fired twice" 2 r.Alerts.fired;
-      check "first_at_s relative to first event" true
-        (d.Alerts.first_at_s = Some 1.0)
-  | _ -> Alcotest.fail "expected two rule firings");
-  (* each firing emitted a warn-level log record *)
-  let alerts_logged =
-    List.filter (fun r -> r.Log.msg = "alert fired") (got ())
-  in
-  check_int "one log record per firing" 3 (List.length alerts_logged);
-  (* report section *)
-  match Alerts.report_json e with
-  | Json.Obj kvs ->
-      check "fired total in report" true
-        (List.assoc_opt "fired" kvs = Some (Json.Int 3));
-      check "spec echoed" true
-        (List.assoc_opt "spec" kvs
-        = Some (Json.String "degraded>0,retries>2@10s"))
-  | _ -> Alcotest.fail "report_json: not an object"
-
-let test_alerts_derived_metrics () =
-  with_clean @@ fun () ->
-  (* retry_rate over a window: retries/queries within the last 10 s *)
-  let e =
-    Alerts.create (Result.get_ok (Alerts.of_string "retry_rate>0.5@10s"))
-  in
-  Alerts.observe e (count ~ts:0.0 "queries" 10 10);
-  Alerts.observe e (count ~ts:1.0 "query.retries" 4 4);
-  check_int "4/10 below threshold" 0 (Alerts.total_fired e);
-  Alerts.observe e (count ~ts:2.0 "query.retries" 4 8);
-  check_int "8/10 fires" 1 (Alerts.total_fired e);
-  (* budget_burn is inert without both budgets *)
-  let e2 =
-    Alerts.create (Result.get_ok (Alerts.of_string "budget_burn>2x"))
-  in
-  Alerts.observe e2 (count ~ts:0.0 "queries" 500 500);
-  Alerts.observe e2 (count ~ts:100.0 "queries" 500 1000);
-  check_int "inert without budgets" 0 (Alerts.total_fired e2);
-  (* on pace to burn 9x the budget rate: fires once past 1% of the
-     time budget *)
-  let e3 =
-    Alerts.create ~query_budget:1000 ~time_budget_s:100.0
-      (Result.get_ok (Alerts.of_string "budget_burn>2x"))
-  in
-  Alerts.observe e3 (count ~ts:0.0 "queries" 0 0);
-  Alerts.observe e3 (count ~ts:0.5 "queries" 900 900);
-  check_int "too early to judge" 0 (Alerts.total_fired e3);
-  Alerts.observe e3 (count ~ts:10.0 "queries" 0 900);
-  check_int "burn fires" 1 (Alerts.total_fired e3);
-  (* a sink never raises, whatever the event *)
-  let s = Alerts.sink e3 in
-  s.Instr.emit (Instr.Gauge { name = "g"; path = ""; ts = 11.0; value = 1.0 });
-  s.Instr.flush ()
-
-(* --- alert spec readers: rules that could never fire are refused --- *)
-
-(* an lr-alerts/v1 document with the given rule objects *)
-let alerts_json rules =
-  Printf.sprintf {|{"schema":"lr-alerts/v1","rules":[%s]}|}
-    (String.concat "," rules)
-
-let expect_refused what ~names parsed =
-  match parsed with
-  | Ok spec ->
-      Alcotest.fail
-        (Printf.sprintf "%s: armed %S" what (Alerts.to_string spec))
-  | Error e ->
-      List.iter
-        (fun frag -> check (Printf.sprintf "%s: %S names %S" what e frag) true
-            (contains e frag))
-        names
-
-let of_json_text text =
-  match Json.of_string text with
-  | Ok j -> Alerts.of_json j
-  | Error e -> Alcotest.fail ("test document: " ^ e)
-
-let good_rule = {|{"metric":"queries","op":">","threshold":1}|}
-
-let test_alerts_json_negative_window () =
-  expect_refused "negative window" ~names:[ "rule 1"; "window_s" ]
-    (of_json_text
-       (alerts_json
-          [
-            good_rule;
-            {|{"metric":"degraded","op":">","threshold":0,"window_s":-5}|};
-          ]))
-
-let test_alerts_json_string_window () =
-  expect_refused "string window" ~names:[ "rule 0"; "window_s" ]
-    (of_json_text
-       (alerts_json
-          [ {|{"metric":"degraded","op":">","threshold":0,"window_s":"10s"}|} ]))
-
-let test_alerts_json_empty_rules () =
-  expect_refused "empty rules" ~names:[ "rules" ] (of_json_text (alerts_json []))
-
-let test_alerts_json_bad_metric () =
-  expect_refused "bad metric" ~names:[ "rule 1"; "metric" ]
-    (of_json_text
-       (alerts_json
-          [ good_rule; {|{"metric":"Bad Name!","op":">","threshold":0}|} ]))
-
-let test_alerts_compact_nan_threshold () =
-  expect_refused "nan threshold" ~names:[ "threshold" ]
-    (Alerts.of_string "degraded>nan")
-
-let test_alerts_compact_infinite_window () =
-  expect_refused "infinite window" ~names:[ "window" ]
-    (Alerts.of_string "degraded>0@1e400s")
-
 (* --- HTTP server --- *)
 
 let http_request ?(meth = "GET") ~port path =
@@ -525,8 +352,7 @@ let progress_lines buf =
          | Error e -> Alcotest.fail ("bad progress line: " ^ e ^ ": " ^ l))
 
 (* One learn of case_7; with [obs] the full plane is armed — server
-   domain live on the progress fold, metrics + alerts sinks, log
-   capture — and without it there is not a single obs sink, the library
+   domain live on the progress fold, log capture — and without it there is not a single obs sink, the library
    Log calls short-circuit on the empty sink list. *)
 let learn_case ~jobs ~obs () =
   Instr.reset_aggregates ();
@@ -535,13 +361,9 @@ let learn_case ~jobs ~obs () =
   let stop_server = ref (fun () -> ()) in
   if obs then begin
     Log.set_level Log.Debug;
-    let engine =
-      Alerts.create
-        (Result.get_ok (Alerts.of_string "degraded>0,retry_rate>0.99@5s"))
-    in
     let run = Progress.create ~every:1000 () in
     Progress.add_lines run (Buffer.add_string progress);
-    Instr.set_sinks [ Progress.fold run; Alerts.sink engine ];
+    Instr.set_sinks [ Progress.fold run ];
     match Server.listen ~port:0 run with
     | Error e -> Alcotest.fail ("start: " ^ e)
     | Ok srv -> stop_server := fun () -> Server.stop srv
@@ -735,24 +557,6 @@ let tests =
       test_log_rate_limit;
     Alcotest.test_case "locked_write atomic across domains" `Quick
       test_locked_write_atomic;
-    Alcotest.test_case "alert spec forms round trip" `Quick
-      test_alerts_spec_forms;
-    Alcotest.test_case "alert engine firing transitions" `Quick
-      test_alerts_engine_firing;
-    Alcotest.test_case "derived metrics: retry_rate, budget_burn" `Quick
-      test_alerts_derived_metrics;
-    Alcotest.test_case "alerts json: negative window refused" `Quick
-      test_alerts_json_negative_window;
-    Alcotest.test_case "alerts json: string window refused" `Quick
-      test_alerts_json_string_window;
-    Alcotest.test_case "alerts json: empty rules refused" `Quick
-      test_alerts_json_empty_rules;
-    Alcotest.test_case "alerts json: bad metric refused" `Quick
-      test_alerts_json_bad_metric;
-    Alcotest.test_case "alerts: nan threshold refused" `Quick
-      test_alerts_compact_nan_threshold;
-    Alcotest.test_case "alerts: infinite window refused" `Quick
-      test_alerts_compact_infinite_window;
     Alcotest.test_case "server endpoints" `Quick test_server_endpoints;
     Alcotest.test_case "obs plane neutral & jobs-invariant" `Quick
       test_obs_is_neutral;
