@@ -24,7 +24,6 @@ module Learner = Logic_regression.Learner
 module Instr = Lr_instr.Instr
 module Json = Lr_instr.Json
 module Progress = Lr_prof.Progress
-module Log = Lr_obs.Log
 module Server = Lr_obs.Server
 
 (* set once by the driver from --seed / --time-budget / --check, read
@@ -609,13 +608,12 @@ let () =
           Printf.eprintf "bad --retry value: %s\n" v;
           exit 1)
   | None -> ());
-  Log.set_sinks [ Log.stderr_sink () ];
   let listen =
     Option.map
       (fun v ->
         match int_of_string_opt v with
-        | Some port -> port
-        | None ->
+        | Some port when port >= 0 && port <= 0xffff -> port
+        | _ ->
             Printf.eprintf "bad --listen value: %s\n" v;
             exit 1)
       listen_v
@@ -629,7 +627,11 @@ let () =
   in
   (match (live, heartbeat) with
   | Some run, Some interval_s ->
-      Progress.add_heartbeat run ~out:(Log.locked_write stderr) ~interval_s
+      Progress.add_heartbeat run
+        ~out:(fun s ->
+          output_string stderr s;
+          flush stderr)
+        ~interval_s
   | _ -> ());
   (* open both output files before any work, so a bad path fails in a
      second instead of after the whole run *)
@@ -659,7 +661,9 @@ let () =
         | Error e ->
             Printf.eprintf "--listen: %s\n" e;
             exit 1
-        | Ok srv -> Some srv)
+        | Ok srv ->
+            Printf.eprintf "listening on 127.0.0.1:%d\n%!" (Server.port srv);
+            Some srv)
     | _ -> None
   in
   let what =

@@ -15,10 +15,8 @@ module Baselines = Lr_baselines.Baselines
 module Instr = Lr_instr.Instr
 module Json = Lr_instr.Json
 module Progress = Lr_prof.Progress
-module Metrics = Lr_prof.Metrics
 module Finding = Lr_check.Finding
 module Faults = Lr_faults.Faults
-module Log = Lr_obs.Log
 module Server = Lr_obs.Server
 
 open Cmdliner
@@ -139,15 +137,6 @@ let progress_arg =
   in
   Arg.(value & opt (some string) None & info [ "progress" ] ~docv:"FILE" ~doc)
 
-let metrics_out_arg =
-  let doc =
-    "After the run, write counters, per-span times, GC statistics and \
-     query-latency quantiles to $(docv) in Prometheus textfile exposition \
-     format."
-  in
-  Arg.(
-    value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
-
 let json_arg =
   let doc =
     "Write a machine-readable run report (schema lr-run-report/v1): \
@@ -258,36 +247,26 @@ let retry_backoff_arg =
     & opt (seconds ~allow_zero:true) 0.001
     & info [ "retry-backoff" ] ~docv:"SECS" ~doc)
 
+(* a port outside 0..65535 would be bound modulo 65536 *)
+let port_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some p when p >= 0 && p <= 0xffff -> Ok p
+    | _ ->
+        Error (`Msg (Printf.sprintf "expected a port in 0..65535, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let listen_arg =
   let doc =
     "Serve live observability over HTTP on 127.0.0.1:$(docv) while the \
      run executes: GET /metrics (Prometheus text), /progress (chunked \
      lr-progress/v1 NDJSON), /healthz (phase, outputs done, budget \
-     remaining), /logs?level=LEVEL (lr-log/v1 NDJSON). Port 0 picks an \
-     ephemeral port (printed to stderr). Off by default, with zero \
-     overhead on the run."
+     remaining). Once bound, the port is printed to stderr as \
+     $(b,listening on 127.0.0.1:)$(docv); port 0 picks an ephemeral one. \
+     Off by default, with zero overhead on the run."
   in
-  Arg.(value & opt (some int) None & info [ "listen" ] ~docv:"PORT" ~doc)
-
-let log_level_conv =
-  let parse s =
-    match Log.level_of_string s with Ok l -> Ok l | Error e -> Error (`Msg e)
-  in
-  Arg.conv (parse, fun ppf l -> Format.pp_print_string ppf (Log.level_to_string l))
-
-let log_level_arg =
-  let doc =
-    "Threshold for structured stderr logging: $(b,debug), $(b,info), \
-     $(b,warn) (default) or $(b,error)."
-  in
-  Arg.(value & opt log_level_conv Log.Warn & info [ "log-level" ] ~docv:"LEVEL" ~doc)
-
-let log_file_arg =
-  let doc =
-    "Also write structured log records to $(docv) as NDJSON (schema \
-     lr-log/v1, one record per line)."
-  in
-  Arg.(value & opt (some string) None & info [ "log" ] ~docv:"FILE" ~doc)
+  Arg.(value & opt (some port_conv) None & info [ "listen" ] ~docv:"PORT" ~doc)
 
 (* fail before the (possibly long) run, with a clean message instead of
    an uncaught Sys_error at the end of it *)
@@ -296,6 +275,12 @@ let open_out_or_die ~flag path =
   with Sys_error msg ->
     Printf.eprintf "error: cannot open %s file: %s\n" flag msg;
     exit 1
+
+(* live views write from the main domain only (worker domains record
+   into [Instr.collect] snapshots), so a flush per line keeps them whole *)
+let flushing oc s =
+  output_string oc s;
+  flush oc
 
 (* attach the requested sinks: the JSONL log, and — when any live view
    is asked for — the run's one progress fold with the --progress and
@@ -317,9 +302,7 @@ let setup_sinks ?heartbeat ?time_budget ?query_budget ~trace_jsonl
   let close_progress =
     match (live, progress) with
     | Some run, Some "-" ->
-        (* the locked writer keeps NDJSON lines atomic against
-           heartbeat/log lines under --jobs N *)
-        Progress.add_lines run (Log.locked_write stdout);
+        Progress.add_lines run (flushing stdout);
         ignore
     | Some run, Some f ->
         let oc = open_out_or_die ~flag:"--progress" f in
@@ -329,7 +312,7 @@ let setup_sinks ?heartbeat ?time_budget ?query_budget ~trace_jsonl
   in
   (match (live, heartbeat) with
   | Some run, Some interval_s ->
-      Progress.add_heartbeat run ~out:(Log.locked_write stderr) ~interval_s
+      Progress.add_heartbeat run ~out:(flushing stderr) ~interval_s
   | _ -> ());
   Instr.set_sinks
     (log @ match live with Some run -> [ Progress.fold run ] | None -> []);
@@ -410,25 +393,12 @@ let print_phase_breakdown oc report =
   | _ -> ()
 
 let learn_run case preset seed budget eval_patterns support_rounds no_templates
-    no_grouping out trace_jsonl progress metrics_out json heartbeat time_budget
-    check sweep jobs faults retry_attempts retry_backoff listen log_level
-    log_file =
-  (* structured logging is on for the CLI (stderr, human format) so the
-     library's warn/error records — and fatal argument errors — have a
-     sink from the first line on *)
-  Log.set_level log_level;
-  Log.set_sinks [ Log.stderr_sink () ];
-  (match log_file with
-  | None -> ()
-  | Some path -> (
-      try Log.add_sink (Log.ndjson_file path)
-      with Sys_error msg ->
-        Log.error ~fields:[ Log.str "file" msg ] "cannot open --log file";
-        exit 1));
+    no_grouping out trace_jsonl progress json heartbeat time_budget check sweep
+    jobs faults retry_attempts retry_backoff listen =
   let die fmt =
     Printf.ksprintf
       (fun m ->
-        Log.error m;
+        Printf.eprintf "error: %s\n" m;
         exit 1)
       fmt
   in
@@ -472,7 +442,9 @@ let learn_run case preset seed budget eval_patterns support_rounds no_templates
     | Some port, Some run -> (
         match Server.listen ~port run with
         | Error e -> die "--listen: %s" e
-        | Ok srv -> Some srv)
+        | Ok srv ->
+            Printf.eprintf "listening on 127.0.0.1:%d\n%!" (Server.port srv);
+            Some srv)
     | _ -> None
   in
   let report =
@@ -484,7 +456,7 @@ let learn_run case preset seed budget eval_patterns support_rounds no_templates
           Server.mark_done srv;
           Server.stop srv)
         server;
-      Log.error (Printexc.to_string e);
+      Printf.eprintf "error: %s\n" (Printexc.to_string e);
       exit 2
   in
   finish_sinks ();
@@ -571,54 +543,6 @@ let learn_run case preset seed budget eval_patterns support_rounds no_templates
          close_out oc;
          Printf.fprintf hout "json report written to %s\n" path
      | _ -> ());
-  (match metrics_out with
-  | Some path ->
-      let run_fams =
-        [
-          {
-            Metrics.name = "lr_run_queries_total";
-            help = "Black-box queries issued by this run.";
-            kind = `Counter;
-            samples = [ ([], float_of_int report.Learner.queries) ];
-          };
-          {
-            Metrics.name = "lr_run_elapsed_seconds";
-            help = "Learner wall-clock for this run.";
-            kind = `Gauge;
-            samples = [ ([], report.Learner.elapsed_s) ];
-          };
-          {
-            Metrics.name = "lr_run_gates";
-            help = "Two-input gates in the learned circuit.";
-            kind = `Gauge;
-            samples = [ ([], float_of_int (N.size c)) ];
-          };
-          {
-            Metrics.name = "lr_run_retries_total";
-            help = "Query batches retried under fault injection.";
-            kind = `Counter;
-            samples = [ ([], float_of_int report.Learner.retries) ];
-          };
-          {
-            Metrics.name = "lr_run_degraded_total";
-            help = "Outputs degraded to constants by query faults.";
-            kind = `Counter;
-            samples = [ ([], float_of_int report.Learner.degraded) ];
-          };
-          {
-            Metrics.name = "lr_run_accuracy_percent";
-            help = "Scored accuracy against the golden circuit.";
-            kind = `Gauge;
-            samples =
-              [ ([], match accuracy with Some a -> a | None -> Float.nan) ];
-          };
-        ]
-      in
-      Metrics.write_file path
-        (Metrics.of_instr ~latency:report.Learner.query_latency ~extra:run_fams
-           ());
-      Printf.fprintf hout "metrics written to %s\n" path
-  | None -> ());
   (match trace_jsonl with
   | Some "-" | None -> ()
   | Some path -> Printf.fprintf hout "jsonl trace written to %s\n" path);
@@ -631,7 +555,6 @@ let learn_run case preset seed budget eval_patterns support_rounds no_templates
       Printf.fprintf hout "written to %s\n" path
   | None -> ());
   Option.iter Server.stop server;
-  Log.flush ();
   (* all artifacts are written first: a degraded run is still a run, the
      distinct exit code just refuses to pass for a healthy one *)
   if report.Learner.degraded > 0 then 3 else 0
@@ -643,9 +566,9 @@ let learn_cmd =
     Term.(
       const learn_run $ case_pos $ preset_arg $ seed_arg $ budget_arg
       $ eval_arg $ support_rounds_arg $ no_templates_arg $ no_grouping_arg
-      $ out_arg $ trace_jsonl_arg $ progress_arg $ metrics_out_arg $ json_arg
-      $ heartbeat_arg $ time_budget_arg $ check_arg $ sweep_arg $ jobs_arg $ faults_arg
-      $ retry_arg $ retry_backoff_arg $ listen_arg $ log_level_arg $ log_file_arg)
+      $ out_arg $ trace_jsonl_arg $ progress_arg $ json_arg $ heartbeat_arg
+      $ time_budget_arg $ check_arg $ sweep_arg $ jobs_arg $ faults_arg
+      $ retry_arg $ retry_backoff_arg $ listen_arg)
 
 (* ---------- baseline ---------- *)
 

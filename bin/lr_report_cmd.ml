@@ -42,15 +42,26 @@ let method_filter_arg =
   in
   Arg.(value & opt (some string) None & info [ "method" ] ~docv:"METHOD" ~doc)
 
+(* a floor outside [0, 100] gates nothing (nan, -inf) or everything *)
+let percent =
+  let parse s =
+    match float_of_string_opt s with
+    | Some p when p >= 0.0 && p <= 100.0 -> Ok p
+    | _ ->
+        Error
+          (`Msg (Printf.sprintf "expected a percentage in [0, 100], got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let min_accuracy_arg =
   let doc =
-    "Fail when any entry's accuracy is below this percentage. Every \
-     report must then have an entry left after $(b,--method) (exit 2 \
-     otherwise)."
+    "Fail when any entry's accuracy is below this percentage, a number in \
+     [0, 100]. Every report must then have an entry left after \
+     $(b,--method) (exit 2 otherwise)."
   in
   Arg.(
     value
-    & opt (some float) None
+    & opt (some percent) None
     & info [ "min-accuracy" ] ~docv:"PERCENT" ~doc)
 
 let pp_acc = function Some a -> Printf.sprintf "%.3f" a | None -> "-"

@@ -3,7 +3,6 @@
    content-addressed circuit cache (CEC-verified on every hit). *)
 
 module Json = Lr_instr.Json
-module Log = Lr_obs.Log
 module Http = Lr_obs.Http
 module Proto = Lr_serve.Proto
 module Scheduler = Lr_serve.Scheduler
@@ -68,15 +67,8 @@ let port_file_arg =
   Arg.(
     value & opt (some string) None & info [ "port-file" ] ~docv:"FILE" ~doc)
 
-let log_level_arg =
-  let doc = "Log level: debug, info, warn or error." in
-  Arg.(value & opt string "info" & info [ "log-level" ] ~docv:"LEVEL" ~doc)
-
 let serve_run listen slots queue cache_dir words tenant_queries max_time
-    port_file log_level =
-  (match Log.level_of_string log_level with
-  | Ok l -> Log.set_level l
-  | Error e -> die "%s" e);
+    port_file =
   if listen < 0 || listen > 0xffff then die "bad --listen port %d" listen;
   if slots < 1 then die "--slots must be >= 1";
   if queue < 0 then die "--queue must be >= 0";
@@ -106,14 +98,9 @@ let serve_run listen slots queue cache_dir words tenant_queries max_time
       Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
       Printf.printf "lr_serve listening on 127.0.0.1:%d (%d slots, queue %d)\n%!"
         port slots queue;
-      Log.info
-        ~fields:[ Log.int "port" port; Log.int "slots" slots ]
-        "lr_serve listening";
       Server.wait_shutdown srv;
-      Log.info "shutting down: draining the queue";
       Http.stop http;
       Scheduler.shutdown sched;
-      Log.flush ();
       0
 
 let main =
@@ -122,7 +109,6 @@ let main =
     (Cmd.info "lr_serve" ~doc)
     Term.(
       const serve_run $ listen_arg $ slots_arg $ queue_arg $ cache_dir_arg
-      $ words_arg $ tenant_queries_arg $ max_time_arg $ port_file_arg
-      $ log_level_arg)
+      $ words_arg $ tenant_queries_arg $ max_time_arg $ port_file_arg)
 
 let () = exit (Cmd.eval' main)

@@ -2,7 +2,6 @@ module Bv = Lr_bitvec.Bv
 module N = Lr_netlist.Netlist
 module Soa = Lr_kernel.Soa
 module Instr = Lr_instr.Instr
-module Log = Lr_obs.Log
 module Histogram = Lr_report.Histogram
 module Faults = Lr_faults.Faults
 
@@ -198,15 +197,7 @@ let run_blocks t ~count blocks =
    process never blocks. *)
 let rec faulted_batch t f ~n ~attempt run commit =
   if Faults.attempt_fails f ~attempt then
-    if attempt + 1 >= max 1 t.retry.Faults.max_attempts then begin
-      Log.warn ~key:"blackbox.failed"
-        ~fields:
-          [
-            Log.int "key" (Faults.key f);
-            Log.int "ordinal" t.used;
-            Log.int "attempts" (attempt + 1);
-          ]
-        "query batch failed permanently; retry policy exhausted";
+    if attempt + 1 >= max 1 t.retry.Faults.max_attempts then
       raise
         (Faults.Query_failed
            {
@@ -214,19 +205,9 @@ let rec faulted_batch t f ~n ~attempt run commit =
              ordinal = t.used;
              attempts = attempt + 1;
            })
-    end
     else begin
       bump_retries t 1;
-      let backoff = Faults.backoff_delay t.retry ~attempt in
-      Log.debug ~key:"blackbox.retry"
-        ~fields:
-          [
-            Log.int "key" (Faults.key f);
-            Log.int "attempt" (attempt + 1);
-            Log.float "backoff_s" backoff;
-          ]
-        "transient query failure; backing off and retrying";
-      Instr.advance_clock backoff;
+      Instr.advance_clock (Faults.backoff_delay t.retry ~attempt);
       faulted_batch t f ~n ~attempt:(attempt + 1) run commit
     end
   else begin

@@ -15,7 +15,6 @@ module Aig = Lr_aig.Aig
 module Opt = Lr_aig.Opt
 module Instr = Lr_instr.Instr
 module Json = Lr_instr.Json
-module Log = Lr_obs.Log
 module Histogram = Lr_report.Histogram
 module Gcstat = Lr_report.Gcstat
 module Selfcheck = Lr_check.Selfcheck
@@ -435,22 +434,11 @@ let learn ?(config = Config.default) box =
     match config.Config.time_budget_s with
     | Some b when Instr.now () -. t0 >= b ->
         budget_hit := true;
-        Log.warn
-          ~fields:[ Log.float "budget_s" b ]
-          "time budget exceeded; no new work starts";
         true
     | _ -> false
   in
   Instr.span ~name:"learn" @@ fun () ->
   Instr.gauge "learn.outputs" (float_of_int no);
-  Log.info
-    ~fields:
-      [
-        Log.int "inputs" ni;
-        Log.int "outputs" no;
-        Log.int "jobs" config.Config.jobs;
-      ]
-    "learn started";
   (* ---- steps 1 & 2: grouping + template matching ---- *)
   let matches =
     if over_budget () then None
@@ -458,16 +446,15 @@ let learn ?(config = Config.default) box =
       phase "templates" (fun () ->
         if config.Config.use_grouping && config.Config.use_templates then
           (* an unretryable fault mid-scan degrades to "no templates": every
-             output falls through to the generic conquer path *)
+             output falls through to the generic conquer path, and the
+             event log counts the fallback *)
           try
             Some
               (T.scan ~samples:config.Config.template_samples
                  ~prop_cubes:config.Config.template_prop_cubes
                  ~rng:template_rng box)
           with Faults.Query_failed _ ->
-            Log.warn
-              "template scan failed under faults; falling back to generic \
-               conquer";
+            Instr.count "templates.fallback" 1;
             None
         else None)
   in
@@ -598,9 +585,6 @@ let learn ?(config = Config.default) box =
           with Faults.Query_failed _ ->
             (* support stats serve every remaining output: an unretryable
                fault here degrades them all, best-effort constants *)
-            Log.error
-              "support identification failed under faults; degrading all \
-               remaining outputs";
             support_failed := true;
             None)
   in
@@ -608,15 +592,6 @@ let learn ?(config = Config.default) box =
      abandoned to a failing oracle — still gets a (constant) circuit: the
      report's method is the visible trace of the skip *)
   let skip_output method_used po =
-    Log.warn ~key:"learn.skip"
-      ~fields:
-        [
-          Log.int "output" po;
-          Log.str "method"
-            (if method_used = Degraded_fault then "degraded-fault"
-             else "skipped-budget");
-        ]
-      "output degraded to a constant";
     Instr.count
       (if method_used = Degraded_fault then "learn.degraded"
        else "learn.skipped")
@@ -736,9 +711,6 @@ let learn ?(config = Config.default) box =
         (* retries spent mid-learning: give this output up as a constant
            and let the siblings proceed — the parallel analogue of
            [Skipped_budget], charged to the oracle instead of the clock *)
-        Log.warn ~key:"learn.degraded"
-          ~fields:[ Log.int "output" po ]
-          "oracle gave up mid-learning; output degraded to a constant";
         Instr.count "learn.degraded" 1;
         ( {
             Fbdt.onset = Cover.empty dom.arity;
@@ -1073,15 +1045,6 @@ let learn ?(config = Config.default) box =
   let degraded_count =
     List.length (List.filter (fun r -> r.method_used = Degraded_fault) outputs)
   in
-  Log.info
-    ~fields:
-      [
-        Log.int "queries" (Box.queries_used box);
-        Log.int "retries" (Box.retries_used box);
-        Log.int "degraded" degraded_count;
-        Log.float "elapsed_s" (Instr.now () -. t0);
-      ]
-    "learn finished";
   {
     circuit;
     outputs;

@@ -1,6 +1,5 @@
 module Bv = Lr_bitvec.Bv
 module Rng = Lr_bitvec.Rng
-module Log = Lr_obs.Log
 
 (* ---------- retry policy ---------- *)
 
@@ -226,28 +225,9 @@ let in_window t q =
   q >= t.spec.onset
   && (t.spec.duration = max_int || q - t.spec.onset < t.spec.duration)
 
-(* The end of every batch, whatever form its answers took: advance the
-   batch cursor and log what the batch did to the stream. *)
-let close_batch t ~served_before ~corrupt_before =
-  t.batch <- t.batch + 1;
-  if t.corrupt > corrupt_before then
-    Log.debug ~key:"faults.corrupt"
-      ~fields:
-        [
-          Log.int "key" t.key;
-          Log.int "victim" t.spec.victim;
-          Log.int "corrupted" (t.corrupt - corrupt_before);
-        ]
-      "fault schedule corrupted query answers";
-  match t.spec.exhaust_after with
-  | Some n when served_before < n && t.served >= n ->
-      Log.warn
-        ~fields:[ Log.int "key" t.key; Log.int "after" n ]
-        "fault stream reports premature budget exhaustion"
-  | _ -> ()
-
+(* Every batch, whatever form its answers took, ends by advancing the
+   batch cursor that keys the next batch's draws. *)
 let commit t outs =
-  let served_before = t.served and corrupt_before = t.corrupt in
   let outs =
     match t.spec.corruption with
     | None ->
@@ -269,11 +249,11 @@ let commit t outs =
             else o)
           outs
   in
-  close_batch t ~served_before ~corrupt_before;
+  t.batch <- t.batch + 1;
   outs
 
 let commit_words ~count t outs =
-  let served_before = t.served and corrupt_before = t.corrupt in
+  let served_before = t.served in
   t.served <- t.served + count;
   let outs =
     match t.spec.corruption with
@@ -301,7 +281,7 @@ let commit_words ~count t outs =
           outs
         end
   in
-  close_batch t ~served_before ~corrupt_before;
+  t.batch <- t.batch + 1;
   outs
 
 let exhausted t =

@@ -32,7 +32,7 @@
     {!Lr_blackbox.Blackbox} owns the integration: it consults an
     instantiated schedule around every query, applies the retry policy,
     and accounts faults and retries alongside its query counters. This
-    module stays dependency-light (bit-vectors, RNG, logging) so anything
+    module links only the bit-vector library (vectors and RNG), so anything
     below the black box can host an injector. *)
 
 (** {1 Retry policy} *)

@@ -1,9 +1,4 @@
-type request = {
-  meth : string;
-  path : string;
-  params : (string * string) list;
-  body : string;
-}
+type request = { meth : string; path : string; body : string }
 
 let close_quiet fd = try Unix.close fd with _ -> ()
 
@@ -72,24 +67,6 @@ let content_length head =
       in
       match int_of_string_opt v with Some n when n >= 0 -> n | _ -> 0)
 
-let split_target target =
-  match String.index_opt target '?' with
-  | None -> (target, [])
-  | Some i ->
-      let path = String.sub target 0 i in
-      let query = String.sub target (i + 1) (String.length target - i - 1) in
-      let params =
-        String.split_on_char '&' query
-        |> List.filter_map (fun kv ->
-               match String.index_opt kv '=' with
-               | None -> if kv = "" then None else Some (kv, "")
-               | Some j ->
-                   Some
-                     ( String.sub kv 0 j,
-                       String.sub kv (j + 1) (String.length kv - j - 1) ))
-      in
-      (path, params)
-
 (* Read until the blank line (8 KiB head cap, relying on the socket
    timeout the loop set), then drain Content-Length body bytes. *)
 let read_request ?(max_body = 1 lsl 20) fd =
@@ -136,8 +113,12 @@ let read_request ?(max_body = 1 lsl 20) fd =
                 let line = String.sub head 0 eol in
                 match String.split_on_char ' ' line with
                 | meth :: target :: _ ->
-                    let path, params = split_target target in
-                    Some { meth; path; params; body }
+                    let path =
+                      match String.index_opt target '?' with
+                      | None -> target
+                      | Some i -> String.sub target 0 i
+                    in
+                    Some { meth; path; body }
                 | _ -> None)))
 
 (* ---------- line rings ---------- *)

@@ -15,8 +15,7 @@
 
 type request = {
   meth : string;  (** verb as sent, e.g. ["GET"], ["POST"] *)
-  path : string;  (** target path without the query string *)
-  params : (string * string) list;  (** decoded [k=v] query pairs *)
+  path : string;  (** target path; a query string is dropped *)
   body : string;  (** up to [Content-Length] bytes; [""] when absent *)
 }
 

@@ -7,15 +7,13 @@ let with_lock mu f =
   Mutex.lock mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
 
-(* Retention of the /progress and /logs rings. *)
+(* Retention of the /progress ring. *)
 let progress_cap = 4096
-let log_cap = 1024
 
 type state = {
   mu : Mutex.t;
   mutable metrics_text : string;
   progress : Http.ring;
-  logs : (int * string) Queue.t;  (** (severity, lr-log/v1 line) *)
   run : Progress.t;
   mutable done_ : bool;
 }
@@ -41,25 +39,6 @@ let metrics_sink state =
       flush = push;
     }
 
-let severity = function
-  | Log.Debug -> 0
-  | Log.Info -> 1
-  | Log.Warn -> 2
-  | Log.Error -> 3
-
-let log_sink state =
-  Log.
-    {
-      emit =
-        (fun r ->
-          let line = Json.to_string (Log.record_to_json r) ^ "\n" in
-          with_lock state.mu (fun () ->
-              Queue.push (severity r.level, line) state.logs;
-              if Queue.length state.logs > log_cap then
-                ignore (Queue.pop state.logs)));
-      flush = ignore;
-    }
-
 (* {1 Snapshot reads (any domain)} *)
 
 let metrics_text state =
@@ -72,13 +51,6 @@ let progress_since state since =
       ( Http.ring_since state.progress since,
         Http.ring_next_seq state.progress,
         state.done_ ))
-
-let logs_at_least state min_sev =
-  with_lock state.mu (fun () ->
-      Queue.fold
-        (fun acc (sev, line) -> if sev >= min_sev then line :: acc else acc)
-        [] state.logs
-      |> List.rev)
 
 let healthz_json state =
   let done_ = with_lock state.mu (fun () -> state.done_) in
@@ -139,19 +111,6 @@ let handle state streams fd (req : Http.request) =
           Http.respond fd ~status:"200 OK" ~ctype:"application/json"
             (Json.to_string (healthz_json state) ^ "\n");
           finish ()
-      | "/logs" -> (
-          let level =
-            try List.assoc "level" req.Http.params with Not_found -> "debug"
-          in
-          match Log.level_of_string level with
-          | Error e ->
-              Http.respond fd ~status:"400 Bad Request" ~ctype:"text/plain"
-                (e ^ "\n");
-              finish ()
-          | Ok l ->
-              Http.respond fd ~status:"200 OK" ~ctype:"application/x-ndjson"
-                (String.concat "" (logs_at_least state (severity l)));
-              finish ())
       | "/progress" ->
           Http.start_chunked fd ~ctype:"application/x-ndjson";
           let lines, next, done_ = progress_since state 0 in
@@ -163,7 +122,7 @@ let handle state streams fd (req : Http.request) =
           else streams := { fd; next_seq = next } :: !streams
       | _ ->
           Http.respond fd ~status:"404 Not Found" ~ctype:"text/plain"
-            "unknown endpoint (try /metrics /progress /healthz /logs)\n";
+            "unknown endpoint (try /metrics /progress /healthz)\n";
           finish ()
   with _ -> finish ()
 
@@ -194,7 +153,6 @@ let listen ?(addr = "127.0.0.1") ~port run =
       mu = Mutex.create ();
       metrics_text = "";
       progress = Http.ring_create progress_cap;
-      logs = Queue.create ();
       run;
       done_ = false;
     }
@@ -212,10 +170,6 @@ let listen ?(addr = "127.0.0.1") ~port run =
       Progress.add_lines run (fun line ->
           with_lock state.mu (fun () -> Http.ring_push state.progress line));
       Instr.add_sink (metrics_sink state);
-      Log.add_sink (log_sink state);
-      Log.info
-        ~fields:[ Log.int "port" (Http.port http) ]
-        ("observability server listening on " ^ addr);
       Ok { state; http }
 
 let port t = Http.port t.http

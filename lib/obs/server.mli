@@ -3,13 +3,13 @@
 
     Architecture: the learner never blocks on the network. One
     {!Lr_prof.Progress.t} folds the run's event stream; {!listen} adds
-    the server's feeds to it and to the calling domain's sinks — the
-    [/progress] ring as one more [lr-progress/v1] destination of that
-    fold, a metrics sink, a log sink — all writing into a mutex-guarded
-    snapshot. One dedicated domain runs a blocking [Unix.select] loop
-    over the listening socket, a stop pipe and any streaming
-    [/progress] connections, reading only that snapshot and the fold's
-    {!Lr_prof.Progress.status}. No third-party dependency, no
+    the server's two feeds — the [/progress] ring as one more
+    [lr-progress/v1] destination of that fold, and a metrics sink
+    among the calling domain's Instr sinks — both writing into a
+    mutex-guarded snapshot. One dedicated domain runs a blocking
+    [Unix.select] loop over the listening socket, a stop pipe and any
+    streaming [/progress] connections, reading only that snapshot and
+    the fold's {!Lr_prof.Progress.status}. No third-party dependency, no
     non-blocking I/O tricks — a deliberately boring server sized for a
     handful of scrapers.
 
@@ -22,10 +22,9 @@
       {!mark_done};
     - [GET /healthz] — one JSON object read from the fold: status,
       phase, elapsed, queries and budget remaining, outputs done/total,
-      degraded, skipped, retries;
-    - [GET /logs?level=LEVEL] — the retained 1024 log records at or
-      above [LEVEL] (default [debug]) as [lr-log/v1] NDJSON.
+      degraded, skipped, retries.
 
+    A query string is ignored ([/healthz?x=1] is [/healthz]).
     Everything else is 404; non-GET is 405. *)
 
 type t
@@ -34,13 +33,13 @@ val listen :
   ?addr:string -> port:int -> Lr_prof.Progress.t -> (t, string) result
 (** [listen ~port run] binds [addr] (default [127.0.0.1]) on [port]
     ([0] = ephemeral, see {!port}), spawns the server domain and wires
-    every feed: [run] gains the [/progress] ring as a destination, the
-    calling domain's Instr sinks gain the metrics sink, {!Log} gains the
-    [/logs] sink, and the bound port is logged at info. [run]'s
+    both feeds: [run] gains the [/progress] ring as a destination and
+    the calling domain's Instr sinks gain the metrics sink. [run]'s
     {!Lr_prof.Progress.fold} must be attached by the caller (once per
-    run, whatever views it feeds). [Error] on bind failure (port in
-    use, bad addr), with nothing wired. SIGPIPE is ignored process-wide
-    on first start. *)
+    run, whatever views it feeds), and announcing the bound port is
+    the caller's job too. [Error] on bind failure (port in use, bad
+    addr), with nothing wired. SIGPIPE is ignored process-wide on first
+    start. *)
 
 val port : t -> int
 (** The bound port (useful after [port:0]). *)

@@ -1,11 +1,10 @@
-(** Prometheus textfile exposition of the in-memory telemetry.
+(** Prometheus text exposition of the in-memory telemetry.
 
     Renders the {!Lr_instr.Instr} aggregates (span seconds/calls,
-    counter totals, per-span counters), GC statistics and optional
-    histogram quantiles in the Prometheus text exposition format, for
-    the node_exporter textfile collector or any scraper that reads
-    files. Written once at run end ([--metrics-out]); this is a dump,
-    not a live endpoint. *)
+    counter totals, per-span counters) and GC statistics in the
+    Prometheus text exposition format. The live [/metrics] endpoints
+    serve it: [learn --listen] and the bench through the observability
+    server, and [lr_serve] with its own job and cache families. *)
 
 type family = {
   name : string;  (** sanitized on render: [[a-zA-Z0-9_:]] only *)
@@ -23,15 +22,9 @@ val render : family list -> string
 (** [# HELP]/[# TYPE] headers plus one sample line per entry; label
     values are escaped per the exposition format. *)
 
-val of_instr :
-  ?latency:Lr_report.Histogram.summary -> ?extra:family list -> unit ->
-  family list
+val of_instr : unit -> family list
 (** Families from the calling domain's {!Lr_instr.Instr} aggregates:
     [lr_span_seconds_total]/[lr_span_calls_total] labelled by span
     path, [lr_counter_total] by counter name,
     [lr_counter_by_span_total] by both, GC counters/gauges from
-    [Gc.quick_stat], the synthetic clock skew, and — when [latency] is
-    given — [lr_query_latency_seconds] quantiles. [extra] families are
-    appended verbatim. *)
-
-val write_file : string -> family list -> unit
+    [Gc.quick_stat] and the synthetic clock skew. *)

@@ -54,8 +54,9 @@ val add_heartbeat : t -> out:(string -> unit) -> interval_s:float -> unit
     share left — through [out] at most once per [interval_s] seconds of
     event time, plus one final line on flush. Timestamps come from the
     events, so output is deterministic under {!Lr_instr.Instr.set_clock}.
-    Pass [Lr_obs.Log.locked_write stderr] to keep lines atomic against
-    log and progress writes. *)
+    The fold runs on the main domain only (worker domains record into
+    {!Lr_instr.Instr.collect} snapshots), so an [out] that writes and
+    flushes each line keeps lines whole without a lock. *)
 
 type status = {
   phase : string;  (** latest depth <= 1 non-[po:*] span; [""] before one *)

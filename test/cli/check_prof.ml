@@ -1,9 +1,9 @@
-(* Profiler smoke checker: a real CLI run wrote --trace-jsonl,
-   --progress and --metrics-out artifacts, and lr_prof consumed the
-   trace. Print deterministic facts about all of them (span structure,
-   progress protocol counts, metrics families, folded-stack shape) and
-   diff against prof.expected — timing values never appear, so the
-   output is stable across machines. *)
+(* Profiler smoke checker: a real CLI run wrote --trace-jsonl and
+   --progress artifacts, and lr_prof consumed the trace. Print
+   deterministic facts about all of them (span structure, progress
+   protocol counts, folded-stack shape) and diff against prof.expected —
+   timing values never appear, so the output is stable across
+   machines. *)
 
 module Json = Lr_instr.Json
 module Profile = Lr_prof.Profile
@@ -23,9 +23,8 @@ let has_sub text needle =
 let () =
   let trace_path = Sys.argv.(1)
   and progress_path = Sys.argv.(2)
-  and metrics_path = Sys.argv.(3)
-  and top_path = Sys.argv.(4)
-  and folded_path = Sys.argv.(5) in
+  and top_path = Sys.argv.(3)
+  and folded_path = Sys.argv.(4) in
 
   (* ---- the trace parses into a profile with the expected structure ---- *)
   let p =
@@ -95,25 +94,6 @@ let () =
     (count "phase" >= count "phase_end");
   Printf.printf "progress schema tagged: %b\n"
     (match prog_lines with l :: _ -> has_sub l "lr-progress/v1" | [] -> false);
-
-  (* ---- metrics exposition ---- *)
-  let metrics = read_file metrics_path in
-  List.iter
-    (fun fam ->
-      Printf.printf "metrics family %s: %b\n" fam
-        (has_sub metrics ("# TYPE " ^ fam)))
-    [
-      "lr_span_seconds_total counter";
-      "lr_span_calls_total counter";
-      "lr_counter_total counter";
-      "lr_counter_by_span_total counter";
-      "lr_gc_minor_words_total counter";
-      "lr_gc_heap_words gauge";
-      "lr_run_queries_total counter";
-      "lr_query_latency_seconds gauge";
-    ];
-  Printf.printf "metrics span sample labelled: %b\n"
-    (has_sub metrics "lr_span_seconds_total{path=\"learn\"}");
 
   (* ---- lr_prof top output ---- *)
   let top = read_file top_path in

@@ -37,6 +37,7 @@ module Equiv = Lr_aig.Equiv
 module Fp = Lr_serve.Fingerprint
 module Scache = Lr_serve.Cache
 module Proto = Lr_serve.Proto
+module Http = Lr_obs.Http
 module Json = Lr_instr.Json
 module Soa = Lr_kernel.Soa
 module Incr = Lr_kernel.Incremental
@@ -1314,6 +1315,116 @@ let prop_spec_reader_mutants () =
   Alcotest.(check bool) "some mutants accepted" true (!accepted > 0);
   Alcotest.(check bool) "some mutants refused" true (!refused > 0)
 
+(* Raw HTTP request bytes: a request is its request-line tokens, its
+   header lines and a body. An edit replaces a request-line token, adds
+   a header (extreme, negative or duplicated [Content-Length] among
+   them), drops one, appends a query string to the target, or truncates
+   the text. *)
+let http_requests =
+  [|
+    ([ "GET"; "/healthz"; "HTTP/1.1" ], [ "Host: t" ], "");
+    ( [ "GET"; "/progress?since=3"; "HTTP/1.1" ],
+      [ "Host: t"; "Connection: close" ],
+      "" );
+    ( [ "POST"; "/learn"; "HTTP/1.1" ],
+      [ "Host: t"; "Content-Type: application/json"; "Content-Length: 17" ],
+      {|{"case":"case_7"}|} );
+    ([ "POST"; "/shutdown"; "HTTP/1.0" ], [ "Content-Length: 0" ], "");
+  |]
+
+let http_tokens =
+  [|
+    ""; "?"; "/?"; "/a?b=c&d"; "/jobs/j1?x=1?y"; "??"; "GET"; "get"; "DELETE";
+    "HTTP/1.1"; "HTTP/9"; "\r"; "\n"; "a b"; String.make 300 'x';
+  |]
+
+let http_headers =
+  [|
+    "Content-Length: 99999999999999999999"; "Content-Length: -5";
+    "Content-Length: " ^ string_of_int max_int; "Content-Length: 2";
+    "Content-Length: 0x10"; "Content-Length:"; "content-length:   4  ";
+    "Content-Length: 1048577"; "Content-Length: 1_0";
+    "X-Pad: " ^ String.make 9000 'p';
+    ""; ":"; "Host"; "Transfer-Encoding: chunked";
+  |]
+
+let http_text ((line, headers, body), edits) =
+  let cut = ref None in
+  let line, headers =
+    List.fold_left
+      (fun (line, headers) (kind, i, v) ->
+        let nh = List.length headers in
+        match kind with
+        | 0 ->
+            let i = i mod List.length line in
+            let tok = http_tokens.(v mod Array.length http_tokens) in
+            (List.mapi (fun j t -> if j = i then tok else t) line, headers)
+        | 1 ->
+            let h = http_headers.(v mod Array.length http_headers) in
+            (line, headers @ [ h ])
+        | 2 when nh > 0 ->
+            (line, List.filteri (fun j _ -> j <> i mod nh) headers)
+        | 3 ->
+            let q = http_tokens.(v mod Array.length http_tokens) in
+            let query j t = if j = 1 then t ^ "?" ^ q else t in
+            (List.mapi query line, headers)
+        | 4 ->
+            cut := Some i;
+            (line, headers)
+        | _ -> (line, headers))
+      (line, headers) edits
+  in
+  let text =
+    String.concat " " line ^ "\r\n"
+    ^ String.concat "" (List.map (fun h -> h ^ "\r\n") headers)
+    ^ "\r\n" ^ body
+  in
+  match !cut with
+  | Some i -> String.sub text 0 (i mod (String.length text + 1))
+  | None -> text
+
+let arb_http_mutant =
+  {
+    gen =
+      (fun rng _ ->
+        let req = http_requests.(Rng.int rng (Array.length http_requests)) in
+        let edit _ = (Rng.int rng 5, Rng.int rng 1000, Rng.int rng 1000) in
+        (req, List.init (Rng.int rng 4) edit));
+    shrink =
+      (fun (req, edits) ->
+        List.map (fun edits -> (req, edits)) (shrink_list (fun _ -> []) edits));
+    print = (fun m -> Printf.sprintf "%S" (http_text m));
+  }
+
+(* the mutant is written whole to one end of a socket pair, which is
+   then closed, so the reader sees the bytes and end of stream *)
+let read_http_text text =
+  let w, r = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Http.close_quiet r)
+    (fun () ->
+      Fun.protect
+        ~finally:(fun () -> Http.close_quiet w)
+        (fun () -> Http.send w text);
+      Http.read_request r)
+
+(* every mutant reads as a request or as [None], never an exception, and
+   an accepted request's path has its query string dropped. Both
+   outcomes must occur, or the edits are not biting. *)
+let prop_http_reader_mutants () =
+  let accepted = ref 0 and refused = ref 0 in
+  check_prop ~count:2000 "mutated HTTP requests read or are refused"
+    arb_http_mutant (fun m ->
+      match read_http_text (http_text m) with
+      | Some req ->
+          incr accepted;
+          not (String.contains req.Http.path '?')
+      | None ->
+          incr refused;
+          true);
+  Alcotest.(check bool) "some mutants accepted" true (!accepted > 0);
+  Alcotest.(check bool) "some mutants refused" true (!refused > 0)
+
 (* Insert a random circuit into the cache under its own behavioural key
    and look it back up: the verified hit must decode to a CEC-equivalent
    circuit (bit-identical, in fact — but equivalence is the safety
@@ -1415,6 +1526,8 @@ let tests =
     Alcotest.test_case "circuit cache round-trip" `Quick prop_cache_roundtrip;
     Alcotest.test_case "lr-serve/v1 reader under mutation" `Quick
       prop_spec_reader_mutants;
+    Alcotest.test_case "HTTP request reader under mutation" `Quick
+      prop_http_reader_mutants;
     Alcotest.test_case "fingerprints hash behaviour, not structure" `Quick
       prop_fingerprint_behavioural;
     Alcotest.test_case "shrinking reaches a minimum" `Quick

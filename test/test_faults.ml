@@ -227,10 +227,8 @@ let test_transient_transparency () =
   check_bool "faults were actually injected" true (faulted.Learner.retries > 0)
 
 let test_degraded_accounting () =
-  let report =
-    learn_case "case_7"
-      ~faults:{ F.none with F.seed = 3; fail_p = 1.0; fail_burst = 0 }
-  in
+  let hard = { F.none with F.seed = 3; fail_p = 1.0; fail_burst = 0 } in
+  let report = learn_case "case_7" ~faults:hard in
   let n_outputs = List.length report.Learner.outputs in
   check_int "every output degraded" n_outputs report.Learner.degraded;
   List.iter
@@ -246,7 +244,14 @@ let test_degraded_accounting () =
   check_int "no retries under no_retry" 0 report.Learner.retries;
   (* phase totals stay coherent under degradation *)
   check_int "phase retries sum to total" report.Learner.retries
-    (List.fold_left (fun a (_, r) -> a + r) 0 report.Learner.phase_retries)
+    (List.fold_left (fun a (_, r) -> a + r) 0 report.Learner.phase_retries);
+  (* on a template case the scan fails first: the event log counts its
+     fallback to generic conquer *)
+  Instr.reset_aggregates ();
+  ignore (learn_case "case_16" ~faults:hard);
+  check_int "template fallback counted" 1
+    (Option.value ~default:0
+       (List.assoc_opt "templates.fallback" (Instr.counter_totals ())))
 
 let test_parallel_fault_replay () =
   (* per-output fault streams + retries, replayed across 4 domains *)

@@ -1,12 +1,10 @@
-(* Observability plane: structured logging (levels, fields, span join,
-   rate limiting, atomic channel writes) and the HTTP exposition server
-   — plus the headline invariant: with the plane disabled the library
-   logging costs nothing and the learned circuit, query count and
-   progress stream are bit-identical across --jobs. *)
+(* Observability plane: the HTTP exposition server over the run's one
+   progress fold — plus the headline invariant: arming the plane
+   changes nothing, and the learned circuit, query count and progress
+   stream are bit-identical across --jobs. *)
 
 module Instr = Lr_instr.Instr
 module Json = Lr_instr.Json
-module Log = Lr_obs.Log
 module Server = Lr_obs.Server
 module Progress = Lr_prof.Progress
 module Io = Lr_netlist.Io
@@ -30,13 +28,11 @@ let starts_with prefix s =
 let with_clean f =
   Instr.reset_aggregates ();
   Instr.set_sinks [];
-  Log.reset ();
   Fun.protect
     ~finally:(fun () ->
       Instr.set_sinks [];
       Instr.set_clock Unix.gettimeofday;
-      Instr.reset_aggregates ();
-      Log.reset ())
+      Instr.reset_aggregates ())
     f
 
 (* deterministic clock: each call advances time by 1 ms *)
@@ -45,142 +41,6 @@ let install_ticking_clock () =
   Instr.set_clock (fun () ->
       t := !t +. 0.001;
       !t)
-
-let capture () =
-  let records = ref [] in
-  Log.add_sink
-    { Log.emit = (fun r -> records := r :: !records); flush = ignore };
-  fun () -> List.rev !records
-
-(* --- logging --- *)
-
-let test_log_basics () =
-  with_clean @@ fun () ->
-  install_ticking_clock ();
-  let got = capture () in
-  Log.set_level Log.Info;
-  Log.debug "below threshold";
-  Instr.span ~name:"learn" (fun () ->
-      Instr.span ~name:"po:y0" (fun () ->
-          Log.warn ~fields:[ Log.int "n" 3; Log.str "who" "y0" ] "inside"));
-  Log.info "top";
-  let rs = got () in
-  check_int "debug filtered, two admitted" 2 (List.length rs);
-  let r = List.hd rs in
-  check "warn level" true (r.Log.level = Log.Warn);
-  check_str "span path stamped" "learn/po:y0" r.Log.span;
-  check_str "top-level record has empty span" ""
-    (List.nth rs 1).Log.span;
-  (match Log.record_to_json r with
-  | Json.Obj kvs ->
-      check "schema field" true
-        (List.assoc_opt "schema" kvs = Some (Json.String "lr-log/v1"));
-      check "level field" true
-        (List.assoc_opt "level" kvs = Some (Json.String "warn"));
-      check "msg field" true
-        (List.assoc_opt "msg" kvs = Some (Json.String "inside"));
-      (match List.assoc_opt "fields" kvs with
-      | Some (Json.Obj fs) ->
-          check "n field" true (List.assoc_opt "n" fs = Some (Json.Int 3))
-      | _ -> Alcotest.fail "fields object missing")
-  | _ -> Alcotest.fail "record_to_json: not an object");
-  (* no fields -> no fields key, keeps NDJSON lines lean *)
-  (match Log.record_to_json (List.nth rs 1) with
-  | Json.Obj kvs -> check "no empty fields key" true (not (List.mem_assoc "fields" kvs))
-  | _ -> Alcotest.fail "not an object");
-  let line = Log.render_human ~t0:0.0 r in
-  check "human line joins span and message" true
-    (contains line "learn/po:y0: inside");
-  check "human k=v rendering" true
-    (contains line "n=3" && contains line "who=y0");
-  check "newline-terminated" true (line.[String.length line - 1] = '\n');
-  (* ndjson sink speaks the schema *)
-  let buf = Buffer.create 128 in
-  Log.set_sinks [ Log.ndjson (Buffer.add_string buf) ];
-  Log.error "boom";
-  let l = String.trim (Buffer.contents buf) in
-  match Json.of_string l with
-  | Ok j ->
-      check "ndjson schema" true
-        (Option.bind (Json.member "schema" j) Json.get_string
-        = Some "lr-log/v1")
-  | Error e -> Alcotest.fail ("ndjson line unparseable: " ^ e)
-
-let test_log_levels_and_threshold () =
-  with_clean @@ fun () ->
-  let got = capture () in
-  Log.set_level Log.Error;
-  Log.debug "d";
-  Log.info "i";
-  Log.warn "w";
-  Log.error "e";
-  check_int "only error passes" 1 (List.length (got ()));
-  Log.set_level Log.Debug;
-  Log.debug "d2";
-  check_int "debug passes at debug" 2 (List.length (got ()));
-  check "level round trip" true
-    (List.for_all
-       (fun l -> Log.level_of_string (Log.level_to_string l) = Ok l)
-       [ Log.Debug; Log.Info; Log.Warn; Log.Error ]);
-  check "unknown level rejected" true
-    (Result.is_error (Log.level_of_string "loud"))
-
-let test_log_rate_limit () =
-  with_clean @@ fun () ->
-  install_ticking_clock ();
-  let got = capture () in
-  Log.set_rate_limit ~burst:2 ~per_s:1.0;
-  for i = 1 to 5 do
-    Log.warn ~key:"hot" (Printf.sprintf "m%d" i)
-  done;
-  check_int "burst admits two" 2 (List.length (got ()));
-  (* the injected clock refills the bucket — fault backoff counts *)
-  Instr.advance_clock 5.0;
-  Log.warn ~key:"hot" "after";
-  let rs = got () in
-  check_int "key re-opens" 3 (List.length rs);
-  (match List.assoc_opt "suppressed" (List.nth rs 2).Log.fields with
-  | Some (Json.Int 3) -> ()
-  | _ -> Alcotest.fail "expected suppressed=3 on re-open");
-  (* unkeyed records are never rate-limited *)
-  for _ = 1 to 4 do
-    Log.warn "unkeyed"
-  done;
-  check_int "unkeyed unlimited" 7 (List.length (got ()));
-  (* distinct keys get distinct buckets *)
-  Log.warn ~key:"cold" "other";
-  check_int "fresh key admitted" 8 (List.length (got ()))
-
-let test_locked_write_atomic () =
-  with_clean @@ fun () ->
-  let path = Filename.temp_file "lr_obs" ".log" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  let oc = open_out path in
-  (* long distinctive lines: any interleaving corrupts the framing *)
-  let line d =
-    Printf.sprintf "%c%s%c" "ABCD".[d] (String.make 256 "abcd".[d]) "ABCD".[d]
-  in
-  let doms =
-    List.init 4 (fun d ->
-        Domain.spawn (fun () ->
-            for _ = 1 to 100 do
-              Log.locked_write oc (line d ^ "\n")
-            done))
-  in
-  List.iter Domain.join doms;
-  close_out oc;
-  let ic = open_in path in
-  let n = ref 0 in
-  (try
-     while true do
-       let l = input_line ic in
-       incr n;
-       if not (List.exists (fun d -> l = line d) [ 0; 1; 2; 3 ]) then
-         Alcotest.fail ("interleaved line: " ^ l)
-     done
-   with End_of_file -> ());
-  close_in ic;
-  check_int "every line intact" 400 !n
 
 (* --- HTTP server --- *)
 
@@ -248,12 +108,9 @@ let test_server_endpoints () =
   | Error e -> Alcotest.fail ("start: " ^ e)
   | Ok srv ->
       Fun.protect ~finally:(fun () -> Server.stop srv) @@ fun () ->
-      Log.set_level Log.Info;
       Instr.span ~name:"learn" (fun () ->
           Instr.gauge "learn.outputs" 2.0;
-          Instr.span ~name:"po:y0" (fun () -> Instr.count "queries" 7);
-          Log.warn "something happened";
-          Log.info "routine");
+          Instr.span ~name:"po:y0" (fun () -> Instr.count "queries" 7));
       Instr.flush_sinks ();
       let port = Server.port srv in
       check "ephemeral port bound" true (port > 0);
@@ -280,14 +137,11 @@ let test_server_endpoints () =
           check "budget remaining" true (int "queries_remaining" = Some 993);
           check "outputs total from gauge" true (int "outputs_total" = Some 2);
           check "outputs done from po spans" true (int "outputs_done" = Some 1));
-      (* /logs with level filtering *)
-      let warn_only = body_of (http_request ~port "/logs?level=warn") in
-      check "warn retained" true (contains warn_only "something happened");
-      check "info filtered out" true (not (contains warn_only "routine"));
-      let all = body_of (http_request ~port "/logs") in
-      check "default level keeps info" true (contains all "routine");
-      check "bad level is 400" true
-        (starts_with "HTTP/1.1 400" (http_request ~port "/logs?level=loud"));
+      (* the query string is dropped before routing *)
+      check "query string ignored" true
+        (starts_with "HTTP/1.1 200" (http_request ~port "/healthz?x=1"));
+      check "/logs is gone" true
+        (starts_with "HTTP/1.1 404" (http_request ~port "/logs"));
       (* errors *)
       check "unknown endpoint 404" true
         (starts_with "HTTP/1.1 404" (http_request ~port "/nope"));
@@ -351,16 +205,14 @@ let progress_lines buf =
          | Ok j -> Json.to_string (strip_timing j)
          | Error e -> Alcotest.fail ("bad progress line: " ^ e ^ ": " ^ l))
 
-(* One learn of case_7; with [obs] the full plane is armed — server
-   domain live on the progress fold, log capture — and without it there is not a single obs sink, the library
-   Log calls short-circuit on the empty sink list. *)
+(* One learn of case_7; with [obs] the full plane is armed — the server
+   domain live on the progress fold — and without it the progress stream
+   is the only sink. *)
 let learn_case ~jobs ~obs () =
   Instr.reset_aggregates ();
-  Log.reset ();
   let progress = Buffer.create 4096 in
   let stop_server = ref (fun () -> ()) in
   if obs then begin
-    Log.set_level Log.Debug;
     let run = Progress.create ~every:1000 () in
     Progress.add_lines run (Buffer.add_string progress);
     Instr.set_sinks [ Progress.fold run ];
@@ -374,8 +226,7 @@ let learn_case ~jobs ~obs () =
   Fun.protect
     ~finally:(fun () ->
       Instr.set_sinks [];
-      !stop_server ();
-      Log.reset ())
+      !stop_server ())
   @@ fun () ->
   let spec = Cases.find "case_7" in
   let box = Cases.blackbox ~budget:150_000 spec in
@@ -549,14 +400,6 @@ let test_live_views_agree () =
 
 let tests =
   [
-    Alcotest.test_case "log basics: levels, fields, span join, ndjson" `Quick
-      test_log_basics;
-    Alcotest.test_case "log threshold & level round trip" `Quick
-      test_log_levels_and_threshold;
-    Alcotest.test_case "rate limiting with suppression counts" `Quick
-      test_log_rate_limit;
-    Alcotest.test_case "locked_write atomic across domains" `Quick
-      test_locked_write_atomic;
     Alcotest.test_case "server endpoints" `Quick test_server_endpoints;
     Alcotest.test_case "obs plane neutral & jobs-invariant" `Quick
       test_obs_is_neutral;
