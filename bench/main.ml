@@ -23,8 +23,6 @@ module Config = Logic_regression.Config
 module Learner = Logic_regression.Learner
 module Instr = Lr_instr.Instr
 module Json = Lr_instr.Json
-module Progress = Lr_prof.Progress
-module Server = Lr_obs.Server
 
 (* set once by the driver from --seed / --time-budget / --check, read
    everywhere *)
@@ -539,26 +537,13 @@ let () =
         (String.concat ", " (List.map (fun s -> s.Cases.name) Cases.specs));
       exit 1
   | _ -> ());
-  let heartbeat, args = extract "--heartbeat" args in
   let budget_s, args = extract "--time-budget" args in
   let check, args = extract "--check" args in
   let sweep_v, args = extract "--sweep" args in
   let jobs_v, args = extract "--jobs" args in
   let faults_v, args = extract "--faults" args in
   let retry_v, args = extract "--retry" args in
-  let listen_v, args = extract "--listen" args in
   let args = List.filter (fun a -> a <> "--quick") args in
-  (* the ranges learn's options enforce: seconds > 0 (which refuses
-     nan), a job count >= 0 *)
-  let seconds_of key = function
-    | None -> None
-    | Some v -> (
-        match float_of_string_opt v with
-        | Some f when f > 0.0 -> Some f
-        | _ ->
-            Printf.eprintf "bad %s value: %s\n" key v;
-            exit 1)
-  in
   (match seed with
   | Some v -> (
       match int_of_string_opt v with
@@ -567,7 +552,16 @@ let () =
           Printf.eprintf "bad --seed value: %s\n" v;
           exit 1)
   | None -> ());
-  time_budget := seconds_of "--time-budget" budget_s;
+  (* the ranges learn's options enforce: seconds > 0 (which refuses
+     nan), a job count >= 0 *)
+  (match budget_s with
+  | Some v -> (
+      match float_of_string_opt v with
+      | Some f when f > 0.0 -> time_budget := Some f
+      | _ ->
+          Printf.eprintf "bad --time-budget value: %s\n" v;
+          exit 1)
+  | None -> ());
   (match jobs_v with
   | Some v -> (
       match int_of_string_opt v with
@@ -608,31 +602,6 @@ let () =
           Printf.eprintf "bad --retry value: %s\n" v;
           exit 1)
   | None -> ());
-  let listen =
-    Option.map
-      (fun v ->
-        match int_of_string_opt v with
-        | Some port when port >= 0 && port <= 0xffff -> port
-        | _ ->
-            Printf.eprintf "bad --listen value: %s\n" v;
-            exit 1)
-      listen_v
-  in
-  let heartbeat = seconds_of "--heartbeat" heartbeat in
-  (* one progress fold for the whole bench, feeding the heartbeat and the
-     live server *)
-  let live =
-    if heartbeat = None && listen = None then None
-    else Some (Progress.create ?time_budget_s:!time_budget ())
-  in
-  (match (live, heartbeat) with
-  | Some run, Some interval_s ->
-      Progress.add_heartbeat run
-        ~out:(fun s ->
-          output_string stderr s;
-          flush stderr)
-        ~interval_s
-  | _ -> ());
   (* open both output files before any work, so a bad path fails in a
      second instead of after the whole run *)
   let open_out_or_die ~flag path =
@@ -647,25 +616,12 @@ let () =
     | Some path -> Some (path, open_out_or_die ~flag:"--json" path)
   in
   Instr.set_sinks
-    ((match trace_jsonl with
-     | Some "-" -> [ Instr.jsonl print_string ]
-     | Some f ->
-         close_out (open_out_or_die ~flag:"--trace-jsonl" f);
-         [ Instr.jsonl_file f ]
-     | None -> [])
-    @ match live with Some run -> [ Progress.fold run ] | None -> []);
-  let server =
-    match (listen, live) with
-    | Some port, Some run -> (
-        match Server.listen ~port run with
-        | Error e ->
-            Printf.eprintf "--listen: %s\n" e;
-            exit 1
-        | Ok srv ->
-            Printf.eprintf "listening on 127.0.0.1:%d\n%!" (Server.port srv);
-            Some srv)
-    | _ -> None
-  in
+    (match trace_jsonl with
+    | Some "-" -> [ Instr.jsonl print_string ]
+    | Some f ->
+        close_out (open_out_or_die ~flag:"--trace-jsonl" f);
+        [ Instr.jsonl_file f ]
+    | None -> []);
   let what =
     match args with
     | [] -> "all"
@@ -695,11 +651,6 @@ let () =
         other;
       exit 1);
   Instr.flush_sinks ();
-  Option.iter
-    (fun srv ->
-      Server.mark_done srv;
-      Server.stop srv)
-    server;
   match (json, json_out) with
   | Some "-", _ -> print_endline (Json.to_string (json_of_rows !rows))
   | _, Some (path, oc) ->

@@ -17,7 +17,6 @@ module Json = Lr_instr.Json
 module Progress = Lr_prof.Progress
 module Finding = Lr_check.Finding
 module Faults = Lr_faults.Faults
-module Server = Lr_obs.Server
 
 open Cmdliner
 
@@ -85,16 +84,15 @@ let eval_arg =
   in
   Arg.(value & opt (count_at_least 0) 30_000 & info [ "eval-patterns" ] ~doc)
 
-(* accuracy against the golden circuit, or None when there is no golden
-   circuit or no pattern to score on *)
+(* accuracy against the golden circuit, or None when there is no
+   pattern to score on *)
 let measure_accuracy ~eval_patterns ~seed golden c =
-  match golden with
-  | Some golden when eval_patterns > 0 ->
-      Some
-        (100.0
-        *. Eval.accuracy ~count:eval_patterns ~rng:(Rng.create (seed + 7919))
-             ~golden ~candidate:c ())
-  | _ -> None
+  if eval_patterns > 0 then
+    Some
+      (100.0
+      *. Eval.accuracy ~count:eval_patterns ~rng:(Rng.create (seed + 7919))
+           ~golden ~candidate:c ())
+  else None
 
 let accuracy_string = function
   | Some pct -> Printf.sprintf "%.4f%%" pct
@@ -145,16 +143,6 @@ let json_arg =
      $(b,-) to write the report to standard output."
   in
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-
-let heartbeat_arg =
-  let doc =
-    "Print a progress heartbeat (elapsed, phase, outputs done/total, \
-     queries, budget left) to stderr every $(docv) seconds."
-  in
-  Arg.(
-    value
-    & opt (some (seconds ~allow_zero:false)) None
-    & info [ "heartbeat" ] ~docv:"SECS" ~doc)
 
 let check_arg =
   let doc =
@@ -235,7 +223,8 @@ let retry_arg =
      being learned; higher values retry with exponential backoff in \
      injected-clock time."
   in
-  Arg.(value & opt int 1 & info [ "retry" ] ~docv:"ATTEMPTS" ~doc)
+  Arg.(
+    value & opt (count_at_least 1) 1 & info [ "retry" ] ~docv:"ATTEMPTS" ~doc)
 
 let retry_backoff_arg =
   let doc =
@@ -247,27 +236,6 @@ let retry_backoff_arg =
     & opt (seconds ~allow_zero:true) 0.001
     & info [ "retry-backoff" ] ~docv:"SECS" ~doc)
 
-(* a port outside 0..65535 would be bound modulo 65536 *)
-let port_conv =
-  let parse s =
-    match int_of_string_opt s with
-    | Some p when p >= 0 && p <= 0xffff -> Ok p
-    | _ ->
-        Error (`Msg (Printf.sprintf "expected a port in 0..65535, got %S" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
-let listen_arg =
-  let doc =
-    "Serve live observability over HTTP on 127.0.0.1:$(docv) while the \
-     run executes: GET /metrics (Prometheus text), /progress (chunked \
-     lr-progress/v1 NDJSON), /healthz (phase, outputs done, budget \
-     remaining). Once bound, the port is printed to stderr as \
-     $(b,listening on 127.0.0.1:)$(docv); port 0 picks an ephemeral one. \
-     Off by default, with zero overhead on the run."
-  in
-  Arg.(value & opt (some port_conv) None & info [ "listen" ] ~docv:"PORT" ~doc)
-
 (* fail before the (possibly long) run, with a clean message instead of
    an uncaught Sys_error at the end of it *)
 let open_out_or_die ~flag path =
@@ -276,17 +244,16 @@ let open_out_or_die ~flag path =
     Printf.eprintf "error: cannot open %s file: %s\n" flag msg;
     exit 1
 
-(* live views write from the main domain only (worker domains record
-   into [Instr.collect] snapshots), so a flush per line keeps them whole *)
+(* the progress sink writes from the main domain only (worker domains
+   record into [Instr.collect] snapshots), so a flush per line keeps
+   lines whole, and a reader tailing the file sees each as it happens *)
 let flushing oc s =
   output_string oc s;
   flush oc
 
-(* attach the requested sinks: the JSONL log, and — when any live view
-   is asked for — the run's one progress fold with the --progress and
-   --heartbeat views on it. Returns the fold and a finalizer. *)
-let setup_sinks ?heartbeat ?time_budget ?query_budget ~trace_jsonl
-    ~progress ~listen () =
+(* attach the requested sinks — the JSONL log and the progress fold —
+   and return their finalizer *)
+let setup_sinks ?time_budget ?query_budget ~trace_jsonl ~progress () =
   let log =
     match trace_jsonl with
     | Some "-" -> [ Instr.jsonl print_string ]
@@ -295,32 +262,22 @@ let setup_sinks ?heartbeat ?time_budget ?query_budget ~trace_jsonl
         [ Instr.jsonl_file f ]
     | None -> []
   in
-  let live =
-    if progress = None && heartbeat = None && listen = None then None
-    else Some (Progress.create ?query_budget ?time_budget_s:time_budget ())
+  let fold out =
+    [ Progress.sink ~out ?query_budget ?time_budget_s:time_budget () ]
   in
-  let close_progress =
-    match (live, progress) with
-    | Some run, Some "-" ->
-        Progress.add_lines run (flushing stdout);
-        ignore
-    | Some run, Some f ->
+  let live, close_progress =
+    match progress with
+    | Some "-" -> (fold (flushing stdout), ignore)
+    | Some f ->
         let oc = open_out_or_die ~flag:"--progress" f in
-        Progress.add_lines run (output_string oc);
-        fun () -> close_out oc
-    | _ -> ignore
+        (fold (flushing oc), fun () -> close_out oc)
+    | None -> ([], ignore)
   in
-  (match (live, heartbeat) with
-  | Some run, Some interval_s ->
-      Progress.add_heartbeat run ~out:(flushing stderr) ~interval_s
-  | _ -> ());
-  Instr.set_sinks
-    (log @ match live with Some run -> [ Progress.fold run ] | None -> []);
-  ( live,
-    fun () ->
-      Instr.flush_sinks ();
-      Instr.set_sinks [];
-      close_progress () )
+  Instr.set_sinks (log @ live);
+  fun () ->
+    Instr.flush_sinks ();
+    Instr.set_sinks [];
+    close_progress ()
 
 let case_pos =
   let doc = "Benchmark case name (see the list subcommand) or a circuit file path." in
@@ -393,8 +350,8 @@ let print_phase_breakdown oc report =
   | _ -> ()
 
 let learn_run case preset seed budget eval_patterns support_rounds no_templates
-    no_grouping out trace_jsonl progress json heartbeat time_budget check sweep
-    jobs faults retry_attempts retry_backoff listen =
+    no_grouping out trace_jsonl progress json time_budget check sweep jobs
+    faults retry_attempts retry_backoff =
   let die fmt =
     Printf.ksprintf
       (fun m ->
@@ -410,7 +367,6 @@ let learn_run case preset seed budget eval_patterns support_rounds no_templates
         | Ok spec -> Some spec
         | Error msg -> die "bad --faults: %s" msg)
   in
-  if retry_attempts < 1 then die "--retry must be >= 1";
   let config =
     {
       preset with
@@ -433,36 +389,17 @@ let learn_run case preset seed budget eval_patterns support_rounds no_templates
     | Some "-" | None -> None
     | Some path -> Some (open_out_or_die ~flag:"--json" path)
   in
-  let live, finish_sinks =
-    setup_sinks ?heartbeat ?time_budget ?query_budget:budget ~trace_jsonl
-      ~progress ~listen ()
-  in
-  let server =
-    match (listen, live) with
-    | Some port, Some run -> (
-        match Server.listen ~port run with
-        | Error e -> die "--listen: %s" e
-        | Ok srv ->
-            Printf.eprintf "listening on 127.0.0.1:%d\n%!" (Server.port srv);
-            Some srv)
-    | _ -> None
+  let finish_sinks =
+    setup_sinks ?time_budget ?query_budget:budget ~trace_jsonl ~progress ()
   in
   let report =
     try Learner.learn ~config box
     with Lr_check.Selfcheck.Check_failed _ as e ->
       finish_sinks ();
-      Option.iter
-        (fun srv ->
-          Server.mark_done srv;
-          Server.stop srv)
-        server;
       Printf.eprintf "error: %s\n" (Printexc.to_string e);
       exit 2
   in
   finish_sinks ();
-  (* the run is over: complete streaming /progress clients, keep serving
-     final /metrics and /healthz until artifacts are written *)
-  Option.iter Server.mark_done server;
   let c = report.Learner.circuit in
   (* when an artifact streams to stdout, the human summary moves to
      stderr so the JSON stays parseable *)
@@ -527,9 +464,8 @@ let learn_run case preset seed budget eval_patterns support_rounds no_templates
         (fun f -> Printf.fprintf hout "  %s\n" (Finding.to_string f))
         report.Learner.lint_findings);
   let accuracy = measure_accuracy ~eval_patterns ~seed golden c in
-  if Option.is_some golden then
-    Printf.fprintf hout "accuracy: %s on %d patterns\n"
-      (accuracy_string accuracy) eval_patterns;
+  Printf.fprintf hout "accuracy: %s on %d patterns\n" (accuracy_string accuracy)
+    eval_patterns;
   (if json <> None then
      let report_json =
        Learner.report_json ~case ~seed ~time_budget_s:time_budget
@@ -554,7 +490,6 @@ let learn_run case preset seed budget eval_patterns support_rounds no_templates
       Io.write_file c path;
       Printf.fprintf hout "written to %s\n" path
   | None -> ());
-  Option.iter Server.stop server;
   (* all artifacts are written first: a degraded run is still a run, the
      distinct exit code just refuses to pass for a healthy one *)
   if report.Learner.degraded > 0 then 3 else 0
@@ -566,9 +501,9 @@ let learn_cmd =
     Term.(
       const learn_run $ case_pos $ preset_arg $ seed_arg $ budget_arg
       $ eval_arg $ support_rounds_arg $ no_templates_arg $ no_grouping_arg
-      $ out_arg $ trace_jsonl_arg $ progress_arg $ json_arg $ heartbeat_arg
-      $ time_budget_arg $ check_arg $ sweep_arg $ jobs_arg $ faults_arg
-      $ retry_arg $ retry_backoff_arg $ listen_arg)
+      $ out_arg $ trace_jsonl_arg $ progress_arg $ json_arg $ time_budget_arg
+      $ check_arg $ sweep_arg $ jobs_arg $ faults_arg $ retry_arg
+      $ retry_backoff_arg)
 
 (* ---------- baseline ---------- *)
 
@@ -591,9 +526,8 @@ let baseline_run case method_ seed budget eval_patterns =
     (match method_ with `Sop -> "sop" | `Id3 -> "id3")
     case (N.size c) (Box.queries_used box)
     (Unix.gettimeofday () -. t0);
-  if Option.is_some golden then
-    Printf.printf "accuracy: %s\n"
-      (accuracy_string (measure_accuracy ~eval_patterns ~seed golden c));
+  Printf.printf "accuracy: %s\n"
+    (accuracy_string (measure_accuracy ~eval_patterns ~seed golden c));
   0
 
 let baseline_cmd =
@@ -641,15 +575,11 @@ let check_interfaces (p1, c1) (p2, c2) =
   end
 
 let score_run case candidate seed eval_patterns =
-  let golden =
-    match resolve_case case with
-    | _, Some golden -> golden
-    | _, None -> failwith "no golden circuit available"
-  in
+  let _, golden = resolve_case case in
   let c = read_circuit candidate in
   check_interfaces (case, golden) (candidate, c);
   Printf.printf "size=%d accuracy=%s\n" (N.size c)
-    (accuracy_string (measure_accuracy ~eval_patterns ~seed (Some golden) c));
+    (accuracy_string (measure_accuracy ~eval_patterns ~seed golden c));
   0
 
 let score_cmd =

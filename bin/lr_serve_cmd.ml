@@ -3,7 +3,7 @@
    content-addressed circuit cache (CEC-verified on every hit). *)
 
 module Json = Lr_instr.Json
-module Http = Lr_obs.Http
+module Http = Lr_serve.Http
 module Proto = Lr_serve.Proto
 module Scheduler = Lr_serve.Scheduler
 module Server = Lr_serve.Server

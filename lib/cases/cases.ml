@@ -406,7 +406,7 @@ let blackbox ?budget ?deadline_s spec =
 
 let resolve ?budget name =
   match find name with
-  | spec -> (blackbox ?budget spec, Some (build spec))
+  | spec -> (blackbox ?budget spec, build spec)
   | exception Not_found ->
       if Sys.file_exists name then begin
         let golden =
@@ -414,7 +414,7 @@ let resolve ?budget name =
             Lr_netlist.Blif.read_file name
           else Lr_netlist.Io.read_file name
         in
-        (Box.of_netlist ?budget golden, Some golden)
+        (Box.of_netlist ?budget golden, golden)
       end
       else failwith (Printf.sprintf "unknown case or file: %s" name)
 

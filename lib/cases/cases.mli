@@ -54,7 +54,7 @@ val blackbox : ?budget:int -> ?deadline_s:float -> spec -> Lr_blackbox.Blackbox.
 val resolve :
   ?budget:int ->
   string ->
-  Lr_blackbox.Blackbox.t * Lr_netlist.Netlist.t option
+  Lr_blackbox.Blackbox.t * Lr_netlist.Netlist.t
 (** A case name, or else a circuit file ([.blif] read as BLIF, anything
     else in the native text format), as a black box and its golden
     circuit — what [learn], [score] and [lr_serve] jobs run on. Raises

@@ -100,7 +100,6 @@ let fresh_state () =
 let state_key : state Domain.DLS.key = Domain.DLS.new_key fresh_state
 let st () = Domain.DLS.get state_key
 let set_sinks l = (st ()).sinks <- l
-let add_sink s = (st ()).sinks <- (st ()).sinks @ [ s ]
 let flush_sinks () = List.iter (fun s -> s.flush ()) (st ()).sinks
 
 let emit_record s ev =

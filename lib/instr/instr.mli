@@ -8,7 +8,7 @@
     stream to pluggable {e sinks}. The one recorded form is the lossless
     JSONL log ({!jsonl}); every other recorded view of a run (hotspot
     tables, flamegraphs, trace-viewer files) is rendered from that log
-    by [lr_prof], and live views fold the stream as it happens
+    by [lr_prof], and the one live view folds the stream as it happens
     ([Lr_prof.Progress]). With no sinks attached only the cheap
     in-memory aggregates are updated; with {!set_enabled}[ false] every
     entry point is a no-op that performs no allocation — the hot-path
@@ -77,7 +77,6 @@ val set_enabled : bool -> unit
     allocating; sinks receive nothing. *)
 
 val set_sinks : sink list -> unit
-val add_sink : sink -> unit
 val flush_sinks : unit -> unit
 (** Sinks belong to the calling domain's context; a worker domain sees
     an empty sink list until it installs its own. *)

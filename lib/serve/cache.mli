@@ -9,8 +9,7 @@
 
     Because a sampled fingerprint can collide, every hit is re-verified
     before it is served: {!lookup} runs the caller's [verify] (a full
-    CEC against the requesting box's reference, or a fresh-probe
-    simulation check when no reference netlist exists). A failed
+    CEC against the requesting box's reference netlist). A failed
     verification counts as {e refused}, evicts the poisoned entry, and
     falls through to a miss — a collision can cost a re-learn, never a
     wrong circuit.

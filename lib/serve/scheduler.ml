@@ -1,12 +1,9 @@
 module Json = Lr_instr.Json
 module Instr = Lr_instr.Instr
-module Http = Lr_obs.Http
 module Box = Lr_blackbox.Blackbox
 module Cases = Lr_cases.Cases
 module N = Lr_netlist.Netlist
 module Io = Lr_netlist.Io
-module Bv = Lr_bitvec.Bv
-module Rng = Lr_bitvec.Rng
 module Equiv = Lr_aig.Equiv
 module Learner = Logic_regression.Learner
 module Progress = Lr_prof.Progress
@@ -79,31 +76,13 @@ let progress_seq t job = locked t (fun () -> Http.ring_next_seq job.progress)
 
 (* ---------- cache-hit verification ---------- *)
 
-(* No reference netlist (file-less boxes): compare the cached circuit
-   against the live box on a fresh probe stream — distinct from the
-   fingerprint's, so a lookup is never "verified" by the very samples
-   that built the key. *)
-let sampled_equal box cached ~seed ~words =
-  let n = Box.num_inputs box in
-  match Box.of_netlist cached with
-  | exception _ -> false
-  | cbox ->
-      let rng = Rng.create (seed lxor 0x6c725f66) in
-      let patterns = Array.init (64 * words) (fun _ -> Bv.random rng n) in
-      let a = Box.probe_many box patterns in
-      let b = Box.probe_many cbox patterns in
-      Array.for_all2 Bv.equal a b
-
 let verify_hit box golden cached =
   N.num_inputs cached = Box.num_inputs box
   && N.num_outputs cached = Box.num_outputs box
   &&
-  match golden with
-  | Some g -> (
-      match Equiv.check cached g with
-      | Equiv.Equivalent -> true
-      | Equiv.Counterexample _ -> false)
-  | None -> sampled_equal box cached ~seed:0x51f1 ~words:4
+  match Equiv.check cached golden with
+  | Equiv.Equivalent -> true
+  | Equiv.Counterexample _ -> false
 
 (* On a hit the stored report (the original learn's) is re-stamped for
    the requesting job; everything describing the circuit stays. *)

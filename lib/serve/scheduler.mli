@@ -7,10 +7,9 @@
     FIFO and multiplexed onto [slots] worker domains. Each worker
     resolves the black box, probes its {!Fingerprint}, consults the
     {!Cache} (full CEC against the case's reference netlist on every
-    hit, sampled re-probe when no reference exists), and only on a miss
-    runs {!Logic_regression.Learner.learn} with per-job
-    {!Lr_prof.Progress} sinks feeding the job's progress ring
-    ({!Lr_obs.Http.ring}, tailed by [GET /jobs/:id/progress]).
+    hit), and only on a miss runs {!Logic_regression.Learner.learn}
+    with a per-job {!Lr_prof.Progress} sink feeding the job's progress
+    ring ({!Http.ring}, tailed by [GET /jobs/:id/progress]).
 
     Determinism notes: admission is decided by the in-flight count
     (queued + running) at submit, so an overload refusal does not
@@ -27,7 +26,7 @@ type state =
 type job = {
   id : string;  (** ["j1"], ["j2"], … in submission order *)
   spec : Proto.spec;
-  progress : Lr_obs.Http.ring;  (** [lr-progress/v1] lines *)
+  progress : Http.ring;  (** [lr-progress/v1] lines *)
   submitted_at : float;
   mutable state : state;
   mutable cache : [ `Pending | `Hit | `Miss ];

@@ -1,5 +1,4 @@
 module Json = Lr_instr.Json
-module Http = Lr_obs.Http
 module Metrics = Lr_prof.Metrics
 
 type t = {

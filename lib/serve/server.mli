@@ -1,8 +1,7 @@
 (** HTTP front of the [lr_serve] daemon.
 
-    Runs on the same dependency-free blocking foundation as the
-    observability plane ({!Lr_obs.Http}) and exposes the
-    {{!Proto}[lr-serve/v1]} protocol:
+    Runs on the dependency-free blocking foundation {!Http} and exposes
+    the {{!Proto}[lr-serve/v1]} protocol:
 
     - [POST /learn] — submit a job spec; [202] with the job id, [400]
       on a malformed spec or unknown case, [429] + [Retry-After] when
@@ -24,9 +23,9 @@ type t
 
 val create : Scheduler.t -> t
 
-val start : ?addr:string -> port:int -> t -> (Lr_obs.Http.t, string) result
+val start : ?addr:string -> port:int -> t -> (Http.t, string) result
 (** [port = 0] binds an ephemeral port (read it back with
-    {!Lr_obs.Http.port}). *)
+    {!Http.port}). *)
 
 val wait_shutdown : t -> unit
 (** Block until a [POST /shutdown] arrives. *)

@@ -37,7 +37,7 @@ module Equiv = Lr_aig.Equiv
 module Fp = Lr_serve.Fingerprint
 module Scache = Lr_serve.Cache
 module Proto = Lr_serve.Proto
-module Http = Lr_obs.Http
+module Http = Lr_serve.Http
 module Json = Lr_instr.Json
 module Soa = Lr_kernel.Soa
 module Incr = Lr_kernel.Incremental

@@ -24,6 +24,11 @@ let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
 let check_float msg = Alcotest.(check (float 1e-9)) msg
 
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
 let with_clean f =
   Instr.reset_aggregates ();
   Instr.set_sinks [];
@@ -44,11 +49,18 @@ let install_ticking_clock () =
       !t)
 
 (* the reference workload used by the attribution and round-trip tests:
-   outer(outer-self + inner) with one counter inside inner *)
-let record_workload () =
+   outer(outer-self + inner) with one counter inside inner, recorded
+   after any [sinks] *)
+let record_workload ?(sinks = []) () =
   let events = ref [] in
-  Instr.add_sink
-    { emit = (fun e -> events := e :: !events); flush = (fun () -> ()) };
+  Instr.set_sinks
+    (sinks
+    @ [
+        {
+          Instr.emit = (fun e -> events := e :: !events);
+          flush = (fun () -> ());
+        };
+      ]);
   Instr.span ~name:"outer" (fun () ->
       Instr.span ~name:"inner" (fun () -> Instr.count "widgets" 5));
   List.rev !events
@@ -82,8 +94,9 @@ let test_jsonl_roundtrip () =
   with_clean @@ fun () ->
   install_ticking_clock ();
   let buf = Buffer.create 256 in
-  Instr.add_sink (Instr.jsonl (Buffer.add_string buf));
-  let events = record_workload () in
+  let events =
+    record_workload ~sinks:[ Instr.jsonl (Buffer.add_string buf) ] ()
+  in
   let direct = Profile.of_events events in
   match Profile.of_jsonl_string (Buffer.contents buf) with
   | Error e -> Alcotest.fail ("jsonl parse: " ^ e)
@@ -108,8 +121,8 @@ let test_jsonl_roundtrip () =
 
 let record f =
   let events = ref [] in
-  Instr.add_sink
-    { emit = (fun e -> events := e :: !events); flush = (fun () -> ()) };
+  Instr.set_sinks
+    [ { emit = (fun e -> events := e :: !events); flush = (fun () -> ()) } ];
   f ();
   List.rev !events
 
@@ -190,6 +203,18 @@ let test_chrome_under_clock_skew () =
 
 (* --- progress stream protocol --- *)
 
+(* the reduced configuration of the learns below *)
+let fast =
+  {
+    Config.default with
+    Config.support_rounds = 192;
+    node_rounds = 32;
+    max_tree_nodes = 512;
+    optimize_rounds = 1;
+    fraig_words = 4;
+    template_samples = 32;
+  }
+
 let progress_lines buf =
   String.split_on_char '\n' (Buffer.contents buf)
   |> List.filter (fun l -> l <> "")
@@ -200,6 +225,7 @@ let progress_lines buf =
 
 let jstr k j = Option.bind (Json.member k j) Json.get_string
 let jint k j = Option.bind (Json.member k j) Json.get_int
+let jflt k j = Option.bind (Json.member k j) Json.get_float
 
 let test_progress_protocol () =
   with_clean @@ fun () ->
@@ -208,7 +234,7 @@ let test_progress_protocol () =
   Instr.set_sinks
     [
       Progress.sink ~out:(Buffer.add_string buf) ~every:10 ~query_budget:100
-        ();
+        ~time_budget_s:5.0 ();
     ];
   Instr.gauge "learn.outputs" 2.0;
   Instr.span ~name:"templates" (fun () -> ());
@@ -235,8 +261,14 @@ let test_progress_protocol () =
   let find ev = List.find (fun j -> jstr "ev" j = Some ev) lines in
   check_int "budget on run_start" 100
     (Option.get (jint "query_budget" (find "run_start")));
+  check_float "time budget on run_start" 5.0
+    (Option.get (jflt "time_budget_s" (find "run_start")));
   check_int "first throttled total" 15
     (Option.get (jint "queries" (find "queries")));
+  check_float "time budget on a queries line" 5.0
+    (Option.get (jflt "time_budget_s" (find "queries")));
+  check "elapsed time on a queries line" true
+    (Option.get (jflt "elapsed_s" (find "queries")) >= 0.0);
   let dones = List.filter (fun j -> jstr "ev" j = Some "output_done") lines in
   List.iteri
     (fun i j ->
@@ -253,18 +285,57 @@ let test_progress_protocol () =
       | None -> Alcotest.fail "line without t")
     lines
 
-(* --- profiling neutrality and --jobs determinism on a real case --- *)
+(* One case_7 learn, clean and under hard faults, streamed through a
+   progress sink: its run_end line must carry the learner's own totals. *)
+let test_run_end_matches_report () =
+  with_clean @@ fun () ->
+  let agree what faults =
+    let events = ref [] and lines = Buffer.create 4096 in
+    Instr.set_sinks
+      [
+        { Instr.emit = (fun e -> events := e :: !events); flush = ignore };
+        Progress.sink ~out:(Buffer.add_string lines) ();
+      ];
+    let box = Cases.blackbox ~budget:150_000 (Cases.find "case_7") in
+    let report =
+      Learner.learn ~config:{ fast with Config.seed = 3; faults } box
+    in
+    Instr.flush_sinks ();
+    Instr.set_sinks [];
+    let run_end =
+      match List.rev (progress_lines lines) with
+      | l :: _ -> l
+      | [] -> Alcotest.fail (what ^ ": no progress line")
+    in
+    (* outputs that ran the per-output stage (degraded ones may not) *)
+    let n_done =
+      List.length
+        (List.filter
+           (function
+             | Instr.Span_end { name; _ } ->
+                 String.starts_with ~prefix:"po:" name
+             | _ -> false)
+           !events)
+    in
+    let msg m = Printf.sprintf "%s: %s" what m in
+    check (msg "run_end is the last line") true
+      (jstr "ev" run_end = Some "run_end");
+    List.iter
+      (fun (key, want) ->
+        check_int (msg ("run_end " ^ key)) want
+          (Option.value ~default:(-1) (jint key run_end)))
+      [
+        ("queries", report.Learner.queries);
+        ("retries", report.Learner.retries);
+        ("degraded", report.Learner.degraded);
+        ("outputs_done", n_done);
+      ]
+  in
+  agree "clean" None;
+  agree "hard faults"
+    (Some (Result.get_ok (Lr_faults.Faults.of_string "seed=3,fail=1,burst=0")))
 
-let fast =
-  {
-    Config.default with
-    Config.support_rounds = 192;
-    node_rounds = 32;
-    max_tree_nodes = 512;
-    optimize_rounds = 1;
-    fraig_words = 4;
-    template_samples = 32;
-  }
+(* --- profiling neutrality and --jobs determinism on a real case --- *)
 
 (* strip the wall-clock fields so event sequences can be compared
    across runs and job counts *)
@@ -315,25 +386,28 @@ let test_profiling_is_neutral () =
 (* --- metrics exposition --- *)
 
 let test_metrics_exposition () =
-  with_clean @@ fun () ->
-  install_ticking_clock ();
-  Instr.span ~name:"outer" (fun () -> Instr.count "widgets" 5);
-  let text = Metrics.render (Metrics.of_instr ()) in
-  let has needle =
-    let nl = String.length needle and tl = String.length text in
-    let rec go i =
-      i + nl <= tl && (String.sub text i nl = needle || go (i + 1))
-    in
-    go 0
-  in
-  check "span seconds family" true (has "# TYPE lr_span_seconds_total counter");
-  check "span sample" true (has "lr_span_seconds_total{path=\"outer\"}");
-  check "counter total sample" true
-    (has "lr_counter_total{name=\"widgets\"} 5");
-  check "per-span counter sample" true
-    (has "lr_counter_by_span_total{path=\"outer\",name=\"widgets\"} 5");
-  check "gc family" true (has "# TYPE lr_gc_minor_words_total counter");
-  check "heap gauge" true (has "# TYPE lr_gc_heap_words gauge");
+  check_str "headers and samples"
+    "# HELP lr_widgets_total Widgets made.\n\
+     # TYPE lr_widgets_total counter\n\
+     lr_widgets_total{span=\"outer\"} 5\n\
+     # HELP lr_heap_words Heap size.\n\
+     # TYPE lr_heap_words gauge\n\
+     lr_heap_words 1.5\n"
+    (Metrics.render
+       [
+         {
+           Metrics.name = "lr_widgets_total";
+           help = "Widgets made.";
+           kind = `Counter;
+           samples = [ ([ ("span", "outer") ], 5.0) ];
+         };
+         {
+           Metrics.name = "lr_heap_words";
+           help = "Heap size.";
+           kind = `Gauge;
+           samples = [ ([], 1.5) ];
+         };
+       ]);
   (* name sanitization and label escaping *)
   check_str "dots and dashes" "sim_gate_words"
     (Metrics.sanitize_name "sim.gate-words");
@@ -353,28 +427,10 @@ let test_metrics_exposition () =
         };
       ]
   in
-  check "label escaped" true
-    (let needle = "x{l=\"a\\\"b\\\\c\\nd\"} 1" in
-     let nl = String.length needle and tl = String.length weird in
-     let rec go i =
-       i + nl <= tl && (String.sub weird i nl = needle || go (i + 1))
-     in
-     go 0);
-  check "non-finite sample skipped" true
-    (not
-       (let needle = "dropped" in
-        let nl = String.length needle and tl = String.length weird in
-        let rec go i =
-          i + nl <= tl && (String.sub weird i nl = needle || go (i + 1))
-        in
-        go 0))
+  check "label escaped" true (contains weird "x{l=\"a\\\"b\\\\c\\nd\"} 1");
+  check "non-finite sample skipped" true (not (contains weird "dropped"))
 
 (* --- loader robustness: truncated / garbage inputs --- *)
-
-let contains hay needle =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
 
 let write_temp content =
   let path = Filename.temp_file "lr_prof" ".trace" in
@@ -683,6 +739,8 @@ let tests =
     Alcotest.test_case "chrome ts monotone under clock skew" `Quick
       test_chrome_under_clock_skew;
     Alcotest.test_case "progress protocol" `Quick test_progress_protocol;
+    Alcotest.test_case "progress run_end matches the report" `Quick
+      test_run_end_matches_report;
     Alcotest.test_case "profiling neutral & jobs-invariant" `Quick
       test_profiling_is_neutral;
     Alcotest.test_case "metrics exposition" `Quick test_metrics_exposition;

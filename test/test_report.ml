@@ -1,13 +1,11 @@
 (* Analysis layer: latency histograms, GC gauges, run history,
-   report diffing/gating, the heartbeat rendering of the progress fold,
-   and the learner's wall-clock budget. *)
+   report diffing/gating, and the learner's wall-clock budget. *)
 
 module Instr = Lr_instr.Instr
 module Json = Lr_instr.Json
 module Histogram = Lr_report.Histogram
 module Gcstat = Lr_report.Gcstat
 module Compare = Lr_report.Compare
-module Progress = Lr_prof.Progress
 module Bv = Lr_bitvec.Bv
 module Box = Lr_blackbox.Blackbox
 module Learner = Logic_regression.Learner
@@ -17,11 +15,6 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
 let check_flt = Alcotest.(check (float 1e-9))
-
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
 
 (* ---------- histogram ---------- *)
 
@@ -231,7 +224,7 @@ let test_compare_thresholds () =
                ("b", [ ("improved", 9, 98.0, 0.3) ]);
              ])))
 
-(* ---------- heartbeat ---------- *)
+(* ---------- learner wall-clock budget ---------- *)
 
 let with_clean f =
   Instr.reset_aggregates ();
@@ -244,60 +237,6 @@ let with_clean f =
       Instr.set_clock Unix.gettimeofday;
       Instr.reset_aggregates ())
     f
-
-let test_heartbeat () =
-  with_clean @@ fun () ->
-  (* fake clock: each reading advances 40 ms *)
-  let t = ref 0.0 in
-  Instr.set_clock (fun () ->
-      t := !t +. 0.04;
-      !t);
-  let buf = Buffer.create 256 in
-  let run = Progress.create ~time_budget_s:10.0 () in
-  Progress.add_heartbeat run ~out:(Buffer.add_string buf) ~interval_s:0.1;
-  Instr.set_sinks [ Progress.fold run ];
-  Instr.span ~name:"support-id" (fun () ->
-      for _ = 1 to 5 do
-        Instr.count "queries" 100
-      done);
-  Instr.flush_sinks ();
-  let lines =
-    String.split_on_char '\n' (Buffer.contents buf)
-    |> List.filter (fun l -> l <> "")
-  in
-  (* 7 events x 40 ms = 240 ms of activity at a 100 ms interval, plus the
-     final flush line: at least two prints, all well-formed *)
-  check "printed at interval" true (List.length lines >= 2);
-  List.iter
-    (fun l ->
-      check ("starts with [hb]: " ^ l) true
-        (String.length l > 4 && String.sub l 0 4 = "[hb]");
-      check ("names the budget: " ^ l) true (contains l "budget=10.00s"))
-    lines;
-  (* the last line carries the final query total *)
-  let last = List.nth lines (List.length lines - 1) in
-  check ("final total: " ^ last) true (contains last "queries=500");
-  (* phase name appears while the span is open *)
-  check "phase attributed" true
-    (List.exists (fun l -> contains l "phase=support-id") lines)
-
-let test_heartbeat_silent_below_interval () =
-  with_clean @@ fun () ->
-  let t = ref 0.0 in
-  Instr.set_clock (fun () ->
-      t := !t +. 0.001;
-      !t);
-  let buf = Buffer.create 64 in
-  let run = Progress.create () in
-  Progress.add_heartbeat run ~out:(Buffer.add_string buf) ~interval_s:60.0;
-  Instr.set_sinks [ Progress.fold run ];
-  Instr.span ~name:"fast" (fun () -> Instr.count "queries" 1);
-  check_str "no mid-run prints below the interval" "" (Buffer.contents buf);
-  Instr.flush_sinks ();
-  check "flush prints one final line" true
-    (String.length (Buffer.contents buf) > 0)
-
-(* ---------- learner wall-clock budget ---------- *)
 
 let majority_box () =
   Box.of_function
@@ -423,9 +362,6 @@ let tests =
     Alcotest.test_case "gc stats: diff/add/json" `Quick test_gcstat;
     Alcotest.test_case "compare: report flattening" `Quick test_compare_entries;
     Alcotest.test_case "compare: thresholds" `Quick test_compare_thresholds;
-    Alcotest.test_case "heartbeat: fake clock" `Quick test_heartbeat;
-    Alcotest.test_case "heartbeat: silent below interval" `Quick
-      test_heartbeat_silent_below_interval;
     Alcotest.test_case "blackbox: empty query_many is a no-op" `Quick
       test_query_many_empty;
     Alcotest.test_case "learner: zero time budget" `Quick test_budget_zero;

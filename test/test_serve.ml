@@ -16,7 +16,7 @@ module Equiv = Lr_aig.Equiv
 module Json = Lr_instr.Json
 module Config = Logic_regression.Config
 module Learner = Logic_regression.Learner
-module Http = Lr_obs.Http
+module Http = Lr_serve.Http
 module Fingerprint = Lr_serve.Fingerprint
 module Cache = Lr_serve.Cache
 module Proto = Lr_serve.Proto
