@@ -76,25 +76,27 @@ let popcount t = Array.fold_left (fun acc w -> acc + popcount_word w) 0 t.words
 external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-let transpose_stage blk j m =
+let transpose_stage blk base j m =
   let r0 = ref 0 in
   while !r0 < 64 do
     for r = !r0 to !r0 + j - 1 do
-      let x = get64u blk (8 * r) and y = get64u blk (8 * (r + j)) in
+      let x = get64u blk (base + (8 * r))
+      and y = get64u blk (base + (8 * (r + j))) in
       let t = Int64.(logand (logxor (shift_right_logical x j) y) m) in
-      set64u blk (8 * r) (Int64.logxor x (Int64.shift_left t j));
-      set64u blk (8 * (r + j)) (Int64.logxor y t)
+      set64u blk (base + (8 * r)) (Int64.logxor x (Int64.shift_left t j));
+      set64u blk (base + (8 * (r + j))) (Int64.logxor y t)
     done;
     r0 := !r0 + (2 * j)
   done
 
-let transpose_block blk =
-  transpose_stage blk 32 0x00000000FFFFFFFFL;
-  transpose_stage blk 16 0x0000FFFF0000FFFFL;
-  transpose_stage blk 8 0x00FF00FF00FF00FFL;
-  transpose_stage blk 4 0x0F0F0F0F0F0F0F0FL;
-  transpose_stage blk 2 0x3333333333333333L;
-  transpose_stage blk 1 0x5555555555555555L
+(* the block whose row 0 sits at byte [base] of [blk] *)
+let transpose_block ?(base = 0) blk =
+  transpose_stage blk base 32 0x00000000FFFFFFFFL;
+  transpose_stage blk base 16 0x0000FFFF0000FFFFL;
+  transpose_stage blk base 8 0x00FF00FF00FF00FFL;
+  transpose_stage blk base 4 0x0F0F0F0F0F0F0F0FL;
+  transpose_stage blk base 2 0x3333333333333333L;
+  transpose_stage blk base 1 0x5555555555555555L
 
 (* One vector is a gather, not a transposition: a block would spend its
    six stages moving 63 rows of zeros, and every single black-box query
@@ -171,6 +173,32 @@ let random_biased rng p n =
   done;
   mask_last t;
   t
+
+(* [random_biased] vector by vector, straight into lane words: vector
+   [k]'s word [wi] is drawn into row [k] of block [wi], and each block is
+   transposed in place. A vector draws [max 1 (nwords n)] words, as
+   [create] sizes it; its bits past [n] land in lane rows never read,
+   which is why no word needs masking. *)
+let random_biased_lanes rng p ~count n =
+  if count < 0 || count > 64 then
+    invalid_arg "Bv.random_biased_lanes: count out of range";
+  if n < 0 then invalid_arg "Bv.random_biased_lanes: negative length";
+  let nw = max 1 (nwords n) in
+  let blk = Bytes.make (512 * nw) '\000' in
+  for k = 0 to count - 1 do
+    for wi = 0 to nw - 1 do
+      set64u blk ((512 * wi) + (8 * k)) (Rng.biased_word rng p)
+    done
+  done;
+  let lanes = Array.make n 0L in
+  for wi = 0 to nwords n - 1 do
+    let base = 512 * wi in
+    transpose_block ~base blk;
+    for b = 0 to min 63 (n - 1 - (wi * 64)) do
+      lanes.((wi * 64) + b) <- get64u blk (base + (8 * b))
+    done
+  done;
+  lanes
 
 let of_int ~width v =
   if width < 0 || width > 62 then invalid_arg "Bv.of_int: width out of range";

@@ -62,6 +62,14 @@ val random : Rng.t -> int -> t
 val random_biased : Rng.t -> float -> int -> t
 (** [random_biased rng p n] draws [n] bits, each 1 with probability ~[p]. *)
 
+val random_biased_lanes : Rng.t -> float -> count:int -> int -> int64 array
+(** [random_biased_lanes rng p ~count n] is
+    [to_lanes n (Array.init count (fun _ -> random_biased rng p n))]
+    without the vectors: the same {!Rng.biased_word} draws in the same
+    order, written straight into lane words, so [rng] ends in the same
+    state. Raises [Invalid_argument] on a [count] outside [\[0, 64\]] or
+    a negative [n]. *)
+
 val of_int : width:int -> int -> t
 (** [of_int ~width v] encodes the low [width] bits of [v], bit [i] of the
     result being bit [i] of [v] (LSB at index 0). *)

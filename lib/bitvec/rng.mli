@@ -4,7 +4,13 @@
     type {!t}, so every learner run, test and benchmark is reproducible.
     The generator is a SplitMix64 core; [split] derives an independent
     stream, which lets concurrent subproblems (e.g. per-output learners)
-    draw patterns without interfering with each other. *)
+    draw patterns without interfering with each other.
+
+    The state is one 64-bit word kept in an unboxed byte store, so a
+    draw allocates no state. The stream itself is fixed: every seed's
+    {!bits64}, {!biased_word}, {!split} and {!split_keyed} draws are
+    pinned by golden vectors in the tests, and every learned circuit
+    depends on them. *)
 
 type t
 

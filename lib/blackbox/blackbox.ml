@@ -180,8 +180,19 @@ let run_blocks t ~count blocks =
   match t.provider with
   | Circuit (_, s) ->
       Instr.count "sim.patterns" (count * Array.length blocks);
-      let m = lane_mask count in
-      Array.map (Array.map (Int64.logand m)) (Soa.eval_blocks s blocks)
+      let outs = Soa.eval_blocks s blocks in
+      (* a full block's mask is all ones; a partial one is masked in
+         place, the kernel's answer arrays being fresh *)
+      if count < 64 then begin
+        let m = lane_mask count in
+        Array.iter
+          (fun words ->
+            for o = 0 to Array.length words - 1 do
+              words.(o) <- Int64.logand m words.(o)
+            done)
+          outs
+      end;
+      outs
   | Function f ->
       Array.map
         (fun words ->

@@ -76,8 +76,12 @@ val query_blocks : t -> count:int -> int64 array array -> int64 array array
     one batch: one per-span attribution of [count * Array.length blocks]
     queries, one clock pair, one latency sample of that weight, and one
     {!Lr_kernel.Soa.eval_blocks} run that simulates up to eight blocks per
-    pass. The ["sim.patterns"]/["sim.gate-words"] counters tick by the
-    same totals as one {!query_many} per block. A faulty box, and a strict
+    pass. The blocks reach the kernel as they are, uncopied; only a
+    partial block's answers ([count < 64]) are masked. A netlist box
+    simulates only the golden logic some output reads, so
+    ["sim.patterns"] ticks by [count] and ["sim.gate-words"] by
+    {!Lr_kernel.Soa.num_observed} per block: the same totals as one
+    {!query_many} per block. A faulty box, and a strict
     shard whose slice would run out inside the call, take the blocks one
     at a time, in order, each as its own batch: fault schedules, retries
     and {!Exhausted} then fall exactly where single-block calls would put

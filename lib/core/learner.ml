@@ -247,19 +247,26 @@ let to_full ni dom arr =
          let vw = Bv.to_lanes dom.arity (Array.sub arr (64 * b) count) in
          Bv.of_lanes count (to_full_words ni dom vw)))
 
+(* A plain domain is the box's own input space: its blocks and patterns
+   go to the box as they are, with no copy or transposition. *)
 let oracle_for box dom ~output =
   let ni = Box.num_inputs box in
+  let full, full_words =
+    match dom.delegate with
+    | None -> (Fun.id, Fun.id)
+    | Some _ -> (to_full ni dom, Array.map (to_full_words ni dom))
+  in
   {
     Oracle.arity = dom.arity;
     query =
       (fun arr ->
-        let outs = Box.query_many box (to_full ni dom arr) in
+        let outs = Box.query_many box (full arr) in
         Array.map (fun o -> Bv.get o output) outs);
     query_blocks =
       (fun ~count blocks ->
         Array.map
           (fun outs -> outs.(output))
-          (Box.query_blocks box ~count (Array.map (to_full_words ni dom) blocks)));
+          (Box.query_blocks box ~count (full_words blocks)));
     exhausted = (fun () -> Box.exhausted box);
   }
 

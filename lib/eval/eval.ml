@@ -22,7 +22,7 @@ let check_shapes golden candidate =
    transposed once and both circuits simulate the same words, so no
    output vector is built per pattern. [f mask want got] sees one block's
    output words; [mask] has a bit per lane that holds a pattern. The sim
-   counters tick as [eval_many] ticks them on each circuit. *)
+   counters tick as [Soa.eval_many] ticks them on each circuit. *)
 let iter_blocks ~patterns ~golden ~candidate f =
   let np = Array.length patterns in
   let count b = min 64 (np - (64 * b)) in

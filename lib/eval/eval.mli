@@ -13,8 +13,10 @@
     differs, [popcount (lnot (OR over o of (g_o xor c_o)))] under the
     mask of lanes that hold a pattern. No output vector is built per
     pattern. The counters tick exactly as simulating each circuit with
-    [eval_many] would: ["eval.patterns"] once per {!accuracy_on} call,
-    ["sim.patterns"] and ["sim.gate-words"] for both circuits. *)
+    [Lr_kernel.Soa.eval_many] would: ["eval.patterns"] once per
+    {!accuracy_on} call, and for both circuits ["sim.patterns"] and
+    ["sim.gate-words"], the latter by the circuit's observed nodes (the
+    ones its outputs read) per 64-pattern block. *)
 
 val mixture :
   rng:Lr_bitvec.Rng.t -> num_inputs:int -> count:int -> Lr_bitvec.Bv.t array
@@ -50,8 +52,8 @@ val per_output_accuracy :
   float array
 (** Hit rate of each output separately — diagnostic, not a contest
     metric. Counted per output word on the same lane words; ticks
-    ["sim.patterns"] and ["sim.gate-words"] for both circuits, no
-    ["eval.patterns"] and no span. *)
+    ["sim.patterns"] and ["sim.gate-words"] (observed nodes per block)
+    for both circuits, no ["eval.patterns"] and no span. *)
 
 type stats = {
   mean : float;

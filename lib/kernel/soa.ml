@@ -31,12 +31,16 @@ type t = {
   outputs : int array;  (* node per primary output *)
   out_neg : bool array;
   readers : int list array;  (* per input index: nodes reading it, ascending *)
+  obs_inputs : int array;  (* input nodes some output reads *)
+  obs_index : int array;  (* the input index of each [obs_inputs] node *)
+  obs_sched : int array;  (* the other observed nodes, level-major *)
 }
 
 let num_nodes t = t.nn
 let num_inputs t = t.ni
 let num_outputs t = t.no
 let num_levels t = Array.length t.level_off - 1
+let num_observed t = Array.length t.obs_inputs + Array.length t.obs_sched
 let schedule t = t.sched
 let level_offsets t = t.level_off
 let input_readers t i = t.readers.(i)
@@ -58,6 +62,8 @@ let finish ~ni ~no ~op ~arg0 ~arg1 ~outputs ~out_neg =
   let max_level = ref 0 in
   for n = 0 to nn - 1 do
     let c = Char.code (Bytes.get op n) land 0xf in
+    if (c >= op_not && arg0.(n) >= n) || (c >= op_and && arg1.(n) >= n) then
+      invalid_arg "Soa: a fanin does not precede its node";
     let l =
       if c < op_not then 0
       else if c = op_not then 1 + level.(arg0.(n))
@@ -88,7 +94,40 @@ let finish ~ni ~no ~op ~arg0 ~arg1 ~outputs ~out_neg =
     if Char.code (Bytes.get op n) land 0xf = op_input then
       readers.(arg0.(n)) <- n :: readers.(arg0.(n))
   done;
-  { nn; ni; no; op; arg0; arg1; sched; level_off; outputs; out_neg; readers }
+  (* The observed schedule: the outputs' transitive fanin, marked in one
+     descending pass (fanins precede their nodes) and read off [sched]
+     in level order. Its input nodes are kept apart, with their input
+     indices, so a block loads their words straight into their slots. *)
+  let mark = Bytes.make nn '\000' in
+  Array.iter (fun n -> Bytes.set mark n '\001') outputs;
+  let observed = ref 0 and inputs = ref 0 in
+  for n = nn - 1 downto 0 do
+    if Bytes.unsafe_get mark n <> '\000' then begin
+      incr observed;
+      let c = Char.code (Bytes.unsafe_get op n) land 0xf in
+      if c = op_input then incr inputs;
+      if c >= op_not then Bytes.unsafe_set mark arg0.(n) '\001';
+      if c >= op_and then Bytes.unsafe_set mark arg1.(n) '\001'
+    end
+  done;
+  let obs_inputs = Array.make !inputs 0 and obs_index = Array.make !inputs 0 in
+  let obs_sched = Array.make (!observed - !inputs) 0 in
+  let ki = ref 0 and kg = ref 0 in
+  Array.iter
+    (fun n ->
+      if Bytes.unsafe_get mark n <> '\000' then
+        if Char.code (Bytes.unsafe_get op n) land 0xf = op_input then begin
+          obs_inputs.(!ki) <- n;
+          obs_index.(!ki) <- arg0.(n);
+          incr ki
+        end
+        else begin
+          obs_sched.(!kg) <- n;
+          incr kg
+        end)
+    sched;
+  { nn; ni; no; op; arg0; arg1; sched; level_off; outputs; out_neg; readers;
+    obs_inputs; obs_index; obs_sched }
 
 let of_netlist c =
   let nn = N.num_nodes c in
@@ -213,12 +252,12 @@ let scratch words =
     r := Bytes.create (max (8 * words) (2 * Bytes.length !r));
   !r
 
-(* Simulate [width] 64-pattern blocks in one pass over the schedule. In
+(* Simulate [width] 64-pattern blocks in one pass over [sched]. In
    [buf], node [n]'s word [w] sits at byte [8 * (n * width + w)] and input
    [i]'s at [inoff + 8 * (i * width + w)]. One opcode dispatch then serves
    [width] words of work. *)
-let run t buf ~width ~inoff =
-  let sched = t.sched and op = t.op and a0 = t.arg0 and a1 = t.arg1 in
+let run t sched buf ~width ~inoff =
+  let op = t.op and a0 = t.arg0 and a1 = t.arg1 in
   let stride = 8 * width in
   for k = 0 to Array.length sched - 1 do
     let n = Array.unsafe_get sched k in
@@ -272,7 +311,7 @@ let run_block t words =
   for i = 0 to t.ni - 1 do
     set64u buf (inoff + (8 * i)) words.(i)
   done;
-  run t buf ~width:1 ~inoff;
+  run t t.sched buf ~width:1 ~inoff;
   buf
 
 let eval_into t v words =
@@ -323,11 +362,23 @@ let output_word t buf ~width ~w o =
   let x = get64u buf (8 * ((t.outputs.(o) * width) + w)) in
   if t.out_neg.(o) then Int64.lognot x else x
 
+(* One block's observed input words, stored straight into their node
+   slots as word [w] of a [width]-block pass. *)
+let load_observed t buf ~width ~w words =
+  let stride = 8 * width in
+  for k = 0 to Array.length t.obs_inputs - 1 do
+    set64u buf
+      ((Array.unsafe_get t.obs_inputs k * stride) + (8 * w))
+      words.(Array.unsafe_get t.obs_index k)
+  done
+
 let eval_words t words =
   if Array.length words <> t.ni then
     invalid_arg "Soa.eval_words: wrong number of input words";
-  Instr.count "sim.gate-words" t.nn;
-  let buf = run_block t words in
+  Instr.count "sim.gate-words" (num_observed t);
+  let buf = scratch t.nn in
+  load_observed t buf ~width:1 ~w:0 words;
+  run t t.obs_sched buf ~width:1 ~inoff:0;
   Array.init t.no (output_word t buf ~width:1 ~w:0)
 
 (* Up to this many 64-pattern blocks share one pass over the schedule. *)
@@ -340,19 +391,16 @@ let eval_blocks t blocks =
         invalid_arg "Soa.eval_blocks: wrong number of input words")
     blocks;
   let nblocks = Array.length blocks in
-  if nblocks > 0 then Instr.count "sim.gate-words" (t.nn * nblocks);
+  if nblocks > 0 then Instr.count "sim.gate-words" (num_observed t * nblocks);
   let results = Array.make nblocks [||] in
-  let buf = scratch ((t.nn + t.ni) * max_width) in
+  let buf = scratch (t.nn * max_width) in
   let block = ref 0 in
   while !block < nblocks do
     let width = min max_width (nblocks - !block) in
-    let inoff = 8 * t.nn * width in
     for w = 0 to width - 1 do
-      Array.iteri
-        (fun i x -> set64u buf (inoff + (8 * ((i * width) + w))) x)
-        blocks.(!block + w)
+      load_observed t buf ~width ~w blocks.(!block + w)
     done;
-    run t buf ~width ~inoff;
+    run t t.obs_sched buf ~width ~inoff:0;
     for w = 0 to width - 1 do
       results.(!block + w) <- Array.init t.no (output_word t buf ~width ~w)
     done;

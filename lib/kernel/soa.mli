@@ -13,13 +13,24 @@
     the source netlist), which is what lets the incremental engine and the
     sweep's ODC verification exchange node sets with the netlist layer.
     The same opcode layout drives the Tseitin CNF encoder ({!encode}),
-    so one compiled form serves simulation and SAT alike. *)
+    so one compiled form serves simulation and SAT alike.
+
+    Beside the full schedule, a circuit carries its {e observed}
+    schedule: the outputs' transitive fanin, in level order. The
+    output-only entry points ({!eval_words}, {!eval_blocks},
+    {!eval_many}) load only the inputs it reads and run only its gates;
+    a golden circuit can hold far more logic than its outputs read.
+    The node-value entry points ({!eval_into}, {!node_values}), which
+    fraig, the sweep and the incremental engine read node by node, run
+    the full schedule. *)
 
 type t
 
 val of_netlist : Lr_netlist.Netlist.t -> t
 (** Compile a netlist. Bit-identical node semantics to
-    [Netlist.eval_words], including unreachable nodes. *)
+    [Netlist.eval_words], including unreachable nodes. Every fanin must
+    precede its node, as the netlist builders guarantee; otherwise
+    raises [Invalid_argument]. *)
 
 val of_ands :
   num_inputs:int ->
@@ -29,12 +40,18 @@ val of_ands :
   t
 (** Compile an AIG given in literal form: node 0 is constant false, nodes
     [1..num_inputs] the inputs, node [num_inputs+1+k] the AND over the two
-    literals [ands.(k)] (literal = [2*node + phase]); [outputs] are
-    literals. Matches [Aig.simulate_nodes] semantics exactly. *)
+    literals [ands.(k)] (literal = [2*node + phase]), which must name
+    earlier nodes (else [Invalid_argument]); [outputs] are literals.
+    Matches [Aig.simulate_nodes] semantics exactly. *)
 
 val num_nodes : t -> int
 val num_inputs : t -> int
 val num_outputs : t -> int
+
+val num_observed : t -> int
+(** The size of the observed schedule: the nodes, inputs and constants
+    included, in the transitive fanin of the outputs — what
+    {!transitive_fanin} returns for the output nodes. *)
 
 val num_levels : t -> int
 (** Depth of the topological batching: constants and inputs are level 0,
@@ -82,11 +99,12 @@ val eval_node : t -> int64 array -> int64 array -> int -> int64
 val eval_into : t -> int64 array -> int64 array -> unit
 (** [eval_into t vals words] — simulate one 64-pattern block into the
     caller-owned [vals] (length {!num_nodes}); [words] has one word per
-    input. No allocation. *)
+    input. Every node is simulated, observed or not. No allocation. *)
 
 val node_values : t -> int64 array -> int64 array
-(** One word per node for one block — bit-identical to
-    [Aig.simulate_nodes] / the netlist evaluators' internal value array. *)
+(** One word per node for one block, every node simulated —
+    bit-identical to [Aig.simulate_nodes] / the netlist evaluators'
+    internal value array. *)
 
 val outputs_of_values : t -> int64 array -> int64 array
 (** Project output words (with output complement flags applied) from a
@@ -97,8 +115,10 @@ val output_of_values : t -> int64 array -> int -> int64
     {!outputs_of_values}, without projecting the others. *)
 
 val eval_words : t -> int64 array -> int64 array
-(** Drop-in for [Netlist.eval_words]: same output words, same
-    ["sim.gate-words"] accounting. *)
+(** Drop-in for [Netlist.eval_words]: the same output words, from the
+    observed schedule alone. ["sim.gate-words"] ticks by
+    {!num_observed}, the nodes actually simulated (the netlist
+    evaluator ticks by every node). *)
 
 val max_width : int
 (** How many 64-pattern blocks {!eval_blocks} simulates per pass over
@@ -108,18 +128,21 @@ val eval_blocks : t -> int64 array array -> int64 array array
 (** [eval_blocks t blocks] simulates any number of 64-pattern blocks.
     [blocks.(b)] holds block [b]'s input words ({!Lr_bitvec.Bv.to_lanes}
     layout, one word per input); the result holds its output words, one
-    per output. Up to {!max_width} blocks share one pass over the
-    schedule (wide blocks), which is where the cache win lives: one
-    opcode dispatch serves several words of work. Output words equal
-    one {!eval_words} call per block, and ["sim.gate-words"] ticks by
-    the same total, {!num_nodes} per block, in one count. Raises
+    per output, in fresh arrays. Only the observed inputs are loaded,
+    straight into their node slots, and only the observed gates run. Up
+    to {!max_width} blocks share one pass over the observed schedule
+    (wide blocks), which is where the cache win lives: one opcode
+    dispatch serves several words of work. Output words equal one
+    {!eval_words} call per block, and ["sim.gate-words"] ticks by the
+    same total, {!num_observed} per block, in one count. Raises
     [Invalid_argument] on a block with the wrong number of words. *)
 
 val eval_many : t -> Lr_bitvec.Bv.t array -> Lr_bitvec.Bv.t array
 (** Drop-in for [Netlist.eval_many]: same results, same ["sim.patterns"]
-    and ["sim.gate-words"] accounting. Transposes the patterns into lane
-    words 64 at a time, simulates them with {!eval_blocks} and
-    transposes the outputs back. *)
+    accounting. Transposes the patterns into lane words 64 at a time,
+    simulates them with {!eval_blocks} (so ["sim.gate-words"] ticks by
+    {!num_observed} per 64-pattern block) and transposes the outputs
+    back. *)
 
 (** {2 CNF}
 

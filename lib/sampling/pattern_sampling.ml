@@ -13,14 +13,12 @@ type stats = {
 let default_biases = [| 0.5; 0.1; 0.9; 0.5; 0.25; 0.75; 0.5; 0.03; 0.97 |]
 
 (* One sampling block as lane words: [count] base patterns drawn at
-   density [bias] (one RNG draw sequence per pattern, in order),
-   transposed, with the cube's literals forced on their lane words; then
-   one block per free input, that input's word complemented. *)
+   density [bias] (one RNG draw sequence per pattern, in order) straight
+   into lane words, with the cube's literals forced on their lane words;
+   then one block per free input, that input's word complemented. *)
 let toggle_blocks ~rng ~bias ~count cube free =
   let n = Cube.universe cube in
-  let base =
-    Bv.to_lanes n (Array.init count (fun _ -> Bv.random_biased rng bias n))
-  in
+  let base = Bv.random_biased_lanes rng bias ~count n in
   List.iter
     (fun (v, ph) -> base.(v) <- (if ph then -1L else 0L))
     (Cube.literals cube);

@@ -51,8 +51,10 @@ val toggle_blocks :
     per variable of [cube]'s universe). Element 0 is the base block:
     [count] (at most 64) assignments drawn with
     [Lr_bitvec.Bv.random_biased rng bias] in lane order, with the cube's
-    literals forced on. Element [1 + j] is the base block with input
-    [free.(j)]'s word complemented. Lanes at or past [count] carry no
+    literals forced on. {!Lr_bitvec.Bv.random_biased_lanes} makes those
+    draws straight into lane words, so no assignment is built as a
+    vector. Element [1 + j] is the base block with input [free.(j)]'s
+    word complemented, a copy each. Lanes at or past [count] carry no
     query. {!run} and the FBDT's node sampler both draw their blocks
     here, each with its own bias schedule. *)
 

@@ -125,7 +125,7 @@ let run_job t job =
     | Some entry ->
         push_lines t job
           (Printf.sprintf
-             {|{"schema":"lr-progress/v1","event":"cache_hit","job":"%s","key":"%s"}|}
+             {|{"schema":"lr-progress/v1","ev":"cache_hit","job":"%s","key":"%s"}|}
              job.id key);
         let report =
           patch_report entry.Cache.report ~job_id:job.id ~tenant:spec.tenant

@@ -383,6 +383,157 @@ let prop_aiger_mutants () =
   Alcotest.(check bool) "some mutants read" true (!read > 0);
   Alcotest.(check bool) "some mutants refused" true (!refused > 0)
 
+(* Reader fuzzing for the two circuit-file readers, [Io] (native) and
+   [Blif]. A seed text is a [test/lint_cli] fixture or the [Io.write] or
+   [Blif.write] text of a recipe; an edit (kind, l, t, v) replaces token
+   [t] of line [l] with value [v] (0), drops (1) or duplicates (2) line
+   [l], swaps lines [l] and [t] (3), truncates at byte [l] (4) or swaps
+   the tokens at places [l] and [t] (5). A value is an extreme id or
+   count, an unknown op or directive (even [v]) or another token of the
+   text. *)
+let circuit_fixtures =
+  lazy
+    (let dir =
+       (* [dune runtest] runs in the test directory, [dune exec] at the
+          root *)
+       List.find Sys.file_exists [ "lint_cli"; "test/lint_cli" ]
+     in
+     Sys.readdir dir |> Array.to_list |> List.sort compare
+     |> List.filter (fun f ->
+            Filename.check_suffix f ".blif" || Filename.check_suffix f ".aag")
+     |> List.map (fun f -> In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all))
+
+let reader_values =
+  [|
+    "-1"; "0"; "1"; "2"; "1000000000"; string_of_int max_int;
+    "99999999999999999999"; "x"; "MUX"; "NOT"; "="; ".gate"; ".names";
+    ".po"; ".inputs"; ".latch"; "-"; "10"; "1-";
+  |]
+
+let mutate_reader_text text (kind, l, t, v) =
+  let lines = Array.of_list (String.split_on_char '\n' text) in
+  let nl = Array.length lines in
+  let tokens = Array.map (fun l -> Array.of_list (String.split_on_char ' ' l)) lines in
+  let places =
+    Array.concat
+      (Array.to_list
+         (Array.mapi (fun li t -> Array.mapi (fun k _ -> (li, k)) t) tokens))
+  in
+  let place n = places.(n mod Array.length places) in
+  let joined tokens =
+    String.concat "\n"
+      (Array.to_list
+         (Array.map (fun t -> String.concat " " (Array.to_list t)) tokens))
+  in
+  let li = l mod nl in
+  match kind with
+  | 0 ->
+      let k = t mod Array.length tokens.(li) in
+      tokens.(li).(k) <-
+        (if v land 1 = 0 then reader_values.(v / 2 mod Array.length reader_values)
+         else
+           let lj, kj = place (v / 2) in
+           tokens.(lj).(kj));
+      joined tokens
+  | 1 -> joined (Array.of_list (List.filteri (fun j _ -> j <> li) (Array.to_list tokens)))
+  | 2 ->
+      joined
+        (Array.of_list
+           (List.concat_map
+              (fun (j, x) -> if j = li then [ x; x ] else [ x ])
+              (List.mapi (fun j x -> (j, x)) (Array.to_list tokens))))
+  | 3 ->
+      let lj = t mod nl in
+      let x = tokens.(li) in
+      tokens.(li) <- tokens.(lj);
+      tokens.(lj) <- x;
+      joined tokens
+  | 4 -> String.sub text 0 (l mod (String.length text + 1))
+  | _ ->
+      let l1, k1 = place l and l2, k2 = place t in
+      let x = tokens.(l1).(k1) in
+      tokens.(l1).(k1) <- tokens.(l2).(k2);
+      tokens.(l2).(k2) <- x;
+      joined tokens
+
+(* the seed, by [seed mod 3]: a fixture, or the recipe's native or
+   BLIF text *)
+let reader_seed r seed =
+  let fixtures = Lazy.force circuit_fixtures in
+  match seed mod 3 with
+  | 0 -> List.nth fixtures (seed / 3 mod List.length fixtures)
+  | 1 -> Io.write (build_netlist r)
+  | _ -> Blif.write (build_netlist r)
+
+let arb_reader_mutant =
+  {
+    gen =
+      (fun rng size ->
+        let r = arb_recipe.gen rng size in
+        let seed = Rng.int rng (3 * List.length (Lazy.force circuit_fixtures)) in
+        let edit _ =
+          (Rng.int rng 6, Rng.int rng 1000, Rng.int rng 1000, Rng.int rng 1000)
+        in
+        (r, seed, List.init (1 + Rng.int rng 3) edit));
+    shrink =
+      (fun (r, seed, edits) ->
+        List.map (fun edits -> (r, seed, edits)) (shrink_list (fun _ -> []) edits)
+        @ List.map (fun r -> (r, seed, edits)) (arb_recipe.shrink r));
+    print =
+      (fun (r, seed, edits) ->
+        Printf.sprintf "%s seed=%d\n%S" (arb_recipe.print r) seed
+          (List.fold_left mutate_reader_text (reader_seed r seed) edits));
+  }
+
+(* a Failure that names a line, as both readers word theirs *)
+let located msg =
+  let rec go = function
+    | "line" :: n :: _ when n <> "" && n.[0] >= '0' && n.[0] <= '9' -> true
+    | _ :: rest -> go rest
+    | [] -> false
+  in
+  go (String.split_on_char ' ' msg)
+
+(* Every mutant reads as a netlist or is refused with a located
+   Failure, never another exception; a netlist it reads compiles to the
+   kernel (whose observed schedule assumes fanins precede their nodes)
+   and simulates as the netlist evaluator does. Each reader must both
+   accept and refuse some mutants, or the edits are not biting. *)
+let prop_circuit_reader_mutants () =
+  let outcomes = Hashtbl.create 4 in
+  let tally key =
+    Hashtbl.replace outcomes key
+      (1 + Option.value ~default:0 (Hashtbl.find_opt outcomes key))
+  in
+  let rng = Rng.create 61 in
+  check_prop ~count:3000 "native and BLIF readers under mutation"
+    arb_reader_mutant (fun (r, seed, edits) ->
+      let text = List.fold_left mutate_reader_text (reader_seed r seed) edits in
+      List.for_all
+        (fun (name, read) ->
+          match read text with
+          | c ->
+              tally (name, true);
+              let s = Soa.of_netlist c in
+              List.for_all
+                (fun _ ->
+                  let w = words rng (N.num_inputs c) in
+                  N.eval_words c w = Soa.eval_words s w
+                  && Soa.outputs_of_values s (Soa.node_values s w)
+                     = N.eval_words c w)
+                (List.init 2 Fun.id)
+          | exception Failure msg ->
+              tally (name, false);
+              located msg)
+        [ ("native", Io.read); ("blif", Blif.read) ]);
+  List.iter
+    (fun key ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s %s some mutants" (fst key)
+           (if snd key then "reads" else "refuses"))
+        true (Hashtbl.mem outcomes key))
+    [ ("native", true); ("native", false); ("blif", true); ("blif", false) ]
+
 (* one random-cover property over three evaluators: the cover itself,
    its BDD, and the SOP netlist the learner would synthesise from it *)
 let prop_evaluators_agree () =
@@ -409,29 +560,51 @@ let prop_evaluators_agree () =
 
 (* ---------------- SoA kernel differentials ---------------- *)
 
+(* the nodes the outputs read: what [eval_words], [eval_blocks] and
+   [eval_many] simulate, and tick ["sim.gate-words"] by, per block *)
+let observed s =
+  Array.length
+    (Soa.transitive_fanin s (List.init (Soa.num_outputs s) (Soa.output_node s)))
+
+(* [f ()] and how far it moved ["sim.gate-words"] *)
+let gate_words f =
+  let before = Instr.counter_total "sim.gate-words" in
+  let r = f () in
+  (r, Instr.counter_total "sim.gate-words" - before)
+
 (* the compiled kernel against the tree-walking reference, over random
    recipes x random pattern blocks: every entry point the learner routes
    through [Lr_kernel.Soa] must be bit-identical to the legacy
-   evaluator it replaced *)
+   evaluator it replaced. [build_netlist] does not compact, so recipes
+   carry gates no output reads and inputs no gate reads: the observed
+   schedule must skip them without changing an answer. [partial] counts
+   the recipes where it did, so a generator that stopped producing them
+   shows. *)
 let prop_soa_netlist_identical () =
+  let partial = ref 0 in
   check_prop "Soa.of_netlist == Netlist evaluators" arb_recipe (fun r ->
       let c = build_netlist r in
       let s = Soa.of_netlist c in
+      let obs = observed s in
+      if obs < Soa.num_nodes s then incr partial;
       let rng = Rng.create 41 in
-      List.for_all
-        (fun _ ->
-          let w = words rng r.ni in
-          N.eval_words c w = Soa.eval_words s w)
-        (List.init 4 Fun.id)
+      Soa.num_observed s = obs
+      && List.for_all
+           (fun _ ->
+             let w = words rng r.ni in
+             gate_words (fun () -> Soa.eval_words s w) = (N.eval_words c w, obs))
+           (List.init 4 Fun.id)
       &&
       (* eval_many over a pattern count that is not a multiple of 64, so
          the wide-block path exercises a ragged final block *)
       let np = 1 + Rng.int rng 130 in
       let patterns = Array.init np (fun _ -> Bv.random rng r.ni) in
       let reference = N.eval_many c patterns in
-      let kernel = Soa.eval_many s patterns in
+      let kernel, ticked = gate_words (fun () -> Soa.eval_many s patterns) in
       Array.length reference = Array.length kernel
-      && Array.for_all2 Bv.equal reference kernel)
+      && Array.for_all2 Bv.equal reference kernel
+      && ticked = (np + 63) / 64 * obs);
+  Alcotest.(check bool) "some recipes carry unobserved nodes" true (!partial > 0)
 
 let prop_soa_aig_identical () =
   check_prop "Ksim.soa_of_aig == Aig.simulate" arb_recipe (fun r ->
@@ -723,22 +896,19 @@ let test_decision_set_needs_closure () =
   check "open set: a wrong Sat that separates nothing" (false, false)
     (query (Some [| a; b |]))
 
-(* the multi-block entry against one [eval_words] call per block, on
-   block counts around [max_width], where the passes split *)
+(* the multi-block entry against one [Netlist.eval_words] call per
+   block, on block counts around [max_width], where the passes split *)
 let prop_eval_blocks_matches_words () =
   check_prop "Soa.eval_blocks == eval_words per block" arb_recipe (fun r ->
-      let s = Soa.of_netlist (build_netlist r) in
+      let c = build_netlist r in
+      let s = Soa.of_netlist c in
       let rng = Rng.create 59 in
       let w = Soa.max_width in
       List.for_all
         (fun k ->
           let blocks = Array.init k (fun _ -> words rng r.ni) in
-          let expected = Array.map (Soa.eval_words s) blocks in
-          let before = Instr.counter_total "sim.gate-words" in
-          let got = Soa.eval_blocks s blocks in
-          got = expected
-          && Instr.counter_total "sim.gate-words" - before
-             = k * Soa.num_nodes s)
+          gate_words (fun () -> Soa.eval_blocks s blocks)
+          = (Array.map (N.eval_words c) blocks, k * observed s))
         [ 0; 1; w - 1; w; w + 1; (2 * w) + 1 ])
 
 (* ---------------- scoring ---------------- *)
@@ -802,6 +972,19 @@ let arb_scoring_pair =
           (arb_recipe.print { g with ops }));
   }
 
+(* The reference's result and pattern counts, with its gate-words
+   (every node of both circuits, per block) replaced by what [Eval]
+   simulates: the nodes each circuit's outputs read, per block. *)
+let word_scoring_agrees ~np ~golden ~candidate (r, counts) (r', counts') =
+  let blocks = (np + 63) / 64 in
+  let obs c = observed (Soa.of_netlist c) in
+  r = r'
+  &&
+  match (counts, counts') with
+  | [ ep; sp; gw ], [ ep'; sp'; _ ] ->
+      ep = ep' && sp = sp' && gw = blocks * (obs golden + obs candidate)
+  | _ -> false
+
 let prop_word_scoring_matches_reference () =
   check_prop ~count:30 "word-native Eval == per-pattern scorer"
     arb_scoring_pair (fun (g, ops) ->
@@ -810,14 +993,17 @@ let prop_word_scoring_matches_reference () =
       List.for_all
         (fun np ->
           let patterns = Eval.mixture ~rng ~num_inputs:g.ni ~count:np in
-          with_scoring_counts (fun () ->
-              Eval.accuracy_on ~patterns ~golden ~candidate ())
-          = with_scoring_counts (fun () ->
-                reference_accuracy ~patterns ~golden ~candidate)
-          && with_scoring_counts (fun () ->
-                 Eval.per_output_accuracy ~patterns ~golden ~candidate ())
-             = with_scoring_counts (fun () ->
-                   reference_per_output ~patterns ~golden ~candidate))
+          let agrees x y = word_scoring_agrees ~np ~golden ~candidate x y in
+          agrees
+            (with_scoring_counts (fun () ->
+                 Eval.accuracy_on ~patterns ~golden ~candidate ()))
+            (with_scoring_counts (fun () ->
+                 reference_accuracy ~patterns ~golden ~candidate))
+          && agrees
+               (with_scoring_counts (fun () ->
+                    Eval.per_output_accuracy ~patterns ~golden ~candidate ()))
+               (with_scoring_counts (fun () ->
+                    reference_per_output ~patterns ~golden ~candidate)))
         [ 0; 1; 63; 64; 65; 1000 ])
 
 (* a full reference simulation with one node pinned, in schedule order —
@@ -905,7 +1091,67 @@ let test_kernel_degenerate () =
   in
   check_words "0-input learned outputs" (N.eval_words c0 [||])
     (N.eval_words r.Learner.circuit [||]);
-  Alcotest.(check int) "0-input checks verified" 6 r.Learner.checks_verified
+  Alcotest.(check int) "0-input checks verified" 6 r.Learner.checks_verified;
+  (* shapes of the observed schedule: every output-only entry point
+     agrees with the netlist and simulates exactly [nodes] nodes *)
+  let observed_shape name c ~nodes =
+    let s = Soa.of_netlist c in
+    Alcotest.(check int) (name ^ ": observed nodes") nodes (Soa.num_observed s);
+    Alcotest.(check int) (name ^ ": transitive fanin") nodes (observed s);
+    let ni = N.num_inputs c in
+    let blocks = Array.init (Soa.max_width + 1) (fun _ -> words rng ni) in
+    let got, ticked = gate_words (fun () -> Soa.eval_words s blocks.(0)) in
+    check_words (name ^ ": eval_words") (N.eval_words c blocks.(0)) got;
+    Alcotest.(check int) (name ^ ": eval_words ticks") nodes ticked;
+    let got, ticked = gate_words (fun () -> Soa.eval_blocks s blocks) in
+    Alcotest.(check bool)
+      (name ^ ": eval_blocks") true
+      (got = Array.map (N.eval_words c) blocks);
+    Alcotest.(check int)
+      (name ^ ": eval_blocks ticks")
+      (nodes * Array.length blocks)
+      ticked;
+    let patterns = Array.init 70 (fun _ -> Bv.random rng ni) in
+    let got, ticked = gate_words (fun () -> Soa.eval_many s patterns) in
+    Alcotest.(check bool)
+      (name ^ ": eval_many") true
+      (Array.for_all2 Bv.equal (N.eval_many c patterns) got);
+    Alcotest.(check int) (name ^ ": eval_many ticks") (2 * nodes) ticked
+  in
+  let shape outputs =
+    let c =
+      N.create ~input_names:[| "a"; "b"; "c" |]
+        ~output_names:(Array.map fst outputs)
+    in
+    let a = N.input c 0 and b = N.input c 1 and x = N.input c 2 in
+    let g = N.xor_ c (N.and_ c a b) (N.or_ c b x) in
+    Array.iteri
+      (fun o (_, pick) -> N.set_output c o (pick c ~a ~b ~g))
+      outputs;
+    c
+  in
+  (* an output wired to an input beside one that reads the gates:
+     b, g, its three gates and all three inputs *)
+  observed_shape "output on an input"
+    (shape [| ("y", fun _ ~a:_ ~b ~g:_ -> b); ("z", fun _ ~a:_ ~b:_ ~g -> g) |])
+    ~nodes:6;
+  (* an output wired to a constant beside the gates: the constant joins
+     the five nodes above *)
+  observed_shape "output on a constant"
+    (shape
+       [|
+         ("t", fun c ~a:_ ~b:_ ~g:_ -> N.const_true c);
+         ("z", fun _ ~a:_ ~b:_ ~g -> g);
+       |])
+    ~nodes:7;
+  (* gates no output reads: only input a and constant false run *)
+  observed_shape "every gate unobserved"
+    (shape
+       [|
+         ("y", fun _ ~a ~b:_ ~g:_ -> a);
+         ("f", fun c ~a:_ ~b:_ ~g:_ -> N.const_false c);
+       |])
+    ~nodes:2
 
 (* ---------------- fault injection ---------------- *)
 
@@ -1492,6 +1738,8 @@ let tests =
     Alcotest.test_case "AIGER round-trip" `Quick prop_aiger_roundtrip;
     Alcotest.test_case "AIGER reader under mutation" `Quick
       prop_aiger_mutants;
+    Alcotest.test_case "native and BLIF readers under mutation" `Quick
+      prop_circuit_reader_mutants;
     Alcotest.test_case "builders keep their structural invariants" `Quick
       prop_builder_invariants;
     Alcotest.test_case "evaluator agreement" `Quick prop_evaluators_agree;

@@ -75,6 +75,84 @@ let test_rng_split_independent () =
   let a = Bv.random r 100 and b = Bv.random s 100 in
   check "split streams differ" false (Bv.equal a b)
 
+(* The stream, recorded before the generator's state moved into a byte
+   store: per seed, the first eight [bits64] draws; [biased_word] at
+   0.03, 0.1, 0.5 and 0.9 on one fresh generator, then the draw after
+   them; the first draws of a [split] child and of its parent after the
+   split; those of [split_keyed] children 0 and 7 and of their (still
+   unadvanced) parent. Every learned circuit depends on these draws. *)
+let rng_golden =
+  [
+    ( 1,
+      [
+        0xBFEF8030DDC2D772L; 0x5F552CE482F2AA47L; 0x70335FC3DAF3D8A7L;
+        0xF440FE3B62C79D2CL; 0x33BA2F29E7C168BBL; 0x98843F48A94B7866L;
+        0x74AD4C24D41A25F8L; 0x2F9A1F13648EAB6EL;
+      ],
+      [
+        0x1000000000C00000L; 0x0088000040000100L; 0xEC3ADD8A85BFA5EEL;
+        0xFFBFFFFDFFFEEEDFL; 0x0ED4127B4D1B8CA4L;
+      ],
+      [ 0x55C55969ED403149L; 0x5F552CE482F2AA47L ],
+      [ 0x9A8C65AAB0C3F7AAL; 0xD46E25D3ED8133D7L; 0xBFEF8030DDC2D772L ] );
+    ( 42,
+      [
+        0x989B3F130A063869L; 0x290DB4BF2570DED7L; 0x2A990BE63A01B2D5L;
+        0x0C4B6B24EF01890EL; 0xFB16A06E52EC10A7L; 0x3C30FC5FD50692C3L;
+        0x4782C4B4C4FDF7C9L; 0x272404A0A3926552L;
+      ],
+      [
+        0x0800000000000000L; 0x0200048000100040L; 0xE664FB166D3DC14CL;
+        0xFEFFFBF7FFFDFFBBL; 0x771B665074D680E9L;
+      ],
+      [ 0x5599B3E06D073327L; 0x290DB4BF2570DED7L ],
+      [ 0x4021E9572714FFC3L; 0x565EF66EA88D1FE8L; 0x989B3F130A063869L ] );
+  ]
+
+let test_rng_golden () =
+  let check_words = Alcotest.(check (list int64)) in
+  List.iter
+    (fun (seed, bits, biased, split, keyed) ->
+      let name = Printf.sprintf "seed %d: " seed in
+      let r = Rng.create seed in
+      check_words (name ^ "bits64") bits (List.init 8 (fun _ -> Rng.bits64 r));
+      let r = Rng.create seed in
+      let ws = List.map (Rng.biased_word r) [ 0.03; 0.1; 0.5; 0.9 ] in
+      check_words (name ^ "biased_word") biased (ws @ [ Rng.bits64 r ]);
+      let r = Rng.create seed in
+      let c = Rng.split r in
+      let child = Rng.bits64 c in
+      check_words (name ^ "split") split [ child; Rng.bits64 r ];
+      let r = Rng.create seed in
+      let c0 = Rng.split_keyed r 0 and c7 = Rng.split_keyed r 7 in
+      let k0 = Rng.bits64 c0 in
+      let k7 = Rng.bits64 c7 in
+      check_words (name ^ "split_keyed") keyed [ k0; k7; Rng.bits64 r ])
+    rng_golden
+
+(* the lane drawer against the vectors it replaces, on copies of one
+   generator: same lane words, and both copies left in the same state *)
+let prop_biased_lanes =
+  QCheck.Test.make ~name:"random_biased_lanes == to_lanes of random_biased"
+    ~count:40
+    QCheck.(
+      pair (int_range 0 100_000)
+        (oneofl [ 0.0; 0.03; 0.1; 0.25; 0.5; 0.75; 0.9; 0.97; 1.0 ]))
+    (fun (seed, p) ->
+      List.for_all
+        (fun (n, count) ->
+          let r = Rng.create seed in
+          ignore (Rng.bits64 r);
+          let r' = Rng.copy r in
+          let want =
+            Bv.to_lanes n (Array.init count (fun _ -> Bv.random_biased r p n))
+          in
+          Bv.random_biased_lanes r' p ~count n = want
+          && Rng.bits64 r = Rng.bits64 r')
+        (List.concat_map
+           (fun n -> List.map (fun count -> (n, count)) [ 0; 1; 2; 63; 64 ])
+           [ 0; 1; 63; 64; 65; 130 ]))
+
 let test_biased_density () =
   let rng = Rng.create 3 in
   let v = Bv.random_biased rng 0.1 6400 in
@@ -211,6 +289,7 @@ let tests =
     Alcotest.test_case "equal/hash" `Quick test_equal_hash;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng split independence" `Quick test_rng_split_independent;
+    Alcotest.test_case "rng stream golden vectors" `Quick test_rng_golden;
     Alcotest.test_case "biased word density" `Quick test_biased_density;
     Alcotest.test_case "sub_bits/blit_bits" `Quick test_sub_blit;
     Alcotest.test_case "popcount_word matches a bit loop" `Quick
@@ -219,4 +298,5 @@ let tests =
     QCheck_alcotest.to_alcotest prop_string_roundtrip;
     QCheck_alcotest.to_alcotest prop_popcount;
     QCheck_alcotest.to_alcotest prop_flip_involution;
+    QCheck_alcotest.to_alcotest prop_biased_lanes;
   ]

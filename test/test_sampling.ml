@@ -228,10 +228,11 @@ let test_matches_reference_default_rounds () =
     (same_as_reference ~rounds:Config.default.Config.support_rounds
        ~constraint_:(Cube.top 12) ~seed:3 c)
 
-(* Simulation counters per span of a case_7 learn, as the vector path
-   ticked them: support-id on 64-pattern batches, and FBDT trees forced
-   by disabling the exhaustive conquest. The word path must charge the
-   kernel exactly the same work, and learn the same circuit. *)
+(* Simulation counters per span of a case_7 learn: support-id on
+   64-pattern batches, and FBDT trees forced by disabling the exhaustive
+   conquest. The patterns are those the vector path simulated; each
+   block charges the 48 nodes the outputs read (of the golden circuit's
+   87), and the learned circuit is the same. *)
 let sim_counters ?(case = "case_7") config =
   Instr.reset_aggregates ();
   let r = Learner.learn ~config (Cases.blackbox (Cases.find case)) in
@@ -251,11 +252,11 @@ let fbdt_counters ~pb ~pf ~pg =
       let path = Printf.sprintf "learn/po:%s/fbdt" po in
       [ ((path, "sim.patterns"), patterns); ((path, "sim.gate-words"), words) ])
     [
-      ("pa", (1, 87));
+      ("pa", (1, 48));
       ("pb", pb);
-      ("pc", (1, 87));
-      ("pd", (1, 87));
-      ("pe", (1, 87));
+      ("pc", (1, 48));
+      ("pd", (1, 48));
+      ("pe", (1, 48));
       ("pf", pf);
       ("pg", pg);
     ]
@@ -273,8 +274,8 @@ let test_case7_sim_counters () =
       sim
   in
   check_run "default" Config.default ~queries:316_816
-    ~digest:"55cfebc6641fdef027cf1ad949e0abcd" ~support:(316_800, 432_564)
-    ~fbdt:(fbdt_counters ~pb:(4, 87) ~pf:(4, 87) ~pg:(4, 87));
+    ~digest:"55cfebc6641fdef027cf1ad949e0abcd" ~support:(316_800, 238_656)
+    ~fbdt:(fbdt_counters ~pb:(4, 48) ~pf:(4, 48) ~pg:(4, 48));
   check_run "trees"
     {
       Config.default with
@@ -282,8 +283,8 @@ let test_case7_sim_counters () =
       small_support_threshold = 0;
     }
     ~queries:6144 ~digest:"98d0fe8c2733de157f1ef4b3fc2d6fa0"
-    ~support:(4400, 7656)
-    ~fbdt:(fbdt_counters ~pb:(660, 957) ~pf:(540, 783) ~pg:(540, 783))
+    ~support:(4400, 4224)
+    ~fbdt:(fbdt_counters ~pb:(660, 528) ~pf:(540, 432) ~pg:(540, 432))
 
 (* One oracle batch per sampling block: the ["queries"] count events a
    case_7 learn emits in support-id and in the fbdt spans, as a trace
@@ -359,14 +360,15 @@ let test_oracle_expansion () =
     (sim_counters ~case:"case_5"
        { Config.default with Config.support_rounds = 100 })
 
-(* one query simulates one word and counts no patterns, as
-   [Netlist.eval] always has *)
+(* one query simulates one word of the nodes the outputs read (x0, x1,
+   their AND and x3, not the constants or x2) and, like [Netlist.eval],
+   counts no patterns *)
 let test_single_query_counters () =
   let c = circuit () in
   let box = Box.of_netlist c in
   Instr.reset_aggregates ();
   ignore (Box.query box (Bv.of_string "1011"));
-  check_int "gate-words" (N.num_nodes c) (Instr.counter_total "sim.gate-words");
+  check_int "gate-words" 4 (Instr.counter_total "sim.gate-words");
   check_int "no patterns" 0 (Instr.counter_total "sim.patterns");
   Instr.reset_aggregates ()
 

@@ -589,24 +589,28 @@ let test_service_concurrent () =
   check "misses" true (jint "misses" stats = Some 2);
   check "inserts" true (jint "inserts" stats = Some 2);
   check "refused" true (jint "refused" stats = Some 0);
-  (* progress streams: a miss carries the learner's lr-progress/v1
-     lines, a hit its cache_hit marker *)
-  let progress id =
+  (* progress streams, as a client following lr-progress/v1 reads
+     them: every line is a JSON object keyed on [ev]. A miss carries
+     the learner's events, run_start to run_end; a hit is its one
+     cache_hit line. *)
+  let events id =
     dechunk (body_of (http_request ~port ("/jobs/" ^ id ^ "/progress")))
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+    |> List.map (fun line ->
+           let json = Result.to_option (Json.of_string line) in
+           match Option.bind json (jstr "ev") with
+           | Some ev -> ev
+           | None -> Alcotest.failf "%s: progress line without ev: %S" id line)
   in
-  let has_sub hay needle =
-    let rec go i =
-      i + String.length needle <= String.length hay
-      && (String.sub hay i (String.length needle) = needle || go (i + 1))
-    in
-    go 0
-  in
-  let p1 = progress "j1" in
-  check "run_start streamed" true (has_sub p1 "run_start");
-  check "run_end streamed" true (has_sub p1 "run_end");
+  let miss = events "j1" in
+  check "miss opens with run_start" true (List.hd miss = "run_start");
+  check "miss closes with run_end" true
+    (List.nth miss (List.length miss - 1) = "run_end");
   List.iter
     (fun (_, id) ->
-      check "hit marker streamed" true (has_sub (progress id) "cache_hit"))
+      Alcotest.(check (list string)) "hit streams one cache_hit event"
+        [ "cache_hit" ] (events id))
     a_ids;
   ignore sched
 
