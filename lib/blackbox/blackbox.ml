@@ -172,32 +172,26 @@ let run_provider t patterns =
   | Circuit (_, s) -> Soa.eval_many s patterns
   | Function f -> Array.map f patterns
 
-(* lanes at or past [count] are cleared, whatever the inputs held there *)
-let lane_mask count =
-  if count = 64 then -1L else Int64.pred (Int64.shift_left 1L count)
+(* Lanes at or past [count] are cleared in place, whatever the inputs
+   held there; a full block is left as it is. *)
+let mask_lanes count outs =
+  if count < 64 then begin
+    let m = Int64.pred (Int64.shift_left 1L count) in
+    for o = 0 to Array.length outs - 1 do
+      outs.(o) <- Int64.logand m outs.(o)
+    done
+  end
 
-let run_blocks t ~count blocks =
+(* One block of [count] lanes, the per-block path of [query_toggles]. *)
+let run_block t ~count words =
   match t.provider with
   | Circuit (_, s) ->
-      Instr.count "sim.patterns" (count * Array.length blocks);
-      let outs = Soa.eval_blocks s blocks in
-      (* a full block's mask is all ones; a partial one is masked in
-         place, the kernel's answer arrays being fresh *)
-      if count < 64 then begin
-        let m = lane_mask count in
-        Array.iter
-          (fun words ->
-            for o = 0 to Array.length words - 1 do
-              words.(o) <- Int64.logand m words.(o)
-            done)
-          outs
-      end;
+      Instr.count "sim.patterns" count;
+      let outs = Soa.eval_words s words in
+      mask_lanes count outs;
       outs
   | Function f ->
-      Array.map
-        (fun words ->
-          Bv.to_lanes (num_outputs t) (Array.map f (Bv.of_lanes count words)))
-        blocks
+      Bv.to_lanes (num_outputs t) (Array.map f (Bv.of_lanes count words))
 
 (* Injected failures and the retry policy around them. A failed attempt
    consumes no budget and is not attributed as a query: retrying leaves
@@ -260,33 +254,53 @@ let query_many t patterns =
     batch t ~n (fun () -> run_provider t patterns) Faults.commit
   end
 
-(* The whole batch is one charge and one kernel run, unless some block
-   could behave differently on its own: a fault schedule counts batches,
-   and a strict shard must refuse the first block past its slice. Those
-   boxes take the blocks one by one, in order, so fault points, retries
-   and [Exhausted] land exactly where single-block calls put them. *)
-let query_blocks t ~count blocks =
+(* A reliable netlist box answers the whole call as one charge and one
+   kernel run. A fault schedule counts batches, a strict shard must
+   refuse the first block past its slice, and a function has no cones:
+   those boxes take the materialised blocks one by one, in order, so
+   fault points, retries and [Exhausted] land exactly where single-block
+   calls put them. *)
+let query_toggles t ~count base toggles =
+  let ni = num_inputs t in
   if count < 0 || count > 64 then
-    invalid_arg "Blackbox.query_blocks: count out of range";
+    invalid_arg "Blackbox.query_toggles: count out of range";
+  if Array.length base <> ni then
+    invalid_arg "Blackbox.query_toggles: input word count mismatch";
   Array.iter
-    (fun words ->
-      if Array.length words <> num_inputs t then
-        invalid_arg "Blackbox.query_blocks: input word count mismatch")
-    blocks;
-  let n = count * Array.length blocks in
+    (Array.iter (fun i ->
+         if i < 0 || i >= ni then
+           invalid_arg "Blackbox.query_toggles: toggled input out of range"))
+    toggles;
+  let blocks = 1 + Array.length toggles in
+  let n = count * blocks in
   let overruns =
     t.strict
     && match t.budget with Some b -> t.used + n > b | None -> false
   in
-  if n = 0 then Array.map (fun _ -> Array.make (num_outputs t) 0L) blocks
-  else if Option.is_some t.faults || overruns then
-    Array.map
-      (fun words ->
-        batch t ~n:count
-          (fun () -> (run_blocks t ~count [| words |]).(0))
-          (Faults.commit_words ~count))
-      blocks
-  else charged t ~n (fun () -> run_blocks t ~count blocks)
+  if n = 0 then Array.init blocks (fun _ -> Array.make (num_outputs t) 0L)
+  else
+    match t.provider with
+    | Circuit (_, s) when Option.is_none t.faults && not overruns ->
+        charged t ~n (fun () ->
+            Instr.count "sim.patterns" n;
+            let outs = Soa.eval_toggles s base toggles in
+            Array.iter (mask_lanes count) outs;
+            outs)
+    | Circuit _ | Function _ ->
+        Array.init blocks (fun j ->
+            let words =
+              if j = 0 then base
+              else begin
+                let w = Array.copy base in
+                Array.iter
+                  (fun i -> w.(i) <- Int64.lognot w.(i))
+                  toggles.(j - 1);
+                w
+              end
+            in
+            batch t ~n:count
+              (fun () -> run_block t ~count words)
+              (Faults.commit_words ~count))
 
 let query t a =
   match t.faults with

@@ -25,7 +25,7 @@
 type t
 
 exception Exhausted of { used : int; budget : int }
-(** Raised by {!query}, {!query_many} and {!query_blocks} on a
+(** Raised by {!query}, {!query_many} and {!query_toggles} on a
     {e strict} {!shard} whose budget slice would be exceeded — the query
     is refused, not counted. Plain boxes and non-strict shards never
     raise this: their exhaustion stays advisory through {!exhausted}. *)
@@ -34,7 +34,10 @@ val of_netlist : ?budget:int -> ?deadline_s:float -> Lr_netlist.Netlist.t -> t
 (** Wrap a golden circuit. The circuit is retained only behind the query
     interface; use {!golden} in evaluation code, never in the learner.
     It is compiled once, here, to the {!Lr_kernel.Soa} simulation kernel,
-    which answers every query; shards share the compiled form. *)
+    which answers every query; shards share the compiled form. The
+    per-input cones that {!query_toggles} simulates are built on the
+    box's first toggle query, not here, so a box that is only scored
+    or queried whole never pays for them. *)
 
 val of_function :
   ?budget:int ->
@@ -63,34 +66,41 @@ val query_many : t -> Lr_bitvec.Bv.t array -> Lr_bitvec.Bv.t array
     box, raises {!Lr_faults.Faults.Query_failed} once the retry policy is
     spent. *)
 
-val query_blocks : t -> count:int -> int64 array array -> int64 array array
-(** Word-parallel queries with no transposition, any number of 64-lane
-    blocks at once. [blocks.(b)] holds one input word per primary input;
-    the answer's [b]-th element holds block [b]'s output words, one per
-    primary output. Lane [k] (bit [k] of every word) of a block is one
-    query; lanes at or past [count] are ignored in the input and 0 in the
-    output. Requires [0 <= count <= 64] and one word per input in every
-    block.
+val query_toggles :
+  t -> count:int -> int64 array -> int array array -> int64 array array
+(** [query_toggles t ~count base toggles] asks one word-parallel base
+    block and its toggles, with no transposition: the sampling query of
+    Algorithm 1, one base assignment per lane and each toggle's
+    complement. [base] holds one input word per primary input, lane [k]
+    (bit [k] of every word) being one query; lanes at or past [count]
+    are ignored in the input and 0 in the output. [toggles.(j)] is a
+    set of distinct inputs complemented together: one input for a plain
+    toggle, several for a compressed comparator whose bits all follow
+    one delegate word. The answer's element [0] holds the base block's
+    output words, one per primary output, and element [1 + j] those of
+    the base block with [toggles.(j)]'s words complemented: exactly what
+    those materialised blocks would get, in that order. Requires
+    [0 <= count <= 64] and inputs in range.
 
-    Counts [count] queries per block. On a reliable box the whole call is
-    one batch: one per-span attribution of [count * Array.length blocks]
-    queries, one clock pair, one latency sample of that weight, and one
-    {!Lr_kernel.Soa.eval_blocks} run that simulates up to eight blocks per
-    pass. The blocks reach the kernel as they are, uncopied; only a
-    partial block's answers ([count < 64]) are masked. A netlist box
-    simulates only the golden logic some output reads, so
-    ["sim.patterns"] ticks by [count] and ["sim.gate-words"] by
-    {!Lr_kernel.Soa.num_observed} per block: the same totals as one
-    {!query_many} per block. A faulty box, and a strict
-    shard whose slice would run out inside the call, take the blocks one
-    at a time, in order, each as its own batch: fault schedules, retries
-    and {!Exhausted} then fall exactly where single-block calls would put
+    Counts [count * (1 + Array.length toggles)] queries. On a reliable
+    netlist box the whole call is one batch: one per-span attribution,
+    one clock pair, one latency sample of that weight, ["sim.patterns"]
+    by the same number, and one {!Lr_kernel.Soa.eval_toggles} run,
+    which simulates the base block once and then, per toggle, only the
+    observed gates its inputs reach, so ["sim.gate-words"] ticks by the
+    nodes actually simulated. The box builds its per-input cones on its
+    first toggle query, not when it is made: a box that is never
+    toggled never pays for them. No block is copied.
+
+    A faulty box, a strict shard whose slice would run out inside the
+    call, and an {!of_function} box materialise the blocks one at a
+    time, in order, each as its own batch: fault schedules, retries and
+    {!Exhausted} then fall exactly where single-block calls would put
     them, with the earlier blocks charged. A failed block raises
     {!Lr_faults.Faults.Query_failed} and the later blocks are not sent.
     Corruption hits the victim output only in the lanes whose query falls
-    inside the window ({!Lr_faults.Faults.commit_words}). [count = 0] or
-    no blocks is a complete no-op. {!of_function} boxes answer by
-    transposing each block's lanes to vectors and back. *)
+    inside the window ({!Lr_faults.Faults.commit_words}). [count = 0] is
+    a complete no-op that answers zero words. *)
 
 val probe_many : t -> Lr_bitvec.Bv.t array -> Lr_bitvec.Bv.t array
 (** Behavioural-fingerprint probes ([Lr_serve.Fingerprint]): evaluate
@@ -144,7 +154,7 @@ val query_latency : t -> Lr_report.Histogram.t
     {!Lr_instr.Instr.now} clock so an injected test clock produces
     deterministic samples. Single queries record their own duration; a
     batch of [n] queries ({!query_many} of [n] patterns, or a
-    {!query_blocks} call) records its mean per-query latency [n] times,
+    {!query_toggles} call) records its mean per-query latency [n] times,
     so the histogram's total weight equals {!queries_used}. Cleared by
     {!reset_accounting}. *)
 

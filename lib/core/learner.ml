@@ -247,14 +247,30 @@ let to_full ni dom arr =
          let vw = Bv.to_lanes dom.arity (Array.sub arr (64 * b) count) in
          Bv.of_lanes count (to_full_words ni dom vw)))
 
-(* A plain domain is the box's own input space: its blocks and patterns
-   go to the box as they are, with no copy or transposition. *)
+(* The full inputs a toggle of virtual input [v] complements: those
+   whose word follows [v]'s under [to_full_words]. A delegate's are the
+   compressed bits whose representative values differ; a compressed
+   bit's own word is overridden, so its toggle complements nothing. *)
+let toggle_set ni dom v =
+  let full d =
+    to_full_words ni dom
+      (Array.init dom.arity (fun u -> if u = v then d else 0L))
+  in
+  let lo = full 0L and hi = full (-1L) in
+  Array.of_list (List.filter (fun s -> lo.(s) <> hi.(s)) (List.init ni Fun.id))
+
+(* A plain domain is the box's own input space: its base blocks and
+   patterns go to the box as they are, with no copy or transposition,
+   and each virtual input toggles itself. *)
 let oracle_for box dom ~output =
   let ni = Box.num_inputs box in
-  let full, full_words =
+  let full, full_words, toggles =
     match dom.delegate with
-    | None -> (Fun.id, Fun.id)
-    | Some _ -> (to_full ni dom, Array.map (to_full_words ni dom))
+    | None -> (Fun.id, Fun.id, Array.init ni (fun i -> [| i |]))
+    | Some _ ->
+        ( to_full ni dom,
+          to_full_words ni dom,
+          Array.init dom.arity (toggle_set ni dom) )
   in
   {
     Oracle.arity = dom.arity;
@@ -262,11 +278,12 @@ let oracle_for box dom ~output =
       (fun arr ->
         let outs = Box.query_many box (full arr) in
         Array.map (fun o -> Bv.get o output) outs);
-    query_blocks =
-      (fun ~count blocks ->
+    query_toggles =
+      (fun ~count base free ->
         Array.map
           (fun outs -> outs.(output))
-          (Box.query_blocks box ~count (full_words blocks)));
+          (Box.query_toggles box ~count (full_words base)
+             (Array.map (Array.get toggles) free)));
     exhausted = (fun () -> Box.exhausted box);
   }
 
@@ -364,13 +381,19 @@ let build_mux circuit vars muxes root =
     muxes;
   resolve root
 
+(* What the fbdt phase learned about one output. *)
+type learned =
+  | Table of bool array
+      (** the exhaustive conquest's truth table over the support *)
+  | Tree of Fbdt.result
+  | Gave_up  (** retries spent: built as constant false *)
+
 (* Everything a conquer task learns about one output, minus the circuit
    nodes themselves. *)
 type conquered = {
   c_dom : domain;
   c_support : int list;
-  c_method : method_used;
-  c_fbdt : Fbdt.result;
+  c_learned : learned;
   c_plan : build_plan;
   c_cubes : int;
   c_use_offset : bool;
@@ -667,11 +690,12 @@ let learn ?(config = Config.default) box =
       Instr.gauge "gc.heap_words" (float_of_int d.Gcstat.heap_words);
       r
     in
-    let result, method_used =
+    let learned, truth_ratio =
       phase "fbdt" @@ fun () ->
       try
         if List.length support <= config.Config.small_support_threshold then
-          (Fbdt.learn_exhaustive ~rng ~support oracle, Exhaustive)
+          let table, ratio = Fbdt.learn_exhaustive ~support oracle in
+          (Table table, ratio)
         else begin
           (* refinement loop (extension): when the tree came back truncated
              and fresh validation samples expose mistakes, retry with a
@@ -711,36 +735,28 @@ let learn ?(config = Config.default) box =
             then result
             else attempt (tries - 1) (2 * max_nodes)
           in
-          ( attempt config.Config.refine_rounds config.Config.max_tree_nodes,
-            Decision_tree )
+          let result =
+            attempt config.Config.refine_rounds config.Config.max_tree_nodes
+          in
+          (Tree result, result.Fbdt.truth_ratio)
         end
       with Faults.Query_failed _ ->
         (* retries spent mid-learning: give this output up as a constant
            and let the siblings proceed — the parallel analogue of
            [Skipped_budget], charged to the oracle instead of the clock *)
         Instr.count "learn.degraded" 1;
-        ( {
-            Fbdt.onset = Cover.empty dom.arity;
-            offset = Cover.empty dom.arity;
-            truth_ratio = 0.0;
-            complete = false;
-            nodes_expanded = 0;
-            tree = None;
-            table = None;
-          },
-          Degraded_fault )
+        (Gave_up, 0.0)
     in
     let use_offset =
-      config.Config.use_onset_offset && result.Fbdt.truth_ratio > 0.5
+      config.Config.use_onset_offset && truth_ratio > 0.5
     in
     let plan, cubes_built, check_cover =
-      if method_used = Degraded_fault then
-        (* best-effort constant false; nothing to minimize or check *)
-        (Build_mux { muxes = [||]; root = -1 }, 0, None)
-      else
-        phase "cover-min" @@ fun () ->
-        match result.Fbdt.table with
-      | Some table ->
+      match learned with
+      | Gave_up ->
+          (* best-effort constant false; nothing to minimize or check *)
+          (Build_mux { muxes = [||]; root = -1 }, 0, None)
+      | Table table ->
+          phase "cover-min" @@ fun () ->
           (* exhaustive conquest: collapse the exact truth table to a BDD
              and pick the cheaper of its irredundant SOP and its mux
              network (parity-like functions have tiny BDDs but
@@ -769,7 +785,8 @@ let learn ?(config = Config.default) box =
           in
           Bdd.record_counters man;
           built
-      | None ->
+      | Tree result ->
+          phase "cover-min" @@ fun () ->
           let chosen, other =
             if use_offset then (result.Fbdt.offset, result.Fbdt.onset)
             else (result.Fbdt.onset, result.Fbdt.offset)
@@ -787,8 +804,7 @@ let learn ?(config = Config.default) box =
     {
       c_dom = dom;
       c_support = support;
-      c_method = method_used;
-      c_fbdt = result;
+      c_learned = learned;
       c_plan = plan;
       c_cubes = cubes_built;
       c_use_offset = use_offset;
@@ -892,8 +908,8 @@ let learn ?(config = Config.default) box =
              FBDT phase actually learned, before optimization can blur
              the trail *)
           (if full_check then
-             match c.c_fbdt.Fbdt.table with
-             | Some table ->
+             match c.c_learned with
+             | Table table ->
                  let support_arr = Array.of_list c.c_support in
                  phase "check" (fun () ->
                      Selfcheck.verify_table ~stage:"cover-min" ~circuit
@@ -908,7 +924,7 @@ let learn ?(config = Config.default) box =
                        ~expected:(fun m -> table.(m))
                        ());
                  incr checks_verified
-             | None -> (
+             | Tree _ | Gave_up -> (
                  match c.c_check_cover with
                  | Some cover ->
                      phase "check" (fun () ->
@@ -921,11 +937,19 @@ let learn ?(config = Config.default) box =
             {
               output = po;
               output_name = out_names.(po);
-              method_used = c.c_method;
+              method_used =
+                (match c.c_learned with
+                | Table _ -> Exhaustive
+                | Tree _ -> Decision_tree
+                | Gave_up -> Degraded_fault);
               support_size = List.length c.c_support;
               cubes = c.c_cubes;
               used_offset = c.c_use_offset;
-              complete = c.c_fbdt.Fbdt.complete;
+              complete =
+                (match c.c_learned with
+                | Table _ -> true
+                | Tree r -> r.Fbdt.complete
+                | Gave_up -> false);
               compressed = dom.delegate <> None;
             }
             :: !reports)

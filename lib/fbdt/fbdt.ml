@@ -70,7 +70,6 @@ type result = {
   complete : bool;
   nodes_expanded : int;
   tree : tree option;
-  table : bool array option;
 }
 
 (* Constrained pattern sampling at one tree node: returns per-variable
@@ -86,15 +85,22 @@ let sample_node cfg ~rng (oracle : Oracle.t) cube free =
     let count = min 64 (cfg.node_rounds - !done_rounds) in
     let bias = cfg.biases.(!done_rounds / 8 mod Array.length cfg.biases) in
     let outs =
-      oracle.Oracle.query_blocks ~count
-        (Ps.toggle_blocks ~rng ~bias ~count cube free)
+      oracle.Oracle.query_toggles ~count
+        (Ps.base_block ~rng ~bias ~count cube)
+        free
     in
-    Array.iter (fun out -> ones := !ones + Bv.popcount_word out) outs;
+    let base = outs.(0) in
+    let base_ones = Bv.popcount_word base in
+    ones := !ones + base_ones;
     Array.iteri
       (fun fi i ->
-        dependency.(i) <-
-          dependency.(i)
-          + Bv.popcount_word (Int64.logxor outs.(fi + 1) outs.(0)))
+        let w = outs.(fi + 1) in
+        if Int64.equal w base then ones := !ones + base_ones
+        else begin
+          ones := !ones + Bv.popcount_word w;
+          dependency.(i) <-
+            dependency.(i) + Bv.popcount_word (Int64.logxor w base)
+        end)
       free;
     total := !total + (count * Array.length outs);
     done_rounds := !done_rounds + count
@@ -203,10 +209,9 @@ let learn ?support cfg ~rng (oracle : Oracle.t) =
     complete = !complete;
     nodes_expanded = !expanded;
     tree = Some (freeze root);
-    table = None;
   }
 
-let learn_exhaustive ~rng:_ ~support (oracle : Oracle.t) =
+let learn_exhaustive ~support (oracle : Oracle.t) =
   let k = List.length support in
   if k > 20 then invalid_arg "Fbdt.learn_exhaustive: support too large";
   let n = oracle.Oracle.arity in
@@ -217,30 +222,8 @@ let learn_exhaustive ~rng:_ ~support (oracle : Oracle.t) =
         Array.iteri (fun j v -> Bv.set a v ((m lsr j) land 1 = 1)) support;
         a)
   in
-  let out = oracle.Oracle.query patterns in
-  let onset = ref [] and offset = ref [] in
-  let ones = ref 0 in
-  Array.iteri
-    (fun m b ->
-      let cube =
-        Array.to_list support
-        |> List.mapi (fun j v -> (v, (m lsr j) land 1 = 1))
-        |> Cube.of_literals n
-      in
-      if b then begin
-        incr ones;
-        onset := cube :: !onset
-      end
-      else offset := cube :: !offset)
-    out;
+  let table = oracle.Oracle.query patterns in
+  let ones = Array.fold_left (fun c b -> if b then c + 1 else c) 0 table in
   Instr.count "fbdt.nodes" (1 lsl k);
   Instr.count "fbdt.cubes" (1 lsl k);
-  {
-    onset = Cover.of_cubes n !onset;
-    offset = Cover.of_cubes n !offset;
-    truth_ratio = Float.of_int !ones /. Float.of_int (1 lsl k);
-    complete = true;
-    nodes_expanded = 1 lsl k;
-    tree = None;
-    table = Some (Array.copy out);
-  }
+  (table, Float.of_int ones /. Float.of_int (1 lsl k))

@@ -11,7 +11,8 @@
 
     The three "useful tricks" of Section IV-D are implemented:
     - {e conquering small functions}: {!learn_exhaustive} enumerates all
-      minterms over a small identified support;
+      minterms over a small identified support and returns the truth
+      table;
     - {e onset/offset choice}: both covers are returned, plus the sampled
       global truth ratio to drive the choice;
     - {e early stopping}: [leaf_epsilon] treats a node with truth ratio
@@ -64,12 +65,7 @@ type result = {
   complete : bool;
       (** false when the budget ran out and open nodes were approximated *)
   nodes_expanded : int;
-  tree : tree option;  (** the FBDT itself ({!learn} only) *)
-  table : bool array option;
-      (** {!learn_exhaustive} only: the raw truth table over the support
-          (bit [j] of the index = support element [j]), which lets callers
-          collapse the function to a BDD in linear time instead of going
-          through the minterm covers. *)
+  tree : tree option;  (** the FBDT itself *)
 }
 
 val sample_node :
@@ -82,11 +78,11 @@ val sample_node :
 (** [sample_node cfg ~rng oracle cube free] — the in-tree
     PatternSampling at the node [cube]: [cfg.node_rounds] assignments
     satisfying [cube], each toggled on every input of [free]. Each block
-    of up to 64 rounds is built by
-    {!Lr_sampling.Pattern_sampling.toggle_blocks} and sent as one
-    {!Oracle.t.query_blocks} batch. Returns the dependency count per
-    virtual input (0 outside [free]) and the sampled truth ratio, from
-    [node_rounds * (|free| + 1)] queries. *)
+    of up to 64 rounds draws its base block with
+    {!Lr_sampling.Pattern_sampling.base_block} and asks it with its
+    toggles as one {!Oracle.t.query_toggles} batch. Returns the
+    dependency count per virtual input (0 outside [free]) and the
+    sampled truth ratio, from [node_rounds * (|free| + 1)] queries. *)
 
 val learn :
   ?support:int list ->
@@ -98,8 +94,10 @@ val learn :
     identification); unsampled inputs are still randomised in queries, so an
     under-approximated support degrades accuracy, never soundness. *)
 
-val learn_exhaustive :
-  rng:Lr_bitvec.Rng.t -> support:int list -> Oracle.t -> result
-(** The small-function conquest: query all [2^|support|] minterms (inputs
-    outside the support pinned to 0) and return exact minterm covers.
-    Requires [|support| <= 20]. *)
+val learn_exhaustive : support:int list -> Oracle.t -> bool array * float
+(** The small-function conquest: query all [2^|support|] minterms in one
+    {!Oracle.t.query} batch (inputs outside the support pinned to 0) and
+    return the exact truth table over the support (entry [m] is the
+    output on the minterm whose bit [j] is support element [j]'s value)
+    with its truth ratio. The table is what the learner collapses to a
+    BDD; no cover is built. Requires [|support| <= 20]. *)

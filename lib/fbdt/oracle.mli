@@ -10,24 +10,19 @@ type t = {
   arity : int;  (** number of virtual inputs *)
   query : Lr_bitvec.Bv.t array -> bool array;
       (** batched: one [arity]-bit virtual assignment per element *)
-  query_blocks : count:int -> int64 array array -> int64 array;
-      (** word-parallel, any number of blocks as one batch: each block
-          holds one lane word per virtual input ({!Lr_bitvec.Bv.to_lanes}
-          layout, [count <= 64] lanes), and the answer holds each block's
-          output lane word. Lanes at or past [count] are ignored in the
-          input and 0 in the output. Must answer exactly as [query] on the
-          same assignments, at the same query cost. *)
+  query_toggles : count:int -> int64 array -> int array -> int64 array;
+      (** [query_toggles ~count base free]: word-parallel sampling, one
+          batch. [base] holds one lane word per virtual input
+          ({!Lr_bitvec.Bv.to_lanes} layout, [count <= 64] lanes); the
+          answer's element [0] is the output lane word of [base] and
+          element [1 + j] that of [base] with virtual input [free.(j)]'s
+          word complemented. Lanes at or past [count] are ignored in the
+          input and 0 in the output. Must answer exactly as [query] on
+          the same assignments, at the same query cost. *)
   exhausted : unit -> bool;  (** the TimeLimit test of Algorithm 2 *)
 }
 
-val blocks_via :
-  (Lr_bitvec.Bv.t array -> bool array) ->
-  count:int ->
-  int64 array array ->
-  int64 array
-(** [blocks_via query] is a [query_blocks] for an oracle that only has
-    [query]: it transposes every block's lanes to vectors, asks them in
-    one [query] call, and packs the answers back into lane words. *)
-
 val of_fun : arity:int -> (Lr_bitvec.Bv.t -> bool) -> t
-(** Convenience constructor with no budget (never exhausted). *)
+(** An oracle over a function: [query] maps it over the assignments and
+    [query_toggles] materialises the toggled blocks as vectors and asks
+    them in one [query] call. It is never exhausted. *)

@@ -77,7 +77,9 @@ type state = {
   mutable sinks : sink list;
   mutable capture : event list option;
       (** [Some buf] while inside {!collect}: every event is also pushed
-          (reversed) onto [buf] so the caller can {!absorb} it later *)
+          (reversed) onto [buf] so the caller can {!absorb} it later, and
+          the aggregates are left to [absorb], which computes every
+          total (a captured [Count] carries [total = 0]) *)
   mutable last_ts : float;  (** of the last event recorded *)
 }
 
@@ -208,7 +210,7 @@ let pop s fr =
   | f :: _ ->
       s.cur_name <- f.name;
       s.cur_path <- f.path);
-  bump_span s fr.path dur 1;
+  if s.capture = None then bump_span s fr.path dur 1;
   if observed s then
     emit_record s
       (Span_end { name = fr.name; path = fr.path; ts; dur_s = dur; depth = fr.depth });
@@ -234,8 +236,13 @@ let count name n =
   if !enabled_flag then begin
     let s = st () in
     let path = s.cur_path in
-    let total = bump_counter s name n in
-    bump_counter_span s (path, name) n;
+    let total =
+      match s.capture with
+      | Some _ -> 0
+      | None ->
+          bump_counter_span s (path, name) n;
+          bump_counter s name n
+    in
     if observed s then
       emit_record s (Count { name; path; ts = now (); incr = n; total })
   end

@@ -132,7 +132,8 @@ val span_depth : unit -> int
 (** {1 In-memory aggregates}
 
     Always maintained while enabled, even with no sinks — this is what
-    makes per-phase reporting free of any I/O setup. *)
+    makes per-phase reporting free of any I/O setup — except inside
+    {!collect}, whose work reaches them when it is absorbed. *)
 
 val reset_aggregates : unit -> unit
 
@@ -168,8 +169,12 @@ val empty_snapshot : snapshot
 
 val collect : (unit -> 'a) -> 'a * snapshot
 (** [collect f] runs [f] in a {e fresh} recording context — empty span
-    stack (so [f]'s outermost span is a root), empty aggregates, no
-    sinks — and returns [f]'s result with the captured snapshot. The
+    stack (so [f]'s outermost span is a root), no sinks — and returns
+    [f]'s result with the captured snapshot. The context maintains no
+    aggregates: {!absorb} computes every span and counter total, and
+    every [Count]'s [total], in the parent, so inside [f] the aggregate
+    readers report nothing and a captured count costs one clock read
+    and one list cell. The
     caller's own context is untouched and is restored even if [f]
     raises (the in-flight snapshot is then lost with the exception).
     With instrumentation {!set_enabled}[ false] the snapshot is empty. *)

@@ -34,7 +34,14 @@ type t = {
   obs_inputs : int array;  (* input nodes some output reads *)
   obs_index : int array;  (* the input index of each [obs_inputs] node *)
   obs_sched : int array;  (* the other observed nodes, level-major *)
+  cones : cone array option Atomic.t;
+      (* per input, built on the first toggle query *)
 }
+
+(* What a toggle can change: the observed input nodes it complements,
+   the observed gates they reach, in [obs_sched] order, and the outputs
+   that read one of those nodes, ascending. *)
+and cone = { inputs : int array; gates : int array; reached : int array }
 
 let num_nodes t = t.nn
 let num_inputs t = t.ni
@@ -127,7 +134,7 @@ let finish ~ni ~no ~op ~arg0 ~arg1 ~outputs ~out_neg =
         end)
     sched;
   { nn; ni; no; op; arg0; arg1; sched; level_off; outputs; out_neg; readers;
-    obs_inputs; obs_index; obs_sched }
+    obs_inputs; obs_index; obs_sched; cones = Atomic.make None }
 
 let of_netlist c =
   let nn = N.num_nodes c in
@@ -407,6 +414,92 @@ let eval_blocks t blocks =
     block := !block + width
   done;
   results
+
+(* ---------------- toggles ---------------- *)
+
+(* the cone of a toggle that complements the input nodes [inputs] *)
+let cone_of t inputs =
+  let reach = fanout_cone t (Array.to_list inputs) in
+  let inside a = Array.of_seq (Seq.filter (Array.get reach) (Array.to_seq a)) in
+  {
+    inputs;
+    gates = inside t.obs_sched;
+    reached =
+      Array.of_seq
+        (Seq.filter (fun o -> reach.(t.outputs.(o))) (Seq.init t.no Fun.id));
+  }
+
+(* Shards on several domains share one compiled circuit: the first
+   builder to publish its cones wins, and a racing one drops its equal
+   copy. *)
+let cones t =
+  match Atomic.get t.cones with
+  | Some c -> c
+  | None ->
+      let inputs = Array.make t.ni [] in
+      for k = Array.length t.obs_inputs - 1 downto 0 do
+        let i = t.obs_index.(k) in
+        inputs.(i) <- t.obs_inputs.(k) :: inputs.(i)
+      done;
+      let c = Array.map (fun l -> cone_of t (Array.of_list l)) inputs in
+      if Atomic.compare_and_set t.cones None (Some c) then c
+      else Option.get (Atomic.get t.cones)
+
+let eval_toggles t words toggles =
+  if Array.length words <> t.ni then
+    invalid_arg "Soa.eval_toggles: wrong number of input words";
+  Array.iter
+    (Array.iter (fun i ->
+         if i < 0 || i >= t.ni then
+           invalid_arg "Soa.eval_toggles: toggled input out of range"))
+    toggles;
+  let cones = cones t in
+  (* node values in the first [nn] words, the base block's copy after *)
+  let buf = scratch (2 * t.nn) in
+  let saved = 8 * t.nn in
+  load_observed t buf ~width:1 ~w:0 words;
+  run t t.obs_sched buf ~width:1 ~inoff:0;
+  Bytes.blit buf 0 buf saved saved;
+  let base = Array.make t.no 0L in
+  for o = 0 to t.no - 1 do
+    base.(o) <- output_word t buf ~width:1 ~w:0 o
+  done;
+  let answers = Array.make (1 + Array.length toggles) base in
+  let simulated = ref (num_observed t) in
+  let restore nodes =
+    for k = 0 to Array.length nodes - 1 do
+      let p = 8 * nodes.(k) in
+      set64u buf p (get64u buf (saved + p))
+    done
+  in
+  for j = 0 to Array.length toggles - 1 do
+    let cone =
+      match toggles.(j) with
+      | [| i |] -> cones.(i)
+      | toggle ->
+          cone_of t
+            (Array.concat
+               (List.map (fun i -> cones.(i).inputs) (Array.to_list toggle)))
+    in
+    for k = 0 to Array.length cone.inputs - 1 do
+      let p = 8 * cone.inputs.(k) in
+      set64u buf p (Int64.lognot (get64u buf p))
+    done;
+    run t cone.gates buf ~width:1 ~inoff:0;
+    simulated :=
+      !simulated + Array.length cone.inputs + Array.length cone.gates;
+    (* an output the toggle cannot reach keeps the base block's word *)
+    let a = Array.copy base in
+    for k = 0 to Array.length cone.reached - 1 do
+      let o = cone.reached.(k) in
+      a.(o) <- output_word t buf ~width:1 ~w:0 o
+    done;
+    answers.(j + 1) <- a;
+    restore cone.inputs;
+    restore cone.gates
+  done;
+  Instr.count "sim.gate-words" !simulated;
+  answers
 
 let eval_many t patterns =
   let np = Array.length patterns in

@@ -22,7 +22,9 @@
     a golden circuit can hold far more logic than its outputs read.
     The node-value entry points ({!eval_into}, {!node_values}), which
     fraig, the sweep and the incremental engine read node by node, run
-    the full schedule. *)
+    the full schedule. The sampling entry point ({!eval_toggles}) runs
+    the observed schedule once per base block and then, per toggle,
+    only the observed gates the toggled inputs reach. *)
 
 type t
 
@@ -136,6 +138,25 @@ val eval_blocks : t -> int64 array array -> int64 array array
     {!eval_words} call per block, and ["sim.gate-words"] ticks by the
     same total, {!num_observed} per block, in one count. Raises
     [Invalid_argument] on a block with the wrong number of words. *)
+
+val eval_toggles : t -> int64 array -> int array array -> int64 array array
+(** [eval_toggles t words toggles] answers one 64-pattern base block
+    ([words], one word per input) and, for each [toggles.(j)], the same
+    block with the words of those inputs complemented together: element
+    [0] holds the base block's output words and element [1 + j] toggle
+    [j]'s, each in a fresh array, equal to {!eval_words} of the
+    materialised block. The base block is simulated once over the
+    observed schedule; each toggle then complements its observed input
+    nodes, re-runs only the observed gates they reach, in level order,
+    and reads the base values everywhere else (parallel-pattern
+    single-fault propagation). No block is copied.
+
+    The per-input cones are built on the first call and shared by every
+    later one, from any domain; a circuit that is never toggled never
+    builds them. ["sim.gate-words"] ticks once, by the nodes simulated:
+    {!num_observed} plus, per toggle, its observed input nodes and the
+    observed gates they reach. Raises [Invalid_argument] on the wrong
+    number of words or a toggled input out of range. *)
 
 val eval_many : t -> Lr_bitvec.Bv.t array -> Lr_bitvec.Bv.t array
 (** Drop-in for [Netlist.eval_many]: same results, same ["sim.patterns"]

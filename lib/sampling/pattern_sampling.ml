@@ -12,23 +12,16 @@ type stats = {
 
 let default_biases = [| 0.5; 0.1; 0.9; 0.5; 0.25; 0.75; 0.5; 0.03; 0.97 |]
 
-(* One sampling block as lane words: [count] base patterns drawn at
-   density [bias] (one RNG draw sequence per pattern, in order) straight
-   into lane words, with the cube's literals forced on their lane words;
-   then one block per free input, that input's word complemented. *)
-let toggle_blocks ~rng ~bias ~count cube free =
-  let n = Cube.universe cube in
-  let base = Bv.random_biased_lanes rng bias ~count n in
+(* The base block of one sampling block as lane words: [count]
+   patterns drawn at density [bias] (one RNG draw sequence per pattern,
+   in order) straight into lane words, with the cube's literals forced
+   on their lane words. *)
+let base_block ~rng ~bias ~count cube =
+  let base = Bv.random_biased_lanes rng bias ~count (Cube.universe cube) in
   List.iter
     (fun (v, ph) -> base.(v) <- (if ph then -1L else 0L))
     (Cube.literals cube);
-  Array.append [| base |]
-    (Array.map
-       (fun i ->
-         let b = Array.copy base in
-         b.(i) <- Int64.lognot b.(i);
-         b)
-       free)
+  base
 
 let run ~rounds ?(biases = default_biases) ~rng box ~constraint_ () =
   let ni = Box.num_inputs box and no = Box.num_outputs box in
@@ -39,34 +32,40 @@ let run ~rounds ?(biases = default_biases) ~rng box ~constraint_ () =
     |> List.filter (fun i -> not (Cube.has_var constraint_ i))
     |> Array.of_list
   in
+  let toggles = Array.map (fun i -> [| i |]) free in
   let dependency = Array.make_matrix no ni 0 in
   let ones = Array.make no 0 in
+  let base_ones = Array.make no 0 in
   let samples = ref 0 in
   let done_rounds = ref 0 in
-  (* Each block of 64 rounds, base patterns and every toggle column, is
-     one oracle batch, as a contest IO generator takes one pattern file
-     per call. *)
+  (* Each block of 64 rounds, its base patterns and every toggle, is one
+     oracle batch, as a contest IO generator takes one pattern file per
+     call. A toggled answer word equal to the base word adds the base
+     word's ones and no dependency. *)
   while !done_rounds < rounds do
     let count = min 64 (rounds - !done_rounds) in
     let bias = biases.(!done_rounds / 64 mod Array.length biases) in
     let outs =
-      Box.query_blocks box ~count
-        (toggle_blocks ~rng ~bias ~count constraint_ free)
+      Box.query_toggles box ~count
+        (base_block ~rng ~bias ~count constraint_)
+        toggles
     in
     let base_out = outs.(0) in
-    Array.iter
-      (fun out ->
-        for o = 0 to no - 1 do
-          ones.(o) <- ones.(o) + Bv.popcount_word out.(o)
-        done)
-      outs;
+    for o = 0 to no - 1 do
+      base_ones.(o) <- Bv.popcount_word base_out.(o);
+      ones.(o) <- ones.(o) + base_ones.(o)
+    done;
     Array.iteri
       (fun fi i ->
         let flip_out = outs.(fi + 1) in
         for o = 0 to no - 1 do
-          dependency.(o).(i) <-
-            dependency.(o).(i)
-            + Bv.popcount_word (Int64.logxor flip_out.(o) base_out.(o))
+          let w = flip_out.(o) and b = base_out.(o) in
+          if Int64.equal w b then ones.(o) <- ones.(o) + base_ones.(o)
+          else begin
+            ones.(o) <- ones.(o) + Bv.popcount_word w;
+            dependency.(o).(i) <-
+              dependency.(o).(i) + Bv.popcount_word (Int64.logxor w b)
+          end
         done)
       free;
     samples := !samples + (count * Array.length outs);

@@ -18,10 +18,12 @@
       callers pick the output they care about. This mirrors how a contest
       implementation amortises support identification across outputs.
     - One oracle batch per 64-round block: the block's base patterns and
-      every toggle column go to the black box in a single
-      {!Lr_blackbox.Blackbox.query_blocks} call, as one pattern file goes
-      to a contest IO generator. The queries, their answers and their
-      count are those of one call per column.
+      the toggle of every free input go to the black box in a single
+      {!Lr_blackbox.Blackbox.query_toggles} call, as one pattern file
+      goes to a contest IO generator. Only the base block is drawn and
+      sent; the black box derives each toggle column from it and, on a
+      circuit, simulates only what the toggle can change. The queries,
+      their answers and their count are those of one call per column.
 
     The paper's observation that some outputs only respond to assignments
     with an uneven 0/1 ratio is honoured by cycling the density of the drawn
@@ -39,24 +41,22 @@ val default_biases : float array
 (** Mix of 0/1 densities used round-robin: even, strongly and mildly
     uneven — the "combined sampling strategy" of Section IV-C. *)
 
-val toggle_blocks :
+val base_block :
   rng:Lr_bitvec.Rng.t ->
   bias:float ->
   count:int ->
   Lr_cube.Cube.t ->
-  int array ->
-  int64 array array
-(** [toggle_blocks ~rng ~bias ~count cube free] builds one sampling
-    block in lane-word form ({!Lr_bitvec.Bv.to_lanes} layout, one word
-    per variable of [cube]'s universe). Element 0 is the base block:
-    [count] (at most 64) assignments drawn with
-    [Lr_bitvec.Bv.random_biased rng bias] in lane order, with the cube's
-    literals forced on. {!Lr_bitvec.Bv.random_biased_lanes} makes those
-    draws straight into lane words, so no assignment is built as a
-    vector. Element [1 + j] is the base block with input [free.(j)]'s
-    word complemented, a copy each. Lanes at or past [count] carry no
-    query. {!run} and the FBDT's node sampler both draw their blocks
-    here, each with its own bias schedule. *)
+  int64 array
+(** [base_block ~rng ~bias ~count cube] draws the base block of one
+    sampling block in lane-word form ({!Lr_bitvec.Bv.to_lanes} layout,
+    one word per variable of [cube]'s universe): [count] (at most 64)
+    assignments drawn with [Lr_bitvec.Bv.random_biased rng bias] in lane
+    order, with the cube's literals forced on.
+    {!Lr_bitvec.Bv.random_biased_lanes} makes those draws straight into
+    lane words, so no assignment is built as a vector. Lanes at or past
+    [count] carry no query. {!run} and the FBDT's node sampler both draw
+    their base blocks here, each with its own bias schedule, and ask the
+    toggles of the block's free inputs with it. *)
 
 val run :
   rounds:int ->

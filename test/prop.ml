@@ -1324,32 +1324,57 @@ let prop_fault_reader_mutants () =
   Alcotest.(check bool) "some mutants accepted" true (!accepted > 0);
   Alcotest.(check bool) "some mutants refused" true (!refused > 0)
 
-(* ---------------- word-parallel block queries ---------------- *)
+(* ---------------- toggle queries ---------------- *)
 
-(* [Box.query_blocks] against one [Box.query_many] per block, in order:
-   a random recipe behind a netlist or a function box, a lane count,
-   calls of up to a dozen blocks (wider than one kernel pass), a fault
-   schedule mixing transient failures under a retry policy, corruption
-   whose window opens mid-block, and premature exhaustion, and now and
-   then a strict shard whose slice runs out mid-batch *)
-type block_case = {
-  wr : recipe;
+(* [Box.query_toggles] against one [Box.query_many] per materialised
+   block, in order: a random recipe behind a plain netlist box, a
+   faulty one retrying transient failures, or a function box; a lane
+   count of 0, 1, 63, 64 or in between; calls with no toggles or up to a
+   dozen toggle sets of 1-3 distinct inputs, some no output reads; a
+   fault schedule mixing transient failures under a retry policy,
+   corruption whose window opens mid-block, and premature exhaustion;
+   and now and then a strict shard whose slice runs out mid-call *)
+type toggle_case = {
+  tr : recipe;
   count : int;
-  calls : int list;  (** blocks per call *)
+  calls : int array array list;  (** each call's toggle sets *)
   function_box : bool;
-  wfaults : (F.spec * int) option;  (** schedule, retry attempts *)
+  tfaults : (F.spec * int) option;  (** schedule, retry attempts *)
   slice : int option;  (** a strict shard's budget *)
 }
 
-let arb_block_case =
+let arb_toggle_case =
   {
     gen =
       (fun rng size ->
-        let wr = arb_recipe.gen rng size in
-        let count = 1 + Rng.int rng 64 in
-        let calls = List.init (1 + Rng.int rng 3) (fun _ -> 1 + Rng.int rng 12) in
-        let total = count * List.fold_left ( + ) 0 calls in
-        let wfaults =
+        let tr = arb_recipe.gen rng size in
+        let count =
+          match Rng.int rng 5 with
+          | 0 -> 0
+          | 1 -> 1
+          | 2 -> 63
+          | 3 -> 64
+          | _ -> 1 + Rng.int rng 64
+        in
+        let toggle () =
+          let k = 1 + Rng.int rng (min 3 tr.ni) in
+          let rec draw acc =
+            if List.length acc = k then Array.of_list acc
+            else
+              let i = Rng.int rng tr.ni in
+              draw (if List.mem i acc then acc else i :: acc)
+          in
+          draw []
+        in
+        let calls =
+          List.init (1 + Rng.int rng 3) (fun _ ->
+              Array.init (Rng.int rng 13) (fun _ -> toggle ()))
+        in
+        let total =
+          count
+          * List.fold_left (fun n ts -> n + 1 + Array.length ts) 0 calls
+        in
+        let tfaults =
           if Rng.int rng 3 = 0 then None
           else
             let corruption =
@@ -1366,12 +1391,13 @@ let arb_block_case =
                 fail_burst = Rng.int rng 3;
                 corruption;
                 (* one past the last output now and then: a no-op victim *)
-                victim = Rng.int rng (wr.no + 1);
-                onset = Rng.int rng total;
+                victim = Rng.int rng (tr.no + 1);
+                onset = Rng.int rng (total + 1);
                 duration =
                   (if Rng.bool rng then max_int else 1 + Rng.int rng 80);
                 exhaust_after =
-                  (if Rng.bool rng then Some (Rng.int rng total) else None);
+                  (if Rng.bool rng then Some (Rng.int rng (total + 1))
+                   else None);
               }
             in
             Some (spec, 1 + Rng.int rng 4)
@@ -1379,26 +1405,46 @@ let arb_block_case =
         let slice =
           if Rng.int rng 3 = 0 then Some (Rng.int rng (total + 1)) else None
         in
-        { wr; count; calls; function_box = Rng.bool rng; wfaults; slice });
+        { tr; count; calls; function_box = Rng.int rng 3 = 0; tfaults; slice });
     shrink =
-      (fun c -> List.map (fun wr -> { c with wr }) (arb_recipe.shrink c.wr));
+      (fun c -> List.map (fun tr -> { c with tr }) (arb_recipe.shrink c.tr));
     print =
       (fun c ->
+        let set ts =
+          String.concat ","
+            (List.map string_of_int (Array.to_list ts))
+        in
         Printf.sprintf "%s count=%d calls=[%s] function=%b faults=%s slice=%s"
-          (arb_recipe.print c.wr) c.count
-          (String.concat ";" (List.map string_of_int c.calls))
+          (arb_recipe.print c.tr) c.count
+          (String.concat ";"
+             (List.map
+                (fun ts ->
+                  "{" ^ String.concat " " (List.map set (Array.to_list ts)) ^ "}")
+                c.calls))
           c.function_box
-          (match c.wfaults with
+          (match c.tfaults with
           | None -> "none"
           | Some (spec, retry) ->
               Printf.sprintf "%s retry=%d" (F.to_string spec) retry)
           (match c.slice with None -> "none" | Some b -> string_of_int b));
   }
 
-let prop_query_blocks_matches_many () =
-  check_prop ~count:120 "Box.query_blocks == Box.query_many per block"
-    arb_block_case (fun c ->
-      let n = build_netlist c.wr in
+let prop_query_toggles_matches_many () =
+  let unobserved = ref 0 in
+  check_prop ~count:150 "query_toggles == one query_many per materialised block"
+    arb_toggle_case (fun c ->
+      let n = build_netlist c.tr in
+      let observed =
+        let s = Soa.of_netlist n in
+        let cone =
+          Soa.transitive_fanin s (List.init (N.num_outputs n) (N.output n))
+        in
+        fun i -> Array.exists (fun m -> N.gate n m = N.Input i) cone
+      in
+      List.iter
+        (Array.iter (fun ts ->
+             if not (Array.for_all observed ts) then incr unobserved))
+        c.calls;
       let box () =
         let b =
           if c.function_box then
@@ -1406,7 +1452,7 @@ let prop_query_blocks_matches_many () =
               ~output_names:(N.output_names n) (N.eval n)
           else Box.of_netlist n
         in
-        (match c.wfaults with
+        (match c.tfaults with
         | None -> ()
         | Some (spec, retry) ->
             Box.set_faults b (Some spec);
@@ -1415,27 +1461,33 @@ let prop_query_blocks_matches_many () =
         | None -> b
         | Some budget -> Box.shard ~budget ~strict:true b
       in
-      let by_many = box () and by_blocks = box () in
+      let by_many = box () and by_toggles = box () in
       let rng = Rng.create ((c.count * 31) + List.length c.calls) in
       let answers =
         List.mapi
-          (fun call nblocks ->
-            let patterns =
-              Array.init nblocks (fun _ ->
-                  Array.init c.count (fun _ -> Bv.random rng c.wr.ni))
-            in
+          (fun call toggles ->
             (* the lanes past [count] carry noise the box must ignore *)
+            let base =
+              Array.init c.tr.ni (fun _ ->
+                  let w = Rng.bits64 rng in
+                  if c.count = 64 then w
+                  else
+                    Int64.logor
+                      (Int64.logand w (Int64.pred (Int64.shift_left 1L c.count)))
+                      (Int64.shift_left (Rng.bits64 rng) c.count))
+            in
+            let patterns = Bv.of_lanes c.count base in
             let blocks =
-              Array.map
-                (fun ps ->
-                  Array.map
-                    (fun w ->
-                      if c.count = 64 then w
-                      else
-                        Int64.logor w
-                          (Int64.shift_left (Rng.bits64 rng) c.count))
-                    (Bv.to_lanes c.wr.ni ps))
-                patterns
+              patterns
+              :: List.map
+                   (fun ts ->
+                     Array.map
+                       (fun p ->
+                         let p = Bv.copy p in
+                         Array.iter (Bv.flip p) ts;
+                         p)
+                       patterns)
+                   (Array.to_list toggles)
             in
             let span = if call mod 2 = 0 then "even" else "odd" in
             let attempt f =
@@ -1444,21 +1496,24 @@ let prop_query_blocks_matches_many () =
                 Error (Printexc.to_string e)
             in
             ( attempt (fun () ->
-                  Array.map
-                    (fun ps -> Bv.to_lanes c.wr.no (Box.query_many by_many ps))
-                    patterns),
-              attempt (fun () -> Box.query_blocks by_blocks ~count:c.count blocks)
-            ))
+                  Array.of_list
+                    (List.map
+                       (fun ps ->
+                         Bv.to_lanes c.tr.no (Box.query_many by_many ps))
+                       blocks)),
+              attempt (fun () ->
+                  Box.query_toggles by_toggles ~count:c.count base toggles) ))
           c.calls
       in
       let weight b = Lr_report.Histogram.count (Box.query_latency b) in
       List.for_all (fun (a, b) -> a = b) answers
-      && Box.queries_used by_many = Box.queries_used by_blocks
-      && Box.queries_by_span by_many = Box.queries_by_span by_blocks
-      && Box.retries_used by_many = Box.retries_used by_blocks
-      && Box.faults_seen by_many = Box.faults_seen by_blocks
-      && Box.exhausted by_many = Box.exhausted by_blocks
-      && weight by_many = weight by_blocks)
+      && Box.queries_used by_many = Box.queries_used by_toggles
+      && Box.queries_by_span by_many = Box.queries_by_span by_toggles
+      && Box.retries_used by_many = Box.retries_used by_toggles
+      && Box.faults_seen by_many = Box.faults_seen by_toggles
+      && Box.exhausted by_many = Box.exhausted by_toggles
+      && weight by_many = weight by_toggles);
+  Alcotest.(check bool) "some toggles reach no output" true (!unobserved > 0)
 
 (* ---------------- the serving plane ---------------- *)
 
@@ -1769,8 +1824,8 @@ let tests =
       prop_degraded_netlist_lints;
     Alcotest.test_case "fault spec reader under mutation" `Quick
       prop_fault_reader_mutants;
-    Alcotest.test_case "query_blocks == query_many per block" `Quick
-      prop_query_blocks_matches_many;
+    Alcotest.test_case "query_toggles == query_many per materialised block"
+      `Quick prop_query_toggles_matches_many;
     Alcotest.test_case "circuit cache round-trip" `Quick prop_cache_roundtrip;
     Alcotest.test_case "lr-serve/v1 reader under mutation" `Quick
       prop_spec_reader_mutants;

@@ -78,21 +78,41 @@ let test_constant_functions () =
   in
   check_int "constant 0: no onset" 0 (Cover.num_cubes r_false.Fbdt.onset)
 
+(* an exhaustive table against [f] on every assignment of [n] inputs:
+   entry [m] is the output on the minterm whose bit [j] is support
+   element [j]'s value, and the ratio is the table's share of ones *)
+let table_exact n ~support f (table, ratio) =
+  let ok = ref true in
+  for m = 0 to (1 lsl n) - 1 do
+    let a = Bv.of_int ~width:n m in
+    let index =
+      List.mapi (fun j v -> if Bv.get a v then 1 lsl j else 0) support
+      |> List.fold_left ( lor ) 0
+    in
+    if table.(index) <> f a then ok := false
+  done;
+  let ones = Array.fold_left (fun c b -> if b then c + 1 else c) 0 table in
+  !ok && ratio = Float.of_int ones /. Float.of_int (Array.length table)
+
 let test_exhaustive () =
   let f a = (Bv.get a 1 && Bv.get a 4) || Bv.get a 2 in
-  let oracle = Oracle.of_fun ~arity:6 f in
-  let r = Fbdt.learn_exhaustive ~rng:(Rng.create 8) ~support:[ 1; 2; 4 ] oracle in
-  check "exact" true (exact_on 6 f r);
-  check "complete" true r.Fbdt.complete;
-  check_int "2^3 minterms enumerated" 8 r.Fbdt.nodes_expanded
+  let used = ref 0 in
+  let oracle =
+    Oracle.of_fun ~arity:6 (fun a ->
+        incr used;
+        f a)
+  in
+  let support = [ 1; 2; 4 ] in
+  let r = Fbdt.learn_exhaustive ~support oracle in
+  check "exact on every assignment" true (table_exact 6 ~support f r);
+  check_int "2^3 minterms enumerated" 8 (Array.length (fst r));
+  check_int "one query per minterm" 8 !used
 
 let test_exhaustive_rejects_wide_support () =
   let oracle = Oracle.of_fun ~arity:30 (fun _ -> false) in
   check "wide support rejected" true
     (try
-       ignore
-         (Fbdt.learn_exhaustive ~rng:(Rng.create 9)
-            ~support:(List.init 21 Fun.id) oracle);
+       ignore (Fbdt.learn_exhaustive ~support:(List.init 21 Fun.id) oracle);
        false
      with Invalid_argument _ -> true)
 
@@ -101,15 +121,12 @@ let test_budget_approximation () =
      majority-approximated leaves *)
   let used = ref 0 in
   let f a = (Bv.get a 0 && Bv.get a 1) || (Bv.get a 2 && Bv.get a 3) in
-  let query arr =
-    used := !used + Array.length arr;
-    Array.map f arr
-  in
   let oracle =
     {
-      Oracle.arity = 8;
-      query;
-      query_blocks = Oracle.blocks_via query;
+      (Oracle.of_fun ~arity:8 (fun a ->
+           incr used;
+           f a))
+      with
       exhausted = (fun () -> !used > 2000);
     }
   in
@@ -137,10 +154,8 @@ let prop_exhaustive_exact =
       (* 3-input function from an 8-bit truth table *)
       let f a = (tt lsr Bv.to_int a) land 1 = 1 in
       let oracle = Oracle.of_fun ~arity:3 f in
-      let r =
-        Fbdt.learn_exhaustive ~rng:(Rng.create tt) ~support:[ 0; 1; 2 ] oracle
-      in
-      exact_on 3 f r)
+      let support = [ 0; 1; 2 ] in
+      table_exact 3 ~support f (Fbdt.learn_exhaustive ~support oracle))
 
 let prop_tree_exact_when_complete =
   QCheck.Test.make ~name:"complete trees are exact" ~count:30
@@ -260,17 +275,10 @@ let test_sample_node_matches_reference () =
     let cfg = { cfg with Fbdt.node_rounds } in
     let counted () =
       let used = ref 0 in
-      let query arr =
-        used := !used + Array.length arr;
-        Array.map f arr
-      in
       ( used,
-        {
-          Oracle.arity = n;
-          query;
-          query_blocks = Oracle.blocks_via query;
-          exhausted = (fun () -> false);
-        } )
+        Oracle.of_fun ~arity:n (fun a ->
+            incr used;
+            f a) )
     in
     let used_w, ow = counted () and used_v, ov = counted () in
     let seed = 100 + trial in

@@ -401,6 +401,61 @@ let test_multi_domain_absorb_replay () =
   check "totals accumulate in absorb order" true
     (List.rev !totals = [ 10; 30; 60; 100 ])
 
+(* Work recorded directly, or under [collect] and then absorbed, reaches
+   a sink as the same event stream once timestamps and durations are
+   stripped, running [total]s included, and leaves the same aggregates;
+   inside [collect] the aggregates stay empty. *)
+let test_collect_absorb_equals_direct () =
+  with_clean @@ fun () ->
+  ignore (install_ticking_clock ());
+  let work () =
+    Instr.count "units" 2;
+    Instr.span ~name:"a" (fun () ->
+        Instr.count "units" 3;
+        Instr.gauge "level" 1.5;
+        Instr.span ~name:"b" (fun () ->
+            Instr.count "units" 4;
+            Instr.count "other" 1));
+    Instr.span ~name:"a" (fun () -> Instr.count "units" 5)
+  in
+  let strip = function
+    | Instr.Span_begin e -> Instr.Span_begin { e with ts = 0.0 }
+    | Instr.Span_end e -> Instr.Span_end { e with ts = 0.0; dur_s = 0.0 }
+    | Instr.Count e -> Instr.Count { e with ts = 0.0 }
+    | Instr.Gauge e -> Instr.Gauge { e with ts = 0.0 }
+  in
+  let record f =
+    Instr.reset_aggregates ();
+    let events = ref [] in
+    Instr.set_sinks
+      [ { emit = (fun e -> events := strip e :: !events); flush = ignore } ];
+    (* a running total from before the work, which both streams extend *)
+    Instr.count "units" 1;
+    Instr.span ~name:"outer" f;
+    Instr.set_sinks [];
+    ( List.rev !events,
+      Instr.counters_by_span (),
+      Instr.counter_totals (),
+      Instr.span_calls () )
+  in
+  let direct = record work in
+  let absorbed =
+    record (fun () ->
+        let (), snap =
+          Instr.collect (fun () ->
+              work ();
+              check_int "no aggregate inside collect" 0
+                (Instr.counter_total "units"))
+        in
+        Instr.absorb snap)
+  in
+  let events (e, _, _, _) = e in
+  check_int "same number of events"
+    (List.length (events direct))
+    (List.length (events absorbed));
+  check "same events, totals included" true (events direct = events absorbed);
+  check "same aggregates" true (direct = absorbed)
+
 let tests =
   [
     Alcotest.test_case "span nesting & events" `Quick test_span_nesting;
@@ -418,4 +473,6 @@ let tests =
       test_sinks_under_clock_skew;
     Alcotest.test_case "multi-domain absorb replay" `Quick
       test_multi_domain_absorb_replay;
+    Alcotest.test_case "collect + absorb == direct recording" `Quick
+      test_collect_absorb_equals_direct;
   ]

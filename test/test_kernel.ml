@@ -13,6 +13,7 @@ module Analysis = Lr_netlist.Analysis
 module Aig = Lr_aig.Aig
 module Ksim = Lr_aig.Ksim
 module Soa = Lr_kernel.Soa
+module Instr = Lr_instr.Instr
 module Incr = Lr_kernel.Incremental
 module Cases = Lr_cases.Cases
 module Config = Logic_regression.Config
@@ -148,6 +149,62 @@ let test_golden_observed () =
         (Soa.eval_blocks s blocks = Array.map (N.eval_words c) blocks))
     Cases.specs
 
+(* Every golden circuit, toggled on each input alone and on random sets
+   of two to four inputs: the answers are those of the materialised
+   blocks, and ["sim.gate-words"] counts the observed schedule once plus,
+   per toggle, the observed nodes in its inputs' fanout cone, inputs
+   included. *)
+let test_golden_toggles () =
+  let rng = Rng.create 109 in
+  List.iter
+    (fun spec ->
+      let name = spec.Cases.name in
+      let c = Cases.build spec in
+      let s = Soa.of_netlist c in
+      let ni = N.num_inputs c in
+      let observed = Array.make (Soa.num_nodes s) false in
+      Array.iter
+        (fun n -> observed.(n) <- true)
+        (Soa.transitive_fanin s (List.init (N.num_outputs c) (N.output c)));
+      let toggles =
+        Array.append
+          (Array.init ni (fun i -> [| i |]))
+          (Array.init 8 (fun _ ->
+               let k = 2 + Rng.int rng 3 in
+               List.init k (fun _ -> Rng.int rng ni)
+               |> List.sort_uniq compare |> Array.of_list))
+      in
+      let cone_size ts =
+        let cone =
+          Soa.fanout_cone s
+            (List.concat_map (Soa.input_readers s) (Array.to_list ts))
+        in
+        let k = ref 0 in
+        Array.iteri
+          (fun n inside -> if inside && observed.(n) then incr k)
+          cone;
+        !k
+      in
+      let base = Array.init ni (fun _ -> Rng.bits64 rng) in
+      let blocks =
+        Array.append [| base |]
+          (Array.map
+             (fun ts ->
+               let w = Array.copy base in
+               Array.iter (fun i -> w.(i) <- Int64.lognot w.(i)) ts;
+               w)
+             toggles)
+      in
+      let before = Instr.counter_total "sim.gate-words" in
+      let answers = Soa.eval_toggles s base toggles in
+      let words = Instr.counter_total "sim.gate-words" - before in
+      check (name ^ ": toggles == eval_blocks of the materialised blocks") true
+        (answers = Soa.eval_blocks s blocks);
+      let cones = Array.fold_left (fun k ts -> k + cone_size ts) 0 toggles in
+      check_int (name ^ ": gate-words = observed + cone sizes")
+        (Soa.num_observed s + cones) words)
+    Cases.specs
+
 (* ---------------- end-to-end bit-identity ---------------- *)
 
 let fast =
@@ -197,6 +254,8 @@ let tests =
     Alcotest.test_case "dirty-cone minimality" `Quick test_cone_minimality;
     Alcotest.test_case "observed schedule on the golden circuits" `Quick
       test_golden_observed;
+    Alcotest.test_case "toggle cones on the golden circuits" `Quick
+      test_golden_toggles;
     Alcotest.test_case "kernel/jobs bit-identity on a real case" `Quick
       test_bit_identity;
   ]

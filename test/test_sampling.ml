@@ -230,9 +230,18 @@ let test_matches_reference_default_rounds () =
 
 (* Simulation counters per span of a case_7 learn: support-id on
    64-pattern batches, and FBDT trees forced by disabling the exhaustive
-   conquest. The patterns are those the vector path simulated; each
-   block charges the 48 nodes the outputs read (of the golden circuit's
-   87), and the learned circuit is the same. *)
+   conquest. The patterns are those the vector path simulated, and the
+   learned circuit is the same. A sampling block charges its base block
+   once, the 48 nodes the outputs read (of the golden circuit's 87),
+   plus each toggled input's observed cone: the 13 inputs the outputs
+   read reach 4-12 observed nodes each, 85 in all, and the other 30
+   none. So each support-id block over all 43 inputs charges
+   48 + 85 = 133: 113 blocks x 133 = 15 029 by default (238 656 =
+   113 x 44 x 48 when every toggled block was simulated whole), and
+   2 x 133 = 266 at 100 rounds. An FBDT node's block charges 48 plus its
+   free inputs' cones: pb's 7 nodes 7 x 48 + 30 = 366 over 4 toggles,
+   pf's 5 nodes 5 x 48 + 24 = 264 and pg's 5 x 48 + 16 = 256 over 4
+   each. An exhaustive conquest's one minterm batch charges 48. *)
 let sim_counters ?(case = "case_7") config =
   Instr.reset_aggregates ();
   let r = Learner.learn ~config (Cases.blackbox (Cases.find case)) in
@@ -274,7 +283,7 @@ let test_case7_sim_counters () =
       sim
   in
   check_run "default" Config.default ~queries:316_816
-    ~digest:"55cfebc6641fdef027cf1ad949e0abcd" ~support:(316_800, 238_656)
+    ~digest:"55cfebc6641fdef027cf1ad949e0abcd" ~support:(316_800, 15_029)
     ~fbdt:(fbdt_counters ~pb:(4, 48) ~pf:(4, 48) ~pg:(4, 48));
   check_run "trees"
     {
@@ -283,8 +292,8 @@ let test_case7_sim_counters () =
       small_support_threshold = 0;
     }
     ~queries:6144 ~digest:"98d0fe8c2733de157f1ef4b3fc2d6fa0"
-    ~support:(4400, 4224)
-    ~fbdt:(fbdt_counters ~pb:(660, 528) ~pf:(540, 432) ~pg:(540, 432))
+    ~support:(4400, 266)
+    ~fbdt:(fbdt_counters ~pb:(660, 366) ~pf:(540, 264) ~pg:(540, 256))
 
 (* One oracle batch per sampling block: the ["queries"] count events a
    case_7 learn emits in support-id and in the fbdt spans, as a trace
