@@ -406,6 +406,25 @@ let micro () =
            let aig = Lr_aig.Aig.of_netlist case7 in
            ignore (Lr_aig.Fraig.sweep ~words:4 ~rng:(Rng.create 2) aig)))
   in
+  (* one optimisation round's passes, warm: case_12's circuit learned
+     without optimisation, after [Opt.rewrite] (559 ANDs) *)
+  let aig12 =
+    let r =
+      Learner.learn
+        ~config:{ Config.default with Config.optimize = false }
+        (Cases.blackbox case12)
+    in
+    Lr_aig.Opt.rewrite (Lr_aig.Aig.of_netlist r.Learner.circuit)
+  in
+  let cut_rewrite_test =
+    Test.make ~name:"cut rewrite (case_12 pre-opt AIG)"
+      (Staged.stage (fun () -> ignore (Lr_aig.Rewrite.cut_rewrite aig12)))
+  in
+  let compress_test =
+    Test.make ~name:"Opt.compress (case_12 pre-opt AIG)"
+      (Staged.stage (fun () ->
+           ignore (Lr_aig.Opt.compress ~rng:(Rng.create 2) aig12)))
+  in
   let bdd_test =
     Test.make ~name:"BDD build+ISOP (8-bit comparator)"
       (Staged.stage (fun () ->
@@ -452,6 +471,8 @@ let micro () =
         lanes_test;
         score_test;
         fraig_test;
+        cut_rewrite_test;
+        compress_test;
         bdd_test;
         sat_test;
       ]

@@ -2,13 +2,28 @@ module N = Lr_netlist.Netlist
 
 type lit = int
 
+(* The structural hash keys an AND by its ordered fanin pair [a <= b]
+   packed into one int, [(a lsl 31) lor b]: literals stay below 2^31, as
+   [and_lit] refuses a node past 2^30. [Hashtbl] indexes by the hash's
+   low bits, so the hash folds [a] onto [b] before multiplying, and the
+   product's high half back onto its low half. *)
+module Strash = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash k =
+    let x = (k lxor (k lsr 31)) * 0x1E3779B97F4A7C15 in
+    x lxor (x lsr 32)
+end)
+
 type t = {
   ni : int;
   no : int;
   mutable fanin0 : int array; (* per node; meaningless below first AND *)
   mutable fanin1 : int array;
   mutable len : int;
-  strash : (int * int, int) Hashtbl.t;
+  strash : int Strash.t;
   outputs : int array;
 }
 
@@ -20,7 +35,7 @@ let create ~num_inputs ~num_outputs =
     fanin0 = Array.make (max 16 (2 * len)) 0;
     fanin1 = Array.make (max 16 (2 * len)) 0;
     len;
-    strash = Hashtbl.create 1024;
+    strash = Strash.create 1024;
     outputs = Array.make num_outputs 0;
   }
 
@@ -46,6 +61,8 @@ let fanins t n =
   if not (is_and t n) then invalid_arg "Aig.fanins: not an AND node";
   t.fanin0.(n), t.fanin1.(n)
 
+let key a b = (a lsl 31) lor b
+
 let and_lit t a b =
   let a, b = if a <= b then a, b else b, a in
   if a = lit_false then lit_false
@@ -53,7 +70,8 @@ let and_lit t a b =
   else if a = b then a
   else if a = not_lit b then lit_false
   else
-    match Hashtbl.find_opt t.strash (a, b) with
+    let k = key a b in
+    match Strash.find_opt t.strash k with
     | Some n -> 2 * n
     | None ->
         if t.len = Array.length t.fanin0 then begin
@@ -67,10 +85,11 @@ let and_lit t a b =
           t.fanin1 <- extend t.fanin1
         end;
         let n = t.len in
+        if n >= 1 lsl 30 then invalid_arg "Aig.and_lit: too many nodes";
         t.fanin0.(n) <- a;
         t.fanin1.(n) <- b;
         t.len <- t.len + 1;
-        Hashtbl.replace t.strash (a, b) n;
+        Strash.add t.strash k n;
         2 * n
 
 let lookup_and t a b =
@@ -80,7 +99,7 @@ let lookup_and t a b =
   else if a = b then Some a
   else if a = not_lit b then Some lit_false
   else
-    match Hashtbl.find_opt t.strash (a, b) with
+    match Strash.find_opt t.strash (key a b) with
     | Some n -> Some (2 * n)
     | None -> None
 

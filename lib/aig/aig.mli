@@ -8,7 +8,13 @@
 
     Conversion to {!Lr_netlist.Netlist} maps AND nodes to [And2] gates and
     complemented edges to inverters, so the contest size metric (2-input
-    gates) equals {!num_ands} after conversion. *)
+    gates) equals {!num_ands} after conversion.
+
+    The structural hash keys each AND by its ordered fanin pair [a <= b]
+    packed into one int, [(a lsl 31) lor b], with an int hash: a probe
+    builds no tuple and runs no polymorphic hash or compare. Literals
+    must stay below [2^31], so {!and_lit} raises [Invalid_argument] past
+    [2^30] nodes. *)
 
 type t
 type lit = int

@@ -3,6 +3,12 @@ module Sat = Lr_sat.Sat
 module Instr = Lr_instr.Instr
 module Soa = Lr_kernel.Soa
 
+(* Signature blocks are unboxed: node [u]'s word sits at byte [8 * u]
+   ([Soa.node_words]). *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+let[@inline] word b u = get64u b (8 * u)
+
 (* Union-find over nodes with a phase bit relative to the parent.
    Roots are always the smallest node id of their class, so substituting a
    node by its root never creates a cycle. *)
@@ -64,6 +70,8 @@ let classes ~layer ?(words = 16) ?(max_rounds = 64) ?(max_sat_checks = 5000)
   let ni = Soa.num_inputs soa in
   let uf = Uf.create n in
   let solver = Sat.create () in
+  (* one variable per node, and room for as many miters *)
+  Sat.reserve solver (2 * n);
   Soa.encode soa solver;
   let fanin = Soa.transitive_fanin soa in
   let input_of = Array.make n (-1) in
@@ -73,15 +81,16 @@ let classes ~layer ?(words = 16) ?(max_rounds = 64) ?(max_sat_checks = 5000)
   let seeds =
     Array.init words (fun _ -> Array.init ni (fun _ -> Rng.bits64 rng))
   in
-  (* Signature blocks: [!sigs.(b).(node)] is the node's value under
+  (* Signature blocks: [word !sigs.(b) node] is the node's value under
      block [b]. The seed blocks come first, then every counterexample
      block in arrival order; blocks are never dropped, so a pair one
      block separates never shares a class again. *)
-  let sigs = ref (Array.make (max 1 (2 * words)) [||]) in
+  let block () = Bytes.create (8 * n) in
+  let sigs = ref (Array.make (max 1 (2 * words)) Bytes.empty) in
   let nsigs = ref 0 in
   let push vals =
     if !nsigs = Array.length !sigs then begin
-      let grown = Array.make (2 * !nsigs) [||] in
+      let grown = Array.make (2 * !nsigs) Bytes.empty in
       Array.blit !sigs 0 grown 0 !nsigs;
       sigs := grown
     end;
@@ -90,13 +99,13 @@ let classes ~layer ?(words = 16) ?(max_rounds = 64) ?(max_sat_checks = 5000)
   in
   (* A node's signature is complemented to canonical phase when its
      first pattern is 1, so a node and its complement share a class. *)
-  let flip u = !nsigs > 0 && Int64.logand !sigs.(0).(u) 1L = 1L in
+  let flip u = !nsigs > 0 && Int64.logand (word !sigs.(0) u) 1L = 1L in
   let hash u =
     let c = if flip u then -1L else 0L in
     let s = !sigs in
     let h = ref 0 in
     for b = 0 to !nsigs - 1 do
-      let w = Int64.logxor s.(b).(u) c in
+      let w = Int64.logxor (word s.(b) u) c in
       let x =
         Int64.to_int w lxor Int64.to_int (Int64.shift_right_logical w 32)
       in
@@ -109,7 +118,8 @@ let classes ~layer ?(words = 16) ?(max_rounds = 64) ?(max_sat_checks = 5000)
     let s = !sigs in
     let b = ref 0 in
     while
-      !b < !nsigs && Int64.equal (Int64.logxor s.(!b).(u) s.(!b).(v)) d
+      !b < !nsigs
+      && Int64.equal (Int64.logxor (word s.(!b) u) (word s.(!b) v)) d
     do
       incr b
     done;
@@ -149,7 +159,7 @@ let classes ~layer ?(words = 16) ?(max_rounds = 64) ?(max_sat_checks = 5000)
      keep a seed pattern. It is resimulated after every counterexample
      and pushed onto [sigs] when full, or at the end of the round. *)
   let pend_in = Array.make ni 0L in
-  let pend_vals = ref (Array.make n 0L) in
+  let pend_vals = ref (block ()) in
   let lanes = ref 0 in
   let pend_blocks = ref 0 in
   let start_pending () =
@@ -159,7 +169,7 @@ let classes ~layer ?(words = 16) ?(max_rounds = 64) ?(max_sat_checks = 5000)
   in
   let flush () =
     push !pend_vals;
-    pend_vals := Array.make n 0L;
+    pend_vals := block ();
     incr pend_blocks;
     start_pending ()
   in
@@ -175,14 +185,21 @@ let classes ~layer ?(words = 16) ?(max_rounds = 64) ?(max_sat_checks = 5000)
         (* counterexample blocks arrive simulated: only the seeds are new *)
         Instr.count "kernel.sim-cached-words" (!nsigs * n);
         if !round = 1 then
-          Array.iter (fun b -> push (Soa.node_values soa b)) seeds);
+          Array.iter
+            (fun b ->
+              let vals = block () in
+              Soa.node_words soa b vals;
+              push vals)
+            seeds);
     Instr.count (name ".sim-words") (!nsigs * n);
     let classes = bucket () in
     let round_first = !nsigs in
     (* do this round's counterexamples already separate the pair? *)
     let separated a b phase =
       let d = if phase then -1L else 0L in
-      let differ v = not (Int64.equal (Int64.logxor v.(a) v.(b)) d) in
+      let differ v =
+        not (Int64.equal (Int64.logxor (word v a) (word v b)) d)
+      in
       let sep = ref (!lanes > 0 && differ !pend_vals) in
       for k = round_first to !nsigs - 1 do
         if differ !sigs.(k) then sep := true
@@ -221,7 +238,7 @@ let classes ~layer ?(words = 16) ?(max_rounds = 64) ?(max_sat_checks = 5000)
                   (if Sat.value solver (x + 1) then Int64.logor pend_in.(i) bit
                    else Int64.logand pend_in.(i) (Int64.lognot bit)))
             cone;
-          Soa.eval_into soa !pend_vals pend_in;
+          Soa.node_words soa pend_in !pend_vals;
           incr lanes;
           if !lanes = 64 then flush ()
     in

@@ -51,14 +51,17 @@ val classes :
     collision. Classes are then visited in ascending representative id,
     members ascending, and each member is paired with its
     representative. Node values are computed once per pattern block and
-    reused across rounds (["kernel.sim-cached-words"] counts the reuse).
+    reused across rounds (["kernel.sim-cached-words"] counts the reuse);
+    each block is one unboxed word per node ({!Lr_kernel.Soa.node_words}).
 
-    One persistent solver holds the {!Lr_kernel.Soa.encode} CNF and
-    decides every pair under its own miter variable, branching only on
-    the pair's transitive fanin ({!Lr_kernel.Soa.transitive_fanin} as
-    the decision set of {!Lr_sat.Sat.solve}). Inputs outside that fanin
-    are never decided; a counterexample takes their bits from a seed
-    pattern. Counterexamples are resimulated as they arrive: each fills
+    One persistent solver, sized once for a variable per node and as
+    many miters ({!Lr_sat.Sat.reserve}), holds the {!Lr_kernel.Soa.encode}
+    CNF and decides every pair under its own miter variable, branching
+    only on the pair's transitive fanin
+    ({!Lr_kernel.Soa.transitive_fanin} as the decision set of
+    {!Lr_sat.Sat.solve}). Inputs outside that fanin are never decided;
+    a counterexample takes their bits from a seed pattern.
+    Counterexamples are resimulated as they arrive: each fills
     the next lane of a pending 64-pattern block, which is resimulated at
     once, so a pair this round's counterexamples already separate takes
     no SAT call. Full blocks join the signatures at once, the rest at

@@ -69,7 +69,7 @@ type result = {
   truth_ratio : float;
   complete : bool;
   nodes_expanded : int;
-  tree : tree option;
+  tree : tree;
 }
 
 (* Constrained pattern sampling at one tree node: returns per-variable
@@ -208,7 +208,7 @@ let learn ?support cfg ~rng (oracle : Oracle.t) =
     truth_ratio = (match !root_ratio with Some r -> r | None -> 0.0);
     complete = !complete;
     nodes_expanded = !expanded;
-    tree = Some (freeze root);
+    tree = freeze root;
   }
 
 let learn_exhaustive ~support (oracle : Oracle.t) =

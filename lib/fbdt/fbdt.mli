@@ -65,7 +65,7 @@ type result = {
   complete : bool;
       (** false when the budget ran out and open nodes were approximated *)
   nodes_expanded : int;
-  tree : tree option;  (** the FBDT itself *)
+  tree : tree;  (** the FBDT itself *)
 }
 
 val sample_node :

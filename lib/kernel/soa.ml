@@ -327,6 +327,13 @@ let eval_into t v words =
     v.(n) <- get64u buf (8 * n)
   done
 
+let node_words t words into =
+  if Array.length words <> t.ni then
+    invalid_arg "Soa.node_words: wrong input count";
+  if Bytes.length into < 8 * t.nn then
+    invalid_arg "Soa.node_words: store too short";
+  Bytes.blit (run_block t words) 0 into 0 (8 * t.nn)
+
 (* Evaluate one node against live value/input arrays — the incremental
    engine's per-node step; semantics identical to [run]'s body. *)
 let eval_node t v words n =

@@ -20,11 +20,12 @@
     output-only entry points ({!eval_words}, {!eval_blocks},
     {!eval_many}) load only the inputs it reads and run only its gates;
     a golden circuit can hold far more logic than its outputs read.
-    The node-value entry points ({!eval_into}, {!node_values}), which
-    fraig, the sweep and the incremental engine read node by node, run
-    the full schedule. The sampling entry point ({!eval_toggles}) runs
-    the observed schedule once per base block and then, per toggle,
-    only the observed gates the toggled inputs reach. *)
+    The node-value entry points ({!eval_into}, {!node_values},
+    {!node_words}), which fraig, the sweep and the incremental engine
+    read node by node, run the full schedule. The sampling entry point
+    ({!eval_toggles}) runs the observed schedule once per base block and
+    then, per toggle, only the observed gates the toggled inputs
+    reach. *)
 
 type t
 
@@ -107,6 +108,14 @@ val node_values : t -> int64 array -> int64 array
 (** One word per node for one block, every node simulated —
     bit-identical to [Aig.simulate_nodes] / the netlist evaluators'
     internal value array. *)
+
+val node_words : t -> int64 array -> Bytes.t -> unit
+(** [node_words t words into] — {!node_values} unboxed: node [n]'s word
+    lands at byte [8 * n] of the caller-owned [into], in native byte
+    order ([Bytes.get_int64_ne]), copied from the kernel's own store. An
+    [int64 array] boxes every word it holds; this allocates nothing.
+    Raises [Invalid_argument] on the wrong number of input words or a
+    store shorter than [8 * num_nodes]. *)
 
 val outputs_of_values : t -> int64 array -> int64 array
 (** Project output words (with output complement flags applied) from a

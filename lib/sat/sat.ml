@@ -7,11 +7,13 @@ type result = Sat | Unsat
 module Vec = struct
   type t = { mutable data : int array; mutable len : int }
 
-  let create () = { data = Array.make 4 0; len = 0 }
+  (* storage comes with the first push: most literals of a circuit's
+     CNF watch few clauses, and many none *)
+  let create () = { data = [||]; len = 0 }
 
   let push t x =
     if t.len = Array.length t.data then begin
-      let d = Array.make (2 * t.len) 0 in
+      let d = Array.make (max 4 (2 * t.len)) 0 in
       Array.blit t.data 0 d 0 t.len;
       t.data <- d
     end;
@@ -71,10 +73,10 @@ let create () =
 
 let num_vars t = t.nvars
 
-let grow_arrays t n =
+(* room for [cap] variables *)
+let resize t cap =
   let old = Array.length t.assigns in
-  if n > old then begin
-    let cap = max 16 (max n (2 * old)) in
+  if cap > old then begin
     let extend a fill =
       let b = Array.make cap fill in
       Array.blit a 0 b 0 old;
@@ -94,9 +96,12 @@ let grow_arrays t n =
     t.watches <- w
   end
 
+let reserve t n = resize t (t.nvars + n)
+
 let new_var t =
   t.nvars <- t.nvars + 1;
-  grow_arrays t t.nvars;
+  if t.nvars > Array.length t.assigns then
+    resize t (max 16 (2 * Array.length t.assigns));
   t.nvars
 
 (* internal encodings *)
@@ -293,25 +298,36 @@ let add_clause t lits =
   if t.ok then begin
     (* adding clauses invalidates any previous model *)
     cancel_until t 0;
-    let lits = List.map lit_of_dimacs lits in
-    let lits = List.sort_uniq compare lits in
-    let tautology =
-      List.exists (fun l -> List.mem (l lxor 1) lits) lits
-    in
-    if not tautology then begin
-      (* drop root-falsified literals; detect already-satisfied clause *)
-      let lits = List.filter (fun l -> lit_value t l <> 0) lits in
-      let satisfied = List.exists (fun l -> lit_value t l = 1) lits in
-      if not satisfied then
-        match lits with
-        | [] -> t.ok <- false
-        | [ l ] ->
-            enqueue t l (-1);
-            if propagate t >= 0 then t.ok <- false
-        | _ :: _ :: _ ->
-            let ci = push_clause t (Array.of_list lits) in
-            watch_clause t ci
-    end
+    let c = Array.of_list lits in
+    for i = 0 to Array.length c - 1 do
+      c.(i) <- lit_of_dimacs c.(i)
+    done;
+    Array.sort Int.compare c;
+    (* Sorted, copies of a literal are adjacent, and so are [2v] and
+       [2v+1]. Keep one copy of each literal that is not false at the
+       root, in place; one that is true satisfies the clause. *)
+    let tautology = ref false and satisfied = ref false and k = ref 0 in
+    for i = 0 to Array.length c - 1 do
+      let l = c.(i) in
+      if i = 0 || c.(i - 1) <> l then begin
+        if i > 0 && c.(i - 1) = l lxor 1 then tautology := true;
+        match lit_value t l with
+        | 0 -> ()
+        | v ->
+            if v = 1 then satisfied := true;
+            c.(!k) <- l;
+            incr k
+      end
+    done;
+    if not (!tautology || !satisfied) then
+      match !k with
+      | 0 -> t.ok <- false
+      | 1 ->
+          enqueue t c.(0) (-1);
+          if propagate t >= 0 then t.ok <- false
+      | k ->
+          let c = if k = Array.length c then c else Array.sub c 0 k in
+          watch_clause t (push_clause t c)
   end
 
 (* The unassigned variable of highest activity, by a linear scan over

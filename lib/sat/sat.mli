@@ -22,13 +22,23 @@ type result = Sat | Unsat
 val create : unit -> t
 
 val new_var : t -> int
-(** Allocate the next variable (1, 2, 3, ...). *)
+(** Allocate the next variable (1, 2, 3, ...). Past the reserved room
+    the per-variable arrays double; a literal's watch list gets storage
+    only when a clause first watches it. *)
+
+val reserve : t -> int -> unit
+(** [reserve t n] sizes the solver for [n] variables beyond those
+    allocated, so the next [n] {!new_var} calls allocate nothing: an
+    encoder that knows its variable count sizes the solver once. It
+    changes no answer. *)
 
 val num_vars : t -> int
 
 val add_clause : t -> int list -> unit
-(** Add a clause over already-allocated variables. Adding the empty clause
-    (or two contradicting units) makes the instance permanently Unsat. *)
+(** Add a clause over already-allocated variables. Its literals are
+    sorted and deduplicated, and a clause holding a literal and its
+    complement is dropped as a tautology. Adding the empty clause (or two
+    contradicting units) makes the instance permanently Unsat. *)
 
 val solve : ?assumptions:int list -> ?decide:int array -> t -> result
 (** Decide satisfiability under the given assumption literals. The solver

@@ -769,6 +769,76 @@ let arb_dup_recipe =
         { ni; no; ops });
   }
 
+(* [Aig]'s structural hash against a tuple-keyed model of it: random
+   runs of [and_lit] and [lookup_and] over constants, inputs, earlier
+   results and their complements return the same literals and leave the
+   same node count. An operand is [pool.(k / 2)] complemented by [k]'s
+   low bit. *)
+type strash_run = { s_ni : int; s_ops : (bool * int * int) list }
+
+let arb_strash_run =
+  {
+    gen =
+      (fun rng size ->
+        let s_ni = 1 + Rng.int rng 8 in
+        let s_ops =
+          List.init (10 + Rng.int rng (60 * size)) (fun _ ->
+              (Rng.int rng 4 = 0, Rng.int rng 1000, Rng.int rng 1000))
+        in
+        { s_ni; s_ops });
+    shrink =
+      (fun r ->
+        List.map
+          (fun s_ops -> { r with s_ops })
+          (shrink_list (fun _ -> []) r.s_ops));
+    print =
+      (fun r ->
+        Printf.sprintf "ni=%d ops=[%s]" r.s_ni
+          (String.concat "; "
+             (List.map
+                (fun (lookup, a, b) ->
+                  Printf.sprintf "%s %d %d"
+                    (if lookup then "lookup" else "and")
+                    a b)
+                r.s_ops)));
+  }
+
+let prop_strash_matches_model () =
+  check_prop "Aig strash == tuple-keyed model" arb_strash_run (fun r ->
+      let aig = Aig.create ~num_inputs:r.s_ni ~num_outputs:0 in
+      let table = Hashtbl.create 16 and nodes = ref (1 + r.s_ni) in
+      let model ~create a b =
+        let a, b = if a <= b then (a, b) else (b, a) in
+        if a = 0 then Some 0
+        else if a = 1 then Some b
+        else if a = b then Some a
+        else if a = b lxor 1 then Some 0
+        else
+          match Hashtbl.find_opt table (a, b) with
+          | Some n -> Some (2 * n)
+          | None when create ->
+              Hashtbl.replace table (a, b) !nodes;
+              incr nodes;
+              Some (2 * (!nodes - 1))
+          | None -> None
+      in
+      let pool = ref (Array.init (1 + r.s_ni) (fun n -> 2 * n)) in
+      let pick k =
+        let p = !pool in
+        p.(k / 2 mod Array.length p) lxor (k land 1)
+      in
+      List.for_all
+        (fun (lookup, x, y) ->
+          let a = pick x and b = pick y in
+          let got =
+            if lookup then Aig.lookup_and aig a b
+            else Some (Aig.and_lit aig a b)
+          in
+          Option.iter (fun l -> pool := Array.append !pool [| l |]) got;
+          got = model ~create:(not lookup) a b)
+        r.s_ops
+      && Aig.num_nodes aig = !nodes)
+
 (* node [n]'s truth table over all 2^10 patterns of the first ten inputs,
    as 16 words (fewer inputs repeat patterns) *)
 let truth_tables soa =
@@ -1808,6 +1878,8 @@ let tests =
       prop_encoder_matches_simulation;
     Alcotest.test_case "fraig classes == exact partition" `Quick
       prop_fraig_exact_partition;
+    Alcotest.test_case "strash == tuple-keyed model" `Quick
+      prop_strash_matches_model;
     Alcotest.test_case "decision-set solve == full solve" `Quick
       prop_decision_set_agrees;
     Alcotest.test_case "decision set must be closed under fanin" `Quick

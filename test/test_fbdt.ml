@@ -170,38 +170,32 @@ let test_tree_structure () =
   let f a = (Bv.get a 0 && Bv.get a 1) || Bv.get a 2 in
   let oracle = Oracle.of_fun ~arity:3 f in
   let r = Fbdt.learn cfg ~rng:(Rng.create 21) oracle in
-  match r.Fbdt.tree with
-  | None -> Alcotest.fail "learn must return the tree"
-  | Some t ->
-      (* the tree classifies exactly like the covers *)
-      for m = 0 to 7 do
-        let a = Bv.of_int ~width:3 m in
-        check "tree = cover" true
-          (Fbdt.classify t a = Cover.eval r.Fbdt.onset a);
-        check "tree = function" true (Fbdt.classify t a = f a)
-      done;
-      check "depth bounded by support" true (Fbdt.tree_depth t <= 3);
-      check_int "leaves = onset + offset cubes"
-        (Cover.num_cubes r.Fbdt.onset + Cover.num_cubes r.Fbdt.offset)
-        (Fbdt.tree_leaves t)
+  let t = r.Fbdt.tree in
+  (* the tree classifies exactly like the covers *)
+  for m = 0 to 7 do
+    let a = Bv.of_int ~width:3 m in
+    check "tree = cover" true (Fbdt.classify t a = Cover.eval r.Fbdt.onset a);
+    check "tree = function" true (Fbdt.classify t a = f a)
+  done;
+  check "depth bounded by support" true (Fbdt.tree_depth t <= 3);
+  check_int "leaves = onset + offset cubes"
+    (Cover.num_cubes r.Fbdt.onset + Cover.num_cubes r.Fbdt.offset)
+    (Fbdt.tree_leaves t)
 
 let test_tree_dot () =
   let f a = Bv.get a 0 <> Bv.get a 1 in
   let oracle = Oracle.of_fun ~arity:2 f in
   let r = Fbdt.learn cfg ~rng:(Rng.create 22) oracle in
-  match r.Fbdt.tree with
-  | None -> Alcotest.fail "tree expected"
-  | Some t ->
-      let dot = Fbdt.tree_to_dot ~names:(Printf.sprintf "x%d") t in
-      let contains needle =
-        let n = String.length needle and h = String.length dot in
-        let rec go i = i + n <= h && (String.sub dot i n = needle || go (i + 1)) in
-        go 0
-      in
-      check "digraph header" true (contains "digraph fbdt");
-      check "has a split node" true (contains "shape=circle");
-      check "has leaves" true (contains "shape=box");
-      check "closing brace" true (contains "}")
+  let dot = Fbdt.tree_to_dot ~names:(Printf.sprintf "x%d") r.Fbdt.tree in
+  let contains needle =
+    let n = String.length needle and h = String.length dot in
+    let rec go i = i + n <= h && (String.sub dot i n = needle || go (i + 1)) in
+    go 0
+  in
+  check "digraph header" true (contains "digraph fbdt");
+  check "has a split node" true (contains "shape=circle");
+  check "has leaves" true (contains "shape=box");
+  check "closing brace" true (contains "}")
 
 (* The vector form of [Fbdt.sample_node] the lane-word version replaced:
    a copied, bit-flipped vector per toggled pattern and per-bit counting

@@ -7,6 +7,9 @@ module Io = Lr_netlist.Io
 module Aig = Lr_aig.Aig
 module Opt = Lr_aig.Opt
 module Rewrite = Lr_aig.Rewrite
+module Bdd = Lr_bdd.Bdd
+module Cube = Lr_cube.Cube
+module Cover = Lr_cube.Cover
 
 let check = Alcotest.(check bool)
 
@@ -133,17 +136,20 @@ let test_matches_reference_random () =
   check "a negative-polarity cut won" true (wins.negative > negative);
   check "a constant cover won" true (wins.const > const)
 
-(* an AIG the pass does shrink: case_12's circuit learned without
-   optimisation, after the pass that precedes it in an optimisation
-   round *)
-let test_matches_reference_case12 () =
+(* A case's circuit learned without optimisation, after the pass that
+   precedes cut rewriting in an optimisation round. *)
+let pre_optimisation case =
   let module Config = Logic_regression.Config in
   let r =
     Logic_regression.Learner.learn
       ~config:{ Config.default with Config.optimize = false }
-      (Lr_cases.Cases.blackbox (Lr_cases.Cases.find "case_12"))
+      (Lr_cases.Cases.blackbox (Lr_cases.Cases.find case))
   in
-  let a = Opt.rewrite (Aig.of_netlist r.circuit) in
+  Opt.rewrite (Aig.of_netlist r.circuit)
+
+(* an AIG the pass does shrink *)
+let test_matches_reference_case12 () =
+  let a = pre_optimisation "case_12" in
   let positive = Rewrite_ref.wins.positive in
   check_as_reference "case_12" a;
   Alcotest.(check (pair int int))
@@ -151,6 +157,47 @@ let test_matches_reference_case12 () =
     (Aig.num_ands a, Aig.num_ands (Rewrite.cut_rewrite a));
   check "positive-polarity cuts won" true
     (Rewrite_ref.wins.positive > positive)
+
+(* the AIGs the benchmark's optimisation time is spent on: every
+   eco-sampled and templates case but case_12, which has its own test *)
+let test_matches_reference_cases () =
+  List.iter
+    (fun case -> check_as_reference case (pre_optimisation case))
+    [
+      "case_2"; "case_4"; "case_7"; "case_10"; "case_11"; "case_13"; "case_19";
+      "case_3"; "case_6"; "case_16"; "case_20";
+    ]
+
+(* The reference program of a BDD ISOP: the cubes of [Bdd.isop] in
+   order, each cube's literals in ascending variable order. *)
+let program_of_cover cover =
+  let code (v, positive) = (2 * v) + if positive then 0 else 1 in
+  let cube c = Array.of_list (List.map code (Cube.literals c)) in
+  match Cover.cubes cover with
+  | [] -> Rewrite.Const Aig.lit_false
+  | cubes -> (
+      match List.filter (fun c -> Cube.literals c <> []) cubes with
+      | [] -> Rewrite.Const Aig.lit_true
+      | cubes -> Rewrite.Sop (Array.of_list (List.map cube cubes)))
+
+let test_isop_matches_bdd () =
+  List.iter
+    (fun k ->
+      let man = Bdd.man ~nvars:k in
+      let vars = Array.init k Fun.id in
+      for tt = 0 to (1 lsl (1 lsl k)) - 1 do
+        let f = Bdd.of_truth_table man ~vars (fun m -> (tt lsr m) land 1 = 1) in
+        if Rewrite.program ~k tt <> program_of_cover (Bdd.isop man f) then
+          Alcotest.failf "k = %d, table 0x%x: the programs differ" k tt
+      done)
+    [ 2; 3; 4 ];
+  let refused =
+    Invalid_argument "Rewrite.program: not a table of 2 to 4 leaves"
+  in
+  Alcotest.check_raises "five leaves" refused (fun () ->
+      ignore (Rewrite.program ~k:5 0));
+  Alcotest.check_raises "a 2-leaf table past 4 bits" refused (fun () ->
+      ignore (Rewrite.program ~k:2 0x10))
 
 let tests =
   [
@@ -165,4 +212,8 @@ let tests =
       test_matches_reference_random;
     Alcotest.test_case "byte-identical on case_12's learned AIG" `Quick
       test_matches_reference_case12;
+    Alcotest.test_case "byte-identical on the benchmark cases' AIGs" `Quick
+      test_matches_reference_cases;
+    Alcotest.test_case "truth-table ISOP = Bdd.isop on every table" `Quick
+      test_isop_matches_bdd;
   ]
