@@ -17,7 +17,14 @@ let out_arg =
 
 let dump spec path =
   let c = Cases.build spec in
-  Io.write_file c path;
+  let oc =
+    try open_out path
+    with Sys_error msg ->
+      Printf.eprintf "error: cannot open output file: %s\n" msg;
+      exit 1
+  in
+  output_string oc (Io.write c);
+  close_out oc;
   Printf.printf "%-8s %-4s %3d PI %3d PO %6d gates -> %s\n" spec.Cases.name
     (Cases.category_to_string spec.Cases.category)
     spec.Cases.num_inputs spec.Cases.num_outputs (N.size c) path

@@ -389,6 +389,9 @@ let learn_run case preset seed budget eval_patterns support_rounds no_templates
     | Some "-" | None -> None
     | Some path -> Some (open_out_or_die ~flag:"--json" path)
   in
+  let out_oc =
+    Option.map (fun path -> (path, open_out_or_die ~flag:"-o" path)) out
+  in
   let finish_sinks =
     setup_sinks ?time_budget ?query_budget:budget ~trace_jsonl ~progress ()
   in
@@ -485,9 +488,10 @@ let learn_run case preset seed budget eval_patterns support_rounds no_templates
   (match progress with
   | Some "-" | None -> ()
   | Some path -> Printf.fprintf hout "progress stream written to %s\n" path);
-  (match out with
-  | Some path ->
-      Io.write_file c path;
+  (match out_oc with
+  | Some (path, oc) ->
+      output_string oc (Io.write c);
+      close_out oc;
       Printf.fprintf hout "written to %s\n" path
   | None -> ());
   (* all artifacts are written first: a degraded run is still a run, the
@@ -630,14 +634,17 @@ let export_run case format out =
     | spec -> Cases.build spec
     | exception Not_found -> read_circuit case
   in
-  (match format with
-  | `Verilog -> Lr_netlist.Verilog.write_file golden out
-  | `Blif -> Lr_netlist.Blif.write_file golden out
-  | `Dot -> Lr_netlist.Dot.write_file golden out
-  | `Aiger ->
-      Lr_aig.Aiger.write_file
-        ~comment:(Printf.sprintf "exported from %s" case)
-        (Lr_aig.Aig.of_netlist golden) out);
+  let oc = open_out_or_die ~flag:"output" out in
+  output_string oc
+    (match format with
+    | `Verilog -> Lr_netlist.Verilog.write golden
+    | `Blif -> Lr_netlist.Blif.write golden
+    | `Dot -> Lr_netlist.Dot.write golden
+    | `Aiger ->
+        Lr_aig.Aiger.write
+          ~comment:(Printf.sprintf "exported from %s" case)
+          (Lr_aig.Aig.of_netlist golden));
+  close_out oc;
   Printf.printf "written %s\n" out;
   0
 

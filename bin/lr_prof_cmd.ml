@@ -31,7 +31,7 @@ let k_arg =
 let top_run path k =
   let p = load path in
   if p.Profile.nodes = [] then
-    die "%s: no spans in trace (was instrumentation enabled?)" path;
+    die "%s: no spans in trace (is it a --trace-jsonl log of a run?)" path;
   print_string (Profile.render_top ~k p);
   0
 

@@ -109,9 +109,6 @@ let xor_lit t a b =
   (* a xor b = (a + b)(~a + ~b), three ANDs after sharing *)
   and_lit t (or_lit t a b) (not_lit (and_lit t a b))
 
-let mux_lit t ~sel ~then_ ~else_ =
-  or_lit t (and_lit t sel then_) (and_lit t (not_lit sel) else_)
-
 let set_output t i l =
   if i < 0 || i >= t.no then invalid_arg "Aig.set_output: bad index";
   t.outputs.(i) <- l

@@ -41,7 +41,6 @@ val and_lit : t -> lit -> lit -> lit
 val lookup_and : t -> lit -> lit -> lit option
 val or_lit : t -> lit -> lit -> lit
 val xor_lit : t -> lit -> lit -> lit
-val mux_lit : t -> sel:lit -> then_:lit -> else_:lit -> lit
 
 val fanins : t -> int -> lit * lit
 (** Fanins of an AND node (fails on constants and inputs). *)

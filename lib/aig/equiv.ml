@@ -74,23 +74,6 @@ let sim_prefilter ~rng ~ni eval2 =
   in
   go 16
 
-let check_outputs_equal aig a b =
-  let miter = Aig.create ~num_inputs:(Aig.num_inputs aig) ~num_outputs:1 in
-  (* rebuild the cone of both literals into the miter *)
-  let map = Array.make (Aig.num_nodes aig) Aig.lit_false in
-  for i = 0 to Aig.num_inputs aig - 1 do
-    map.(1 + i) <- Aig.input_lit miter i
-  done;
-  let map_lit l = map.(Aig.lit_node l) lxor (l land 1) in
-  for node = Aig.num_inputs aig + 1 to Aig.num_nodes aig - 1 do
-    let l0, l1 = Aig.fanins aig node in
-    map.(node) <- Aig.and_lit miter (map_lit l0) (map_lit l1)
-  done;
-  let x = Aig.xor_lit miter (map_lit a) (map_lit b) in
-  match sat_assignment miter x with
-  | None -> Equivalent
-  | Some cex -> Counterexample cex
-
 (* Decide a miter given each circuit's output literals in it. One that
    strashes to constant false (two circuits sharing their structure)
    needs neither simulation nor SAT, and draws nothing from [rng];

@@ -31,10 +31,6 @@ val check_aig : ?rng:Lr_bitvec.Rng.t -> Aig.t -> Aig.t -> verdict
     checked pipeline ([Config.check_level = Full]) runs after every
     optimization sub-pass. *)
 
-val check_outputs_equal : Aig.t -> Aig.lit -> Aig.lit -> verdict
-(** Decide whether two literals of one AIG are the same function — the
-    primitive [check] reduces to, also used by fraig verification tests. *)
-
 val sat_assignment : Aig.t -> Aig.lit -> Lr_bitvec.Bv.t option
 (** A primary-input assignment making the literal true, or [None] when the
     literal is unsatisfiable. The raw solver entry point behind the

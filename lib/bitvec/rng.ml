@@ -54,8 +54,6 @@ let float t =
   let v = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float v *. (1.0 /. 9007199254740992.0)
 
-let biased_bool t p = float t < p
-
 let biased_word t p =
   if p <= 0.0 then 0L
   else if p >= 1.0 then -1L

@@ -40,9 +40,6 @@ val int : t -> int -> int
 val bool : t -> bool
 (** [bool t] draws a fair coin. *)
 
-val biased_bool : t -> float -> bool
-(** [biased_bool t p] is [true] with probability [p]. *)
-
 val float : t -> float
 (** [float t] draws uniformly in [\[0, 1)]. *)
 

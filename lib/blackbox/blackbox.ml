@@ -133,9 +133,7 @@ let output_names t = t.output_names
 let set_faults ?(key = -1) t spec =
   t.faults <- Option.map (fun s -> Faults.instantiate s ~key) spec
 
-let faults_spec t = Option.map Faults.spec t.faults
 let set_retry t retry = t.retry <- retry
-let retry_policy t = t.retry
 
 let check_width t a =
   if Bv.length a <> num_inputs t then

@@ -125,14 +125,10 @@ val set_faults : ?key:int -> t -> Lr_faults.Faults.spec option -> unit
     streams from it. Installing a spec resets the stream's cursor and
     counters. *)
 
-val faults_spec : t -> Lr_faults.Faults.spec option
-
 val set_retry : t -> Lr_faults.Faults.retry -> unit
 (** Policy for injected failures (default {!Lr_faults.Faults.no_retry}:
     the first failure is fatal). Backoff advances the injected clock
     ({!Lr_instr.Instr.advance_clock}), never sleeps. *)
-
-val retry_policy : t -> Lr_faults.Faults.retry
 
 val retries_used : t -> int
 (** Failed attempts that were retried (successful or not, exhausted

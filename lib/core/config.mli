@@ -84,9 +84,4 @@ val default : t
 (** = {!improved}. *)
 
 val with_seed : int -> t -> t
-val with_time_budget : float option -> t -> t
-val with_check : check_level -> t -> t
 val with_sweep : sweep_level -> t -> t
-val with_jobs : int -> t -> t
-val with_retry : Lr_faults.Faults.retry -> t -> t
-val with_faults : Lr_faults.Faults.spec option -> t -> t

@@ -841,16 +841,22 @@ let learn ?(config = Config.default) box =
              (fun i po -> (po, Box.shard ?budget:(slice i) ~fault_key:po box))
              remaining)
       in
+      (* capture each task's telemetry for the ordered replay below only
+         when this domain records: decided here, not in the tasks, so a
+         worker domain's empty context cannot change the stream *)
+      let recording = Instr.recording () in
       let results, workers =
         Par.with_pool ~jobs (fun pool ->
             Par.map_workers
               ~labels:(fun i -> "po:" ^ out_names.(fst tasks.(i)))
               pool
               (fun (po, shard) ->
-                let c, snap =
-                  Instr.collect (fun () -> conquer_output stats shard po)
-                in
-                { c with c_snapshot = snap })
+                if not recording then conquer_output stats shard po
+                else
+                  let c, snap =
+                    Instr.collect (fun () -> conquer_output stats shard po)
+                  in
+                  { c with c_snapshot = snap })
               tasks)
       in
       (* merge, in output order: fold the shard accounting and captured

@@ -295,8 +295,6 @@ let seen t =
     ("exhaust", if exhausted t || t.tripped then 1 else 0);
   ]
 
-let total_seen t = t.transient + t.corrupt + t.latency
-
 let absorb ~into src =
   into.transient <- into.transient + src.transient;
   into.corrupt <- into.corrupt + src.corrupt;

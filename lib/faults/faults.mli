@@ -152,9 +152,6 @@ val seen : t -> (string * int) list
     [exhaust] is 1 when this stream, or any shard stream folded in with
     {!absorb}, hit premature exhaustion. *)
 
-val total_seen : t -> int
-(** Sum of the transient/corrupt/latency counters. *)
-
 val absorb : into:t -> t -> unit
 (** Fold a shard stream's counters into a parent's (cursors are left
     alone — they are per-key state, not accounting). *)

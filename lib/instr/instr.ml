@@ -25,13 +25,13 @@ let ts = function
 
 (* ---------- state ----------
 
-   Process-wide knobs (clock, master switch) are plain globals, set once
-   from the main domain before any fan-out. Everything that is written on
-   the hot recording path — the span stack, the aggregate tables, the
-   sink list, the capture buffer — lives in domain-local storage: each
-   worker domain records into its own isolated state and the parent folds
-   finished work back in with {!collect}/{!absorb}, so no lock is ever
-   taken while recording and no update can be lost to a race. *)
+   The clock is a plain global, set once from the main domain before any
+   fan-out. Everything that is written on the hot recording path — the
+   span stack, the sink list, the counter totals, the capture buffer —
+   lives in domain-local storage: each worker domain records into its
+   own isolated state and the parent folds finished work back in with
+   {!collect}/{!absorb}, so no lock is ever taken while recording and no
+   update can be lost to a race. *)
 
 let clock = ref Unix.gettimeofday
 let set_clock f = clock := f
@@ -53,14 +53,9 @@ let advance_clock d =
     add ()
   end
 
-let clock_skew_s () = Atomic.get clock_skew
 let now () = !clock () +. Atomic.get clock_skew
-let enabled_flag = ref true
-let enabled () = !enabled_flag
-let set_enabled b = enabled_flag := b
 
 type frame = { name : string; path : string; start : float; depth : int }
-type span_agg = { mutable seconds : float; mutable calls : int }
 
 type state = {
   (* span stack; [cur_*] cache the innermost frame so the hot attribution
@@ -68,18 +63,14 @@ type state = {
   mutable stack : frame list;
   mutable cur_name : string;
   mutable cur_path : string;
-  span_agg : (string, span_agg) Hashtbl.t;
-  mutable span_order : string list;
-  counter_name_total : (string, int ref) Hashtbl.t;
-  mutable counter_order : string list;
-  counter_span_total : (string * string, int ref) Hashtbl.t;
-  mutable counter_span_order : (string * string) list;
   mutable sinks : sink list;
+  totals : (string, int ref) Hashtbl.t;
+      (** each counter's running total since the last {!set_sinks} *)
   mutable capture : event list option;
-      (** [Some buf] while inside {!collect}: every event is also pushed
-          (reversed) onto [buf] so the caller can {!absorb} it later, and
-          the aggregates are left to [absorb], which computes every
-          total (a captured [Count] carries [total = 0]) *)
+      (** [Some buf] while inside {!collect}: every event is pushed
+          (reversed) onto [buf] so the caller can {!absorb} it later,
+          and [absorb] computes the totals (a captured [Count] carries
+          [total = 0]) *)
   mutable last_ts : float;  (** of the last event recorded *)
 }
 
@@ -88,94 +79,42 @@ let fresh_state () =
     stack = [];
     cur_name = "";
     cur_path = "";
-    span_agg = Hashtbl.create 64;
-    span_order = [];
-    counter_name_total = Hashtbl.create 64;
-    counter_order = [];
-    counter_span_total = Hashtbl.create 64;
-    counter_span_order = [];
     sinks = [];
+    totals = Hashtbl.create 16;
     capture = None;
     last_ts = neg_infinity;
   }
 
 let state_key : state Domain.DLS.key = Domain.DLS.new_key fresh_state
 let st () = Domain.DLS.get state_key
-let set_sinks l = (st ()).sinks <- l
+
+let set_sinks l =
+  let s = st () in
+  s.sinks <- l;
+  Hashtbl.reset s.totals
+
 let flush_sinks () = List.iter (fun s -> s.flush ()) (st ()).sinks
+let observed s = s.sinks <> [] || s.capture <> None
+let recording () = observed (st ())
+let current_span_name () = (st ()).cur_name
 
 let emit_record s ev =
   s.last_ts <- ts ev;
   List.iter (fun snk -> snk.emit ev) s.sinks;
   match s.capture with None -> () | Some buf -> s.capture <- Some (ev :: buf)
 
-let observed s = s.sinks <> [] || s.capture <> None
-let current_span_name () = (st ()).cur_name
-let current_span_path () = (st ()).cur_path
-let span_depth () = List.length (st ()).stack
-
-(* ---------- aggregates ---------- *)
-
-let reset_aggregates () =
-  let s = st () in
-  Hashtbl.reset s.span_agg;
-  s.span_order <- [];
-  Hashtbl.reset s.counter_name_total;
-  s.counter_order <- [];
-  Hashtbl.reset s.counter_span_total;
-  s.counter_span_order <- []
-
-(* returns [(new_total, is_new_key)] *)
-let bump_int tbl key n =
-  match Hashtbl.find_opt tbl key with
-  | Some r ->
-      r := !r + n;
-      (!r, false)
-  | None ->
-      Hashtbl.add tbl key (ref n);
-      (n, true)
-
-let bump_counter s name n =
-  let total, is_new = bump_int s.counter_name_total name n in
-  if is_new then s.counter_order <- name :: s.counter_order;
-  total
-
-let bump_counter_span s key n =
-  let _, is_new = bump_int s.counter_span_total key n in
-  if is_new then s.counter_span_order <- key :: s.counter_span_order
-
-let bump_span s key dur calls =
-  match Hashtbl.find_opt s.span_agg key with
-  | Some a ->
-      a.seconds <- a.seconds +. dur;
-      a.calls <- a.calls + calls
-  | None ->
-      Hashtbl.add s.span_agg key { seconds = dur; calls };
-      s.span_order <- key :: s.span_order
-
-let tbl_get tbl key default = match Hashtbl.find_opt tbl key with
-  | Some r -> !r
-  | None -> default
-
-let span_seconds () =
-  let s = st () in
-  List.rev_map (fun p -> (p, (Hashtbl.find s.span_agg p).seconds)) s.span_order
-
-let span_calls () =
-  let s = st () in
-  List.rev_map (fun p -> (p, (Hashtbl.find s.span_agg p).calls)) s.span_order
-
-let counter_totals () =
-  let s = st () in
-  List.rev_map (fun c -> (c, tbl_get s.counter_name_total c 0)) s.counter_order
-
-let counter_total name = tbl_get (st ()).counter_name_total name 0
-
-let counters_by_span () =
-  let s = st () in
-  List.rev_map
-    (fun k -> (k, tbl_get s.counter_span_total k 0))
-    s.counter_span_order
+(* the running total after adding [n] to [name]; [0] under capture *)
+let bump_total s name n =
+  match s.capture with
+  | Some _ -> 0
+  | None -> (
+      match Hashtbl.find_opt s.totals name with
+      | Some r ->
+          r := !r + n;
+          !r
+      | None ->
+          Hashtbl.add s.totals name (ref n);
+          n)
 
 (* ---------- recording ---------- *)
 
@@ -210,49 +149,30 @@ let pop s fr =
   | f :: _ ->
       s.cur_name <- f.name;
       s.cur_path <- f.path);
-  if s.capture = None then bump_span s fr.path dur 1;
   if observed s then
     emit_record s
       (Span_end { name = fr.name; path = fr.path; ts; dur_s = dur; depth = fr.depth });
   dur
 
 let timed_span ~name f =
-  if not !enabled_flag then begin
-    let t0 = now () in
-    let r = f () in
-    (r, now () -. t0)
-  end
-  else begin
-    let s = st () in
-    let fr = push s name in
-    let dur = ref 0.0 in
-    let r = Fun.protect ~finally:(fun () -> dur := pop s fr) f in
-    (r, !dur)
-  end
+  let s = st () in
+  let fr = push s name in
+  let dur = ref 0.0 in
+  let r = Fun.protect ~finally:(fun () -> dur := pop s fr) f in
+  (r, !dur)
 
-let span ~name f = if not !enabled_flag then f () else fst (timed_span ~name f)
+let span ~name f = fst (timed_span ~name f)
 
 let count name n =
-  if !enabled_flag then begin
-    let s = st () in
-    let path = s.cur_path in
-    let total =
-      match s.capture with
-      | Some _ -> 0
-      | None ->
-          bump_counter_span s (path, name) n;
-          bump_counter s name n
-    in
-    if observed s then
-      emit_record s (Count { name; path; ts = now (); incr = n; total })
-  end
+  let s = st () in
+  if observed s then
+    let total = bump_total s name n in
+    emit_record s (Count { name; path = s.cur_path; ts = now (); incr = n; total })
 
 let gauge name value =
-  if !enabled_flag then begin
-    let s = st () in
-    if observed s then
-      emit_record s (Gauge { name; path = s.cur_path; ts = now (); value })
-  end
+  let s = st () in
+  if observed s then
+    emit_record s (Gauge { name; path = s.cur_path; ts = now (); value })
 
 (* ---------- isolated collection and merge ---------- *)
 
@@ -269,10 +189,11 @@ let collect f =
   (r, match inner.capture with Some buf -> List.rev buf | None -> [])
 
 let absorb snap =
+  let s = st () in
   match snap with
   | [] -> ()
+  | _ when not (observed s) -> ()
   | first :: _ ->
-      let s = st () in
       let base_path = s.cur_path and base_depth = List.length s.stack in
       let rebase p =
         if base_path = "" then p
@@ -289,8 +210,8 @@ let absorb snap =
       let shift ts = Float.max s.last_ts (base_ts +. (ts -. t_end)) in
       List.iter
         (fun ev ->
-          let ev' =
-            match ev with
+          emit_record s
+            (match ev with
             | Span_begin { name; path; ts; depth } ->
                 Span_begin
                   {
@@ -300,24 +221,28 @@ let absorb snap =
                     depth = depth + base_depth;
                   }
             | Span_end { name; path; ts; dur_s; depth } ->
-                let path = rebase path in
-                bump_span s path dur_s 1;
                 Span_end
-                  { name; path; ts = shift ts; dur_s; depth = depth + base_depth }
+                  {
+                    name;
+                    path = rebase path;
+                    ts = shift ts;
+                    dur_s;
+                    depth = depth + base_depth;
+                  }
             | Count { name; path; ts; incr; total = _ } ->
-                let path = rebase path in
-                let total = bump_counter s name incr in
-                bump_counter_span s (path, name) incr;
-                Count { name; path; ts = shift ts; incr; total }
+                Count
+                  {
+                    name;
+                    path = rebase path;
+                    ts = shift ts;
+                    incr;
+                    total = bump_total s name incr;
+                  }
             | Gauge { name; path; ts; value } ->
-                Gauge { name; path = rebase path; ts = shift ts; value }
-          in
-          if observed s then emit_record s ev')
+                Gauge { name; path = rebase path; ts = shift ts; value }))
         snap
 
 (* ---------- sinks ---------- *)
-
-let null_sink = { emit = (fun _ -> ()); flush = (fun () -> ()) }
 
 let jsonl write =
   let line kvs =

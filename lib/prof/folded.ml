@@ -12,9 +12,3 @@ let lines (p : Profile.t) =
     p.Profile.nodes
 
 let to_string p = String.concat "" (List.map (fun l -> l ^ "\n") (lines p))
-
-let write_file path p =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string p))

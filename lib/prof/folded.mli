@@ -12,5 +12,3 @@ val lines : Profile.t -> string list
     time rounds to 0 µs are omitted. *)
 
 val to_string : Profile.t -> string
-
-val write_file : string -> Profile.t -> unit

@@ -15,7 +15,7 @@
     - [output] / [output_done] — per-output conquer spans ([po:*]),
       with completion counts ([n] of [of]);
     - [queries] — throttled budget consumption, emitted when the
-      process-wide query total crosses a multiple of [every];
+      running query total crosses a multiple of [every];
     - [retry] / [degraded] / [skipped] — fault-handling events,
       emitted immediately;
     - [run_end] — written on flush with final totals.

@@ -114,9 +114,6 @@ type summary = {
   p99 : float;
 }
 
-let empty_summary =
-  { count = 0; mean = nan; min = nan; max = nan; p50 = nan; p90 = nan; p99 = nan }
-
 let summarize t =
   {
     count = t.n;

@@ -65,7 +65,6 @@ type summary = {
     without a special case. *)
 
 val summarize : t -> summary
-val empty_summary : summary
 
 val summary_to_json : summary -> Lr_instr.Json.t
 (** Object with keys [count]/[mean]/[min]/[max]/[p50]/[p90]/[p99]. *)

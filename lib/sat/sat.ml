@@ -43,8 +43,6 @@ type t = {
   mutable var_inc : float;
   mutable ok : bool; (* false once root-level conflict is derived *)
   mutable conflicts : int;
-  mutable decisions : int;
-  mutable propagations : int;
   mutable restarts : int;
 }
 
@@ -66,8 +64,6 @@ let create () =
     var_inc = 1.0;
     ok = true;
     conflicts = 0;
-    decisions = 0;
-    propagations = 0;
     restarts = 0;
   }
 
@@ -159,7 +155,6 @@ let propagate t =
   while !conflict < 0 && t.qhead < Vec.len t.trail do
     let p = Vec.get t.trail t.qhead in
     t.qhead <- t.qhead + 1;
-    t.propagations <- t.propagations + 1;
     let ws = t.watches.(p) in
     (* [p] became true; visit clauses watching [~p]. We compact [ws] in
        place: surviving watches are written back at [kept]. *)
@@ -399,7 +394,6 @@ let solve ?(assumptions = []) ?decide t =
           let v = pick_branch_var t decide in
           if v < 0 then answer := Some Sat
           else begin
-            t.decisions <- t.decisions + 1;
             Vec.push t.trail_lim (Vec.len t.trail);
             enqueue t ((2 * v) + if t.polarity.(v) then 0 else 1) (-1)
           end
@@ -414,6 +408,4 @@ let value t v =
   t.assigns.(v - 1) = 1
 
 let stats_conflicts t = t.conflicts
-let stats_decisions t = t.decisions
-let stats_propagations t = t.propagations
 let stats_restarts t = t.restarts

@@ -67,6 +67,4 @@ val value : t -> int -> bool
     Meaningless after Unsat. *)
 
 val stats_conflicts : t -> int
-val stats_decisions : t -> int
-val stats_propagations : t -> int
 val stats_restarts : t -> int

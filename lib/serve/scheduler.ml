@@ -136,11 +136,9 @@ let run_job t job =
             job.state <- Done)
     | None ->
         locked t (fun () -> job.cache <- `Miss);
-        (* Instr state is domain-local: this worker's sinks are its
-           own; the learner's internal domains replay through
-           collect/absorb as usual. *)
-        Instr.set_enabled true;
-        Instr.reset_aggregates ();
+        (* Instr state is domain-local: this worker's sinks, and the
+           counter totals they see, are this job's own; the learner's
+           internal domains replay through collect/absorb as usual. *)
         Instr.set_sinks
           [
             Progress.sink
@@ -149,9 +147,7 @@ let run_job t job =
           ];
         let finish () =
           Instr.flush_sinks ();
-          Instr.set_sinks [];
-          Instr.reset_aggregates ();
-          Instr.set_enabled false
+          Instr.set_sinks []
         in
         let r =
           Fun.protect ~finally:finish (fun () ->

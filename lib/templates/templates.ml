@@ -47,13 +47,6 @@ type linear = { z : G.vector; terms : (int * G.vector) list; offset : int }
 
 type bitwise_op = Band | Bor | Bxor | Bxnor | Bnot
 
-let bitwise_op_to_string = function
-  | Band -> "&"
-  | Bor -> "|"
-  | Bxor -> "^"
-  | Bxnor -> "~^"
-  | Bnot -> "~"
-
 type bitwise = {
   bz : G.vector;
   bop : bitwise_op;

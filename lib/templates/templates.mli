@@ -55,8 +55,6 @@ type linear = {
 
 type bitwise_op = Band | Bor | Bxor | Bxnor | Bnot
 
-val bitwise_op_to_string : bitwise_op -> string
-
 type bitwise = {
   bz : Lr_grouping.Grouping.vector;  (** output vector *)
   bop : bitwise_op;

@@ -568,9 +568,8 @@ let observed s =
 
 (* [f ()] and how far it moved ["sim.gate-words"] *)
 let gate_words f =
-  let before = Instr.counter_total "sim.gate-words" in
-  let r = f () in
-  (r, Instr.counter_total "sim.gate-words" - before)
+  let r, tally = Tally.run f in
+  (r, Tally.total tally "sim.gate-words")
 
 (* the compiled kernel against the tree-walking reference, over random
    recipes x random pattern blocks: every entry point the learner routes

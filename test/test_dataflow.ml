@@ -231,24 +231,26 @@ let odc_recipe rng =
   }
 
 let test_sweep_matches_reference_random () =
-  let hits = Instr.counter_total "dataflow.odc-resim-refuted" in
   let odc = ref 0 in
-  for seed = 1 to 500 do
-    let rng = Rng.create seed in
-    let c = Prop.build_netlist (odc_recipe rng) in
-    let st = check_as_reference (Printf.sprintf "seed %d" seed) ~seed c in
-    odc := !odc + st.Sweep.odc_rewrites
-  done;
+  let (), tally =
+    Tally.run @@ fun () ->
+    for seed = 1 to 500 do
+      let rng = Rng.create seed in
+      let c = Prop.build_netlist (odc_recipe rng) in
+      let st = check_as_reference (Printf.sprintf "seed %d" seed) ~seed c in
+      odc := !odc + st.Sweep.odc_rewrites
+    done
+  in
   (* the comparison covered proven rewrites and refuter hits *)
   check "some ODC rewrite applied" true (!odc > 0);
   check "some candidate refuted by a kept counterexample" true
-    (Instr.counter_total "dataflow.odc-resim-refuted" > hits)
+    (Tally.total tally "dataflow.odc-resim-refuted" > 0)
 
 (* the netlists the learner hands the sweep: each case learned with the
    sweep off *)
 let test_sweep_matches_reference_cases () =
-  let hits = Instr.counter_total "dataflow.odc-resim-refuted" in
-  let odc =
+  let odc, tally =
+    Tally.run @@ fun () ->
     List.fold_left
       (fun odc name ->
         let r =
@@ -263,7 +265,7 @@ let test_sweep_matches_reference_cases () =
   in
   check "some ODC rewrite applied" true (odc > 0);
   check "some candidate refuted by a kept counterexample" true
-    (Instr.counter_total "dataflow.odc-resim-refuted" > hits)
+    (Tally.total tally "dataflow.odc-resim-refuted" > 0)
 
 let tests =
   [

@@ -129,9 +129,6 @@ let phases ~templates ~support_id ~fbdt =
    simulated by the SoA kernel bit-identical to the tree-walking
    reference evaluator on a ragged pattern count *)
 let test_trio_kernel_on_off () =
-  (* phase attribution keys on instrumentation spans, which an earlier
-     suite may have switched off *)
-  Lr_instr.Instr.set_enabled true;
   List.iter
     (fun (name, digest, queries, phase_queries, sweep_removed) ->
       let net, _, r =

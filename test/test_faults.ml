@@ -108,19 +108,26 @@ let test_schedule_deterministic () =
 
 (* ---------------- retry path in the black box ---------------- *)
 
+(* [f ()] under a clock fixed at zero, where [Instr.now] reads the
+   synthetic skew injected so far *)
+let with_fixed_clock f =
+  Instr.set_clock (fun () -> 0.0);
+  Fun.protect ~finally:(fun () -> Instr.set_clock Unix.gettimeofday) f
+
 let test_retry_until_success () =
   let box, calls = and_box () in
   Box.set_faults box
     (Some { F.none with F.seed = 1; fail_p = 1.0; fail_burst = 2 });
   Box.set_retry box (F.retry ~backoff_s:0.25 4);
-  let skew0 = Instr.clock_skew_s () in
+  with_fixed_clock @@ fun () ->
+  let skew0 = Instr.now () in
   let out = Box.query box (pattern true true) in
   check_bool "answer correct after retries" true (Bv.get out 0);
   check_int "provider ran exactly once" 1 !calls;
   check_int "one query counted" 1 (Box.queries_used box);
   check_int "two failed attempts retried" 2 (Box.retries_used box);
   check_bool "backoff advanced the injected clock (0.25 + 0.5)" true
-    (Instr.clock_skew_s () -. skew0 >= 0.75 -. 1e-9);
+    (Instr.now () -. skew0 >= 0.75 -. 1e-9);
   check_bool "transient faults counted" true
     (List.assoc "transient" (Box.faults_seen box) = 2)
 
@@ -151,10 +158,11 @@ let test_latency_spike () =
   let box, _ = and_box () in
   Box.set_faults box
     (Some { F.none with F.seed = 2; latency_p = 1.0; latency_s = 0.5 });
-  let skew0 = Instr.clock_skew_s () in
+  with_fixed_clock @@ fun () ->
+  let skew0 = Instr.now () in
   ignore (Box.query box (pattern false false));
   check_bool "spike entered the injected clock" true
-    (Instr.clock_skew_s () -. skew0 >= 0.5 -. 1e-9);
+    (Instr.now () -. skew0 >= 0.5 -. 1e-9);
   check_bool "spike visible in the latency histogram" true
     (Histogram.mean (Box.query_latency box) >= 0.5 -. 1e-9);
   check_bool "latency fault counted" true
@@ -247,11 +255,9 @@ let test_degraded_accounting () =
     (List.fold_left (fun a (_, r) -> a + r) 0 report.Learner.phase_retries);
   (* on a template case the scan fails first: the event log counts its
      fallback to generic conquer *)
-  Instr.reset_aggregates ();
-  ignore (learn_case "case_16" ~faults:hard);
+  let _, tally = Tally.run (fun () -> learn_case "case_16" ~faults:hard) in
   check_int "template fallback counted" 1
-    (Option.value ~default:0
-       (List.assoc_opt "templates.fallback" (Instr.counter_totals ())))
+    (Tally.total tally "templates.fallback")
 
 let test_parallel_fault_replay () =
   (* per-output fault streams + retries, replayed across 4 domains *)

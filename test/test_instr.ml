@@ -1,6 +1,6 @@
-(* Telemetry subsystem: span nesting/timing, counter aggregation and
-   attribution, sink well-formedness (parse the emitted JSON back), and
-   the disabled zero-allocation fast path. *)
+(* Telemetry subsystem: span nesting/timing, counter attribution and
+   running totals, sink well-formedness (parse the emitted JSON back), and
+   the no-sink zero-allocation fast path. *)
 
 module Instr = Lr_instr.Instr
 module Json = Lr_instr.Json
@@ -13,19 +13,14 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
 
-(* Every test resets the global instrumentation state; [with_clean] also
-   restores the wall clock and re-enables recording afterwards, so test
-   order can't leak state. *)
+(* Every test starts and ends with no sinks; [with_clean] also restores
+   the wall clock afterwards, so test order can't leak state. *)
 let with_clean f =
-  Instr.reset_aggregates ();
   Instr.set_sinks [];
-  Instr.set_enabled true;
   Fun.protect
     ~finally:(fun () ->
       Instr.set_sinks [];
-      Instr.set_enabled true;
-      Instr.set_clock Unix.gettimeofday;
-      Instr.reset_aggregates ())
+      Instr.set_clock Unix.gettimeofday)
     f
 
 (* deterministic clock: each call advances time by 1 ms *)
@@ -40,17 +35,19 @@ let test_span_nesting () =
   with_clean @@ fun () ->
   ignore (install_ticking_clock ());
   let events = ref [] in
+  let tally = Tally.create () in
   Instr.set_sinks
-    [ { emit = (fun e -> events := e :: !events); flush = (fun () -> ()) } ];
+    [
+      { emit = (fun e -> events := e :: !events); flush = (fun () -> ()) };
+      Tally.sink tally;
+    ];
   check_str "no span open" "" (Instr.current_span_name ());
   Instr.span ~name:"outer" (fun () ->
       check_str "outer open" "outer" (Instr.current_span_name ());
       Instr.span ~name:"inner" (fun () ->
-          check_str "inner name" "inner" (Instr.current_span_name ());
-          check_str "inner path" "outer/inner" (Instr.current_span_path ());
-          check_int "depth 2" 2 (Instr.span_depth ()));
+          check_str "inner name" "inner" (Instr.current_span_name ()));
       check_str "back to outer" "outer" (Instr.current_span_name ()));
-  check_str "all closed" "" (Instr.current_span_path ());
+  check_str "all closed" "" (Instr.current_span_name ());
   let begins, ends =
     List.partition
       (function Instr.Span_begin _ -> true | _ -> false)
@@ -58,6 +55,13 @@ let test_span_nesting () =
   in
   check_int "two begins" 2 (List.length begins);
   check_int "two ends" 2 (List.length ends);
+  (match begins with
+  | [ Instr.Span_begin b1; Instr.Span_begin b2 ] ->
+      check_str "outer path" "outer" b1.path;
+      check_int "outer depth" 0 b1.depth;
+      check_str "inner path" "outer/inner" b2.path;
+      check_int "inner depth" 1 b2.depth
+  | _ -> Alcotest.fail "expected two span_begin events");
   (* inner closes before outer *)
   (match ends with
   | Instr.Span_end e1 :: Instr.Span_end e2 :: _ ->
@@ -66,23 +70,23 @@ let test_span_nesting () =
       check "durations positive" true (e1.dur_s > 0.0 && e2.dur_s > 0.0);
       check "outer contains inner" true (e2.dur_s >= e1.dur_s)
   | _ -> Alcotest.fail "expected two span_end events");
-  (* aggregation recorded both paths *)
-  let secs = Instr.span_seconds () in
-  check "outer aggregated" true (List.mem_assoc "outer" secs);
-  check "inner aggregated" true (List.mem_assoc "outer/inner" secs)
+  (* a counting sink sees both paths close once *)
+  check_int "outer tallied" 1 (Tally.span_calls tally "outer");
+  check_int "inner tallied" 1 (Tally.span_calls tally "outer/inner")
 
 let test_span_exception_safety () =
   with_clean @@ fun () ->
+  let tally = Tally.install () in
   (try
      Instr.span ~name:"boom" (fun () -> failwith "expected")
    with Failure _ -> ());
-  check_str "stack unwound on raise" "" (Instr.current_span_path ());
-  check "span still aggregated" true
-    (List.mem_assoc "boom" (Instr.span_seconds ()))
+  check_str "stack unwound on raise" "" (Instr.current_span_name ());
+  check_int "span still closed" 1 (Tally.span_calls tally "boom")
 
 let test_timing_monotone () =
   with_clean @@ fun () ->
   (* real clock: durations are non-negative and parents contain children *)
+  let tally = Tally.install () in
   let (), outer =
     Instr.timed_span ~name:"t-outer" (fun () ->
         let (), inner =
@@ -92,28 +96,40 @@ let test_timing_monotone () =
         check "inner >= 0" true (inner >= 0.0))
   in
   check "outer >= 0" true (outer >= 0.0);
-  let secs = Instr.span_seconds () in
-  let get k = List.assoc k secs in
-  check "outer >= inner (aggregate)" true
+  let get = Tally.span_seconds tally in
+  check "outer >= inner (tallied)" true
     (get "t-outer" >= get "t-outer/t-inner")
 
 let test_counter_aggregation () =
   with_clean @@ fun () ->
+  let last_total = ref 0 in
+  let tally = Tally.create () in
+  Instr.set_sinks
+    [
+      Tally.sink tally;
+      {
+        emit =
+          (function
+          | Instr.Count { name = "widgets"; total; _ } -> last_total := total
+          | _ -> ());
+        flush = ignore;
+      };
+    ];
   Instr.count "widgets" 3;
   Instr.span ~name:"a" (fun () ->
       Instr.count "widgets" 5;
       Instr.count "gadgets" 1;
       Instr.span ~name:"b" (fun () -> Instr.count "widgets" 2));
-  check_int "total across spans" 10 (Instr.counter_total "widgets");
-  check_int "second counter" 1 (Instr.counter_total "gadgets");
-  check_int "unknown counter" 0 (Instr.counter_total "nonesuch");
-  let by_span = Instr.counters_by_span () in
+  check_int "total across spans" 10 (Tally.total tally "widgets");
+  check_int "running total across spans" 10 !last_total;
+  check_int "second counter" 1 (Tally.total tally "gadgets");
+  check_int "unknown counter" 0 (Tally.total tally "nonesuch");
+  let by_span = Tally.by_span tally in
   check_int "top-level bucket" 3 (List.assoc ("", "widgets") by_span);
   check_int "span a bucket" 5 (List.assoc ("a", "widgets") by_span);
   check_int "span a/b bucket" 2 (List.assoc ("a/b", "widgets") by_span);
-  let totals = Instr.counter_totals () in
   check "first-seen order" true
-    (List.map fst totals = [ "widgets"; "gadgets" ])
+    (List.map fst (Tally.totals tally) = [ "widgets"; "gadgets" ])
 
 let test_jsonl_wellformed () =
   with_clean @@ fun () ->
@@ -147,26 +163,38 @@ let test_jsonl_wellformed () =
   check_str "count attributed to span" "phase"
     (Option.get (Json.get_string (Option.get (Json.member "path" count_ev))))
 
-let test_disabled_fast_path () =
+(* with no sink, [count] and [gauge] allocate and record nothing: a sink
+   installed afterwards sees the running total start from zero *)
+let test_no_sink_fast_path () =
   with_clean @@ fun () ->
-  Instr.set_enabled false;
-  let thunk = Sys.opaque_identity (fun () -> ()) in
+  check "nothing records" false (Instr.recording ());
   (* warm up, then measure minor-heap allocation over many calls *)
   for _ = 1 to 100 do
     Instr.count "q" 1;
-    Instr.span ~name:"s" thunk
+    Instr.gauge "g" 1.0
   done;
   let before = Gc.minor_words () in
   for _ = 1 to 10_000 do
     Instr.count "q" 1;
-    Instr.span ~name:"s" thunk
+    Instr.gauge "g" 1.0
   done;
   let allocated = Gc.minor_words () -. before in
   (* zero per-call allocation: the measured delta admits only the boxing
      of the Gc.minor_words results themselves *)
-  check "disabled path allocates nothing" true (allocated < 100.0);
-  check_int "nothing recorded" 0 (Instr.counter_total "q");
-  Instr.set_enabled true
+  check "no-sink path allocates nothing" true (allocated < 100.0);
+  let totals = ref [] in
+  Instr.set_sinks
+    [
+      {
+        emit =
+          (function
+          | Instr.Count { total; _ } -> totals := total :: !totals | _ -> ());
+        flush = ignore;
+      };
+    ];
+  check "a sink records" true (Instr.recording ());
+  Instr.count "q" 1;
+  check "total starts from zero" true (!totals = [ 1 ])
 
 let test_query_attribution () =
   with_clean @@ fun () ->
@@ -177,6 +205,7 @@ let test_query_attribution () =
         Bv.set out 0 (Bv.get a 0 && Bv.get a 1);
         out)
   in
+  let tally = Tally.install () in
   ignore (Box.query box (Bv.of_string "11"));
   Instr.span ~name:"support-id" (fun () ->
       ignore (Box.query_many box (Array.make 10 (Bv.of_string "10"))));
@@ -189,7 +218,7 @@ let test_query_attribution () =
   let sum = List.fold_left (fun a (_, q) -> a + q) 0 by in
   check_int "attribution sums to queries_used" (Box.queries_used box) sum;
   check_int "instr counter agrees" (Box.queries_used box)
-    (Instr.counter_total "queries");
+    (Tally.total tally "queries");
   Box.reset_accounting box;
   check "reset clears attribution" true (Box.queries_by_span box = [])
 
@@ -308,7 +337,9 @@ let test_sinks_under_clock_skew () =
       Instr.advance_clock 0.25;
       Instr.count "ticks" 1);
   Instr.flush_sinks ();
-  check "skew recorded" true (Instr.clock_skew_s () >= 2.75);
+  (* under a clock fixed at zero, [now] reads the skew injected so far *)
+  Instr.set_clock (fun () -> 0.0);
+  check "skew recorded" true (Instr.now () >= 2.75);
   (* every JSONL line parses; ts is monotone non-decreasing; the outer
      span duration includes the injected skew *)
   let lines =
@@ -358,11 +389,12 @@ let test_multi_domain_absorb_replay () =
   in
   ignore (install_ticking_clock ());
   let jsonl = Buffer.create 256 in
-  Instr.set_sinks [ Instr.jsonl (Buffer.add_string jsonl) ];
+  let tally = Tally.create () in
+  Instr.set_sinks [ Instr.jsonl (Buffer.add_string jsonl); Tally.sink tally ];
   Instr.span ~name:"merge" (fun () ->
       Array.iter (fun s -> Instr.absorb s) snaps);
   Instr.flush_sinks ();
-  check_int "all units counted" 100 (Instr.counter_total "units");
+  check_int "all units counted" 100 (Tally.total tally "units");
   let lines =
     String.split_on_char '\n' (Buffer.contents jsonl)
     |> List.filter (fun l -> l <> "")
@@ -403,8 +435,8 @@ let test_multi_domain_absorb_replay () =
 
 (* Work recorded directly, or under [collect] and then absorbed, reaches
    a sink as the same event stream once timestamps and durations are
-   stripped, running [total]s included, and leaves the same aggregates;
-   inside [collect] the aggregates stay empty. *)
+   stripped, running [total]s included, and a counting sink the same
+   sums; nothing reaches the sink from inside [collect]. *)
 let test_collect_absorb_equals_direct () =
   with_clean @@ fun () ->
   ignore (install_ticking_clock ());
@@ -425,27 +457,30 @@ let test_collect_absorb_equals_direct () =
     | Instr.Gauge e -> Instr.Gauge { e with ts = 0.0 }
   in
   let record f =
-    Instr.reset_aggregates ();
     let events = ref [] in
+    let tally = Tally.create () in
     Instr.set_sinks
-      [ { emit = (fun e -> events := strip e :: !events); flush = ignore } ];
+      [
+        { emit = (fun e -> events := strip e :: !events); flush = ignore };
+        Tally.sink tally;
+      ];
     (* a running total from before the work, which both streams extend *)
     Instr.count "units" 1;
-    Instr.span ~name:"outer" f;
+    Instr.span ~name:"outer" (fun () -> f tally);
     Instr.set_sinks [];
     ( List.rev !events,
-      Instr.counters_by_span (),
-      Instr.counter_totals (),
-      Instr.span_calls () )
+      Tally.by_span tally,
+      Tally.totals tally,
+      List.map (Tally.span_calls tally) [ "outer"; "outer/a"; "outer/a/b" ] )
   in
-  let direct = record work in
+  let direct = record (fun _ -> work ()) in
   let absorbed =
-    record (fun () ->
+    record (fun tally ->
         let (), snap =
           Instr.collect (fun () ->
               work ();
-              check_int "no aggregate inside collect" 0
-                (Instr.counter_total "units"))
+              check_int "nothing reaches the sink inside collect" 1
+                (Tally.total tally "units"))
         in
         Instr.absorb snap)
   in
@@ -454,7 +489,7 @@ let test_collect_absorb_equals_direct () =
     (List.length (events direct))
     (List.length (events absorbed));
   check "same events, totals included" true (events direct = events absorbed);
-  check "same aggregates" true (direct = absorbed)
+  check "same sums" true (direct = absorbed)
 
 let tests =
   [
@@ -464,8 +499,8 @@ let tests =
     Alcotest.test_case "timing monotonicity" `Quick test_timing_monotone;
     Alcotest.test_case "counter aggregation" `Quick test_counter_aggregation;
     Alcotest.test_case "jsonl sink well-formed" `Quick test_jsonl_wellformed;
-    Alcotest.test_case "disabled zero-alloc fast path" `Quick
-      test_disabled_fast_path;
+    Alcotest.test_case "no-sink zero-alloc fast path" `Quick
+      test_no_sink_fast_path;
     Alcotest.test_case "query attribution" `Quick test_query_attribution;
     Alcotest.test_case "learner phase accounting" `Quick test_learner_phases;
     Alcotest.test_case "json round trip" `Quick test_json_roundtrip;

@@ -195,9 +195,10 @@ let test_golden_toggles () =
                w)
              toggles)
       in
-      let before = Instr.counter_total "sim.gate-words" in
-      let answers = Soa.eval_toggles s base toggles in
-      let words = Instr.counter_total "sim.gate-words" - before in
+      let answers, tally =
+        Tally.run (fun () -> Soa.eval_toggles s base toggles)
+      in
+      let words = Tally.total tally "sim.gate-words" in
       check (name ^ ": toggles == eval_blocks of the materialised blocks") true
         (answers = Soa.eval_blocks s blocks);
       let cones = Array.fold_left (fun k ts -> k + cone_size ts) 0 toggles in

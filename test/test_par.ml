@@ -16,15 +16,11 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 let with_clean f =
-  Instr.reset_aggregates ();
   Instr.set_sinks [];
-  Instr.set_enabled true;
   Fun.protect
     ~finally:(fun () ->
       Instr.set_sinks [];
-      Instr.set_enabled true;
-      Instr.set_clock Unix.gettimeofday;
-      Instr.reset_aggregates ())
+      Instr.set_clock Unix.gettimeofday)
     f
 
 (* ---------------- pool basics ---------------- *)
@@ -94,18 +90,16 @@ let test_instr_concurrent_merge () =
                    Instr.count (Printf.sprintf "task%d" t) 1))))
       (Array.init 4 Fun.id)
   in
+  let tally = Tally.install () in
   Array.iter Instr.absorb snapshots;
   check_int "no lost counter updates" (4 * per_task)
-    (Instr.counter_total "hits");
+    (Tally.total tally "hits");
   List.iter
     (fun t -> check_int "per-task counter" 1
-        (Instr.counter_total (Printf.sprintf "task%d" t)))
+        (Tally.total tally (Printf.sprintf "task%d" t)))
     [ 0; 1; 2; 3 ];
-  (* span aggregate merged once per task *)
-  check_int "span calls merged" 4
-    (match List.assoc_opt "work" (Instr.span_calls ()) with
-    | Some n -> n
-    | None -> 0)
+  (* one replayed span per task *)
+  check_int "span calls merged" 4 (Tally.span_calls tally "work")
 
 let test_histogram_concurrent_merge () =
   let per_task = 5000 in

@@ -30,15 +30,11 @@ let contains hay needle =
   go 0
 
 let with_clean f =
-  Instr.reset_aggregates ();
   Instr.set_sinks [];
-  Instr.set_enabled true;
   Fun.protect
     ~finally:(fun () ->
       Instr.set_sinks [];
-      Instr.set_enabled true;
-      Instr.set_clock Unix.gettimeofday;
-      Instr.reset_aggregates ())
+      Instr.set_clock Unix.gettimeofday)
     f
 
 (* deterministic clock: each call advances time by 1 ms *)
@@ -350,7 +346,6 @@ let strip_timing j =
   | j -> j
 
 let learn_case ~jobs ~profiled () =
-  Instr.reset_aggregates ();
   let progress = Buffer.create 4096 in
   if profiled then
     Instr.set_sinks
@@ -536,7 +531,6 @@ let redundant_aig () =
    same stream the run report and the metrics exposition aggregate — and
    return [run]'s result with the per-round counter series *)
 let capture run =
-  Instr.reset_aggregates ();
   let events = ref [] in
   Instr.set_sinks
     [

@@ -227,15 +227,11 @@ let test_compare_thresholds () =
 (* ---------- learner wall-clock budget ---------- *)
 
 let with_clean f =
-  Instr.reset_aggregates ();
   Instr.set_sinks [];
-  Instr.set_enabled true;
   Fun.protect
     ~finally:(fun () ->
       Instr.set_sinks [];
-      Instr.set_enabled true;
-      Instr.set_clock Unix.gettimeofday;
-      Instr.reset_aggregates ())
+      Instr.set_clock Unix.gettimeofday)
     f
 
 let majority_box () =

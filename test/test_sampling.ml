@@ -243,14 +243,15 @@ let test_matches_reference_default_rounds () =
    pf's 5 nodes 5 x 48 + 24 = 264 and pg's 5 x 48 + 16 = 256 over 4
    each. An exhaustive conquest's one minterm batch charges 48. *)
 let sim_counters ?(case = "case_7") config =
-  Instr.reset_aggregates ();
-  let r = Learner.learn ~config (Cases.blackbox (Cases.find case)) in
+  let r, tally =
+    Tally.run (fun () ->
+        Learner.learn ~config (Cases.blackbox (Cases.find case)))
+  in
   let sim =
     List.filter
       (fun ((_, name), _) -> name = "sim.patterns" || name = "sim.gate-words")
-      (Instr.counters_by_span ())
+      (Tally.by_span tally)
   in
-  Instr.reset_aggregates ();
   ( r.Learner.queries,
     Digest.to_hex (Digest.string (Lr_netlist.Io.write r.Learner.circuit)),
     sim )
@@ -375,11 +376,9 @@ let test_oracle_expansion () =
 let test_single_query_counters () =
   let c = circuit () in
   let box = Box.of_netlist c in
-  Instr.reset_aggregates ();
-  ignore (Box.query box (Bv.of_string "1011"));
-  check_int "gate-words" 4 (Instr.counter_total "sim.gate-words");
-  check_int "no patterns" 0 (Instr.counter_total "sim.patterns");
-  Instr.reset_aggregates ()
+  let _, tally = Tally.run (fun () -> Box.query box (Bv.of_string "1011")) in
+  check_int "gate-words" 4 (Tally.total tally "sim.gate-words");
+  check_int "no patterns" 0 (Tally.total tally "sim.patterns")
 
 let tests =
   [

@@ -356,6 +356,51 @@ let test_scheduler_cache_bit_identity () =
     (Option.bind (Json.member "cache_hit" (report_of j1)) Json.get_bool
     = Some false)
 
+(* Two jobs overlapping on two slots, the second started while the
+   first still runs: each job's progress stream ends with a [run_end]
+   carrying its own report's queries. Recording state is per job, so
+   the job that finishes first cannot stop the other's stream. *)
+let test_scheduler_overlapping_progress () =
+  let sched = Scheduler.create ~slots:2 ~queue_limit:16 () in
+  shutdown_after sched @@ fun () ->
+  let slow =
+    submit_ok sched
+      {
+        (Proto.default ~case:"case_9") with
+        Proto.budget = Some 400_000;
+        use_cache = false;
+      }
+  in
+  Unix.sleepf 0.2;
+  let fast =
+    submit_ok sched { (fast_spec "case_7") with Proto.use_cache = false }
+  in
+  Scheduler.wait_idle sched;
+  List.iter
+    (fun j ->
+      let id = j.Scheduler.id in
+      let report_queries =
+        match j.Scheduler.result with
+        | Some (_, r) -> Option.bind (Json.member "queries" r) Json.get_int
+        | None -> Alcotest.fail (id ^ ": missing result")
+      in
+      let last =
+        match List.rev (Scheduler.progress_since sched j 0) with
+        | line :: _ -> (
+            match Json.of_string (String.trim line) with
+            | Ok v -> v
+            | Error e -> Alcotest.fail (id ^ ": bad progress line: " ^ e))
+        | [] -> Alcotest.fail (id ^ ": no progress lines")
+      in
+      check_str (id ^ ": last line is run_end") "run_end"
+        (Option.value ~default:""
+           (Option.bind (Json.member "ev" last) Json.get_string));
+      check (id ^ ": run_end queries are the report's") true
+        (report_queries <> None
+        && Option.bind (Json.member "queries" last) Json.get_int
+           = report_queries))
+    [ slow; fast ]
+
 (* The service's job report is learn --json's lr-run-report/v1 plus
    three service keys, written by the same Learner.report_json. *)
 let test_scheduler_report_shape () =
@@ -696,6 +741,8 @@ let tests =
     Alcotest.test_case "scheduler range checks" `Quick test_scheduler_ranges;
     Alcotest.test_case "cache hits are bit-identical" `Quick
       test_scheduler_cache_bit_identity;
+    Alcotest.test_case "scheduler overlapping jobs' progress" `Quick
+      test_scheduler_overlapping_progress;
     Alcotest.test_case "job report is learn --json's" `Quick
       test_scheduler_report_shape;
     Alcotest.test_case "concurrent service bit-identity" `Quick
