@@ -6,7 +6,8 @@
    duplicates and constants, rewrite opportunities). Two files: prove
    combinational equivalence, reporting the offending output and a
    counterexample when they differ. Exit status 1 when they are not
-   equivalent, 2 on unreadable or unparseable input. *)
+   equivalent, 2 on unreadable or unparseable input or a --json file
+   that cannot be opened; findings never set it. *)
 
 module N = Lr_netlist.Netlist
 module Blif = Lr_netlist.Blif
@@ -150,18 +151,12 @@ let cec_json path1 path2 verdict =
      ]
     @ fields)
 
-let emit_json json = function
-  | None -> ()
-  | Some "-" -> print_endline (Json.to_string json)
-  | Some path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          output_string oc (Json.to_string json);
-          output_string oc "\n")
+let emit_json json =
+  Option.iter (fun oc ->
+      output_string oc (Json.to_string json);
+      output_string oc "\n")
 
-let run path1 path2 json quiet deep =
+let lint_or_cec path1 path2 sink quiet deep =
   match path2 with
   | None -> (
       match lint_file ~deep path1 with
@@ -185,7 +180,7 @@ let run path1 path2 json quiet deep =
             Printf.printf "%s: %d error(s), %d warning(s), %d info\n" path1 e w
               i
           end;
-          emit_json (lint_json ~deep path1 findings cones removed) json;
+          emit_json (lint_json ~deep path1 findings cones removed) sink;
           if parse_failed then 2 else 0)
   | Some path2 -> (
       let load path =
@@ -197,7 +192,7 @@ let run path1 path2 json quiet deep =
       match (load path1, load path2) with
       | Error msg, _ | _, Error msg ->
           Printf.eprintf "error: %s\n" msg;
-          emit_json (cec_json path1 path2 (`Error msg)) json;
+          emit_json (cec_json path1 path2 (`Error msg)) sink;
           2
       | Ok c1, Ok c2
         when N.num_inputs c1 <> N.num_inputs c2
@@ -210,13 +205,13 @@ let run path1 path2 json quiet deep =
               (N.num_inputs c2) (N.num_outputs c2)
           in
           Printf.eprintf "error: %s\n" msg;
-          emit_json (cec_json path1 path2 (`Error msg)) json;
+          emit_json (cec_json path1 path2 (`Error msg)) sink;
           2
       | Ok c1, Ok c2 -> (
           match Equiv.check c1 c2 with
           | Equiv.Equivalent ->
               if not quiet then print_endline "EQUIVALENT";
-              emit_json (cec_json path1 path2 `Equivalent) json;
+              emit_json (cec_json path1 path2 `Equivalent) sink;
               0
           | Equiv.Counterexample cex ->
               let o1 = N.eval c1 cex and o2 = N.eval c2 cex in
@@ -230,8 +225,22 @@ let run path1 path2 json quiet deep =
                   !output (Bv.to_string cex);
               emit_json
                 (cec_json path1 path2 (`Counterexample (!output, cex)))
-                json;
+                sink;
               1))
+
+(* the --json file is opened before any work, as [learn] opens its own,
+   so an unwritable path costs one error line and no report *)
+let run path1 path2 json quiet deep =
+  match
+    Option.map (function "-" -> stdout | path -> open_out path) json
+  with
+  | exception Sys_error msg ->
+      Printf.eprintf "error: cannot open --json file: %s\n" msg;
+      2
+  | sink ->
+      let code = lint_or_cec path1 path2 sink quiet deep in
+      Option.iter (fun oc -> if oc != stdout then close_out oc) sink;
+      code
 
 let file1_pos =
   let doc = "Circuit file to lint (.blif, .aag/.aig, or .lrc text netlist)." in
@@ -278,7 +287,9 @@ let cmd =
          equivalence by simulation plus SAT.";
       `P
         "Exit status: 0 linted or equivalent; 1 not equivalent; 2 \
-         unreadable or unparseable input.";
+         unreadable or unparseable input, two circuits whose input or \
+         output counts differ, or a $(b,--json) file that cannot be \
+         opened. Findings never set the exit status.";
     ]
   in
   Cmd.v

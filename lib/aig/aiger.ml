@@ -141,12 +141,6 @@ let read text =
       | "aig" :: _ -> fail "Aiger.read: binary aig not supported, use aag"
       | _ -> fail "Aiger.read: not an AIGER file")
 
-let write_file ?comment aig path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (write ?comment aig))
-
 let read_file path =
   let ic = open_in path in
   let text =

@@ -13,5 +13,4 @@ val read : string -> Aig.t
 (** Parse ASCII AIGER. Raises [Failure] on malformed input or on a file
     with latches. *)
 
-val write_file : ?comment:string -> Aig.t -> string -> unit
 val read_file : string -> Aig.t

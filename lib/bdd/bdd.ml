@@ -41,7 +41,6 @@ let man ~nvars =
   m.level.(1) <- nvars;
   m
 
-let nvars m = m.nv
 let zero _ = 0
 let one _ = 1
 
@@ -358,7 +357,6 @@ let high m n =
   if n < 2 then invalid_arg "Bdd.high: terminal node" else m.high.(n)
 
 let num_nodes m = m.len - 2
-let cache_hits m = m.cache_hits
 
 let record_counters m =
   Lr_instr.Instr.count "bdd.nodes" (num_nodes m);

@@ -16,7 +16,6 @@ type node
 (** A BDD node handle (valid within its manager). *)
 
 val man : nvars:int -> man
-val nvars : man -> int
 
 val zero : man -> node
 val one : man -> node
@@ -38,7 +37,6 @@ val is_const : man -> node -> bool option
 
 val cofactor : man -> node -> int -> bool -> node
 
-val of_cube : man -> Lr_cube.Cube.t -> node
 val of_cover : man -> Lr_cube.Cover.t -> node
 
 val of_truth_table : man -> vars:int array -> (int -> bool) -> node
@@ -93,9 +91,6 @@ val num_nodes : man -> int
 (** Internal nodes hash-consed into this manager so far (terminals
     excluded) — a measure of total BDD work, monotone over the
     manager's lifetime. *)
-
-val cache_hits : man -> int
-(** Hits in the apply caches (and/xor/not/ite) so far. *)
 
 val record_counters : man -> unit
 (** Emit [bdd.nodes] and [bdd.cache-hits] counters for this manager to

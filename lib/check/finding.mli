@@ -17,9 +17,6 @@ type t = {
 
 val make : severity -> rule:string -> where:string -> hint:string -> string -> t
 
-val severity_string : severity -> string
-(** ["error"], ["warning"], ["info"]. *)
-
 val to_string : t -> string
 (** One human-readable line: [severity[rule] where: message (fix: hint)]. *)
 
@@ -31,12 +28,9 @@ val count : severity -> t list -> int
 val errors : t list -> t list
 (** Findings with severity {!Error}. *)
 
-val natural_compare : string -> string -> int
-(** Lexicographic, but runs of digits compare numerically: ["node 2"]
-    sorts before ["node 12"]. *)
-
 val compare : t -> t -> int
-(** Total order: location ({!natural_compare}), then rule id, then
+(** Total order: location (runs of digits compare numerically, so
+    ["node 2"] sorts before ["node 12"]), then rule id, then
     severity (errors first), then message and hint. *)
 
 val normalize : t list -> t list

@@ -38,7 +38,6 @@ type t = {
   fraig_words : int;
   template_samples : int;
   template_prop_cubes : int;
-  refine_rounds : int;
   time_budget_s : float option;
   check_level : check_level;
   sweep : sweep_level;
@@ -64,7 +63,6 @@ let contest =
     fraig_words = 8;
     template_samples = 64;
     template_prop_cubes = 4;
-    refine_rounds = 0;
     time_budget_s = None;
     check_level = Off;
     sweep = Sweep_off;

@@ -49,10 +49,6 @@ type t = {
   fraig_words : int;
   template_samples : int;
   template_prop_cubes : int;
-  refine_rounds : int;
-      (** extension: after an incomplete tree, validate on fresh samples
-          and re-learn with a doubled node budget up to this many times
-          (0 = paper behaviour) *)
   time_budget_s : float option;
       (** wall-clock budget (the contest's hard time limit): the learner
           checks it between phases — before template matching, before

@@ -697,47 +697,15 @@ let learn ?(config = Config.default) box =
           let table, ratio = Fbdt.learn_exhaustive ~support oracle in
           (Table table, ratio)
         else begin
-          (* refinement loop (extension): when the tree came back truncated
-             and fresh validation samples expose mistakes, retry with a
-             doubled node budget — the budget-vs-accuracy dial the paper
-             leaves at a fixed setting *)
-          let validate result =
-            let probes =
-              Array.init 256 (fun i ->
-                  Bv.random_biased rng [| 0.5; 0.8; 0.2 |].(i mod 3) dom.arity)
-            in
-            (* validation is optional polish: if the probes themselves hit
-               an unretryable fault, keep the result we already have *)
-            match oracle.Oracle.query probes with
-            | exception Faults.Query_failed _ -> true
-            | want ->
-                let errors = ref 0 in
-                Array.iteri
-                  (fun i p ->
-                    if Cover.eval result.Fbdt.onset p <> want.(i) then
-                      incr errors)
-                  probes;
-                !errors = 0
+          let fcfg =
+            {
+              Fbdt.node_rounds = config.Config.node_rounds;
+              biases = Ps.default_biases;
+              leaf_epsilon = config.Config.leaf_epsilon;
+              max_nodes = config.Config.max_tree_nodes;
+            }
           in
-          let rec attempt tries max_nodes =
-            let fcfg =
-              {
-                Fbdt.node_rounds = config.Config.node_rounds;
-                biases = Ps.default_biases;
-                leaf_epsilon = config.Config.leaf_epsilon;
-                max_nodes;
-              }
-            in
-            let result = Fbdt.learn ~support fcfg ~rng oracle in
-            if
-              tries <= 0 || result.Fbdt.complete
-              || Box.exhausted shard || validate result
-            then result
-            else attempt (tries - 1) (2 * max_nodes)
-          in
-          let result =
-            attempt config.Config.refine_rounds config.Config.max_tree_nodes
-          in
+          let result = Fbdt.learn ~support fcfg ~rng oracle in
           (Tree result, result.Fbdt.truth_ratio)
         end
       with Faults.Query_failed _ ->

@@ -81,14 +81,6 @@ let intersect a b =
   done;
   if !conflict then None else Some { a with care; value }
 
-let distance a b =
-  let d = ref 0 in
-  for v = 0 to a.n - 1 do
-    if Bv.get a.care v && Bv.get b.care v && Bv.get a.value v <> Bv.get b.value v
-    then incr d
-  done;
-  !d
-
 let merge_adjacent a b =
   if not (Bv.equal a.care b.care) then None
   else begin

@@ -47,9 +47,6 @@ val contains : t -> t -> bool
 val intersect : t -> t -> t option
 (** Conjunction of two cubes; [None] if they conflict on some variable. *)
 
-val distance : t -> t -> int
-(** Number of variables on which the two cubes have opposite phases. *)
-
 val merge_adjacent : t -> t -> t option
 (** [merge_adjacent a b] combines two cubes that differ in exactly one
     variable's phase and agree elsewhere, dropping that variable (the

@@ -3,7 +3,6 @@ module Sat = Lr_sat.Sat
 module Rng = Lr_bitvec.Rng
 module Instr = Lr_instr.Instr
 module Soa = Lr_kernel.Soa
-module Incremental = Lr_kernel.Incremental
 module Fraig = Lr_aig.Fraig
 
 type stats = {
@@ -119,14 +118,15 @@ let lanes r =
 (* The ODC prover of one scan. Its solver starts with one variable per
    node of the scan's fixed netlist and no clauses; each proof encodes
    the nodes of its decision set that are not encoded yet. A candidate
-   [z := m] (inverted when [ph]) adds a patched copy of [z]'s fanout
-   cone on fresh variables and one difference variable per output the
-   cone reaches, asserts their OR under a fresh activation literal, and
-   asks SAT for a distinguishing input; the unit [-act] then retires the
-   OR, leaving clauses that only define fresh variables. The decision
-   set is the fanin of the cone's original nodes and of [m] plus the
-   fresh variables: closed under fanin, so each verdict is exact. A
-   model that refutes the candidate is kept in [refuters]. *)
+   [z := m] (inverted when [ph]) adds a patched copy of [z]'s observed
+   fanout cone ([Soa.cone]) on fresh variables and one difference
+   variable per output the cone reaches, asserts their OR under a fresh
+   activation literal, and asks SAT for a distinguishing input; the unit
+   [-act] then retires the OR, leaving clauses that only define fresh
+   variables. The decision set is the fanin of the cone's original nodes
+   and of [m] plus the fresh variables: closed under fanin, so each
+   verdict is exact. A model that refutes the candidate is kept in
+   [refuters]. *)
 let prover soa c refuters =
   let n = N.num_nodes c in
   let solver =
@@ -140,13 +140,12 @@ let prover soa c refuters =
   let encoded = Bytes.make n '\000' in
   let patched = Array.make n 0 in
   let fanin = Soa.transitive_fanin soa in
-  fun (cone : Incremental.cone) (m, ph) ->
-    if Array.length cone.outputs = 0 then true
+  fun z (cone : Soa.cone) (m, ph) ->
+    if Array.length cone.reached = 0 then true
       (* no output sees the node at all *)
     else begin
       let solver = Lazy.force solver in
-      let z = cone.node in
-      let support = fanin (m :: z :: Array.to_list cone.members) in
+      let support = fanin (m :: z :: Array.to_list cone.gates) in
       Array.iter
         (fun k ->
           if Bytes.get encoded k = '\000' then begin
@@ -162,7 +161,7 @@ let prover soa c refuters =
           let x = Sat.new_var solver in
           Soa.encode_node soa solver ~lit:x ~fanin:lit k;
           patched.(k) <- x)
-        cone.members;
+        cone.gates;
       let diffs =
         Array.map
           (fun o ->
@@ -170,10 +169,10 @@ let prover soa c refuters =
             let t = Sat.new_var solver in
             Soa.xor_clauses solver t (r + 1) (lit r);
             t)
-          cone.outputs
+          cone.reached
       in
       patched.(z) <- 0;
-      Array.iter (fun k -> patched.(k) <- 0) cone.members;
+      Array.iter (fun k -> patched.(k) <- 0) cone.gates;
       let last_fresh = Sat.num_vars solver in
       let act = Sat.new_var solver in
       Sat.add_clause solver (-act :: Array.to_list diffs);
@@ -210,54 +209,34 @@ let scan_resubs ~sat_budget ~rng ~refuters ~emit c =
   let ni = N.num_inputs c in
   let reach = N.reachable c in
   let blocks = Array.init 8 (fun _ -> Array.init ni (fun _ -> Rng.bits64 rng)) in
-  (* one incremental engine per pattern block: the candidate filter
-     resimulates only [z]'s fanout cone, computed once per [z], and
+  (* one store per pattern block: the candidate filter forces [z] and
+     re-runs only its observed fanout cone, computed once per [z], and
      compares only the outputs it reaches. The sim budget below still
      decrements by the cost of resimulating every node above [z], which
      fixes the order and number of candidates visited. *)
   let soa = Soa.of_netlist c in
-  let engine words =
+  let store words =
     Instr.count "dataflow.sim-words" n;
-    Incremental.create soa words
+    Soa.store soa words
   in
-  let engines = Array.map engine blocks in
-  let sims = Array.map Incremental.values engines in
-  let base_outputs = Array.map Incremental.outputs engines in
-  (* the lanes on which forcing [cone.node] to [w] moves an output *)
-  let moved e base (cone : Incremental.cone) w =
-    Incremental.with_forced e cone w (fun e ->
-        let v = Incremental.values e in
-        Array.fold_left
-          (fun d o ->
-            Int64.logor d
-              (Int64.logxor (Soa.output_of_values soa v o) base.(o)))
-          0L cone.outputs)
-  in
-  (* the refuter block on this netlist: one engine, created at the
-     first lane and reloaded whenever another arrives *)
+  let stores = Array.map store blocks in
+  (* the refuter block on this netlist: one store, made at the first
+     lane and made again whenever another arrives *)
   let refuter = ref None in
   let refuted cone (m, ph) =
     refuters.count > 0
     &&
-    let e, base =
+    let s =
       match !refuter with
-      | Some (e, base, count) when count = refuters.count -> e, base
-      | r ->
-          Instr.count "dataflow.sim-words" n;
-          let e =
-            match r with
-            | None -> Incremental.create soa refuters.words
-            | Some (e, _, _) ->
-                Incremental.load e refuters.words;
-                e
-          in
-          let base = Incremental.outputs e in
-          refuter := Some (e, base, refuters.count);
-          e, base
+      | Some (s, count) when count = refuters.count -> s
+      | _ ->
+          let s = store refuters.words in
+          refuter := Some (s, refuters.count);
+          s
     in
-    let v = Incremental.values e in
-    let w = if ph then Int64.lognot v.(m) else v.(m) in
-    Int64.logand (lanes refuters) (moved e base cone w) <> 0L
+    let v = Soa.value s m in
+    let w = if ph then Int64.lognot v else v in
+    Int64.logand (lanes refuters) (Soa.forced_diff s cone w) <> 0L
   in
   let prove_resub = prover soa c refuters in
   let sim_budget = ref sim_word_budget in
@@ -272,7 +251,7 @@ let scan_resubs ~sat_budget ~rng ~refuters ~emit c =
            let a, b =
              match N.fanins g with [ a; b ] -> a, b | _ -> assert false
            in
-           let cone = Incremental.cone soa !z in
+           let cone = Soa.cone soa [ !z ] in
            let candidates = [ a, false; b, false; a, true; b, true ] in
            let rec try_cands = function
              | [] -> ()
@@ -280,14 +259,14 @@ let scan_resubs ~sat_budget ~rng ~refuters ~emit c =
                  if sat_budget - !sat_used <= 0 || !sim_budget <= 0 then ()
                  else begin
                    sim_budget :=
-                     !sim_budget - (Array.length sims * (n - !z));
+                     !sim_budget - (Array.length stores * (n - !z));
                    let sim_ok =
                      let ok = ref true in
                      let i = ref 0 in
-                     while !ok && !i < Array.length sims do
-                       let v = sims.(!i) in
-                       let w = if ph then Int64.lognot v.(m) else v.(m) in
-                       ok := moved engines.(!i) base_outputs.(!i) cone w = 0L;
+                     while !ok && !i < Array.length stores do
+                       let v = Soa.value stores.(!i) m in
+                       let w = if ph then Int64.lognot v else v in
+                       ok := Soa.forced_diff stores.(!i) cone w = 0L;
                        incr i
                      done;
                      !ok
@@ -299,7 +278,7 @@ let scan_resubs ~sat_budget ~rng ~refuters ~emit c =
                        Instr.count "dataflow.odc-resim-refuted" 1;
                        try_cands rest
                      end
-                     else if prove_resub cone (m, ph) then begin
+                     else if prove_resub !z cone (m, ph) then begin
                        if not (emit (!z, m, ph)) then continue_scan := false
                      end
                      else try_cands rest

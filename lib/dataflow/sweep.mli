@@ -58,10 +58,11 @@ val run :
 
     Simulation runs on the {!Lr_kernel} SoA engine: the merge stage
     reuses cached block signatures, and the ODC stage computes each
-    rewritten node's fanout cone once ({!Lr_kernel.Incremental.cone}):
-    its up to four candidates resimulate only that cone on eight
-    dirty-cone {!Lr_kernel.Incremental} engines, compare only the
-    outputs it reaches, and the proof patches the same cone.
+    rewritten node's observed fanout cone once ({!Lr_kernel.Soa.cone}):
+    its up to four candidates force the node in eight one-block stores
+    ({!Lr_kernel.Soa.forced_diff}), re-run only that cone's gates,
+    compare only the outputs it reaches, and the proof patches the same
+    cone.
 
     Each scan of the ODC stage (one fixed netlist) shares one solver,
     which starts with one variable per node and no clauses. A proof

@@ -38,10 +38,10 @@ type t = {
       (* per input, built on the first toggle query *)
 }
 
-(* What a toggle can change: the observed input nodes it complements,
-   the observed gates they reach, in [obs_sched] order, and the outputs
-   that read one of those nodes, ascending. *)
-and cone = { inputs : int array; gates : int array; reached : int array }
+(* What a change at the seeds can reach: the observed gates in their
+   fanout, seeds left out, in [obs_sched] order, and the outputs that
+   read a seed or one of those gates, ascending. *)
+and cone = { seeds : int array; gates : int array; reached : int array }
 
 let num_nodes t = t.nn
 let num_inputs t = t.ni
@@ -321,12 +321,6 @@ let run_block t words =
   run t t.sched buf ~width:1 ~inoff;
   buf
 
-let eval_into t v words =
-  let buf = run_block t words in
-  for n = 0 to t.nn - 1 do
-    v.(n) <- get64u buf (8 * n)
-  done
-
 let node_words t words into =
   if Array.length words <> t.ni then
     invalid_arg "Soa.node_words: wrong input count";
@@ -334,42 +328,20 @@ let node_words t words into =
     invalid_arg "Soa.node_words: store too short";
   Bytes.blit (run_block t words) 0 into 0 (8 * t.nn)
 
-(* Evaluate one node against live value/input arrays — the incremental
-   engine's per-node step; semantics identical to [run]'s body. *)
-let eval_node t v words n =
-  let c = Char.code (Bytes.get t.op n) in
-  if c land 0xf < op_and then
-    match c land 0xf with
-    | 0 -> 0L
-    | 1 -> -1L
-    | 2 -> words.(t.arg0.(n))
-    | _ -> Int64.lognot v.(t.arg0.(n))
-  else begin
-    let x = v.(t.arg0.(n)) in
-    let x = if c land flag_neg0 <> 0 then Int64.lognot x else x in
-    let y = v.(t.arg1.(n)) in
-    let y = if c land flag_neg1 <> 0 then Int64.lognot y else y in
-    match c land 0xf with
-    | 4 -> Int64.logand x y
-    | 5 -> Int64.logor x y
-    | 6 -> Int64.logxor x y
-    | 7 -> Int64.lognot (Int64.logand x y)
-    | 8 -> Int64.lognot (Int64.logor x y)
-    | _ -> Int64.lognot (Int64.logxor x y)
-  end
-
 let node_values t words =
   if Array.length words <> t.ni then
     invalid_arg "Soa.node_values: wrong input count";
   let v = Array.make (max 1 t.nn) 0L in
-  eval_into t v words;
+  let buf = run_block t words in
+  for n = 0 to t.nn - 1 do
+    v.(n) <- get64u buf (8 * n)
+  done;
   v
 
-let output_of_values t v o =
-  let w = v.(t.outputs.(o)) in
-  if t.out_neg.(o) then Int64.lognot w else w
-
-let outputs_of_values t v = Array.init t.no (output_of_values t v)
+let outputs_of_values t v =
+  Array.init t.no (fun o ->
+      let w = v.(t.outputs.(o)) in
+      if t.out_neg.(o) then Int64.lognot w else w)
 
 (* output [o]'s word [w] of a [width]-block simulation in [buf] *)
 let output_word t buf ~width ~w o =
@@ -422,19 +394,80 @@ let eval_blocks t blocks =
   done;
   results
 
-(* ---------------- toggles ---------------- *)
+(* ---------------- probes ---------------- *)
 
-(* the cone of a toggle that complements the input nodes [inputs] *)
-let cone_of t inputs =
-  let reach = fanout_cone t (Array.to_list inputs) in
-  let inside a = Array.of_seq (Seq.filter (Array.get reach) (Array.to_seq a)) in
+let cone t seeds =
+  let reach = fanout_cone t seeds in
+  let reached =
+    Array.of_seq
+      (Seq.filter (fun o -> reach.(t.outputs.(o))) (Seq.init t.no Fun.id))
+  in
+  List.iter (fun n -> reach.(n) <- false) seeds;
   {
-    inputs;
-    gates = inside t.obs_sched;
-    reached =
-      Array.of_seq
-        (Seq.filter (fun o -> reach.(t.outputs.(o))) (Seq.init t.no Fun.id));
+    seeds = Array.of_list seeds;
+    gates =
+      Array.of_seq (Seq.filter (Array.get reach) (Array.to_seq t.obs_sched));
+    reached;
   }
+
+(* One block's observed node values in the first [nn] words of [buf],
+   a saved copy of them in the next [nn], and its output words. *)
+type store = { circuit : t; buf : Bytes.t; base : int64 array }
+
+let fill t buf words =
+  load_observed t buf ~width:1 ~w:0 words;
+  run t t.obs_sched buf ~width:1 ~inoff:0;
+  Bytes.blit buf 0 buf (8 * t.nn) (8 * t.nn);
+  let base = Array.init t.no (output_word t buf ~width:1 ~w:0) in
+  { circuit = t; buf; base }
+
+let store t words =
+  if Array.length words <> t.ni then
+    invalid_arg "Soa.store: wrong number of input words";
+  fill t (Bytes.make (16 * t.nn) '\000') words
+
+let value s n =
+  if n < 0 || n >= s.circuit.nn then invalid_arg "Soa.value: bad node";
+  get64u s.buf (8 * n)
+
+(* The one perturb-and-restore loop, in two halves around the caller's
+   read. [perturb] sets each seed's word [x] to [x land keep lxor flip]
+   (a toggle complements it, a forced node takes [flip]) and re-runs the
+   cone's gates; [restore] gives the seeds and gates their saved words
+   back. *)
+let perturb s cone ~keep ~flip =
+  let buf = s.buf in
+  for k = 0 to Array.length cone.seeds - 1 do
+    let p = 8 * cone.seeds.(k) in
+    set64u buf p (Int64.logxor (Int64.logand (get64u buf p) keep) flip)
+  done;
+  run s.circuit cone.gates buf ~width:1 ~inoff:0
+
+let restore_nodes buf ~saved nodes =
+  for k = 0 to Array.length nodes - 1 do
+    let p = 8 * nodes.(k) in
+    set64u buf p (get64u buf (saved + p))
+  done
+
+let restore s cone =
+  let saved = 8 * s.circuit.nn in
+  restore_nodes s.buf ~saved cone.seeds;
+  restore_nodes s.buf ~saved cone.gates
+
+let forced_diff s cone w =
+  let nn = s.circuit.nn in
+  if Array.exists (fun n -> n >= nn) cone.seeds
+     || Array.exists (fun n -> n >= nn) cone.gates
+  then invalid_arg "Soa.forced_diff: a cone of another circuit";
+  perturb s cone ~keep:0L ~flip:w;
+  let d = ref 0L in
+  for k = 0 to Array.length cone.reached - 1 do
+    let o = cone.reached.(k) in
+    let x = output_word s.circuit s.buf ~width:1 ~w:0 o in
+    d := Int64.logor !d (Int64.logxor x s.base.(o))
+  done;
+  restore s cone;
+  !d
 
 (* Shards on several domains share one compiled circuit: the first
    builder to publish its cones wins, and a racing one drops its equal
@@ -448,7 +481,7 @@ let cones t =
         let i = t.obs_index.(k) in
         inputs.(i) <- t.obs_inputs.(k) :: inputs.(i)
       done;
-      let c = Array.map (fun l -> cone_of t (Array.of_list l)) inputs in
+      let c = Array.map (cone t) inputs in
       if Atomic.compare_and_set t.cones None (Some c) then c
       else Option.get (Atomic.get t.cones)
 
@@ -461,49 +494,30 @@ let eval_toggles t words toggles =
            invalid_arg "Soa.eval_toggles: toggled input out of range"))
     toggles;
   let cones = cones t in
-  (* node values in the first [nn] words, the base block's copy after *)
-  let buf = scratch (2 * t.nn) in
-  let saved = 8 * t.nn in
-  load_observed t buf ~width:1 ~w:0 words;
-  run t t.obs_sched buf ~width:1 ~inoff:0;
-  Bytes.blit buf 0 buf saved saved;
-  let base = Array.make t.no 0L in
-  for o = 0 to t.no - 1 do
-    base.(o) <- output_word t buf ~width:1 ~w:0 o
-  done;
-  let answers = Array.make (1 + Array.length toggles) base in
+  let s = fill t (scratch (2 * t.nn)) words in
+  let answers = Array.make (1 + Array.length toggles) s.base in
   let simulated = ref (num_observed t) in
-  let restore nodes =
-    for k = 0 to Array.length nodes - 1 do
-      let p = 8 * nodes.(k) in
-      set64u buf p (get64u buf (saved + p))
-    done
-  in
   for j = 0 to Array.length toggles - 1 do
     let cone =
       match toggles.(j) with
       | [| i |] -> cones.(i)
       | toggle ->
-          cone_of t
-            (Array.concat
-               (List.map (fun i -> cones.(i).inputs) (Array.to_list toggle)))
+          cone t
+            (List.concat_map
+               (fun i -> Array.to_list cones.(i).seeds)
+               (Array.to_list toggle))
     in
-    for k = 0 to Array.length cone.inputs - 1 do
-      let p = 8 * cone.inputs.(k) in
-      set64u buf p (Int64.lognot (get64u buf p))
-    done;
-    run t cone.gates buf ~width:1 ~inoff:0;
     simulated :=
-      !simulated + Array.length cone.inputs + Array.length cone.gates;
+      !simulated + Array.length cone.seeds + Array.length cone.gates;
+    perturb s cone ~keep:(-1L) ~flip:(-1L);
     (* an output the toggle cannot reach keeps the base block's word *)
-    let a = Array.copy base in
+    let a = Array.copy s.base in
     for k = 0 to Array.length cone.reached - 1 do
       let o = cone.reached.(k) in
-      a.(o) <- output_word t buf ~width:1 ~w:0 o
+      a.(o) <- output_word t s.buf ~width:1 ~w:0 o
     done;
     answers.(j + 1) <- a;
-    restore cone.inputs;
-    restore cone.gates
+    restore s cone
   done;
   Instr.count "sim.gate-words" !simulated;
   answers

@@ -10,22 +10,26 @@
     pin this down).
 
     Node ids are preserved by {!of_netlist} (node [n] here is node [n] of
-    the source netlist), which is what lets the incremental engine and the
-    sweep's ODC verification exchange node sets with the netlist layer.
-    The same opcode layout drives the Tseitin CNF encoder ({!encode}),
-    so one compiled form serves simulation and SAT alike.
+    the source netlist), which is what lets the sweep's ODC verification
+    exchange node sets with the netlist layer. The same opcode layout
+    drives the Tseitin CNF encoder ({!encode}), so one compiled form
+    serves simulation and SAT alike.
 
     Beside the full schedule, a circuit carries its {e observed}
     schedule: the outputs' transitive fanin, in level order. The
     output-only entry points ({!eval_words}, {!eval_blocks},
     {!eval_many}) load only the inputs it reads and run only its gates;
     a golden circuit can hold far more logic than its outputs read.
-    The node-value entry points ({!eval_into}, {!node_values},
-    {!node_words}), which fraig, the sweep and the incremental engine
-    read node by node, run the full schedule. The sampling entry point
-    ({!eval_toggles}) runs the observed schedule once per base block and
-    then, per toggle, only the observed gates the toggled inputs
-    reach. *)
+    The node-value entry points ({!node_values}, {!node_words}), which
+    fraig and the checkers read node by node, run the full schedule.
+
+    One probe engine perturbs a simulated block and restores it: a
+    {!cone} names the seeds a probe rewrites, the observed gates they
+    reach and the outputs those reach; a probe writes the seeds, re-runs
+    only those gates, reads, and copies the saved block back. Sampling
+    ({!eval_toggles}) complements input nodes this way, and the sweep's
+    ODC filter forces a node in a long-lived {!store}
+    ({!forced_diff}). *)
 
 type t
 
@@ -95,19 +99,11 @@ val transitive_fanin : t -> int list -> int array
     shared across domains. A call costs one pass over the ids up to the
     largest seed. *)
 
-val eval_node : t -> int64 array -> int64 array -> int -> int64
-(** [eval_node t vals words n] — the value of node [n] given live node
-    values and input words; the incremental engine's per-node step. *)
-
-val eval_into : t -> int64 array -> int64 array -> unit
-(** [eval_into t vals words] — simulate one 64-pattern block into the
-    caller-owned [vals] (length {!num_nodes}); [words] has one word per
-    input. Every node is simulated, observed or not. No allocation. *)
-
 val node_values : t -> int64 array -> int64 array
-(** One word per node for one block, every node simulated —
-    bit-identical to [Aig.simulate_nodes] / the netlist evaluators'
-    internal value array. *)
+(** One word per node for one block ([words] has one word per input),
+    every node simulated, observed or not — bit-identical to
+    [Aig.simulate_nodes] / the netlist evaluators' internal value
+    array. *)
 
 val node_words : t -> int64 array -> Bytes.t -> unit
 (** [node_words t words into] — {!node_values} unboxed: node [n]'s word
@@ -120,10 +116,6 @@ val node_words : t -> int64 array -> Bytes.t -> unit
 val outputs_of_values : t -> int64 array -> int64 array
 (** Project output words (with output complement flags applied) from a
     node-value array. *)
-
-val output_of_values : t -> int64 array -> int -> int64
-(** [output_of_values t vals o] — output [o]'s entry of
-    {!outputs_of_values}, without projecting the others. *)
 
 val eval_words : t -> int64 array -> int64 array
 (** Drop-in for [Netlist.eval_words]: the same output words, from the
@@ -148,6 +140,49 @@ val eval_blocks : t -> int64 array array -> int64 array array
     same total, {!num_observed} per block, in one count. Raises
     [Invalid_argument] on a block with the wrong number of words. *)
 
+(** {2 Probes} *)
+
+type cone = private {
+  seeds : int array;  (** the nodes a probe rewrites *)
+  gates : int array;
+      (** the observed gates in the seeds' transitive fanout, seeds left
+          out, in schedule order: what a probe re-runs *)
+  reached : int array;
+      (** the primary outputs, ascending, whose node is a seed or one of
+          [gates]: the only outputs a probe can move *)
+}
+
+val cone : t -> int list -> cone
+(** [cone t seeds] — what a change at [seeds] can reach, computed once
+    (one {!fanout_cone} pass and one walk of the observed schedule) for
+    any number of probes. Only observed nodes are re-run: a gate no
+    output reads cannot move one. Raises [Invalid_argument] on a node
+    out of range. *)
+
+type store
+(** One 64-pattern block simulated over the observed schedule, with a
+    saved copy its probes restore from. A probe writes into it before
+    restoring it, so a store must not be shared across domains. *)
+
+val store : t -> int64 array -> store
+(** [store t words] simulates [words] (one per input) over the observed
+    schedule into a fresh store. Ticks no counter. Raises
+    [Invalid_argument] on the wrong number of words. *)
+
+val value : store -> int -> int64
+(** [value s n] — node [n]'s word: its simulated value when [n] is
+    observed, [0L] otherwise. Raises [Invalid_argument] on a node out of
+    range. *)
+
+val forced_diff : store -> cone -> int64 -> int64
+(** [forced_diff s cone w] forces every seed of [cone] to [w], re-runs
+    [cone.gates] and returns the lanes on which one of [cone.reached]
+    differs from the block's own output word (0 when forcing changes no
+    output); [s] is restored before it returns. Equals the OR of the
+    output differences of a full simulation with the seeds pinned to
+    [w]. [cone] must come from {!cone} on [s]'s circuit: a node out of
+    its range raises [Invalid_argument]. *)
+
 val eval_toggles : t -> int64 array -> int array array -> int64 array array
 (** [eval_toggles t words toggles] answers one 64-pattern base block
     ([words], one word per input) and, for each [toggles.(j)], the same
@@ -155,10 +190,11 @@ val eval_toggles : t -> int64 array -> int array array -> int64 array array
     [0] holds the base block's output words and element [1 + j] toggle
     [j]'s, each in a fresh array, equal to {!eval_words} of the
     materialised block. The base block is simulated once over the
-    observed schedule; each toggle then complements its observed input
-    nodes, re-runs only the observed gates they reach, in level order,
-    and reads the base values everywhere else (parallel-pattern
-    single-fault propagation). No block is copied.
+    observed schedule; each toggle is then a probe whose {!cone} seeds
+    are the toggled inputs' observed nodes: it complements them, re-runs
+    only the observed gates they reach and reads the base values
+    everywhere else (parallel-pattern single-fault propagation). No
+    block is copied.
 
     The per-input cones are built on the first call and shared by every
     later one, from any domain; a circuit that is never toggled never

@@ -396,12 +396,6 @@ let read text =
   Array.iteri (fun o name -> N.set_output c o (node_of name)) output_names;
   c
 
-let write_file ?model c path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (write ?model c))
-
 let read_file path =
   let ic = open_in path in
   let text =

@@ -40,5 +40,4 @@ val lint : string -> diag list
     inversions and structurally duplicate tables. A syntactically
     unparseable file yields a single line-0 error. *)
 
-val write_file : ?model:string -> Netlist.t -> string -> unit
 val read_file : string -> Netlist.t

@@ -58,14 +58,12 @@ let ripple_add t a b =
   done;
   out
 
-let add_const t a k =
-  let w = Array.length a in
-  ripple_add t a (const_vector t ~width:w (k land ((1 lsl w) - 1)))
-
 let shift_left t a k =
   let w = Array.length a in
   Array.init w (fun i -> if i < k then N.const_false t else a.(i - k))
 
+(* [k * N_v mod 2^width] by shift-and-add; a negative [k] is taken modulo
+   [2^width] *)
 let scale_const t k v ~width =
   let v =
     if Array.length v >= width then Array.sub v 0 width

@@ -10,41 +10,22 @@ type node = Netlist.node
 val and_reduce : Netlist.t -> node list -> node
 (** Balanced AND tree; the empty list yields constant true. *)
 
-val or_reduce : Netlist.t -> node list -> node
-(** Balanced OR tree; the empty list yields constant false. *)
-
 val xor_reduce : Netlist.t -> node list -> node
 
 val mux : Netlist.t -> sel:node -> then_:node -> else_:node -> node
-
-val cube : Netlist.t -> node array -> Lr_cube.Cube.t -> node
-(** [cube t vars c] realises the conjunction [c], literal [v] reading node
-    [vars.(v)]. *)
 
 val sop : Netlist.t -> node array -> Lr_cube.Cover.t -> node
 (** Realise a cover as a two-level AND-OR structure (with balanced trees). *)
 
 (** {2 Word-level blocks} *)
 
-val const_vector : Netlist.t -> width:int -> int -> node array
-
 val ripple_add : Netlist.t -> node array -> node array -> node array
 (** Modular sum of two equal-width vectors (carry out discarded). *)
-
-val add_const : Netlist.t -> node array -> int -> node array
-
-val scale_const : Netlist.t -> int -> node array -> width:int -> node array
-(** [scale_const t k v ~width] computes [k * N_v mod 2^width] by shift-and-add
-    (negative [k] is taken modulo [2^width]). *)
 
 val linear_combination :
   Netlist.t -> width:int -> (int * node array) list -> int -> node array
 (** [linear_combination t ~width terms b] realises
     [sum_i a_i * N_vi + b mod 2^width]. *)
-
-val equal_vectors : Netlist.t -> node array -> node array -> node
-val less_than : Netlist.t -> node array -> node array -> node
-(** Unsigned [N_a < N_b] for equal-width vectors. *)
 
 val compare_op :
   Netlist.t -> [ `Eq | `Ne | `Lt | `Le | `Gt | `Ge ] ->

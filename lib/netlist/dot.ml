@@ -56,9 +56,3 @@ let write ?(graph_name = "circuit") c =
   done;
   add "}\n";
   Buffer.contents buf
-
-let write_file ?graph_name c path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (write ?graph_name c))

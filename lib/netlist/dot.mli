@@ -6,4 +6,3 @@
     reachable from the outputs is drawn. *)
 
 val write : ?graph_name:string -> Netlist.t -> string
-val write_file : ?graph_name:string -> Netlist.t -> string -> unit

@@ -114,12 +114,6 @@ let read text =
     (List.rev !po_defs);
   t
 
-let write_file t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (write t))
-
 let read_file path =
   let ic = open_in path in
   Fun.protect

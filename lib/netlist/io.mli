@@ -18,5 +18,4 @@ val write : Netlist.t -> string
 val read : string -> Netlist.t
 (** Raises [Failure] with a line-tagged message on malformed input. *)
 
-val write_file : Netlist.t -> string -> unit
 val read_file : string -> Netlist.t

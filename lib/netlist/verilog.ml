@@ -64,9 +64,3 @@ let write ?(module_name = "learned") c =
   done;
   add "endmodule\n";
   Buffer.contents buf
-
-let write_file ?module_name c path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (write ?module_name c))

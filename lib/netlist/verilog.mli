@@ -6,4 +6,3 @@
     (e.g. [bus[3]]) are emitted as escaped identifiers. *)
 
 val write : ?module_name:string -> Netlist.t -> string
-val write_file : ?module_name:string -> Netlist.t -> string -> unit

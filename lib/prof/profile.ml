@@ -250,6 +250,8 @@ let in_subtree root n =
   || String.length n.path > String.length root.path
      && String.sub n.path 0 (String.length root.path + 1) = root.path ^ "/"
 
+(* summed self time of the leaf nodes (no recorded children) in the
+   subtrees rooted at nodes matching [under]: the attributed share *)
 let leaf_self_s t ~under =
   let leaf = is_leaf t in
   let roots = List.filter under t.nodes in

@@ -57,18 +57,6 @@ val find : t -> string -> node option
 val top : ?k:int -> t -> node list
 (** The [k] (default 20) hottest nodes by self time, descending. *)
 
-val leaf_self_s : t -> under:(node -> bool) -> float
-(** Summed self time of leaf nodes (no recorded children) within the
-    subtrees rooted at nodes matching [under] — the "attributed" share
-    of those subtrees' time. *)
-
-val subtree_self_s : t -> under:(node -> bool) -> float
-(** Summed self time of {e all} nodes within the subtrees rooted at
-    nodes matching [under]. This — not the roots' [total_s] — is the
-    denominator for attribution percentages: spans replayed through
-    [Instr.absorb] keep their worker-side durations, which can exceed
-    the brief merge-time parent span. *)
-
 val render_top : ?k:int -> t -> string
 (** Human-readable hotspot report: a self-time-ranked span table, a
     per-phase attribution breakdown (depth-1 spans, with the [po:*]

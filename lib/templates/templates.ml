@@ -63,6 +63,7 @@ type matches = {
   shifts : shift list;
 }
 
+(* the widest vector the exhaustive constant sweep tries *)
 let sweep_width_limit = 16
 
 let width v = Array.length v.G.bits

@@ -9,11 +9,11 @@
     consistency over random samples. Vector-constant predicates recover the
     constant by a binary search over the threshold for the monotone
     operators (wide vectors), or by a word-parallel exhaustive sweep (up to
-    {!sweep_width_limit} bits), which additionally recognises [=]/[≠]
-    against a constant. A comparator that is not directly observable at a
-    PO is searched for under random {e propagation cubes} on the remaining
-    inputs; a match is then reported with the cube that makes it
-    observable, to be exploited by input compression.
+    16 bits), which additionally recognises [=]/[≠] against a constant. A
+    comparator that is not directly observable at a PO is searched for
+    under random {e propagation cubes} on the remaining inputs; a match is
+    then reported with the cube that makes it observable, to be exploited
+    by input compression.
 
     {b Linear arithmetic} [N_z = Σ a_i N_vi + b (mod 2^|z|)]. The offset
     [b] is read off by driving every input vector to 0; each [a_i] by
@@ -75,9 +75,6 @@ type matches = {
   bitwises : bitwise list;
   shifts : shift list;
 }
-
-val sweep_width_limit : int
-(** Maximum vector width for the exhaustive constant sweep (16). *)
 
 val scan :
   ?samples:int ->

@@ -40,7 +40,6 @@ module Proto = Lr_serve.Proto
 module Http = Lr_serve.Http
 module Json = Lr_instr.Json
 module Soa = Lr_kernel.Soa
-module Incr = Lr_kernel.Incremental
 module Ksim = Lr_aig.Ksim
 module Sat = Lr_sat.Sat
 module Instr = Lr_instr.Instr
@@ -1075,44 +1074,45 @@ let prop_word_scoring_matches_reference () =
                     reference_per_output ~patterns ~golden ~candidate)))
         [ 0; 1; 63; 64; 65; 1000 ])
 
-(* a full reference simulation with one node pinned, in schedule order —
-   the semantics [Incremental.with_forced] promises to match *)
-let forced_reference s wordsv node w =
-  let vals = Array.make (max 1 (Soa.num_nodes s)) 0L in
-  Array.iter
-    (fun n ->
-      vals.(n) <- (if n = node then w else Soa.eval_node s vals wordsv n))
-    (Soa.schedule s);
-  vals
+(* a netlist simulation with [node] pinned to [w], stepped node by node
+   over [N.gate] (fanins precede their nodes): its output words *)
+let pinned_outputs c words node w =
+  let v = Array.make (N.num_nodes c) 0L in
+  for n = 0 to N.num_nodes c - 1 do
+    v.(n) <- (if n = node then w else Sweep_ref.gate_word c v words n)
+  done;
+  Array.init (N.num_outputs c) (fun o -> v.(N.output c o))
 
-let prop_incremental_matches_full () =
-  check_prop "incremental resim == full resim" arb_recipe (fun r ->
+let prop_forced_probe_matches_full () =
+  check_prop "forced probe == full resim, node pinned" arb_recipe (fun r ->
       let c = build_netlist r in
       let s = Soa.of_netlist c in
       let rng = Rng.create 47 in
       let cur = words rng r.ni in
-      (* the engine keeps its own copy: [cur] moves on below *)
-      let e = Incr.create s cur in
+      let store = Soa.store s cur in
+      let base = N.eval_words c cur in
       List.for_all
         (fun _ ->
-          (* perturb one input word, then check the dirty-cone resim
-             against a from-scratch simulation of the new words *)
-          let i = Rng.int rng r.ni in
-          cur.(i) <- Rng.bits64 rng;
-          Incr.set_input e i cur.(i);
-          let full = Soa.node_values s cur in
-          Incr.values e = full
-          && Incr.outputs e = Soa.outputs_of_values s full)
+          (* the lanes on which pinning the node moves some output *)
+          let node = Rng.int rng (Soa.num_nodes s) in
+          let w = Rng.bits64 rng in
+          let moved =
+            Array.fold_left Int64.logor 0L
+              (Array.map2 Int64.logxor (pinned_outputs c cur node w) base)
+          in
+          Soa.forced_diff store (Soa.cone s [ node ]) w = moved)
         (List.init 6 Fun.id)
       &&
-      (* a hypothetical probe sees exactly the patched simulation, and
-         every touched value is restored on the way out *)
-      let before = Array.copy (Incr.values e) in
-      let node = Rng.int rng (Soa.num_nodes s) in
-      let w = Rng.bits64 rng in
-      Incr.with_forced e (Incr.cone s node) w (fun e ->
-          Incr.values e = forced_reference s cur node w)
-      && Incr.values e = before)
+      (* every probe restored what it touched, and the store holds the
+         full simulation's word at every observed node *)
+      let fresh = Soa.store s cur in
+      let full = Soa.node_values s cur in
+      let observed = N.reachable c in
+      List.for_all
+        (fun n ->
+          Soa.value store n = Soa.value fresh n
+          && ((not observed.(n)) || Soa.value fresh n = full.(n)))
+        (List.init (Soa.num_nodes s) Fun.id))
 
 (* the shapes random recipes never produce: no inputs, no gates *)
 let test_kernel_degenerate () =
@@ -1124,9 +1124,12 @@ let test_kernel_degenerate () =
   let s0 = Soa.of_netlist c0 in
   check_words "0-input eval_words" (N.eval_words c0 [||])
     (Soa.eval_words s0 [||]);
-  let e0 = Incr.create s0 [||] in
-  check_words "0-input incremental outputs" (N.eval_words c0 [||])
-    (Incr.outputs e0);
+  let st0 = Soa.store s0 [||] in
+  check_words "0-input store outputs" (N.eval_words c0 [||])
+    (Array.init 2 (fun o -> Soa.value st0 (N.output c0 o)));
+  Alcotest.(check int64)
+    "0-input forced constant" (-1L)
+    (Soa.forced_diff st0 (Soa.cone s0 [ N.output c0 0 ]) 0L);
   (* zero-gate netlist: an input wired straight to the output *)
   let c1 = N.create ~input_names:[| "a"; "b" |] ~output_names:[| "y" |] in
   N.set_output c1 0 (N.input c1 1);
@@ -1134,11 +1137,13 @@ let test_kernel_degenerate () =
   let rng = Rng.create 53 in
   let w = words rng 2 in
   check_words "0-gate eval_words" (N.eval_words c1 w) (Soa.eval_words s1 w);
-  let e1 = Incr.create s1 w in
-  w.(1) <- Rng.bits64 rng;
-  Incr.set_input e1 1 w.(1);
-  check_words "0-gate incremental outputs" (N.eval_words c1 w)
-    (Incr.outputs e1);
+  let st1 = Soa.store s1 w in
+  check_words "0-gate store outputs" (N.eval_words c1 w)
+    [| Soa.value st1 (N.output c1 0) |];
+  (* no gate to re-run: the output reads the forced input directly *)
+  Alcotest.(check int64)
+    "0-gate forced input" (-1L)
+    (Soa.forced_diff st1 (Soa.cone s1 [ N.input c1 1 ]) (Int64.lognot w.(1)));
   (* zero-and AIG: inverter-only and a constant output *)
   let aig = Aig.create ~num_inputs:1 ~num_outputs:2 in
   Aig.set_output aig 0 (Aig.not_lit (Aig.input_lit aig 0));
@@ -1885,8 +1890,8 @@ let tests =
       test_decision_set_needs_closure;
     Alcotest.test_case "word-native scoring == per-pattern scorer" `Quick
       prop_word_scoring_matches_reference;
-    Alcotest.test_case "incremental resim == full resim" `Quick
-      prop_incremental_matches_full;
+    Alcotest.test_case "forced probe == full resim, node pinned" `Quick
+      prop_forced_probe_matches_full;
     Alcotest.test_case "kernel degenerate shapes" `Quick
       test_kernel_degenerate;
     Alcotest.test_case "transient fault transparency" `Quick

@@ -4,9 +4,12 @@
    encodes the whole netlist's CNF at its first proof, every refuting
    model is thrown away, and each round opens with the ternary
    constant-propagation stage [Sweep] no longer has. It is the old code
-   verbatim but for four things: the modules it names live in
+   verbatim but for five things: the modules it names live in
    [Lr_dataflow]; [Incremental] below is the old engine's forced-value
    probe, which took the node and recomputed its cone on every call;
+   that probe steps each node with its own [gate_word] over [N.gate]
+   and loads a block with [Soa.node_values], so the reference shares no
+   evaluator with the probe it checks;
    [ternary] below is the old forward ternary pass ([Absint.values]) as
    one ascending walk, which is its worklist fixpoint on a netlist whose
    operands precede their gates; and the constant stage, whose
@@ -51,19 +54,34 @@ let ternary c =
   done;
   v
 
+(* one node's word from its fanins' words [v] and the input words *)
+let gate_word c v words n =
+  match N.gate c n with
+  | N.Const b -> if b then -1L else 0L
+  | N.Input i -> words.(i)
+  | N.Not a -> Int64.lognot v.(a)
+  | N.And2 (a, b) -> Int64.logand v.(a) v.(b)
+  | N.Or2 (a, b) -> Int64.logor v.(a) v.(b)
+  | N.Xor2 (a, b) -> Int64.logxor v.(a) v.(b)
+  | N.Nand2 (a, b) -> Int64.lognot (Int64.logand v.(a) v.(b))
+  | N.Nor2 (a, b) -> Int64.lognot (Int64.logor v.(a) v.(b))
+  | N.Xnor2 (a, b) -> Int64.lognot (Int64.logxor v.(a) v.(b))
+
 module Incremental = struct
-  type t = { soa : Soa.t; words : int64 array; vals : int64 array }
+  type t = { c : N.t; soa : Soa.t; words : int64 array; vals : int64 array }
 
   let values t = t.vals
   let outputs t = Soa.outputs_of_values t.soa t.vals
 
   let load t words =
     Array.blit words 0 t.words 0 (Array.length words);
-    Soa.eval_into t.soa t.vals t.words
+    let v = Soa.node_values t.soa t.words in
+    Array.blit v 0 t.vals 0 (Array.length v)
 
-  let create soa =
+  let create c soa =
     let t =
       {
+        c;
         soa;
         words = Array.make (Soa.num_inputs soa) 0L;
         vals = Array.make (max 1 (Soa.num_nodes soa)) 0L;
@@ -83,7 +101,7 @@ module Incremental = struct
     Array.iter
       (fun n ->
         if cone.(n) && n <> node then
-          t.vals.(n) <- Soa.eval_node t.soa t.vals t.words n)
+          t.vals.(n) <- gate_word t.c t.vals t.words n)
       (Soa.schedule t.soa);
     Fun.protect
       ~finally:(fun () -> List.iter (fun (n, v) -> t.vals.(n) <- v) !touched)
@@ -287,7 +305,7 @@ let scan_resubs ~sat_budget ~rng ~emit c =
     Array.map
       (fun b ->
         Instr.count "dataflow.sim-words" n;
-        let e = Incremental.create soa in
+        let e = Incremental.create c soa in
         Incremental.load e b;
         e)
       blocks

@@ -1,6 +1,6 @@
 (* The hot-path engine's own contracts: the topological batching that
-   the SoA scheduler promises, dirty-cone minimality (the incremental
-   engine recomputes exactly the true fanout cone, node for node), and
+   the SoA scheduler promises, dirty-cone minimality (a probe re-runs
+   exactly the seed's observed fanout cone, node for node), and
    the end-to-end bit-identity leg: a fully checked, fully swept learn
    is identical at jobs=1 and jobs=4, down to the query attribution, and
    pinned to the circuit and counts this configuration has always
@@ -14,7 +14,6 @@ module Aig = Lr_aig.Aig
 module Ksim = Lr_aig.Ksim
 module Soa = Lr_kernel.Soa
 module Instr = Lr_instr.Instr
-module Incr = Lr_kernel.Incremental
 module Cases = Lr_cases.Cases
 module Config = Logic_regression.Config
 module Learner = Logic_regression.Learner
@@ -75,7 +74,6 @@ let test_cone_minimality () =
     let c = Prop.build_netlist (random_recipe rng size) in
     let s = Soa.of_netlist c in
     let n = N.num_nodes c in
-    let ni = N.num_inputs c in
     (* node-for-node agreement with the netlist-layer reference *)
     for _ = 1 to 5 do
       let seed = Rng.int rng n in
@@ -84,43 +82,32 @@ let test_cone_minimality () =
         (Analysis.fanout_cone c [ seed ])
         (Soa.fanout_cone s [ seed ])
     done;
-    let nodes_of cone skip =
-      List.filter (fun k -> cone.(k) && k <> skip) (List.init n Fun.id)
-    in
-    (* an input perturbation recomputes exactly the cone of the nodes
-       reading that input — never one node more *)
-    let e = Incr.create s (Array.init ni (fun _ -> Rng.bits64 rng)) in
-    let i = Rng.int rng ni in
-    Incr.set_input e i (Rng.bits64 rng);
-    let readers =
-      List.filter
-        (fun k -> match N.gate c k with N.Input j -> j = i | _ -> false)
-        (List.init n Fun.id)
-    in
-    Alcotest.(check (list int))
-      "set_input resimulates the true input cone"
-      (nodes_of (Analysis.fanout_cone c readers) (-1))
-      (List.sort compare (Incr.last_resim e));
-    (* a hypothetical probe recomputes the node's cone, the pinned node
-       itself excluded *)
-    let z = Rng.int rng n in
-    let cone = Incr.cone s z in
-    Incr.with_forced e cone 0x5DEECE66DL (fun e ->
-        Alcotest.(check (list int))
-          "with_forced resimulates the cone minus the pinned node"
-          (nodes_of (Analysis.fanout_cone c [ z ]) z)
-          (List.sort compare (Incr.last_resim e)));
+    let observed = N.reachable c in
     let pos = Array.make n 0 in
     Array.iteri (fun k node -> pos.(node) <- k) (Soa.schedule s);
-    let order = Array.map (fun node -> pos.(node)) cone.Incr.members in
-    check "the cone's members follow the schedule" true
-      (order = Array.of_list (List.sort compare (Array.to_list order)));
-    Alcotest.(check (list int))
-      "the cone lists the outputs it reaches"
-      (List.filter
-         (fun o -> (Analysis.fanout_cone c [ z ]).(N.output c o))
-         (List.init (N.num_outputs c) Fun.id))
-      (Array.to_list cone.Incr.outputs)
+    for z = 0 to n - 1 do
+      let fanout = Analysis.fanout_cone c [ z ] in
+      let cone = Soa.cone s [ z ] in
+      (* a probe re-runs exactly the seed's observed fanout, the seed
+         and the inputs left out — never one node more *)
+      Alcotest.(check (list int))
+        "the cone's gates are the seed's observed fanout"
+        (List.filter
+           (fun k ->
+             fanout.(k) && observed.(k) && k <> z
+             && match N.gate c k with N.Input _ -> false | _ -> true)
+           (List.init n Fun.id))
+        (List.sort compare (Array.to_list cone.Soa.gates));
+      let order = Array.map (fun node -> pos.(node)) cone.Soa.gates in
+      check "the cone's gates follow the schedule" true
+        (order = Array.of_list (List.sort compare (Array.to_list order)));
+      Alcotest.(check (list int))
+        "the cone lists the outputs it reaches"
+        (List.filter
+           (fun o -> fanout.(N.output c o))
+           (List.init (N.num_outputs c) Fun.id))
+        (Array.to_list cone.Soa.reached)
+    done
   done
 
 (* ---------------- the observed schedule ---------------- *)
@@ -218,7 +205,7 @@ let fast =
     fraig_words = 4;
     template_samples = 32;
     (* the full sweep plus full self-checks routes every kernel client —
-       fraig, equiv, selfcheck, dirty-cone ODC — into the run *)
+       fraig, equiv, selfcheck, the ODC probe — into the run *)
     sweep = Config.Sweep_full;
     check_level = Config.Full;
   }
