@@ -230,7 +230,6 @@ let ablation scale =
         {
           (ours_config Config.improved scale 4) with
           Config.use_templates = false;
-          use_grouping = false;
         }
       in
       m (learn config)

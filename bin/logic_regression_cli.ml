@@ -107,10 +107,6 @@ let no_templates_arg =
   let doc = "Disable template matching (the paper's preprocessing ablation)." in
   Arg.(value & flag & info [ "no-templates" ] ~doc)
 
-let no_grouping_arg =
-  let doc = "Disable name-based grouping (implies --no-templates)." in
-  Arg.(value & flag & info [ "no-grouping" ] ~doc)
-
 let out_arg =
   let doc = "Write the learned circuit to this file." in
   Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
@@ -350,7 +346,7 @@ let print_phase_breakdown oc report =
   | _ -> ()
 
 let learn_run case preset seed budget eval_patterns support_rounds no_templates
-    no_grouping out trace_jsonl progress json time_budget check sweep jobs
+    out trace_jsonl progress json time_budget check sweep jobs
     faults retry_attempts retry_backoff =
   let die fmt =
     Printf.ksprintf
@@ -372,7 +368,6 @@ let learn_run case preset seed budget eval_patterns support_rounds no_templates
       preset with
       Config.seed;
       use_templates = preset.Config.use_templates && not no_templates;
-      use_grouping = preset.Config.use_grouping && not no_grouping;
       support_rounds =
         Option.value support_rounds ~default:preset.Config.support_rounds;
       time_budget_s = time_budget;
@@ -504,8 +499,8 @@ let learn_cmd =
     (Cmd.info "learn" ~doc)
     Term.(
       const learn_run $ case_pos $ preset_arg $ seed_arg $ budget_arg
-      $ eval_arg $ support_rounds_arg $ no_templates_arg $ no_grouping_arg
-      $ out_arg $ trace_jsonl_arg $ progress_arg $ json_arg $ time_budget_arg
+      $ eval_arg $ support_rounds_arg $ no_templates_arg $ out_arg
+      $ trace_jsonl_arg $ progress_arg $ json_arg $ time_budget_arg
       $ check_arg $ sweep_arg $ jobs_arg $ faults_arg $ retry_arg
       $ retry_backoff_arg)
 
@@ -605,7 +600,7 @@ let cec_run path1 path2 =
   | Lr_aig.Equiv.Equivalent ->
       print_endline "EQUIVALENT";
       0
-  | Lr_aig.Equiv.Counterexample cex ->
+  | Lr_aig.Equiv.Counterexample { cex; _ } ->
       Printf.printf "NOT EQUIVALENT\ncounterexample inputs (MSB..LSB): %s\n"
         (Lr_bitvec.Bv.to_string cex);
       1

@@ -213,18 +213,13 @@ let lint_or_cec path1 path2 sink quiet deep =
               if not quiet then print_endline "EQUIVALENT";
               emit_json (cec_json path1 path2 `Equivalent) sink;
               0
-          | Equiv.Counterexample cex ->
-              let o1 = N.eval c1 cex and o2 = N.eval c2 cex in
-              let output = ref (-1) in
-              for o = Bv.length o1 - 1 downto 0 do
-                if Bv.get o1 o <> Bv.get o2 o then output := o
-              done;
+          | Equiv.Counterexample { output; cex } ->
               if not quiet then
                 Printf.printf
                   "NOT EQUIVALENT\noutput %d differs on inputs (MSB..LSB): %s\n"
-                  !output (Bv.to_string cex);
+                  output (Bv.to_string cex);
               emit_json
-                (cec_json path1 path2 (`Counterexample (!output, cex)))
+                (cec_json path1 path2 (`Counterexample (output, cex)))
                 sink;
               1))
 

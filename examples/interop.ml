@@ -41,7 +41,7 @@ let () =
       print_endline
         "CEC: the roundtripped learned circuit is PROVEN equivalent to the \
          hidden golden function."
-  | Equiv.Counterexample cex ->
+  | Equiv.Counterexample { cex; _ } ->
       Printf.printf "CEC: NOT equivalent, counterexample %s\n"
         (Lr_bitvec.Bv.to_string cex));
   ignore report

@@ -142,8 +142,7 @@ let simulate t input_words =
       if lit_phase l then Int64.lognot w else w)
     t.outputs
 
-let of_netlist c =
-  let t = create ~num_inputs:(N.num_inputs c) ~num_outputs:(N.num_outputs c) in
+let import_netlist t c =
   let map = Array.make (N.num_nodes c) lit_false in
   for n = 0 to N.num_nodes c - 1 do
     map.(n) <-
@@ -158,6 +157,11 @@ let of_netlist c =
       | N.Nor2 (a, b) -> not_lit (or_lit t map.(a) map.(b))
       | N.Xnor2 (a, b) -> not_lit (xor_lit t map.(a) map.(b)))
   done;
+  map
+
+let of_netlist c =
+  let t = create ~num_inputs:(N.num_inputs c) ~num_outputs:(N.num_outputs c) in
+  let map = import_netlist t c in
   for o = 0 to N.num_outputs c - 1 do
     set_output t o map.(N.output c o)
   done;

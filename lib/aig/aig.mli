@@ -57,7 +57,16 @@ val simulate_nodes : t -> int64 array -> int64 array
 (** Same, but returns the value word of {e every node} (indexed by node id,
     uncomplemented) — the raw material of fraig signatures. *)
 
+val import_netlist : t -> Lr_netlist.Netlist.t -> lit array
+(** [import_netlist t c] adds every gate of [c] to [t] in node order,
+    netlist input [i] reading [t]'s input [i], and returns each netlist
+    node's literal, indexed by node. The one netlist-to-AIG translation:
+    {!of_netlist} and every miter ({!Equiv}, the cover self-check) build
+    on it. Raises [Invalid_argument] when [c] has more inputs than [t]. *)
+
 val of_netlist : Lr_netlist.Netlist.t -> t
+(** A fresh AIG holding [c] ({!import_netlist}), with [c]'s outputs. *)
+
 val to_netlist :
   ?input_names:string array -> ?output_names:string array -> t ->
   Lr_netlist.Netlist.t

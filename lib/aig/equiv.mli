@@ -1,30 +1,41 @@
 (** Combinational equivalence checking (CEC).
 
-    Builds a miter of two circuits with matched interfaces and decides
-    equivalence with the {!Lr_sat} CDCL solver, after a fraig-style
-    simulation pass has pruned the easy mismatches; a miter that
-    strashes to constant false is equivalent outright. This is how the test
-    suite {e proves} (not just samples) that template-built circuits equal
-    their golden counterparts, and it is exposed on the CLI as the [cec]
-    command. *)
+    {!decide} is the one miter decision in the repo: {!check},
+    {!check_aig} and the cover self-check in [Lr_check] build a miter
+    and call it, so [cec], [lr_lint A B], [--check full], the serve
+    cache's CEC-on-hit and the test suite's proofs that learned circuits
+    equal their golden counterparts all run it. *)
 
 type verdict =
   | Equivalent
-  | Counterexample of Lr_bitvec.Bv.t
-      (** an input assignment on which some output differs *)
+  | Counterexample of { output : int; cex : Lr_bitvec.Bv.t }
+      (** [cex] is an input assignment on which the two sides differ, and
+          [output] the lowest output they differ on there *)
+
+val decide :
+  ?rng:Lr_bitvec.Rng.t -> Aig.t -> Aig.lit array -> Aig.lit array -> verdict
+(** [decide miter outs1 outs2] decides whether [outs1.(o) = outs2.(o)]
+    for every output [o] and input assignment; the arrays are literals
+    of [miter] and have equal lengths. It adds, output by output, the
+    XOR of the pair and at once its OR into the running disjunction (the
+    order numbers the miter, and so fixes SAT's model), then:
+    + when strashing folds the disjunction to constant false, answers
+      [Equivalent] with no simulation, no solver, and [rng] untouched;
+    + simulates 16 random 64-pattern blocks on the miter (one
+      {!Lr_bitvec.Rng.bits64} per input per block; [rng] defaults to a
+      fixed seed); the first block that separates an output gives the
+      lowest such output and, from its lowest differing lane, [cex];
+    + else decides the disjunction with one {!sat_assignment}-style
+      solver call; one block of a model, broadcast to every lane, names
+      the lowest output it separates. *)
 
 val check :
   ?rng:Lr_bitvec.Rng.t -> Lr_netlist.Netlist.t -> Lr_netlist.Netlist.t -> verdict
-(** [check a b] decides whether the two circuits compute the same function.
-    Requires equal PI/PO counts (names are not compared); raises
-    [Invalid_argument] otherwise. Complete: always returns a definite
-    verdict, with SAT doing the heavy lifting. The miter is built
-    first: when strashing folds it to constant false (two circuits with
-    the same structure) the answer is [Equivalent] with no simulation,
-    no solver, and [rng] left untouched. Otherwise 16 random blocks on
-    the {!Lr_kernel.Soa} engine refute the easy mismatches, then
-    {!sat_assignment} decides the miter with one {!Lr_sat.Sat.solve}
-    call on its cone. *)
+(** [check a b] decides whether the two circuits compute the same
+    function: {!Aig.import_netlist} puts [a], then [b], into one miter on
+    shared inputs, and {!decide} compares their outputs. Requires equal
+    PI/PO counts (names are not compared); raises [Invalid_argument]
+    otherwise. *)
 
 val check_aig : ?rng:Lr_bitvec.Rng.t -> Aig.t -> Aig.t -> verdict
 (** [check] for two AIGs directly — no netlist conversion. This is what the
@@ -33,12 +44,9 @@ val check_aig : ?rng:Lr_bitvec.Rng.t -> Aig.t -> Aig.t -> verdict
 
 val sat_assignment : Aig.t -> Aig.lit -> Lr_bitvec.Bv.t option
 (** A primary-input assignment making the literal true, or [None] when the
-    literal is unsatisfiable. The raw solver entry point behind the
-    verdicts above, exposed so [Lr_check] can build custom miters (e.g.
-    cover-vs-netlist) and still get a concrete counterexample back.
-    A constant literal needs no solver: [Aig.lit_false] gives [None] and
-    [Aig.lit_true] the all-zero assignment. Any other literal is decided
-    by one {!Lr_sat.Sat.solve} call over the CNF
-    ({!Lr_kernel.Soa.encode_node}) of its transitive fanin alone, plus
-    one unit clause asserting it; inputs outside that fanin cannot move
-    the literal and read 0 in the assignment. *)
+    literal is unsatisfiable: {!decide}'s solver step on its own.
+    [Aig.lit_false] gives [None] and [Aig.lit_true] the all-zero
+    assignment, with no solver. Any other literal is decided by one
+    {!Lr_sat.Sat.solve} call over the CNF ({!Lr_kernel.Soa.encode_node})
+    of its transitive fanin alone, plus one unit clause asserting it;
+    inputs outside that fanin read 0 in the assignment. *)

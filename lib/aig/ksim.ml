@@ -1,12 +1,16 @@
 module Soa = Lr_kernel.Soa
 
-let soa_of_aig aig =
+let soa_of_aig ?outputs aig =
   let ni = Aig.num_inputs aig in
-  let no = Aig.num_outputs aig in
   let ands =
     Array.init
       (Aig.num_nodes aig - ni - 1)
       (fun k -> Aig.fanins aig (ni + 1 + k))
   in
-  let outputs = Array.init no (fun o -> Aig.output aig o) in
-  Soa.of_ands ~num_inputs:ni ~num_outputs:no ~ands ~outputs
+  let outputs =
+    match outputs with
+    | Some lits -> lits
+    | None -> Array.init (Aig.num_outputs aig) (Aig.output aig)
+  in
+  Soa.of_ands ~num_inputs:ni ~num_outputs:(Array.length outputs) ~ands
+    ~outputs

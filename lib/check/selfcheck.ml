@@ -1,5 +1,4 @@
 module Bv = Lr_bitvec.Bv
-module Rng = Lr_bitvec.Rng
 module N = Lr_netlist.Netlist
 module Aig = Lr_aig.Aig
 module Equiv = Lr_aig.Equiv
@@ -36,39 +35,22 @@ let failed ~stage ~output ~cex ~detail =
    distinct from the phase names used for query attribution *)
 let staged ~stage f = Instr.span ~name:("check:" ^ stage) f
 
-(* a counterexample pattern broadcast to all 64 simulation lanes *)
-let words_of_bv ni cex =
-  Array.init ni (fun i -> if Bv.get cex i then -1L else 0L)
+(* a verdict counted, or raised with the output it names *)
+let conclude ~stage ~detail = function
+  | Equiv.Equivalent -> Instr.count "check.verified" 1
+  | Equiv.Counterexample { output; cex } -> failed ~stage ~output ~cex ~detail
 
 let verify_netlists ~stage ?rng before after =
   staged ~stage @@ fun () ->
   Instr.span ~name:"check.cec" (fun () ->
-      match Equiv.check ?rng before after with
-      | Equiv.Equivalent -> Instr.count "check.verified" 1
-      | Equiv.Counterexample cex ->
-          let o1 = N.eval before cex and o2 = N.eval after cex in
-          let output = ref (-1) in
-          for o = Bv.length o1 - 1 downto 0 do
-            if Bv.get o1 o <> Bv.get o2 o then output := o
-          done;
-          failed ~stage ~output:!output ~cex
-            ~detail:"result differs from the step's input circuit")
+      conclude ~stage ~detail:"result differs from the step's input circuit"
+        (Equiv.check ?rng before after))
 
 let verify_aigs ~stage ?rng before after =
   staged ~stage @@ fun () ->
   Instr.span ~name:"check.cec-aig" (fun () ->
-      match Equiv.check_aig ?rng before after with
-      | Equiv.Equivalent -> Instr.count "check.verified" 1
-      | Equiv.Counterexample cex ->
-          let words = words_of_bv (Aig.num_inputs before) cex in
-          let o1 = Aig.simulate before words
-          and o2 = Aig.simulate after words in
-          let output = ref (-1) in
-          for o = Array.length o1 - 1 downto 0 do
-            if Int64.logand o1.(o) 1L <> Int64.logand o2.(o) 1L then output := o
-          done;
-          failed ~stage ~output:!output ~cex
-            ~detail:"result differs from the step's input AIG")
+      conclude ~stage ~detail:"result differs from the step's input AIG"
+        (Equiv.check_aig ?rng before after))
 
 let verify_table ~stage ~circuit ~output ~bits ~to_full ~expected () =
   staged ~stage @@ fun () ->
@@ -102,47 +84,21 @@ let verify_table ~stage ~circuit ~output ~bits ~to_full ~expected () =
       done;
       Instr.count "check.verified" 1)
 
-let verify_cover ~stage ?(rng = Rng.create 0xCEC) ~circuit ~output ~vars
-    ~cover ~complemented () =
+let verify_cover ~stage ?rng ~circuit ~output ~vars ~cover ~complemented () =
   staged ~stage @@ fun () ->
   Instr.span ~name:"check.cover" (fun () ->
-      let ni = N.num_inputs circuit in
-      let aig = Aig.create ~num_inputs:ni ~num_outputs:1 in
+      let aig = Aig.create ~num_inputs:(N.num_inputs circuit) ~num_outputs:1 in
       (* PI-level import: builder folding (e.g. NOT(Not y) = y) can make
-         cone leaves bypass any internal cut, so we re-express both sides
+         cone leaves bypass any internal cut, so both sides are expressed
          over the primary inputs *)
-      let memo = Hashtbl.create 256 in
-      let rec import n =
-        match Hashtbl.find_opt memo n with
-        | Some l -> l
-        | None ->
-            let l =
-              match N.gate circuit n with
-              | N.Const b -> if b then Aig.lit_true else Aig.lit_false
-              | N.Input i -> Aig.input_lit aig i
-              | N.Not a -> Aig.not_lit (import a)
-              | N.And2 (a, b) -> Aig.and_lit aig (import a) (import b)
-              | N.Or2 (a, b) -> Aig.or_lit aig (import a) (import b)
-              | N.Xor2 (a, b) -> Aig.xor_lit aig (import a) (import b)
-              | N.Nand2 (a, b) ->
-                  Aig.not_lit (Aig.and_lit aig (import a) (import b))
-              | N.Nor2 (a, b) ->
-                  Aig.not_lit (Aig.or_lit aig (import a) (import b))
-              | N.Xnor2 (a, b) ->
-                  Aig.not_lit (Aig.xor_lit aig (import a) (import b))
-            in
-            Hashtbl.replace memo n l;
-            l
-      in
-      let out_lit = import (N.output circuit output) in
-      let var_lits = Array.map import vars in
+      let lit = Aig.import_netlist aig circuit in
       let cover_lit =
         List.fold_left
           (fun acc cube ->
             let cube_lit =
               List.fold_left
                 (fun acc (v, ph) ->
-                  let l = var_lits.(v) in
+                  let l = lit.(vars.(v)) in
                   Aig.and_lit aig acc (if ph then l else Aig.not_lit l))
                 Aig.lit_true (Cube.literals cube)
             in
@@ -150,39 +106,10 @@ let verify_cover ~stage ?(rng = Rng.create 0xCEC) ~circuit ~output ~vars
           Aig.lit_false (Cover.cubes cover)
       in
       let expected = if complemented then Aig.not_lit cover_lit else cover_lit in
-      let diff = Aig.xor_lit aig out_lit expected in
-      Aig.set_output aig 0 diff;
-      let soa = Lr_aig.Ksim.soa_of_aig aig in
-      let cex =
-        let rec sim k =
-          if k = 0 then None
-          else begin
-            let words = Array.init ni (fun _ -> Rng.bits64 rng) in
-            let o = Soa.outputs_of_values soa (Soa.node_values soa words) in
-            if o.(0) = 0L then sim (k - 1)
-            else begin
-              let rec find j =
-                if Int64.logand (Int64.shift_right_logical o.(0) j) 1L = 1L
-                then j
-                else find (j + 1)
-              in
-              let bit = find 0 in
-              let cex = Bv.create ni in
-              for i = 0 to ni - 1 do
-                Bv.set cex i
-                  (Int64.logand (Int64.shift_right_logical words.(i) bit) 1L
-                  = 1L)
-              done;
-              Some cex
-            end
-          end
-        in
-        match sim 16 with
-        | Some c -> Some c
-        | None -> Equiv.sat_assignment aig diff
-      in
-      match cex with
-      | None -> Instr.count "check.verified" 1
-      | Some cex ->
+      match
+        Equiv.decide ?rng aig [| lit.(N.output circuit output) |] [| expected |]
+      with
+      | Equiv.Equivalent -> Instr.count "check.verified" 1
+      | Equiv.Counterexample { cex; _ } ->
           failed ~stage ~output ~cex
             ~detail:"minimized cover differs from the built cone")

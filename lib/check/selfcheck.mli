@@ -2,9 +2,9 @@
 
     With [Config.check_level = Full] the learner verifies every
     function-preserving step against its input — exhaustively where the
-    domain is small (conquered truth tables), and by random-simulation
-    prefilter plus SAT everywhere else (minimized covers, AIG
-    optimization passes). A failed check raises {!Check_failed}
+    domain is small (conquered truth tables), and with
+    {!Lr_aig.Equiv.decide} everywhere else (minimized covers, AIG
+    optimization passes, sweep stages). A failed check raises {!Check_failed}
     immediately, carrying the stage name, the offending output and a
     concrete counterexample input — the bug report an optimization bug
     deserves, at the moment it happens.
@@ -18,7 +18,9 @@
 exception
   Check_failed of {
     stage : string;  (** e.g. ["aig.rewrite"], ["cover-min"] *)
-    output : int;  (** offending primary output; [-1] if not localised *)
+    output : int;
+        (** offending primary output: the one checked, or for two whole
+            circuits the lowest one [cex] separates *)
     cex : Lr_bitvec.Bv.t;  (** primary-input assignment exposing the bug *)
     detail : string;
   }
@@ -34,8 +36,8 @@ val verify_netlists :
   Lr_netlist.Netlist.t ->
   unit
 (** [verify_netlists ~stage before after] proves the two circuits
-    equivalent ({!Lr_aig.Equiv.check}); on a counterexample, recovers the
-    first differing output and raises. *)
+    equivalent ({!Lr_aig.Equiv.check}); on a counterexample, raises with
+    the verdict's output and input assignment. *)
 
 val verify_aigs :
   stage:string ->
@@ -71,5 +73,7 @@ val verify_cover :
   unit
 (** Prove that [output]'s cone equals the minimized [cover] evaluated
     over the functions at [vars] (complemented when the off-set was
-    synthesised). Builds a PI-level miter AIG, tries 1024 random
-    patterns, then decides with SAT ({!Lr_aig.Equiv.sat_assignment}). *)
+    synthesised). The miter holds the whole [circuit]
+    ({!Lr_aig.Aig.import_netlist}) and the cover over the [vars]
+    literals; {!Lr_aig.Equiv.decide} compares the output's literal with
+    the cover's. *)

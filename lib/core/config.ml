@@ -24,7 +24,6 @@ let sweep_level_of_string = function
 
 type t = {
   seed : int;
-  use_grouping : bool;
   use_templates : bool;
   support_rounds : int;
   node_rounds : int;
@@ -49,7 +48,6 @@ type t = {
 let contest =
   {
     seed = 1;
-    use_grouping = true;
     use_templates = true;
     support_rounds = 7200;
     node_rounds = 60;

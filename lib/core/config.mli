@@ -34,8 +34,10 @@ val sweep_level_of_string : string -> sweep_level option
 
 type t = {
   seed : int;  (** master RNG seed; everything else derives from it *)
-  use_grouping : bool;  (** step 1 of Figure 1 *)
-  use_templates : bool;  (** step 2; requires grouping *)
+  use_templates : bool;
+      (** steps 1 and 2 of Figure 1: name-based grouping and template
+          matching, which only templates consume; [false] is the paper's
+          preprocessing ablation *)
   support_rounds : int;  (** r of Algorithm 1 for support id (paper: 7200) *)
   node_rounds : int;  (** r inside the FBDT (paper: 60) *)
   small_support_threshold : int;

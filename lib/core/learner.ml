@@ -474,7 +474,7 @@ let learn ?(config = Config.default) box =
     if over_budget () then None
     else
       phase "templates" (fun () ->
-        if config.Config.use_grouping && config.Config.use_templates then
+        if config.Config.use_templates then
           (* an unretryable fault mid-scan degrades to "no templates": every
              output falls through to the generic conquer path, and the
              event log counts the fallback *)

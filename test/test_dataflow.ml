@@ -30,7 +30,7 @@ let fresh ni no =
 let assert_equivalent label c1 c2 =
   match Equiv.check c1 c2 with
   | Equiv.Equivalent -> ()
-  | Equiv.Counterexample cex ->
+  | Equiv.Counterexample { cex; _ } ->
       Alcotest.failf "%s: not equivalent on %s" label (Bv.to_string cex)
 
 (* ------------------------------------------------- equivalence classes *)

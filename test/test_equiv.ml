@@ -35,7 +35,7 @@ let test_counterexample_is_real () =
   N.set_output c2 0 (N.or_ c2 (N.input c2 0) (N.input c2 1));
   match Equiv.check c1 c2 with
   | Equiv.Equivalent -> Alcotest.fail "and != or"
-  | Equiv.Counterexample cex ->
+  | Equiv.Counterexample { cex; _ } ->
       check "cex distinguishes" true
         (not (Bv.equal (N.eval c1 cex) (N.eval c2 cex)))
 
@@ -54,7 +54,7 @@ let test_subtle_inequivalence () =
   in
   match Equiv.check (mk false) (mk true) with
   | Equiv.Equivalent -> Alcotest.fail "circuits differ on the all-ones input"
-  | Equiv.Counterexample cex ->
+  | Equiv.Counterexample { cex; _ } ->
       check "cex is the all-ones assignment" true (Bv.popcount cex = 8)
 
 let test_multi_output () =
@@ -130,9 +130,9 @@ let test_sat_assignment_constants () =
         (Bv.equal cex reference)
   | _ -> Alcotest.fail "lit_true must have a model"
 
-(* one AIG holding both circuits on shared inputs, and the OR of their
-   output differences *)
-let miter a1 a2 =
+(* one AIG holding both circuits on shared inputs, and their output
+   literals *)
+let imported a1 a2 =
   let ni = Aig.num_inputs a1 in
   let m = Aig.create ~num_inputs:ni ~num_outputs:1 in
   let import a =
@@ -148,11 +148,23 @@ let miter a1 a2 =
     Array.init (Aig.num_outputs a) (fun o -> map_lit (Aig.output a o))
   in
   let o1 = import a1 and o2 = import a2 in
+  (m, o1, o2)
+
+(* ... and the OR of their output differences, each XOR ORed in at once *)
+let miter a1 a2 =
+  let m, o1, o2 = imported a1 a2 in
   let diff = ref Aig.lit_false in
   Array.iteri
     (fun o l -> diff := Aig.or_lit m !diff (Aig.xor_lit m l o2.(o)))
     o1;
   (m, !diff)
+
+(* Every node of two AIGs, fanins included, in the same order. *)
+let same_nodes a b =
+  Aig.num_nodes a = Aig.num_nodes b
+  && List.for_all
+       (fun n -> (not (Aig.is_and a n)) || Aig.fanins a n = Aig.fanins b n)
+       (List.init (Aig.num_nodes a) Fun.id)
 
 (* Random circuits against themselves (a constant miter), their
    compressed form (equivalent, other structure) and a copy with one gate
@@ -236,6 +248,188 @@ let test_constant_miter_skips_prefilter () =
   check "a non-constant miter is prefiltered" true
     (Rng.bits64 rng <> Rng.bits64 (Rng.create 5))
 
+(* ---------- the one miter engine against the parent checks (Equiv_ref) *)
+
+(* A random netlist over every gate kind: row (kind, a, b) adds one gate
+   over two of the nodes so far (kind 6 inverts the first), the pool
+   starting with the inputs and constant 1. Output [o] reads the node [3o]
+   before the last, ANDed with the first [guard] inputs: a change under a
+   wide guard shows on few inputs, so 1 024 random patterns can miss it. *)
+let random_netlist ~guard ni no ops =
+  let c = N.create ~input_names:(names "x" ni) ~output_names:(names "z" no) in
+  let pool = Array.make (ni + 1 + List.length ops) (N.const_true c) in
+  for i = 0 to ni - 1 do
+    pool.(i) <- N.input c i
+  done;
+  List.iteri
+    (fun k (kind, a, b) ->
+      let size = ni + 1 + k in
+      let a = pool.(a mod size) and b = pool.(b mod size) in
+      pool.(size) <-
+        (match kind with
+        | 0 -> N.and_ c a b
+        | 1 -> N.or_ c a b
+        | 2 -> N.xor_ c a b
+        | 3 -> N.nand_ c a b
+        | 4 -> N.nor_ c a b
+        | 5 -> N.xnor_ c a b
+        | _ -> N.not_ c a))
+    ops;
+  let guard =
+    List.fold_left (N.and_ c) (N.const_true c) (List.init guard (N.input c))
+  in
+  let last = Array.length pool - 1 in
+  for o = 0 to no - 1 do
+    N.set_output c o (N.and_ c guard pool.(max 0 (last - (o * 3))))
+  done;
+  c
+
+(* Whether one of 16 blocks drawn as the prefilter draws them, from a
+   fresh [Rng.create seed], separates the two evaluators: if none does,
+   a counterexample can only have come from SAT. *)
+let prefilter_separates ~seed ~ni eval1 eval2 =
+  let rng = Rng.create seed in
+  List.exists
+    (fun _ ->
+      let words = Array.init ni (fun _ -> Rng.bits64 rng) in
+      eval1 words <> eval2 words)
+    (List.init 16 Fun.id)
+
+let broadcast cex =
+  Array.init (Bv.length cex) (fun i -> if Bv.get cex i then -1L else 0L)
+
+(* The lowest output whose lane-0 bit differs between two evaluators. *)
+let lowest_separated eval1 eval2 cex =
+  let w1 = eval1 (broadcast cex) and w2 = eval2 (broadcast cex) in
+  let rec go o =
+    if o = Array.length w1 then -1
+    else if Int64.logand (Int64.logxor w1.(o) w2.(o)) 1L <> 0L then o
+    else go (o + 1)
+  in
+  go 0
+
+type tally = {
+  mutable equal : int;
+  mutable refuted : int;
+  mutable by_sat : int;
+}
+
+(* Equal verdicts, equal counterexample bits and equal rng positions
+   after the check; the new verdict's output must be the lowest one its
+   counterexample separates. *)
+let agree tally ~ctx ~seed ~ni eval1 eval2 (fresh : Equiv.verdict) rng_new
+    (reference : Equiv_ref.verdict) rng_ref =
+  check (ctx ^ ": rng left where the reference left it") true
+    (Rng.bits64 rng_new = Rng.bits64 rng_ref);
+  match (fresh, reference) with
+  | Equiv.Equivalent, Equiv_ref.Equivalent -> tally.equal <- tally.equal + 1
+  | Equiv.Counterexample { output; cex }, Equiv_ref.Counterexample r ->
+      tally.refuted <- tally.refuted + 1;
+      if not (prefilter_separates ~seed ~ni eval1 eval2) then
+        tally.by_sat <- tally.by_sat + 1;
+      check (ctx ^ ": the reference's counterexample bits") true
+        (Bv.equal cex r);
+      Alcotest.(check int)
+        (ctx ^ ": the lowest output the counterexample separates")
+        (lowest_separated eval1 eval2 cex)
+        output
+  | _ -> Alcotest.failf "%s: verdict differs from the reference" ctx
+
+(* Random netlist pairs of three shapes (equal, one gate mutated, the
+   netlist against its own sweep) through [check], and the same pairs as
+   AIGs through [check_aig], the third shape's AIG against its
+   compressed form. *)
+let test_matches_reference () =
+  let nets = { equal = 0; refuted = 0; by_sat = 0 }
+  and aigs = { equal = 0; refuted = 0; by_sat = 0 } in
+  for seed = 1 to 240 do
+    let rng = Rng.create seed in
+    let ni = 2 + Rng.int rng 22 and no = 1 + Rng.int rng 4 in
+    let guard = Rng.int rng (min ni 14) in
+    let ops =
+      List.init
+        (4 + Rng.int rng 50)
+        (fun _ -> (Rng.int rng 7, Rng.int rng 1000, Rng.int rng 1000))
+    in
+    let c1 = random_netlist ~guard ni no ops in
+    let a1 = Aig.of_netlist c1 in
+    let c2, a2 =
+      match seed mod 3 with
+      | 0 ->
+          let c2 = random_netlist ~guard ni no ops in
+          (c2, Aig.of_netlist c2)
+      | 1 ->
+          (* a gate an output reads *)
+          let k = max 0 (List.length ops - 1 - (3 * Rng.int rng no)) in
+          let c2 =
+            random_netlist ~guard ni no
+              (List.mapi
+                 (fun i (kind, a, b) ->
+                   if i = k then ((kind + 1) mod 7, a, b) else (kind, a, b))
+                 ops)
+          in
+          (c2, Aig.of_netlist c2)
+      | _ ->
+          ( fst (Lr_dataflow.Sweep.run ~rng:(Rng.create seed) c1),
+            Lr_aig.Opt.compress ~rng:(Rng.create seed) a1 )
+    in
+    let rng_new = Rng.create seed and rng_ref = Rng.create seed in
+    agree nets
+      ~ctx:(Printf.sprintf "netlists, seed %d" seed)
+      ~seed ~ni (N.eval_words c1) (N.eval_words c2)
+      (Equiv.check ~rng:rng_new c1 c2)
+      rng_new
+      (Equiv_ref.check ~rng:rng_ref c1 c2)
+      rng_ref;
+    let rng_new = Rng.create seed and rng_ref = Rng.create seed in
+    agree aigs
+      ~ctx:(Printf.sprintf "AIGs, seed %d" seed)
+      ~seed ~ni (Aig.simulate a1) (Aig.simulate a2)
+      (Equiv.check_aig ~rng:rng_new a1 a2)
+      rng_new
+      (Equiv_ref.check_aig ~rng:rng_ref a1 a2)
+      rng_ref;
+    (* [decide] numbers the miter as the parent did: per output, the XOR
+       and at once its OR into the disjunction *)
+    let m, o1, o2 = imported a1 a2 in
+    ignore (Equiv.decide m o1 o2 : Equiv.verdict);
+    check
+      (Printf.sprintf "seed %d: the parent's miter numbering" seed)
+      true
+      (same_nodes m (fst (miter a1 a2)))
+  done;
+  List.iter
+    (fun (kind, t) ->
+      check ("equivalent " ^ kind ^ " met") true (t.equal > 0);
+      check ("prefilter-refuted " ^ kind ^ " met") true (t.refuted > t.by_sat);
+      check ("SAT-refuted " ^ kind ^ " met") true (t.by_sat > 0))
+    [ ("netlist pairs", nets); ("AIG pairs", aigs) ]
+
+(* Outputs 1 and 2 both differ on the all-ones input of 20, which the
+   1 024 prefilter patterns miss; output 0 agrees. SAT finds the input,
+   and the verdict names output 1, the lower of the two it separates. *)
+let test_sat_counterexample_names_lowest_output () =
+  let mk zero =
+    let c = N.create ~input_names:(names "x" 20) ~output_names:(names "z" 3) in
+    let all =
+      List.init 20 (N.input c)
+      |> List.fold_left (fun acc n -> N.and_ c acc n) (N.const_true c)
+    in
+    N.set_output c 0 (N.xor_ c (N.input c 0) (N.input c 7));
+    N.set_output c 1 (if zero then N.const_false c else all);
+    N.set_output c 2 (if zero then N.const_false c else N.not_ c (N.not_ c all));
+    c
+  in
+  let c1 = mk false and c2 = mk true in
+  check "the prefilter's patterns miss the minterm" false
+    (prefilter_separates ~seed:0xCEC ~ni:20 (N.eval_words c1)
+       (N.eval_words c2));
+  match Equiv.check c1 c2 with
+  | Equiv.Equivalent -> Alcotest.fail "the circuits differ on all-ones"
+  | Equiv.Counterexample { output; cex } ->
+      Alcotest.(check int) "lowest separated output" 1 output;
+      check "the all-ones input" true (Bv.popcount cex = 20)
+
 let tests =
   [
     Alcotest.test_case "structural variants" `Quick test_equivalent_structures;
@@ -253,4 +447,8 @@ let tests =
       `Quick test_sat_assignment_matches_reference;
     Alcotest.test_case "constant miter needs no simulation" `Quick
       test_constant_miter_skips_prefilter;
+    Alcotest.test_case "verdicts match the parent checks" `Quick
+      test_matches_reference;
+    Alcotest.test_case "SAT counterexample names the lowest output" `Quick
+      test_sat_counterexample_names_lowest_output;
   ]
