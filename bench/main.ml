@@ -424,6 +424,46 @@ let micro () =
       (Staged.stage (fun () ->
            ignore (Lr_aig.Opt.compress ~rng:(Rng.create 2) aig12)))
   in
+  (* the conquer layer: a 16-input exhaustive table asked of case_7's
+     golden box (1 024 blocks of 64 lanes, one batch), and the adjacency
+     merge of case_14 qa's onset from a tree over its identified support,
+     truncated at the default node cap as the learner's is *)
+  let oracle7 =
+    Lr_fbdt.Oracle.of_box ~arity:(N.num_inputs case7) (Box.of_netlist case7)
+      ~output:0
+  in
+  let exhaustive_test =
+    Test.make ~name:"Fbdt.learn_exhaustive (case_7, 16 inputs)"
+      (Staged.stage (fun () ->
+           ignore
+             (Lr_fbdt.Fbdt.learn_exhaustive ~support:(List.init 16 Fun.id)
+                oracle7)))
+  in
+  let qa =
+    let box = Cases.blackbox (Cases.find "case_14") in
+    let stats =
+      Lr_sampling.Pattern_sampling.run ~rounds:Config.default.Config.support_rounds
+        ~rng:(Rng.create 1) box
+        ~constraint_:(Lr_cube.Cube.top (Box.num_inputs box))
+        ()
+    in
+    (Lr_fbdt.Fbdt.learn
+       ~support:(Lr_sampling.Pattern_sampling.support stats ~output:0)
+       {
+         Lr_fbdt.Fbdt.default_config with
+         Lr_fbdt.Fbdt.max_nodes = Config.default.Config.max_tree_nodes;
+       }
+       ~rng:(Rng.create 1)
+       (Lr_fbdt.Oracle.of_box ~arity:(Box.num_inputs box) box ~output:0))
+      .Lr_fbdt.Fbdt.onset
+  in
+  let merge_test =
+    Test.make
+      ~name:
+        (Printf.sprintf "Cover.merge_pass (case_14 qa, %d cubes)"
+           (Lr_cube.Cover.num_cubes qa))
+      (Staged.stage (fun () -> ignore (Lr_cube.Cover.merge_pass qa)))
+  in
   let bdd_test =
     Test.make ~name:"BDD build+ISOP (8-bit comparator)"
       (Staged.stage (fun () ->
@@ -472,6 +512,8 @@ let micro () =
         fraig_test;
         cut_rewrite_test;
         compress_test;
+        exhaustive_test;
+        merge_test;
         bdd_test;
         sat_test;
       ]

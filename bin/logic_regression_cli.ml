@@ -600,9 +600,9 @@ let cec_run path1 path2 =
   | Lr_aig.Equiv.Equivalent ->
       print_endline "EQUIVALENT";
       0
-  | Lr_aig.Equiv.Counterexample { cex; _ } ->
-      Printf.printf "NOT EQUIVALENT\ncounterexample inputs (MSB..LSB): %s\n"
-        (Lr_bitvec.Bv.to_string cex);
+  | Lr_aig.Equiv.Counterexample { output; cex } ->
+      Printf.printf "NOT EQUIVALENT\noutput %d differs on inputs (MSB..LSB): %s\n"
+        output (Lr_bitvec.Bv.to_string cex);
       1
 
 let cec_cmd =

@@ -61,6 +61,14 @@ let fanins t n =
   if not (is_and t n) then invalid_arg "Aig.fanins: not an AND node";
   t.fanin0.(n), t.fanin1.(n)
 
+let fanin0 t n =
+  if not (is_and t n) then invalid_arg "Aig.fanin0: not an AND node";
+  t.fanin0.(n)
+
+let fanin1 t n =
+  if not (is_and t n) then invalid_arg "Aig.fanin1: not an AND node";
+  t.fanin1.(n)
+
 let key a b = (a lsl 31) lor b
 
 let and_lit t a b =

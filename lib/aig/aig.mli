@@ -45,6 +45,11 @@ val xor_lit : t -> lit -> lit -> lit
 val fanins : t -> int -> lit * lit
 (** Fanins of an AND node (fails on constants and inputs). *)
 
+val fanin0 : t -> int -> lit
+val fanin1 : t -> int -> lit
+(** The first / second fanin of an AND node, as {!fanins} gives them,
+    without allocating the pair (fail on constants and inputs). *)
+
 val is_and : t -> int -> bool
 
 val set_output : t -> int -> lit -> unit

@@ -31,14 +31,6 @@ let solve soa lit =
       done;
       Some cex
 
-(* A constant literal, which strashing makes of every miter whose two
-   sides share their structure, needs no solver: false has no model and
-   true is met by the all-zero assignment. *)
-let sat_assignment aig lit =
-  if lit = Aig.lit_false then None
-  else if lit = Aig.lit_true then Some (Bv.create (Aig.num_inputs aig))
-  else solve (Ksim.soa_of_aig aig) lit
-
 (* The lowest output whose difference word is set in a simulated block,
    and that word's lowest set lane. *)
 let separated soa words =

@@ -25,9 +25,11 @@ val decide :
       {!Lr_bitvec.Rng.bits64} per input per block; [rng] defaults to a
       fixed seed); the first block that separates an output gives the
       lowest such output and, from its lowest differing lane, [cex];
-    + else decides the disjunction with one {!sat_assignment}-style
-      solver call; one block of a model, broadcast to every lane, names
-      the lowest output it separates. *)
+    + else decides the disjunction with one solver call over the CNF
+      ({!Lr_kernel.Soa.encode_node}) of its transitive fanin alone, plus
+      one unit clause asserting it (inputs outside that fanin read 0 in
+      [cex]); one block of a model, broadcast to every lane, names the
+      lowest output it separates. *)
 
 val check :
   ?rng:Lr_bitvec.Rng.t -> Lr_netlist.Netlist.t -> Lr_netlist.Netlist.t -> verdict
@@ -41,12 +43,3 @@ val check_aig : ?rng:Lr_bitvec.Rng.t -> Aig.t -> Aig.t -> verdict
 (** [check] for two AIGs directly — no netlist conversion. This is what the
     checked pipeline ([Config.check_level = Full]) runs after every
     optimization sub-pass. *)
-
-val sat_assignment : Aig.t -> Aig.lit -> Lr_bitvec.Bv.t option
-(** A primary-input assignment making the literal true, or [None] when the
-    literal is unsatisfiable: {!decide}'s solver step on its own.
-    [Aig.lit_false] gives [None] and [Aig.lit_true] the all-zero
-    assignment, with no solver. Any other literal is decided by one
-    {!Lr_sat.Sat.solve} call over the CNF ({!Lr_kernel.Soa.encode_node})
-    of its transitive fanin alone, plus one unit clause asserting it;
-    inputs outside that fanin read 0 in the assignment. *)

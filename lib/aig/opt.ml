@@ -3,38 +3,35 @@
      a & (~a & b)       = 0              (contradiction)
      a & ~(a & b)       = a & ~b         (substitution)
      a & ~(~a & b)      = a              (absorption)
-   checked on both operands via the helper below. *)
+   checked on both operands: [rule out a b] is the simplified literal
+   when [b]'s structure relative to [a] decides the AND, or -1 (no
+   literal) when it does not. Nothing is allocated on the way. *)
+let rule out a b =
+  let n = Aig.lit_node b in
+  if not (Aig.is_and out n) then -1
+  else begin
+    let x = Aig.fanin0 out n and y = Aig.fanin1 out n in
+    if Aig.lit_phase b then begin
+      (* b = ~(x & y) *)
+      if x = a then Aig.and_lit out a (Aig.not_lit y)
+      else if y = a then Aig.and_lit out a (Aig.not_lit x)
+      else if x = Aig.not_lit a || y = Aig.not_lit a then a
+      else -1
+    end
+    else begin
+      (* b = x & y *)
+      if x = a || y = a then b
+      else if x = Aig.not_lit a || y = Aig.not_lit a then Aig.lit_false
+      else -1
+    end
+  end
+
 let and_rw out a b =
-  let fanins_of l =
-    let n = Aig.lit_node l in
-    if Aig.is_and out n then Some (Aig.fanins out n) else None
-  in
-  let rule a b =
-    (* examine structure of b relative to a; return Some simplified *)
-    match fanins_of b with
-    | None -> None
-    | Some (x, y) ->
-        if Aig.lit_phase b then begin
-          (* b = ~(x & y) *)
-          if x = a then Some (Aig.and_lit out a (Aig.not_lit y))
-          else if y = a then Some (Aig.and_lit out a (Aig.not_lit x))
-          else if x = Aig.not_lit a || y = Aig.not_lit a then Some a
-          else None
-        end
-        else begin
-          (* b = x & y *)
-          if x = a || y = a then Some b
-          else if x = Aig.not_lit a || y = Aig.not_lit a then
-            Some Aig.lit_false
-          else None
-        end
-  in
-  match rule a b with
-  | Some r -> r
-  | None -> (
-      match rule b a with
-      | Some r -> r
-      | None -> Aig.and_lit out a b)
+  let r = rule out a b in
+  if r >= 0 then r
+  else
+    let r = rule out b a in
+    if r >= 0 then r else Aig.and_lit out a b
 
 let rewrite aig =
   let out = Aig.create ~num_inputs:(Aig.num_inputs aig) ~num_outputs:(Aig.num_outputs aig) in

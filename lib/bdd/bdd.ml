@@ -21,6 +21,9 @@ type man = {
   mutable cache_hits : int;  (* apply-cache hits, for telemetry *)
 }
 
+(* Every table starts at 256 buckets, an array the minor heap takes,
+   and doubles as it fills: most managers collapse one small cover or
+   table. No table is iterated, so their sizes never show in a result. *)
 let man ~nvars =
   let m =
     {
@@ -29,11 +32,11 @@ let man ~nvars =
       low = Array.make 16 0;
       high = Array.make 16 0;
       len = 2;
-      unique = Hashtbl.create 4096;
-      and_cache = Hashtbl.create 4096;
-      xor_cache = Hashtbl.create 4096;
-      not_cache = Hashtbl.create 4096;
-      ite_cache = Hashtbl.create 4096;
+      unique = Hashtbl.create 256;
+      and_cache = Hashtbl.create 256;
+      xor_cache = Hashtbl.create 256;
+      not_cache = Hashtbl.create 256;
+      ite_cache = Hashtbl.create 256;
       cache_hits = 0;
     }
   in

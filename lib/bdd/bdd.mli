@@ -16,6 +16,9 @@ type node
 (** A BDD node handle (valid within its manager). *)
 
 val man : nvars:int -> man
+(** A fresh manager over [nvars] variables. Its unique table and
+    operation caches start small and grow as they fill, so a manager
+    that collapses a small function stays small. *)
 
 val zero : man -> node
 val one : man -> node

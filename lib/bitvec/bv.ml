@@ -66,6 +66,17 @@ let popcount_word w =
 
 let popcount t = Array.fold_left (fun acc w -> acc + popcount_word w) 0 t.words
 
+let lowest_bit_word w =
+  if w = 0L then invalid_arg "Bv.lowest_bit_word: no bit set";
+  popcount_word (Int64.pred (Int64.logand w (Int64.neg w)))
+
+let num_words t = Array.length t.words
+let word t i = t.words.(i)
+
+let set_word t i w =
+  t.words.(i) <- w;
+  if i = Array.length t.words - 1 then mask_last t
+
 (* Lane transposition, 64 x 64 bits at a time. A block holds one 64-bit
    word of each of 64 vectors, row [k] at byte [8 * k] of an unboxed
    byte store (an [int64 array] would box every store); six
@@ -174,20 +185,20 @@ let random_biased rng p n =
   mask_last t;
   t
 
-(* [random_biased] vector by vector, straight into lane words: vector
-   [k]'s word [wi] is drawn into row [k] of block [wi], and each block is
-   transposed in place. A vector draws [max 1 (nwords n)] words, as
-   [create] sizes it; its bits past [n] land in lane rows never read,
-   which is why no word needs masking. *)
-let random_biased_lanes rng p ~count n =
-  if count < 0 || count > 64 then
-    invalid_arg "Bv.random_biased_lanes: count out of range";
-  if n < 0 then invalid_arg "Bv.random_biased_lanes: negative length";
+(* Vector [k]'s word [wi], drawn by [draw], goes to row [k] of block
+   [wi], and each block is transposed in place: the draws of [count]
+   vectors of [n] bits, in vector order, without building a vector. A
+   vector draws [max 1 (nwords n)] words, as [create] sizes it; its bits
+   past [n] land in lane rows never read, which is why no word needs
+   masking. *)
+let lanes_of_draws name draw ~count n =
+  if count < 0 || count > 64 then invalid_arg (name ^ ": count out of range");
+  if n < 0 then invalid_arg (name ^ ": negative length");
   let nw = max 1 (nwords n) in
   let blk = Bytes.make (512 * nw) '\000' in
   for k = 0 to count - 1 do
     for wi = 0 to nw - 1 do
-      set64u blk ((512 * wi) + (8 * k)) (Rng.biased_word rng p)
+      set64u blk ((512 * wi) + (8 * k)) (draw ())
     done
   done;
   let lanes = Array.make n 0L in
@@ -199,6 +210,14 @@ let random_biased_lanes rng p ~count n =
     done
   done;
   lanes
+
+let random_lanes rng ~count n =
+  lanes_of_draws "Bv.random_lanes" (fun () -> Rng.bits64 rng) ~count n
+
+let random_biased_lanes rng p ~count n =
+  lanes_of_draws "Bv.random_biased_lanes"
+    (fun () -> Rng.biased_word rng p)
+    ~count n
 
 let of_int ~width v =
   if width < 0 || width > 62 then invalid_arg "Bv.of_int: width out of range";

@@ -29,6 +29,29 @@ val popcount : t -> int
 val popcount_word : int64 -> int
 (** Number of set bits in one 64-bit word. *)
 
+val lowest_bit_word : int64 -> int
+(** Index of the lowest set bit of a word, so that clearing bits with
+    [w land (w - 1)] and reading this visits a word's set bits in
+    ascending order. Raises [Invalid_argument] on [0L]. *)
+
+(** {1 Words}
+
+    Bit [i] of a vector is bit [i mod 64] of its word [i / 64]. A vector
+    of [n] bits owns [max 1 ((n + 63) / 64)] words, and its bits past
+    [n] always read 0, so two vectors of one length are equal exactly
+    when their words are. *)
+
+val num_words : t -> int
+
+val word : t -> int -> int64
+(** [word t i] is word [i]. Raises [Invalid_argument] outside
+    [\[0, num_words t)]. *)
+
+val set_word : t -> int -> int64 -> unit
+(** [set_word t i w] overwrites word [i] with [w], whose bits past the
+    vector's length are dropped. Raises [Invalid_argument] outside
+    [\[0, num_words t)]. *)
+
 (** {1 Lane transposition}
 
     A {e lane word} packs one bit position of up to 64 vectors: bit [k]
@@ -61,6 +84,14 @@ val random : Rng.t -> int -> t
 
 val random_biased : Rng.t -> float -> int -> t
 (** [random_biased rng p n] draws [n] bits, each 1 with probability ~[p]. *)
+
+val random_lanes : Rng.t -> count:int -> int -> int64 array
+(** [random_lanes rng ~count n] is
+    [to_lanes n (Array.init count (fun _ -> random rng n))] without the
+    vectors: the same {!Rng.bits64} draws in the same order, written
+    straight into lane words, so [rng] ends in the same state. Raises
+    [Invalid_argument] on a [count] outside [\[0, 64\]] or a negative
+    [n]. *)
 
 val random_biased_lanes : Rng.t -> float -> count:int -> int -> int64 array
 (** [random_biased_lanes rng p ~count n] is

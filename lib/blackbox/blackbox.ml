@@ -180,16 +180,20 @@ let mask_lanes count outs =
     done
   end
 
-(* One block of [count] lanes, the per-block path of [query_toggles]. *)
-let run_block t ~count words =
+(* Blocks of [count] lanes each, simulated together: a circuit in one
+   kernel run, a function on the materialised rows. *)
+let run_blocks t ~count blocks =
   match t.provider with
   | Circuit (_, s) ->
-      Instr.count "sim.patterns" count;
-      let outs = Soa.eval_words s words in
-      mask_lanes count outs;
+      Instr.count "sim.patterns" (count * Array.length blocks);
+      let outs = Soa.eval_blocks s blocks in
+      Array.iter (mask_lanes count) outs;
       outs
   | Function f ->
-      Bv.to_lanes (num_outputs t) (Array.map f (Bv.of_lanes count words))
+      Array.map
+        (fun words ->
+          Bv.to_lanes (num_outputs t) (Array.map f (Bv.of_lanes count words)))
+        blocks
 
 (* Injected failures and the retry policy around them. A failed attempt
    consumes no budget and is not attributed as a query: retrying leaves
@@ -252,6 +256,24 @@ let query_many t patterns =
     batch t ~n (fun () -> run_provider t patterns) Faults.commit
   end
 
+(* The whole call is one batch, as [query_many] of its rows would be:
+   one charge, one latency sample, one fault-schedule attempt. *)
+let query_blocks t ~count blocks =
+  let ni = num_inputs t in
+  if count < 0 || count > 64 then
+    invalid_arg "Blackbox.query_blocks: count out of range";
+  Array.iter
+    (fun words ->
+      if Array.length words <> ni then
+        invalid_arg "Blackbox.query_blocks: input word count mismatch")
+    blocks;
+  let n = count * Array.length blocks in
+  if n = 0 then Array.map (fun _ -> Array.make (num_outputs t) 0L) blocks
+  else
+    batch t ~n
+      (fun () -> run_blocks t ~count blocks)
+      (Faults.commit_words ~count)
+
 (* A reliable netlist box answers the whole call as one charge and one
    kernel run. A fault schedule counts batches, a strict shard must
    refuse the first block past its slice, and a function has no cones:
@@ -296,9 +318,7 @@ let query_toggles t ~count base toggles =
                 w
               end
             in
-            batch t ~n:count
-              (fun () -> run_block t ~count words)
-              (Faults.commit_words ~count))
+            (query_blocks t ~count [| words |]).(0))
 
 let query t a =
   match t.faults with

@@ -25,9 +25,9 @@
 type t
 
 exception Exhausted of { used : int; budget : int }
-(** Raised by {!query}, {!query_many} and {!query_toggles} on a
-    {e strict} {!shard} whose budget slice would be exceeded — the query
-    is refused, not counted. Plain boxes and non-strict shards never
+(** Raised by {!query}, {!query_many}, {!query_blocks} and
+    {!query_toggles} on a {e strict} {!shard} whose budget slice would
+    be exceeded — the query is refused, not counted. Plain boxes and non-strict shards never
     raise this: their exhaustion stays advisory through {!exhausted}. *)
 
 val of_netlist : ?budget:int -> ?deadline_s:float -> Lr_netlist.Netlist.t -> t
@@ -66,6 +66,28 @@ val query_many : t -> Lr_bitvec.Bv.t array -> Lr_bitvec.Bv.t array
     box, raises {!Lr_faults.Faults.Query_failed} once the retry policy is
     spent. *)
 
+val query_blocks : t -> count:int -> int64 array array -> int64 array array
+(** [query_blocks t ~count blocks] asks word-parallel blocks with no
+    transposition: [blocks.(b)] holds one input word per primary input
+    ({!Lr_bitvec.Bv.to_lanes} layout), lane [k] of every block being
+    one query, and the answer's element [b] holds block [b]'s output
+    words, one per primary output. Lanes at or past [count] are ignored
+    in the input and 0 in the output. Requires [0 <= count <= 64] and
+    [num_inputs t] words per block.
+
+    Counts [count * Array.length blocks] queries, and the whole call is
+    one batch, the one {!query_many} of the same rows (block by block,
+    lane by lane) forms: one per-span attribution, one clock pair, one
+    latency sample of that weight, ["sim.patterns"] by the same number.
+    A netlist box answers with one {!Lr_kernel.Soa.eval_blocks} run
+    (["sim.gate-words"] ticks by {!Lr_kernel.Soa.num_observed} per
+    block); an {!of_function} box materialises the rows. On a faulty
+    box it is one attempt of the fault schedule, its answers committed
+    block by block through {!Lr_faults.Faults.commit_words}; a strict
+    shard whose slice the call would overrun refuses all of it with
+    {!Exhausted}. An empty call ([count = 0] or no block) is a complete
+    no-op that answers zero words. *)
+
 val query_toggles :
   t -> count:int -> int64 array -> int array array -> int64 array array
 (** [query_toggles t ~count base toggles] asks one word-parallel base
@@ -93,10 +115,10 @@ val query_toggles :
     toggled never pays for them. No block is copied.
 
     A faulty box, a strict shard whose slice would run out inside the
-    call, and an {!of_function} box materialise the blocks one at a
-    time, in order, each as its own batch: fault schedules, retries and
-    {!Exhausted} then fall exactly where single-block calls would put
-    them, with the earlier blocks charged. A failed block raises
+    call, and an {!of_function} box ask the materialised blocks one at a
+    time, in order, each as its own {!query_blocks} batch: fault
+    schedules, retries and {!Exhausted} then fall exactly where
+    single-block calls would put them, with the earlier blocks charged. A failed block raises
     {!Lr_faults.Faults.Query_failed} and the later blocks are not sent.
     Corruption hits the victim output only in the lanes whose query falls
     inside the window ({!Lr_faults.Faults.commit_words}). [count = 0] is
@@ -149,9 +171,10 @@ val query_latency : t -> Lr_report.Histogram.t
 (** Per-query latency histogram (seconds), timed with the
     {!Lr_instr.Instr.now} clock so an injected test clock produces
     deterministic samples. Single queries record their own duration; a
-    batch of [n] queries ({!query_many} of [n] patterns, or a
-    {!query_toggles} call) records its mean per-query latency [n] times,
-    so the histogram's total weight equals {!queries_used}. Cleared by
+    batch of [n] queries ({!query_many} of [n] patterns, a
+    {!query_blocks} call of [n] lanes, or a {!query_toggles} call)
+    records its mean per-query latency [n] times, so the histogram's
+    total weight equals {!queries_used}. Cleared by
     {!reset_accounting}. *)
 
 val queries_by_span : t -> (string * int) list

@@ -238,15 +238,6 @@ let to_full_words ni dom vw =
       match cmp.T.rhs with T.Vec v -> set v yf yt | T.Const _ -> ());
   full
 
-(* the same translation for vectors, 64 at a time *)
-let to_full ni dom arr =
-  let n = Array.length arr in
-  Array.concat
-    (List.init ((n + 63) / 64) (fun b ->
-         let count = min 64 (n - (64 * b)) in
-         let vw = Bv.to_lanes dom.arity (Array.sub arr (64 * b) count) in
-         Bv.of_lanes count (to_full_words ni dom vw)))
-
 (* The full inputs a toggle of virtual input [v] complements: those
    whose word follows [v]'s under [to_full_words]. A delegate's are the
    compressed bits whose representative values differ; a compressed
@@ -259,33 +250,17 @@ let toggle_set ni dom v =
   let lo = full 0L and hi = full (-1L) in
   Array.of_list (List.filter (fun s -> lo.(s) <> hi.(s)) (List.init ni Fun.id))
 
-(* A plain domain is the box's own input space: its base blocks and
-   patterns go to the box as they are, with no copy or transposition,
-   and each virtual input toggles itself. *)
+(* A plain domain is the box's own input space: its blocks go to the
+   box as they are, with no copy, and each virtual input toggles
+   itself. *)
 let oracle_for box dom ~output =
   let ni = Box.num_inputs box in
-  let full, full_words, toggles =
-    match dom.delegate with
-    | None -> (Fun.id, Fun.id, Array.init ni (fun i -> [| i |]))
-    | Some _ ->
-        ( to_full ni dom,
-          to_full_words ni dom,
-          Array.init dom.arity (toggle_set ni dom) )
-  in
-  {
-    Oracle.arity = dom.arity;
-    query =
-      (fun arr ->
-        let outs = Box.query_many box (full arr) in
-        Array.map (fun o -> Bv.get o output) outs);
-    query_toggles =
-      (fun ~count base free ->
-        Array.map
-          (fun outs -> outs.(output))
-          (Box.query_toggles box ~count (full_words base)
-             (Array.map (Array.get toggles) free)));
-    exhausted = (fun () -> Box.exhausted box);
-  }
+  match dom.delegate with
+  | None -> Oracle.of_box ~arity:dom.arity box ~output
+  | Some _ ->
+      Oracle.of_box ~to_full:(to_full_words ni dom)
+        ~toggles:(Array.init dom.arity (toggle_set ni dom))
+        ~arity:dom.arity box ~output
 
 (* A truncated tree on an unlearnable function can emit a huge cover;
    adjacency merging is near-linear, but above this size even building the
@@ -890,11 +865,11 @@ let learn ?(config = Config.default) box =
                        ~output:po
                        ~bits:(Array.length support_arr)
                        ~to_full:(fun m ->
-                         let va = Bv.create dom.arity in
+                         let vw = Array.make dom.arity 0L in
                          Array.iteri
-                           (fun j v -> Bv.set va v ((m lsr j) land 1 = 1))
+                           (fun j v -> if (m lsr j) land 1 = 1 then vw.(v) <- 1L)
                            support_arr;
-                         (to_full ni dom [| va |]).(0))
+                         (Bv.of_lanes 1 (to_full_words ni dom vw)).(0))
                        ~expected:(fun m -> table.(m))
                        ());
                  incr checks_verified

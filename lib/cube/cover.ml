@@ -28,7 +28,7 @@ let dedup t = { t with cubes = List.sort_uniq Cube.compare t.cubes }
 
 let single_cube_containment t =
   let keep c others =
-    not (List.exists (fun c' -> (not (Cube.equal c c')) && Cube.contains c' c) others)
+    not (List.exists (fun c' -> Cube.contains c' c && not (Cube.equal c c')) others)
   in
   (* Deduplicate first so equal cubes don't protect each other. *)
   let dedup = List.sort_uniq Cube.compare t.cubes in
@@ -37,57 +37,74 @@ let single_cube_containment t =
 (* Adjacency merging to fixpoint. Two cubes merge when they share their
    care set and differ in exactly one phase, so we bucket cubes by care
    set and look partners up by hashing the value pattern with one bit
-   flipped — linear in cubes x literals per round instead of quadratic. *)
+   flipped — linear in cubes x literals per round instead of quadratic.
+   Cubes are keyed by their PLA strings ({!Cube.to_string}), which fixes
+   the tables' iteration order and so which partner each cube takes; a
+   literal's partner key is the cube's own key with that literal's
+   character flipped, tried in ascending variable order (from the key's
+   last character). *)
 let merge_pass t =
+  let n = t.n in
   let rec fixpoint cubes =
     let buckets : (string, (string, Cube.t) Hashtbl.t) Hashtbl.t =
       Hashtbl.create 64
     in
     List.iter
       (fun c ->
-        let key =
-          (* care set alone; the PLA string encodes care+value, so mask
-             values out by replacing 0/1 with a common marker *)
-          String.map
-            (fun ch -> if ch = '-' then '-' else 'x')
-            (Cube.to_string c)
-        in
+        let key = Cube.to_string c in
+        (* care set alone: values masked to a common marker *)
+        let care = String.map (fun ch -> if ch = '-' then '-' else 'x') key in
         let bucket =
-          match Hashtbl.find_opt buckets key with
+          match Hashtbl.find_opt buckets care with
           | Some b -> b
           | None ->
               let b = Hashtbl.create 16 in
-              Hashtbl.replace buckets key b;
+              Hashtbl.replace buckets care b;
               b
         in
-        Hashtbl.replace bucket (Cube.to_string c) c)
+        Hashtbl.replace bucket key c)
       cubes;
     let merged = ref false in
     let out = ref [] in
+    let scratch = Bytes.create n in
     Hashtbl.iter
       (fun _ bucket ->
         let consumed = Hashtbl.create 16 in
         Hashtbl.iter
           (fun key c ->
             if not (Hashtbl.mem consumed key) then begin
-              let partner =
-                List.find_map
-                  (fun (v, ph) ->
-                    let flipped = Cube.to_string (Cube.add (Cube.remove c v) v (not ph)) in
-                    if Hashtbl.mem consumed flipped then None
-                    else
-                      Option.map
-                        (fun c' -> (flipped, Cube.remove c' v))
-                        (Hashtbl.find_opt bucket flipped))
-                  (Cube.literals c)
+              (* [scratch] holds [key], with character [p] flipped
+                 while the tables are probed for it *)
+              Bytes.blit_string key 0 scratch 0 n;
+              let rec partner p =
+                if p < 0 then None
+                else
+                  let ch = String.unsafe_get key p in
+                  if ch = '-' then partner (p - 1)
+                  else begin
+                    Bytes.unsafe_set scratch p (if ch = '0' then '1' else '0');
+                    let probe = Bytes.unsafe_to_string scratch in
+                    let found =
+                      if Hashtbl.mem consumed probe then None
+                      else Hashtbl.find_opt bucket probe
+                    in
+                    match found with
+                    | Some c' ->
+                        let flipped = Bytes.to_string scratch in
+                        Bytes.unsafe_set scratch p ch;
+                        Some (flipped, Cube.remove c' (n - 1 - p))
+                    | None ->
+                        Bytes.unsafe_set scratch p ch;
+                        partner (p - 1)
+                  end
               in
-              match partner with
-              | Some (partner_key, m) when partner_key <> key ->
+              match partner (n - 1) with
+              | Some (partner_key, m) ->
                   Hashtbl.replace consumed key ();
                   Hashtbl.replace consumed partner_key ();
                   merged := true;
                   out := m :: !out
-              | Some _ | None -> out := c :: !out
+              | None -> out := c :: !out
             end)
           bucket)
       buckets;

@@ -29,7 +29,13 @@ val single_cube_containment : t -> t
 
 val merge_pass : t -> t
 (** Repeatedly apply the adjacency law [xc + x'c = c] between cube pairs
-    until a fixpoint; a cheap pre-minimization before the BDD ISOP. *)
+    until a fixpoint; a cheap pre-minimization before the BDD ISOP. Each
+    round buckets the cubes by care set, keyed by PLA strings
+    ({!Cube.to_string}), and looks up a literal's partner under the
+    cube's own key with that literal's character flipped, literals in
+    ascending variable order; the keys fix the tables' iteration order
+    and so which pairs merge. A result of at most 1 024 cubes then goes
+    through {!single_cube_containment}. *)
 
 val complement_exhaustive : t -> t
 (** Exact complement by minterm enumeration; only for universes of up to 20

@@ -37,34 +37,56 @@ let of_literals n lits =
 
 let literals t =
   let acc = ref [] in
-  for v = t.n - 1 downto 0 do
-    if has_var t v then acc := (v, Bv.get t.value v) :: !acc
+  for wi = 0 to Bv.num_words t.care - 1 do
+    let care = ref (Bv.word t.care wi) and value = Bv.word t.value wi in
+    while !care <> 0L do
+      let b = Bv.lowest_bit_word !care in
+      acc :=
+        ((64 * wi) + b, Int64.logand (Int64.shift_right_logical value b) 1L = 1L)
+        :: !acc;
+      care := Int64.logand !care (Int64.pred !care)
+    done
   done;
-  !acc
+  List.rev !acc
 
 let num_literals t = Bv.popcount t.care
 
+(* [a] lies in the cube iff it agrees with [value] on every caring bit *)
 let satisfies t a =
-  let ok = ref true in
-  for v = 0 to t.n - 1 do
-    if !ok && has_var t v && Bv.get a v <> Bv.get t.value v then ok := false
-  done;
-  !ok
+  let rec go wi =
+    wi < 0
+    || Int64.logand (Int64.logxor (Bv.word a wi) (Bv.word t.value wi))
+         (Bv.word t.care wi)
+       = 0L
+       && go (wi - 1)
+  in
+  go (Bv.num_words t.care - 1)
 
 let force t a =
-  for v = 0 to t.n - 1 do
-    if has_var t v then Bv.set a v (Bv.get t.value v)
+  for wi = 0 to Bv.num_words t.care - 1 do
+    let care = Bv.word t.care wi in
+    Bv.set_word a wi
+      (Int64.logor
+         (Int64.logand (Bv.word a wi) (Int64.lognot care))
+         (Int64.logand (Bv.word t.value wi) care))
   done
 
+let force_lanes t words =
+  List.iter (fun (v, ph) -> words.(v) <- (if ph then -1L else 0L)) (literals t)
+
+(* big ⊇ small iff every literal of big appears in small with same phase *)
 let contains big small =
-  (* big ⊇ small iff every literal of big appears in small with same phase *)
-  let ok = ref true in
-  for v = 0 to big.n - 1 do
-    if !ok && Bv.get big.care v then
-      if not (Bv.get small.care v) || Bv.get small.value v <> Bv.get big.value v
-      then ok := false
-  done;
-  !ok
+  let rec go wi =
+    wi < 0
+    ||
+    let care = Bv.word big.care wi in
+    Int64.logand care (Int64.lognot (Bv.word small.care wi)) = 0L
+    && Int64.logand care
+         (Int64.logxor (Bv.word big.value wi) (Bv.word small.value wi))
+       = 0L
+    && go (wi - 1)
+  in
+  go (Bv.num_words big.care - 1)
 
 let intersect a b =
   let care = Bv.copy a.care and value = Bv.copy a.value in
@@ -117,9 +139,19 @@ let pp ~names ppf t =
       ppf lits
 
 let to_string t =
-  String.init t.n (fun i ->
-      let v = t.n - 1 - i in
-      if not (has_var t v) then '-' else if Bv.get t.value v then '1' else '0')
+  let s = Bytes.create t.n in
+  for wi = 0 to Bv.num_words t.care - 1 do
+    let care = Bv.word t.care wi and value = Bv.word t.value wi in
+    for b = 0 to min 63 (t.n - 1 - (64 * wi)) do
+      Bytes.unsafe_set s
+        (t.n - 1 - ((64 * wi) + b))
+        (if Int64.logand (Int64.shift_right_logical care b) 1L = 0L then '-'
+         else if Int64.logand (Int64.shift_right_logical value b) 1L = 0L then
+           '0'
+         else '1')
+    done
+  done;
+  Bytes.unsafe_to_string s
 
 let of_string s =
   let n = String.length s in

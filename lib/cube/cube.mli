@@ -4,7 +4,12 @@
     marks the variables that appear as literals, and [value] gives the phase
     of each caring variable (1 = positive literal). The empty cube (no
     literals) is the constant-true function; in Algorithm 2 it seeds the
-    FBDT queue. *)
+    FBDT queue.
+
+    Both sets are packed {!Lr_bitvec.Bv.t}s, and {!satisfies},
+    {!force}, {!contains}, {!literals} and {!to_string} read them a word
+    (64 variables) at a time, with a few mask operations per word in
+    place of a test per variable. *)
 
 type t
 
@@ -39,6 +44,11 @@ val satisfies : t -> Lr_bitvec.Bv.t -> bool
 val force : t -> Lr_bitvec.Bv.t -> unit
 (** [force t a] overwrites the caring positions of assignment [a] with the
     cube's phases, i.e. projects [a] into the cube. *)
+
+val force_lanes : t -> int64 array -> unit
+(** [force_lanes t words] is {!force} on every lane of a lane-word block
+    ({!Lr_bitvec.Bv.to_lanes} layout, one word per variable): each
+    literal's word becomes all ones or all zeros. *)
 
 val contains : t -> t -> bool
 (** [contains big small]: every assignment of [small] lies in [big]

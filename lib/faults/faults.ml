@@ -252,37 +252,40 @@ let commit t outs =
   t.batch <- t.batch + 1;
   outs
 
-let commit_words ~count t outs =
+(* One block's answers: its [count] queries are served next, and the
+   victim bit is flipped or stuck in the lanes whose query ordinal falls
+   inside the window. *)
+let commit_block ~count t outs =
   let served_before = t.served in
   t.served <- t.served + count;
-  let outs =
-    match t.spec.corruption with
-    | None -> outs
-    | Some c ->
-        (* the lanes whose query ordinal falls inside the window *)
-        let window = ref 0L in
-        for k = 0 to count - 1 do
-          if in_window t (served_before + k) then
-            window := Int64.logor !window (Int64.shift_left 1L k)
-        done;
-        let v = t.spec.victim in
-        if !window = 0L || v >= Array.length outs then outs
-        else begin
-          let w = outs.(v) and m = !window in
-          let w' =
-            match c with
-            | Flip -> Int64.logxor w m
-            | Stuck_at true -> Int64.logor w m
-            | Stuck_at false -> Int64.logand w (Int64.lognot m)
-          in
-          t.corrupt <- t.corrupt + Bv.popcount_word (Int64.logxor w w');
-          let outs = Array.copy outs in
-          outs.(v) <- w';
-          outs
-        end
-  in
+  match t.spec.corruption with
+  | None -> outs
+  | Some c ->
+      let window = ref 0L in
+      for k = 0 to count - 1 do
+        if in_window t (served_before + k) then
+          window := Int64.logor !window (Int64.shift_left 1L k)
+      done;
+      let v = t.spec.victim in
+      if !window = 0L || v >= Array.length outs then outs
+      else begin
+        let w = outs.(v) and m = !window in
+        let w' =
+          match c with
+          | Flip -> Int64.logxor w m
+          | Stuck_at true -> Int64.logor w m
+          | Stuck_at false -> Int64.logand w (Int64.lognot m)
+        in
+        t.corrupt <- t.corrupt + Bv.popcount_word (Int64.logxor w w');
+        let outs = Array.copy outs in
+        outs.(v) <- w';
+        outs
+      end
+
+let commit_words ~count t blocks =
+  let blocks = Array.map (commit_block ~count t) blocks in
   t.batch <- t.batch + 1;
-  outs
+  blocks
 
 let exhausted t =
   match t.spec.exhaust_after with Some n -> t.served >= n | None -> false

@@ -135,13 +135,15 @@ val commit : t -> Lr_bitvec.Bv.t array -> Lr_bitvec.Bv.t array
     are never mutated), advance the queries-served and batch cursors.
     Counts one corruption per corrupted query. *)
 
-val commit_words : count:int -> t -> int64 array -> int64 array
-(** {!commit} for a word-parallel batch of [count] queries: [outs] holds
-    one word per output, lane [k] answering the batch's [k]-th query.
-    The victim bit is flipped or stuck only in lanes whose query falls
-    inside the window (a fresh array; [outs] is never mutated), and
-    [served] and [corrupt] advance exactly as {!commit} would on the
-    same [count] answers. *)
+val commit_words : count:int -> t -> int64 array array -> int64 array array
+(** {!commit} for a word-parallel batch of blocks of [count] queries
+    each: [blocks.(b)] holds one word per output, lane [k] answering the
+    batch's [(b * count) + k]-th query. The blocks are committed in
+    order, and the victim bit is flipped or stuck only in lanes whose
+    query falls inside the window (a fresh array for a block it hits;
+    no block is mutated). [served] and [corrupt] advance exactly as
+    {!commit} would on the same [count * Array.length blocks] answers,
+    and the batch cursor by one. *)
 
 val exhausted : t -> bool
 (** True once [exhaust_after] queries have been served on this stream. *)

@@ -159,16 +159,12 @@ let learn ?support cfg ~rng (oracle : Oracle.t) =
     in
     if budget_spent then begin
       (* Algorithm 2, TimeLimit branch: approximate by majority. A cheap
-         majority estimate is enough — sample without toggling. *)
-      let probes =
-        Array.init 32 (fun _ ->
-            let a = Bv.random rng n in
-            Cube.force cube a;
-            a)
-      in
-      let out = oracle.Oracle.query probes in
-      let ones = Array.fold_left (fun c b -> if b then c + 1 else c) 0 out in
-      leaf (2 * ones > Array.length out) true
+         majority estimate is enough — sample one block of 32 uniform
+         probes inside the cube, without toggling. *)
+      let probes = Bv.random_lanes rng ~count:32 n in
+      Cube.force_lanes cube probes;
+      let out = oracle.Oracle.query_blocks ~count:32 [| probes |] in
+      leaf (2 * Bv.popcount_word out.(0) > 32) true
     end
     else begin
       let dependency, ratio = sample_node cfg ~rng oracle cube free in
@@ -211,19 +207,43 @@ let learn ?support cfg ~rng (oracle : Oracle.t) =
     tree = freeze root;
   }
 
+(* Lane [k] of block [b] asks minterm [64 * b + k]: support bit [j < 6]
+   is bit [j] of the lane index, the word [lane_bits.(j)], and bit
+   [j >= 6] is bit [j - 6] of the block index, a constant word. *)
+let lane_bits =
+  [|
+    0xAAAAAAAAAAAAAAAAL;
+    0xCCCCCCCCCCCCCCCCL;
+    0xF0F0F0F0F0F0F0F0L;
+    0xFF00FF00FF00FF00L;
+    0xFFFF0000FFFF0000L;
+    0xFFFFFFFF00000000L;
+  |]
+
 let learn_exhaustive ~support (oracle : Oracle.t) =
   let k = List.length support in
   if k > 20 then invalid_arg "Fbdt.learn_exhaustive: support too large";
   let n = oracle.Oracle.arity in
-  let support = Array.of_list support in
-  let patterns =
-    Array.init (1 lsl k) (fun m ->
-        let a = Bv.create n in
-        Array.iteri (fun j v -> Bv.set a v ((m lsr j) land 1 = 1)) support;
-        a)
+  let rows = 1 lsl k in
+  let blocks =
+    Array.init ((rows + 63) / 64) (fun b ->
+        let words = Array.make n 0L in
+        List.iteri
+          (fun j v ->
+            words.(v) <-
+              (if j < 6 then lane_bits.(j)
+               else if (b lsr (j - 6)) land 1 = 1 then -1L
+               else 0L))
+          support;
+        words)
   in
-  let table = oracle.Oracle.query patterns in
-  let ones = Array.fold_left (fun c b -> if b then c + 1 else c) 0 table in
-  Instr.count "fbdt.nodes" (1 lsl k);
-  Instr.count "fbdt.cubes" (1 lsl k);
-  (table, Float.of_int ones /. Float.of_int (1 lsl k))
+  let answers = oracle.Oracle.query_blocks ~count:(min 64 rows) blocks in
+  let table =
+    Array.init rows (fun m ->
+        Int64.logand (Int64.shift_right_logical answers.(m lsr 6) (m land 63)) 1L
+        = 1L)
+  in
+  let ones = Array.fold_left (fun c w -> c + Bv.popcount_word w) 0 answers in
+  Instr.count "fbdt.nodes" rows;
+  Instr.count "fbdt.cubes" rows;
+  (table, Float.of_int ones /. Float.of_int rows)

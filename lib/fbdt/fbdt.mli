@@ -92,12 +92,24 @@ val learn :
   result
 (** Build the FBDT. [support] restricts branching variables (from support
     identification); unsampled inputs are still randomised in queries, so an
-    under-approximated support degrades accuracy, never soundness. *)
+    under-approximated support degrades accuracy, never soundness.
+
+    Once the oracle is exhausted (or [max_nodes] is passed), each node
+    still queued becomes a majority leaf: 32 uniform probes inside its
+    cube, drawn with {!Lr_bitvec.Bv.random_lanes} straight into one
+    32-lane block (the draws of 32 {!Lr_bitvec.Bv.random} vectors), the
+    cube's literals forced on their words ({!Lr_cube.Cube.force_lanes}),
+    asked as one {!Oracle.t.query_blocks} batch; the leaf takes the value
+    of more than 16 of them. *)
 
 val learn_exhaustive : support:int list -> Oracle.t -> bool array * float
 (** The small-function conquest: query all [2^|support|] minterms in one
-    {!Oracle.t.query} batch (inputs outside the support pinned to 0) and
-    return the exact truth table over the support (entry [m] is the
-    output on the minterm whose bit [j] is support element [j]'s value)
-    with its truth ratio. The table is what the learner collapses to a
-    BDD; no cover is built. Requires [|support| <= 20]. *)
+    {!Oracle.t.query_blocks} batch and return the exact truth table over
+    the support (entry [m] is the output on the minterm whose bit [j] is
+    support element [j]'s value) with its truth ratio. Minterm [m] is
+    lane [m mod 64] of block [m / 64], [min 64 (2^|support|)] lanes per
+    block: support element [j < 6] takes the lane mask of bit [j] of the
+    lane index, element [j >= 6] the constant word of bit [j - 6] of the
+    block index, and every other input is 0. The table is what the
+    learner collapses to a BDD; no cover is built. Requires
+    [|support| <= 20]. *)

@@ -34,6 +34,8 @@ type t = {
   obs_inputs : int array;  (* input nodes some output reads *)
   obs_index : int array;  (* the input index of each [obs_inputs] node *)
   obs_sched : int array;  (* the other observed nodes, level-major *)
+  level : int array;  (* per node: its batch in [sched] *)
+  obs_level_off : int array;  (* batch boundaries into [obs_sched] *)
   cones : cone array option Atomic.t;
       (* per input, built on the first toggle query *)
 }
@@ -119,6 +121,7 @@ let finish ~ni ~no ~op ~arg0 ~arg1 ~outputs ~out_neg =
   done;
   let obs_inputs = Array.make !inputs 0 and obs_index = Array.make !inputs 0 in
   let obs_sched = Array.make (!observed - !inputs) 0 in
+  let obs_level_off = Array.make (nlevels + 1) 0 in
   let ki = ref 0 and kg = ref 0 in
   Array.iter
     (fun n ->
@@ -130,11 +133,17 @@ let finish ~ni ~no ~op ~arg0 ~arg1 ~outputs ~out_neg =
         end
         else begin
           obs_sched.(!kg) <- n;
+          obs_level_off.(level.(n) + 1) <- !kg + 1;
           incr kg
         end)
     sched;
+  (* a batch with no observed gate starts where the previous one ends *)
+  for l = 1 to nlevels do
+    obs_level_off.(l) <- max obs_level_off.(l) obs_level_off.(l - 1)
+  done;
   { nn; ni; no; op; arg0; arg1; sched; level_off; outputs; out_neg; readers;
-    obs_inputs; obs_index; obs_sched; cones = Atomic.make None }
+    obs_inputs; obs_index; obs_sched; level; obs_level_off;
+    cones = Atomic.make None }
 
 let of_netlist c =
   let nn = N.num_nodes c in
@@ -396,18 +405,38 @@ let eval_blocks t blocks =
 
 (* ---------------- probes ---------------- *)
 
+(* Only the observed schedule from the seeds' first batch on can hold a
+   gate the seeds reach: a gate's fanins lie in earlier batches, and an
+   observed gate reads only observed nodes. *)
 let cone t seeds =
-  let reach = fanout_cone t seeds in
-  let reached =
-    Array.of_seq
-      (Seq.filter (fun o -> reach.(t.outputs.(o))) (Seq.init t.no Fun.id))
+  let mark = Bytes.make t.nn '\000' in
+  let first =
+    List.fold_left
+      (fun first n ->
+        if n < 0 || n >= t.nn then invalid_arg "Soa.cone: bad node";
+        Bytes.unsafe_set mark n '\001';
+        min first t.level.(n))
+      (num_levels t) seeds
   in
-  List.iter (fun n -> reach.(n) <- false) seeds;
+  let marked n = Bytes.unsafe_get mark n <> '\000' in
+  let gates = ref [] in
+  for k = t.obs_level_off.(first) to Array.length t.obs_sched - 1 do
+    let n = t.obs_sched.(k) in
+    if
+      (not (marked n))
+      && ((depends_on_arg0 t n && marked t.arg0.(n))
+         || (depends_on_arg1 t n && marked t.arg1.(n)))
+    then begin
+      Bytes.unsafe_set mark n '\001';
+      gates := n :: !gates
+    end
+  done;
   {
     seeds = Array.of_list seeds;
-    gates =
-      Array.of_seq (Seq.filter (Array.get reach) (Array.to_seq t.obs_sched));
-    reached;
+    gates = Array.of_list (List.rev !gates);
+    reached =
+      Array.of_seq
+        (Seq.filter (fun o -> marked t.outputs.(o)) (Seq.init t.no Fun.id));
   }
 
 (* One block's observed node values in the first [nn] words of [buf],
@@ -469,6 +498,59 @@ let forced_diff s cone w =
   restore s cone;
   !d
 
+(* Every input's cone from one pass over the observed schedule: node
+   [n]'s row, words [n * nw] on of [rows], holds a bit per input that
+   reaches it, the OR of its fanins' rows. The seeds, gates and outputs
+   of each input are then read off back to front, so each list comes
+   out in order. *)
+let input_cones t =
+  let nw = (t.ni + 63) / 64 in
+  let rows = Bytes.make (8 * nw * t.nn) '\000' in
+  let at n k = 8 * ((n * nw) + k) in
+  Array.iteri
+    (fun k n ->
+      let i = t.obs_index.(k) in
+      let p = at n (i lsr 6) in
+      set64u rows p (Int64.logor (get64u rows p) (Int64.shift_left 1L (i land 63))))
+    t.obs_inputs;
+  Array.iter
+    (fun n ->
+      let a0 = depends_on_arg0 t n and a1 = depends_on_arg1 t n in
+      for k = 0 to nw - 1 do
+        let x = if a0 then get64u rows (at t.arg0.(n) k) else 0L in
+        let y = if a1 then get64u rows (at t.arg1.(n) k) else 0L in
+        set64u rows (at n k) (Int64.logor x y)
+      done)
+    t.obs_sched;
+  let iter_row n f =
+    for k = 0 to nw - 1 do
+      let w = ref (get64u rows (at n k)) in
+      while !w <> 0L do
+        f ((64 * k) + Bv.lowest_bit_word !w);
+        w := Int64.logand !w (Int64.pred !w)
+      done
+    done
+  in
+  let seeds = Array.make t.ni [] in
+  let gates = Array.make t.ni [] and reached = Array.make t.ni [] in
+  for k = Array.length t.obs_inputs - 1 downto 0 do
+    let i = t.obs_index.(k) in
+    seeds.(i) <- t.obs_inputs.(k) :: seeds.(i)
+  done;
+  for k = Array.length t.obs_sched - 1 downto 0 do
+    let n = t.obs_sched.(k) in
+    iter_row n (fun i -> gates.(i) <- n :: gates.(i))
+  done;
+  for o = t.no - 1 downto 0 do
+    iter_row t.outputs.(o) (fun i -> reached.(i) <- o :: reached.(i))
+  done;
+  Array.init t.ni (fun i ->
+      {
+        seeds = Array.of_list seeds.(i);
+        gates = Array.of_list gates.(i);
+        reached = Array.of_list reached.(i);
+      })
+
 (* Shards on several domains share one compiled circuit: the first
    builder to publish its cones wins, and a racing one drops its equal
    copy. *)
@@ -476,12 +558,7 @@ let cones t =
   match Atomic.get t.cones with
   | Some c -> c
   | None ->
-      let inputs = Array.make t.ni [] in
-      for k = Array.length t.obs_inputs - 1 downto 0 do
-        let i = t.obs_index.(k) in
-        inputs.(i) <- t.obs_inputs.(k) :: inputs.(i)
-      done;
-      let c = Array.map (cone t) inputs in
+      let c = input_cones t in
       if Atomic.compare_and_set t.cones None (Some c) then c
       else Option.get (Atomic.get t.cones)
 

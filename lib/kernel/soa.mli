@@ -154,10 +154,10 @@ type cone = private {
 
 val cone : t -> int list -> cone
 (** [cone t seeds] — what a change at [seeds] can reach, computed once
-    (one {!fanout_cone} pass and one walk of the observed schedule) for
-    any number of probes. Only observed nodes are re-run: a gate no
-    output reads cannot move one. Raises [Invalid_argument] on a node
-    out of range. *)
+    for any number of probes, by one walk of the observed schedule that
+    starts at the seeds' first batch (no earlier gate can read a seed).
+    Only observed nodes are re-run: a gate no output reads cannot move
+    one. Raises [Invalid_argument] on a node out of range. *)
 
 type store
 (** One 64-pattern block simulated over the observed schedule, with a
@@ -196,9 +196,9 @@ val eval_toggles : t -> int64 array -> int array array -> int64 array array
     everywhere else (parallel-pattern single-fault propagation). No
     block is copied.
 
-    The per-input cones are built on the first call and shared by every
-    later one, from any domain; a circuit that is never toggled never
-    builds them. ["sim.gate-words"] ticks once, by the nodes simulated:
+    The per-input cones are built on the first call, all from one pass
+    over the observed schedule, and shared by every later one, from any
+    domain; a circuit that is never toggled never builds them. ["sim.gate-words"] ticks once, by the nodes simulated:
     {!num_observed} plus, per toggle, its observed input nodes and the
     observed gates they reach. Raises [Invalid_argument] on the wrong
     number of words or a toggled input out of range. *)

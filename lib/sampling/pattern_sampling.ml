@@ -18,9 +18,7 @@ let default_biases = [| 0.5; 0.1; 0.9; 0.5; 0.25; 0.75; 0.5; 0.03; 0.97 |]
    on their lane words. *)
 let base_block ~rng ~bias ~count cube =
   let base = Bv.random_biased_lanes rng bias ~count (Cube.universe cube) in
-  List.iter
-    (fun (v, ph) -> base.(v) <- (if ph then -1L else 0L))
-    (Cube.literals cube);
+  Cube.force_lanes cube base;
   base
 
 let run ~rounds ?(biases = default_biases) ~rng box ~constraint_ () =

@@ -1,13 +1,19 @@
-(* Two references the CEC engine must match, kept verbatim.
+(* References the CEC engine must match.
 
-   [sat_assignment] is the SAT entry point that
-   [Lr_aig.Equiv.sat_assignment] replaced: the whole AIG is encoded and
-   every variable decided, whatever the literal.
+   [sat_assignment] is the SAT entry point that [cone_sat_assignment]
+   replaced: the whole AIG is encoded and every variable decided,
+   whatever the literal.
+
+   [cone_sat_assignment] is the solver step of [Lr_aig.Equiv.decide] as
+   an entry point of its own, which the library no longer exports: a
+   literal is decided on the CNF of its transitive fanin alone.
 
    [check] and [check_aig] are the equivalence checks that
    [Lr_aig.Equiv.decide] replaced: each imports its own circuits and runs
    its own random prefilter on them, and the verdict names no output.
-   They call [Lr_aig.Equiv.sat_assignment], as they did. *)
+   They call [cone_sat_assignment], as they called the library's.
+   [sat_assignment], [check] and [check_aig] are the old code
+   verbatim. *)
 
 module Bv = Lr_bitvec.Bv
 module Rng = Lr_bitvec.Rng
@@ -32,6 +38,38 @@ let sat_assignment aig lit =
         Bv.set cex i (Sat.value solver (i + 2))
       done;
       Some cex
+
+(* A constant literal, which strashing makes of every miter whose two
+   sides share their structure, needs no solver: false has no model and
+   true is met by the all-zero assignment. Any other literal is encoded
+   on its transitive fanin alone, cone node [cone.(k)] being variable
+   [k + 1], so every variable the solver branches on is in the cone;
+   inputs outside it cannot move the literal and read 0. *)
+let cone_sat_assignment aig lit =
+  let ni = Aig.num_inputs aig in
+  if lit = Aig.lit_false then None
+  else if lit = Aig.lit_true then Some (Bv.create ni)
+  else begin
+    let soa = Ksim.soa_of_aig aig in
+    let cone = Soa.transitive_fanin soa [ Aig.lit_node lit ] in
+    let var = Array.make (Soa.num_nodes soa) 0 in
+    let solver = Sat.create () in
+    Array.iter (fun n -> var.(n) <- Sat.new_var solver) cone;
+    Array.iter
+      (fun n -> Soa.encode_node soa solver ~lit:var.(n) ~fanin:(Array.get var) n)
+      cone;
+    let v = var.(Aig.lit_node lit) in
+    Sat.add_clause solver [ (if Aig.lit_phase lit then -v else v) ];
+    match Sat.solve solver with
+    | Sat.Unsat -> None
+    | Sat.Sat ->
+        let cex = Bv.create ni in
+        for i = 0 to ni - 1 do
+          let x = var.(i + 1) in
+          Bv.set cex i (x > 0 && Sat.value solver x)
+        done;
+        Some cex
+  end
 
 type verdict = Equivalent | Counterexample of Lr_bitvec.Bv.t
 
@@ -85,7 +123,7 @@ let decide ~rng ~ni ~sim miter outs1 outs2 =
     match sim_prefilter ~rng ~ni (sim ()) with
     | Some cex -> Counterexample cex
     | None -> (
-        match Lr_aig.Equiv.sat_assignment miter !diff with
+        match cone_sat_assignment miter !diff with
         | None -> Equivalent
         | Some cex -> Counterexample cex)
 

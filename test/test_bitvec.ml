@@ -153,6 +153,60 @@ let prop_biased_lanes =
            (fun n -> List.map (fun count -> (n, count)) [ 0; 1; 2; 63; 64 ])
            [ 0; 1; 63; 64; 65; 130 ]))
 
+(* the uniform drawer against the 32 [Bv.random] calls a truncated
+   tree's majority leaf made, and against other counts and lengths *)
+let prop_uniform_lanes =
+  QCheck.Test.make ~name:"random_lanes == to_lanes of random" ~count:40
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      List.for_all
+        (fun (n, count) ->
+          let r = Rng.create seed in
+          ignore (Rng.bits64 r);
+          let r' = Rng.copy r in
+          let want =
+            Bv.to_lanes n (Array.init count (fun _ -> Bv.random r n))
+          in
+          Bv.random_lanes r' ~count n = want && Rng.bits64 r = Rng.bits64 r')
+        (List.concat_map
+           (fun n -> List.map (fun count -> (n, count)) [ 0; 1; 2; 32; 63; 64 ])
+           [ 0; 1; 63; 64; 65; 130 ]))
+
+(* words read and written against the bits they hold *)
+let test_words () =
+  let rng = Rng.create 12 in
+  List.iter
+    (fun n ->
+      let v = Bv.random rng n in
+      check_int "word count" (max 1 ((n + 63) / 64)) (Bv.num_words v);
+      for i = 0 to n - 1 do
+        check "bit i of word i / 64" (Bv.get v i)
+          (Int64.logand (Int64.shift_right_logical (Bv.word v (i / 64)) (i mod 64)) 1L
+          = 1L)
+      done;
+      let w = Bv.create n in
+      for i = 0 to Bv.num_words v - 1 do
+        Bv.set_word w i (Rng.bits64 rng);
+        Bv.set_word w i (Bv.word v i)
+      done;
+      check "set_word copies" true (Bv.equal v w);
+      for i = 0 to Bv.num_words v - 1 do
+        let x = Bv.word v i in
+        if x <> 0L then begin
+          let rec low b =
+            if Int64.logand (Int64.shift_right_logical x b) 1L = 1L then b
+            else low (b + 1)
+          in
+          check_int "lowest_bit_word" (low 0) (Bv.lowest_bit_word x)
+        end
+      done;
+      let f = Bv.create n in
+      Bv.set_word f (Bv.num_words f - 1) (-1L);
+      check_int "bits past the length dropped"
+        (if n = 0 then 0 else if n mod 64 = 0 then 64 else n mod 64)
+        (Bv.popcount f))
+    [ 0; 1; 63; 64; 65; 130 ]
+
 let test_biased_density () =
   let rng = Rng.create 3 in
   let v = Bv.random_biased rng 0.1 6400 in
@@ -291,6 +345,8 @@ let tests =
     Alcotest.test_case "rng split independence" `Quick test_rng_split_independent;
     Alcotest.test_case "rng stream golden vectors" `Quick test_rng_golden;
     Alcotest.test_case "biased word density" `Quick test_biased_density;
+    Alcotest.test_case "words" `Quick test_words;
+    QCheck_alcotest.to_alcotest prop_uniform_lanes;
     Alcotest.test_case "sub_bits/blit_bits" `Quick test_sub_blit;
     Alcotest.test_case "popcount_word matches a bit loop" `Quick
       test_popcount_word;

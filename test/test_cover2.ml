@@ -105,6 +105,68 @@ let test_empty_cover_behaviour () =
   check_int "merge of empty" 0 (Cover.num_cubes (Cover.merge_pass e));
   check_int "dedup of empty" 0 (Cover.num_cubes (Cover.dedup e))
 
+(* ---------- merge_pass against its pre-word code (Cover_ref) ---------- *)
+
+let same_cubes a b = Cover.cubes a = Cover.cubes b
+
+(* Covers whose cubes share a few care sets, so that many merge, at
+   universes around the word boundaries, and one past the 1 024 cubes
+   above which containment is skipped: the merges, their order and the
+   containment filter must be the reference's. *)
+let test_merge_pass_matches_reference () =
+  let rng = Rng.create 51 in
+  List.iter
+    (fun (n, size) ->
+      for trial = 1 to 12 do
+        let cares =
+          Array.init (1 + Rng.int rng 4) (fun _ ->
+              let p = [| 10; 40; 90 |].(Rng.int rng 3) in
+              List.filter (fun _ -> Rng.int rng 100 < p) (List.init n Fun.id))
+        in
+        let cube () =
+          let c = ref (Cube.top n) in
+          List.iter
+            (fun v -> c := Cube.add !c v (Rng.bool rng))
+            cares.(Rng.int rng (Array.length cares));
+          !c
+        in
+        let f = Cover.of_cubes n (List.init size (fun _ -> cube ())) in
+        let ctx = Printf.sprintf "n = %d, %d cubes, trial %d" n size trial in
+        check (ctx ^ ": merge_pass") true
+          (same_cubes (Cover.merge_pass f) (Cover_ref.merge_pass f));
+        check (ctx ^ ": single_cube_containment") true
+          (same_cubes
+             (Cover.single_cube_containment f)
+             (Cover_ref.single_cube_containment f))
+      done)
+    [ (1, 4); (5, 40); (24, 300); (63, 200); (64, 200); (65, 200); (130, 100);
+      (12, 1500) ]
+
+(* The covers of a tree truncated by its query budget — majority leaves
+   included — on case_14's two tree-learned outputs and case_18's first:
+   the shape the merge sees on the approximate cases. *)
+let truncated_tree case ~output ~budget =
+  let box = Lr_cases.Cases.blackbox ~budget (Lr_cases.Cases.find case) in
+  let arity = Lr_blackbox.Blackbox.num_inputs box in
+  Lr_fbdt.Fbdt.learn Lr_fbdt.Fbdt.default_config ~rng:(Rng.create 1)
+    (Lr_fbdt.Oracle.of_box ~arity box ~output)
+
+let test_merge_pass_on_case_covers () =
+  List.iter
+    (fun (case, output, budget) ->
+      let r = truncated_tree case ~output ~budget in
+      let ctx = Printf.sprintf "%s output %d" case output in
+      check (ctx ^ ": truncated") false r.Lr_fbdt.Fbdt.complete;
+      List.iter
+        (fun f ->
+          check (ctx ^ ": merge_pass") true
+            (same_cubes (Cover.merge_pass f) (Cover_ref.merge_pass f)))
+        [ r.Lr_fbdt.Fbdt.onset; r.Lr_fbdt.Fbdt.offset ])
+    [
+      ("case_14", 0, 1_000_000); ("case_14", 1, 1_000_000);
+      ("case_18", 0, 2_000_000);
+    ]
+
 let tests =
   [
     Alcotest.test_case "dedup" `Quick test_dedup;
@@ -115,4 +177,8 @@ let tests =
     Alcotest.test_case "PLA/pp behaviours" `Quick test_pp_and_pla;
     Alcotest.test_case "empty cover" `Quick test_empty_cover_behaviour;
     QCheck_alcotest.to_alcotest prop_merge_preserves_large;
+    Alcotest.test_case "merge_pass == pre-word reference" `Quick
+      test_merge_pass_matches_reference;
+    Alcotest.test_case "merge_pass == reference on truncated trees" `Quick
+      test_merge_pass_on_case_covers;
   ]

@@ -1,4 +1,5 @@
 module Bv = Lr_bitvec.Bv
+module Rng = Lr_bitvec.Rng
 module Cube = Lr_cube.Cube
 module Cover = Lr_cube.Cover
 
@@ -140,6 +141,72 @@ let prop_intersect_semantics =
           lhs = (Cube.satisfies a x && Cube.satisfies b x))
         (List.init 32 Fun.id))
 
+(* ---------- word operations against the bit loops (Cover_ref) ---------- *)
+
+let random_cube rng n ~care =
+  let c = ref (Cube.top n) in
+  for v = 0 to n - 1 do
+    if Rng.int rng 100 < care then c := Cube.add !c v (Rng.bool rng)
+  done;
+  !c
+
+(* Random cubes of every density at universes around the word
+   boundaries: literals, PLA strings, satisfaction, forcing (of vectors
+   and of lane words) and containment (of unrelated cubes, of a cube and
+   one inside it, and of a cube and itself with one literal dropped or
+   flipped) must all read as the bit loops do. *)
+let test_word_ops_match_bit_loops () =
+  let rng = Rng.create 41 in
+  List.iter
+    (fun n ->
+      for trial = 1 to 200 do
+        let ctx = Printf.sprintf "n = %d, trial %d" n trial in
+        let care = [| 0; 5; 30; 70; 100 |].(Rng.int rng 5) in
+        let c = random_cube rng n ~care in
+        check (ctx ^ ": literals") true
+          (Cube.literals c = Cover_ref.literals c);
+        check_str (ctx ^ ": to_string") (Cover_ref.to_string c)
+          (Cube.to_string c);
+        let a = Bv.random rng n in
+        check (ctx ^ ": satisfies") (Cover_ref.satisfies c a)
+          (Cube.satisfies c a);
+        let forced = Bv.copy a and want = Bv.copy a in
+        Cube.force c forced;
+        Cover_ref.force c want;
+        check (ctx ^ ": force") true (Bv.equal forced want);
+        check (ctx ^ ": forced satisfies") true (Cube.satisfies c forced);
+        let vs = Array.init (Rng.int rng 65) (fun _ -> Bv.random rng n) in
+        let lanes = Bv.to_lanes n vs in
+        Cube.force_lanes c lanes;
+        Array.iter (Cover_ref.force c) vs;
+        check (ctx ^ ": force_lanes") true
+          (Array.for_all2 Bv.equal (Bv.of_lanes (Array.length vs) lanes) vs);
+        let d = random_cube rng n ~care in
+        let inside =
+          List.fold_left
+            (fun acc (v, ph) ->
+              if Cube.has_var acc v then acc else Cube.add acc v ph)
+            c (Cube.literals d)
+        in
+        let pairs = [ (c, d); (d, c); (c, inside); (inside, c); (c, c) ] in
+        let pairs =
+          match Cube.literals c with
+          | [] -> pairs
+          | lits ->
+              let v, ph = List.nth lits (Rng.int rng (List.length lits)) in
+              let dropped = Cube.remove c v in
+              let flipped = Cube.add dropped v (not ph) in
+              (dropped, c) :: (c, dropped) :: (flipped, c) :: (c, flipped)
+              :: pairs
+        in
+        List.iter
+          (fun (big, small) ->
+            check (ctx ^ ": contains") (Cover_ref.contains big small)
+              (Cube.contains big small))
+          pairs
+      done)
+    [ 1; 63; 64; 65; 130 ]
+
 let tests =
   [
     Alcotest.test_case "literal construction" `Quick test_literals;
@@ -153,6 +220,8 @@ let tests =
     Alcotest.test_case "cover eval (xor)" `Quick test_cover_eval;
     Alcotest.test_case "single cube containment" `Quick test_scc;
     Alcotest.test_case "exhaustive complement" `Quick test_complement;
+    Alcotest.test_case "word operations == bit loops" `Quick
+      test_word_ops_match_bit_loops;
     QCheck_alcotest.to_alcotest prop_merge_preserves;
     QCheck_alcotest.to_alcotest prop_scc_preserves;
     QCheck_alcotest.to_alcotest prop_complement;

@@ -112,15 +112,17 @@ let test_learned_template_circuit_proven () =
     (Equiv.check golden report.Logic_regression.Learner.circuit
     = Equiv.Equivalent)
 
-(* ---------- sat_assignment against the whole-AIG encoding (Equiv_ref) *)
+(* ---------- the cone-restricted SAT step against the whole-AIG
+   encoding (both in Equiv_ref), and Equiv.decide's verdict against
+   both *)
 
 let test_sat_assignment_constants () =
   let a = Aig.create ~num_inputs:5 ~num_outputs:1 in
   Aig.set_output a 0 (Aig.and_lit a (Aig.input_lit a 0) (Aig.input_lit a 3));
   check "lit_false has no model" true
-    (Equiv.sat_assignment a Aig.lit_false = None);
+    (Equiv_ref.cone_sat_assignment a Aig.lit_false = None);
   match
-    ( Equiv.sat_assignment a Aig.lit_true,
+    ( Equiv_ref.cone_sat_assignment a Aig.lit_true,
       Equiv_ref.sat_assignment a Aig.lit_true )
   with
   | Some cex, Some reference ->
@@ -196,7 +198,11 @@ let test_sat_assignment_matches_reference () =
     let m, diff = miter a1 a2 in
     if Aig.lit_node diff = 0 then incr constant;
     let ctx = Printf.sprintf "seed %d" seed in
-    match (Equiv.sat_assignment m diff, Equiv_ref.sat_assignment m diff) with
+    let want = Equiv_ref.sat_assignment m diff in
+    (let m', o1, o2 = imported a1 a2 in
+     check (ctx ^ ": Equiv.decide's verdict is the reference's") true
+       (Option.is_none want = (Equiv.decide m' o1 o2 = Equiv.Equivalent)));
+    match (Equiv_ref.cone_sat_assignment m diff, want) with
     | None, None -> incr unsat
     | Some cex, Some _ ->
         incr sat;

@@ -4,6 +4,9 @@ module Cover = Lr_cube.Cover
 module Oracle = Lr_fbdt.Oracle
 module Fbdt = Lr_fbdt.Fbdt
 module Cube = Lr_cube.Cube
+module Box = Lr_blackbox.Blackbox
+module Faults = Lr_faults.Faults
+module Histogram = Lr_report.Histogram
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -198,10 +201,10 @@ let test_tree_dot () =
   check "closing brace" true (contains "}")
 
 (* The vector form of [Fbdt.sample_node] the lane-word version replaced:
-   a copied, bit-flipped vector per toggled pattern and per-bit counting
-   through [Oracle.query]. *)
-let reference_sample_node cfg ~rng (oracle : Oracle.t) cube free =
-  let n = oracle.Oracle.arity in
+   a copied, bit-flipped vector per toggled pattern and per-bit counting,
+   each vector asked of the function [f] itself. *)
+let reference_sample_node cfg ~rng ~arity:n f cube free =
+  let query = Array.map f in
   let dependency = Array.make n 0 in
   let ones = ref 0 and total = ref 0 and done_rounds = ref 0 in
   while !done_rounds < cfg.Fbdt.node_rounds do
@@ -214,7 +217,7 @@ let reference_sample_node cfg ~rng (oracle : Oracle.t) cube free =
           Cube.force cube a;
           a)
     in
-    let base_out = oracle.Oracle.query base in
+    let base_out = query base in
     Array.iter (fun b -> if b then incr ones) base_out;
     total := !total + blk;
     Array.iter
@@ -227,7 +230,7 @@ let reference_sample_node cfg ~rng (oracle : Oracle.t) cube free =
               a')
             base
         in
-        let out = oracle.Oracle.query flipped in
+        let out = query flipped in
         for k = 0 to blk - 1 do
           if out.(k) then incr ones;
           if out.(k) <> base_out.(k) then dependency.(i) <- dependency.(i) + 1
@@ -270,20 +273,195 @@ let test_sample_node_matches_reference () =
     let counted () =
       let used = ref 0 in
       ( used,
-        Oracle.of_fun ~arity:n (fun a ->
-            incr used;
-            f a) )
+        fun a ->
+          incr used;
+          f a )
     in
-    let used_w, ow = counted () and used_v, ov = counted () in
+    let used_w, fw = counted () and used_v, fv = counted () in
     let seed = 100 + trial in
-    let got = Fbdt.sample_node cfg ~rng:(Rng.create seed) ow cube free in
+    let got =
+      Fbdt.sample_node cfg ~rng:(Rng.create seed) (Oracle.of_fun ~arity:n fw)
+        cube free
+    in
     let want =
-      reference_sample_node cfg ~rng:(Rng.create seed) ov cube free
+      reference_sample_node cfg ~rng:(Rng.create seed) ~arity:n fv cube free
     in
     check (Printf.sprintf "trial %d: dependency and ratio" trial) true
       (got = want);
     check_int (Printf.sprintf "trial %d: queries" trial) !used_v !used_w
   done
+
+(* ---------- exhaustive tables: lane-word blocks against per-row vectors *)
+
+(* A virtual input domain over a box, as the learner builds one: plain
+   (the box's own inputs), or with a delegate, virtual input [ni], that
+   some box inputs follow — as it is, complemented, or pinned to a
+   constant — in place of their own virtual inputs. *)
+type follow = Same | Flip | Zero | One
+
+let to_full_words ni follows vw =
+  let full = Array.sub vw 0 ni in
+  List.iter
+    (fun (s, f) ->
+      full.(s) <-
+        (match f with
+        | Same -> vw.(ni)
+        | Flip -> Int64.lognot vw.(ni)
+        | Zero -> 0L
+        | One -> -1L))
+    follows;
+  full
+
+let to_full_vec ni follows va =
+  let full = Bv.create ni in
+  for i = 0 to ni - 1 do
+    Bv.set full i (Bv.get va i)
+  done;
+  let d = Bv.length va > ni && Bv.get va ni in
+  List.iter
+    (fun (s, f) ->
+      Bv.set full s
+        (match f with Same -> d | Flip -> not d | Zero -> false | One -> true))
+    follows;
+  full
+
+(* the vector form the block form replaced: one vector per minterm, all
+   asked in one [query_many] call *)
+let reference_table box ~output ~arity follows support =
+  let k = List.length support in
+  let rows =
+    Array.init (1 lsl k) (fun m ->
+        let va = Bv.create arity in
+        List.iteri (fun j v -> Bv.set va v ((m lsr j) land 1 = 1)) support;
+        to_full_vec (Box.num_inputs box) follows va)
+  in
+  let table = Array.map (fun o -> Bv.get o output) (Box.query_many box rows) in
+  let ones = Array.fold_left (fun c b -> if b then c + 1 else c) 0 table in
+  (table, Float.of_int ones /. Float.of_int (1 lsl k))
+
+(* a random function of [ni] inputs and [no] outputs: a random circuit,
+   or a hash of the assignment *)
+let random_box rng ~ni ~no =
+  if Rng.bool rng then
+    let ops =
+      List.init (4 * ni) (fun _ ->
+          (Rng.int rng 3, Rng.int rng 1000, Rng.int rng 1000))
+    in
+    Box.of_netlist (Prop.build_netlist { Prop.ni; no; ops })
+  else
+    let salt = Rng.int rng 1_000_000 in
+    Box.of_function
+      ~input_names:(Array.init ni (Printf.sprintf "i%d"))
+      ~output_names:(Array.init no (Printf.sprintf "o%d"))
+      (fun a ->
+        let h = Hashtbl.hash (salt, Bv.to_string a) in
+        Bv.of_int ~width:no (h lxor (h lsr 7)))
+
+(* Tables of k = 0..10 support inputs (one partial block, one block,
+   several blocks) on random functions, plain and delegate domains: the
+   block entry must give the vector reference's table and ratio, charge
+   the same queries to the same span, and weigh the latency histogram
+   the same. Under a fault schedule (failures, spikes and corruption of
+   the read output), a sequence of tables on one box must replay the
+   reference's answers, retries and fault counters: each table is one
+   batch, as one [query_many] is. *)
+let test_exhaustive_blocks_match_reference () =
+  let rng = Rng.create 77 in
+  let corrupted = ref 0 in
+  for trial = 0 to 23 do
+    let ni = 10 + Rng.int rng 8 and no = 1 + Rng.int rng 3 in
+    let seed = Rng.int rng 1_000_000 in
+    let make () = random_box (Rng.create seed) ~ni ~no in
+    let delegate = trial mod 2 = 1 in
+    let arity = if delegate then ni + 1 else ni in
+    let follows =
+      if delegate then
+        List.filter_map
+          (fun s ->
+            if Rng.int rng 3 = 0 then
+              Some (s, [| Same; Flip; Zero; One |].(Rng.int rng 4))
+            else None)
+          (List.init ni Fun.id)
+      else []
+    in
+    let output = Rng.int rng no in
+    let faulty = trial mod 4 >= 2 in
+    let arm box =
+      if faulty then begin
+        Box.set_faults ~key:trial box
+          (Some
+             {
+               Faults.none with
+               Faults.seed = trial;
+               fail_p = 0.4;
+               fail_burst = 2;
+               latency_p = 0.5;
+               latency_s = 0.001;
+               corruption = Some Faults.Flip;
+               victim = output;
+               onset = 300;
+               duration = 700;
+             });
+        Box.set_retry box (Faults.retry 4)
+      end
+    in
+    let word_box = make () and vec_box = make () in
+    arm word_box;
+    arm vec_box;
+    let oracle =
+      Oracle.of_box ~to_full:(to_full_words ni follows) ~arity word_box ~output
+    in
+    for k = 0 to 10 do
+      let ctx = Printf.sprintf "trial %d, k = %d" trial k in
+      let support =
+        let pool = Array.init arity Fun.id in
+        for i = arity - 1 downto 1 do
+          let j = Rng.int rng (i + 1) in
+          let x = pool.(i) in
+          pool.(i) <- pool.(j);
+          pool.(j) <- x
+        done;
+        Array.to_list (Array.sub pool 0 k)
+      in
+      let got = Fbdt.learn_exhaustive ~support oracle in
+      let want = reference_table vec_box ~output ~arity follows support in
+      check (ctx ^ ": table and ratio") true (got = want);
+      check_int (ctx ^ ": queries") (Box.queries_used vec_box)
+        (Box.queries_used word_box);
+      check (ctx ^ ": attribution") true
+        (Box.queries_by_span vec_box = Box.queries_by_span word_box);
+      check_int (ctx ^ ": latency weight")
+        (Histogram.count (Box.query_latency vec_box))
+        (Histogram.count (Box.query_latency word_box))
+    done;
+    check (Printf.sprintf "trial %d: retries" trial) true
+      (Box.retries_used vec_box = Box.retries_used word_box
+      && Box.faults_seen vec_box = Box.faults_seen word_box);
+    if faulty then begin
+      check (Printf.sprintf "trial %d: faults met" trial) true
+        (Box.retries_used word_box > 0);
+      corrupted := !corrupted + List.assoc "corrupt" (Box.faults_seen word_box)
+    end
+  done;
+  check "corrupted answers met" true (!corrupted > 0)
+
+(* a strict shard refuses a whole table that would overrun its slice *)
+let test_exhaustive_strict_refusal () =
+  let box =
+    Box.of_function ~input_names:(Array.init 8 (Printf.sprintf "i%d"))
+      ~output_names:[| "o" |]
+      (fun a -> Bv.of_int ~width:1 (Bv.popcount a land 1))
+  in
+  let shard = Box.shard ~budget:255 ~strict:true box in
+  let oracle = Oracle.of_box ~arity:8 shard ~output:0 in
+  check "refused" true
+    (try
+       ignore (Fbdt.learn_exhaustive ~support:(List.init 8 Fun.id) oracle);
+       false
+     with Box.Exhausted { used = 0; budget = 255 } -> true);
+  check_int "nothing charged" 0 (Box.queries_used shard);
+  ignore (Fbdt.learn_exhaustive ~support:(List.init 7 Fun.id) oracle);
+  check_int "a table inside the slice is charged" 128 (Box.queries_used shard)
 
 let tests =
   [
@@ -300,6 +478,10 @@ let tests =
     Alcotest.test_case "exhaustive conquest" `Quick test_exhaustive;
     Alcotest.test_case "exhaustive width guard" `Quick
       test_exhaustive_rejects_wide_support;
+    Alcotest.test_case "exhaustive blocks == vector reference" `Quick
+      test_exhaustive_blocks_match_reference;
+    Alcotest.test_case "exhaustive table on a strict shard" `Quick
+      test_exhaustive_strict_refusal;
     Alcotest.test_case "budget approximation" `Quick test_budget_approximation;
     Alcotest.test_case "early stopping" `Quick test_early_stopping_epsilon;
     QCheck_alcotest.to_alcotest prop_exhaustive_exact;

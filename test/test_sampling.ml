@@ -338,9 +338,10 @@ let test_case7_query_batches () =
 (* case_15's first output is learned over a comparator delegate: the
    oracle must expand the delegate into the compared buses exactly as
    the per-vector expansion did — same queries, same circuit. With the
-   exhaustive conquest off, an FBDT samples through the word entry; with
-   it on, the minterm batch and the checked mode's table re-simulation
-   go through the vector entry. *)
+   exhaustive conquest off, an FBDT samples through the toggle entry;
+   with it on, the minterm batch goes through the block entry and the
+   checked mode's table re-simulation expands one lane word per
+   minterm. *)
 let test_oracle_expansion () =
   let learn ~threshold ~check =
     sim_counters ~case:"case_15"
@@ -364,7 +365,7 @@ let test_oracle_expansion () =
         (learn ~threshold:Config.default.Config.small_support_threshold ~check))
     [ Config.Off; Config.Full ];
   (* case_5 conquers supports of up to 10 inputs exhaustively: minterm
-     batches of up to 1 024 vectors, expanded 64 at a time *)
+     batches of up to 16 blocks of 64 lanes *)
   expect "wide exhaustive" ~queries:13_248
     ~digest:"a7fc13840a48a864c917f02a9f06fecc"
     (sim_counters ~case:"case_5"
