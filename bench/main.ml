@@ -399,6 +399,15 @@ let micro () =
              (Eval.accuracy_on ~patterns:patterns12 ~golden:golden12
                 ~candidate:learned12 ())))
   in
+  (* drawing the same pattern set, which the ledger's set-up does once
+     per case *)
+  let mixture_test =
+    Test.make ~name:"Eval.mixture (case_12, 30k patterns)"
+      (Staged.stage (fun () ->
+           ignore
+             (Eval.mixture ~rng:(Rng.create 12)
+                ~num_inputs:(N.num_inputs golden12) ~count:30_000)))
+  in
   let fraig_test =
     Test.make ~name:"fraig sweep (case_7 AIG)"
       (Staged.stage (fun () ->
@@ -509,6 +518,7 @@ let micro () =
         sim_test;
         lanes_test;
         score_test;
+        mixture_test;
         fraig_test;
         cut_rewrite_test;
         compress_test;

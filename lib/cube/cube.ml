@@ -37,56 +37,21 @@ let of_literals n lits =
 
 let literals t =
   let acc = ref [] in
-  for wi = 0 to Bv.num_words t.care - 1 do
-    let care = ref (Bv.word t.care wi) and value = Bv.word t.value wi in
-    while !care <> 0L do
-      let b = Bv.lowest_bit_word !care in
-      acc :=
-        ((64 * wi) + b, Int64.logand (Int64.shift_right_logical value b) 1L = 1L)
-        :: !acc;
-      care := Int64.logand !care (Int64.pred !care)
-    done
-  done;
+  Bv.iter_ones (fun v -> acc := (v, Bv.get t.value v) :: !acc) t.care;
   List.rev !acc
 
 let num_literals t = Bv.popcount t.care
 
 (* [a] lies in the cube iff it agrees with [value] on every caring bit *)
-let satisfies t a =
-  let rec go wi =
-    wi < 0
-    || Int64.logand (Int64.logxor (Bv.word a wi) (Bv.word t.value wi))
-         (Bv.word t.care wi)
-       = 0L
-       && go (wi - 1)
-  in
-  go (Bv.num_words t.care - 1)
-
-let force t a =
-  for wi = 0 to Bv.num_words t.care - 1 do
-    let care = Bv.word t.care wi in
-    Bv.set_word a wi
-      (Int64.logor
-         (Int64.logand (Bv.word a wi) (Int64.lognot care))
-         (Int64.logand (Bv.word t.value wi) care))
-  done
+let satisfies t a = Bv.agree ~mask:t.care a t.value
+let force t a = Bv.blend ~mask:t.care ~src:t.value a
 
 let force_lanes t words =
   List.iter (fun (v, ph) -> words.(v) <- (if ph then -1L else 0L)) (literals t)
 
 (* big ⊇ small iff every literal of big appears in small with same phase *)
 let contains big small =
-  let rec go wi =
-    wi < 0
-    ||
-    let care = Bv.word big.care wi in
-    Int64.logand care (Int64.lognot (Bv.word small.care wi)) = 0L
-    && Int64.logand care
-         (Int64.logxor (Bv.word big.value wi) (Bv.word small.value wi))
-       = 0L
-    && go (wi - 1)
-  in
-  go (Bv.num_words big.care - 1)
+  Bv.subset big.care small.care && Bv.agree ~mask:big.care big.value small.value
 
 let intersect a b =
   let care = Bv.copy a.care and value = Bv.copy a.value in
@@ -125,8 +90,6 @@ let compare a b =
     let c = Bv.compare a.care b.care in
     if c <> 0 then c else Bv.compare a.value b.value
 
-let hash t = Hashtbl.hash (t.n, Bv.hash t.care, Bv.hash t.value)
-
 let pp ~names ppf t =
   let lits = literals t in
   if lits = [] then Format.pp_print_string ppf "1"
@@ -139,18 +102,11 @@ let pp ~names ppf t =
       ppf lits
 
 let to_string t =
-  let s = Bytes.create t.n in
-  for wi = 0 to Bv.num_words t.care - 1 do
-    let care = Bv.word t.care wi and value = Bv.word t.value wi in
-    for b = 0 to min 63 (t.n - 1 - (64 * wi)) do
-      Bytes.unsafe_set s
-        (t.n - 1 - ((64 * wi) + b))
-        (if Int64.logand (Int64.shift_right_logical care b) 1L = 0L then '-'
-         else if Int64.logand (Int64.shift_right_logical value b) 1L = 0L then
-           '0'
-         else '1')
-    done
-  done;
+  let s = Bytes.make t.n '-' in
+  Bv.iter_ones
+    (fun v ->
+      Bytes.unsafe_set s (t.n - 1 - v) (if Bv.get t.value v then '1' else '0'))
+    t.care;
   Bytes.unsafe_to_string s
 
 let of_string s =

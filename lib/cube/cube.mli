@@ -8,8 +8,11 @@
 
     Both sets are packed {!Lr_bitvec.Bv.t}s, and {!satisfies},
     {!force}, {!contains}, {!literals} and {!to_string} read them a word
-    (64 variables) at a time, with a few mask operations per word in
-    place of a test per variable. *)
+    (64 variables) at a time through [Bv]'s whole-vector loops
+    ({!Lr_bitvec.Bv.agree}, {!Lr_bitvec.Bv.blend},
+    {!Lr_bitvec.Bv.subset}, {!Lr_bitvec.Bv.iter_ones}), with a few mask
+    operations per word in place of a test per variable and no word
+    boxed. *)
 
 type t
 
@@ -64,7 +67,6 @@ val merge_adjacent : t -> t -> t option
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 
 val pp : names:(int -> string) -> Format.formatter -> t -> unit
 val to_string : t -> string

@@ -7,16 +7,21 @@
     composition at any scale (the benches default to a smaller count; the
     estimate's variance is what changes, not its meaning).
 
-    Scoring runs on lane words ({!Lr_bitvec.Bv.to_lanes}): each block of
-    64 patterns is transposed once, golden and candidate simulate the
-    same words, and a block's hits are the lanes where no output word
-    differs, [popcount (lnot (OR over o of (g_o xor c_o)))] under the
-    mask of lanes that hold a pattern. No output vector is built per
-    pattern. The counters tick exactly as simulating each circuit with
-    [Lr_kernel.Soa.eval_many] would: ["eval.patterns"] once per
-    {!accuracy_on} call, and for both circuits ["sim.patterns"] and
-    ["sim.gate-words"], the latter by the circuit's observed nodes (the
-    ones its outputs read) per 64-pattern block. *)
+    Scoring runs on lane words: the patterns are transposed once, 64 per
+    block, into one unboxed lane store ({!Lr_bitvec.Bv.to_lane_store}),
+    golden and candidate simulate that store into output stores
+    ({!Lr_kernel.Soa.eval_store}), and a block's hits are the lanes
+    where no output word differs, [popcount (lnot (OR over o of (g_o xor
+    c_o)))] under the mask of lanes that hold a pattern. No output
+    vector is built per pattern, no per-block array is built and no
+    lane word is boxed: a call allocates its three stores (about
+    [8 * (num_inputs + 2 * num_outputs)] bytes per 64 patterns, dropped
+    when it returns) and a few words per 64-pattern block. The counters tick
+    exactly as simulating each circuit with [Lr_kernel.Soa.eval_many]
+    would: ["eval.patterns"] once per {!accuracy_on} call, and for both
+    circuits ["sim.patterns"] and ["sim.gate-words"], the latter by the
+    circuit's observed nodes (the ones its outputs read) per 64-pattern
+    block. *)
 
 val mixture :
   rng:Lr_bitvec.Rng.t -> num_inputs:int -> count:int -> Lr_bitvec.Bv.t array
@@ -33,7 +38,7 @@ val accuracy :
 (** Hit rate in [0, 1]. Default [count] is 30_000. Requires identical
     PI/PO counts; raises [Invalid_argument] otherwise. The blocks are
     simulated on the {!Lr_kernel.Soa} engine, up to eight per pass
-    ({!Lr_kernel.Soa.eval_blocks}). *)
+    ({!Lr_kernel.Soa.eval_store}). *)
 
 val accuracy_on :
   patterns:Lr_bitvec.Bv.t array ->

@@ -200,24 +200,6 @@ let of_ands ~num_inputs:ni ~num_outputs:no ~ands ~outputs =
 
 (* ---------------- cones ---------------- *)
 
-let fanout_cone t seeds =
-  let cone = Array.make t.nn false in
-  List.iter
-    (fun n ->
-      if n < 0 || n >= t.nn then invalid_arg "Soa.fanout_cone: bad node";
-      cone.(n) <- true)
-    seeds;
-  (* one pass in schedule order: fanins live in earlier batches *)
-  Array.iter
-    (fun n ->
-      if not cone.(n) then
-        if
-          (depends_on_arg0 t n && cone.(t.arg0.(n)))
-          || (depends_on_arg1 t n && cone.(t.arg1.(n)))
-        then cone.(n) <- true)
-    t.sched;
-  cone
-
 let transitive_fanin t =
   let mark = Bytes.make t.nn '\000' in
   fun seeds ->
@@ -353,7 +335,7 @@ let outputs_of_values t v =
       if t.out_neg.(o) then Int64.lognot w else w)
 
 (* output [o]'s word [w] of a [width]-block simulation in [buf] *)
-let output_word t buf ~width ~w o =
+let[@inline] output_word t buf ~width ~w o =
   let x = get64u buf (8 * ((t.outputs.(o) * width) + w)) in
   if t.out_neg.(o) then Int64.lognot x else x
 
@@ -379,29 +361,58 @@ let eval_words t words =
 (* Up to this many 64-pattern blocks share one pass over the schedule. *)
 let max_width = 8
 
+(* [blocks] 64-pattern blocks, up to [max_width] per pass over the
+   observed schedule: [load buf ~width ~w b] stores block [b]'s observed
+   input words as word [w] of the pass, and [emit buf ~width ~w b] reads
+   its output words. *)
+let run_blocks t ~blocks ~load ~emit =
+  if blocks > 0 then Instr.count "sim.gate-words" (num_observed t * blocks);
+  let buf = scratch (t.nn * max_width) in
+  let block = ref 0 in
+  while !block < blocks do
+    let width = min max_width (blocks - !block) in
+    for w = 0 to width - 1 do
+      load buf ~width ~w (!block + w)
+    done;
+    run t t.obs_sched buf ~width ~inoff:0;
+    for w = 0 to width - 1 do
+      emit buf ~width ~w (!block + w)
+    done;
+    block := !block + width
+  done
+
 let eval_blocks t blocks =
   Array.iter
     (fun words ->
       if Array.length words <> t.ni then
         invalid_arg "Soa.eval_blocks: wrong number of input words")
     blocks;
-  let nblocks = Array.length blocks in
-  if nblocks > 0 then Instr.count "sim.gate-words" (num_observed t * nblocks);
-  let results = Array.make nblocks [||] in
-  let buf = scratch (t.nn * max_width) in
-  let block = ref 0 in
-  while !block < nblocks do
-    let width = min max_width (nblocks - !block) in
-    for w = 0 to width - 1 do
-      load_observed t buf ~width ~w blocks.(!block + w)
-    done;
-    run t t.obs_sched buf ~width ~inoff:0;
-    for w = 0 to width - 1 do
-      results.(!block + w) <- Array.init t.no (output_word t buf ~width ~w)
-    done;
-    block := !block + width
-  done;
+  let results = Array.make (Array.length blocks) [||] in
+  run_blocks t ~blocks:(Array.length blocks)
+    ~load:(fun buf ~width ~w b -> load_observed t buf ~width ~w blocks.(b))
+    ~emit:(fun buf ~width ~w b ->
+      results.(b) <- Array.init t.no (output_word t buf ~width ~w));
   results
+
+let eval_store t lanes ~blocks =
+  if blocks < 0 then invalid_arg "Soa.eval_store: negative block count";
+  if Bytes.length lanes < 8 * t.ni * blocks then
+    invalid_arg "Soa.eval_store: store too short";
+  let out = Bytes.create (8 * t.no * blocks) in
+  run_blocks t ~blocks
+    ~load:(fun buf ~width ~w b ->
+      let src = 8 * t.ni * b and stride = 8 * width in
+      for k = 0 to Array.length t.obs_inputs - 1 do
+        set64u buf
+          ((Array.unsafe_get t.obs_inputs k * stride) + (8 * w))
+          (get64u lanes (src + (8 * Array.unsafe_get t.obs_index k)))
+      done)
+    ~emit:(fun buf ~width ~w b ->
+      let dst = 8 * t.no * b in
+      for o = 0 to t.no - 1 do
+        set64u out (dst + (8 * o)) (output_word t buf ~width ~w o)
+      done);
+  out
 
 (* ---------------- probes ---------------- *)
 
@@ -602,17 +613,9 @@ let eval_toggles t words toggles =
 let eval_many t patterns =
   let np = Array.length patterns in
   Instr.count "sim.patterns" np;
-  let count b = min 64 (np - (64 * b)) in
-  let blocks =
-    Array.init ((np + 63) / 64) (fun b ->
-        Bv.to_lanes t.ni (Array.sub patterns (64 * b) (count b)))
-  in
-  let results = Array.make np (Bv.create 0) in
-  Array.iteri
-    (fun b outs ->
-      Array.blit (Bv.of_lanes (count b) outs) 0 results (64 * b) (count b))
-    (eval_blocks t blocks);
-  results
+  let blocks = (np + 63) / 64 in
+  let outs = eval_store t (Bv.to_lane_store t.ni patterns) ~blocks in
+  Bv.of_lane_store t.no outs np
 
 (* ---------------- CNF ---------------- *)
 

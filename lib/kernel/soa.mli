@@ -18,7 +18,8 @@
     Beside the full schedule, a circuit carries its {e observed}
     schedule: the outputs' transitive fanin, in level order. The
     output-only entry points ({!eval_words}, {!eval_blocks},
-    {!eval_many}) load only the inputs it reads and run only its gates;
+    {!eval_store}, {!eval_many}) load only the inputs it reads and run
+    only its gates;
     a golden circuit can hold far more logic than its outputs read.
     The node-value entry points ({!node_values}, {!node_words}), which
     fraig and the checkers read node by node, run the full schedule.
@@ -86,10 +87,6 @@ val depends_on_arg1 : t -> int -> bool
 val arg0 : t -> int -> int
 val arg1 : t -> int -> int
 
-val fanout_cone : t -> int list -> bool array
-(** Transitive fanout of the seed nodes, seeds included — the set a value
-    change at the seeds can reach. *)
-
 val transitive_fanin : t -> int list -> int array
 (** Transitive fanin of the seed nodes, seeds included, as ascending
     node ids — the nodes whose Tseitin CNF a SAT query about the seeds
@@ -138,7 +135,20 @@ val eval_blocks : t -> int64 array array -> int64 array array
     dispatch serves several words of work. Output words equal one
     {!eval_words} call per block, and ["sim.gate-words"] ticks by the
     same total, {!num_observed} per block, in one count. Raises
-    [Invalid_argument] on a block with the wrong number of words. *)
+    [Invalid_argument] on a block with the wrong number of words. This
+    is the entry for the oracle's blocks, which arrive as arrays. *)
+
+val eval_store : t -> Bytes.t -> blocks:int -> Bytes.t
+(** [eval_store t lanes ~blocks] is {!eval_blocks} on a lane store
+    ({!Lr_bitvec.Bv.to_lane_store} layout): block [b]'s word for input
+    [i] at byte [8 * (b * num_inputs + i)] of [lanes]. The result is a
+    fresh store of the same layout over the outputs, block [b]'s word
+    for output [o] at byte [8 * (b * num_outputs + o)]. It runs the same
+    passes and ticks ["sim.gate-words"] alike, but loads the observed
+    input words straight from [lanes] and writes the output words
+    straight into the result, so no word is boxed and no per-block array
+    is built. Raises [Invalid_argument] on a negative [blocks] or a
+    store shorter than [8 * num_inputs * blocks] bytes. *)
 
 (** {2 Probes} *)
 
@@ -205,10 +215,11 @@ val eval_toggles : t -> int64 array -> int array array -> int64 array array
 
 val eval_many : t -> Lr_bitvec.Bv.t array -> Lr_bitvec.Bv.t array
 (** Drop-in for [Netlist.eval_many]: same results, same ["sim.patterns"]
-    accounting. Transposes the patterns into lane words 64 at a time,
-    simulates them with {!eval_blocks} (so ["sim.gate-words"] ticks by
-    {!num_observed} per 64-pattern block) and transposes the outputs
-    back. *)
+    accounting. Transposes the patterns into one lane store
+    ({!Lr_bitvec.Bv.to_lane_store}), simulates it with {!eval_store} (so
+    ["sim.gate-words"] ticks by {!num_observed} per 64-pattern block)
+    and transposes the output store back
+    ({!Lr_bitvec.Bv.of_lane_store}). *)
 
 (** {2 CNF}
 

@@ -20,7 +20,8 @@ val fanout_cone : Netlist.t -> Netlist.node list -> bool array
 (** Transitive fanout of the seed nodes, seeds included — the set of
     nodes whose value an update at the seeds can change. The dual of
     {!Netlist.reachable_from} (which walks fanins), and the reference
-    semantics for [Lr_kernel.Soa.fanout_cone]. *)
+    the kernel's probe cones ([Lr_kernel.Soa.cone]) are tested
+    against. *)
 
 val output_density :
   ?patterns:int -> rng:Lr_bitvec.Rng.t -> Netlist.t -> output:int -> float

@@ -1053,26 +1053,52 @@ let word_scoring_agrees ~np ~golden ~candidate (r, counts) (r', counts') =
       ep = ep' && sp = sp' && gw = blocks * (obs golden + obs candidate)
   | _ -> false
 
+(* both scorers on [golden] and [candidate] at pattern counts that
+   straddle a block, each set drawn from [rng] *)
+let scoring_agrees ~rng ~golden ~candidate =
+  List.for_all
+    (fun np ->
+      let patterns =
+        Eval.mixture ~rng ~num_inputs:(N.num_inputs golden) ~count:np
+      in
+      let agrees x y = word_scoring_agrees ~np ~golden ~candidate x y in
+      agrees
+        (with_scoring_counts (fun () ->
+             Eval.accuracy_on ~patterns ~golden ~candidate ()))
+        (with_scoring_counts (fun () ->
+             reference_accuracy ~patterns ~golden ~candidate))
+      && agrees
+           (with_scoring_counts (fun () ->
+                Eval.per_output_accuracy ~patterns ~golden ~candidate ()))
+           (with_scoring_counts (fun () ->
+                reference_per_output ~patterns ~golden ~candidate)))
+    [ 0; 1; 63; 64; 65; 1000 ]
+
+(* Recipes have at most seven inputs, one word per pattern. case_18
+   (102 inputs) and case_3 (72) score patterns of two words against the
+   circuits a quick learn makes of them (case_18's at about 50 %). *)
 let prop_word_scoring_matches_reference () =
   check_prop ~count:30 "word-native Eval == per-pattern scorer"
     arb_scoring_pair (fun (g, ops) ->
-      let golden = build_netlist g and candidate = build_netlist { g with ops } in
-      let rng = Rng.create (List.length ops) in
-      List.for_all
-        (fun np ->
-          let patterns = Eval.mixture ~rng ~num_inputs:g.ni ~count:np in
-          let agrees x y = word_scoring_agrees ~np ~golden ~candidate x y in
-          agrees
-            (with_scoring_counts (fun () ->
-                 Eval.accuracy_on ~patterns ~golden ~candidate ()))
-            (with_scoring_counts (fun () ->
-                 reference_accuracy ~patterns ~golden ~candidate))
-          && agrees
-               (with_scoring_counts (fun () ->
-                    Eval.per_output_accuracy ~patterns ~golden ~candidate ()))
-               (with_scoring_counts (fun () ->
-                    reference_per_output ~patterns ~golden ~candidate)))
-        [ 0; 1; 63; 64; 65; 1000 ])
+      scoring_agrees
+        ~rng:(Rng.create (List.length ops))
+        ~golden:(build_netlist g)
+        ~candidate:(build_netlist { g with ops }));
+  List.iter
+    (fun name ->
+      let spec = Lr_cases.Cases.find name in
+      let report =
+        Learner.learn
+          ~config:{ Config.default with Config.support_rounds = 60 }
+          (Lr_cases.Cases.blackbox ~budget:200_000 spec)
+      in
+      Alcotest.(check bool)
+        (name ^ ": word-native Eval == per-pattern scorer")
+        true
+        (scoring_agrees ~rng:(Rng.create 34)
+           ~golden:(Lr_cases.Cases.build spec)
+           ~candidate:report.Learner.circuit))
+    [ "case_18"; "case_3" ]
 
 (* a netlist simulation with [node] pinned to [w], stepped node by node
    over [N.gate] (fanins precede their nodes): its output words *)

@@ -24,6 +24,22 @@ module Instr = Lr_instr.Instr
 module Soa = Lr_kernel.Soa
 module Fraig = Lr_aig.Fraig
 
+(* Transitive fanout of the seed nodes, seeds included: the set a value
+   change at the seeds can reach, in one pass in schedule order (fanins
+   live in earlier batches). *)
+let fanout_cone soa seeds =
+  let cone = Array.make (Soa.num_nodes soa) false in
+  List.iter (fun n -> cone.(n) <- true) seeds;
+  Array.iter
+    (fun n ->
+      if
+        (not cone.(n))
+        && ((Soa.depends_on_arg0 soa n && cone.(Soa.arg0 soa n))
+           || (Soa.depends_on_arg1 soa n && cone.(Soa.arg1 soa n)))
+      then cone.(n) <- true)
+    (Soa.schedule soa);
+  cone
+
 (* Three-valued evaluation, short-circuiting on controlling values:
    [Some b] a proven constant, [None] unknown. *)
 let ternary c =
@@ -91,7 +107,7 @@ module Incremental = struct
     t
 
   let with_forced t ~node w f =
-    let cone = Soa.fanout_cone t.soa [ node ] in
+    let cone = fanout_cone t.soa [ node ] in
     (* save every value the probe can touch, restore on the way out *)
     let touched = ref [] in
     Array.iter
@@ -242,7 +258,7 @@ let prover soa c =
   in
   let fanin = Soa.transitive_fanin soa in
   fun z (m, ph) ->
-    let cone = Soa.fanout_cone soa [ z ] in
+    let cone = fanout_cone soa [ z ] in
     let observed = ref false in
     for o = 0 to N.num_outputs c - 1 do
       if cone.(N.output c o) then observed := true

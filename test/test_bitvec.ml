@@ -55,10 +55,9 @@ let test_fill () =
   Bv.fill v false;
   check_int "all zeros" 0 (Bv.popcount v)
 
-let test_equal_hash () =
+let test_equal () =
   let a = Bv.of_string "10101" and b = Bv.of_string "10101" in
   check "equal" true (Bv.equal a b);
-  check_int "hash equal" (Bv.hash a) (Bv.hash b);
   Bv.flip b 0;
   check "unequal after flip" false (Bv.equal a b)
 
@@ -321,6 +320,236 @@ let test_lanes () =
        false
      with Invalid_argument _ -> true)
 
+(* the store transposer against the reference, block by block, on
+   counts and widths that straddle word and block boundaries; the store
+   read back, and read back from noise past each block's last vector *)
+let test_lane_store () =
+  let rng = Rng.create 19 in
+  List.iter
+    (fun (n, count) ->
+      let name = Printf.sprintf "n=%d count=%d" n count in
+      let vs = Array.init count (fun _ -> Bv.random rng n) in
+      let store = Bv.to_lane_store n vs in
+      let blocks = (count + 63) / 64 in
+      check_int (name ^ ": store size") (8 * n * blocks) (Bytes.length store);
+      let block store b = Array.init n (fun i -> Bytes.get_int64_ne store (8 * ((b * n) + i))) in
+      for b = 0 to blocks - 1 do
+        let vs_b = Array.sub vs (64 * b) (min 64 (count - (64 * b))) in
+        check
+          (Printf.sprintf "%s: block %d" name b)
+          true
+          (block store b = reference_to_lanes n vs_b)
+      done;
+      check (name ^ ": round trip") true
+        (Array.for_all2 Bv.equal vs (Bv.of_lane_store n store count));
+      let noisy = Bytes.init (Bytes.length store) (fun _ -> Char.chr (Rng.int rng 256)) in
+      check (name ^ ": of_lane_store ignores lanes past count") true
+        (Array.for_all2 Bv.equal
+           (Array.concat
+              (List.init blocks (fun b ->
+                   reference_of_lanes (min 64 (count - (64 * b))) (block noisy b))))
+           (Bv.of_lane_store n noisy count)))
+    (List.concat_map
+       (fun count -> List.map (fun n -> (n, count)) [ 0; 1; 64; 65; 130 ])
+       [ 0; 1; 63; 64; 65; 1000 ]);
+  let raises name f =
+    check name true (try ignore (f ()); false with Invalid_argument _ -> true)
+  in
+  raises "length mismatch rejected" (fun () ->
+      Bv.to_lane_store 2 [| Bv.create 2; Bv.create 3 |]);
+  raises "negative length rejected" (fun () -> Bv.to_lane_store (-1) [||]);
+  raises "short store rejected" (fun () ->
+      Bv.of_lane_store 3 (Bytes.create 23) 1);
+  raises "negative count rejected" (fun () ->
+      Bv.of_lane_store 3 (Bytes.create 24) (-1))
+
+(* ---------------- against the int64-array reference ---------------- *)
+
+module R = Bv_ref
+
+(* [f ()] and [f' ()] return values [eq] accepts, or raise equal
+   exceptions *)
+let agree eq f f' =
+  let run f = try Ok (f ()) with e -> Error e in
+  let x = run f in
+  match (x, run f') with
+  | Ok x, Ok y -> eq x y
+  | Error e, Error e' -> e = e'
+  | _ -> false
+
+let same v r =
+  Bv.length v = r.R.len
+  && List.init (Bv.num_words v) (Bv.word v) = Array.to_list r.R.words
+
+let same_all vs rs = Array.length vs = Array.length rs && Array.for_all2 same vs rs
+
+(* a mutation applied to a copy on each side: same outcome, same copy *)
+let agree_mut v r f f' =
+  let v = Bv.copy v and r = R.copy r in
+  agree (fun () () -> same v r) (fun () -> f v) (fun () -> f' r)
+
+(* Every function of [Bv] against the reference, at lengths that
+   straddle word boundaries: results and copies agree, out-of-range
+   indices raise the same exception, [compare] has the same sign (its
+   order is signed, word by word), and both sides leave their copies
+   of one generator in one state. *)
+let prop_reference =
+  QCheck.Test.make ~name:"Bv == int64-array reference" ~count:25
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create seed and rng' = Rng.create seed in
+      let aux = Rng.create (seed + 1) in
+      let sign x = compare x 0 in
+      let each n =
+        let draw f f' = (f rng, f' rng') in
+        let a, a' = draw (fun g -> Bv.random g n) (fun g -> R.random g n) in
+        let b, b' =
+          draw (fun g -> Bv.random_biased g 0.2 n) (fun g -> R.random_biased g 0.2 n)
+        in
+        let nw = Bv.num_words a in
+        let bits = [ -1; 0; n / 2; n - 1; n; n + 64 ] in
+        let words = [ -1; 0; nw - 1; nw; max_int / 4 ] in
+        let ws = List.init nw (Bv.word a) @ [ 0L; -1L; Int64.min_int ] in
+        (* pairs for [equal] and [compare]: equal, unrelated, one bit
+           apart (the sign bit of word 0 among them), longer *)
+        let flipped i =
+          let v = Bv.copy a and r = R.copy a' in
+          if i >= 0 && i < n then (Bv.flip v i; R.flip r i);
+          (v, r)
+        in
+        let pairs =
+          [ (a, a'), flipped 0; (a, a'), (b, b'); (b, b'), (a, a');
+            (a, a'), (Bv.copy a, R.copy a'); (a, a'), (Bv.create n, R.create n);
+            (a, a'), (Bv.create (n + 1), R.create (n + 1)) ]
+          @ List.map (fun i -> ((a, a'), flipped i)) [ 63; 64; n - 1 ]
+        in
+        let vecs count =
+          let vs = Array.init count (fun _ -> Bv.random aux n) in
+          (vs, Array.map (fun v -> R.of_string (Bv.to_string v)) vs)
+        in
+        let idxs =
+          List.init (min n 5) (fun _ -> Rng.int aux n)
+        in
+        same a a' && same b b'
+        && Bv.length a = R.length a'
+        && nw = R.num_words a'
+        && agree same (fun () -> Bv.create n) (fun () -> R.create n)
+        && agree same (fun () -> Bv.create (-1)) (fun () -> R.create (-1))
+        && List.for_all
+             (fun i ->
+               agree Int64.equal (fun () -> Bv.word a i) (fun () -> R.word a' i)
+               && List.for_all
+                    (fun w ->
+                      agree_mut a a' (fun v -> Bv.set_word v i w) (fun r ->
+                          R.set_word r i w))
+                    ws)
+             words
+        && List.for_all
+             (fun i ->
+               agree Bool.equal (fun () -> Bv.get a i) (fun () -> R.get a' i)
+               && agree_mut a a' (fun v -> Bv.set v i true) (fun r -> R.set r i true)
+               && agree_mut a a' (fun v -> Bv.set v i false) (fun r ->
+                      R.set r i false)
+               && agree_mut a a' (fun v -> Bv.flip v i) (fun r -> R.flip r i))
+             bits
+        && List.for_all
+             (fun ((x, x'), (y, y')) ->
+               Bv.equal x y = R.equal x' y'
+               && sign (Bv.compare x y) = sign (R.compare x' y'))
+             pairs
+        && agree_mut a a' (fun v -> Bv.fill v true) (fun r -> R.fill r true)
+        && agree_mut a a' (fun v -> Bv.fill v false) (fun r -> R.fill r false)
+        && Bv.popcount a = R.popcount a'
+        && List.for_all
+             (fun w ->
+               Bv.popcount_word w = R.popcount_word w
+               && agree Int.equal
+                    (fun () -> Bv.lowest_bit_word w)
+                    (fun () -> R.lowest_bit_word w))
+             ws
+        && same (Bv.copy a) (R.copy a')
+        (* the word loops, against bit loops on the reference *)
+        && (let ones = ref [] in
+            Bv.iter_ones (fun i -> ones := i :: !ones) a;
+            List.rev !ones = List.filter (R.get a') (List.init n Fun.id))
+        && List.for_all
+             (fun ((x, x'), (y, y')) ->
+               let bit_loop f = List.for_all f (List.init n Fun.id) in
+               agree Bool.equal
+                 (fun () -> Bv.subset x y)
+                 (fun () ->
+                   if R.length x' <> R.length y' then invalid_arg "Bv.subset: length mismatch";
+                   bit_loop (fun i -> (not (R.get x' i)) || R.get y' i))
+               && agree Bool.equal
+                    (fun () -> Bv.agree ~mask:b x y)
+                    (fun () ->
+                      if R.length x' <> n || R.length y' <> n then
+                        invalid_arg "Bv.agree: length mismatch";
+                      bit_loop (fun i -> (not (R.get b' i)) || R.get x' i = R.get y' i))
+               && agree_mut y y'
+                    (fun v -> Bv.blend ~mask:b ~src:x v)
+                    (fun r ->
+                      if R.length x' <> n || R.length r <> n then
+                        invalid_arg "Bv.blend: length mismatch";
+                      List.iter
+                        (fun i -> if R.get b' i then R.set r i (R.get x' i))
+                        (List.init n Fun.id)))
+             pairs
+        && List.for_all
+             (fun count ->
+               let vs, vs' = vecs count in
+               agree ( = ) (fun () -> Bv.to_lanes n vs) (fun () -> R.to_lanes n vs')
+               && (count = 0
+                  || agree ( = )
+                       (fun () -> Bv.to_lanes (n + 1) vs)
+                       (fun () -> R.to_lanes (n + 1) vs')))
+             [ 0; 1; 2; 63; 64; 65 ]
+        && (let lanes = Array.init n (fun _ -> Rng.bits64 aux) in
+            List.for_all
+              (fun count ->
+                agree same_all
+                  (fun () -> Bv.of_lanes count lanes)
+                  (fun () -> R.of_lanes count lanes))
+              [ -1; 0; 1; 2; 63; 64; 65 ])
+        && List.for_all
+             (fun count ->
+               agree ( = )
+                 (fun () -> Bv.random_lanes rng ~count n)
+                 (fun () -> R.random_lanes rng' ~count n)
+               && agree ( = )
+                    (fun () -> Bv.random_biased_lanes rng 0.9 ~count n)
+                    (fun () -> R.random_biased_lanes rng' 0.9 ~count n))
+             [ -1; 0; 1; 32; 64; 65 ]
+        && List.for_all
+             (fun width ->
+               let x = Rng.int aux max_int in
+               agree same
+                 (fun () -> Bv.of_int ~width x)
+                 (fun () -> R.of_int ~width x))
+             [ -1; 0; min n 62; 63 ]
+        && agree Int.equal (fun () -> Bv.to_int a) (fun () -> R.to_int a')
+        && Bv.to_string a = R.to_string a'
+        && agree same
+             (fun () -> Bv.of_string (Bv.to_string b))
+             (fun () -> R.of_string (R.to_string b'))
+        && agree same (fun () -> Bv.of_string "01x") (fun () -> R.of_string "01x")
+        && Format.asprintf "%a" Bv.pp a = Format.asprintf "%a" R.pp a'
+        && (let seen = ref [] and seen' = ref [] in
+            Bv.iteri (fun i x -> seen := (i, x) :: !seen) a;
+            R.iteri (fun i x -> seen' := (i, x) :: !seen') a';
+            !seen = !seen')
+        && List.for_all
+             (fun idxs ->
+               let src = Bv.random aux (List.length idxs) in
+               let src' = R.of_string (Bv.to_string src) in
+               agree same (fun () -> Bv.sub_bits a idxs) (fun () -> R.sub_bits a' idxs)
+               && agree_mut b b'
+                    (fun v -> Bv.blit_bits ~src ~dst:v idxs)
+                    (fun r -> R.blit_bits ~src:src' ~dst:r idxs))
+             [ idxs; idxs @ [ n ] ]
+      in
+      List.for_all each [ 0; 1; 63; 64; 65; 130 ] && Rng.bits64 rng = Rng.bits64 rng')
+
 let prop_flip_involution =
   QCheck.Test.make ~name:"double flip is identity" ~count:200
     QCheck.(pair (int_range 1 100) (int_range 0 1000))
@@ -340,7 +569,7 @@ let tests =
     Alcotest.test_case "int roundtrip" `Quick test_int_roundtrip;
     Alcotest.test_case "MSB-first convention (paper ex.1)" `Quick test_msb_convention;
     Alcotest.test_case "fill" `Quick test_fill;
-    Alcotest.test_case "equal/hash" `Quick test_equal_hash;
+    Alcotest.test_case "equal" `Quick test_equal;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng split independence" `Quick test_rng_split_independent;
     Alcotest.test_case "rng stream golden vectors" `Quick test_rng_golden;
@@ -351,8 +580,10 @@ let tests =
     Alcotest.test_case "popcount_word matches a bit loop" `Quick
       test_popcount_word;
     Alcotest.test_case "lane transposition" `Quick test_lanes;
+    Alcotest.test_case "lane store == reference per block" `Quick test_lane_store;
     QCheck_alcotest.to_alcotest prop_string_roundtrip;
     QCheck_alcotest.to_alcotest prop_popcount;
     QCheck_alcotest.to_alcotest prop_flip_involution;
     QCheck_alcotest.to_alcotest prop_biased_lanes;
+    QCheck_alcotest.to_alcotest prop_reference;
   ]

@@ -80,7 +80,7 @@ let test_cone_minimality () =
       Alcotest.(check (array bool))
         "fanout cone == Analysis.fanout_cone"
         (Analysis.fanout_cone c [ seed ])
-        (Soa.fanout_cone s [ seed ])
+        (Sweep_ref.fanout_cone s [ seed ])
     done;
     let observed = N.reachable c in
     let pos = Array.make n 0 in
@@ -133,7 +133,38 @@ let test_golden_observed () =
             Array.init (N.num_inputs c) (fun _ -> Rng.bits64 rng))
       in
       check (name ^ ": eval_blocks == Netlist.eval_words") true
-        (Soa.eval_blocks s blocks = Array.map (N.eval_words c) blocks))
+        (Soa.eval_blocks s blocks = Array.map (N.eval_words c) blocks);
+      (* the same blocks as one lane store: the same output words and
+         the same ["sim.gate-words"] *)
+      let ni = N.num_inputs c and no = N.num_outputs c in
+      let lanes = Bytes.create (8 * ni * Array.length blocks) in
+      Array.iteri
+        (fun b words ->
+          Array.iteri
+            (fun i w -> Bytes.set_int64_ne lanes (8 * ((b * ni) + i)) w)
+            words)
+        blocks;
+      let want, want_tally = Tally.run (fun () -> Soa.eval_blocks s blocks) in
+      let got, got_tally =
+        Tally.run (fun () ->
+            Soa.eval_store s lanes ~blocks:(Array.length blocks))
+      in
+      check (name ^ ": eval_store == eval_blocks") true
+        (Array.for_all Fun.id
+           (Array.mapi
+              (fun b outs ->
+                Array.for_all Fun.id
+                  (Array.mapi
+                     (fun o w ->
+                       Bytes.get_int64_ne got (8 * ((b * no) + o)) = w)
+                     outs))
+              want));
+      check_int (name ^ ": eval_store output store size")
+        (8 * no * Array.length blocks)
+        (Bytes.length got);
+      check_int (name ^ ": eval_store ticks as eval_blocks")
+        (Tally.total want_tally "sim.gate-words")
+        (Tally.total got_tally "sim.gate-words"))
     Cases.specs
 
 (* Every golden circuit, toggled on each input alone and on random sets
@@ -163,7 +194,7 @@ let test_golden_toggles () =
       in
       let cone_size ts =
         let cone =
-          Soa.fanout_cone s
+          Sweep_ref.fanout_cone s
             (List.concat_map (Soa.input_readers s) (Array.to_list ts))
         in
         let k = ref 0 in
